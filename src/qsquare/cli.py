@@ -2,22 +2,19 @@
 
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 verification
 failure.  All commands are deterministic; identical invocations produce
-byte-identical outputs.  QSQ_THREADS bounds the fan-out of verification
-sweeps over the width range (default 1).
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import blocks, sim
-from .ir import expand, from_json, to_json, to_qasm
+from .ir import expand, to_json, to_qasm
 from .layout import dump_grid
 from .costs import (
     BASELINES,
@@ -70,13 +67,6 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QSQ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---- synth -----------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -97,8 +87,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _drop_gate(netlist, k: int):
     if not 0 <= k < len(netlist.gates):
         raise _UsageError(f"gate index {k} out of range (netlist has {len(netlist.gates)})")
-    out = from_json(to_json(netlist))
-    del out.gates[k]
+    out = sim.Netlist()
+    out.wire_count = netlist.wire_count
+    out.cbit_count = netlist.cbit_count
+    out.registers = dict(netlist.registers)
+    out.gates = netlist.gates[:k] + netlist.gates[k + 1:]
     return out
 
 
@@ -206,12 +199,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     runs: list[dict] = []
     ok = True
     if args.mode in ("basis-exhaustive", "both"):
-        workers = _threads()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                runs.extend(pool.map(lambda n: _verify_basis_one(n, mutate), ns))
-        else:
-            runs.extend(_verify_basis_one(n, mutate) for n in ns)
+        runs.extend(_verify_basis_one(n, mutate) for n in ns)
     if args.mode in ("statevector-blocks", "both"):
         runs.extend(_verify_blocks())
 

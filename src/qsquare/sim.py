@@ -1,13 +1,14 @@
 """Two verification engines for netlists.
 
 The basis engine evaluates macro-level netlists (X, CNOT, preparations,
-and the three macro ops) under classical reversible semantics, wire by
-wire.  It deliberately refuses expanded Clifford+T gates: macro
-semantics are the verification contract for whole circuits, and the
-statevector engine certifies at small width that each block's Clifford+T
-expansion agrees with its macro semantics.  A vectorized variant sweeps
-many basis inputs at once (one numpy lane per input) for exhaustive
-checks.
+and the three macro ops) under classical reversible semantics.  It
+deliberately refuses expanded Clifford+T gates: macro semantics are the
+verification contract for whole circuits, and the statevector engine
+certifies at small width that each block's Clifford+T expansion agrees
+with its macro semantics.  There is one basis engine: it sweeps many
+basis inputs at once, one bool numpy lane per input, and a single input
+is the one-lane case.  In-place additions ripple a carry through the
+lanes bit by bit, so adders of any width are exact.
 
 The statevector engine applies exact unitaries over at most 12 wires,
 with X-basis measurement handled by branch exploration (or a forced
@@ -63,53 +64,10 @@ class BasisResult:
 
 
 def run_basis(netlist: Netlist, inputs: Mapping[int, int]) -> BasisResult:
-    """Classical reversible evaluation of a macro-level netlist.
-
-    Unassigned wires start at 0.  Expanded Clifford+T gates are
-    rejected; run the unexpanded netlist or use the statevector engine.
-    """
-    bits = [0] * netlist.wire_count
-    for w, v in inputs.items():
-        bits[w] = v & 1
-    carries: dict[int, int] = {}
-    for idx, op in enumerate(netlist.gates):
-        if isinstance(op, Gate):
-            if op.kind == "x":
-                bits[op.wires[0]] ^= 1
-            elif op.kind == "cx":
-                bits[op.wires[1]] ^= bits[op.wires[0]]
-            elif op.kind == "prep0":
-                if bits[op.wires[0]] != 0:
-                    raise SimulationError(
-                        f"prep0 on non-zero wire {op.wires[0]} at gate {idx}")
-            else:
-                raise NonClassicalGateError(
-                    f"non-classical gate {op.kind!r} in basis mode at gate {idx}")
-        elif isinstance(op, LogicalAnd):
-            if bits[op.target] != 0:
-                raise SimulationError(
-                    f"logical-AND target wire {op.target} not fresh at gate {idx}")
-            bits[op.target] = bits[op.x] & bits[op.y]
-        elif isinstance(op, UncomputeAnd):
-            if bits[op.target] != bits[op.x] & bits[op.y]:
-                raise UncomputeMisuseError(
-                    f"uncompute-misuse at gate {idx}: wire {op.target} holds "
-                    f"{bits[op.target]}, expected {bits[op.x] & bits[op.y]}")
-            bits[op.target] = 0
-        elif isinstance(op, AddInPlace):
-            m = len(op.a_wires)
-            a = sum(bits[w] << i for i, w in enumerate(op.a_wires))
-            b = sum(bits[w] << i for i, w in enumerate(op.b_wires))
-            s = a + b
-            for i, w in enumerate(op.b_wires):
-                bits[w] = (s >> i) & 1
-            if op.carry_out is not None:
-                if bits[op.carry_out] != 0:
-                    raise SimulationError(f"carry-out wire {op.carry_out} not fresh")
-                bits[op.carry_out] = (s >> m) & 1
-            else:
-                carries[idx] = (s >> m) & 1
-    return BasisResult({w: bits[w] for w in range(netlist.wire_count)}, carries)
+    """One basis input: the one-lane case of ``run_basis_sweep``."""
+    res = run_basis_sweep(netlist, {w: [v & 1] for w, v in inputs.items()}, 1)
+    return BasisResult({w: int(lane[0]) for w, lane in res.wires.items()},
+                       {idx: int(c[0]) for idx, c in res.would_be_carries.items()})
 
 
 @dataclass
@@ -124,7 +82,12 @@ class SweepResult:
 
 def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, np.ndarray],
                     lanes: int) -> SweepResult:
-    """Basis evaluation over many inputs at once (one lane per input)."""
+    """Classical reversible evaluation of a macro-level netlist over many
+    basis inputs at once (one lane per input).
+
+    Unassigned wires start at 0.  Expanded Clifford+T gates are
+    rejected; run the unexpanded netlist or use the statevector engine.
+    """
     bits = np.zeros((netlist.wire_count, lanes), dtype=bool)
     for w, lane in inputs.items():
         bits[w] = np.asarray(lane, dtype=bool)
@@ -154,22 +117,17 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, np.ndarray],
                     f"uncompute-misuse at gate {idx}, first lane {int(np.argmax(bad))}")
             bits[op.target] = False
         elif isinstance(op, AddInPlace):
-            m = len(op.a_wires)
-            a = np.zeros(lanes, dtype=np.int64)
-            b = np.zeros(lanes, dtype=np.int64)
-            for i, w in enumerate(op.a_wires):
-                a |= bits[w].astype(np.int64) << i
-            for i, w in enumerate(op.b_wires):
-                b |= bits[w].astype(np.int64) << i
-            s = a + b
-            for i, w in enumerate(op.b_wires):
-                bits[w] = (s >> i) & 1 == 1
+            # ripple carry, one bit position at a time: no width limit
+            carry = np.zeros(lanes, dtype=bool)
+            for wa, wb in zip(op.a_wires, op.b_wires):
+                a, b = bits[wa], bits[wb]
+                carry, bits[wb] = (a & b) | (carry & (a ^ b)), a ^ b ^ carry
             if op.carry_out is not None:
                 if bits[op.carry_out].any():
                     raise SimulationError(f"carry-out wire {op.carry_out} not fresh")
-                bits[op.carry_out] = (s >> m) & 1 == 1
+                bits[op.carry_out] = carry
             else:
-                carries[idx] = ((s >> m) & 1 == 1)
+                carries[idx] = carry
     return SweepResult({w: bits[w] for w in range(netlist.wire_count)}, carries, lanes)
 
 
@@ -384,26 +342,25 @@ class EquivalenceReport:
         return {"inputs_checked": self.inputs_checked, "mismatches": self.mismatches}
 
 
-def verify_equivalence(netlist: Netlist, input_wires, reference: Callable,
-                       wire_budget: int = STATEVECTOR_WIRE_LIMIT) -> EquivalenceReport:
+def verify_equivalence(netlist: Netlist, input_wires, reference: Callable) -> EquivalenceReport:
     """Compare a netlist against a reference over all basis inputs.
 
     ``reference`` maps a dict {input wire: bit} to the expected final
     bits {wire: bit} (only the wires it mentions are checked).  Macro
-    netlists run on the basis engine; expanded netlists run on the
-    statevector engine within ``wire_budget`` wires, and every
-    measurement branch must reproduce the expected basis state.
+    netlists run on the basis engine, all inputs in one sweep; expanded
+    netlists run on the statevector engine, and every measurement branch
+    must reproduce the expected basis state.
     """
     input_wires = tuple(input_wires)
     use_statevector = any(
         isinstance(op, Gate) and op.kind not in ("x", "cx", "prep0")
         for op in netlist.gates)
-    if use_statevector and netlist.wire_count > wire_budget:
-        raise WireBudgetError(
-            f"{netlist.wire_count} wires exceed the statevector budget {wire_budget}")
 
     mismatches: list[dict] = []
     total = 1 << len(input_wires)
+    values = np.arange(total)
+    sweep = None if use_statevector else run_basis_sweep(
+        netlist, {w: (values >> i) & 1 for i, w in enumerate(input_wires)}, total)
     for value in range(total):
         assignment = {w: (value >> i) & 1 for i, w in enumerate(input_wires)}
         expected = reference(dict(assignment))
@@ -418,9 +375,8 @@ def verify_equivalence(netlist: Netlist, input_wires, reference: Callable,
                                        "got": bits})
                     break
         else:
-            result = run_basis(netlist, assignment)
-            bad = {w: result.wires[w] for w in expected if result.wires[w] != expected[w]}
-            if bad:
+            got = {w: int(sweep.wires[w][value]) for w in expected}
+            if got != expected:
                 mismatches.append({"input": assignment, "expected": dict(expected),
-                                   "got": {w: result.wires[w] for w in expected}})
+                                   "got": got})
     return EquivalenceReport(total, mismatches)

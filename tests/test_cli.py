@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from qsquare.cli import main
+from qsquare.cli import _drop_gate, _UsageError, main
 from qsquare.ir import from_json, to_json
+from qsquare.synth import synthesize_squarer
 
 
 def run(argv, capsys):
@@ -80,6 +81,20 @@ def test_verify_mutated_netlist_fails(capsys):
     code, _, err = run(["verify", "5", "--mutate", "drop-gate:0"], capsys)
     assert code == 3
     assert "first failure" in err
+
+
+def test_drop_gate_copies_without_the_gate():
+    source = synthesize_squarer(6).netlist
+    before = to_json(source)
+    for k in (0, 7, len(source.gates) - 1):
+        mutant = _drop_gate(source, k)
+        assert len(mutant.gates) == len(source.gates) - 1
+        assert mutant.gates == source.gates[:k] + source.gates[k + 1:]
+        assert (mutant.wire_count, mutant.cbit_count, mutant.registers) == (
+            source.wire_count, source.cbit_count, source.registers)
+    assert to_json(source) == before
+    with pytest.raises(_UsageError):
+        _drop_gate(source, len(source.gates))
 
 
 def test_verify_range_outside_basis_window(capsys):

@@ -2,12 +2,13 @@
 
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 
 from qsquare.blocks import build_adder_in_place, build_logical_and, lower_adders
-from qsquare.ir import Gate, LogicalAnd, Netlist, UncomputeAnd, expand
+from qsquare.ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, expand
 from qsquare.sim import (
     NonClassicalGateError,
     SimulationError,
@@ -92,6 +93,49 @@ def test_sweep_agrees_with_scalar_engine():
             assert bool(sweep.wires[w][value]) == scalar.wires[w]
 
 
+def _lanes_of(values, width):
+    return [np.array([(v >> i) & 1 for v in values], dtype=bool) for i in range(width)]
+
+
+def _ints_of(res, wires, lanes):
+    return [sum(int(res.wires[w][k]) << i for i, w in enumerate(wires))
+            for k in range(lanes)]
+
+
+def test_sweep_exact_at_wide_widths():
+    # the adders span up to 2n-3 bits, beyond any fixed-width machine integer
+    rng = random.Random(2406)
+    for n in (40, 64):
+        c = synthesize_squarer(n)
+        a = [rng.getrandbits(n) for _ in range(63)] + [(1 << n) - 1]
+        lanes = len(a)
+        res = run_basis_sweep(
+            c.netlist, dict(zip(c.input_wires, _lanes_of(a, n))), lanes)
+        p_wires = [c.output_map[i] for i in range(2 * n)]
+        assert _ints_of(res, p_wires, lanes) == [v * v for v in a], n
+        assert _ints_of(res, c.input_wires, lanes) == a, n
+        keep = set(c.input_wires) | set(p_wires)
+        assert not any(res.wires[w].any()
+                       for w in range(c.netlist.wire_count) if w not in keep), n
+        assert not any(cw.any() for cw in res.would_be_carries.values()), n
+
+    m = 40
+    nl = Netlist()
+    wa = nl.alloc_register("a", m, "input")
+    wb = nl.alloc_register("b", m, "input")
+    nl.append(AddInPlace(wa, wb))
+    av = [(1 << m) - 1, 1 << (m - 1), rng.getrandbits(m), 5]
+    bv = [1, 1 << (m - 1), rng.getrandbits(m) | (1 << (m - 1)), 7]
+    inputs = dict(zip(wa, _lanes_of(av, m)))
+    inputs.update(zip(wb, _lanes_of(bv, m)))
+    res = run_basis_sweep(nl, inputs, len(av))
+    sums = [x + y for x, y in zip(av, bv)]
+    assert _ints_of(res, wb, len(av)) == [s % (1 << m) for s in sums]
+    assert _ints_of(res, wa, len(av)) == av
+    (carry,) = res.would_be_carries.values()
+    assert carry.tolist() == [bool(s >> m) for s in sums] == [True, True, True, False]
+
+
 def test_squarer_is_injective_on_valid_inputs():
     c = synthesize_squarer(5)
     seen = set()
@@ -155,6 +199,9 @@ def test_statevector_wire_budget():
     nl.alloc_register("a", 13, "input")
     with pytest.raises(WireBudgetError):
         run_statevector(nl)
+    nl.add_gate("h", 0)  # expanded, so verify_equivalence takes the statevector path
+    with pytest.raises(WireBudgetError):
+        verify_equivalence(nl, (0,), lambda bits: {0: bits[0]})
 
 
 def test_statevector_forced_branches():
