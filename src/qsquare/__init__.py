@@ -51,7 +51,7 @@ from .sim import (
     states_equal,
     verify_equivalence,
 )
-from .synth import SquarerCircuit, output_bit_map, stage_widths, synthesize_squarer
+from .synth import SquarerCircuit, stage_widths, synthesize_squarer
 from .costs import (
     CostReport,
     MetricValues,

@@ -180,11 +180,13 @@ def measure_block(netlist: Netlist, io_wires: int) -> BlockBudget:
     over; everything beyond them after expansion counts as ancillae.
     """
     full = expand(netlist)
+    t_count, cnot_count = count_gates(full)
+    t_depth, cnot_depth = schedule_asap(full)
     return BlockBudget(
-        t_count=count_gates(full, "t"),
-        t_depth=schedule_asap(full, "t"),
-        cnot_count=count_gates(full, "cnot"),
-        cnot_depth=schedule_asap(full, "cnot"),
+        t_count=t_count,
+        t_depth=t_depth,
+        cnot_count=cnot_count,
+        cnot_depth=cnot_depth,
         ancillae=full.wire_count - io_wires,
     )
 

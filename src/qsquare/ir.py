@@ -16,7 +16,9 @@ Three macro ops describe whole sub-circuits: ``LogicalAnd`` (temporary
 AND onto a fresh ancilla, 4 T gates after lowering), ``UncomputeAnd``
 (its Clifford-only measurement-based reversal) and ``AddInPlace`` (the
 in-place ripple-carry adder built from the other two).  ``expand``
-lowers all macros to primitives.
+lowers all macros to primitives.  ``count_gates`` (T and CNOT counts)
+and ``schedule_asap`` (T- and CNOT-depth) each measure an expanded
+netlist in a single walk over its gates.
 
 Netlists are append-only while being built and treated as immutable
 afterwards; every transformation returns a new netlist.
@@ -292,45 +294,28 @@ def _lower(out: Netlist, op) -> None:
 
 # ---- counting and depth --------------------------------------------------
 
-_COUNT_CLASSES = ("t", "cnot", "total", "measurements")
+def count_gates(netlist: Netlist) -> tuple[int, int]:
+    """(T count, CNOT count) of a fully expanded netlist, in one walk.
 
-
-def _normalize_class(cls: str) -> str:
-    aliases = {"total-gates": "total", "T": "t", "CNOT": "cnot"}
-    cls = aliases.get(cls, cls)
-    if cls not in _COUNT_CLASSES:
-        raise ValueError(f"unknown gate class {cls!r}")
-    return cls
-
-
-def count_gates(netlist: Netlist, cls: str) -> int:
-    """Count gates of a class: "t" (t and tdg), "cnot" (cx only, not cz),
-    "total" (all non-preparation records) or "measurements" (mx).
-
-    T/CNOT counting requires a fully expanded netlist; prep0/prepT are
-    zero-cost pseudo-gates for every metric.
+    T counts ``t`` and ``tdg``; CNOT counts ``cx`` only, not ``cz``.
+    prep0/prepT are zero-cost pseudo-gates and count toward neither.
+    Raises ``UnexpandedNetlistError`` when a macro op is present.
     """
-    cls = _normalize_class(cls)
-    if cls in ("t", "cnot") and netlist.has_macros:
-        raise UnexpandedNetlistError(f"cannot count {cls!r} with macros present")
-    n = 0
+    t = cnot = 0
     for op in netlist.gates:
         if not isinstance(op, Gate):
-            n += 1 if cls == "total" else 0
-            continue
-        if op.kind in _PSEUDO:
-            continue
-        if (cls == "total"
-                or (cls == "t" and op.kind in _T_KINDS)
-                or (cls == "cnot" and op.kind == "cx")
-                or (cls == "measurements" and op.kind == "mx")):
-            n += 1
-    return n
+            raise UnexpandedNetlistError("counting requires a fully expanded netlist")
+        if op.kind in _T_KINDS:
+            t += 1
+        elif op.kind == "cx":
+            cnot += 1
+    return t, cnot
 
 
-def schedule_asap(netlist: Netlist, cls: str) -> int:
-    """Greedy as-soon-as-possible layering; returns the number of layers
-    containing at least one gate of ``cls`` ("t" or "cnot").
+def schedule_asap(netlist: Netlist) -> tuple[int, int]:
+    """Greedy as-soon-as-possible layering in one walk; returns
+    (T-depth, CNOT-depth), the number of layers holding at least one
+    T gate and at least one CNOT respectively.
 
     Gates keep program order per wire and are never commuted past each
     other, with one exception that matches how multi-target fan-out is
@@ -338,20 +323,18 @@ def schedule_asap(netlist: Netlist, cls: str) -> int:
     may occupy one layer (they commute and form a single multi-target
     CX).  Preparation pseudo-gates take no layer; measurements and
     classically controlled gates are ordinary one-layer events, and a
-    classically controlled gate never precedes its measurement.
+    classically controlled gate never precedes its measurement.  Raises
+    ``UnexpandedNetlistError`` when a macro op is present.
     """
-    cls = _normalize_class(cls)
-    if cls not in ("t", "cnot"):
-        raise ValueError(f"schedule_asap supports 't' and 'cnot', got {cls!r}")
-    if netlist.has_macros:
-        raise UnexpandedNetlistError("scheduling requires a fully expanded netlist")
-
     last: dict[int, int] = {}       # wire -> last occupied layer
     open_ctrl: dict[int, int] = {}  # wire -> layer of a joinable fan-out control
     meas_layer: dict[int, int] = {}
-    class_layers: set[int] = set()
+    t_layers: set[int] = set()
+    cnot_layers: set[int] = set()
 
     for op in netlist.gates:
+        if not isinstance(op, Gate):
+            raise UnexpandedNetlistError("scheduling requires a fully expanded netlist")
         if op.kind in _PSEUDO:
             continue
         if op.kind == "cx":
@@ -365,6 +348,7 @@ def schedule_asap(netlist: Netlist, cls: str) -> int:
             last[tg] = layer
             open_ctrl[c] = layer
             open_ctrl.pop(tg, None)
+            cnot_layers.add(layer)
         else:
             layer = max((last.get(w, 0) for w in op.wires), default=0) + 1
             if op.kind == "ccz_classical":
@@ -374,9 +358,9 @@ def schedule_asap(netlist: Netlist, cls: str) -> int:
                 open_ctrl.pop(w, None)
             if op.kind == "mx":
                 meas_layer[op.cbit] = layer
-        if (cls == "t" and op.kind in _T_KINDS) or (cls == "cnot" and op.kind == "cx"):
-            class_layers.add(layer)
-    return len(class_layers)
+            elif op.kind in _T_KINDS:
+                t_layers.add(layer)
+    return len(t_layers), len(cnot_layers)
 
 
 # ---- serialization -------------------------------------------------------

@@ -17,16 +17,23 @@ positions P_0..P_{2n-1}:
 
 P_0 aliases input wire a_0 and P_1 is a dedicated zero wire; every sum
 bit lands on a row-T_1 wire or the first adder's carry wire, so no wire
-outside A and P carries state at the end.  The phase-8 schedule follows
-the published index-case loops literally; entries that address a cell
-holding no live partial product are skipped, leftover live cells are
-released in reverse order of computation, and both kinds of divergence
-are logged on the result rather than silently patched.
+outside A and P carries state at the end.
+
+Phase 8 releases every live partial product (all rows but T_1) in
+reverse build order, i.e. by descending wire index.  It does not follow
+the published phase-8 index-case loops: they never reach cell T(0,1)
+(the a_0 a_2 product) at any n, and from n=8 on they also address
+2*floor(n/2)-7 cells that hold no live product while missing as many
+live ones, so they cannot release every ancilla without a fallback
+pass.  The order changes no metric: phase 8 comes last and holds only
+measurements and classically controlled CZs, with no T gate, CNOT or
+new wire, so the T/CNOT counts and ASAP depths of the rest are
+unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .blocks import (
     adder_and_count,
@@ -54,16 +61,6 @@ class StageInfo:
     and_count: int
 
 
-@dataclass(frozen=True)
-class UncomputeEvent:
-    """A phase-8 schedule entry that diverged from a live AND cell."""
-
-    row: int
-    col: int
-    kind: str  # "skipped" (scheduled cell held no live AND) or "fallback"
-    note: str
-
-
 @dataclass
 class SquarerCircuit:
     """A synthesized squaring circuit plus its layout metadata."""
@@ -74,7 +71,6 @@ class SquarerCircuit:
     cell_wires: dict[tuple[int, int], int]
     output_map: dict[int, int]
     stages: list[StageInfo]
-    uncompute_log: list[UncomputeEvent] = field(default_factory=list)
 
     @property
     def registers(self) -> dict[str, tuple[int, ...]]:
@@ -96,34 +92,6 @@ def stage_widths(n: int) -> list[int]:
         raise UnsupportedWidthError(n)
     stages = n // 2 if n % 2 == 0 else (n - 1) // 2
     return [2 * n - 3] + [2 * n - 4 - 2 * i for i in range(stages - 1)]
-
-
-def uncompute_schedule(n: int) -> list[tuple[int, int]]:
-    """Phase-8 cell addresses (row, col) in the published loop order."""
-    out: list[tuple[int, int]] = []
-    for i in range(3, 2 * n - 2):
-        if i <= n - 1:
-            if i % 2 == 1:
-                out.append((2, i - 3))
-                if i > 3:
-                    for i1 in range(1, (i + 1) // 2 - 1):
-                        out.append((i1 + 2, i - 3 - 2 * i1))
-            else:
-                out.append((0, i - 1))
-                if i > 4:
-                    for i2 in range(1, i // 2 - 1):
-                        out.append((i2 + 1, i - 1 - 2 * i2))
-        else:
-            if i % 2 == 1:
-                if i != 2 * n - 3:
-                    for i3 in range(1, (2 * n - i - 3) // 2 + 1):
-                        out.append((i3 + 1, i - 1 - 2 * i3))
-            else:
-                out.append((0, i - 1))
-                if i != 2 * n - 4 and i != 2 * n - 6:
-                    for i4 in range(2, (2 * n - i - 4) // 2 + 1):
-                        out.append((i4 + 1, i - 2 * i4 + 1))
-    return out
 
 
 def synthesize_squarer(n: int) -> SquarerCircuit:
@@ -193,34 +161,12 @@ def synthesize_squarer(n: int) -> SquarerCircuit:
     for i in range(1, n):
         nl.add_gate("cx", a[i], copy_wire[i])
 
-    # phase 8: release the partial-product ancillae.  Row T_1 is excluded:
-    # its wires were overwritten by the first adder's sum and are now P bits.
-    live: dict[tuple[int, int], PartialProduct] = {
-        (r, c): e for r, c, e in grid.cells()
-        if r != 1 and isinstance(e, PartialProduct)}
-    log: list[UncomputeEvent] = []
-    for r, c in uncompute_schedule(n):
-        entry = live.pop((r, c), None)
-        if entry is None:
-            held = grid.entry(r, c) if r < grid.row_count and c < len(grid.rows[r]) else None
-            log.append(UncomputeEvent(r, c, "skipped",
-                                      f"scheduled cell holds {held!r}, no live AND"))
-            continue
-        build_uncompute_and(nl, a[entry.i], a[entry.j], cell_wires[(r, c)])
-    order = {w: k for k, w in enumerate(pp_wire.values())}
-    for (r, c), entry in sorted(live.items(),
-                                key=lambda kv: -order[cell_wires[kv[0]]]):
-        build_uncompute_and(nl, a[entry.i], a[entry.j], cell_wires[(r, c)])
-        log.append(UncomputeEvent(r, c, "fallback",
-                                  f"{entry.label()} released in reverse build order"))
+    # phase 8: release the partial-product ancillae in reverse build order.
+    # Row T_1 is excluded: its wires were overwritten by the first adder's
+    # sum and are now P bits.
+    t1 = set(nl.registers["T1"])
+    for (i, j), w in reversed(pp_wire.items()):
+        if w not in t1:
+            build_uncompute_and(nl, a[i], a[j], w)
 
-    return SquarerCircuit(n, nl, grid, cell_wires, output_map, stages, log)
-
-
-def output_bit_map(circuit: SquarerCircuit) -> dict[int, int]:
-    """Output position -> wire, total over 0..2n-1.
-
-    Position 0 aliases input wire a_0; position 1 is the dedicated zero
-    wire; the rest are adder sum wires, each mapped exactly once.
-    """
-    return dict(circuit.output_map)
+    return SquarerCircuit(n, nl, grid, cell_wires, output_map, stages)

@@ -1,6 +1,9 @@
 """CLI contract: formats, exit codes, determinism, round-trips."""
 
+import importlib
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +151,22 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_traced_layer_functions_exist():
+    # the benchmark traces public module-level functions by name, so a
+    # per-layer metric "<module>.<function>.<metric>" reads as absent
+    # once that function is renamed, moved or made private
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    checked = []
+    for entry in spec["per_layer"]:
+        parts = entry["name"].split(".")
+        if len(parts) != 3:
+            continue
+        module, name, _ = parts
+        mod = importlib.import_module(f"qsquare.{module}")
+        fn = getattr(mod, name, None)
+        assert not name.startswith("_") and inspect.isfunction(fn), entry["name"]
+        assert fn.__module__ == mod.__name__, entry["name"]
+        checked.append(entry["name"])
+    assert checked

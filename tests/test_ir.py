@@ -103,8 +103,7 @@ def test_adder_macro_validation():
 def test_expanded_and_counts_four_t_six_cnot():
     full = expand(single_and_netlist())
     assert not full.has_macros
-    assert count_gates(full, "t") == 4
-    assert count_gates(full, "cnot") == 6
+    assert count_gates(full) == (4, 6)
 
 
 def test_expanded_uncompute_is_clifford_only():
@@ -112,8 +111,8 @@ def test_expanded_uncompute_is_clifford_only():
     t = nl.wire_count - 1
     nl.append(UncomputeAnd(0, 1, t))
     full = expand(nl)
-    assert count_gates(full, "t") == 4  # only the AND contributes
-    assert count_gates(full, "measurements") == 1
+    assert count_gates(full) == (4, 6)  # only the AND contributes
+    assert [g.kind for g in full.gates].count("mx") == 1
     # the uncompute tail is one measurement plus one classical CZ
     assert [g.kind for g in full.gates[-2:]] == ["mx", "ccz_classical"]
 
@@ -137,32 +136,29 @@ def test_expand_is_idempotent():
 
 def test_empty_netlist_counts_zero():
     nl = Netlist()
-    for cls in ("t", "cnot", "total", "measurements"):
-        assert count_gates(nl, cls) == 0
+    assert count_gates(nl) == (0, 0)
+    assert schedule_asap(nl) == (0, 0)
 
 
 def test_preps_are_free_for_all_counts():
     nl = Netlist()
     nl.alloc_register("a", 2, "zero")
     nl.alloc_register("m", 1, "magicT")
-    assert count_gates(nl, "total") == 0
+    assert count_gates(nl) == (0, 0)
+    assert schedule_asap(nl) == (0, 0)
 
 
 def test_count_t_on_unexpanded_rejected():
     nl = single_and_netlist()
     with pytest.raises(UnexpandedNetlistError):
-        count_gates(nl, "t")
-    with pytest.raises(UnexpandedNetlistError):
-        count_gates(nl, "cnot")
-    assert count_gates(nl, "total") == 1  # macros still count as records
+        count_gates(nl)
 
 
 # ---- layering ----------------------------------------------------------------
 
 def test_and_block_depths_match_stated_figures():
     full = expand(single_and_netlist())
-    assert schedule_asap(full, "t") == 2
-    assert schedule_asap(full, "cnot") == 4
+    assert schedule_asap(full) == (2, 4)
 
 
 def test_disjoint_and_blocks_share_layers():
@@ -172,8 +168,7 @@ def test_disjoint_and_blocks_share_layers():
     nl.append(LogicalAnd(0, 1, t1))
     nl.append(LogicalAnd(2, 3, t2))
     full = expand(nl)
-    assert schedule_asap(full, "t") == 2
-    assert schedule_asap(full, "cnot") == 4
+    assert schedule_asap(full) == (2, 4)
 
 
 def test_serial_t_gates_depth_equals_count():
@@ -181,12 +176,12 @@ def test_serial_t_gates_depth_equals_count():
     nl.alloc_register("a", 1, "input")
     for _ in range(5):
         nl.add_gate("t", 0)
-    assert schedule_asap(nl, "t") == count_gates(nl, "t") == 5
+    assert schedule_asap(nl)[0] == count_gates(nl)[0] == 5
 
 
 def test_t_depth_never_exceeds_t_count():
     full = expand(single_and_netlist())
-    assert schedule_asap(full, "t") <= count_gates(full, "t")
+    assert schedule_asap(full)[0] <= count_gates(full)[0]
 
 
 def test_classical_cz_waits_for_its_measurement():
@@ -198,12 +193,12 @@ def test_classical_cz_waits_for_its_measurement():
     nl.add_gate("t", 0)                          # layer 3
     nl.add_gate("t", 2)                          # layer 2
     # without the measurement dependency both T gates would share layer 2
-    assert schedule_asap(nl, "t") == 2
+    assert schedule_asap(nl) == (2, 0)
 
 
 def test_schedule_requires_expansion():
     with pytest.raises(UnexpandedNetlistError):
-        schedule_asap(single_and_netlist(), "t")
+        schedule_asap(single_and_netlist())
 
 
 def test_counts_and_depths_invariant_under_relabeling():
@@ -212,10 +207,8 @@ def test_counts_and_depths_invariant_under_relabeling():
     full = expand(nl)
     perm = [2, 0, 1]
     relabeled = full.relabeled(perm)
-    for cls in ("t", "cnot", "total", "measurements"):
-        assert count_gates(relabeled, cls) == count_gates(full, cls)
-    for cls in ("t", "cnot"):
-        assert schedule_asap(relabeled, cls) == schedule_asap(full, cls)
+    assert count_gates(relabeled) == count_gates(full)
+    assert schedule_asap(relabeled) == schedule_asap(full)
 
 
 # ---- serialization -------------------------------------------------------------

@@ -80,19 +80,6 @@ def test_basis_records_would_be_carries():
     assert list(res.would_be_carries.values()) == [0]
 
 
-def test_sweep_agrees_with_scalar_engine():
-    c = synthesize_squarer(5)
-    lanes = 32
-    a = np.arange(lanes)
-    inputs = {w: (a >> i) & 1 == 1 for i, w in enumerate(c.input_wires)}
-    sweep = run_basis_sweep(c.netlist, inputs, lanes)
-    for value in range(lanes):
-        scalar = run_basis(c.netlist,
-                           {w: (value >> i) & 1 for i, w in enumerate(c.input_wires)})
-        for w in range(c.netlist.wire_count):
-            assert bool(sweep.wires[w][value]) == scalar.wires[w]
-
-
 def _lanes_of(values, width):
     return [np.array([(v >> i) & 1 for v in values], dtype=bool) for i in range(width)]
 
@@ -105,9 +92,12 @@ def _ints_of(res, wires, lanes):
 def test_sweep_exact_at_wide_widths():
     # the adders span up to 2n-3 bits, beyond any fixed-width machine integer
     rng = random.Random(2406)
-    for n in (40, 64):
+    for n in (5, 40, 64):
         c = synthesize_squarer(n)
-        a = [rng.getrandbits(n) for _ in range(63)] + [(1 << n) - 1]
+        if n == 5:
+            a = list(range(1 << n))  # exhaustive; draws nothing from rng
+        else:
+            a = [rng.getrandbits(n) for _ in range(63)] + [(1 << n) - 1]
         lanes = len(a)
         res = run_basis_sweep(
             c.netlist, dict(zip(c.input_wires, _lanes_of(a, n))), lanes)

@@ -1,4 +1,4 @@
-"""Synthesizer structure: stages, output map, uncompute schedule, determinism."""
+"""Synthesizer structure: stages, output map, uncompute order, determinism."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ import pytest
 from qsquare.ir import AddInPlace, LogicalAnd, UncomputeAnd, expand, to_json
 from qsquare.layout import UnsupportedWidthError
 from qsquare.sim import pack_wires, run_basis, run_basis_sweep
-from qsquare.synth import (
-    output_bit_map,
-    stage_widths,
-    synthesize_squarer,
-    uncompute_schedule,
-)
+from qsquare.synth import stage_widths, synthesize_squarer
 
 
 def test_stage_widths_n6():
@@ -58,7 +53,7 @@ def test_reported_adder_ands_sit_next_to_closed_form_23():
 
 def test_output_map_positions_n6():
     c = synthesize_squarer(6)
-    out = output_bit_map(c)
+    out = c.output_map
     assert sorted(out) == list(range(12))
     assert out[0] == c.input_wires[0]
     assert out[1] == c.registers["P1"][0]
@@ -73,7 +68,7 @@ def test_output_map_positions_n6():
 def test_output_map_is_injective_with_documented_alias():
     for n in (5, 6, 7, 8):
         c = synthesize_squarer(n)
-        out = output_bit_map(c)
+        out = c.output_map
         assert sorted(out) == list(range(2 * n))
         assert len(set(out.values())) == 2 * n
         assert out[0] == c.input_wires[0]  # the only wire shared with A
@@ -91,7 +86,7 @@ def test_p1_wire_is_never_written():
 def test_sum_wires_are_t1_row_plus_first_carry():
     for n in (5, 6, 7):
         c = synthesize_squarer(n)
-        out = output_bit_map(c)
+        out = c.output_map
         sum_wires = {out[i] for i in range(2, 2 * n)}
         assert sum_wires == set(c.registers["T1"]) | {c.registers["carry"][0]}
 
@@ -106,39 +101,18 @@ def test_no_uncompute_targets_first_adder_operand_row():
 
 
 def test_every_partial_product_ancilla_is_released():
-    for n in range(5, 11):
+    # each live AND is released exactly once, by its own inputs, in
+    # reverse build order (descending wire index)
+    for n in range(5, 13):
         c = synthesize_squarer(n)
-        releases = {g.target for g in c.netlist.gates if isinstance(g, UncomputeAnd)}
+        built = {g.target: (g.x, g.y) for g in c.netlist.gates if isinstance(g, LogicalAnd)}
+        releases = [g for g in c.netlist.gates if isinstance(g, UncomputeAnd)]
         expected = {
             c.cell_wires[(r, col)]
             for r, col, e in c.grid.cells()
             if r != 1 and type(e).__name__ == "PartialProduct"}
-        assert releases == expected
-
-
-def test_uncompute_schedule_always_misses_the_a0a2_cell():
-    # the published loops start at i=3, so cell T(0,1) is out of reach
-    for n in range(5, 13):
-        assert (0, 1) not in uncompute_schedule(n)
-        c = synthesize_squarer(n)
-        fallbacks = {(e.row, e.col) for e in c.uncompute_log if e.kind == "fallback"}
-        assert (0, 1) in fallbacks
-
-
-def test_uncompute_schedule_row_slip_at_n8():
-    # at n=8 the published inner loop addresses the zero pad T(3,5) while
-    # the live product sits at T(2,5); both divergences are logged
-    c = synthesize_squarer(8)
-    skipped = {(e.row, e.col) for e in c.uncompute_log if e.kind == "skipped"}
-    fallbacks = {(e.row, e.col) for e in c.uncompute_log if e.kind == "fallback"}
-    assert (3, 5) in skipped
-    assert (2, 5) in fallbacks
-
-
-def test_uncompute_log_is_quiet_where_schedule_is_complete():
-    for n in (5, 6, 7):
-        c = synthesize_squarer(n)
-        assert [(e.row, e.col, e.kind) for e in c.uncompute_log] == [(0, 1, "fallback")]
+        assert [g.target for g in releases] == sorted(expected, reverse=True)
+        assert all((g.x, g.y) == built[g.target] for g in releases)
 
 
 def test_copy_restoration_comes_before_uncomputation():
