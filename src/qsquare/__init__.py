@@ -1,7 +1,8 @@
 """Garbage-free Clifford+T integer squaring circuits.
 
 Synthesis of the full netlist, exact simulation (classical basis
-semantics for whole circuits, statevector for block expansions), and
+semantics for macro netlists, a sparse phase-checked statevector for
+Clifford+T expansions up to the whole circuit), and
 closed-form resource accounting with measured/closed-form
 reconciliation.
 """
@@ -44,6 +45,7 @@ from .sim import (
     Branch,
     EquivalenceReport,
     NonClassicalGateError,
+    TermBudgetError,
     UncomputeMisuseError,
     run_basis,
     run_basis_sweep,

@@ -3,22 +3,29 @@
 The basis engine evaluates macro-level netlists (X, CNOT, preparations,
 and the three macro ops) under classical reversible semantics.  It
 deliberately refuses expanded Clifford+T gates: macro semantics are the
-verification contract for whole circuits, and the statevector engine
-certifies at small width that each block's Clifford+T expansion agrees
-with its macro semantics.  There is one basis engine: it sweeps many
+verification contract, and the statevector engine certifies that the
+Clifford+T expansion, of one block or of the whole circuit, agrees with
+them, phase included.  There is one basis engine: it sweeps many
 basis inputs at once, one bool numpy lane per input, and a single input
 is the one-lane case.  In-place additions ripple a carry through the
 lanes bit by bit, so adders of any width are exact.
 
-The statevector engine applies exact unitaries over at most 12 wires,
-with X-basis measurement handled by branch exploration (or a forced
-outcome for deterministic replay) and classically controlled CZ applied
-per branch.  Measured wires are consumed: the post-measurement ancilla
-is reset to |0> before execution continues.
+The statevector engine runs expanded Clifford+T netlists of any width
+on a sparse state: a dict from basis bitmask (bit w = wire w) to
+amplitude.  Gidney's temporary AND and its measurement-based uncompute
+keep only a few terms alive, so the whole expanded squarer stays small;
+a state of more than ``MAX_TERMS`` terms raises rather than exhausting
+memory.  X-basis measurement is handled by branch exploration (or a
+forced outcome for deterministic replay) and classically controlled CZ
+is applied per branch.  Measured wires are consumed: the
+post-measurement ancilla is reset to |0> before execution continues.
+Equivalence checks on expanded netlists compare phase too: every branch
+must end in the expected basis state with amplitude 1.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -27,7 +34,7 @@ import numpy as np
 
 from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd
 
-STATEVECTOR_WIRE_LIMIT = 12
+MAX_TERMS = 1 << 12  # as many amplitudes as a dense 12-wire state holds
 NORM_TOL = 1e-9
 AMP_TOL = 1e-9
 
@@ -44,8 +51,8 @@ class UncomputeMisuseError(SimulationError):
     """Uncompute-AND applied to a wire not holding x AND y."""
 
 
-class WireBudgetError(SimulationError):
-    """Netlist too wide for exact statevector simulation."""
+class TermBudgetError(SimulationError):
+    """Statevector grew past ``MAX_TERMS`` nonzero amplitudes."""
 
 
 class NormDriftError(SimulationError):
@@ -138,146 +145,122 @@ def pack_wires(result_wires: Mapping[int, int], wires: Iterable[int]) -> int:
 
 # ---- statevector engine -----------------------------------------------------
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_GATES_1Q = {
-    "h": _H,
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-    "tdg": np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
-}
+_SQRT_HALF = math.sqrt(0.5)
+_PHASES = {"z": -1, "s": 1j, "sdg": -1j,
+           "t": cmath.exp(1j * math.pi / 4), "tdg": cmath.exp(-1j * math.pi / 4)}
+_RESIDUE = 1e-12  # amplitudes this small are rounding left by exact cancellation
 
 
 @dataclass
 class Branch:
-    """One measurement branch: exact state (2^w amplitudes, wire 0 on the
-    most significant axis), classical bits, and the branch probability."""
+    """One measurement branch: the sparse state (basis bitmask, bit w =
+    wire w -> amplitude), classical bits, and the branch probability."""
 
-    state: np.ndarray
+    state: dict[int, complex]
     cbits: dict[int, int]
     probability: float
 
-    def wire_bits(self, tol: float = AMP_TOL) -> dict[int, int]:
-        """Read the state as a computational basis assignment; raises if
-        the state is not a basis vector (up to global phase)."""
-        flat = self.state.reshape(-1)
-        k = int(np.argmax(np.abs(flat)))
-        if abs(abs(flat[k]) - 1.0) > math.sqrt(tol):
+    def wire_bits(self, wire_count: int) -> dict[int, int]:
+        """Read the state as a computational basis assignment of
+        ``wire_count`` wires; raises unless exactly one term is left."""
+        if len(self.state) != 1:
             raise SimulationError("state is not a computational basis vector")
-        w = int(round(math.log2(flat.size)))
-        return {i: (k >> (w - 1 - i)) & 1 for i in range(w)}
+        (mask,) = self.state
+        return {w: (mask >> w) & 1 for w in range(wire_count)}
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, wire: int) -> np.ndarray:
-    state = np.moveaxis(state, wire, -1)
-    state = state @ mat.T
-    return np.moveaxis(state, -1, wire)
+def _apply(state: dict[int, complex], kind: str, wires) -> dict[int, complex]:
+    """One unitary gate (h, x, z, s, sdg, t, tdg, cx, cz) on a sparse state."""
+    bit = 1 << wires[0]
+    if kind == "x":
+        return {m ^ bit: a for m, a in state.items()}
+    if kind == "cx":
+        target = 1 << wires[1]
+        return {m ^ target if m & bit else m: a for m, a in state.items()}
+    if kind == "cz":
+        both = bit | 1 << wires[1]
+        return {m: -a if m & both == both else a for m, a in state.items()}
+    if kind == "h":
+        out: dict[int, complex] = {}
+        for m, a in state.items():
+            a *= _SQRT_HALF
+            low = m & ~bit
+            out[low] = out.get(low, 0) + a
+            out[low | bit] = out.get(low | bit, 0) + (-a if m & bit else a)
+        return {m: a for m, a in out.items() if abs(a) > _RESIDUE}
+    if kind in _PHASES:
+        phase = _PHASES[kind]
+        return {m: a * phase if m & bit else a for m, a in state.items()}
+    raise SimulationError(f"gate {kind!r} not supported in statevector mode")
 
 
-def _apply_cx(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    state = state.copy()
-    idx0: list = [slice(None)] * state.ndim
-    idx0[control] = 1
-    idx1 = list(idx0)
-    idx0[target] = 0
-    idx1[target] = 1
-    state[tuple(idx0)], state[tuple(idx1)] = (
-        state[tuple(idx1)].copy(), state[tuple(idx0)].copy())
-    return state
-
-
-def _apply_cz(state: np.ndarray, a: int, b: int) -> np.ndarray:
-    state = state.copy()
-    idx: list = [slice(None)] * state.ndim
-    idx[a] = 1
-    idx[b] = 1
-    state[tuple(idx)] *= -1
-    return state
-
-
-def _check_norm(state: np.ndarray) -> None:
-    norm = float(np.linalg.norm(state))
+def _check(state: dict[int, complex]) -> None:
+    if len(state) > MAX_TERMS:
+        raise TermBudgetError(f"{len(state)} basis terms exceed the {MAX_TERMS}-term limit")
+    norm = math.sqrt(sum(abs(a) ** 2 for a in state.values()))
     if abs(norm - 1.0) > NORM_TOL:
         raise NormDriftError(f"statevector norm drifted to {norm}")
 
 
-def _initial_state(wire_count: int, initial: Mapping[int, object] | None) -> np.ndarray:
+def _initial_state(wire_count: int, initial: Mapping[int, object] | None) -> dict[int, complex]:
     initial = initial or {}
-    vecs = []
+    state: dict[int, complex] = {0: 1}
     for w in range(wire_count):
         spec = initial.get(w, 0)
-        if spec in (0, "0", "zero"):
-            vecs.append(np.array([1, 0], dtype=complex))
-        elif spec in (1, "1"):
-            vecs.append(np.array([0, 1], dtype=complex))
+        if spec in (1, "1"):
+            state = _apply(state, "x", (w,))
         elif spec in ("T", "magicT"):
-            vecs.append(np.array([1, np.exp(1j * math.pi / 4)], dtype=complex) / math.sqrt(2))
-        else:
+            state = _apply(_apply(state, "h", (w,)), "t", (w,))
+        elif spec not in (0, "0", "zero"):
             raise ValueError(f"unknown initial spec {spec!r} for wire {w}")
-    state = vecs[0]
-    for v in vecs[1:]:
-        state = np.tensordot(state, v, axes=0)
-    return state.reshape((2,) * wire_count)
+    _check(state)
+    return state
 
 
-def _measure_x(state: np.ndarray, wire: int, outcome: int) -> tuple[np.ndarray, float]:
+def _measure_x(state: dict[int, complex], wire: int,
+               outcome: int) -> tuple[dict[int, complex], float]:
     """Project onto |+> (outcome 0) or |-> (outcome 1), renormalize, and
-    reset the measured wire to |0>.  Returns (state, branch probability)."""
-    plus = np.take(state, 0, axis=wire) + (1 if outcome == 0 else -1) * np.take(state, 1, axis=wire)
-    plus = plus / math.sqrt(2)
-    prob = float(np.sum(np.abs(plus) ** 2))
+    reset the measured wire to |0>.  Returns (state, branch probability).
+
+    H maps |+>, |-> to |0>, |1>, so this is H, then a computational-basis
+    projection onto ``outcome``."""
+    kept = {m & ~(1 << wire): a for m, a in _apply(state, "h", (wire,)).items()
+            if (m >> wire) & 1 == outcome}
+    prob = sum(abs(a) ** 2 for a in kept.values())
     if prob < 1e-12:
-        return plus, 0.0
-    rest = plus / math.sqrt(prob)
-    out = np.zeros(state.shape, dtype=complex)
-    idx: list = [slice(None)] * state.ndim
-    idx[wire] = 0
-    out[tuple(idx)] = rest
-    return out, prob
+        return {}, 0.0
+    scale = 1 / math.sqrt(prob)
+    return {m: a * scale for m, a in kept.items()}, prob
 
 
 def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = None,
                     branch: str = "explore") -> list[Branch]:
-    """Exact simulation of a fully expanded netlist of at most 12 wires.
+    """Exact simulation of a fully expanded netlist on a sparse state.
 
     ``initial`` maps wires to 0, 1 or "T" (default 0).  ``branch`` is
     "explore" (follow every measurement outcome; returns one Branch per
-    surviving combination), "forced-0" or "forced-1".
+    surviving combination), "forced-0" or "forced-1".  Raises
+    ``TermBudgetError`` once a state holds more than ``MAX_TERMS`` terms.
     """
     if netlist.has_macros:
         raise SimulationError("statevector mode needs a fully expanded netlist")
-    w = netlist.wire_count
-    if w > STATEVECTOR_WIRE_LIMIT:
-        raise WireBudgetError(f"{w} wires exceed the {STATEVECTOR_WIRE_LIMIT}-wire limit")
     if branch not in ("explore", "forced-0", "forced-1"):
         raise ValueError(f"unknown branch policy {branch!r}")
 
-    branches = [Branch(_initial_state(w, initial), {}, 1.0)]
+    branches = [Branch(_initial_state(netlist.wire_count, initial), {}, 1.0)]
     for op in netlist.gates:
         nxt: list[Branch] = []
         for br in branches:
             state = br.state
-            if op.kind in _GATES_1Q:
-                state = _apply_1q(state, _GATES_1Q[op.kind], op.wires[0])
-            elif op.kind == "cx":
-                state = _apply_cx(state, *op.wires)
-            elif op.kind == "cz":
-                state = _apply_cz(state, *op.wires)
+            if op.kind in ("prep0", "prepT"):
+                w = op.wires[0]
+                if sum(abs(a) ** 2 for m, a in state.items() if (m >> w) & 1) > AMP_TOL:
+                    raise SimulationError(f"{op.kind} on non-|0> wire {w}")
+                if op.kind == "prepT":
+                    state = _apply(_apply(state, "h", op.wires), "t", op.wires)
             elif op.kind == "ccz_classical":
                 if br.cbits[op.cbit]:
-                    state = _apply_cz(state, *op.wires)
-            elif op.kind == "prep0":
-                mass = float(np.sum(np.abs(np.take(state, 1, axis=op.wires[0])) ** 2))
-                if mass > AMP_TOL:
-                    raise SimulationError(f"prep0 on non-|0> wire {op.wires[0]}")
-            elif op.kind == "prepT":
-                mass = float(np.sum(np.abs(np.take(state, 1, axis=op.wires[0])) ** 2))
-                if mass > AMP_TOL:
-                    raise SimulationError(f"prepT on non-|0> wire {op.wires[0]}")
-                state = _apply_1q(state, _GATES_1Q["h"], op.wires[0])
-                state = _apply_1q(state, _GATES_1Q["t"], op.wires[0])
+                    state = _apply(state, "cz", op.wires)
             elif op.kind == "mx":
                 outcomes = (0, 1) if branch == "explore" else (int(branch[-1]),)
                 for outcome in outcomes:
@@ -287,41 +270,37 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
                             raise SimulationError(
                                 f"forced outcome {outcome} has zero amplitude")
                         continue
-                    _check_norm(post)
+                    _check(post)
                     nxt.append(Branch(post, {**br.cbits, op.cbit: outcome},
                                       br.probability * prob))
                 continue
             else:
-                raise SimulationError(f"gate {op.kind!r} not supported in statevector mode")
-            _check_norm(state)
+                state = _apply(state, op.kind, op.wires)
+            _check(state)
             nxt.append(Branch(state, br.cbits, br.probability))
         branches = nxt
     return branches
 
 
-def states_equal(a: np.ndarray, b: np.ndarray, tol: float = AMP_TOL) -> bool:
-    """Amplitude-wise equality after fixing the global phase of each state
-    by its first nonzero amplitude."""
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    if a.shape != b.shape:
-        return False
+def states_equal(a: Mapping[int, complex], b: Mapping[int, complex],
+                 tol: float = AMP_TOL) -> bool:
+    """Amplitude-wise equality of two sparse states after fixing the
+    global phase of each by its nonzero amplitude of lowest bitmask."""
 
-    def fix(v: np.ndarray) -> np.ndarray:
-        nz = np.flatnonzero(np.abs(v) > tol)
-        if nz.size == 0:
+    def fix(v: Mapping[int, complex]) -> dict[int, complex]:
+        v = {m: a for m, a in v.items() if abs(a) > tol}
+        if not v:
             return v
-        ref = v[nz[0]]
-        return v * (abs(ref) / ref)
+        ref = v[min(v)]
+        return {m: a * (abs(ref) / ref) for m, a in v.items()}
 
-    return bool(np.allclose(fix(a), fix(b), atol=tol, rtol=0))
+    fa, fb = fix(a), fix(b)
+    return all(abs(fa.get(m, 0) - fb.get(m, 0)) <= tol for m in fa.keys() | fb.keys())
 
 
-def basis_state(wire_bits: Mapping[int, int], wire_count: int) -> np.ndarray:
-    """Computational basis statevector with the given wire values."""
-    state = np.zeros((2,) * wire_count, dtype=complex)
-    state[tuple(wire_bits.get(w, 0) & 1 for w in range(wire_count))] = 1.0
-    return state
+def basis_state(wire_bits: Mapping[int, int]) -> dict[int, complex]:
+    """Sparse computational basis state with the given wire values."""
+    return {sum((v & 1) << w for w, v in wire_bits.items()): 1}
 
 
 # ---- equivalence checking ---------------------------------------------------
@@ -349,7 +328,8 @@ def verify_equivalence(netlist: Netlist, input_wires, reference: Callable) -> Eq
     bits {wire: bit} (only the wires it mentions are checked).  Macro
     netlists run on the basis engine, all inputs in one sweep; expanded
     netlists run on the statevector engine, and every measurement branch
-    must reproduce the expected basis state.
+    must reproduce the expected basis state with amplitude 1, so a wrong
+    phase is a mismatch too.
     """
     input_wires = tuple(input_wires)
     use_statevector = any(
@@ -367,12 +347,13 @@ def verify_equivalence(netlist: Netlist, input_wires, reference: Callable) -> Eq
         if use_statevector:
             got: dict[int, int] | None = None
             for br in run_statevector(netlist, initial=assignment, branch="explore"):
-                bits = br.wire_bits()
+                bits = br.wire_bits(netlist.wire_count)
+                (amplitude,) = br.state.values()
                 got = bits if got is None else got
-                bad = {w: bits[w] for w in expected if bits[w] != expected[w]}
-                if bad or bits != got:
+                if (any(bits[w] != v for w, v in expected.items()) or bits != got
+                        or abs(amplitude - 1) > AMP_TOL):
                     mismatches.append({"input": assignment, "expected": dict(expected),
-                                       "got": bits})
+                                       "got": {**bits, "amplitude": f"{amplitude:.6g}"}})
                     break
         else:
             got = {w: int(sweep.wires[w][value]) for w in expected}

@@ -81,7 +81,7 @@ def test_criterion_2_block_semantics_statevector():
     for bx, by in itertools.product((0, 1), repeat=2):
         branches = run_statevector(full, initial={x: bx, y: by})
         assert len(branches) == 1
-        want = basis_state({x: bx, y: by, t: bx & by}, 3)
+        want = basis_state({x: bx, y: by, t: bx & by})
         assert states_equal(branches[0].state, want, tol=1e-9)
 
     nl2 = Netlist()
@@ -92,7 +92,7 @@ def test_criterion_2_block_semantics_statevector():
     for bx, by in itertools.product((0, 1), repeat=2):
         branches = run_statevector(full2, initial={x: bx, y: by})
         assert len(branches) == 2
-        want = basis_state({x: bx, y: by, t: 0}, 3)
+        want = basis_state({x: bx, y: by, t: 0})
         for br in branches:
             assert states_equal(br.state, want, tol=1e-9)
 

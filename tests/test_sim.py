@@ -12,8 +12,7 @@ from qsquare.ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, expa
 from qsquare.sim import (
     NonClassicalGateError,
     SimulationError,
-    UncomputeMisuseError,
-    WireBudgetError,
+    TermBudgetError,
     basis_state,
     pack_wires,
     run_basis,
@@ -23,6 +22,13 @@ from qsquare.sim import (
     verify_equivalence,
 )
 from qsquare.synth import synthesize_squarer
+
+T_AMP = np.exp(1j * np.pi / 4)
+
+
+def _allclose(a, b, atol=1e-9):
+    """Sparse states equal amplitude by amplitude, global phase included."""
+    return all(abs(a.get(m, 0) - b.get(m, 0)) <= atol for m in a.keys() | b.keys())
 
 
 # ---- basis engine ------------------------------------------------------------
@@ -145,14 +151,14 @@ def test_statevector_basic_gates():
     nl.add_gate("h", 0)
     nl.add_gate("h", 0)
     (br,) = run_statevector(nl)
-    assert states_equal(br.state, basis_state({0: 0}, 1))
+    assert states_equal(br.state, basis_state({0: 0}))
 
 
 def test_statevector_magic_preparation():
     nl = Netlist()
     nl.alloc_register("m", 1, "magicT")
     (br,) = run_statevector(nl)
-    want = np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2)
+    want = {0: 1 / np.sqrt(2), 1: T_AMP / np.sqrt(2)}
     assert states_equal(br.state, want)
 
 
@@ -160,7 +166,7 @@ def test_statevector_initial_t_state_matches_prep():
     nl = Netlist()
     nl.alloc_register("m", 1, "input")
     (br,) = run_statevector(nl, initial={0: "T"})
-    want = np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2)
+    want = {0: 1 / np.sqrt(2), 1: T_AMP / np.sqrt(2)}
     assert states_equal(br.state, want)
 
 
@@ -180,17 +186,19 @@ def test_statevector_logical_and_from_drawn_gate_list():
     nl.add_gate("s", t)
     for bx, by in itertools.product((0, 1), repeat=2):
         (br,) = run_statevector(nl, initial={x: bx, y: by, t: "T"})
-        assert np.allclose(br.state, basis_state({x: bx, y: by, t: bx & by}, 3),
-                           atol=1e-9)
+        assert _allclose(br.state, basis_state({x: bx, y: by, t: bx & by}))
 
 
-def test_statevector_wire_budget():
+def test_statevector_term_budget():
     nl = Netlist()
     nl.alloc_register("a", 13, "input")
-    with pytest.raises(WireBudgetError):
+    (br,) = run_statevector(nl)  # width alone costs nothing
+    assert br.state == basis_state({})
+    for w in range(13):
+        nl.add_gate("h", w)  # 2^13 terms, past the 2^12 budget
+    with pytest.raises(TermBudgetError):
         run_statevector(nl)
-    nl.add_gate("h", 0)  # expanded, so verify_equivalence takes the statevector path
-    with pytest.raises(WireBudgetError):
+    with pytest.raises(TermBudgetError):
         verify_equivalence(nl, (0,), lambda bits: {0: bits[0]})
 
 
@@ -202,7 +210,7 @@ def test_statevector_forced_branches():
     full = expand(nl)
     for policy in ("forced-0", "forced-1"):
         (br,) = run_statevector(full, initial={x: 1, y: 1}, branch=policy)
-        assert np.allclose(br.state, basis_state({x: 1, y: 1, t: 0}, 3), atol=1e-9)
+        assert _allclose(br.state, basis_state({x: 1, y: 1, t: 0}))
         assert br.cbits == {0: int(policy[-1])}
 
 
@@ -220,7 +228,7 @@ def test_statevector_agrees_with_basis_for_adder_blocks():
             if not carry and av + bv >= (1 << m):
                 continue  # modular variant is only contracted overflow-free
             basis = run_basis(macro, bits)
-            want = basis_state(basis.wires, full.wire_count)
+            want = basis_state(basis.wires)
             for br in run_statevector(full, initial=bits):
                 assert states_equal(br.state, want)
 
@@ -232,14 +240,14 @@ def test_statevector_2bit_adder_encodes_two():
     cw = build_adder_in_place(nl, a, b, True)
     full = expand(nl)
     for br in run_statevector(full, initial={a[0]: 1, b[0]: 1}):
-        bits = br.wire_bits()
+        bits = br.wire_bits(full.wire_count)
         assert bits[b[0]] + 2 * bits[b[1]] + 4 * bits[cw] == 2
 
 
 def test_states_equal_fixes_global_phase():
-    v = basis_state({0: 1}, 1)
-    assert states_equal(v, np.exp(0.7j) * v)
-    assert not states_equal(v, basis_state({0: 0}, 1))
+    v = basis_state({0: 1})
+    assert states_equal(v, {m: np.exp(0.7j) * a for m, a in v.items()})
+    assert not states_equal(v, basis_state({0: 0}))
 
 
 # ---- equivalence reports -----------------------------------------------------
@@ -294,8 +302,51 @@ def test_verify_equivalence_flags_corruption():
         want[cw] = (s >> 3) & 1
         return want
 
-    try:
-        rep = verify_equivalence(macro, tuple(a) + tuple(b), ref)
-        assert len(rep.mismatches) >= 1
-    except UncomputeMisuseError:
-        pass  # dropping a correction CNOT may instead trip the hygiene check
+    rep = verify_equivalence(macro, tuple(a) + tuple(b), ref)
+    assert rep.inputs_checked == 64
+    # the dropped CNOT feeds carry c_1 = a_0 b_0 forward: exactly the 16
+    # inputs with a_0 = b_0 = 1 go wrong, and each reports what it got
+    assert len(rep.mismatches) == 16
+    for m in rep.mismatches:
+        assert m["input"][a[0]] == m["input"][b[0]] == 1
+        assert m["expected"] == ref(m["input"]) != m["got"]
+
+
+# ---- phase of the whole expansion ---------------------------------------------
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_expanded_squarer_exact_with_phase(n):
+    # every AND release must fix its phase: one wrong CZ leaves amplitude -1
+    c = synthesize_squarer(n)
+    full = expand(c.netlist)
+    p_wires = [c.output_map[i] for i in range(2 * n)]
+    for a in range(1 << n):
+        inputs = {w: (a >> i) & 1 for i, w in enumerate(c.input_wires)}
+        want = basis_state({**inputs, **{w: (a * a >> i) & 1 for i, w in enumerate(p_wires)}})
+        for policy in ("forced-0", "forced-1"):
+            (br,) = run_statevector(full, initial=inputs, branch=policy)
+            assert br.state.keys() == want.keys(), (n, a, policy)
+            (amplitude,) = br.state.values()
+            assert abs(amplitude - 1) <= 1e-9, (n, a, policy, amplitude)
+
+
+def test_verify_equivalence_sees_phase():
+    nl = Netlist()
+    x, y = nl.alloc_register("xy", 2, "input")
+    t = build_logical_and(nl, x, y)
+    nl.append(UncomputeAnd(x, y, t))
+    full = expand(nl)
+
+    def ref(bits):
+        return {x: bits[x], y: bits[y], t: 0}
+
+    assert verify_equivalence(full, (x, y), ref).ok
+    no_fix = expand(nl)
+    no_fix.gates = [g for g in no_fix.gates if g.kind != "ccz_classical"]
+    rep = verify_equivalence(no_fix, (x, y), ref)
+    assert [m["input"] for m in rep.mismatches] == [{x: 1, y: 1}]
+    assert rep.mismatches[0]["got"] == {x: 1, y: 1, t: 0, "amplitude": "-1+0j"}
+    stray_z = expand(nl)
+    stray_z.add_gate("z", x)
+    rep = verify_equivalence(stray_z, (x, y), ref)
+    assert [m["input"] for m in rep.mismatches] == [{x: 1, y: 0}, {x: 1, y: 1}]
