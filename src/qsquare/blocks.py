@@ -28,9 +28,6 @@ from .ir import (
     LogicalAnd,
     Netlist,
     UncomputeAnd,
-    count_gates,
-    expand,
-    schedule_asap,
 )
 
 
@@ -179,16 +176,8 @@ def measure_block(netlist: Netlist, io_wires: int) -> BlockBudget:
     ``io_wires`` is the number of non-ancilla wires the block was built
     over; everything beyond them after expansion counts as ancillae.
     """
-    full = expand(netlist)
-    t_count, cnot_count = count_gates(full)
-    t_depth, cnot_depth = schedule_asap(full)
-    return BlockBudget(
-        t_count=t_count,
-        t_depth=t_depth,
-        cnot_count=cnot_count,
-        cnot_depth=cnot_depth,
-        ancillae=full.wire_count - io_wires,
-    )
+    t_count, t_depth, cnot_count, cnot_depth, wires = netlist.measure()
+    return BlockBudget(t_count, t_depth, cnot_count, cnot_depth, wires - io_wires)
 
 
 @dataclass(frozen=True)

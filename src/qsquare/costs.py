@@ -29,7 +29,6 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ir import count_gates, expand, schedule_asap
 from .layout import UnsupportedWidthError
 from .synth import SquarerCircuit
 
@@ -205,18 +204,8 @@ def reduction_ratios() -> dict[tuple[str, str], float]:
 
 def measure_circuit(circuit: SquarerCircuit) -> MetricValues:
     """Measured metrics of the expanded netlist."""
-    full = expand(circuit.netlist)
-    t_count, cnot_count = count_gates(full)
-    t_depth, cnot_depth = schedule_asap(full)
-    qubits = full.wire_count
-    return MetricValues(
-        t_count=t_count,
-        t_depth=t_depth,
-        cnot_count=cnot_count,
-        cnot_depth=cnot_depth,
-        qubits=qubits,
-        kq_t=qubits * t_depth,
-    )
+    t_count, t_depth, cnot_count, cnot_depth, qubits = circuit.netlist.measure()
+    return MetricValues(t_count, t_depth, cnot_count, cnot_depth, qubits, qubits * t_depth)
 
 
 def reconcile(circuit: SquarerCircuit) -> CostReport:

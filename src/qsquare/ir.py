@@ -16,9 +16,13 @@ Three macro ops describe whole sub-circuits: ``LogicalAnd`` (temporary
 AND onto a fresh ancilla, 4 T gates after lowering), ``UncomputeAnd``
 (its Clifford-only measurement-based reversal) and ``AddInPlace`` (the
 in-place ripple-carry adder built from the other two).  ``expand``
-lowers all macros to primitives.  ``count_gates`` (T and CNOT counts)
-and ``schedule_asap`` (T- and CNOT-depth) each measure an expanded
-netlist in a single walk over its gates.
+lowers all macros to primitives.  ``Netlist.append`` validates every
+gate and macro once, as it is taken; ``expand`` trusts that and writes
+the lowered primitives straight into its output without checking them
+again.  ``count_gates`` (T and CNOT counts) and ``schedule_asap`` (T-
+and CNOT-depth) each measure an expanded netlist in a single walk over
+its gates; ``Netlist.measure`` expands a netlist and takes both
+measurements.
 
 Netlists are append-only while being built and treated as immutable
 afterwards; every transformation returns a new netlist.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 
 class NetlistError(Exception):
@@ -50,8 +54,7 @@ _PSEUDO = frozenset({"prep0", "prepT"})
 _T_KINDS = frozenset({"t", "tdg"})
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One primitive gate application.
 
     ``wires`` is (target,) for one-wire kinds and (control, target) for
@@ -159,16 +162,8 @@ class Netlist:
     def append(self, op) -> None:
         if isinstance(op, Gate):
             self._check_gate(op)
-        elif isinstance(op, LogicalAnd):
-            if op.x == op.y:
-                raise NetlistError("logical-AND inputs must be distinct wires")
-            for w in (op.x, op.y, op.target):
-                self._check_wire(w)
-        elif isinstance(op, UncomputeAnd):
-            if op.x == op.y:
-                raise NetlistError("uncompute-AND inputs must be distinct wires")
-            for w in (op.x, op.y, op.target):
-                self._check_wire(w)
+        elif isinstance(op, (LogicalAnd, UncomputeAnd)):
+            self._check_and(op)
         elif isinstance(op, AddInPlace):
             self._check_add(op)
         else:
@@ -176,7 +171,9 @@ class Netlist:
         self.gates.append(op)
 
     def _check_wire(self, w: int) -> None:
-        if not isinstance(w, int) or not 0 <= w < self.wire_count:
+        if type(w) is not int:  # also refuses bool, which JSON true would give
+            raise NetlistError(f"wire index must be an integer, got {w!r}")
+        if not 0 <= w < self.wire_count:
             raise NetlistError(f"wire {w} not allocated (have {self.wire_count})")
 
     def _check_gate(self, g: Gate) -> None:
@@ -191,6 +188,15 @@ class Netlist:
             raise NetlistError(f"{g.kind} control and target must differ")
         if (g.cbit is not None) != (g.kind in _NEEDS_CBIT):
             raise NetlistError(f"{g.kind} cbit mismatch: {g.cbit}")
+
+    def _check_and(self, op: LogicalAnd | UncomputeAnd) -> None:
+        # expand() lowers a macro without checking its output, so every
+        # way the lowered gates could be malformed is rejected here
+        x, y, t = op.x, op.y, op.target
+        for w in (x, y, t):
+            self._check_wire(w)
+        if x == y or t == x or t == y:
+            raise NetlistError(f"{op!r}: inputs and target must be three distinct wires")
 
     def _check_add(self, op: AddInPlace) -> None:
         m = len(op.a_wires)
@@ -221,6 +227,15 @@ class Netlist:
 
     def __repr__(self) -> str:
         return f"Netlist(wires={self.wire_count}, gates={len(self.gates)})"
+
+    def measure(self) -> tuple[int, int, int, int, int]:
+        """(T count, T-depth, CNOT count, CNOT-depth, wires) of this
+        netlist's expansion, measured by ``count_gates`` and
+        ``schedule_asap``."""
+        full = expand(self)
+        t_count, cnot_count = count_gates(full)
+        t_depth, cnot_depth = schedule_asap(full)
+        return t_count, t_depth, cnot_count, cnot_depth, full.wire_count
 
     def relabeled(self, perm: Sequence[int]) -> "Netlist":
         """New netlist with wire i renamed to perm[i] (perm is a bijection)."""
@@ -257,6 +272,11 @@ def expand(netlist: Netlist) -> Netlist:
     uncompute lowering is Clifford-only: one X-basis measurement plus a
     classically controlled CZ on the surviving input pair.  Adders are
     lowered by the block builder module.  Idempotent.
+
+    The lowering is trusted: ``Netlist.append`` validated every op of
+    ``netlist`` when it took it, and each macro lowers to well-formed
+    gates over its own checked wires and fresh ones, so the generated
+    gates are written to the output's gate list without a second check.
     """
     out = Netlist()
     out.wire_count = netlist.wire_count
@@ -268,21 +288,21 @@ def expand(netlist: Netlist) -> Netlist:
 
 
 def _lower(out: Netlist, op) -> None:
+    gates = out.gates
     if isinstance(op, Gate):
-        out.append(op)
+        gates.append(op)
     elif isinstance(op, LogicalAnd):
         x, y, t = op.x, op.y, op.target
-        for g in (Gate("prep0", (t,)), Gate("h", (t,)), Gate("t", (t,)),
+        gates += (Gate("prep0", (t,)), Gate("h", (t,)), Gate("t", (t,)),
                   Gate("cx", (x, t)), Gate("cx", (y, t)),
                   Gate("cx", (t, x)), Gate("cx", (t, y)),
                   Gate("tdg", (x,)), Gate("tdg", (y,)), Gate("t", (t,)),
                   Gate("cx", (t, x)), Gate("cx", (t, y)),
-                  Gate("h", (t,)), Gate("s", (t,))):
-            out.append(g)
+                  Gate("h", (t,)), Gate("s", (t,)))
     elif isinstance(op, UncomputeAnd):
         cbit = out.new_cbit()
-        out.append(Gate("mx", (op.target,), cbit))
-        out.append(Gate("ccz_classical", (op.x, op.y), cbit))
+        gates += (Gate("mx", (op.target,), cbit),
+                  Gate("ccz_classical", (op.x, op.y), cbit))
     elif isinstance(op, AddInPlace):
         from .blocks import lower_add_in_place
 
@@ -326,40 +346,47 @@ def schedule_asap(netlist: Netlist) -> tuple[int, int]:
     classically controlled gate never precedes its measurement.  Raises
     ``UnexpandedNetlistError`` when a macro op is present.
     """
-    last: dict[int, int] = {}       # wire -> last occupied layer
-    open_ctrl: dict[int, int] = {}  # wire -> layer of a joinable fan-out control
-    meas_layer: dict[int, int] = {}
+    last = [0] * netlist.wire_count       # wire -> last occupied layer
+    open_ctrl = [0] * netlist.wire_count  # wire -> layer of a joinable fan-out, 0 if none
+    meas_layer: dict[int, int] = {}       # cbit -> layer of its mx
     t_layers: set[int] = set()
     cnot_layers: set[int] = set()
 
     for op in netlist.gates:
         if not isinstance(op, Gate):
             raise UnexpandedNetlistError("scheduling requires a fully expanded netlist")
-        if op.kind in _PSEUDO:
-            continue
-        if op.kind == "cx":
-            c, tg = op.wires
-            joinable = open_ctrl.get(c)
-            if joinable is not None and last.get(tg, 0) < joinable:
+        kind, wires, cbit = op
+        if kind == "cx":
+            c, tg = wires
+            joinable = open_ctrl[c]
+            lc, lt = last[c], last[tg]
+            if joinable and lt < joinable:
                 layer = joinable
             else:
-                layer = max(last.get(c, 0), last.get(tg, 0)) + 1
-            last[c] = max(last.get(c, 0), layer)
-            last[tg] = layer
+                layer = (lc if lc > lt else lt) + 1
+            # a joined control already sits in the joined layer
+            last[c] = last[tg] = layer
             open_ctrl[c] = layer
-            open_ctrl.pop(tg, None)
+            open_ctrl[tg] = 0
             cnot_layers.add(layer)
-        else:
-            layer = max((last.get(w, 0) for w in op.wires), default=0) + 1
-            if op.kind == "ccz_classical":
-                layer = max(layer, meas_layer.get(op.cbit, 0) + 1)
-            for w in op.wires:
-                last[w] = layer
-                open_ctrl.pop(w, None)
-            if op.kind == "mx":
-                meas_layer[op.cbit] = layer
-            elif op.kind in _T_KINDS:
+        elif kind in _PSEUDO:
+            continue
+        elif len(wires) == 1:
+            (w,) = wires
+            layer = last[w] + 1
+            last[w] = layer
+            open_ctrl[w] = 0
+            if kind == "mx":
+                meas_layer[cbit] = layer
+            elif kind in _T_KINDS:
                 t_layers.add(layer)
+        else:  # cz, ccz_classical
+            a, b = wires
+            layer = max(last[a], last[b]) + 1
+            if kind == "ccz_classical":
+                layer = max(layer, meas_layer.get(cbit, 0) + 1)
+            last[a] = last[b] = layer
+            open_ctrl[a] = open_ctrl[b] = 0
     return len(t_layers), len(cnot_layers)
 
 
@@ -397,8 +424,19 @@ def to_json(netlist: Netlist) -> str:
 
 
 def from_json_dict(data: dict) -> Netlist:
+    """Rebuild a netlist from ``to_json_dict`` output, passing every gate
+    through ``Netlist.append``; a malformed document raises ``NetlistError``."""
+    if not isinstance(data, dict):
+        raise NetlistError(f"netlist JSON must be an object, got {type(data).__name__}")
+    if "wires" not in data:
+        raise NetlistError("netlist JSON has no 'wires' count")
+    wires = data["wires"]
+    if isinstance(wires, bool) or not isinstance(wires, int) or wires < 0:
+        raise NetlistError(f"netlist 'wires' must be a non-negative integer, got {wires!r}")
+    if not isinstance(data.get("gates"), list):
+        raise NetlistError("netlist 'gates' must be a list")
     out = Netlist()
-    out.wire_count = int(data["wires"])
+    out.wire_count = wires
     out.registers = {name: tuple(ws) for name, ws in data.get("registers", {}).items()}
     max_cbit = -1
     for g in data["gates"]:

@@ -10,6 +10,7 @@ from qsquare.costs import (
     baseline_costs,
     baseline_rows,
     comparison_table,
+    measure_circuit,
     proposed_and_counts,
     proposed_costs,
     proposed_metrics,
@@ -153,6 +154,21 @@ def test_reconcile_carry_less_stage_delta_formula(n):
     assert report.carry_less_stages == carry_less
     assert report.t_count_delta_formula == -4 * carry_less
     assert report.metrics["t_count"].delta == -4 * carry_less
+
+
+def test_measured_depths_meet_exact_closed_forms():
+    # ASAP depths of the circuit as built, exact for every width listed;
+    # T-depth has a closed form only in the residue classes 1 and 2 mod 4.
+    for n in range(5, 45):
+        measured = measure_circuit(synthesize_squarer(n))
+        if n % 2 == 0:
+            assert 2 * measured.cnot_depth == 12 * n * n - 11 * n - 12, n
+        else:
+            assert 2 * measured.cnot_depth == 12 * n * n - 19 * n + 3, n
+        if n % 4 == 1 and 9 <= n <= 41:
+            assert 4 * measured.t_depth == 3 * n * n + 26 * n - 161, n
+        elif n % 4 == 2 and 10 <= n <= 42:
+            assert 4 * measured.t_depth == 3 * n * n + 28 * n - 164, n
 
 
 def test_reconcile_flags_every_nonzero_delta():

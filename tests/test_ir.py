@@ -13,10 +13,12 @@ from qsquare.ir import (
     count_gates,
     expand,
     from_json,
+    from_json_dict,
     schedule_asap,
     to_json,
     to_qasm,
 )
+from qsquare.synth import synthesize_squarer
 
 
 def single_and_netlist():
@@ -82,8 +84,25 @@ def test_gate_validation():
         nl.add_gate("frob", 0)
     with pytest.raises(NetlistError):
         nl.add_gate("mx", 0)  # missing cbit
+
+
+@pytest.mark.parametrize("op", [
+    LogicalAnd(0, 0, 2),      # inputs equal
+    LogicalAnd(0, 1, 0),      # target is an input
+    LogicalAnd(0, 1, 1),
+    UncomputeAnd(0, 0, 2),
+    UncomputeAnd(0, 1, 1),
+    LogicalAnd(0, 1, 7),      # target not allocated
+    UncomputeAnd(0, 1, 7),
+    LogicalAnd(0, 1, True),   # a bool is not a wire index
+], ids=repr)
+def test_and_macros_validated_at_append(op):
+    # expand() trusts the macros it lowers, so append must refuse these
+    nl = Netlist()
+    nl.alloc_register("a", 3, "input")
     with pytest.raises(NetlistError):
-        nl.append(LogicalAnd(0, 0, 1))
+        nl.append(op)
+    assert nl.gates == []
 
 
 def test_adder_macro_validation():
@@ -115,6 +134,18 @@ def test_expanded_uncompute_is_clifford_only():
     assert [g.kind for g in full.gates].count("mx") == 1
     # the uncompute tail is one measurement plus one classical CZ
     assert [g.kind for g in full.gates[-2:]] == ["mx", "ccz_classical"]
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_expanded_squarer_gates_pass_validation(n):
+    # expand() writes the gates it lowers without checking them, so each
+    # one must still be a gate that Netlist.append accepts
+    full = expand(synthesize_squarer(n).netlist)
+    again = Netlist()
+    again.wire_count = full.wire_count
+    for g in full.gates:
+        again.append(g)
+    assert again.gates == full.gates
 
 
 def test_expand_without_macros_is_identity():
@@ -196,6 +227,31 @@ def test_classical_cz_waits_for_its_measurement():
     assert schedule_asap(nl) == (2, 0)
 
 
+@pytest.mark.parametrize("gate, cnot_depth", [
+    (("cx", 3, 0), 3),   # wire 0 becomes a target; CNOTs in layers 1, 2, 3
+    (("cz", 0, 3), 2),
+    (("h", 0), 2),
+])
+def test_fan_out_join_ends_when_its_control_is_touched(gate, cnot_depth):
+    nl = Netlist()
+    nl.alloc_register("a", 5, "input")
+    nl.add_gate("cx", 0, 1)   # layer 1
+    nl.add_gate("cx", 0, 2)   # layer 1: joins the fan-out of control 0
+    nl.add_gate(*gate)        # layer 2 on wire 0
+    nl.add_gate("cx", 0, 4)   # layer 3: no join back into layer 1
+    assert schedule_asap(nl) == (0, cnot_depth)
+
+
+def test_classical_cz_on_unwritten_cbit_waits_only_for_its_wires():
+    nl = Netlist()
+    nl.alloc_register("a", 2, "input")
+    nl.add_gate("t", 0)                          # layer 1
+    nl.add_gate("ccz_classical", 0, 1, cbit=5)   # layer 2: no mx wrote cbit 5
+    nl.add_gate("t", 1)                          # layer 3
+    assert nl.cbit_count == 0
+    assert schedule_asap(nl) == (2, 0)
+
+
 def test_schedule_requires_expansion():
     with pytest.raises(UnexpandedNetlistError):
         schedule_asap(single_and_netlist())
@@ -223,6 +279,17 @@ def test_json_round_trip_macro_netlist():
     nl.append(AddInPlace(a, b, carry))
     nl.append(UncomputeAnd(a[0], b[0], t))
     assert from_json(to_json(nl)) == nl
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"gates": []}, "no 'wires'"),
+    ({"wires": -3, "gates": []}, "non-negative"),
+    ({"wires": 2, "gates": {"kind": "h", "wires": [0]}}, "'gates' must be a list"),
+    ({"wires": 2, "gates": [{"kind": "h", "wires": [True]}]}, "must be an integer"),
+], ids=["no-wires", "negative-wires", "gates-not-list", "bool-wire"])
+def test_from_json_rejects_malformed_netlists(doc, message):
+    with pytest.raises(NetlistError, match=message):
+        from_json_dict(doc)
 
 
 def test_json_round_trip_expanded_netlist():
