@@ -22,13 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import (
-    AddInPlace,
-    Gate,
-    LogicalAnd,
-    Netlist,
-    UncomputeAnd,
-)
+from .ir import AddInPlace, LogicalAnd, Netlist, UncomputeAnd
 
 
 def build_logical_and(netlist: Netlist, x: int, y: int) -> int:
@@ -66,29 +60,30 @@ def adder_and_count(m: int, with_carry_out: bool) -> int:
     return m if with_carry_out else m - 1
 
 
-def lower_add_in_place(out: Netlist, add: AddInPlace) -> list:
-    """Lower one AddInPlace to CNOTs plus AND/uncompute-AND macros.
+def lower_add_in_place(em, add: AddInPlace) -> None:
+    """Lower one AddInPlace to CNOTs and AND/uncompute-AND stages,
+    written in order through the emitter ``em``.
 
-    Internal carry ancillae are allocated on ``out``; the pre-allocated
-    carry-out wire (when present) doubles as the top AND target.
+    ``em`` provides ``new_wire()`` for the internal carry ancillae and
+    ``cx(c, t)``, ``logical_and(x, y, t)`` and ``uncompute_and(x, y, t)``;
+    ``ir.expand`` passes one that writes Clifford+T gate columns.  The
+    pre-allocated carry-out wire (when present) doubles as the top AND
+    target.
     """
     a, b = add.a_wires, add.b_wires
     m = len(a)
     k = m if add.carry_out is not None else m - 1  # carries c_1..c_k
-    ops: list = []
-    w: dict[int, int] = {}  # carry index -> wire
-
-    def cx(c: int, t: int) -> None:
-        ops.append(Gate("cx", (c, t)))
+    cx, logical_and, uncompute_and = em.cx, em.logical_and, em.uncompute_and
 
     # forward: c_1 = a_0 b_0, then c_{i+1} = c_i ^ ((a_i^c_i)(b_i^c_i))
-    w[1] = out.new_wire()
-    ops.append(LogicalAnd(a[0], b[0], w[1]))
+    w = [-1, em.new_wire()]  # carry index -> wire
+    logical_and(a[0], b[0], w[1])
     for i in range(1, k):
         cx(w[i], a[i])
         cx(w[i], b[i])
-        w[i + 1] = add.carry_out if i + 1 == m and add.carry_out is not None else out.new_wire()
-        ops.append(LogicalAnd(a[i], b[i], w[i + 1]))
+        # i + 1 == m only when there is a carry-out (k == m)
+        w.append(add.carry_out if i + 1 == m else em.new_wire())
+        logical_and(a[i], b[i], w[i + 1])
         cx(w[i], w[i + 1])
 
     # top sum bit
@@ -103,32 +98,12 @@ def lower_add_in_place(out: Netlist, add: AddInPlace) -> list:
     # finalized above; the carry-out wire, when present, is never released)
     for i in range(m - 2, 0, -1):
         cx(w[i], w[i + 1])  # back to the bare AND value
-        ops.append(UncomputeAnd(a[i], b[i], w[i + 1]))
+        uncompute_and(a[i], b[i], w[i + 1])
         cx(w[i], a[i])
         cx(a[i], b[i])
 
-    ops.append(UncomputeAnd(a[0], b[0], w[1]))
+    uncompute_and(a[0], b[0], w[1])
     cx(a[0], b[0])
-    return ops
-
-
-def lower_adders(netlist: Netlist) -> Netlist:
-    """Partial expansion: adders down to CNOTs and AND/uncompute-AND macros.
-
-    The result still runs on the classical basis engine, which makes the
-    adders' internal carry logic and ancilla hygiene directly checkable.
-    """
-    out = Netlist()
-    out.wire_count = netlist.wire_count
-    out.cbit_count = netlist.cbit_count
-    out.registers = dict(netlist.registers)
-    for op in netlist.gates:
-        if isinstance(op, AddInPlace):
-            for sub in lower_add_in_place(out, op):
-                out.append(sub)
-        else:
-            out.append(op)
-    return out
 
 
 # ---- resource budgets ----------------------------------------------------

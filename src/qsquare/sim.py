@@ -15,9 +15,11 @@ on a sparse state: a dict from basis bitmask (bit w = wire w) to
 amplitude.  Gidney's temporary AND and its measurement-based uncompute
 keep only a few terms alive, so the whole expanded squarer stays small;
 a state of more than ``MAX_TERMS`` terms raises rather than exhausting
-memory.  X-basis measurement is handled by branch exploration (or a
-forced outcome for deterministic replay) and classically controlled CZ
-is applied per branch.  Measured wires are consumed: the
+memory.  It walks the netlist's gate columns (``Netlist.columns``)
+rather than building a ``Gate`` per gate and input.  X-basis
+measurement is handled by branch exploration (or a forced outcome for
+deterministic replay) and classically controlled CZ is applied per
+branch.  Measured wires are consumed: the
 post-measurement ancilla is reset to |0> before execution continues.
 Equivalence checks on expanded netlists compare phase too: every branch
 must end in the expected basis state with amplitude 1.
@@ -169,16 +171,17 @@ class Branch:
         return {w: (mask >> w) & 1 for w in range(wire_count)}
 
 
-def _apply(state: dict[int, complex], kind: str, wires) -> dict[int, complex]:
-    """One unitary gate (h, x, z, s, sdg, t, tdg, cx, cz) on a sparse state."""
-    bit = 1 << wires[0]
+def _apply(state: dict[int, complex], kind: str, w0: int, w1: int = -1) -> dict[int, complex]:
+    """One unitary gate (h, x, z, s, sdg, t, tdg, cx, cz) on a sparse
+    state; ``w1`` is the second wire of cx and cz."""
+    bit = 1 << w0
     if kind == "x":
         return {m ^ bit: a for m, a in state.items()}
     if kind == "cx":
-        target = 1 << wires[1]
+        target = 1 << w1
         return {m ^ target if m & bit else m: a for m, a in state.items()}
     if kind == "cz":
-        both = bit | 1 << wires[1]
+        both = bit | 1 << w1
         return {m: -a if m & both == both else a for m, a in state.items()}
     if kind == "h":
         out: dict[int, complex] = {}
@@ -208,9 +211,9 @@ def _initial_state(wire_count: int, initial: Mapping[int, object] | None) -> dic
     for w in range(wire_count):
         spec = initial.get(w, 0)
         if spec in (1, "1"):
-            state = _apply(state, "x", (w,))
+            state = _apply(state, "x", w)
         elif spec in ("T", "magicT"):
-            state = _apply(_apply(state, "h", (w,)), "t", (w,))
+            state = _apply(_apply(state, "h", w), "t", w)
         elif spec not in (0, "0", "zero"):
             raise ValueError(f"unknown initial spec {spec!r} for wire {w}")
     _check(state)
@@ -224,7 +227,7 @@ def _measure_x(state: dict[int, complex], wire: int,
 
     H maps |+>, |-> to |0>, |1>, so this is H, then a computational-basis
     projection onto ``outcome``."""
-    kept = {m & ~(1 << wire): a for m, a in _apply(state, "h", (wire,)).items()
+    kept = {m & ~(1 << wire): a for m, a in _apply(state, "h", wire).items()
             if (m >> wire) & 1 == outcome}
     prob = sum(abs(a) ** 2 for a in kept.values())
     if prob < 1e-12:
@@ -248,34 +251,33 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
         raise ValueError(f"unknown branch policy {branch!r}")
 
     branches = [Branch(_initial_state(netlist.wire_count, initial), {}, 1.0)]
-    for op in netlist.gates:
+    for kind, w0, w1, cbit in netlist.columns().rows():
         nxt: list[Branch] = []
         for br in branches:
             state = br.state
-            if op.kind in ("prep0", "prepT"):
-                w = op.wires[0]
-                if sum(abs(a) ** 2 for m, a in state.items() if (m >> w) & 1) > AMP_TOL:
-                    raise SimulationError(f"{op.kind} on non-|0> wire {w}")
-                if op.kind == "prepT":
-                    state = _apply(_apply(state, "h", op.wires), "t", op.wires)
-            elif op.kind == "ccz_classical":
-                if br.cbits[op.cbit]:
-                    state = _apply(state, "cz", op.wires)
-            elif op.kind == "mx":
+            if kind in ("prep0", "prepT"):
+                if sum(abs(a) ** 2 for m, a in state.items() if (m >> w0) & 1) > AMP_TOL:
+                    raise SimulationError(f"{kind} on non-|0> wire {w0}")
+                if kind == "prepT":
+                    state = _apply(_apply(state, "h", w0), "t", w0)
+            elif kind == "ccz_classical":
+                if br.cbits[cbit]:
+                    state = _apply(state, "cz", w0, w1)
+            elif kind == "mx":
                 outcomes = (0, 1) if branch == "explore" else (int(branch[-1]),)
                 for outcome in outcomes:
-                    post, prob = _measure_x(state, op.wires[0], outcome)
+                    post, prob = _measure_x(state, w0, outcome)
                     if prob == 0.0:
                         if branch != "explore":
                             raise SimulationError(
                                 f"forced outcome {outcome} has zero amplitude")
                         continue
                     _check(post)
-                    nxt.append(Branch(post, {**br.cbits, op.cbit: outcome},
+                    nxt.append(Branch(post, {**br.cbits, cbit: outcome},
                                       br.probability * prob))
                 continue
             else:
-                state = _apply(state, op.kind, op.wires)
+                state = _apply(state, kind, w0, w1)
             _check(state)
             nxt.append(Branch(state, br.cbits, br.probability))
         branches = nxt

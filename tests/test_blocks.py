@@ -15,7 +15,6 @@ from qsquare.blocks import (
     build_logical_and,
     build_uncompute_and,
     logical_and_report,
-    lower_adders,
 )
 from qsquare.ir import Netlist, NetlistError, expand
 from qsquare.sim import (
@@ -26,6 +25,8 @@ from qsquare.sim import (
     basis_state,
     states_equal,
 )
+
+from macro_lowering import lower_adders
 
 
 def _allclose(a, b, atol=1e-9):

@@ -1,10 +1,13 @@
 """Netlist IR: allocation, macro expansion, counting, layering, serialization."""
 
+import json
+
 import pytest
 
 from qsquare.ir import (
     AddInPlace,
     Gate,
+    GateColumns,
     LogicalAnd,
     Netlist,
     NetlistError,
@@ -76,6 +79,11 @@ def test_alloc_zero_width_rejected():
 def test_gate_validation():
     nl = Netlist()
     nl.alloc_register("a", 2, "input")
+    for cbit in (-1, True, "0"):
+        with pytest.raises(NetlistError):
+            nl.add_gate("mx", 0, cbit=cbit)
+    with pytest.raises(NetlistError):
+        nl.add_gate("h", 0, cbit=0)
     with pytest.raises(NetlistError):
         nl.add_gate("cx", 0, 0)
     with pytest.raises(NetlistError):
@@ -136,16 +144,52 @@ def test_expanded_uncompute_is_clifford_only():
     assert [g.kind for g in full.gates[-2:]] == ["mx", "ccz_classical"]
 
 
-@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("n", range(5, 13))
 def test_expanded_squarer_gates_pass_validation(n):
     # expand() writes the gates it lowers without checking them, so each
     # one must still be a gate that Netlist.append accepts
     full = expand(synthesize_squarer(n).netlist)
+    assert isinstance(full.gates, GateColumns)
     again = Netlist()
     again.wire_count = full.wire_count
     for g in full.gates:
         again.append(g)
+    assert type(again.gates) is list
     assert again.gates == full.gates
+    # the list form is packed into columns when measured: same figures
+    assert count_gates(again) == count_gates(full)
+    assert schedule_asap(again) == schedule_asap(full)
+
+
+def test_gate_columns_read_as_gates_and_refuse_mutation():
+    nl = single_and_netlist()
+    nl.append(UncomputeAnd(0, 1, 2))
+    full = expand(nl)
+    cols = full.gates
+    gates = list(cols)
+    assert len(cols) == len(gates) == 16
+    assert all(type(g) is Gate for g in gates)
+    assert cols[0] == Gate("prep0", (2,)) and cols[3] == Gate("cx", (0, 2))
+    assert cols[-1] == Gate("ccz_classical", (0, 1), 0) == gates[-1]
+    assert cols[-2:] == gates[-2:] and cols[::-1] == gates[::-1]
+    assert list(reversed(cols)) == gates[::-1]
+    assert cols == gates and gates == cols and not cols != gates
+    assert cols.count(Gate("cx", (2, 0))) == 2 and cols.index(Gate("s", (2,))) == 13
+    assert Gate("h", (2,)) in cols and Gate("h", (0,)) not in cols
+    assert cols.copy() == gates and cols + [] == gates and [] + cols == gates
+    for mutate in (lambda c: c.extend(gates), lambda c: c.insert(0, gates[0]),
+                   lambda c: c.pop(), lambda c: c.remove(gates[0]), lambda c: c.clear(),
+                   lambda c: c.sort(), lambda c: c.reverse(),
+                   lambda c: c.__setitem__(0, gates[1]), lambda c: c.__delitem__(0),
+                   lambda c: c.__iadd__(gates), lambda c: c.__imul__(2)):
+        with pytest.raises(TypeError):
+            mutate(cols)
+    assert list(cols) == gates
+    with pytest.raises(UnexpandedNetlistError):
+        cols.append(LogicalAnd(0, 1, 2))
+    full.add_gate("z", 1)
+    assert cols[-1] == Gate("z", (1,)) and len(cols) == 17
+    assert not full.has_macros
 
 
 def test_expand_without_macros_is_identity():
@@ -286,10 +330,54 @@ def test_json_round_trip_macro_netlist():
     ({"wires": -3, "gates": []}, "non-negative"),
     ({"wires": 2, "gates": {"kind": "h", "wires": [0]}}, "'gates' must be a list"),
     ({"wires": 2, "gates": [{"kind": "h", "wires": [True]}]}, "must be an integer"),
-], ids=["no-wires", "negative-wires", "gates-not-list", "bool-wire"])
+    ({"wires": 1, "gates": [{"kind": "mx", "wires": [0], "cbit": -4}]}, "^gate 0: .*-4"),
+    ({"wires": 1, "gates": [{"kind": "mx", "wires": [0], "cbit": True}]}, "^gate 0: .*True"),
+    ({"wires": 1, "gates": [{"kind": "mx", "wires": [0], "cbit": "a"}]}, "^gate 0: .*'a'"),
+    ({"wires": 1, "gates": [{"kind": "h", "wires": [0]}, 5]}, "^gate 1: .*object"),
+    ({"wires": 1, "registers": {"A": [7]}, "gates": []}, "register 'A'.*wire 7 not allocated"),
+    ({"wires": 6, "gates": [{"kind": "macro_add", "wires": [0, 1, 2, 3, 4],
+                             "width": 2.7, "carry_out": True}]}, "^gate 0: .*2.7"),
+    ({"wires": 3, "gates": [{"kind": "ccz_classical", "wires": [0, 1], "cbit": 0},
+                            {"kind": "mx", "wires": [2], "cbit": 0}]},
+     "^gate 0: .*no earlier mx"),
+], ids=["no-wires", "negative-wires", "gates-not-list", "bool-wire", "negative-cbit",
+        "bool-cbit", "string-cbit", "gate-not-object", "register-unallocated",
+        "fractional-width", "cbit-read-before-write"])
 def test_from_json_rejects_malformed_netlists(doc, message):
     with pytest.raises(NetlistError, match=message):
         from_json_dict(doc)
+
+
+def _squarer_doc(netlist):
+    """The netlist as a JSON document, built here from its gates."""
+    gates = []
+    for op in netlist.gates:
+        if isinstance(op, Gate):
+            gates.append({"kind": op.kind, "wires": list(op.wires),
+                          **({} if op.cbit is None else {"cbit": op.cbit})})
+        elif isinstance(op, AddInPlace):
+            carry = [] if op.carry_out is None else [op.carry_out]
+            gates.append({"kind": "macro_add", "wires": [*op.a_wires, *op.b_wires, *carry],
+                          "width": len(op.a_wires), "carry_out": bool(carry)})
+        else:
+            kind = "macro_and" if isinstance(op, LogicalAnd) else "macro_unand"
+            gates.append({"kind": kind, "wires": [op.x, op.y, op.target]})
+    return {"wires": netlist.wire_count,
+            "registers": {k: list(v) for k, v in netlist.registers.items()},
+            "gates": gates}
+
+
+@pytest.mark.parametrize("expanded", [False, True], ids=["macro", "expanded"])
+def test_json_is_compact_and_reads_the_indented_format(expanded):
+    nl = synthesize_squarer(6).netlist
+    nl = expand(nl) if expanded else nl
+    doc = _squarer_doc(nl)
+    text = to_json(nl)
+    assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+    # documents written with indent=2 by earlier versions still load
+    for written in (text, json.dumps(doc, indent=2) + "\n"):
+        again = from_json(written)
+        assert again == nl and again.cbit_count == nl.cbit_count
 
 
 def test_json_round_trip_expanded_netlist():

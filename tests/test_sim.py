@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from qsquare.blocks import build_adder_in_place, build_logical_and, lower_adders
+from qsquare.blocks import build_adder_in_place, build_logical_and
 from qsquare.ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, expand
 from qsquare.sim import (
     NonClassicalGateError,
@@ -22,6 +22,8 @@ from qsquare.sim import (
     verify_equivalence,
 )
 from qsquare.synth import synthesize_squarer
+
+from macro_lowering import lower_adders
 
 T_AMP = np.exp(1j * np.pi / 4)
 

@@ -142,7 +142,7 @@ def test_functional_spot_checks():
 
 def test_deep_and_level_simulation_matches_macro_level():
     """Lowering the adders to AND macros must not change the semantics."""
-    from qsquare.blocks import lower_adders
+    from macro_lowering import lower_adders
 
     for n in (5, 6):
         c = synthesize_squarer(n)
