@@ -1,10 +1,10 @@
 """Garbage-free Clifford+T integer squaring circuits.
 
 Synthesis of the full netlist, exact simulation (classical basis
-semantics for macro netlists, a sparse phase-checked statevector for
-Clifford+T expansions up to the whole circuit), and
-closed-form resource accounting with measured/closed-form
-reconciliation.
+semantics for macro netlists, swept over all inputs at once as bit
+planes, one Python int per wire; a sparse phase-checked statevector for
+Clifford+T expansions up to the whole circuit), and closed-form
+resource accounting with measured/closed-form reconciliation.
 """
 
 from .ir import (
@@ -41,13 +41,12 @@ from .blocks import (
     build_uncompute_and,
 )
 from .sim import (
-    BasisResult,
     Branch,
     EquivalenceReport,
     NonClassicalGateError,
     TermBudgetError,
     UncomputeMisuseError,
-    run_basis,
+    lane_planes,
     run_basis_sweep,
     run_statevector,
     states_equal,

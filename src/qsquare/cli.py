@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import blocks, sim
 from .ir import expand, to_json, to_qasm
 from .layout import dump_grid
@@ -95,47 +93,78 @@ def _drop_gate(netlist, k: int):
     return out
 
 
+def _square_planes(n: int) -> list[int]:
+    """The 2n planes of a*a over every input a < 2**n (lane a holds a*a).
+
+    Built apart from any circuit, by doubling: the upper half of 2L lanes
+    holds (a + L)**2 = a**2 + a*2L + L**2 for a < L = 2**k.  As
+    a**2 < L**2, adding L**2 only sets bit 2k; a*2L is rippled in."""
+    square = [0] * (2 * n)
+    a_planes: list[int] = []
+    for k in range(n):
+        lanes = 1 << k
+        full = (1 << lanes) - 1
+        upper = square[:]
+        upper[2 * k] = full
+        carry = 0
+        for i in range(k + 1, 2 * n):
+            b = a_planes[i - k - 1] if i <= 2 * k else 0
+            if not (b or carry):
+                break
+            x = upper[i]
+            s = x ^ b
+            upper[i] = s ^ carry
+            carry = (x & b) | (carry & s)
+        square = [p | q << lanes for p, q in zip(square, upper)]
+        a_planes = [p | p << lanes for p in a_planes] + [full << lanes]
+    return square
+
+
+def _lane_value(planes: list[int], lane: int) -> int:
+    return sum(((p >> lane) & 1) << i for i, p in enumerate(planes))
+
+
 def _verify_basis_one(n: int, mutate: int | None) -> dict:
     """Exhaustively simulate width n; returns the spec report dict plus n."""
     circuit = synthesize_squarer(n)
     netlist = circuit.netlist if mutate is None else _drop_gate(circuit.netlist, mutate)
     lanes = 1 << n
-    a_values = np.arange(lanes, dtype=np.int64)
-    inputs = {w: (a_values >> i) & 1 == 1
-              for i, w in enumerate(circuit.input_wires)}
-    mismatches: list[dict] = []
+    a_planes = sim.lane_planes(n)
     try:
-        result = sim.run_basis_sweep(netlist, inputs, lanes)
+        result = sim.run_basis_sweep(netlist, dict(zip(circuit.input_wires, a_planes)), lanes)
     except sim.SimulationError as exc:
         return {"n": n, "inputs_checked": lanes,
                 "mismatches": [{"input": {"n": n}, "expected": "clean run",
                                 "got": f"{type(exc).__name__}: {exc}"}]}
     p_wires = [circuit.output_map[pos] for pos in range(2 * n)]
-    p_vals = np.zeros(lanes, dtype=np.int64)
-    for i, w in enumerate(p_wires):
-        p_vals |= result.wires[w].astype(np.int64) << i
-    a_back = np.zeros(lanes, dtype=np.int64)
-    for i, w in enumerate(circuit.input_wires):
-        a_back |= result.wires[w].astype(np.int64) << i
+    p_planes = [result.wires[w] for w in p_wires]
+    a_back = [result.wires[w] for w in circuit.input_wires]
     keep = set(circuit.input_wires) | set(p_wires)
-    dirty = np.zeros(lanes, dtype=bool)
+    dirty = 0
     for w in range(netlist.wire_count):
         if w not in keep:
             dirty |= result.wires[w]
-    overflow = np.zeros(lanes, dtype=bool)
-    for lanes_carry in result.would_be_carries.values():
-        overflow |= lanes_carry
-    bad = (p_vals != a_values * a_values) | (a_back != a_values) | dirty | overflow
-    for a in np.flatnonzero(bad):
-        a = int(a)
-        mismatches.append({
-            "input": {"n": n, "a": a},
-            "expected": {"P": a * a, "A": a, "garbage": 0, "overflow": 0},
-            "got": {"P": int(p_vals[a]), "A": int(a_back[a]),
-                    "garbage": int(dirty[a]), "overflow": int(overflow[a])},
-        })
-        if len(mismatches) >= 16:
-            break
+    overflow = 0
+    for carry in result.would_be_carries.values():
+        overflow |= carry
+    bad = dirty | overflow
+    for got, want in zip(p_planes + a_back, _square_planes(n) + a_planes):
+        bad |= got ^ want
+    first: list[int] = []  # the lowest 16 bad lanes
+    while bad and len(first) < 16:
+        low = bad & -bad
+        bad ^= low
+        first.append(low.bit_length() - 1)
+    # cut the planes to the reported lanes, so reading a lane shifts a small int
+    upto = (2 << first[-1]) - 1 if first else 0
+    p_planes, a_back = ([p & upto for p in planes] for planes in (p_planes, a_back))
+    dirty, overflow = dirty & upto, overflow & upto
+    mismatches = [{
+        "input": {"n": n, "a": a},
+        "expected": {"P": a * a, "A": a, "garbage": 0, "overflow": 0},
+        "got": {"P": _lane_value(p_planes, a), "A": _lane_value(a_back, a),
+                "garbage": (dirty >> a) & 1, "overflow": (overflow >> a) & 1},
+    } for a in first]
     return {"n": n, "inputs_checked": lanes, "mismatches": mismatches}
 
 

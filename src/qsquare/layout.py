@@ -142,13 +142,17 @@ class _GridBuilder:
             for c, e in enumerate(row):
                 if e is None:
                     raise PlacementError(f"cell T({r},{c}) never placed for n={self.n}")
-        grid = OperandGrid(self.n, tuple(tuple(row) for row in self.rows),
-                           self.pad_counts[0], self.pad_counts[1])
-        placed = [e for _, _, e in grid.cells() if not isinstance(e, ZeroPad)]
-        expected = partial_products(self.n)
-        if sorted(placed, key=repr) != sorted(expected, key=repr):
+        placed = sorted(_term_key(e) for row in self.rows for e in row
+                        if not isinstance(e, ZeroPad))
+        if placed != sorted(map(_term_key, partial_products(self.n))):
             raise PlacementError(f"grid terms differ from the source set for n={self.n}")
-        return grid
+        return OperandGrid(self.n, tuple(tuple(row) for row in self.rows),
+                           self.pad_counts[0], self.pad_counts[1])
+
+
+def _term_key(entry) -> tuple[int, int]:
+    """(i, j) of a partial product, (i, -1) of an input copy."""
+    return (entry.i, -1) if isinstance(entry, InputCopy) else (entry.i, entry.j)
 
 
 def arrange(n: int) -> OperandGrid:

@@ -5,10 +5,13 @@ and the three macro ops) under classical reversible semantics.  It
 deliberately refuses expanded Clifford+T gates: macro semantics are the
 verification contract, and the statevector engine certifies that the
 Clifford+T expansion, of one block or of the whole circuit, agrees with
-them, phase included.  There is one basis engine: it sweeps many
-basis inputs at once, one bool numpy lane per input, and a single input
-is the one-lane case.  In-place additions ripple a carry through the
-lanes bit by bit, so adders of any width are exact.
+them, phase included.  There is one basis engine, and it is bit-sliced:
+each wire is one Python int, its bit plane, whose bit k is the wire's
+value for input k (lane k), so one ``^`` or ``&`` moves every input
+through a gate at once.  A single input is the one-lane case, and
+``lane_planes`` builds the planes of an exhaustive sweep.  In-place
+additions ripple a carry plane bit position by bit position, so adders
+of any width are exact.
 
 The statevector engine runs expanded Clifford+T netlists of any width
 on a sparse state: a dict from basis bitmask (bit w = wire w) to
@@ -29,10 +32,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd
 
@@ -64,85 +65,88 @@ class NormDriftError(SimulationError):
 # ---- basis-state engine ----------------------------------------------------
 
 @dataclass
-class BasisResult:
-    """Final wire values plus the would-be carry bit of every carry-less
-    in-place addition (gate index -> bit), used by no-overflow checks."""
+class SweepResult:
+    """Bit-plane basis run: ``wires[w]`` is wire w's plane, a non-negative
+    int whose bit k is the wire's value in lane k, and
+    ``would_be_carries[gate_index]`` the plane of carries dropped by that
+    carry-less addition."""
 
     wires: dict[int, int]
-    would_be_carries: dict[int, int] = field(default_factory=dict)
-
-
-def run_basis(netlist: Netlist, inputs: Mapping[int, int]) -> BasisResult:
-    """One basis input: the one-lane case of ``run_basis_sweep``."""
-    res = run_basis_sweep(netlist, {w: [v & 1] for w, v in inputs.items()}, 1)
-    return BasisResult({w: int(lane[0]) for w, lane in res.wires.items()},
-                       {idx: int(c[0]) for idx, c in res.would_be_carries.items()})
-
-
-@dataclass
-class SweepResult:
-    """Vectorized basis run: ``wires[w]`` is a bool lane array, and
-    ``would_be_carries[gate_index]`` the per-lane dropped carry bits."""
-
-    wires: dict[int, np.ndarray]
-    would_be_carries: dict[int, np.ndarray]
+    would_be_carries: dict[int, int]
     lanes: int
 
 
-def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, np.ndarray],
+def lane_planes(n: int) -> list[int]:
+    """The n input planes of the exhaustive sweep: lane k holds input k,
+    for all 2**n inputs (plane i is bit i of the lane index).
+
+    Built by doubling: the planes of 2L lanes are those of L lanes, each
+    repeated in the upper half, plus a new top plane set in the upper half.
+    """
+    planes: list[int] = []
+    for k in range(n):
+        lanes = 1 << k
+        planes = [p | p << lanes for p in planes] + [((1 << lanes) - 1) << lanes]
+    return planes
+
+
+def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
                     lanes: int) -> SweepResult:
     """Classical reversible evaluation of a macro-level netlist over many
-    basis inputs at once (one lane per input).
+    basis inputs at once, bit-sliced: ``inputs`` maps a wire to its plane
+    (bit k = the wire's value in lane k), and every gate acts on all
+    lanes with one or a few int operations.  One lane is one basis input.
 
     Unassigned wires start at 0.  Expanded Clifford+T gates are
     rejected; run the unexpanded netlist or use the statevector engine.
     """
-    bits = np.zeros((netlist.wire_count, lanes), dtype=bool)
-    for w, lane in inputs.items():
-        bits[w] = np.asarray(lane, dtype=bool)
-    carries: dict[int, np.ndarray] = {}
+    full = (1 << lanes) - 1
+    bits = [0] * netlist.wire_count
+    for w, plane in inputs.items():
+        if not 0 <= plane <= full:
+            raise ValueError(f"plane of wire {w} does not fit in {lanes} lanes")
+        bits[w] = plane
+    carries: dict[int, int] = {}
     for idx, op in enumerate(netlist.gates):
         if isinstance(op, Gate):
-            if op.kind == "x":
-                bits[op.wires[0]] ^= True
-            elif op.kind == "cx":
+            if op.kind == "cx":
                 bits[op.wires[1]] ^= bits[op.wires[0]]
+            elif op.kind == "x":
+                bits[op.wires[0]] ^= full
             elif op.kind == "prep0":
-                if bits[op.wires[0]].any():
+                if bits[op.wires[0]]:
                     raise SimulationError(
                         f"prep0 on non-zero wire {op.wires[0]} at gate {idx}")
             else:
                 raise NonClassicalGateError(
                     f"non-classical gate {op.kind!r} in basis mode at gate {idx}")
         elif isinstance(op, LogicalAnd):
-            if bits[op.target].any():
+            if bits[op.target]:
                 raise SimulationError(
                     f"logical-AND target wire {op.target} not fresh at gate {idx}")
             bits[op.target] = bits[op.x] & bits[op.y]
         elif isinstance(op, UncomputeAnd):
-            bad = bits[op.target] != (bits[op.x] & bits[op.y])
-            if bad.any():
+            bad = bits[op.target] ^ (bits[op.x] & bits[op.y])
+            if bad:
                 raise UncomputeMisuseError(
-                    f"uncompute-misuse at gate {idx}, first lane {int(np.argmax(bad))}")
-            bits[op.target] = False
+                    f"uncompute-misuse at gate {idx}, "
+                    f"first lane {(bad & -bad).bit_length() - 1}")
+            bits[op.target] = 0
         elif isinstance(op, AddInPlace):
-            # ripple carry, one bit position at a time: no width limit
-            carry = np.zeros(lanes, dtype=bool)
+            # ripple carry over whole planes, one bit position at a time
+            carry = 0
             for wa, wb in zip(op.a_wires, op.b_wires):
                 a, b = bits[wa], bits[wb]
-                carry, bits[wb] = (a & b) | (carry & (a ^ b)), a ^ b ^ carry
+                s = a ^ b
+                bits[wb] = s ^ carry
+                carry = (a & b) | (carry & s)
             if op.carry_out is not None:
-                if bits[op.carry_out].any():
+                if bits[op.carry_out]:
                     raise SimulationError(f"carry-out wire {op.carry_out} not fresh")
                 bits[op.carry_out] = carry
             else:
                 carries[idx] = carry
-    return SweepResult({w: bits[w] for w in range(netlist.wire_count)}, carries, lanes)
-
-
-def pack_wires(result_wires: Mapping[int, int], wires: Iterable[int]) -> int:
-    """Little-endian integer read off the given wires."""
-    return sum((result_wires[w] & 1) << i for i, w in enumerate(wires))
+    return SweepResult(dict(enumerate(bits)), carries, lanes)
 
 
 # ---- statevector engine -----------------------------------------------------
@@ -340,9 +344,8 @@ def verify_equivalence(netlist: Netlist, input_wires, reference: Callable) -> Eq
 
     mismatches: list[dict] = []
     total = 1 << len(input_wires)
-    values = np.arange(total)
     sweep = None if use_statevector else run_basis_sweep(
-        netlist, {w: (values >> i) & 1 for i, w in enumerate(input_wires)}, total)
+        netlist, dict(zip(input_wires, lane_planes(len(input_wires)))), total)
     for value in range(total):
         assignment = {w: (value >> i) & 1 for i, w in enumerate(input_wires)}
         expected = reference(dict(assignment))
@@ -358,7 +361,7 @@ def verify_equivalence(netlist: Netlist, input_wires, reference: Callable) -> Eq
                                        "got": {**bits, "amplitude": f"{amplitude:.6g}"}})
                     break
         else:
-            got = {w: int(sweep.wires[w][value]) for w in expected}
+            got = {w: (sweep.wires[w] >> value) & 1 for w in expected}
             if got != expected:
                 mismatches.append({"input": assignment, "expected": dict(expected),
                                    "got": got})

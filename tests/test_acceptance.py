@@ -27,6 +27,8 @@ from qsquare.layout import arrange, grid_value
 from qsquare.sim import basis_state, run_basis_sweep, run_statevector, states_equal
 from qsquare.synth import synthesize_squarer
 
+from planes import packed, plane_of
+
 
 def report(num, desc):
     def decorate(fn):
@@ -46,15 +48,8 @@ def _squarer_sweep(n):
     c = synthesize_squarer(n)
     lanes = 1 << n
     a = np.arange(lanes, dtype=np.int64)
-    inputs = {w: (a >> i) & 1 == 1 for i, w in enumerate(c.input_wires)}
+    inputs = {w: plane_of((a >> i) & 1 == 1) for i, w in enumerate(c.input_wires)}
     return c, a, run_basis_sweep(c.netlist, inputs, lanes)
-
-
-def _packed(result, wires, lanes):
-    out = np.zeros(lanes, dtype=np.int64)
-    for i, w in enumerate(wires):
-        out |= result.wires[w].astype(np.int64) << i
-    return out
 
 
 @report(1, "exhaustive squaring for n=5..10: P = a^2, A = a, all other wires 0")
@@ -63,12 +58,12 @@ def test_criterion_1_functional_squaring_exhaustive():
         c, a, res = _squarer_sweep(n)
         lanes = a.size
         p_wires = [c.output_map[i] for i in range(2 * n)]
-        assert (_packed(res, p_wires, lanes) == a * a).all()
-        assert (_packed(res, c.input_wires, lanes) == a).all()
+        assert (packed(res, p_wires, lanes) == a * a).all()
+        assert (packed(res, c.input_wires, lanes) == a).all()
         keep = set(c.input_wires) | set(p_wires)
         for w in range(c.netlist.wire_count):
             if w not in keep:
-                assert not res.wires[w].any(), (n, w)
+                assert not res.wires[w], (n, w)
 
 
 @report(2, "statevector block semantics: AND maps to |x,y,x&y>, uncompute "
@@ -170,7 +165,7 @@ def test_criterion_8_no_overflow():
         carry_less = sum(1 for s in c.stages if not s.with_carry_out)
         assert len(res.would_be_carries) == carry_less
         for gate_idx, lanes in res.would_be_carries.items():
-            assert not lanes.any(), (n, gate_idx)
+            assert not lanes, (n, gate_idx)
 
 
 @report(9, "determinism: two runs of `synth 8 --format json` are byte-identical")

@@ -19,7 +19,7 @@ from qsquare.blocks import (
 from qsquare.ir import Netlist, NetlistError, expand
 from qsquare.sim import (
     UncomputeMisuseError,
-    run_basis,
+    lane_planes,
     run_basis_sweep,
     run_statevector,
     basis_state,
@@ -27,6 +27,7 @@ from qsquare.sim import (
 )
 
 from macro_lowering import lower_adders
+from planes import lanes_of, packed
 
 
 def _allclose(a, b, atol=1e-9):
@@ -54,7 +55,7 @@ def adder_netlist(m, carry):
 @pytest.mark.parametrize("x,y", list(itertools.product((0, 1), repeat=2)))
 def test_and_truth_table_basis(x, y):
     nl, wx, wy, t = and_netlist()
-    result = run_basis(nl, {wx: x, wy: y})
+    result = run_basis_sweep(nl, {wx: x, wy: y}, 1)
     assert result.wires[t] == (x & y)
     assert result.wires[wx] == x
     assert result.wires[wy] == y
@@ -73,7 +74,7 @@ def test_and_rejects_equal_inputs():
 def test_uncompute_restores_ancilla(x, y):
     nl, wx, wy, t = and_netlist()
     build_uncompute_and(nl, wx, wy, t)
-    result = run_basis(nl, {wx: x, wy: y})
+    result = run_basis_sweep(nl, {wx: x, wy: y}, 1)
     assert result.wires[t] == 0
     assert result.wires[wx] == x
     assert result.wires[wy] == y
@@ -84,7 +85,7 @@ def test_uncompute_misuse_is_detected():
     nl.add_gate("x", t)  # corrupt the ancilla before releasing it
     build_uncompute_and(nl, wx, wy, t)
     with pytest.raises(UncomputeMisuseError):
-        run_basis(nl, {wx: 1, wy: 1})
+        run_basis_sweep(nl, {wx: 1, wy: 1}, 1)
 
 
 @pytest.mark.parametrize("x,y", list(itertools.product((0, 1), repeat=2)))
@@ -123,7 +124,7 @@ def test_adder_example_3_plus_4():
     lowered = lower_adders(nl)
     inputs = {a[i]: (3 >> i) & 1 for i in range(3)}
     inputs.update({b[i]: (4 >> i) & 1 for i in range(3)})
-    res = run_basis(lowered, inputs)
+    res = run_basis_sweep(lowered, inputs, 1)
     assert sum(res.wires[b[i]] << i for i in range(3)) == 7
     assert res.wires[cw] == 0
 
@@ -132,7 +133,7 @@ def test_adder_example_7_plus_7():
     nl, a, b, cw = adder_netlist(3, True)
     lowered = lower_adders(nl)
     inputs = {w: 1 for w in a + b}
-    res = run_basis(lowered, inputs)
+    res = run_basis_sweep(lowered, inputs, 1)
     assert sum(res.wires[b[i]] << i for i in range(3)) == 6
     assert res.wires[cw] == 1
 
@@ -147,26 +148,21 @@ def test_adder_exhaustive_against_integer_addition(m, carry):
     lanes = 1 << (2 * m)
     v = np.arange(lanes, dtype=np.int64)
     av, bv = v & ((1 << m) - 1), v >> m
-    inputs = {w: (av >> i) & 1 == 1 for i, w in enumerate(a)}
-    inputs.update({w: (bv >> i) & 1 == 1 for i, w in enumerate(b)})
-    res = run_basis_sweep(lowered, inputs, lanes)
-    got = np.zeros(lanes, dtype=np.int64)
-    for i, w in enumerate(b):
-        got |= res.wires[w].astype(np.int64) << i
+    # lane v holds a = v mod 2^m and b = v >> m: a takes the low planes
+    res = run_basis_sweep(lowered, dict(zip(a + b, lane_planes(2 * m))), lanes)
+    got = packed(res, b, lanes)
     if carry:
-        got |= res.wires[cw].astype(np.int64) << m
+        got |= lanes_of(res.wires[cw], lanes).astype(np.int64) << m
         want = av + bv
     else:
         want = (av + bv) % (1 << m)
     assert (got == want).all()
-    a_back = np.zeros(lanes, dtype=np.int64)
-    for i, w in enumerate(a):
-        a_back |= res.wires[w].astype(np.int64) << i
+    a_back = packed(res, a, lanes)
     assert (a_back == av).all()
     outputs = set(a) | set(b) | ({cw} if carry else set())
     for w in range(lowered.wire_count):
         if w not in outputs:
-            assert not res.wires[w].any(), f"ancilla {w} left dirty"
+            assert not res.wires[w], f"ancilla {w} left dirty"
 
 
 def test_adder_validation():
@@ -190,7 +186,7 @@ def test_corrupted_adder_is_caught():
         inputs = {a[i]: (av >> i) & 1 for i in range(3)}
         inputs.update({b[i]: (bv >> i) & 1 for i in range(3)})
         try:
-            res = run_basis(lowered, inputs)
+            res = run_basis_sweep(lowered, inputs, 1)
         except UncomputeMisuseError:
             mismatch += 1
             continue

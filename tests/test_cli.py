@@ -4,13 +4,20 @@ import hashlib
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from qsquare.cli import _drop_gate, _UsageError, main
-from qsquare.ir import expand, from_json, to_json, to_qasm
+from qsquare import sim
+from qsquare.cli import _drop_gate, _square_planes, _UsageError, _verify_basis_one, main
+from qsquare.ir import UncomputeAnd, expand, from_json, to_json, to_qasm
+from qsquare.sim import lane_planes
 from qsquare.synth import synthesize_squarer
+
+from planes import ints_of
 
 
 def run(argv, capsys):
@@ -101,6 +108,48 @@ def test_drop_gate_copies_without_the_gate():
         _drop_gate(source, len(source.gates))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lane_and_square_planes_read_back(n):
+    # lane k of the exhaustive sweep holds input k; lane a of the
+    # reference holds a*a; neither plane has a bit past the last lane
+    lanes = 1 << n
+    a_planes, square = lane_planes(n), _square_planes(n)
+    assert len(a_planes) == n and len(square) == 2 * n
+    assert ints_of(a_planes, lanes) == list(range(lanes))
+    assert ints_of(square, lanes) == [a * a for a in range(lanes)]
+    assert all(0 <= p < 1 << lanes for p in a_planes + square)
+
+
+def test_verify_basis_reports_garbage_and_overflow_lanes(monkeypatch):
+    # without the release of a_i*a_j, P and A stay right and that wire is
+    # left at 1 in exactly the lanes with bits i and j of a set
+    c = synthesize_squarer(5)
+    k, op = next((k, op) for k, op in enumerate(c.netlist.gates)
+                 if isinstance(op, UncomputeAnd))
+    i, j = c.input_wires.index(op.x), c.input_wires.index(op.y)
+    rep = _verify_basis_one(5, k)
+    assert rep["inputs_checked"] == 32
+    assert [m["input"]["a"] for m in rep["mismatches"]] == [
+        a for a in range(32) if (a >> i) & (a >> j) & 1]
+    for m in rep["mismatches"]:
+        a = m["input"]["a"]
+        assert m["got"] == {"P": a * a, "A": a, "garbage": 1, "overflow": 0}
+
+    real = sim.run_basis_sweep
+
+    def overflowing(netlist, inputs, lanes):
+        res = real(netlist, inputs, lanes)
+        (idx,) = res.would_be_carries
+        res.would_be_carries[idx] |= 1 << 21
+        return res
+
+    monkeypatch.setattr(sim, "run_basis_sweep", overflowing)
+    assert _verify_basis_one(5, None)["mismatches"] == [{
+        "input": {"n": 5, "a": 21},
+        "expected": {"P": 441, "A": 21, "garbage": 0, "overflow": 0},
+        "got": {"P": 441, "A": 21, "garbage": 0, "overflow": 1}}]
+
+
 def test_verify_range_outside_basis_window(capsys):
     code, _, err = run(["verify", "5..17"], capsys)
     assert code == 2
@@ -185,16 +234,34 @@ def test_traced_counters_stay_readable(n):
     assert isinstance(to_qasm(full), str)
 
 
-@pytest.mark.parametrize("argv, name, digest", [
-    (["synth", "9", "--format", "qasm", "--out"], "q.qasm",
+@pytest.mark.parametrize("argv, name, exit_code, digest", [
+    (["synth", "9", "--format", "qasm", "--out"], "q.qasm", 0,
      "1f746268923774f34cea32f58a91e293f8062b5c24722ec98a7b9767d7c64b51"),
-    (["compare", "5..20", "--measured", "--csv"], "c.csv",
+    (["compare", "5..20", "--measured", "--csv"], "c.csv", 0,
      "b2bbc7a17fc2e0f2e52dc87984af19631001b3c2e143828f5c757e3f2c6c34f0"),
-], ids=["synth-9-qasm", "compare-5..20-csv"])
-def test_outputs_match_pinned_digests(argv, name, digest, tmp_path, capsys):
+    (["verify", "5..16", "--mode", "both", "--report"], "r.json", 0,
+     "39896d9e5e9967e355e95ba6ce4b5802687456bf029f4a494f8c23c85cb26f96"),
+    (["verify", "5..16", "--mutate", "drop-gate:8", "--report"], "r.json", 3,
+     "6a3fb6085bfa1614aebb8fbba23adf5efaccdd816a53ca3e26d16b9ebb958dee"),
+], ids=["synth-9-qasm", "compare-5..20-csv", "verify-5..16-both", "verify-5..16-drop-8"])
+def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, capsys):
     # QASM and the cost CSV are byte-for-byte what the Gate-tuple
-    # expansion wrote before the columnar rewrite
+    # expansion wrote before the columnar rewrite; the verify reports are
+    # what the bool-lane basis sweep wrote, and the drop-gate:8 mutant's
+    # report mixes P and garbage mismatches with uncompute-misuse lanes
     path = tmp_path / name
     code, _, _ = run(argv + [str(path)], capsys)
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_runtime_imports_leave_numpy_out():
+    # numpy is a test dependency only: the CLI must not pay for importing it
+    src = str(Path(importlib.import_module("qsquare").__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = ("import qsquare, qsquare.cli, sys; "
+            "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

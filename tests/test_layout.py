@@ -117,6 +117,31 @@ def test_builder_rejects_incomplete_grid():
         _GridBuilder(6).finish()
 
 
+def _rebuilt(rows):
+    g = _GridBuilder(6)
+    for r, row in enumerate(rows):
+        for c, e in enumerate(row):
+            g.put(r, c, e)
+    return g.finish()
+
+
+def test_builder_rejects_wrong_terms():
+    # every cell filled, so only the multiset check of the terms can object
+    rows = [list(row) for row in arrange(6).rows]
+    assert _rebuilt(rows).rows == arrange(6).rows
+    (r0, c0), (r1, c1) = [(r, c) for r, row in enumerate(rows)
+                          for c, e in enumerate(row) if isinstance(e, PartialProduct)][:2]
+    first = rows[r0][c0]
+    for wrong in (InputCopy(0),                      # not a source term
+                  PartialProduct(first.j, first.i),  # indices swapped
+                  InputCopy(first.j),                # a copy for a product
+                  rows[r1][c1]):                     # another term, now twice
+        bad = [list(row) for row in rows]
+        bad[r0][c0] = wrong
+        with pytest.raises(PlacementError, match="differ from the source set"):
+            _rebuilt(bad)
+
+
 def test_grid_value_trivial_inputs():
     grid = arrange(6)
     assert grid_value(grid, 0) == 0

@@ -13,9 +13,8 @@ from qsquare.sim import (
     NonClassicalGateError,
     SimulationError,
     TermBudgetError,
+    UncomputeMisuseError,
     basis_state,
-    pack_wires,
-    run_basis,
     run_basis_sweep,
     run_statevector,
     states_equal,
@@ -24,6 +23,7 @@ from qsquare.sim import (
 from qsquare.synth import synthesize_squarer
 
 from macro_lowering import lower_adders
+from planes import ints_of, pack_wires, planes_of
 
 T_AMP = np.exp(1j * np.pi / 4)
 
@@ -37,20 +37,20 @@ def _allclose(a, b, atol=1e-9):
 
 def test_basis_squarer_small_examples():
     c = synthesize_squarer(5)
-    res = run_basis(c.netlist, {w: (3 >> i) & 1 for i, w in enumerate(c.input_wires)})
+    res = run_basis_sweep(c.netlist, {w: (3 >> i) & 1 for i, w in enumerate(c.input_wires)}, 1)
     assert pack_wires(res.wires, [c.output_map[i] for i in range(10)]) == 9
     assert pack_wires(res.wires, c.input_wires) == 3
 
 
 def test_basis_squarer_n6_largest_input():
     c = synthesize_squarer(6)
-    res = run_basis(c.netlist, {w: 1 for w in c.input_wires})
+    res = run_basis_sweep(c.netlist, {w: 1 for w in c.input_wires}, 1)
     assert pack_wires(res.wires, [c.output_map[i] for i in range(12)]) == 3969
 
 
 def test_basis_squarer_zero_leaves_everything_clean():
     c = synthesize_squarer(6)
-    res = run_basis(c.netlist, {w: 0 for w in c.input_wires})
+    res = run_basis_sweep(c.netlist, {w: 0 for w in c.input_wires}, 1)
     assert all(v == 0 for v in res.wires.values())
 
 
@@ -59,14 +59,14 @@ def test_basis_rejects_expanded_gates():
     nl.alloc_register("a", 1, "input")
     nl.add_gate("h", 0)
     with pytest.raises(NonClassicalGateError):
-        run_basis(nl, {0: 0})
+        run_basis_sweep(nl, {0: 0}, 1)
 
 
 def test_basis_rejects_magic_preparation():
     nl = Netlist()
     nl.alloc_register("m", 1, "magicT")
     with pytest.raises(NonClassicalGateError):
-        run_basis(nl, {})
+        run_basis_sweep(nl, {}, 1)
 
 
 def test_basis_prep0_on_dirty_wire_rejected():
@@ -74,7 +74,7 @@ def test_basis_prep0_on_dirty_wire_rejected():
     nl.alloc_register("a", 1, "input")
     nl.add_gate("prep0", 0)
     with pytest.raises(SimulationError):
-        run_basis(nl, {0: 1})
+        run_basis_sweep(nl, {0: 1}, 1)
 
 
 def test_basis_records_would_be_carries():
@@ -82,19 +82,14 @@ def test_basis_records_would_be_carries():
     a = nl.alloc_register("a", 2, "input")
     b = nl.alloc_register("b", 2, "input")
     build_adder_in_place(nl, a, b, with_carry_out=False)
-    res = run_basis(nl, {a[0]: 1, a[1]: 1, b[0]: 1, b[1]: 1})  # 3 + 3 overflows
+    res = run_basis_sweep(nl, {a[0]: 1, a[1]: 1, b[0]: 1, b[1]: 1}, 1)  # 3 + 3 overflows
     assert list(res.would_be_carries.values()) == [1]
-    res = run_basis(nl, {a[0]: 1, b[0]: 1})
+    res = run_basis_sweep(nl, {a[0]: 1, b[0]: 1}, 1)
     assert list(res.would_be_carries.values()) == [0]
 
 
-def _lanes_of(values, width):
-    return [np.array([(v >> i) & 1 for v in values], dtype=bool) for i in range(width)]
-
-
 def _ints_of(res, wires, lanes):
-    return [sum(int(res.wires[w][k]) << i for i, w in enumerate(wires))
-            for k in range(lanes)]
+    return ints_of([res.wires[w] for w in wires], lanes)
 
 
 def test_sweep_exact_at_wide_widths():
@@ -108,14 +103,14 @@ def test_sweep_exact_at_wide_widths():
             a = [rng.getrandbits(n) for _ in range(63)] + [(1 << n) - 1]
         lanes = len(a)
         res = run_basis_sweep(
-            c.netlist, dict(zip(c.input_wires, _lanes_of(a, n))), lanes)
+            c.netlist, dict(zip(c.input_wires, planes_of(a, n))), lanes)
         p_wires = [c.output_map[i] for i in range(2 * n)]
         assert _ints_of(res, p_wires, lanes) == [v * v for v in a], n
         assert _ints_of(res, c.input_wires, lanes) == a, n
         keep = set(c.input_wires) | set(p_wires)
-        assert not any(res.wires[w].any()
+        assert not any(res.wires[w]
                        for w in range(c.netlist.wire_count) if w not in keep), n
-        assert not any(cw.any() for cw in res.would_be_carries.values()), n
+        assert not any(res.would_be_carries.values()), n
 
     m = 40
     nl = Netlist()
@@ -124,14 +119,31 @@ def test_sweep_exact_at_wide_widths():
     nl.append(AddInPlace(wa, wb))
     av = [(1 << m) - 1, 1 << (m - 1), rng.getrandbits(m), 5]
     bv = [1, 1 << (m - 1), rng.getrandbits(m) | (1 << (m - 1)), 7]
-    inputs = dict(zip(wa, _lanes_of(av, m)))
-    inputs.update(zip(wb, _lanes_of(bv, m)))
+    inputs = dict(zip(wa, planes_of(av, m)))
+    inputs.update(zip(wb, planes_of(bv, m)))
     res = run_basis_sweep(nl, inputs, len(av))
     sums = [x + y for x, y in zip(av, bv)]
     assert _ints_of(res, wb, len(av)) == [s % (1 << m) for s in sums]
     assert _ints_of(res, wa, len(av)) == av
     (carry,) = res.would_be_carries.values()
-    assert carry.tolist() == [bool(s >> m) for s in sums] == [True, True, True, False]
+    assert ints_of([carry], len(av)) == [s >> m for s in sums] == [1, 1, 1, 0]
+
+
+def test_sweep_reports_first_bad_lane_and_rejects_wide_planes():
+    nl = Netlist()
+    x, y = nl.alloc_register("xy", 2, "input")
+    t = build_logical_and(nl, x, y)
+    nl.add_gate("cx", x, t)  # corrupts the ancilla in the lanes where x = 1
+    nl.append(UncomputeAnd(x, y, t))
+    with pytest.raises(UncomputeMisuseError, match="first lane 1$"):
+        run_basis_sweep(nl, {x: 0b1010, y: 0b1100}, 4)
+    with pytest.raises(UncomputeMisuseError, match="first lane 3$"):
+        run_basis_sweep(nl, {x: 0b1000, y: 0b1100}, 4)
+    run_basis_sweep(nl, {y: 0b1111}, 4)
+    with pytest.raises(ValueError):
+        run_basis_sweep(nl, {x: 0b10000}, 4)
+    with pytest.raises(ValueError):
+        run_basis_sweep(nl, {x: -1}, 4)
 
 
 def test_squarer_is_injective_on_valid_inputs():
@@ -139,7 +151,8 @@ def test_squarer_is_injective_on_valid_inputs():
     seen = set()
     p_wires = [c.output_map[i] for i in range(10)]
     for a in range(32):
-        res = run_basis(c.netlist, {w: (a >> i) & 1 for i, w in enumerate(c.input_wires)})
+        res = run_basis_sweep(
+            c.netlist, {w: (a >> i) & 1 for i, w in enumerate(c.input_wires)}, 1)
         seen.add((pack_wires(res.wires, c.input_wires),
                   pack_wires(res.wires, p_wires)))
     assert len(seen) == 32
@@ -229,7 +242,7 @@ def test_statevector_agrees_with_basis_for_adder_blocks():
             bits.update({w: (bv >> i) & 1 for i, w in enumerate(b)})
             if not carry and av + bv >= (1 << m):
                 continue  # modular variant is only contracted overflow-free
-            basis = run_basis(macro, bits)
+            basis = run_basis_sweep(macro, bits, 1)
             want = basis_state(basis.wires)
             for br in run_statevector(full, initial=bits):
                 assert states_equal(br.state, want)

@@ -5,8 +5,10 @@ import pytest
 
 from qsquare.ir import AddInPlace, LogicalAnd, UncomputeAnd, expand, to_json
 from qsquare.layout import UnsupportedWidthError
-from qsquare.sim import pack_wires, run_basis, run_basis_sweep
+from qsquare.sim import run_basis_sweep
 from qsquare.synth import stage_widths, synthesize_squarer
+
+from planes import pack_wires, plane_of
 
 
 def test_stage_widths_n6():
@@ -135,7 +137,8 @@ def test_synthesis_is_deterministic():
 def test_functional_spot_checks():
     for n, a in ((5, 3), (6, 63), (6, 0), (7, 100)):
         c = synthesize_squarer(n)
-        res = run_basis(c.netlist, {w: (a >> i) & 1 for i, w in enumerate(c.input_wires)})
+        res = run_basis_sweep(
+            c.netlist, {w: (a >> i) & 1 for i, w in enumerate(c.input_wires)}, 1)
         assert pack_wires(res.wires, [c.output_map[i] for i in range(2 * n)]) == a * a
         assert pack_wires(res.wires, c.input_wires) == a
 
@@ -149,8 +152,8 @@ def test_deep_and_level_simulation_matches_macro_level():
         deep = lower_adders(c.netlist)
         lanes = 1 << n
         a = np.arange(lanes)
-        inputs = {w: (a >> i) & 1 == 1 for i, w in enumerate(c.input_wires)}
+        inputs = {w: plane_of((a >> i) & 1 == 1) for i, w in enumerate(c.input_wires)}
         top = run_basis_sweep(c.netlist, inputs, lanes)
         low = run_basis_sweep(deep, inputs, lanes)
         for w in range(c.netlist.wire_count):
-            assert (top.wires[w] == low.wires[w]).all()
+            assert top.wires[w] == low.wires[w]
