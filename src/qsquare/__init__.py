@@ -32,7 +32,6 @@ from .layout import (
     partial_products,
 )
 from .blocks import (
-    AdderReport,
     BlockBudget,
     LOGICAL_AND_BUDGET,
     adder_report,
@@ -41,8 +40,6 @@ from .blocks import (
     build_uncompute_and,
 )
 from .sim import (
-    Branch,
-    EquivalenceReport,
     NonClassicalGateError,
     TermBudgetError,
     UncomputeMisuseError,
@@ -52,7 +49,7 @@ from .sim import (
     states_equal,
     verify_equivalence,
 )
-from .synth import SquarerCircuit, stage_widths, synthesize_squarer
+from .synth import SquarerCircuit, synthesize_squarer
 from .costs import (
     CostReport,
     MetricValues,

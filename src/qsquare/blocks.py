@@ -72,7 +72,7 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
     """
     a, b = add.a_wires, add.b_wires
     m = len(a)
-    k = m if add.carry_out is not None else m - 1  # carries c_1..c_k
+    k = adder_and_count(m, add.carry_out is not None)  # carries c_1..c_k
     cx, logical_and, uncompute_and = em.cx, em.logical_and, em.uncompute_and
 
     # forward: c_1 = a_0 b_0, then c_{i+1} = c_i ^ ((a_i^c_i)(b_i^c_i))

@@ -124,22 +124,23 @@ def _lane_value(planes: list[int], lane: int) -> int:
     return sum(((p >> lane) & 1) << i for i, p in enumerate(planes))
 
 
-def _verify_basis_one(n: int, mutate: int | None) -> dict:
-    """Exhaustively simulate width n; returns the spec report dict plus n."""
-    circuit = synthesize_squarer(n)
-    netlist = circuit.netlist if mutate is None else _drop_gate(circuit.netlist, mutate)
+def _verify_basis_one(netlist) -> dict:
+    """Exhaustively simulate a squarer netlist, reading its input and
+    product wires from registers A and P; returns the spec report dict
+    plus n."""
+    inputs, p_wires = netlist.registers["A"], netlist.registers["P"]
+    n = len(inputs)
     lanes = 1 << n
     a_planes = sim.lane_planes(n)
     try:
-        result = sim.run_basis_sweep(netlist, dict(zip(circuit.input_wires, a_planes)), lanes)
+        result = sim.run_basis_sweep(netlist, dict(zip(inputs, a_planes)), lanes)
     except sim.SimulationError as exc:
         return {"n": n, "inputs_checked": lanes,
                 "mismatches": [{"input": {"n": n}, "expected": "clean run",
                                 "got": f"{type(exc).__name__}: {exc}"}]}
-    p_wires = [circuit.output_map[pos] for pos in range(2 * n)]
     p_planes = [result.wires[w] for w in p_wires]
-    a_back = [result.wires[w] for w in circuit.input_wires]
-    keep = set(circuit.input_wires) | set(p_wires)
+    a_back = [result.wires[w] for w in inputs]
+    keep = set(inputs) | set(p_wires)
     dirty = 0
     for w in range(netlist.wire_count):
         if w not in keep:
@@ -228,7 +229,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     runs: list[dict] = []
     ok = True
     if args.mode in ("basis-exhaustive", "both"):
-        runs.extend(_verify_basis_one(n, mutate) for n in ns)
+        for n in ns:
+            netlist = synthesize_squarer(n).netlist
+            runs.append(_verify_basis_one(
+                netlist if mutate is None else _drop_gate(netlist, mutate)))
     if args.mode in ("statevector-blocks", "both"):
         runs.extend(_verify_blocks())
 

@@ -25,14 +25,19 @@ All evaluators are exact integer arithmetic.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .blocks import adder_and_count
+from .ir import AddInPlace
 from .layout import UnsupportedWidthError
 from .synth import SquarerCircuit
 
 METRICS = ("t_count", "t_depth", "cnot_count", "cnot_depth", "qubits", "kq_t")
+RATIO_METRICS = ("t_count", "t_depth", "cnot_count", "cnot_depth", "kq_t")
 BASELINES = ("thapliyal", "nagamani-osu")
 
 FLAG_AND_COUNT = "and-count-convention"
@@ -177,18 +182,15 @@ def baseline_costs(design: str, n: int) -> MetricValues:
     raise ValueError(f"unknown baseline design {design!r}")
 
 
-# leading coefficients of the even-n proposed polynomials and the baselines
-_LEADING = {
-    "proposed": {"t_count": Fraction(5), "t_depth": Fraction(5, 2),
-                 "cnot_count": Fraction(12), "cnot_depth": Fraction(8),
-                 "kq_t": Fraction(15, 4)},
-    "thapliyal": {"t_count": Fraction(15), "t_depth": Fraction(5),
-                  "cnot_count": Fraction(17), "cnot_depth": Fraction(14),
-                  "kq_t": Fraction(5)},
-    "nagamani-osu": {"t_count": Fraction(22), "t_depth": Fraction(8),
-                     "cnot_count": Fraction(24), "cnot_depth": Fraction(21),
-                     "kq_t": Fraction(4)},
-}
+def _leading(values, metric: str) -> Fraction:
+    """Leading coefficient of ``values(n).get(metric)`` as a polynomial in
+    even n, by exact finite differences of step 2: kq_t = qubits x T-depth
+    is quartic, every other metric quadratic."""
+    degree = 4 if metric == "kq_t" else 2
+    diffs = [Fraction(values(n).get(metric)) for n in range(6, 8 + 2 * degree, 2)]
+    for _ in range(degree):
+        diffs = [hi - lo for lo, hi in zip(diffs, diffs[1:])]
+    return diffs[0] / (math.factorial(degree) * 2 ** degree)
 
 
 def reduction_ratios() -> dict[tuple[str, str], float]:
@@ -196,8 +198,9 @@ def reduction_ratios() -> dict[tuple[str, str], float]:
     from leading coefficients, rounded to two decimals."""
     out: dict[tuple[str, str], float] = {}
     for design in BASELINES:
-        for metric in ("t_count", "t_depth", "cnot_count", "cnot_depth", "kq_t"):
-            ratio = Fraction(1) - _LEADING["proposed"][metric] / _LEADING[design][metric]
+        for metric in RATIO_METRICS:
+            ratio = 1 - (_leading(proposed_metrics, metric)
+                         / _leading(functools.partial(baseline_costs, design), metric))
             out[(metric, design)] = round(float(100 * ratio), 2)
     return out
 
@@ -220,12 +223,15 @@ def reconcile(circuit: SquarerCircuit) -> CostReport:
         delta = measured.get(m) - closed.get(m)
         lines[m] = MetricLine(closed.get(m), measured.get(m), delta,
                               _DELTA_FLAGS[m] if delta else ())
-    carry_less = sum(1 for s in circuit.stages if not s.with_carry_out)
+    adds = [op for op in circuit.netlist.gates if isinstance(op, AddInPlace)]
+    carry_less = sum(op.carry_out is None for op in adds)
+    adders_measured = sum(adder_and_count(len(op.a_wires), op.carry_out is not None)
+                          for op in adds)
     return CostReport(
         n=n,
         parity="even" if n % 2 == 0 else "odd",
         metrics=lines,
-        and_count=AndCounts(step1, adders_closed, circuit.and_macro_counts()[1]),
+        and_count=AndCounts(step1, adders_closed, adders_measured),
         carry_less_stages=carry_less,
         t_count_delta_formula=-4 * carry_less,
     )
@@ -290,7 +296,7 @@ def ratios_table() -> str:
     ratios = reduction_ratios()
     lines = [f"{'metric':<12}{'vs thapliyal':>14}{'vs nagamani-osu':>18}",
              "-" * 44]
-    for metric in ("t_count", "t_depth", "cnot_count", "cnot_depth", "kq_t"):
+    for metric in RATIO_METRICS:
         lines.append(f"{metric:<12}"
                      f"{ratios[(metric, 'thapliyal')]:>13.2f}%"
                      f"{ratios[(metric, 'nagamani-osu')]:>17.2f}%")

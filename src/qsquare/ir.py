@@ -270,6 +270,8 @@ class Netlist:
     def append(self, op) -> None:
         if isinstance(op, Gate):
             self._check_gate(op)
+            if op.kind == "mx" and op.cbit >= self.cbit_count:
+                self.cbit_count = op.cbit + 1
         elif isinstance(op, (LogicalAnd, UncomputeAnd)):
             self._check_and(op)
         elif isinstance(op, AddInPlace):
@@ -357,28 +359,6 @@ class Netlist:
         t_count, cnot_count = count_gates(full)
         t_depth, cnot_depth = schedule_asap(full)
         return t_count, t_depth, cnot_count, cnot_depth, full.wire_count
-
-    def relabeled(self, perm: Sequence[int]) -> "Netlist":
-        """New netlist with wire i renamed to perm[i] (perm is a bijection)."""
-        if sorted(perm) != list(range(self.wire_count)):
-            raise NetlistError("relabeling must be a permutation of all wires")
-        out = Netlist()
-        out.wire_count = self.wire_count
-        out.cbit_count = self.cbit_count
-        out.registers = {n: tuple(perm[w] for w in ws) for n, ws in self.registers.items()}
-        for op in self.gates:
-            if isinstance(op, Gate):
-                out.gates.append(Gate(op.kind, tuple(perm[w] for w in op.wires), op.cbit))
-            elif isinstance(op, LogicalAnd):
-                out.gates.append(LogicalAnd(perm[op.x], perm[op.y], perm[op.target]))
-            elif isinstance(op, UncomputeAnd):
-                out.gates.append(UncomputeAnd(perm[op.x], perm[op.y], perm[op.target]))
-            else:
-                out.gates.append(AddInPlace(
-                    tuple(perm[w] for w in op.a_wires),
-                    tuple(perm[w] for w in op.b_wires),
-                    None if op.carry_out is None else perm[op.carry_out]))
-        return out
 
 
 # ---- macro expansion ----------------------------------------------------
@@ -610,7 +590,6 @@ def from_json_dict(data: dict) -> Netlist:
             _load_op(out, g, written)
         except NetlistError as exc:
             raise NetlistError(f"gate {index}: {exc}") from None
-    out.cbit_count = max(written, default=-1) + 1
     return out
 
 

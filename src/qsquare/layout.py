@@ -71,7 +71,7 @@ GridEntry = "PartialProduct | InputCopy | ZeroPad"
 def row_widths(n: int) -> tuple[int, ...]:
     """Cell counts of rows T_0..T_R: (2n-3, 2n-3, 2n-4, 2n-6, ...)."""
     _check_width(n)
-    r = n // 2 if n % 2 == 0 else (n - 1) // 2
+    r = n // 2
     return (2 * n - 3, 2 * n - 3) + tuple(2 * n - 2 * k for k in range(2, r + 1))
 
 
@@ -208,7 +208,7 @@ def arrange(n: int) -> OperandGrid:
                     g.put((2 * n - i) // 2, i - 3, ZERO)
 
     # left pads: fill the high-order end of rows T_2..T_R
-    top = (n - 3) // 2 if n % 2 == 1 else (n - 2) // 2
+    top = (n - 2) // 2
     for i in range(1, top + 1):
         for j in range(1, 2 * i + 1):
             g.put(i + 1, 2 * n - 3 - 4 * i + j, ZERO, pad_phase=1)

@@ -214,11 +214,11 @@ def _initial_state(wire_count: int, initial: Mapping[int, object] | None) -> dic
     state: dict[int, complex] = {0: 1}
     for w in range(wire_count):
         spec = initial.get(w, 0)
-        if spec in (1, "1"):
+        if spec == 1:
             state = _apply(state, "x", w)
-        elif spec in ("T", "magicT"):
+        elif spec == "T":
             state = _apply(_apply(state, "h", w), "t", w)
-        elif spec not in (0, "0", "zero"):
+        elif spec != 0:
             raise ValueError(f"unknown initial spec {spec!r} for wire {w}")
     _check(state)
     return state

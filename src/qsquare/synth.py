@@ -19,6 +19,14 @@ P_0 aliases input wire a_0 and P_1 is a dedicated zero wire; every sum
 bit lands on a row-T_1 wire or the first adder's carry wire, so no wire
 outside A and P carries state at the end.
 
+The netlist is the one record of this wiring, in its registers: ``A``
+(the input), ``P`` (the 2n product bits, least significant first),
+``P1`` (the zero wire of product bit 1), ``T0..TR`` (the grid rows),
+``V0..`` (the running sum left after each stage that peels P bits) and
+``carry`` (the first adder's carry-out).  Each adder stage is one
+``AddInPlace`` op, in cascade order, which gives its width and whether
+it has a carry-out.
+
 Phase 8 releases every live partial product (all rows but T_1) in
 reverse build order, i.e. by descending wire index.  It does not follow
 the published phase-8 index-case loops: they never reach cell T(0,1)
@@ -35,42 +43,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import (
-    adder_and_count,
-    build_adder_in_place,
-    build_logical_and,
-    build_uncompute_and,
-)
+from .blocks import build_adder_in_place, build_logical_and, build_uncompute_and
 from .ir import Netlist
-from .layout import (
-    InputCopy,
-    OperandGrid,
-    PartialProduct,
-    UnsupportedWidthError,
-    arrange,
-)
-
-
-@dataclass(frozen=True)
-class StageInfo:
-    """One adder stage of the cascade."""
-
-    index: int
-    width: int
-    with_carry_out: bool
-    and_count: int
+from .layout import InputCopy, OperandGrid, PartialProduct, arrange
 
 
 @dataclass
 class SquarerCircuit:
-    """A synthesized squaring circuit plus its layout metadata."""
+    """A synthesized squaring circuit: its netlist and operand grid.
+
+    The wiring lives in the netlist's ``A``, ``P``, ``P1``, ``T0..TR``,
+    ``V*`` and ``carry`` registers (see the module docstring)."""
 
     n: int
     netlist: Netlist
     grid: OperandGrid
-    cell_wires: dict[tuple[int, int], int]
-    output_map: dict[int, int]
-    stages: list[StageInfo]
 
     @property
     def registers(self) -> dict[str, tuple[int, ...]]:
@@ -79,19 +66,6 @@ class SquarerCircuit:
     @property
     def input_wires(self) -> tuple[int, ...]:
         return self.registers["A"]
-
-    def and_macro_counts(self) -> tuple[int, int]:
-        """(partial-product ANDs, adder-internal ANDs)."""
-        step1 = self.n * (self.n - 1) // 2
-        return step1, sum(s.and_count for s in self.stages)
-
-
-def stage_widths(n: int) -> list[int]:
-    """Adder operand widths, first stage first: 2n-3, 2n-4, 2n-6, ..."""
-    if n <= 4:
-        raise UnsupportedWidthError(n)
-    stages = n // 2 if n % 2 == 0 else (n - 1) // 2
-    return [2 * n - 3] + [2 * n - 4 - 2 * i for i in range(stages - 1)]
 
 
 def synthesize_squarer(n: int) -> SquarerCircuit:
@@ -116,46 +90,37 @@ def synthesize_squarer(n: int) -> SquarerCircuit:
 
     p1 = nl.alloc_register("P1", 1, "zero")[0]
 
-    # phases 2-3: bind grid cells to wires (fresh zero wires for pads)
-    cell_wires: dict[tuple[int, int], int] = {}
-    for r, c, entry in grid.cells():
-        if isinstance(entry, PartialProduct):
-            cell_wires[(r, c)] = pp_wire[(entry.i, entry.j)]
-        elif isinstance(entry, InputCopy):
-            cell_wires[(r, c)] = copy_wire[entry.i]
-        else:
-            w = nl.new_wire()
-            nl.add_gate("prep0", w)
-            cell_wires[(r, c)] = w
+    # phases 2-3: bind each grid row's cells to wires (fresh zero wires for pads)
     for r, row in enumerate(grid.rows):
-        nl.register_alias(f"T{r}", tuple(cell_wires[(r, c)] for c in range(len(row))))
+        wires = []
+        for entry in row:
+            if isinstance(entry, PartialProduct):
+                wires.append(pp_wire[(entry.i, entry.j)])
+            elif isinstance(entry, InputCopy):
+                wires.append(copy_wire[entry.i])
+            else:
+                w = nl.new_wire()
+                nl.add_gate("prep0", w)
+                wires.append(w)
+        nl.register_alias(f"T{r}", tuple(wires))
 
-    # phases 4-6: the adder cascade
-    widths = stage_widths(n)
-    stages: list[StageInfo] = []
-    output_map = {0: a[0], 1: p1}
+    # phases 4-6: the adder cascade, one stage per row after T_0
     running = list(nl.registers["T1"])
     carry = build_adder_in_place(nl, nl.registers["T0"], running, with_carry_out=True)
     nl.register_alias("carry", (carry,))
-    stages.append(StageInfo(0, widths[0], True, adder_and_count(widths[0], True)))
-    sums = running + [carry]
-    output_map[2], output_map[3] = sums[0], sums[1]
-    running = sums[2:]
+    running.append(carry)
+    product = [a[0], p1] + running[:2]
+    running = running[2:]
     nl.register_alias("V0", tuple(running))
 
-    last = len(widths) - 1
+    last = grid.row_count - 2
     for i in range(1, last + 1):
-        t_row = nl.registers[f"T{i + 1}"]
-        build_adder_in_place(nl, t_row, running, with_carry_out=False)
-        stages.append(StageInfo(i, widths[i], False, adder_and_count(widths[i], False)))
+        build_adder_in_place(nl, nl.registers[f"T{i + 1}"], running, with_carry_out=False)
         if i < last:
-            output_map[2 * i + 2], output_map[2 * i + 3] = running[0], running[1]
+            product += running[:2]
             running = running[2:]
             nl.register_alias(f"V{i}", tuple(running))
-        else:
-            for k, w in enumerate(running):
-                output_map[2 * i + 2 + k] = w
-    nl.register_alias("P", tuple(output_map[pos] for pos in range(2 * n)))
+    nl.register_alias("P", tuple(product + running))  # the final stage's whole sum
 
     # phase 7: restore the input copies in row T_0
     for i in range(1, n):
@@ -169,4 +134,4 @@ def synthesize_squarer(n: int) -> SquarerCircuit:
         if w not in t1:
             build_uncompute_and(nl, a[i], a[j], w)
 
-    return SquarerCircuit(n, nl, grid, cell_wires, output_map, stages)
+    return SquarerCircuit(n, nl, grid)

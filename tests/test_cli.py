@@ -127,7 +127,7 @@ def test_verify_basis_reports_garbage_and_overflow_lanes(monkeypatch):
     k, op = next((k, op) for k, op in enumerate(c.netlist.gates)
                  if isinstance(op, UncomputeAnd))
     i, j = c.input_wires.index(op.x), c.input_wires.index(op.y)
-    rep = _verify_basis_one(5, k)
+    rep = _verify_basis_one(_drop_gate(c.netlist, k))
     assert rep["inputs_checked"] == 32
     assert [m["input"]["a"] for m in rep["mismatches"]] == [
         a for a in range(32) if (a >> i) & (a >> j) & 1]
@@ -144,10 +144,22 @@ def test_verify_basis_reports_garbage_and_overflow_lanes(monkeypatch):
         return res
 
     monkeypatch.setattr(sim, "run_basis_sweep", overflowing)
-    assert _verify_basis_one(5, None)["mismatches"] == [{
+    assert _verify_basis_one(c.netlist)["mismatches"] == [{
         "input": {"n": 5, "a": 21},
         "expected": {"P": 441, "A": 21, "garbage": 0, "overflow": 0},
         "got": {"P": 441, "A": 21, "garbage": 0, "overflow": 1}}]
+
+
+def test_verify_basis_reads_a_netlist_alone():
+    # the oracle needs only the netlist: one read back from JSON, whose
+    # A and P registers are all it has of the wiring, reports the same
+    for n in range(5, 9):
+        netlist = synthesize_squarer(n).netlist
+        for checked in (netlist, _drop_gate(netlist, 8)):
+            rep = _verify_basis_one(checked)
+            assert rep == _verify_basis_one(from_json(to_json(checked)))
+            assert rep["n"] == n and rep["inputs_checked"] == 1 << n
+            assert bool(rep["mismatches"]) == (checked is not netlist)
 
 
 def test_verify_range_outside_basis_window(capsys):
@@ -243,12 +255,16 @@ def test_traced_counters_stay_readable(n):
      "39896d9e5e9967e355e95ba6ce4b5802687456bf029f4a494f8c23c85cb26f96"),
     (["verify", "5..16", "--mutate", "drop-gate:8", "--report"], "r.json", 3,
      "6a3fb6085bfa1614aebb8fbba23adf5efaccdd816a53ca3e26d16b9ebb958dee"),
-], ids=["synth-9-qasm", "compare-5..20-csv", "verify-5..16-both", "verify-5..16-drop-8"])
+    (["synth", "16", "--format", "json", "--out"], "s.json", 0,
+     "b9deaaff2e0c54a0ca8a5787106a3ceed1c602b47925d2cc54ebd3827f082841"),
+], ids=["synth-9-qasm", "compare-5..20-csv", "verify-5..16-both", "verify-5..16-drop-8",
+        "synth-16-json"])
 def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, capsys):
     # QASM and the cost CSV are byte-for-byte what the Gate-tuple
     # expansion wrote before the columnar rewrite; the verify reports are
     # what the bool-lane basis sweep wrote, and the drop-gate:8 mutant's
-    # report mixes P and garbage mismatches with uncompute-misuse lanes
+    # report mixes P and garbage mismatches with uncompute-misuse lanes;
+    # the macro JSON is the one pinned output that carries the registers
     path = tmp_path / name
     code, _, _ = run(argv + [str(path)], capsys)
     assert code == exit_code

@@ -296,9 +296,42 @@ def test_classical_cz_on_unwritten_cbit_waits_only_for_its_wires():
     assert schedule_asap(nl) == (2, 0)
 
 
+def test_hand_built_mx_declares_its_cbit():
+    nl = Netlist()
+    nl.alloc_register("a", 2, "input")
+    nl.add_gate("mx", 0, cbit=0)
+    nl.add_gate("ccz_classical", 0, 1, cbit=0)
+    assert nl.cbit_count == 1
+    assert to_qasm(nl).splitlines()[2] == "creg c[1];"
+    assert "mx q[0] -> c[0];" in to_qasm(nl)
+
+
 def test_schedule_requires_expansion():
     with pytest.raises(UnexpandedNetlistError):
         schedule_asap(single_and_netlist())
+
+
+def relabeled(netlist, perm):
+    """New netlist with wire i renamed to perm[i] (perm is a bijection)."""
+    if sorted(perm) != list(range(netlist.wire_count)):
+        raise NetlistError("relabeling must be a permutation of all wires")
+    out = Netlist()
+    out.wire_count = netlist.wire_count
+    out.cbit_count = netlist.cbit_count
+    out.registers = {n: tuple(perm[w] for w in ws) for n, ws in netlist.registers.items()}
+    for op in netlist.gates:
+        if isinstance(op, Gate):
+            out.gates.append(Gate(op.kind, tuple(perm[w] for w in op.wires), op.cbit))
+        elif isinstance(op, LogicalAnd):
+            out.gates.append(LogicalAnd(perm[op.x], perm[op.y], perm[op.target]))
+        elif isinstance(op, UncomputeAnd):
+            out.gates.append(UncomputeAnd(perm[op.x], perm[op.y], perm[op.target]))
+        else:
+            out.gates.append(AddInPlace(
+                tuple(perm[w] for w in op.a_wires),
+                tuple(perm[w] for w in op.b_wires),
+                None if op.carry_out is None else perm[op.carry_out]))
+    return out
 
 
 def test_counts_and_depths_invariant_under_relabeling():
@@ -306,9 +339,9 @@ def test_counts_and_depths_invariant_under_relabeling():
     nl.append(UncomputeAnd(0, 1, 2))
     full = expand(nl)
     perm = [2, 0, 1]
-    relabeled = full.relabeled(perm)
-    assert count_gates(relabeled) == count_gates(full)
-    assert schedule_asap(relabeled) == schedule_asap(full)
+    relabeled_full = relabeled(full, perm)
+    assert count_gates(relabeled_full) == count_gates(full)
+    assert schedule_asap(relabeled_full) == schedule_asap(full)
 
 
 # ---- serialization -------------------------------------------------------------

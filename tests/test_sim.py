@@ -38,14 +38,14 @@ def _allclose(a, b, atol=1e-9):
 def test_basis_squarer_small_examples():
     c = synthesize_squarer(5)
     res = run_basis_sweep(c.netlist, {w: (3 >> i) & 1 for i, w in enumerate(c.input_wires)}, 1)
-    assert pack_wires(res.wires, [c.output_map[i] for i in range(10)]) == 9
+    assert pack_wires(res.wires, c.registers["P"]) == 9
     assert pack_wires(res.wires, c.input_wires) == 3
 
 
 def test_basis_squarer_n6_largest_input():
     c = synthesize_squarer(6)
     res = run_basis_sweep(c.netlist, {w: 1 for w in c.input_wires}, 1)
-    assert pack_wires(res.wires, [c.output_map[i] for i in range(12)]) == 3969
+    assert pack_wires(res.wires, c.registers["P"]) == 3969
 
 
 def test_basis_squarer_zero_leaves_everything_clean():
@@ -104,7 +104,7 @@ def test_sweep_exact_at_wide_widths():
         lanes = len(a)
         res = run_basis_sweep(
             c.netlist, dict(zip(c.input_wires, planes_of(a, n))), lanes)
-        p_wires = [c.output_map[i] for i in range(2 * n)]
+        p_wires = c.registers["P"]
         assert _ints_of(res, p_wires, lanes) == [v * v for v in a], n
         assert _ints_of(res, c.input_wires, lanes) == a, n
         keep = set(c.input_wires) | set(p_wires)
@@ -149,7 +149,7 @@ def test_sweep_reports_first_bad_lane_and_rejects_wide_planes():
 def test_squarer_is_injective_on_valid_inputs():
     c = synthesize_squarer(5)
     seen = set()
-    p_wires = [c.output_map[i] for i in range(10)]
+    p_wires = c.registers["P"]
     for a in range(32):
         res = run_basis_sweep(
             c.netlist, {w: (a >> i) & 1 for i, w in enumerate(c.input_wires)}, 1)
@@ -183,6 +183,11 @@ def test_statevector_initial_t_state_matches_prep():
     (br,) = run_statevector(nl, initial={0: "T"})
     want = {0: 1 / np.sqrt(2), 1: T_AMP / np.sqrt(2)}
     assert states_equal(br.state, want)
+    (br,) = run_statevector(nl, initial={0: 1})
+    assert br.state == basis_state({0: 1})
+    for spec in ("magicT", "1", "0", "zero", 2):
+        with pytest.raises(ValueError, match="unknown initial spec"):
+            run_statevector(nl, initial={0: spec})
 
 
 def test_statevector_logical_and_from_drawn_gate_list():
@@ -334,7 +339,7 @@ def test_expanded_squarer_exact_with_phase(n):
     # every AND release must fix its phase: one wrong CZ leaves amplitude -1
     c = synthesize_squarer(n)
     full = expand(c.netlist)
-    p_wires = [c.output_map[i] for i in range(2 * n)]
+    p_wires = c.registers["P"]
     for a in range(1 << n):
         inputs = {w: (a >> i) & 1 for i, w in enumerate(c.input_wires)}
         want = basis_state({**inputs, **{w: (a * a >> i) & 1 for i, w in enumerate(p_wires)}})

@@ -1,46 +1,54 @@
-"""Synthesizer structure: stages, output map, uncompute order, determinism."""
+"""Synthesizer structure, read off the netlist: adder stages (its
+AddInPlace ops), the P and T registers, uncompute order, determinism."""
 
 import numpy as np
 import pytest
 
+from qsquare.blocks import adder_and_count
+from qsquare.costs import reconcile
 from qsquare.ir import AddInPlace, LogicalAnd, UncomputeAnd, expand, to_json
-from qsquare.layout import UnsupportedWidthError
+from qsquare.layout import UnsupportedWidthError, row_widths
 from qsquare.sim import run_basis_sweep
-from qsquare.synth import stage_widths, synthesize_squarer
+from qsquare.synth import synthesize_squarer
 
 from planes import pack_wires, plane_of
 
 
 def test_stage_widths_n6():
-    assert stage_widths(6) == [9, 8, 6]
+    adds = [op for op in synthesize_squarer(6).netlist.gates if isinstance(op, AddInPlace)]
+    assert [len(op.a_wires) for op in adds] == [9, 8, 6]
+    assert row_widths(6)[1:] == (9, 8, 6)
 
 
 def test_stage_widths_n5():
-    assert stage_widths(5) == [7, 6]
+    adds = [op for op in synthesize_squarer(5).netlist.gates if isinstance(op, AddInPlace)]
+    assert [len(op.a_wires) for op in adds] == [7, 6]
+    assert row_widths(5)[1:] == (7, 6)
 
 
 def test_stage_count_halves_row_count():
     for n in range(5, 11):
         c = synthesize_squarer(n)
-        assert len(c.stages) == c.grid.row_count - 1
-        assert len(c.stages) == (n // 2 if n % 2 == 0 else (n - 1) // 2)
-        assert [s.width for s in c.stages] == stage_widths(n)
-        assert [s.with_carry_out for s in c.stages] == [True] + [False] * (len(c.stages) - 1)
+        adds = [op for op in c.netlist.gates if isinstance(op, AddInPlace)]
+        assert len(adds) == c.grid.row_count - 1
+        assert len(adds) == (n // 2 if n % 2 == 0 else (n - 1) // 2)
+        assert [(len(op.a_wires), op.carry_out is not None) for op in adds] == [
+            (w, i == 0) for i, w in enumerate(row_widths(n)[1:])]
 
 
 def test_width_validation():
     with pytest.raises(UnsupportedWidthError):
         synthesize_squarer(4)
     with pytest.raises(UnsupportedWidthError):
-        stage_widths(3)
+        row_widths(3)
 
 
 def test_step1_and_macro_count_n6():
     c = synthesize_squarer(6)
     macro_ands = [g for g in c.netlist.gates if isinstance(g, LogicalAnd)]
     assert len(macro_ands) == 15  # C(6,2); adder ANDs appear only after expansion
-    step1, adders = c.and_macro_counts()
-    assert step1 == 15
+    adds = [op for op in c.netlist.gates if isinstance(op, AddInPlace)]
+    adders = sum(adder_and_count(len(op.a_wires), op.carry_out is not None) for op in adds)
     assert adders == 21  # 9 + 7 + 5 for stage widths 9, 8, 6
 
 
@@ -50,13 +58,13 @@ def test_reported_adder_ands_sit_next_to_closed_form_23():
     c = synthesize_squarer(6)
     step1, adders_closed = proposed_and_counts(6)
     assert adders_closed == 23  # one AND per adder bit over widths 9+8+6
-    assert c.and_macro_counts()[1] == 21  # carry-less stages save one AND each
+    assert reconcile(c).and_count.adders_measured == 21  # carry-less stages save one AND each
 
 
 def test_output_map_positions_n6():
     c = synthesize_squarer(6)
-    out = c.output_map
-    assert sorted(out) == list(range(12))
+    out = c.registers["P"]
+    assert len(out) == 12
     assert out[0] == c.input_wires[0]
     assert out[1] == c.registers["P1"][0]
     t1 = c.registers["T1"]
@@ -70,9 +78,9 @@ def test_output_map_positions_n6():
 def test_output_map_is_injective_with_documented_alias():
     for n in (5, 6, 7, 8):
         c = synthesize_squarer(n)
-        out = c.output_map
-        assert sorted(out) == list(range(2 * n))
-        assert len(set(out.values())) == 2 * n
+        out = c.registers["P"]
+        assert len(out) == 2 * n
+        assert len(set(out)) == 2 * n
         assert out[0] == c.input_wires[0]  # the only wire shared with A
 
 
@@ -88,8 +96,7 @@ def test_p1_wire_is_never_written():
 def test_sum_wires_are_t1_row_plus_first_carry():
     for n in (5, 6, 7):
         c = synthesize_squarer(n)
-        out = c.output_map
-        sum_wires = {out[i] for i in range(2, 2 * n)}
+        sum_wires = set(c.registers["P"][2:])
         assert sum_wires == set(c.registers["T1"]) | {c.registers["carry"][0]}
 
 
@@ -110,7 +117,7 @@ def test_every_partial_product_ancilla_is_released():
         built = {g.target: (g.x, g.y) for g in c.netlist.gates if isinstance(g, LogicalAnd)}
         releases = [g for g in c.netlist.gates if isinstance(g, UncomputeAnd)]
         expected = {
-            c.cell_wires[(r, col)]
+            c.registers[f"T{r}"][col]
             for r, col, e in c.grid.cells()
             if r != 1 and type(e).__name__ == "PartialProduct"}
         assert [g.target for g in releases] == sorted(expected, reverse=True)
@@ -139,7 +146,7 @@ def test_functional_spot_checks():
         c = synthesize_squarer(n)
         res = run_basis_sweep(
             c.netlist, {w: (a >> i) & 1 for i, w in enumerate(c.input_wires)}, 1)
-        assert pack_wires(res.wires, [c.output_map[i] for i in range(2 * n)]) == a * a
+        assert pack_wires(res.wires, c.registers["P"]) == a * a
         assert pack_wires(res.wires, c.input_wires) == a
 
 
