@@ -54,6 +54,7 @@ from .costs import (
     CostReport,
     MetricValues,
     baseline_costs,
+    built_metrics,
     proposed_costs,
     proposed_metrics,
     reconcile,

@@ -17,6 +17,8 @@ from .layout import dump_grid
 from .costs import (
     BASELINES,
     baseline_rows,
+    built_metrics,
+    carry_less_stages,
     comparison_table,
     proposed_costs,
     ratios_table,
@@ -225,6 +227,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if head != "drop-gate" or not idx.isdigit():
             raise _UsageError(f"--mutate expects drop-gate:<index>, got {args.mutate!r}")
         mutate = int(idx)
+        if args.mode == "statevector-blocks":
+            raise _UsageError("--mutate corrupts the squarer netlist, which "
+                              "--mode statevector-blocks does not verify")
 
     runs: list[dict] = []
     ok = True
@@ -270,11 +275,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
             report = (reconcile(synthesize_squarer(n)) if args.measured
                       else proposed_costs(n))
             rows.extend(report_rows(report))
-            if args.measured and report.carry_less_stages is not None:
+            if args.measured:
+                t_line = report.metrics["t_count"]
                 out.append(
-                    f"n={n}: {report.carry_less_stages} carry-less stage(s); "
-                    f"T-count delta {report.metrics['t_count'].delta:+d} "
-                    f"(formula {report.t_count_delta_formula:+d})")
+                    f"n={n}: {carry_less_stages(n)} carry-less stage(s); "
+                    f"T-count delta {t_line.delta:+d} "
+                    f"(formula {built_metrics(n).t_count - t_line.closed_form:+d})")
         for d in designs:
             if d != "proposed":
                 rows.extend(baseline_rows(d, n))

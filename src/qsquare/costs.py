@@ -1,23 +1,22 @@
-"""Closed-form resource polynomials, baseline comparisons, and the
-reconciliation of closed forms against netlist measurements.
+"""Closed-form resource polynomials: the paper's, the circuit's as built,
+and the published baselines; and the reconciliation of the paper's
+closed forms against netlist measurements.
 
-The closed forms count blocks fully sequentially (every logical-AND
-contributes its whole T-depth 2, every adder its whole published
-budget), so measured ASAP depths can only be lower.  They also assume
-one AND per adder bit including carry-less stages, while the chosen
-adder uses m-1 ANDs when no carry-out is produced; the published text
-itself states both "m ANDs per m-bit adder" and "4(m-1) T gates per
-m-bit adder", which cannot hold at once.  Reconciliation therefore
-reports signed deltas tagged with their documented cause instead of
-forcing agreement:
+``proposed_metrics(n)`` evaluates the paper's polynomials.  They count
+blocks fully sequentially (every logical-AND contributes its whole
+T-depth 2, every adder its whole published budget), and book one AND per
+adder bit including carry-less stages, while the chosen adder uses m-1
+ANDs when no carry-out is produced; the published text itself states
+both "m ANDs per m-bit adder" and "4(m-1) T gates per m-bit adder",
+which cannot hold at once.
 
-    and-count-convention     T metrics shift by -4 per carry-less stage
-    sequential-vs-asap-depth closed forms never parallelize layers
-    adder-cnot-budget        published 12m-9 vs the lowering's 12m-6 /
-                             12m-15 (with / without carry-out)
-    ancilla-census           the published qubit count omits the n-1
-                             input-copy ancillae and books the first
-                             carry separately from its AND target
+``built_metrics(n)`` is the exact account of the circuit
+``synthesize_squarer(n)`` builds: what ``measure_circuit`` measures on
+it, for every width.  Its counts are the paper's plus one offset per
+documented cause (and-count convention, adder CNOT budget, ancilla
+census); its depths are ASAP layer counts, pinned by measurement.
+``reconcile`` reports measured - paper as signed deltas, each of which
+``built_metrics(n)`` minus ``proposed_metrics(n)`` gives exactly.
 
 All evaluators are exact integer arithmetic.
 """
@@ -31,8 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import adder_and_count
-from .ir import AddInPlace
 from .layout import UnsupportedWidthError
 from .synth import SquarerCircuit
 
@@ -40,19 +37,8 @@ METRICS = ("t_count", "t_depth", "cnot_count", "cnot_depth", "qubits", "kq_t")
 RATIO_METRICS = ("t_count", "t_depth", "cnot_count", "cnot_depth", "kq_t")
 BASELINES = ("thapliyal", "nagamani-osu")
 
-FLAG_AND_COUNT = "and-count-convention"
-FLAG_DEPTH = "sequential-vs-asap-depth"
-FLAG_CNOT_BUDGET = "adder-cnot-budget"
-FLAG_ANCILLA = "ancilla-census"
-
-_DELTA_FLAGS = {
-    "t_count": (FLAG_AND_COUNT,),
-    "t_depth": (FLAG_DEPTH, FLAG_AND_COUNT),
-    "cnot_count": (FLAG_CNOT_BUDGET,),
-    "cnot_depth": (FLAG_DEPTH, FLAG_CNOT_BUDGET),
-    "qubits": (FLAG_ANCILLA,),
-    "kq_t": (FLAG_ANCILLA, FLAG_DEPTH, FLAG_AND_COUNT),
-}
+# T-depths of the built circuit below n = 9, where its quadratics start
+_SMALL_T_DEPTH = {5: 21, 6: 34, 7: 45, 8: 64}
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -82,14 +68,6 @@ class MetricLine:
     closed_form: int
     measured: int | None = None
     delta: int | None = None
-    flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class AndCounts:
-    step1: int
-    adders_closed_form: int
-    adders_measured: int | None = None
 
 
 @dataclass(frozen=True)
@@ -97,24 +75,7 @@ class CostReport:
     """Closed-form and (optionally) measured metrics for one width."""
 
     n: int
-    parity: str
     metrics: dict[str, MetricLine]
-    and_count: AndCounts
-    carry_less_stages: int | None = None
-    t_count_delta_formula: int | None = None
-
-
-def proposed_and_counts(n: int) -> tuple[int, int]:
-    """(phase-1 AND count, closed-form adder AND count).  The closed form
-    books one AND per adder bit, i.e. the sum of the stage widths."""
-    if n <= 4:
-        raise UnsupportedWidthError(n)
-    step1 = n * (n - 1) // 2
-    if n % 2 == 0:
-        adders = _exact_div(3 * n * n - 2 * n - 4, 4)
-    else:
-        adders = _exact_div(3 * n * n - 4 * n - 3, 4)
-    return step1, adders
 
 
 def proposed_metrics(n: int) -> MetricValues:
@@ -135,16 +96,49 @@ def proposed_metrics(n: int) -> MetricValues:
     return MetricValues(t, t_depth, cnot, cnot_depth, qubits, qubits * t_depth)
 
 
+def carry_less_stages(n: int) -> int:
+    """Adder stages built without a carry-out: all but the first of the
+    n//2 stages."""
+    return n // 2 - 1
+
+
+def built_metrics(n: int) -> MetricValues:
+    """Exact metrics of ``synthesize_squarer(n)``, as measured by
+    ``measure_circuit``.  With K = ``carry_less_stages(n)``, each count
+    is the paper's plus one offset:
+
+        T-count     -4K          and-count convention: -4 per carry-less stage
+        CNOT-count  3 - 6K       adder CNOT budget: published 12m-9 against the
+                                 lowering's 12m-6 (+3, the first stage, with
+                                 carry-out) and 12m-15 (-6 per carry-less stage)
+        qubits      (n-1)//2     ancilla census: the published count omits the
+                                 input-copy ancillae and books the first carry
+                                 apart from its AND target
+
+    The depths are ASAP layer counts, one quadratic per parity of n; the
+    T-depth quadratics hold from n = 9 on, and n = 5..8 measure 21, 34,
+    45 and 64.  Both depth forms are pinned by measurement (exact for
+    n = 5..160), not derived from the construction.  KQ_T is qubits x
+    T-depth.
+    """
+    paper = proposed_metrics(n)
+    k = carry_less_stages(n)
+    qubits = paper.qubits + (n - 1) // 2
+    if n % 2 == 0:
+        t_depth = _exact_div(3 * n * n + 28 * n - 164, 4)
+        cnot_depth = _exact_div(12 * n * n - 11 * n - 12, 2)
+    else:
+        t_depth = _exact_div(3 * n * n + 26 * n - 161, 4)
+        cnot_depth = _exact_div(12 * n * n - 19 * n + 3, 2)
+    t_depth = _SMALL_T_DEPTH.get(n, t_depth)
+    return MetricValues(paper.t_count - 4 * k, t_depth, paper.cnot_count + 3 - 6 * k,
+                        cnot_depth, qubits, qubits * t_depth)
+
+
 def proposed_costs(n: int) -> CostReport:
     """Closed-form side of the cost report (measured fields empty)."""
     vals = proposed_metrics(n)
-    step1, adders = proposed_and_counts(n)
-    return CostReport(
-        n=n,
-        parity="even" if n % 2 == 0 else "odd",
-        metrics={m: MetricLine(vals.get(m)) for m in METRICS},
-        and_count=AndCounts(step1, adders),
-    )
+    return CostReport(n, {m: MetricLine(vals.get(m)) for m in METRICS})
 
 
 def baseline_costs(design: str, n: int) -> MetricValues:
@@ -212,29 +206,13 @@ def measure_circuit(circuit: SquarerCircuit) -> MetricValues:
 
 
 def reconcile(circuit: SquarerCircuit) -> CostReport:
-    """Fill measured values and signed deltas against the closed forms,
-    flagging every nonzero delta with its documented cause."""
-    n = circuit.n
-    closed = proposed_metrics(n)
+    """Measured values and signed deltas (measured - closed form) against
+    the paper's closed forms; ``built_metrics`` accounts for each delta."""
+    closed = proposed_metrics(circuit.n)
     measured = measure_circuit(circuit)
-    step1, adders_closed = proposed_and_counts(n)
-    lines: dict[str, MetricLine] = {}
-    for m in METRICS:
-        delta = measured.get(m) - closed.get(m)
-        lines[m] = MetricLine(closed.get(m), measured.get(m), delta,
-                              _DELTA_FLAGS[m] if delta else ())
-    adds = [op for op in circuit.netlist.gates if isinstance(op, AddInPlace)]
-    carry_less = sum(op.carry_out is None for op in adds)
-    adders_measured = sum(adder_and_count(len(op.a_wires), op.carry_out is not None)
-                          for op in adds)
-    return CostReport(
-        n=n,
-        parity="even" if n % 2 == 0 else "odd",
-        metrics=lines,
-        and_count=AndCounts(step1, adders_closed, adders_measured),
-        carry_less_stages=carry_less,
-        t_count_delta_formula=-4 * carry_less,
-    )
+    return CostReport(circuit.n, {
+        m: MetricLine(closed.get(m), measured.get(m), measured.get(m) - closed.get(m))
+        for m in METRICS})
 
 
 # ---- rendering ------------------------------------------------------------

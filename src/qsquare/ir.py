@@ -219,6 +219,7 @@ class Netlist:
     def __init__(self) -> None:
         self.wire_count = 0
         self.cbit_count = 0
+        self.written_cbits: set[int] = set()  # cbits an mx has written
         self.gates: list = []
         self.registers: dict[str, tuple[int, ...]] = {}
 
@@ -270,8 +271,13 @@ class Netlist:
     def append(self, op) -> None:
         if isinstance(op, Gate):
             self._check_gate(op)
-            if op.kind == "mx" and op.cbit >= self.cbit_count:
-                self.cbit_count = op.cbit + 1
+            if op.kind == "mx":
+                self.written_cbits.add(op.cbit)
+                if op.cbit >= self.cbit_count:
+                    self.cbit_count = op.cbit + 1
+            elif op.kind == "ccz_classical" and op.cbit not in self.written_cbits:
+                raise NetlistError(
+                    f"ccz_classical reads cbit {op.cbit}, which no earlier mx wrote")
         elif isinstance(op, (LogicalAnd, UncomputeAnd)):
             self._check_and(op)
         elif isinstance(op, AddInPlace):
@@ -446,6 +452,8 @@ def expand(netlist: Netlist) -> Netlist:
             lower_add_in_place(writer, op)
         else:
             raise NetlistError(f"cannot lower {op!r}")
+    # every cbit allocated above was written at once by its uncompute mx
+    out.written_cbits = netlist.written_cbits | set(range(netlist.cbit_count, out.cbit_count))
     return out
 
 
@@ -584,16 +592,15 @@ def from_json_dict(data: dict) -> Netlist:
             out.register_alias(name, ws)
         except NetlistError as exc:
             raise NetlistError(f"register {name!r}: {exc}") from None
-    written: set[int] = set()  # cbits of the mx gates read so far
     for index, g in enumerate(data["gates"]):
         try:
-            _load_op(out, g, written)
+            _load_op(out, g)
         except NetlistError as exc:
             raise NetlistError(f"gate {index}: {exc}") from None
     return out
 
 
-def _load_op(out: Netlist, g, written: set[int]) -> None:
+def _load_op(out: Netlist, g) -> None:
     if not isinstance(g, dict):
         raise NetlistError(f"gate entry must be an object, got {g!r}")
     kind, wires = g.get("kind"), g.get("wires")
@@ -614,12 +621,7 @@ def _load_op(out: Netlist, g, written: set[int]) -> None:
         out.append(AddInPlace(tuple(wires[:m]), tuple(wires[m:2 * m]),
                               wires[2 * m] if carry else None))
     else:
-        cbit = g.get("cbit")
-        out.append(Gate(kind, tuple(wires), cbit))
-        if kind == "mx":
-            written.add(cbit)
-        elif kind == "ccz_classical" and cbit not in written:
-            raise NetlistError(f"ccz_classical reads cbit {cbit}, which no earlier mx wrote")
+        out.append(Gate(kind, tuple(wires), g.get("cbit")))
 
 
 def from_json(text: str) -> Netlist:

@@ -23,6 +23,7 @@ from qsquare.cli import main
 from qsquare.costs import (
     METRICS,
     baseline_costs,
+    built_metrics,
     proposed_metrics,
     reconcile,
     reduction_ratios,
@@ -137,11 +138,12 @@ def test_criterion_5_asymptotic_ratios():
 
 
 @report(6, "reconciliation for n=5..12: T = 4 x ANDs, ASAP T-depth <= closed "
-           "form, deltas flagged, -4 per carry-less stage exact")
+           "form, every delta = built - paper exactly, -4 per carry-less stage")
 def test_criterion_6_reconciliation():
     for n in range(5, 13):
         circuit = synthesize_squarer(n)
         rep = reconcile(circuit)
+        built = built_metrics(n)
         step1 = sum(isinstance(op, LogicalAnd) for op in circuit.netlist.gates)
         adds = [op for op in circuit.netlist.gates if isinstance(op, AddInPlace)]
         adders = sum(adder_and_count(len(op.a_wires), op.carry_out is not None)
@@ -150,10 +152,9 @@ def test_criterion_6_reconciliation():
         assert rep.metrics["t_depth"].measured <= rep.metrics["t_depth"].closed_form
         for metric in METRICS:
             line = rep.metrics[metric]
-            if line.delta:
-                assert line.flags, (n, metric)
+            assert line.delta == built.get(metric) - line.closed_form, (n, metric)
         carry_less = sum(op.carry_out is None for op in adds)
-        assert rep.t_count_delta_formula == -4 * carry_less
+        assert built.t_count - rep.metrics["t_count"].closed_form == -4 * carry_less
         assert rep.metrics["t_count"].delta == -4 * carry_less
 
 

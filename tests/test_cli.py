@@ -173,6 +173,16 @@ def test_verify_bad_mutate_spec(capsys):
     assert code == 2
 
 
+def test_verify_mutate_refused_for_block_battery(capsys):
+    # the block battery never reads the squarer netlist, so a mutation
+    # there would be ignored and the run would pass
+    code, out, err = run(["verify", "5..6", "--mode", "statevector-blocks",
+                          "--mutate", "drop-gate:3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qsq: --mutate ") and err.count("\n") == 1
+
+
 def test_compare_t_counts_at_n6(tmp_path, capsys):
     csv_path = tmp_path / "t.csv"
     code, out, _ = run(["compare", "6..6", "--designs", "proposed,thapliyal",
@@ -269,6 +279,15 @@ def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, c
     code, _, _ = run(argv + [str(path)], capsys)
     assert code == exit_code
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_compare_measured_stdout_matches_pinned_digest(capsys):
+    # each width's carry-less line, whose stage count and formula come from
+    # the costs module's account of the built circuit, then its table
+    code, out, err = run(["compare", "5..20", "--measured"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "84cc6af172841866ba51fcaab046904c45827e9e6f8bba60d33824102ddcfac3")
 
 
 def test_runtime_imports_leave_numpy_out():

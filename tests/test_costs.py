@@ -4,15 +4,13 @@ import pytest
 
 from qsquare.blocks import adder_and_count
 from qsquare.costs import (
-    FLAG_AND_COUNT,
-    FLAG_ANCILLA,
-    FLAG_DEPTH,
     METRICS,
     baseline_costs,
     baseline_rows,
+    built_metrics,
+    carry_less_stages,
     comparison_table,
     measure_circuit,
-    proposed_and_counts,
     proposed_costs,
     proposed_metrics,
     ratios_table,
@@ -22,7 +20,7 @@ from qsquare.costs import (
     rows_to_csv,
 )
 from qsquare.ir import AddInPlace, LogicalAnd
-from qsquare.layout import UnsupportedWidthError
+from qsquare.layout import UnsupportedWidthError, row_widths
 from qsquare.synth import synthesize_squarer
 
 
@@ -65,8 +63,9 @@ def test_kq_matches_published_quartics():
 def test_parity_dispatch_is_total():
     for n in range(5, 30):
         report = proposed_costs(n)
-        assert report.parity == ("even" if n % 2 == 0 else "odd")
         assert set(report.metrics) == set(METRICS)
+        t_count = 5 * n * n - 4 * n - 4 if n % 2 == 0 else 5 * n * n - 6 * n - 3
+        assert report.metrics["t_count"].closed_form == t_count, n
 
 
 def test_proposed_rejects_small_widths():
@@ -76,8 +75,13 @@ def test_proposed_rejects_small_widths():
 
 
 def test_and_count_closed_forms():
-    assert proposed_and_counts(6) == (15, 23)
-    assert proposed_and_counts(5) == (10, 13)
+    # the paper books 4 T per AND: C(n,2) partial products in phase 1 and
+    # one AND per adder bit, i.e. the sum of the stage widths
+    assert proposed_metrics(6).t_count == 4 * (15 + 23)
+    assert proposed_metrics(5).t_count == 4 * (10 + 13)
+    for n in range(5, 60):
+        ands = n * (n - 1) // 2 + sum(row_widths(n)[1:])
+        assert proposed_metrics(n).t_count == 4 * ands, n
 
 
 def test_thapliyal_n6():
@@ -141,8 +145,9 @@ def test_reconcile_t_count_is_four_per_and_macro(n):
     step1 = sum(isinstance(op, LogicalAnd) for op in circuit.netlist.gates)
     adds = [op for op in circuit.netlist.gates if isinstance(op, AddInPlace)]
     adders = sum(adder_and_count(len(op.a_wires), op.carry_out is not None) for op in adds)
-    assert (report.and_count.step1, report.and_count.adders_measured) == (step1, adders)
+    assert step1 == n * (n - 1) // 2
     assert report.metrics["t_count"].measured == 4 * (step1 + adders)
+    assert built_metrics(n).t_count == 4 * (step1 + adders)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -154,43 +159,51 @@ def test_reconcile_measured_t_depth_below_closed_form(n):
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_reconcile_carry_less_stage_delta_formula(n):
-    report = reconcile(synthesize_squarer(n))
+    circuit = synthesize_squarer(n)
+    report = reconcile(circuit)
     carry_less = (n - 2) // 2 if n % 2 == 0 else (n - 3) // 2
-    assert report.carry_less_stages == carry_less
-    assert report.t_count_delta_formula == -4 * carry_less
+    assert carry_less_stages(n) == carry_less == sum(
+        isinstance(op, AddInPlace) and op.carry_out is None for op in circuit.netlist.gates)
+    assert built_metrics(n).t_count - proposed_metrics(n).t_count == -4 * carry_less
     assert report.metrics["t_count"].delta == -4 * carry_less
 
 
-def test_measured_depths_meet_exact_closed_forms():
-    # ASAP depths of the circuit as built, exact for every width listed;
-    # T-depth has a closed form only in the residue classes 1 and 2 mod 4.
+def test_built_metrics_equal_measurement():
+    # the exact account of the circuit as built, all six metrics; the
+    # T-depth quadratics start at n = 9, below which the values are listed
     for n in range(5, 45):
-        measured = measure_circuit(synthesize_squarer(n))
-        if n % 2 == 0:
-            assert 2 * measured.cnot_depth == 12 * n * n - 11 * n - 12, n
-        else:
-            assert 2 * measured.cnot_depth == 12 * n * n - 19 * n + 3, n
-        if n % 4 == 1 and 9 <= n <= 41:
-            assert 4 * measured.t_depth == 3 * n * n + 26 * n - 161, n
-        elif n % 4 == 2 and 10 <= n <= 42:
-            assert 4 * measured.t_depth == 3 * n * n + 28 * n - 164, n
+        assert measure_circuit(synthesize_squarer(n)) == built_metrics(n), n
+    assert [built_metrics(n).t_depth for n in range(5, 9)] == [21, 34, 45, 64]
 
 
-def test_reconcile_flags_every_nonzero_delta():
-    report = reconcile(synthesize_squarer(6))
-    for metric in METRICS:
-        line = report.metrics[metric]
-        assert (line.delta == 0) == (line.flags == ())
-    assert FLAG_AND_COUNT in report.metrics["t_count"].flags
-    assert FLAG_DEPTH in report.metrics["t_depth"].flags
-    assert FLAG_ANCILLA in report.metrics["qubits"].flags
+def test_built_metrics_rejects_small_widths():
+    for n in (0, 3, 4):
+        with pytest.raises(UnsupportedWidthError):
+            built_metrics(n)
+
+
+def test_reconcile_deltas_equal_built_minus_paper():
+    for n in range(5, 13):
+        report = reconcile(synthesize_squarer(n))
+        built, paper = built_metrics(n), proposed_metrics(n)
+        for metric in METRICS:
+            line = report.metrics[metric]
+            assert line.closed_form == paper.get(metric)
+            assert line.delta == line.measured - line.closed_form
+            assert line.delta == built.get(metric) - paper.get(metric), (n, metric)
+        for metric in ("t_count", "t_depth", "qubits"):
+            assert report.metrics[metric].delta != 0, (n, metric)
 
 
 def test_reconcile_and_counts():
-    report = reconcile(synthesize_squarer(6))
-    assert report.and_count.step1 == 15
-    assert report.and_count.adders_closed_form == 23
-    assert report.and_count.adders_measured == 21
+    # n = 6: 15 phase-1 ANDs; the adders' 23 booked ANDs against the 21
+    # the lowering builds (stage widths 9, 8, 6; two drop their carry-out)
+    circuit = synthesize_squarer(6)
+    report = reconcile(circuit)
+    assert sum(isinstance(op, LogicalAnd) for op in circuit.netlist.gates) == 15
+    assert sum(row_widths(6)[1:]) == 23
+    assert report.metrics["t_count"].closed_form == 4 * (15 + 23)
+    assert report.metrics["t_count"].measured == built_metrics(6).t_count == 4 * (15 + 21)
 
 
 # ---- rendering ------------------------------------------------------------------

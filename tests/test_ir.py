@@ -287,13 +287,36 @@ def test_fan_out_join_ends_when_its_control_is_touched(gate, cnot_depth):
 
 
 def test_classical_cz_on_unwritten_cbit_waits_only_for_its_wires():
+    # append refuses this gate, so the gate list is assigned directly
     nl = Netlist()
     nl.alloc_register("a", 2, "input")
-    nl.add_gate("t", 0)                          # layer 1
-    nl.add_gate("ccz_classical", 0, 1, cbit=5)   # layer 2: no mx wrote cbit 5
-    nl.add_gate("t", 1)                          # layer 3
+    nl.gates = [Gate("t", (0,)),                     # layer 1
+                Gate("ccz_classical", (0, 1), 5),    # layer 2: no mx wrote cbit 5
+                Gate("t", (1,))]                     # layer 3
     assert nl.cbit_count == 0
     assert schedule_asap(nl) == (2, 0)
+
+
+def test_append_refuses_classical_cz_on_unwritten_cbit():
+    nl = Netlist()
+    nl.alloc_register("a", 3, "input")
+    c = nl.new_cbit()  # allocated, but no mx has written it
+    for cbit in (c, 5):
+        with pytest.raises(NetlistError, match=f"reads cbit {cbit}, which no earlier mx wrote"):
+            nl.add_gate("ccz_classical", 0, 1, cbit=cbit)
+    nl.add_gate("mx", 2, cbit=5)
+    nl.add_gate("ccz_classical", 0, 1, cbit=5)
+    assert nl.gates == [Gate("mx", (2,), 5), Gate("ccz_classical", (0, 1), 5)]
+
+
+def test_cbits_written_by_expansion_count_as_written():
+    nl = single_and_netlist()
+    nl.append(UncomputeAnd(0, 1, 2))
+    full = expand(nl)
+    assert full.cbit_count == 1 and full.written_cbits == {0}
+    full.add_gate("ccz_classical", 0, 1, cbit=0)
+    with pytest.raises(NetlistError, match="no earlier mx"):
+        full.add_gate("ccz_classical", 0, 1, cbit=1)
 
 
 def test_hand_built_mx_declares_its_cbit():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsquare.blocks import adder_and_count
-from qsquare.costs import reconcile
+from qsquare.costs import built_metrics, reconcile
 from qsquare.ir import AddInPlace, LogicalAnd, UncomputeAnd, expand, to_json
 from qsquare.layout import UnsupportedWidthError, row_widths
 from qsquare.sim import run_basis_sweep
@@ -53,12 +53,13 @@ def test_step1_and_macro_count_n6():
 
 
 def test_reported_adder_ands_sit_next_to_closed_form_23():
-    from qsquare.costs import proposed_and_counts
-
     c = synthesize_squarer(6)
-    step1, adders_closed = proposed_and_counts(6)
+    adders_closed = sum(row_widths(6)[1:])
     assert adders_closed == 23  # one AND per adder bit over widths 9+8+6
-    assert reconcile(c).and_count.adders_measured == 21  # carry-less stages save one AND each
+    t_line = reconcile(c).metrics["t_count"]
+    assert t_line.closed_form == 4 * (15 + adders_closed)
+    # carry-less stages save one AND each: 21 adder ANDs are built
+    assert t_line.measured == built_metrics(6).t_count == 4 * (15 + 21)
 
 
 def test_output_map_positions_n6():
