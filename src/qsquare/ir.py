@@ -15,8 +15,25 @@ its classical bit is 1.
 Three macro ops describe whole sub-circuits: ``LogicalAnd`` (temporary
 AND onto a fresh ancilla, 4 T gates after lowering), ``UncomputeAnd``
 (its Clifford-only measurement-based reversal) and ``AddInPlace`` (the
-in-place ripple-carry adder built from the other two).  ``Netlist.append``
-validates every gate and macro once, as it is taken.
+in-place ripple-carry adder built from the other two).  The two AND ops
+are immutable named tuples, like ``Gate``, that equal only an op of
+their own type: ``LogicalAnd(1, 2, 3)`` differs from ``UncomputeAnd(1,
+2, 3)`` and from ``(1, 2, 3)``.
+
+``Netlist.append`` validates every gate and macro once, as it is taken:
+every wire is an int (not a bool) below ``wire_count``; an AND's three
+wires are distinct; a primitive has its kind's arity, distinct wires
+and a cbit exactly when the kind needs one, and a ``ccz_classical``
+reads a cbit an earlier ``mx`` wrote; an adder's operands are tuples of
+equal width >= 2 that share no wire with each other or the carry-out.
+It dispatches on the op's exact type, most frequent first.  The AND
+macros and the cbit-less primitives pass one inline guard that accepts
+only the well-formed case; every other op, and every op the guard does
+not accept, goes through ``_check_and``/``_check_gate``/``_check_add``,
+which raise a ``NetlistError`` naming the fault.  Adders and registers
+check their wires in bulk (a type scan, ``min``/``max`` against
+``wire_count``, a set for overlap) and walk them one by one only to
+name the fault.
 
 A netlist being built keeps its ops in a plain list.  ``expand`` lowers
 all macros and writes the primitives into ``GateColumns``: a ``list``
@@ -75,17 +92,27 @@ class Gate(NamedTuple):
     cbit: int | None = None
 
 
-@dataclass(frozen=True)
-class LogicalAnd:
+def _same_type_eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _same_type_ne(self, other) -> bool:
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+class LogicalAnd(NamedTuple):
     """target := x AND y onto a freshly prepared ancilla wire."""
 
     x: int
     y: int
     target: int
 
+    # a macro equals only a macro of its own type: not the UncomputeAnd
+    # or the plain tuple over the same wires
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class UncomputeAnd:
+
+class UncomputeAnd(NamedTuple):
     """Restore an AND ancilla to |0> by X-measurement and a classically
     controlled CZ on (x, y).  Caller guarantees target currently holds
     x AND y."""
@@ -93,6 +120,8 @@ class UncomputeAnd:
     x: int
     y: int
     target: int
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -112,6 +141,17 @@ class AddInPlace:
 Op = "Gate | LogicalAnd | UncomputeAnd | AddInPlace"
 
 _new_tuple = tuple.__new__
+
+# wire count of each primitive kind that takes no cbit
+_PLAIN_ARITY = {k: 1 for k in _ONE_WIRE - _NEEDS_CBIT}
+_PLAIN_ARITY.update(cx=2, cz=2)
+
+
+def _allocated(wires: Sequence, count: int) -> bool:
+    """True when every item of ``wires`` is an int (not a bool) in
+    0..count-1, checked in bulk; ``_check_wire`` names the first that is not."""
+    return not wires or ({*map(type, wires)} == {int}
+                         and min(wires) >= 0 and max(wires) < count)
 
 
 def _row_gate(kind: str, w0: int, w1: int, cbit: int) -> Gate:
@@ -261,23 +301,41 @@ class Netlist:
         """Record a named view over existing wires (no allocation)."""
         if name in self.registers:
             raise NetlistError(f"register {name!r} already allocated")
-        for w in wires:
-            self._check_wire(w)
-        self.registers[name] = tuple(wires)
+        wires = tuple(wires)  # once, so an iterator is checked and stored alike
+        if not _allocated(wires, self.wire_count):
+            for w in wires:
+                self._check_wire(w)
+        self.registers[name] = wires
 
     def add_gate(self, kind: str, *wires: int, cbit: int | None = None) -> None:
-        self.append(Gate(kind, tuple(wires), cbit))
+        self.append(Gate(kind, wires, cbit))
 
     def append(self, op) -> None:
-        if isinstance(op, Gate):
-            self._check_gate(op)
-            if op.kind == "mx":
-                self.written_cbits.add(op.cbit)
-                if op.cbit >= self.cbit_count:
-                    self.cbit_count = op.cbit + 1
-            elif op.kind == "ccz_classical" and op.cbit not in self.written_cbits:
-                raise NetlistError(
-                    f"ccz_classical reads cbit {op.cbit}, which no earlier mx wrote")
+        """Validate ``op`` and add it at the end.
+
+        The AND macros and cbit-less primitives, nearly every op a
+        synthesizer appends, pass one inline guard that accepts only the
+        well-formed case; anything else, other op types and subclasses
+        included, takes the full ``_check_*`` path, which raises naming
+        what is wrong.
+        """
+        cls = type(op)
+        count = self.wire_count
+        if cls is LogicalAnd or cls is UncomputeAnd:
+            x, y, t = op
+            if not (type(x) is int and type(y) is int and type(t) is int
+                    and 0 <= x < count and 0 <= y < count and 0 <= t < count
+                    and x != y and t != x and t != y):
+                self._check_and(op)
+        elif cls is Gate:
+            kind, wires, cbit = op
+            if not (cbit is None and type(kind) is str and len(wires) == _PLAIN_ARITY.get(kind)
+                    and type(wires[0]) is int and type(wires[-1]) is int
+                    and 0 <= wires[0] < count and 0 <= wires[-1] < count
+                    and (len(wires) == 1 or wires[0] != wires[1])):
+                self._take_gate(op)
+        elif isinstance(op, Gate):
+            self._take_gate(op)
         elif isinstance(op, (LogicalAnd, UncomputeAnd)):
             self._check_and(op)
         elif isinstance(op, AddInPlace):
@@ -285,6 +343,17 @@ class Netlist:
         else:
             raise NetlistError(f"not a gate or macro op: {op!r}")
         self.gates.append(op)
+
+    def _take_gate(self, g: Gate) -> None:
+        """Check a primitive and record the cbit an ``mx`` writes."""
+        self._check_gate(g)
+        if g.kind == "mx":
+            self.written_cbits.add(g.cbit)
+            if g.cbit >= self.cbit_count:
+                self.cbit_count = g.cbit + 1
+        elif g.kind == "ccz_classical" and g.cbit not in self.written_cbits:
+            raise NetlistError(
+                f"ccz_classical reads cbit {g.cbit}, which no earlier mx wrote")
 
     def _check_wire(self, w: int) -> None:
         if type(w) is not int:  # also refuses bool, which JSON true would give
@@ -320,19 +389,22 @@ class Netlist:
             raise NetlistError(f"{op!r}: inputs and target must be three distinct wires")
 
     def _check_add(self, op: AddInPlace) -> None:
-        m = len(op.a_wires)
-        if m < 2 or len(op.b_wires) != m:
+        a, b, carry = op.a_wires, op.b_wires, op.carry_out
+        m = len(a)
+        if m < 2 or len(b) != m:
             raise NetlistError(
-                f"adder operands must have equal width >= 2, got {m} and {len(op.b_wires)}")
-        seen: set[int] = set()
-        wires = list(op.a_wires) + list(op.b_wires)
-        if op.carry_out is not None:
-            wires.append(op.carry_out)
-        for w in wires:
-            self._check_wire(w)
-            if w in seen:
-                raise NetlistError(f"adder operands overlap on wire {w}")
-            seen.add(w)
+                f"adder operands must have equal width >= 2, got {m} and {len(b)}")
+        wires = [*a, *b] if carry is None else [*a, *b, carry]
+        if not (_allocated(wires, self.wire_count) and len(set(wires)) == len(wires)):
+            seen: set[int] = set()
+            for w in wires:
+                self._check_wire(w)
+                if w in seen:
+                    raise NetlistError(f"adder operands overlap on wire {w}")
+                seen.add(w)
+        if type(a) is not tuple or type(b) is not tuple:
+            # to_json concatenates the operands as tuples
+            raise NetlistError(f"{op!r}: adder operands must be tuples of wires")
 
     # ---- queries -------------------------------------------------------
 

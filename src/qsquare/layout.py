@@ -12,14 +12,23 @@ carries weight 2^(2k+c).  ``grid_value`` evaluates the whole grid under that
 weighting and must reproduce a^2 exactly for every input; the exhaustive test
 of that identity is the correctness contract for the placement rules.
 
+Each cell holds a ``PartialProduct(i, j)``, an ``InputCopy(i)`` or the zero
+pad ``ZERO`` (the one ``ZeroPad``).  The two term types are immutable named
+tuples that equal only a term of their own type, never a plain tuple.
+
 Construction is assert-on-write: any double placement or leftover empty cell
 raises, because an index slip in the four placement cases would otherwise
-silently corrupt the grid.
+silently corrupt the grid.  Once every cell is placed, the terms' (i, j) keys
+(i, -1 for a copy) must equal those of ``partial_products(n)`` in number and
+as a set; the source terms are distinct, so that is exactly multiset equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+from .ir import _same_type_eq, _same_type_ne
 
 
 class UnsupportedWidthError(ValueError):
@@ -34,22 +43,25 @@ class PlacementError(Exception):
     """Grid cell placed twice or left empty by the placement rules."""
 
 
-@dataclass(frozen=True)
-class PartialProduct:
+class PartialProduct(NamedTuple):
     """The term a_i * a_j with i < j."""
 
     i: int
     j: int
 
+    # a term equals only a term of its own type, never a plain tuple
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
+
     def label(self) -> str:
         return f"a{self.i}a{self.j}"
 
 
-@dataclass(frozen=True)
-class InputCopy:
+class InputCopy(NamedTuple):
     """A copy of input bit a_i (the squared-bit term a_i * 2^(2i))."""
 
     i: int
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
     def label(self) -> str:
         return f"a{self.i}"
@@ -120,39 +132,52 @@ def partial_products(n: int) -> list:
     return out
 
 
+def _source_keys(n: int) -> set[tuple[int, int]]:
+    """The (i, j) of every partial product and (i, -1) of every input
+    copy in ``partial_products(n)``, taken from the same index ranges."""
+    keys = {(i, j) for i in range(n - 1) for j in range(i + 1, n)}
+    keys.update((i, -1) for i in range(1, n))
+    return keys
+
+
 class _GridBuilder:
     def __init__(self, n: int):
         self.n = n
         self.widths = row_widths(n)
         self.rows: list[list] = [[None] * w for w in self.widths]
         self.pad_counts = [0, 0]  # interior, left
+        self.placed = 0
 
     def put(self, row: int, col: int, entry, pad_phase: int = 0) -> None:
-        if not (0 <= row < len(self.rows) and 0 <= col < self.widths[row]):
+        rows = self.rows
+        if 0 <= row < len(rows):
+            cells = rows[row]
+            if 0 <= col < len(cells) and cells[col] is None:  # in-grid empty cell
+                cells[col] = entry
+                self.placed += 1
+                if isinstance(entry, ZeroPad):
+                    self.pad_counts[pad_phase] += 1
+                return
+        if not (0 <= row < len(rows) and 0 <= col < self.widths[row]):
             raise PlacementError(f"cell T({row},{col}) outside the grid for n={self.n}")
-        if self.rows[row][col] is not None:
-            raise PlacementError(
-                f"cell T({row},{col}) placed twice: {self.rows[row][col]} then {entry}")
-        self.rows[row][col] = entry
-        if isinstance(entry, ZeroPad):
-            self.pad_counts[pad_phase] += 1
+        raise PlacementError(
+            f"cell T({row},{col}) placed twice: {rows[row][col]} then {entry}")
 
     def finish(self) -> OperandGrid:
-        for r, row in enumerate(self.rows):
-            for c, e in enumerate(row):
-                if e is None:
-                    raise PlacementError(f"cell T({r},{c}) never placed for n={self.n}")
-        placed = sorted(_term_key(e) for row in self.rows for e in row
-                        if not isinstance(e, ZeroPad))
-        if placed != sorted(map(_term_key, partial_products(self.n))):
+        if self.placed < sum(self.widths):  # put refuses a second placement
+            r, c = next((r, c) for r, row in enumerate(self.rows)
+                        for c, e in enumerate(row) if e is None)
+            raise PlacementError(f"cell T({r},{c}) never placed for n={self.n}")
+        # (i, j) of a partial product, (i, -1) of an input copy
+        placed = [(e.i, -1) if isinstance(e, InputCopy) else (e.i, e.j)
+                  for row in self.rows for e in row if not isinstance(e, ZeroPad)]
+        # the source terms are distinct, so equal length and equal set
+        # mean the placed terms are exactly the source multiset
+        source = _source_keys(self.n)
+        if len(placed) != len(source) or set(placed) != source:
             raise PlacementError(f"grid terms differ from the source set for n={self.n}")
-        return OperandGrid(self.n, tuple(tuple(row) for row in self.rows),
+        return OperandGrid(self.n, tuple(map(tuple, self.rows)),
                            self.pad_counts[0], self.pad_counts[1])
-
-
-def _term_key(entry) -> tuple[int, int]:
-    """(i, j) of a partial product, (i, -1) of an input copy."""
-    return (entry.i, -1) if isinstance(entry, InputCopy) else (entry.i, entry.j)
 
 
 def arrange(n: int) -> OperandGrid:
@@ -166,52 +191,53 @@ def arrange(n: int) -> OperandGrid:
     """
     _check_width(n)
     g = _GridBuilder(n)
+    put = g.put
     for i in range(1, 2 * n - 2):
         odd = i % 2 == 1
         if i <= n - 1 and odd:
-            g.put(0, i - 1, InputCopy((i + 1) // 2))
-            g.put(1, i - 1, PartialProduct(0, i))
+            put(0, i - 1, InputCopy((i + 1) // 2))
+            put(1, i - 1, PartialProduct(0, i))
             if i > 1:
                 for j in range(2, (i + 1) // 2 + 1):
-                    g.put(j, i - 2 * j + 1, PartialProduct(j - 1, i - j + 1))
+                    put(j, i - 2 * j + 1, PartialProduct(j - 1, i - j + 1))
         elif i <= n - 1:
             for j in range(1, i // 2 + 1):
                 col = i - 1 if j <= 2 else i - 2 * j + 3
-                g.put(j - 1, col, PartialProduct(j - 1, i - j + 1))
-            g.put(i // 2, 1, ZERO)
+                put(j - 1, col, PartialProduct(j - 1, i - j + 1))
+            put(i // 2, 1, ZERO)
         elif odd:
-            g.put(0, i - 1, InputCopy((i + 1) // 2))
-            g.put(1, i - 1, PartialProduct(i - n + 1, n - 1))
+            put(0, i - 1, InputCopy((i + 1) // 2))
+            put(1, i - 1, PartialProduct(i - n + 1, n - 1))
             if i != 2 * n - 3:
                 for j in range(2, (2 * n - i - 1) // 2 + 1):
-                    g.put(j, i - 2 * j + 1, PartialProduct(i - n + j, n - j))
+                    put(j, i - 2 * j + 1, PartialProduct(i - n + j, n - j))
         else:
             for j in range(1, (2 * n - i - 2) // 2 + 1):
                 col = i - 1 if j <= 2 else i - 2 * j + 3
-                g.put(j - 1, col, PartialProduct(i - n + j, n - j))
+                put(j - 1, col, PartialProduct(i - n + j, n - j))
             if n % 2 == 1:
                 if i != 2 * n - 4:
-                    g.put((2 * n - i - 2) // 2, 2 * (i - n) + 3, ZERO)
-                    g.put((2 * n - i) // 2, 2 * (i - n) + 1, ZERO)
+                    put((2 * n - i - 2) // 2, 2 * (i - n) + 3, ZERO)
+                    put((2 * n - i) // 2, 2 * (i - n) + 1, ZERO)
                 else:
-                    g.put((2 * n - i - 2) // 2, i - 1, ZERO)
-                    g.put((2 * n - i) // 2, i - 3, ZERO)
+                    put((2 * n - i - 2) // 2, i - 1, ZERO)
+                    put((2 * n - i) // 2, i - 3, ZERO)
             else:
                 if i != 2 * n - 4 and i != n:
-                    g.put((2 * n - i - 2) // 2, 2 * (i - n) + 3, ZERO)
-                    g.put((2 * n - i) // 2, 2 * (i - n) + 1, ZERO)
+                    put((2 * n - i - 2) // 2, 2 * (i - n) + 3, ZERO)
+                    put((2 * n - i) // 2, 2 * (i - n) + 1, ZERO)
                 elif i == n:
-                    g.put((2 * n - i - 2) // 2, 3, ZERO)
-                    g.put((2 * n - i) // 2, 1, ZERO)
+                    put((2 * n - i - 2) // 2, 3, ZERO)
+                    put((2 * n - i) // 2, 1, ZERO)
                 else:
-                    g.put((2 * n - i - 2) // 2, i - 1, ZERO)
-                    g.put((2 * n - i) // 2, i - 3, ZERO)
+                    put((2 * n - i - 2) // 2, i - 1, ZERO)
+                    put((2 * n - i) // 2, i - 3, ZERO)
 
     # left pads: fill the high-order end of rows T_2..T_R
     top = (n - 2) // 2
     for i in range(1, top + 1):
         for j in range(1, 2 * i + 1):
-            g.put(i + 1, 2 * n - 3 - 4 * i + j, ZERO, pad_phase=1)
+            put(i + 1, 2 * n - 3 - 4 * i + j, ZERO, pad_phase=1)
     return g.finish()
 
 

@@ -43,8 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import build_adder_in_place, build_logical_and, build_uncompute_and
-from .ir import Netlist
+from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd
 from .layout import InputCopy, OperandGrid, PartialProduct, arrange
 
 
@@ -75,18 +74,23 @@ def synthesize_squarer(n: int) -> SquarerCircuit:
     """
     grid = arrange(n)  # validates n > 4
     nl = Netlist()
+    append, new_wire = nl.append, nl.new_wire
+    # the ops are named tuples; tuple.__new__ builds each one without the
+    # Python-level constructor, a tenth of the build, and append checks it
+    new = tuple.__new__
     a = nl.alloc_register("A", n, "input")
 
     # phase 1: partial products and input copies
     pp_wire: dict[tuple[int, int], int] = {}
     copy_wire: dict[int, int] = {}
     for i in range(1, n):
+        x = a[i - 1]
         for j in range(i, n):
-            pp_wire[(i - 1, j)] = build_logical_and(nl, a[i - 1], a[j])
-        w = nl.new_wire()
-        nl.add_gate("prep0", w)
-        nl.add_gate("cx", a[i], w)
-        copy_wire[i] = w
+            t = pp_wire[i - 1, j] = new_wire()
+            append(new(LogicalAnd, (x, a[j], t)))
+        w = copy_wire[i] = new_wire()
+        append(new(Gate, ("prep0", (w,), None)))
+        append(new(Gate, ("cx", (a[i], w), None)))
 
     p1 = nl.alloc_register("P1", 1, "zero")[0]
 
@@ -94,37 +98,39 @@ def synthesize_squarer(n: int) -> SquarerCircuit:
     for r, row in enumerate(grid.rows):
         wires = []
         for entry in row:
-            if isinstance(entry, PartialProduct):
-                wires.append(pp_wire[(entry.i, entry.j)])
-            elif isinstance(entry, InputCopy):
+            cls = type(entry)
+            if cls is PartialProduct:
+                wires.append(pp_wire[entry.i, entry.j])
+            elif cls is InputCopy:
                 wires.append(copy_wire[entry.i])
             else:
-                w = nl.new_wire()
-                nl.add_gate("prep0", w)
+                w = new_wire()
+                append(new(Gate, ("prep0", (w,), None)))
                 wires.append(w)
-        nl.register_alias(f"T{r}", tuple(wires))
+        nl.register_alias(f"T{r}", wires)
 
     # phases 4-6: the adder cascade, one stage per row after T_0
     running = list(nl.registers["T1"])
-    carry = build_adder_in_place(nl, nl.registers["T0"], running, with_carry_out=True)
+    carry = new_wire()
+    append(AddInPlace(nl.registers["T0"], tuple(running), carry))
     nl.register_alias("carry", (carry,))
     running.append(carry)
     product = [a[0], p1] + running[:2]
     running = running[2:]
-    nl.register_alias("V0", tuple(running))
+    nl.register_alias("V0", running)
 
     last = grid.row_count - 2
     for i in range(1, last + 1):
-        build_adder_in_place(nl, nl.registers[f"T{i + 1}"], running, with_carry_out=False)
+        append(AddInPlace(nl.registers[f"T{i + 1}"], tuple(running)))
         if i < last:
             product += running[:2]
             running = running[2:]
-            nl.register_alias(f"V{i}", tuple(running))
-    nl.register_alias("P", tuple(product + running))  # the final stage's whole sum
+            nl.register_alias(f"V{i}", running)
+    nl.register_alias("P", product + running)  # the final stage's whole sum
 
     # phase 7: restore the input copies in row T_0
     for i in range(1, n):
-        nl.add_gate("cx", a[i], copy_wire[i])
+        append(new(Gate, ("cx", (a[i], copy_wire[i]), None)))
 
     # phase 8: release the partial-product ancillae in reverse build order.
     # Row T_1 is excluded: its wires were overwritten by the first adder's
@@ -132,6 +138,6 @@ def synthesize_squarer(n: int) -> SquarerCircuit:
     t1 = set(nl.registers["T1"])
     for (i, j), w in reversed(pp_wire.items()):
         if w not in t1:
-            build_uncompute_and(nl, a[i], a[j], w)
+            append(new(UncomputeAnd, (a[i], a[j], w)))
 
     return SquarerCircuit(n, nl, grid)

@@ -267,14 +267,19 @@ def test_traced_counters_stay_readable(n):
      "6a3fb6085bfa1614aebb8fbba23adf5efaccdd816a53ca3e26d16b9ebb958dee"),
     (["synth", "16", "--format", "json", "--out"], "s.json", 0,
      "b9deaaff2e0c54a0ca8a5787106a3ceed1c602b47925d2cc54ebd3827f082841"),
+    (["synth", "37", "--format", "json", "--out"], "s.json", 0,
+     "fadece3c324430c69a2dfb3f7c7f2007993ca969f4119f8680b3aa44a0890f32"),
+    (["synth", "64", "--format", "grid", "--out"], "g.txt", 0,
+     "5de2a1b5fef3bed3d2694c7f2322898ed78eb7f82c8499c662302d6d2febf0ec"),
 ], ids=["synth-9-qasm", "compare-5..20-csv", "verify-5..16-both", "verify-5..16-drop-8",
-        "synth-16-json"])
+        "synth-16-json", "synth-37-json", "synth-64-grid"])
 def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, capsys):
     # QASM and the cost CSV are byte-for-byte what the Gate-tuple
     # expansion wrote before the columnar rewrite; the verify reports are
     # what the bool-lane basis sweep wrote, and the drop-gate:8 mutant's
     # report mixes P and garbage mismatches with uncompute-misuse lanes;
-    # the macro JSON is the one pinned output that carries the registers
+    # the macro JSON carries the registers, at an even and an odd width;
+    # the 64-bit grid pins every placement case of a wide layout
     path = tmp_path / name
     code, _, _ = run(argv + [str(path)], capsys)
     assert code == exit_code

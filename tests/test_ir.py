@@ -80,49 +80,153 @@ def test_gate_validation():
     nl = Netlist()
     nl.alloc_register("a", 2, "input")
     for cbit in (-1, True, "0"):
-        with pytest.raises(NetlistError):
+        with pytest.raises(NetlistError, match="cbit must be absent or a non-negative"):
             nl.add_gate("mx", 0, cbit=cbit)
-    with pytest.raises(NetlistError):
-        nl.add_gate("h", 0, cbit=0)
-    with pytest.raises(NetlistError):
-        nl.add_gate("cx", 0, 0)
-    with pytest.raises(NetlistError):
-        nl.add_gate("cx", 0, 7)
-    with pytest.raises(NetlistError):
-        nl.add_gate("frob", 0)
-    with pytest.raises(NetlistError):
-        nl.add_gate("mx", 0)  # missing cbit
+    for kind, wires, cbit, match in [
+        ("h", (0,), 0, "h cbit must be absent"),
+        ("cx", (0, 0), None, "cx control and target must differ"),
+        ("cx", (0, 7), None, r"wire 7 not allocated \(have 2\)"),
+        ("frob", (0,), None, "unknown gate kind 'frob'"),
+        ("mx", (0,), None, "mx needs a cbit"),
+        ("h", (-1,), None, r"wire -1 not allocated \(have 2\)"),
+        ("h", (2,), None, r"wire 2 not allocated \(have 2\)"),
+        ("h", (True,), None, "wire index must be an integer, got True"),
+        ("cx", (-1, 1), None, r"wire -1 not allocated \(have 2\)"),
+        ("cx", (0, -1), None, r"wire -1 not allocated \(have 2\)"),
+        ("cz", (False, 1), None, "wire index must be an integer, got False"),
+        ("cx", (0, True), None, "wire index must be an integer, got True"),
+        ("h", (), None, r"h takes 1 wire\(s\), got \(\)"),
+        ("cx", (0,), None, r"cx takes 2 wire\(s\), got \(0,\)"),
+    ]:
+        with pytest.raises(NetlistError, match=match):
+            nl.add_gate(kind, *wires, cbit=cbit)
+    with pytest.raises(NetlistError, match="unknown gate kind"):
+        nl.append(Gate(["h"], (0,)))  # an unhashable kind, as JSON could give
+    assert nl.gates == []
 
 
-@pytest.mark.parametrize("op", [
-    LogicalAnd(0, 0, 2),      # inputs equal
-    LogicalAnd(0, 1, 0),      # target is an input
-    LogicalAnd(0, 1, 1),
-    UncomputeAnd(0, 0, 2),
-    UncomputeAnd(0, 1, 1),
-    LogicalAnd(0, 1, 7),      # target not allocated
-    UncomputeAnd(0, 1, 7),
-    LogicalAnd(0, 1, True),   # a bool is not a wire index
-], ids=repr)
-def test_and_macros_validated_at_append(op):
+_DISTINCT = "inputs and target must be three distinct wires"
+
+
+def _bad_and_cases():
+    cases = [
+        (LogicalAnd(0, 0, 2), _DISTINCT),       # inputs equal
+        (LogicalAnd(0, 1, 0), _DISTINCT),       # target is an input
+        (LogicalAnd(0, 1, 1), _DISTINCT),
+        (UncomputeAnd(0, 0, 2), _DISTINCT),
+        (UncomputeAnd(0, 1, 1), _DISTINCT),
+        (LogicalAnd(0, 1, 7), r"wire 7 not allocated \(have 3\)"),
+        (UncomputeAnd(0, 1, 7), r"wire 7 not allocated \(have 3\)"),
+    ]
+    # a negative, a past-the-end and a bool wire (not an index) in each position
+    for cls in (LogicalAnd, UncomputeAnd):
+        for pos in range(3):
+            for bad, match in [(-1, r"wire -1 not allocated \(have 3\)"),
+                               (3, r"wire 3 not allocated \(have 3\)"),
+                               (True, "wire index must be an integer, got True")]:
+                wires = [0, 1, 2]
+                wires[pos] = bad
+                cases.append((cls(*wires), match))
+    return [pytest.param(op, match, id=repr(op)) for op, match in cases]
+
+
+@pytest.mark.parametrize("op, match", _bad_and_cases())
+def test_and_macros_validated_at_append(op, match):
     # expand() trusts the macros it lowers, so append must refuse these
     nl = Netlist()
     nl.alloc_register("a", 3, "input")
-    with pytest.raises(NetlistError):
+    with pytest.raises(NetlistError, match=match) as err:
         nl.append(op)
     assert nl.gates == []
+    if match == _DISTINCT:
+        assert str(err.value).startswith(repr(op))
 
 
 def test_adder_macro_validation():
     nl = Netlist()
     a = nl.alloc_register("a", 3, "input")
     b = nl.alloc_register("b", 3, "input")
-    with pytest.raises(NetlistError):
-        nl.append(AddInPlace(a, b[:2], None))
-    with pytest.raises(NetlistError):
-        nl.append(AddInPlace(a, a, None))
-    with pytest.raises(NetlistError):
-        nl.append(AddInPlace((a[0],), (b[0],), None))
+    (c,) = nl.alloc_register("c", 1, "zero")
+    before = list(nl.gates)
+    for op, match in [
+        (AddInPlace(a, b[:2], None), "equal width >= 2, got 3 and 2"),
+        (AddInPlace(a, a, None), "adder operands overlap on wire 0"),
+        (AddInPlace((a[0],), (b[0],), None), "equal width >= 2, got 1 and 1"),
+        (AddInPlace(a, (b[0], b[1], 9), None), r"wire 9 not allocated \(have 7\)"),
+        (AddInPlace((-1, a[1]), b[:2], None), r"wire -1 not allocated \(have 7\)"),
+        (AddInPlace(a, b, 9), r"wire 9 not allocated \(have 7\)"),
+        (AddInPlace((a[0], True), b[:2], None), "wire index must be an integer, got True"),
+        (AddInPlace(a, b, False), "wire index must be an integer, got False"),
+        (AddInPlace(a, b, b[2]), f"adder operands overlap on wire {b[2]}"),
+        (AddInPlace(a, b, a[0]), f"adder operands overlap on wire {a[0]}"),
+        # the message keeps the first fault in operand order
+        (AddInPlace((a[0], a[0]), (b[0], 9), None), f"overlap on wire {a[0]}"),
+    ]:
+        with pytest.raises(NetlistError, match=match):
+            nl.append(op)
+        assert nl.gates == before
+    nl.append(AddInPlace(a, b, c))
+    assert nl.gates == before + [AddInPlace(a, b, c)]
+
+
+def test_adder_operands_must_be_tuples():
+    # list operands would expand, but to_json concatenates them as tuples
+    nl = Netlist()
+    nl.alloc_register("a", 4, "input")
+    for op in (AddInPlace([0, 1], [2, 3]), AddInPlace((0, 1), [2, 3]),
+               AddInPlace([0, 1], (2, 3))):
+        with pytest.raises(NetlistError, match="adder operands must be tuples") as err:
+            nl.append(op)
+        assert repr(op) in str(err.value)
+    assert nl.gates == []
+    nl.append(AddInPlace((0, 1), (2, 3)))
+    assert '"kind":"macro_add"' in to_json(nl)
+
+
+def test_register_alias_checks_and_stores_its_wires():
+    nl = Netlist()
+    nl.alloc_register("a", 3, "input")
+    # an iterator is read once, so the register holds what was checked
+    nl.register_alias("v", (w for w in range(3)))
+    assert nl.registers["v"] == (0, 1, 2)
+    nl.register_alias("rev", iter([2, 0]))
+    assert nl.registers["rev"] == (2, 0)
+    for name, wires, match in [
+        ("neg", (0, -1), r"wire -1 not allocated \(have 3\)"),
+        ("past", [1, 3], r"wire 3 not allocated \(have 3\)"),
+        ("gen", (w for w in (0, 5)), r"wire 5 not allocated \(have 3\)"),
+        ("bool", (0, True), "wire index must be an integer, got True"),
+        ("float", (1.0,), "wire index must be an integer, got 1.0"),
+        ("v", (0,), "register 'v' already allocated"),
+    ]:
+        with pytest.raises(NetlistError, match=match):
+            nl.register_alias(name, wires)
+    assert set(nl.registers) == {"a", "v", "rev"}
+
+
+def test_macro_ops_are_values_of_their_own_type():
+    ops = (LogicalAnd(1, 2, 3), UncomputeAnd(1, 2, 3))
+    for op in ops:
+        assert op == type(op)(1, 2, 3) and not op != type(op)(1, 2, 3)
+        assert hash(op) == hash(type(op)(1, 2, 3))
+        assert op != (1, 2, 3) and (1, 2, 3) != op
+        assert not op == (1, 2, 3) and not (1, 2, 3) == op
+        assert op != Gate("cx", (1, 2))
+        with pytest.raises(AttributeError):
+            op.x = 5
+    assert ops[0] != ops[1] and ops[1] != ops[0] and not ops[0] == ops[1]
+    assert len({*ops, LogicalAnd(1, 2, 3)}) == 2
+    assert repr(ops[0]) == "LogicalAnd(x=1, y=2, target=3)"
+    assert repr(ops[1]) == "UncomputeAnd(x=1, y=2, target=3)"
+
+
+def test_swapping_a_macro_type_changes_the_netlist():
+    nl = synthesize_squarer(6).netlist
+    k = next(i for i, op in enumerate(nl.gates) if type(op) is LogicalAnd)
+    other = synthesize_squarer(6).netlist
+    assert other == nl
+    other.gates[k] = UncomputeAnd(*nl.gates[k])
+    assert other != nl and not other == nl
 
 
 # ---- expansion -------------------------------------------------------------

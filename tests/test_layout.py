@@ -9,6 +9,7 @@ from qsquare.layout import (
     UnsupportedWidthError,
     ZERO,
     _GridBuilder,
+    _source_keys,
     arrange,
     dump_grid,
     grid_value,
@@ -100,21 +101,54 @@ def test_zero_pad_counts_match_closed_forms(n):
 def test_builder_rejects_double_placement():
     g = _GridBuilder(6)
     g.put(0, 0, ZERO)
-    with pytest.raises(PlacementError):
+    with pytest.raises(PlacementError, match=r"cell T\(0,0\) placed twice"):
         g.put(0, 0, ZERO)
+    with pytest.raises(PlacementError, match=r"cell T\(0,0\) placed twice"):
+        g.put(0, 0, PartialProduct(0, 1))
+    assert g.rows[0][0] == ZERO and g.pad_counts == [1, 0]
 
 
 def test_builder_rejects_out_of_grid_cells():
     g = _GridBuilder(6)
-    with pytest.raises(PlacementError):
-        g.put(9, 0, ZERO)
-    with pytest.raises(PlacementError):
-        g.put(3, 6, ZERO)
+    for row, col in [(9, 0), (3, 6), (-1, 0), (0, -1), (4, 0), (0, 9)]:
+        with pytest.raises(PlacementError, match=rf"cell T\({row},{col}\) outside the grid"):
+            g.put(row, col, ZERO)
+    assert all(e is None for row in g.rows for e in row)
 
 
 def test_builder_rejects_incomplete_grid():
-    with pytest.raises(PlacementError):
+    with pytest.raises(PlacementError, match=r"cell T\(0,0\) never placed for n=6"):
         _GridBuilder(6).finish()
+    # every cell but one filled: the first empty cell in row order is named
+    g = _GridBuilder(6)
+    for r, row in enumerate(arrange(6).rows):
+        for c, e in enumerate(row):
+            if (r, c) != (2, 3):
+                g.put(r, c, e)
+    with pytest.raises(PlacementError, match=r"cell T\(2,3\) never placed"):
+        g.finish()
+
+
+@pytest.mark.parametrize("n", range(5, 20))
+def test_source_keys_are_the_partial_products(n):
+    terms = partial_products(n)
+    keys = [(t.i, -1) if isinstance(t, InputCopy) else (t.i, t.j) for t in terms]
+    assert _source_keys(n) == set(keys) and len(set(keys)) == len(terms)
+
+
+def test_terms_are_values_of_their_own_type():
+    for term, plain, text in [(PartialProduct(1, 2), (1, 2), "a1a2"),
+                              (InputCopy(1), (1,), "a1")]:
+        same = type(term)(*plain)
+        assert term == same and not term != same and hash(term) == hash(same)
+        assert term != plain and plain != term
+        assert not term == plain and not plain == term
+        assert term.label() == text
+        with pytest.raises(AttributeError):
+            term.i = 0
+    assert PartialProduct(1, 2) != InputCopy(1) and InputCopy(1) != ZERO
+    assert repr(PartialProduct(1, 2)) == "PartialProduct(i=1, j=2)"
+    assert repr(InputCopy(1)) == "InputCopy(i=1)"
 
 
 def _rebuilt(rows):
