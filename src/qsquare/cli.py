@@ -75,10 +75,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.format == "grid":
         _write(args.out, dump_grid(circuit.grid))
     elif args.format == "json":
-        nl = expand(circuit.netlist) if args.expanded else circuit.netlist
-        _write(args.out, to_json(nl))
+        _write(args.out, to_json(circuit.netlist, lower=args.expanded))
     else:  # qasm needs primitives only
-        _write(args.out, to_qasm(expand(circuit.netlist)))
+        _write(args.out, to_qasm(circuit.netlist, lower=True))
     return EXIT_OK
 
 

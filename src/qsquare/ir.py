@@ -41,12 +41,20 @@ subclass whose own storage holds each gate's kind string, beside
 list columns of the first wire, the second wire and the classical bit
 (-1 where a gate has none).  The lowering is trusted and never builds a
 ``Gate``: an AND is one constant 14-kind pattern plus one ``extend`` per
-column.  ``count_gates`` (T and CNOT counts),
-``schedule_asap`` (T- and CNOT-depth), ``to_qasm`` and the gate entries
-of ``to_json`` read the columns directly, and pack a list of primitives
-into columns first.  ``Gate`` tuples are built only for consumers that
-iterate, index or compare the gates (the simulators and the tests).
-``Netlist.measure`` expands a netlist and takes both measurements.
+column.  ``count_gates`` (T and CNOT counts) and
+``schedule_asap`` (T- and CNOT-depth) read the columns directly, and
+pack a list of primitives into columns first.  ``Gate`` tuples are
+built only for consumers that iterate, index or compare the gates (the
+simulators and the tests).  ``Netlist.measure`` expands a netlist and
+takes both measurements.
+
+``to_json`` and ``to_qasm`` format an expanded netlist's columns row by
+row, with one text template per primitive kind.  Given a netlist with
+macros and ``lower=True``, they write the text of its expansion straight
+from the macros instead, with no columns built: each AND, uncompute or
+CNOT is one ``str.format`` of a template, and the AND and uncompute
+templates are derived at import from ``_ColumnWriter``, the one
+definition of those gate patterns.
 
 Netlists are append-only while being built and treated as immutable
 afterwards; every transformation returns a new netlist.
@@ -56,7 +64,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 
 class NetlistError(Exception):
@@ -329,7 +337,8 @@ class Netlist:
                 self._check_and(op)
         elif cls is Gate:
             kind, wires, cbit = op
-            if not (cbit is None and type(kind) is str and len(wires) == _PLAIN_ARITY.get(kind)
+            if not (cbit is None and type(kind) is str and type(wires) is tuple
+                    and len(wires) == _PLAIN_ARITY.get(kind)
                     and type(wires[0]) is int and type(wires[-1]) is int
                     and 0 <= wires[0] < count and 0 <= wires[-1] < count
                     and (len(wires) == 1 or wires[0] != wires[1])):
@@ -364,6 +373,10 @@ class Netlist:
     def _check_gate(self, g: Gate) -> None:
         if g.kind not in PRIMITIVE_KINDS:
             raise NetlistError(f"unknown gate kind {g.kind!r}")
+        if type(g.wires) is not tuple:
+            # to_json writes a list as it writes a tuple, and from_json reads
+            # a tuple back, so a list would not survive the round trip
+            raise NetlistError(f"{g.kind} wires must be a tuple, got {g.wires!r}")
         want = 1 if g.kind in _ONE_WIRE else 2
         if len(g.wires) != want:
             raise NetlistError(f"{g.kind} takes {want} wire(s), got {g.wires}")
@@ -453,7 +466,9 @@ class _ColumnWriter:
 
     Its ``new_wire``/``cx``/``logical_and``/``uncompute_and`` methods are
     the emitter interface ``blocks.lower_add_in_place`` lowers an adder
-    through.
+    through.  Its ``logical_and`` and ``uncompute_and`` are the one
+    definition of those gate patterns: serialization derives its text
+    templates from them.
     """
 
     __slots__ = ("new_wire", "_new_cbit", "_kind", "_kinds",
@@ -610,10 +625,8 @@ _QASM_LINE.update(mx="mx q[{0}] -> c[{2}];".format,
                   ccz_classical="ccz_classical c[{2}], q[{0}], q[{1}];".format)
 
 
-def _op_json(op) -> str:
-    """Compact JSON entry of one op of a list-form netlist."""
-    if isinstance(op, Gate):
-        return _JSON_GATE[op.kind](op.wires[0], op.wires[-1], op.cbit)
+def _macro_json(op) -> str:
+    """Compact JSON entry of one unlowered macro op."""
     if isinstance(op, AddInPlace):
         wires = op.a_wires + op.b_wires + (() if op.carry_out is None else (op.carry_out,))
         return ('{"kind":"macro_add","wires":[%s],"width":%d,"carry_out":%s}'
@@ -623,20 +636,138 @@ def _op_json(op) -> str:
     return '{"kind":"%s","wires":[%d,%d,%d]}' % (kind, op.x, op.y, op.target)
 
 
-def to_json(netlist: Netlist) -> str:
-    """Compact JSON: ``wires``, ``registers`` and a ``gates`` list of
-    ``kind``/``wires``/``cbit`` entries (macros carry ``width`` and
-    ``carry_out`` for adders), formatted straight from the gate columns
-    of an expanded netlist; ``from_json`` reads it back."""
-    gates = netlist.gates
+def _refuse_macro(op) -> str:
+    raise UnexpandedNetlistError(f"{op!r} is not a primitive gate; expand the netlist first")
+
+
+def _pattern(line: dict, sep: str, lower):
+    """The formatter of the text one macro lowers to, called as
+    f(x, y, target, cbit) with the wires and cbit as strings.
+
+    ``lower`` (a ``_ColumnWriter`` method) writes the macro once over
+    wires 0, 1, 2 and cbit 0; each gate is formatted by ``line`` with a
+    mark per wire and one for the cbit, and the marks become the format
+    fields, so the template and the column lowering share one definition.
+    """
+    nl = Netlist()
+    nl.wire_count = 3
+    cols = nl.gates = GateColumns()
+    lower(_ColumnWriter(nl), 0, 1, 2)
+    marks = {-1: "", 0: "\0", 1: "\1", 2: "\2"}
+    text = sep.join(line[k](marks[a], marks[b], "\3" if c == 0 else "")
+                    for k, a, b, c in cols.rows())
+    return text.translate({ord("{"): "{{", ord("}"): "}}",
+                           0: "{0}", 1: "{1}", 2: "{2}", 3: "{3}"}).format
+
+
+class _TextFormat(NamedTuple):
+    """How one text format writes gates: ``line`` maps a primitive kind to
+    its formatter f(w0, w1, cbit), ``macro`` writes an op left unlowered,
+    and the AND and uncompute formatters come from ``_pattern``."""
+
+    line: dict
+    macro: Callable[[object], str]
+    logical_and: Callable[..., str]
+    uncompute_and: Callable[..., str]
+
+
+def _text_format(line: dict, sep: str, macro) -> _TextFormat:
+    """The format whose gates' text ``sep`` joins."""
+    return _TextFormat(line, macro, _pattern(line, sep, _ColumnWriter.logical_and),
+                       _pattern(line, sep, _ColumnWriter.uncompute_and))
+
+
+_JSON = _text_format(_JSON_GATE, ",", _macro_json)
+_QASM = _text_format(_QASM_LINE, "\n", _refuse_macro)
+
+
+class _TextWriter:
+    """Writes the text of a netlist's gates in one ``_TextFormat``: one
+    string per primitive or lowered macro, each one ``str.format`` call.
+
+    Its ``new_wire``/``cx``/``logical_and``/``uncompute_and`` methods are
+    the emitter interface of ``_ColumnWriter``, so ``lower_add_in_place``
+    lowers an adder through it as ``expand`` would.  ``names`` holds each
+    wire's number as a string, converted once, and its length is the wire
+    count after lowering; ``cbit_count`` counts the cbits likewise.
+    """
+
+    __slots__ = ("text", "names", "cbit_count", "_cx", "_and", "_unand")
+
+    def __init__(self, netlist: Netlist, fmt: _TextFormat) -> None:
+        self.text: list[str] = []
+        self.names = [*map(str, range(netlist.wire_count))]
+        self.cbit_count = netlist.cbit_count
+        self._cx, self._and, self._unand = fmt.line["cx"], fmt.logical_and, fmt.uncompute_and
+
+    def new_wire(self) -> int:
+        names = self.names
+        w = len(names)
+        names.append(str(w))
+        return w
+
+    def cx(self, c: int, t: int) -> None:
+        names = self.names
+        self.text.append(self._cx(names[c], names[t]))
+
+    def logical_and(self, x: int, y: int, t: int) -> None:
+        names = self.names
+        self.text.append(self._and(names[x], names[y], names[t]))
+
+    def uncompute_and(self, x: int, y: int, t: int) -> None:
+        names = self.names
+        self.text.append(self._unand(names[x], names[y], names[t], str(self.cbit_count)))
+        self.cbit_count += 1
+
+
+def _write_text(netlist: Netlist, fmt: _TextFormat, lower: bool) -> _TextWriter:
+    """The one walk over a netlist's gates for ``to_json`` and ``to_qasm``.
+
+    The gate columns of an expanded netlist are formatted row by row.  A
+    list of ops writes each primitive by its kind, and each macro by
+    ``fmt.macro`` or, when ``lower`` is set, as the text of its lowering:
+    the AND macros through their templates, adders through
+    ``blocks.lower_add_in_place``.  That text is what ``expand`` would
+    write to its columns, so it equals the text of ``expand(netlist)``.
+    """
+    from .blocks import lower_add_in_place
+
+    em = _TextWriter(netlist, fmt)
+    line, gates = fmt.line, netlist.gates
     if isinstance(gates, GateColumns):
-        entries = [_JSON_GATE[k](a, b, c) for k, a, b, c in gates.rows()]
-    else:
-        entries = [_op_json(op) for op in gates]
+        em.text = [line[k](a, b, c) for k, a, b, c in gates.rows()]
+        return em
+    put = em.text.append
+    for op in gates:
+        if isinstance(op, Gate):
+            put(line[op.kind](op.wires[0], op.wires[-1], op.cbit))
+        elif not lower:
+            put(fmt.macro(op))
+        elif isinstance(op, LogicalAnd):
+            em.logical_and(op.x, op.y, op.target)
+        elif isinstance(op, UncomputeAnd):
+            em.uncompute_and(op.x, op.y, op.target)
+        elif isinstance(op, AddInPlace):
+            lower_add_in_place(em, op)
+        else:
+            raise NetlistError(f"cannot lower {op!r}")
+    return em
+
+
+def to_json(netlist: Netlist, *, lower: bool = False) -> str:
+    """Compact JSON: ``wires``, ``registers`` and a ``gates`` list of
+    ``kind``/``wires``/``cbit`` entries; ``from_json`` reads it back.
+
+    An expanded netlist's entries are formatted straight from its gate
+    columns.  A netlist with macros writes them as macro entries (adders
+    carry ``width`` and ``carry_out``), or, with ``lower=True``, writes
+    the text of ``to_json(expand(netlist))`` straight from the macros,
+    with no gate columns built."""
+    em = _write_text(netlist, _JSON, lower)
     registers = json.dumps({name: list(ws) for name, ws in netlist.registers.items()},
                            separators=(",", ":"))
-    return (f'{{"wires":{netlist.wire_count},"registers":{registers},"gates":['
-            + ",".join(entries) + "]}\n")
+    return (f'{{"wires":{len(em.names)},"registers":{registers},"gates":['
+            + ",".join(em.text) + "]}\n")
 
 
 def from_json_dict(data: dict) -> Netlist:
@@ -700,12 +831,14 @@ def from_json(text: str) -> Netlist:
     return from_json_dict(json.loads(text))
 
 
-def to_qasm(netlist: Netlist) -> str:
+def to_qasm(netlist: Netlist, *, lower: bool = False) -> str:
     """QASM-like text, one gate per line, formatted straight from the
-    gate columns.  Macros must be expanded first."""
-    cols = netlist.columns()
-    lines = [f"// wires: {netlist.wire_count}", f"qreg q[{netlist.wire_count}];"]
-    if netlist.cbit_count:
-        lines.append(f"creg c[{netlist.cbit_count}];")
-    lines += [_QASM_LINE[k](a, b, c) for k, a, b, c in cols.rows()]
-    return "\n".join(lines) + "\n"
+    gate columns of an expanded netlist or the primitives of a list.
+
+    A macro raises ``UnexpandedNetlistError`` unless ``lower=True``,
+    which writes the text of ``to_qasm(expand(netlist))`` straight from
+    the macros, with no gate columns built."""
+    em = _write_text(netlist, _QASM, lower)
+    wires, cbits = len(em.names), em.cbit_count
+    head = [f"// wires: {wires}", f"qreg q[{wires}];"] + ([f"creg c[{cbits}];"] if cbits else [])
+    return "\n".join(head + em.text) + "\n"

@@ -249,11 +249,15 @@ def test_traced_counters_stay_readable(n):
     # the benchmark reads ir.expand.gates_out as len(result.gates) only
     # while it is a list, and ir.to_json/ir.to_qasm bytes only from a str;
     # its self-test fails when one of them reads as unavailable
-    full = expand(synthesize_squarer(n).netlist)
+    netlist = synthesize_squarer(n).netlist
+    full = expand(netlist)
     assert isinstance(full.gates, list)
     assert len(full.gates) == sum(1 for _ in full.gates) > 0
     assert isinstance(to_json(full), str)
     assert isinstance(to_qasm(full), str)
+    # synth writes its expanded JSON and QASM from the macros, with no expand
+    assert isinstance(to_json(netlist, lower=True), str)
+    assert isinstance(to_qasm(netlist, lower=True), str)
 
 
 @pytest.mark.parametrize("argv, name, exit_code, digest", [
@@ -271,15 +275,23 @@ def test_traced_counters_stay_readable(n):
      "fadece3c324430c69a2dfb3f7c7f2007993ca969f4119f8680b3aa44a0890f32"),
     (["synth", "64", "--format", "grid", "--out"], "g.txt", 0,
      "5de2a1b5fef3bed3d2694c7f2322898ed78eb7f82c8499c662302d6d2febf0ec"),
+    (["synth", "16", "--format", "json", "--expanded", "--out"], "e.json", 0,
+     "0d6e5ac1966254730b037122f74b6a868cc3ad55c67add87cd85ededac786447"),
+    (["synth", "40", "--format", "qasm", "--out"], "q.qasm", 0,
+     "f91257f8c046603c959e9f844bb9edcf212ed11801f6d4107e837f829df4314e"),
 ], ids=["synth-9-qasm", "compare-5..20-csv", "verify-5..16-both", "verify-5..16-drop-8",
-        "synth-16-json", "synth-37-json", "synth-64-grid"])
+        "synth-16-json", "synth-37-json", "synth-64-grid", "synth-16-json-expanded",
+        "synth-40-qasm"])
 def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, capsys):
     # QASM and the cost CSV are byte-for-byte what the Gate-tuple
     # expansion wrote before the columnar rewrite; the verify reports are
     # what the bool-lane basis sweep wrote, and the drop-gate:8 mutant's
     # report mixes P and garbage mismatches with uncompute-misuse lanes;
     # the macro JSON carries the registers, at an even and an odd width;
-    # the 64-bit grid pins every placement case of a wide layout
+    # the 64-bit grid pins every placement case of a wide layout; the
+    # expanded JSON and the 40-bit QASM are what expand-then-format wrote
+    # before the text was written straight from the macros, and catch a
+    # template change that moves both ways of writing it at once
     path = tmp_path / name
     code, _, _ = run(argv + [str(path)], capsys)
     assert code == exit_code

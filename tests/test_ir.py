@@ -102,6 +102,10 @@ def test_gate_validation():
             nl.add_gate(kind, *wires, cbit=cbit)
     with pytest.raises(NetlistError, match="unknown gate kind"):
         nl.append(Gate(["h"], (0,)))  # an unhashable kind, as JSON could give
+    # a list would not survive the JSON round trip, which reads tuples back
+    for gate in (Gate("cx", [0, 1]), Gate("h", [0]), Gate("mx", [0], 0)):
+        with pytest.raises(NetlistError, match=rf"{gate.kind} wires must be a tuple, got \["):
+            nl.append(gate)
     assert nl.gates == []
 
 
@@ -552,6 +556,60 @@ def test_json_gate_kind_strings():
     for kind in ('"prep0"', '"h"', '"t"', '"tdg"', '"cx"', '"s"',
                  '"mx"', '"ccz_classical"'):
         assert kind in text
+
+
+def _block_netlists():
+    and_only = single_and_netlist()
+    and_unand = single_and_netlist()
+    and_unand.append(UncomputeAnd(0, 1, 2))
+    cases = [("and", and_only), ("and-uncompute", and_unand)]
+    for m in (2, 3):
+        for carry in (True, False):
+            nl = Netlist()
+            a = nl.alloc_register("a", m, "input")
+            b = nl.alloc_register("b", m, "input")
+            nl.append(AddInPlace(a, b, nl.new_wire() if carry else None))
+            cases.append((f"adder-m{m}-{'carry' if carry else 'modular'}", nl))
+    # an mx ahead of the macros shifts every uncompute cbit, and
+    # primitives sit between macros
+    nl = Netlist()
+    a = nl.alloc_register("a", 3, "input")
+    b = nl.alloc_register("b", 3, "zero")
+    (m,) = nl.alloc_register("m", 1, "zero")
+    nl.add_gate("h", m)
+    nl.add_gate("mx", m, cbit=0)
+    t = nl.new_wire()
+    nl.append(LogicalAnd(a[0], a[1], t))
+    nl.add_gate("cx", t, b[2])
+    nl.append(AddInPlace(a, b, nl.new_wire()))
+    nl.add_gate("ccz_classical", a[0], a[2], cbit=0)
+    nl.append(UncomputeAnd(a[0], a[1], t))
+    nl.add_gate("t", b[0])
+    cases.append(("mixed", nl))
+    return [pytest.param(nl, id=name) for name, nl in cases]
+
+
+def _first_difference(a: str, b: str):
+    """None for equal texts, else where they part and what each holds
+    there (a short value to report, where a diff of the whole one-line
+    JSON would take pytest minutes)."""
+    if a == b:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    lo = max(i - 60, 0)
+    return i, a[lo:i + 60], b[lo:i + 60]
+
+
+@pytest.mark.parametrize("nl", _block_netlists()
+                         + [pytest.param(synthesize_squarer(n).netlist, id=f"squarer-{n}")
+                            for n in range(5, 17)])
+def test_lowered_text_equals_text_of_expansion(nl):
+    full = expand(nl)
+    assert _first_difference(to_json(nl, lower=True), to_json(full)) is None
+    assert _first_difference(to_qasm(nl, lower=True), to_qasm(full)) is None
+    # an expanded netlist has nothing left to lower
+    assert to_json(full, lower=True) == to_json(full)
+    assert to_qasm(full, lower=True) == to_qasm(full)
 
 
 def test_qasm_export_requires_expansion():
