@@ -66,7 +66,8 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
 
     ``em`` provides ``new_wire()`` for the internal carry ancillae and
     ``cx(c, t)``, ``logical_and(x, y, t)`` and ``uncompute_and(x, y, t)``;
-    ``ir.expand`` passes one that writes Clifford+T gate columns.  The
+    ``ir.expand`` passes one that writes Clifford+T gate columns, and
+    ``ir.schedule_asap`` one that layers the same gates.  The
     pre-allocated carry-out wire (when present) doubles as the top AND
     target.
     """

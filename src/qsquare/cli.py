@@ -51,9 +51,11 @@ def _parse_n(text: str) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    lo, _, hi = text.partition("..")
+    lo, dots, hi = text.partition("..")
+    if dots and not hi:
+        raise _UsageError(f"width range {text!r} has no upper end")
     first = _parse_n(lo)
-    last = _parse_n(hi) if hi else first
+    last = _parse_n(hi) if dots else first
     if last < first:
         raise _UsageError(f"empty width range {text!r}")
     return list(range(first, last + 1))
@@ -265,6 +267,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if d != "proposed" and d not in BASELINES:
             raise _UsageError(f"unknown design {d!r}; known: proposed, "
                               + ", ".join(BASELINES))
+    if args.measured and "proposed" not in designs:
+        raise _UsageError("--measured measures the proposed design, which "
+                          "--designs leaves out")
     ns = _parse_range(args.range) if args.range else []
     rows: list[tuple] = []
     out: list[str] = []

@@ -41,12 +41,15 @@ subclass whose own storage holds each gate's kind string, beside
 list columns of the first wire, the second wire and the classical bit
 (-1 where a gate has none).  The lowering is trusted and never builds a
 ``Gate``: an AND is one constant 14-kind pattern plus one ``extend`` per
-column.  ``count_gates`` (T and CNOT counts) and
-``schedule_asap`` (T- and CNOT-depth) read the columns directly, and
-pack a list of primitives into columns first.  ``Gate`` tuples are
-built only for consumers that iterate, index or compare the gates (the
-simulators and the tests).  ``Netlist.measure`` expands a netlist and
-takes both measurements.
+column.  ``count_gates`` (T and CNOT counts) reads the columns
+directly, and packs a list of primitives into columns first.
+``schedule_asap`` (T- and CNOT-depth) layers gate columns row by row,
+and a list of ops as it lowers, with no columns built: each AND or
+uncompute in one closed-form max-plus step, so the depths of a macro
+netlist equal those of its expansion.  ``Gate`` tuples are built only
+for consumers that iterate, index or compare the gates (the simulators
+and the tests).  ``Netlist.measure`` counts the gates of its expansion
+and takes the depths from its macros.
 
 ``to_json`` and ``to_qasm`` format an expanded netlist's columns row by
 row, with one text template per primitive kind.  Given a netlist with
@@ -444,11 +447,14 @@ class Netlist:
 
     def measure(self) -> tuple[int, int, int, int, int]:
         """(T count, T-depth, CNOT count, CNOT-depth, wires) of this
-        netlist's expansion, measured by ``count_gates`` and
-        ``schedule_asap``."""
+        netlist's expansion: ``count_gates`` counts the columns of
+        ``expand(self)``, and ``schedule_asap`` layers this netlist's
+        macros directly, which gives the depths of the expansion.  The
+        depths are taken first, so the layer sets are freed before the
+        columns are built."""
+        t_depth, cnot_depth = schedule_asap(self)
         full = expand(self)
         t_count, cnot_count = count_gates(full)
-        t_depth, cnot_depth = schedule_asap(full)
         return t_count, t_depth, cnot_count, cnot_depth, full.wire_count
 
 
@@ -468,7 +474,8 @@ class _ColumnWriter:
     the emitter interface ``blocks.lower_add_in_place`` lowers an adder
     through.  Its ``logical_and`` and ``uncompute_and`` are the one
     definition of those gate patterns: serialization derives its text
-    templates from them.
+    templates from them, and ``_DepthWriter``'s closed-form layering of
+    them is tested against them.
     """
 
     __slots__ = ("new_wire", "_new_cbit", "_kind", "_kinds",
@@ -558,10 +565,97 @@ def count_gates(netlist: Netlist) -> tuple[int, int]:
     return list.count(cols, "t") + list.count(cols, "tdg"), list.count(cols, "cx")
 
 
+class _DepthWriter:
+    """ASAP layering of the gates written to it.
+
+    ``gate`` layers one primitive.  The other methods are the emitter
+    interface of ``_ColumnWriter``, so ``lower_add_in_place`` lowers an
+    adder through it as ``expand`` would; ``logical_and`` and
+    ``uncompute_and`` give in one closed-form step the layers of their
+    lowered patterns, numbering cbits from ``cbit_count`` as ``expand`` does.
+    """
+
+    __slots__ = ("last", "open", "meas", "t_layers", "cnot_layers", "cbit_count")
+
+    def __init__(self, netlist: Netlist) -> None:
+        self.last = [0] * netlist.wire_count  # wire -> last occupied layer
+        self.open = [0] * netlist.wire_count  # wire -> layer of a joinable fan-out, 0 if none
+        self.meas: dict[int, int] = {}        # cbit -> layer of its mx
+        self.t_layers: set[int] = set()       # layers holding a T gate
+        self.cnot_layers: set[int] = set()    # layers holding a CNOT
+        self.cbit_count = netlist.cbit_count
+
+    def new_wire(self) -> int:
+        self.last.append(0)
+        self.open.append(0)
+        return len(self.last) - 1
+
+    def gate(self, kind: str, a: int, b: int, cbit) -> None:
+        """Layer one primitive; ``b`` is -1 for a one-wire kind."""
+        if kind == "cx":
+            self.cx(a, b)
+            return
+        last = self.last
+        if b < 0:
+            if kind in _PSEUDO:
+                return
+            layer = last[a] = last[a] + 1
+            self.open[a] = 0
+            if kind in _T_KINDS:
+                self.t_layers.add(layer)
+            elif kind == "mx":
+                self.meas[cbit] = layer
+        else:  # cz, ccz_classical
+            layer = max(last[a], last[b]) + 1
+            if kind == "ccz_classical":
+                layer = max(layer, self.meas.get(cbit, 0) + 1)
+            last[a] = last[b] = layer
+            self.open[a] = self.open[b] = 0
+
+    def cx(self, c: int, t: int) -> None:
+        last, open_ = self.last, self.open
+        joinable = open_[c]
+        lc, lt = last[c], last[t]
+        if joinable and lt < joinable:
+            layer = joinable
+        else:
+            layer = (lc if lc > lt else lt) + 1
+        # a joined control already sits in the joined layer
+        last[c] = last[t] = open_[c] = layer
+        open_[t] = 0
+        self.cnot_layers.add(layer)
+
+    def logical_and(self, x: int, y: int, t: int) -> None:
+        # h, t on the target, then cx x->t and cx y->t, each joining an
+        # open fan-out of its control when it can; every later gate of
+        # the pattern sits a fixed number of layers after the second cx
+        last, open_ = self.last, self.open
+        l2 = last[t] + 2
+        j, lx = open_[x], last[x]
+        l3 = j if j and l2 < j else (lx if lx > l2 else l2) + 1
+        j, ly = open_[y], last[y]
+        l4 = j if j and l3 < j else (ly if ly > l3 else l3) + 1
+        l5 = l4 + 1
+        self.t_layers.update((l2, l5 + 1))
+        self.cnot_layers.update((l3, l4, l5, l5 + 2))
+        last[x] = last[y] = l5 + 2
+        last[t] = l5 + 4
+        open_[x] = open_[y] = open_[t] = 0
+
+    def uncompute_and(self, x: int, y: int, t: int) -> None:
+        # mx on the target, then ccz_classical on (x, y) after its outcome
+        last, open_ = self.last, self.open
+        m = last[t] + 1
+        last[t] = self.meas[self.cbit_count] = m
+        self.cbit_count += 1
+        last[x] = last[y] = max(last[x], last[y], m) + 1
+        open_[x] = open_[y] = open_[t] = 0
+
+
 def schedule_asap(netlist: Netlist) -> tuple[int, int]:
-    """Greedy as-soon-as-possible layering in one walk over the gate
-    columns; returns (T-depth, CNOT-depth), the number of layers holding
-    at least one T gate and at least one CNOT respectively.
+    """Greedy as-soon-as-possible layering in one walk over a netlist's
+    gates; returns (T-depth, CNOT-depth), the number of layers holding at
+    least one T gate and at least one CNOT respectively.
 
     Gates keep program order per wire and are never commuted past each
     other, with one exception that matches how multi-target fan-out is
@@ -569,46 +663,35 @@ def schedule_asap(netlist: Netlist) -> tuple[int, int]:
     may occupy one layer (they commute and form a single multi-target
     CX).  Preparation pseudo-gates take no layer; measurements and
     classically controlled gates are ordinary one-layer events, and a
-    classically controlled gate never precedes its measurement.  Raises
-    ``UnexpandedNetlistError`` when a macro op is present.
-    """
-    cols = netlist.columns()
-    last = [0] * netlist.wire_count       # wire -> last occupied layer
-    open_ctrl = [0] * netlist.wire_count  # wire -> layer of a joinable fan-out, 0 if none
-    meas_layer: dict[int, int] = {}       # cbit -> layer of its mx
-    t_layers: set[int] = set()
-    cnot_layers: set[int] = set()
+    classically controlled gate never precedes its measurement.
 
-    for kind, a, b, cbit in cols.rows():
-        if b < 0:  # one-wire kinds
-            if kind in _PSEUDO:
-                continue
-            layer = last[a] + 1
-            last[a] = layer
-            open_ctrl[a] = 0
-            if kind in _T_KINDS:
-                t_layers.add(layer)
-            elif kind == "mx":
-                meas_layer[cbit] = layer
-        elif kind == "cx":
-            joinable = open_ctrl[a]
-            la, lb = last[a], last[b]
-            if joinable and lb < joinable:
-                layer = joinable
-            else:
-                layer = (la if la > lb else lb) + 1
-            # a joined control already sits in the joined layer
-            last[a] = last[b] = layer
-            open_ctrl[a] = layer
-            open_ctrl[b] = 0
-            cnot_layers.add(layer)
-        else:  # cz, ccz_classical
-            layer = max(last[a], last[b]) + 1
-            if kind == "ccz_classical":
-                layer = max(layer, meas_layer.get(cbit, 0) + 1)
-            last[a] = last[b] = layer
-            open_ctrl[a] = open_ctrl[b] = 0
-    return len(t_layers), len(cnot_layers)
+    Gate columns and list primitives are layered gate by gate.  Macros
+    are layered as they lower, with no gate columns built: each AND or
+    uncompute in one closed-form step, adders through
+    ``blocks.lower_add_in_place``.  The result equals
+    ``schedule_asap(expand(netlist))``.
+    """
+    from .blocks import lower_add_in_place
+
+    em = _DepthWriter(netlist)
+    gate, gates = em.gate, netlist.gates
+    if isinstance(gates, GateColumns):
+        for row in gates.rows():
+            gate(*row)
+        return len(em.t_layers), len(em.cnot_layers)
+    for op in gates:
+        if isinstance(op, Gate):
+            wires = op.wires
+            gate(op.kind, wires[0], wires[1] if len(wires) > 1 else -1, op.cbit)
+        elif isinstance(op, LogicalAnd):
+            em.logical_and(op.x, op.y, op.target)
+        elif isinstance(op, UncomputeAnd):
+            em.uncompute_and(op.x, op.y, op.target)
+        elif isinstance(op, AddInPlace):
+            lower_add_in_place(em, op)
+        else:
+            raise NetlistError(f"cannot lower {op!r}")
+    return len(em.t_layers), len(em.cnot_layers)
 
 
 # ---- serialization -------------------------------------------------------

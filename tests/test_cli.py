@@ -219,6 +219,19 @@ def test_compare_unknown_design(capsys):
     assert "unknown design" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "5.."], "has no upper end"),
+    (["verify", "5.."], "has no upper end"),
+    (["compare", "5..6", "--designs", "thapliyal", "--measured"],
+     "--measured measures the proposed design"),
+])
+def test_compare_and_verify_refuse_input_they_would_ignore(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qsq: ") and message in err and err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,10 +1,13 @@
 """Netlist IR: allocation, macro expansion, counting, layering, serialization."""
 
+import itertools
 import json
 
 import pytest
 
 from qsquare.ir import (
+    _ColumnWriter,
+    _DepthWriter,
     AddInPlace,
     Gate,
     GateColumns,
@@ -437,11 +440,6 @@ def test_hand_built_mx_declares_its_cbit():
     assert "mx q[0] -> c[0];" in to_qasm(nl)
 
 
-def test_schedule_requires_expansion():
-    with pytest.raises(UnexpandedNetlistError):
-        schedule_asap(single_and_netlist())
-
-
 def relabeled(netlist, perm):
     """New netlist with wire i renamed to perm[i] (perm is a bijection)."""
     if sorted(perm) != list(range(netlist.wire_count)):
@@ -586,6 +584,32 @@ def _block_netlists():
     nl.append(UncomputeAnd(a[0], a[1], t))
     nl.add_gate("t", b[0])
     cases.append(("mixed", nl))
+    # a fan-out opened on an AND input just before the AND, which the
+    # AND's CNOT from that input joins; a cz between the macros
+    for name, x, y, ahead in (("fan-out-x", 0, 1, 2), ("fan-out-y", 1, 0, 4)):
+        nl = Netlist()
+        a = nl.alloc_register("a", 4, "input")
+        for _ in range(ahead):
+            nl.add_gate("h", a[0])
+        # a[0]'s fan-out opens in a layer the AND's CNOT from a[0] joins
+        nl.add_gate("cx", a[0], a[2])
+        t = nl.new_wire()
+        nl.append(LogicalAnd(a[x], a[y], t))
+        nl.add_gate("cz", a[2], a[3])
+        nl.append(UncomputeAnd(a[x], a[y], t))
+        cases.append((name, nl))
+    # append refuses a ccz_classical on a cbit no mx wrote yet, so the
+    # list is assigned; cbit 2 is the one the second uncompute's mx
+    # writes once expanded, as cbit 0 is the hand-built mx's
+    nl = Netlist()
+    a = nl.alloc_register("a", 5, "input")
+    nl.add_gate("mx", a[4], cbit=0)
+    for _ in range(2):
+        t = nl.new_wire()
+        nl.append(LogicalAnd(a[0], a[1], t))
+        nl.append(UncomputeAnd(a[0], a[1], t))
+    nl.gates = [*nl.gates, Gate("ccz_classical", (a[2], a[3]), 2), Gate("t", (a[2],))]
+    cases.append(("expansion-cbit", nl))
     return [pytest.param(nl, id=name) for name, nl in cases]
 
 
@@ -610,6 +634,46 @@ def test_lowered_text_equals_text_of_expansion(nl):
     # an expanded netlist has nothing left to lower
     assert to_json(full, lower=True) == to_json(full)
     assert to_qasm(full, lower=True) == to_qasm(full)
+
+
+def _replayed(lower, last, open_):
+    """(layer sets, final state) of one macro's lowered gates, written
+    on wires 0..2 by ``lower`` and replayed through ``_DepthWriter.gate``
+    from the given per-wire state, next to those of its template."""
+    nl = Netlist()
+    nl.wire_count = 3
+    writers = _DepthWriter(nl), _DepthWriter(nl)  # cbits from 0, as lowered
+    cols = nl.gates = GateColumns()
+    lower(_ColumnWriter(nl), 0, 1, 2)
+    results = []
+    for replay, em in zip((True, False), writers):
+        em.last[:], em.open[:] = last, open_
+        if replay:
+            for row in cols.rows():
+                em.gate(*row)
+        else:
+            getattr(em, lower.__name__)(0, 1, 2)
+        results.append((em.t_layers, em.cnot_layers, em.last, em.open, em.meas))
+    return results
+
+
+@pytest.mark.parametrize("lower", [_ColumnWriter.logical_and, _ColumnWriter.uncompute_and])
+def test_macro_depth_template_equals_its_gates(lower):
+    # every start state with layers and open fan-outs in 0..4 on the
+    # three wires, which takes each fan-out join both ways
+    values = range(5)
+    for last in itertools.product(values, repeat=3):
+        for open_ in itertools.product(values, repeat=3):
+            replayed, template = _replayed(lower, list(last), list(open_))
+            assert template == replayed, (last, open_)
+
+
+@pytest.mark.parametrize("nl", _block_netlists()
+                         + [pytest.param(synthesize_squarer(n).netlist, id=f"squarer-{n}")
+                            for n in [*range(5, 41), 64, 127, 128]])
+def test_schedule_of_macros_equals_schedule_of_expansion(nl):
+    assert nl.has_macros
+    assert schedule_asap(nl) == schedule_asap(expand(nl))
 
 
 def test_qasm_export_requires_expansion():
