@@ -32,9 +32,6 @@ from .layout import (
     partial_products,
 )
 from .blocks import (
-    BlockBudget,
-    LOGICAL_AND_BUDGET,
-    adder_report,
     build_adder_in_place,
     build_logical_and,
     build_uncompute_and,

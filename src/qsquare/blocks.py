@@ -10,17 +10,11 @@ kept as the extra sum bit, giving m ANDs for an m-bit adder; without it
 the top stage is dropped and m-1 ANDs remain.  The caller of the
 carry-less variant guarantees the addition cannot overflow.
 
-Every builder has a companion resource budget taken from the published
-per-size accounting (T = 4(m-1), T-depth = 2(m-1), CNOT = 12m-9,
-CNOT-depth = 8m-6 for an m-bit adder); measured figures from the actual
-lowering are reported next to those budgets with signed deltas rather
-than being forced to agree, since the published AND-per-adder counts (m
-in one section, m-1 in another) are themselves inconsistent.
+What the blocks cost once lowered is stated in ``costs.adder_counts``,
+beside the paper's booking of them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .ir import AddInPlace, LogicalAnd, Netlist, UncomputeAnd
 
@@ -65,11 +59,12 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
     written in order through the emitter ``em``.
 
     ``em`` provides ``new_wire()`` for the internal carry ancillae and
-    ``cx(c, t)``, ``logical_and(x, y, t)`` and ``uncompute_and(x, y, t)``;
-    ``ir.expand`` passes one that writes Clifford+T gate columns, and
-    ``ir.schedule_asap`` one that layers the same gates.  The
-    pre-allocated carry-out wire (when present) doubles as the top AND
-    target.
+    ``cx(c, t)``, ``logical_and(x, y, t)`` and ``uncompute_and(x, y, t)``.
+    ``ir._lower``, the one walk that lowers a netlist's ops, calls this
+    for every adder with the emitter of its caller: gate columns for
+    ``expand``, ASAP layers for ``schedule_asap``, text for ``to_json``
+    and ``to_qasm``.  The pre-allocated carry-out wire (when present)
+    doubles as the top AND target.
     """
     a, b = add.a_wires, add.b_wires
     m = len(a)
@@ -106,94 +101,3 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
     uncompute_and(a[0], b[0], w[1])
     cx(a[0], b[0])
 
-
-# ---- resource budgets ----------------------------------------------------
-
-@dataclass(frozen=True)
-class BlockBudget:
-    """Resource figures for one sub-circuit."""
-
-    t_count: int
-    t_depth: int
-    cnot_count: int
-    cnot_depth: int
-    ancillae: int
-
-    def delta(self, other: "BlockBudget") -> "BlockBudget":
-        """self - other, field-wise (signed)."""
-        return BlockBudget(
-            self.t_count - other.t_count,
-            self.t_depth - other.t_depth,
-            self.cnot_count - other.cnot_count,
-            self.cnot_depth - other.cnot_depth,
-            self.ancillae - other.ancillae,
-        )
-
-
-LOGICAL_AND_BUDGET = BlockBudget(t_count=4, t_depth=2, cnot_count=6, cnot_depth=4, ancillae=1)
-
-
-def adder_budget(m: int) -> BlockBudget:
-    """Published per-size budget for an m-bit adder (the published AND
-    accounting spans both m and m-1 ANDs per adder; the T figures here
-    follow the 4(m-1) statement)."""
-    return BlockBudget(
-        t_count=4 * (m - 1),
-        t_depth=2 * (m - 1),
-        cnot_count=12 * m - 9,
-        cnot_depth=8 * m - 6,
-        ancillae=m,
-    )
-
-
-def measure_block(netlist: Netlist, io_wires: int) -> BlockBudget:
-    """Expand a standalone block netlist and measure its budget.
-
-    ``io_wires`` is the number of non-ancilla wires the block was built
-    over; everything beyond them after expansion counts as ancillae.
-    """
-    t_count, t_depth, cnot_count, cnot_depth, wires = netlist.measure()
-    return BlockBudget(t_count, t_depth, cnot_count, cnot_depth, wires - io_wires)
-
-
-@dataclass(frozen=True)
-class AdderReport:
-    """Measured-vs-published budget for one adder size, with the true AND
-    count and both published per-adder AND conventions."""
-
-    width: int
-    with_carry_out: bool
-    published: BlockBudget
-    measured: BlockBudget
-    delta: BlockBudget
-    and_count: int
-    and_count_per_size: int   # published convention: m ANDs per m-bit adder
-    and_count_per_t: int      # published convention implied by T = 4(m-1)
-
-
-def adder_report(m: int, with_carry_out: bool) -> AdderReport:
-    """Build a standalone m-bit adder, measure it, and compare budgets."""
-    nl = Netlist()
-    a = nl.alloc_register("a", m, "input")
-    b = nl.alloc_register("b", m, "input")
-    build_adder_in_place(nl, a, b, with_carry_out)
-    measured = measure_block(nl, io_wires=2 * m)
-    published = adder_budget(m)
-    return AdderReport(
-        width=m,
-        with_carry_out=with_carry_out,
-        published=published,
-        measured=measured,
-        delta=measured.delta(published),
-        and_count=adder_and_count(m, with_carry_out),
-        and_count_per_size=m,
-        and_count_per_t=m - 1,
-    )
-
-
-def logical_and_report() -> tuple[BlockBudget, BlockBudget]:
-    """(published, measured) budget of a single expanded logical-AND."""
-    nl = Netlist()
-    x, y = nl.alloc_register("xy", 2, "input")
-    build_logical_and(nl, x, y)
-    return LOGICAL_AND_BUDGET, measure_block(nl, io_wires=2)

@@ -73,6 +73,8 @@ def _write(path: str | None, text: str) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     n = _parse_n(args.n)
+    if args.expanded and args.format == "grid":
+        raise _UsageError("--expanded lowers the netlist, which --format grid does not write")
     circuit = synthesize_squarer(n)
     if args.format == "grid":
         _write(args.out, dump_grid(circuit.grid))
@@ -225,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     mutate: int | None = None
     if args.mutate is not None:
         head, _, idx = args.mutate.partition(":")
-        if head != "drop-gate" or not idx.isdigit():
+        if head != "drop-gate" or not (idx.isascii() and idx.isdigit()):
             raise _UsageError(f"--mutate expects drop-gate:<index>, got {args.mutate!r}")
         mutate = int(idx)
         if args.mode == "statevector-blocks":

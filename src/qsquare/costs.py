@@ -12,9 +12,10 @@ which cannot hold at once.
 
 ``built_metrics(n)`` is the exact account of the circuit
 ``synthesize_squarer(n)`` builds: what ``measure_circuit`` measures on
-it, for every width.  Its counts are the paper's plus one offset per
-documented cause (and-count convention, adder CNOT budget, ancilla
-census); its depths are ASAP layer counts, pinned by measurement.
+it, for every width.  Its T and CNOT counts are the paper's plus, per
+adder stage, ``adder_counts`` (the adder as lowered) minus the paper's
+booking of it; its qubits add the ancillae the paper omits; its depths
+are ASAP layer counts, pinned by measurement.
 ``reconcile`` reports measured - paper as signed deltas, each of which
 ``built_metrics(n)`` minus ``proposed_metrics(n)`` gives exactly.
 
@@ -30,7 +31,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .layout import UnsupportedWidthError
+from .blocks import adder_and_count
+from .layout import UnsupportedWidthError, row_widths
 from .synth import SquarerCircuit
 
 METRICS = ("t_count", "t_depth", "cnot_count", "cnot_depth", "qubits", "kq_t")
@@ -102,18 +104,31 @@ def carry_less_stages(n: int) -> int:
     return n // 2 - 1
 
 
+def adder_counts(m: int, carry_out: bool) -> tuple[int, int]:
+    """(T count, CNOT count) of an m-bit adder as lowered: 4 T and 6
+    CNOTs per AND (``blocks.adder_and_count`` of them), plus 6m-6 explicit
+    CNOTs with a carry-out and 6m-9 without."""
+    ands = adder_and_count(m, carry_out)
+    return 4 * ands, 6 * ands + 6 * m - (6 if carry_out else 9)
+
+
+def _paper_adder_counts(m: int) -> tuple[int, int]:
+    """(T count, CNOT count) the paper books per m-bit adder: an AND per bit."""
+    return 4 * m, 12 * m - 9
+
+
 def built_metrics(n: int) -> MetricValues:
     """Exact metrics of ``synthesize_squarer(n)``, as measured by
-    ``measure_circuit``.  With K = ``carry_less_stages(n)``, each count
-    is the paper's plus one offset:
+    ``measure_circuit``.
 
-        T-count     -4K          and-count convention: -4 per carry-less stage
-        CNOT-count  3 - 6K       adder CNOT budget: published 12m-9 against the
-                                 lowering's 12m-6 (+3, the first stage, with
-                                 carry-out) and 12m-15 (-6 per carry-less stage)
-        qubits      (n-1)//2     ancilla census: the published count omits the
-                                 input-copy ancillae and books the first carry
-                                 apart from its AND target
+    The T and CNOT counts are the paper's plus, summed over the adder
+    stages of widths ``row_widths(n)[1:]``, ``adder_counts`` minus the
+    paper's (4m, 12m-9) per m-bit adder.  The first stage has a
+    carry-out and differs by (0, +3); each of the
+    ``carry_less_stages(n)`` others has m-1 ANDs and differs by (-4, -6).
+    The qubits are the paper's plus (n-1)//2: the published count omits
+    the input-copy ancillae and books the first carry apart from its AND
+    target.
 
     The depths are ASAP layer counts, one quadratic per parity of n; the
     T-depth quadratics hold from n = 9 on, and n = 5..8 measure 21, 34,
@@ -122,7 +137,11 @@ def built_metrics(n: int) -> MetricValues:
     T-depth.
     """
     paper = proposed_metrics(n)
-    k = carry_less_stages(n)
+    t_count, cnot_count = paper.t_count, paper.cnot_count
+    for i, m in enumerate(row_widths(n)[1:]):
+        (t, cnot), (paper_t, paper_cnot) = adder_counts(m, i == 0), _paper_adder_counts(m)
+        t_count += t - paper_t
+        cnot_count += cnot - paper_cnot
     qubits = paper.qubits + (n - 1) // 2
     if n % 2 == 0:
         t_depth = _exact_div(3 * n * n + 28 * n - 164, 4)
@@ -131,8 +150,7 @@ def built_metrics(n: int) -> MetricValues:
         t_depth = _exact_div(3 * n * n + 26 * n - 161, 4)
         cnot_depth = _exact_div(12 * n * n - 19 * n + 3, 2)
     t_depth = _SMALL_T_DEPTH.get(n, t_depth)
-    return MetricValues(paper.t_count - 4 * k, t_depth, paper.cnot_count + 3 - 6 * k,
-                        cnot_depth, qubits, qubits * t_depth)
+    return MetricValues(t_count, t_depth, cnot_count, cnot_depth, qubits, qubits * t_depth)
 
 
 def proposed_costs(n: int) -> CostReport:

@@ -35,29 +35,31 @@ check their wires in bulk (a type scan, ``min``/``max`` against
 ``wire_count``, a set for overlap) and walk them one by one only to
 name the fault.
 
-A netlist being built keeps its ops in a plain list.  ``expand`` lowers
-all macros and writes the primitives into ``GateColumns``: a ``list``
-subclass whose own storage holds each gate's kind string, beside
-list columns of the first wire, the second wire and the classical bit
-(-1 where a gate has none).  The lowering is trusted and never builds a
-``Gate``: an AND is one constant 14-kind pattern plus one ``extend`` per
-column.  ``count_gates`` (T and CNOT counts) reads the columns
-directly, and packs a list of primitives into columns first.
-``schedule_asap`` (T- and CNOT-depth) layers gate columns row by row,
-and a list of ops as it lowers, with no columns built: each AND or
-uncompute in one closed-form max-plus step, so the depths of a macro
-netlist equal those of its expansion.  ``Gate`` tuples are built only
-for consumers that iterate, index or compare the gates (the simulators
-and the tests).  ``Netlist.measure`` counts the gates of its expansion
-and takes the depths from its macros.
+A netlist being built keeps its ops in a plain list.  ``_lower`` is
+the one walk that lowers a netlist's ops, and the only code that
+dispatches on op type: it hands every primitive, every AND macro and,
+through ``blocks.lower_add_in_place``, every gate of an adder to an
+emitter.  Three emitters read the walk:
 
-``to_json`` and ``to_qasm`` format an expanded netlist's columns row by
-row, with one text template per primitive kind.  Given a netlist with
-macros and ``lower=True``, they write the text of its expansion straight
-from the macros instead, with no columns built: each AND, uncompute or
-CNOT is one ``str.format`` of a template, and the AND and uncompute
-templates are derived at import from ``_ColumnWriter``, the one
-definition of those gate patterns.
+- ``expand`` writes the primitives into ``GateColumns``: a ``list``
+  subclass whose own storage holds each gate's kind string, beside list
+  columns of the first wire, the second wire and the classical bit (-1
+  where a gate has none).  The lowering is trusted and never builds a
+  ``Gate``: an AND is one constant 14-kind pattern plus one ``extend``
+  per column.  ``count_gates`` (T and CNOT counts) reads the columns
+  directly, and packs a list of primitives into columns first.
+- ``schedule_asap`` (T- and CNOT-depth) layers the gates with no
+  columns built: each AND or uncompute in one closed-form max-plus step,
+  so the depths of a macro netlist equal those of its expansion.
+- ``to_json`` and ``to_qasm`` write the text of the expansion with one
+  template per primitive kind, each AND or uncompute one ``str.format``
+  of a template derived at import from ``_ColumnWriter``, the one
+  definition of those gate patterns.  Only ``to_json`` without
+  ``lower`` keeps macros, as macro entries, in a loop of its own.
+
+``Gate`` tuples are built only for consumers that iterate, index or
+compare the gates (the simulators and the tests).  ``Netlist.measure``
+counts the gates of its expansion and takes the depths from its macros.
 
 Netlists are append-only while being built and treated as immutable
 afterwards; every transformation returns a new netlist.
@@ -470,9 +472,8 @@ _NO_CBITS = (-1,) * len(_AND_KINDS)
 class _ColumnWriter:
     """Writes lowered primitives into an output netlist's gate columns.
 
-    Its ``new_wire``/``cx``/``logical_and``/``uncompute_and`` methods are
-    the emitter interface ``blocks.lower_add_in_place`` lowers an adder
-    through.  Its ``logical_and`` and ``uncompute_and`` are the one
+    It is the emitter ``expand`` passes to ``_lower``.  Its
+    ``logical_and`` and ``uncompute_and`` are the one
     definition of those gate patterns: serialization derives its text
     templates from them, and ``_DepthWriter``'s closed-form layering of
     them is tested against them.
@@ -488,6 +489,12 @@ class _ColumnWriter:
         self._kind, self._kinds = list.append.__get__(cols), list.extend.__get__(cols)
         self._w0, self._w1, self._cbit = cols.w0.append, cols.w1.append, cols.cbit.append
         self._w0s, self._w1s, self._cbits = cols.w0.extend, cols.w1.extend, cols.cbit.extend
+
+    def gate(self, kind: str, w0: int, w1: int, cbit: int) -> None:
+        self._kind(kind)
+        self._w0(w0)
+        self._w1(w1)
+        self._cbit(cbit)
 
     def cx(self, c: int, t: int) -> None:
         self._kind("cx")
@@ -509,6 +516,40 @@ class _ColumnWriter:
         self._cbits((cbit, cbit))
 
 
+def _lower(netlist: Netlist, em):
+    """Walk ``netlist``'s ops in order, lowering each through the emitter
+    ``em``, and return ``em``.
+
+    A primitive, a ``GateColumns`` row or a ``Gate`` of a list, goes to
+    ``em.gate(kind, w0, w1, cbit)``, with -1 for a missing second wire or
+    cbit; an AND macro to ``em.logical_and(x, y, target)`` or
+    ``em.uncompute_and(x, y, target)``; an adder to
+    ``blocks.lower_add_in_place``, which also calls ``em.new_wire`` and
+    ``em.cx``.  Any other op raises ``NetlistError``.
+    """
+    from .blocks import lower_add_in_place
+
+    gates, gate = netlist.gates, em.gate
+    if isinstance(gates, GateColumns):
+        for row in gates.rows():
+            gate(*row)
+        return em
+    logical_and, uncompute_and = em.logical_and, em.uncompute_and
+    for op in gates:
+        if isinstance(op, LogicalAnd):
+            logical_and(op.x, op.y, op.target)
+        elif isinstance(op, UncomputeAnd):
+            uncompute_and(op.x, op.y, op.target)
+        elif isinstance(op, Gate):
+            kind, wires, cbit = op
+            gate(kind, wires[0], wires[1] if len(wires) > 1 else -1, -1 if cbit is None else cbit)
+        elif isinstance(op, AddInPlace):
+            lower_add_in_place(em, op)
+        else:
+            raise NetlistError(f"cannot lower {op!r}")
+    return em
+
+
 def expand(netlist: Netlist) -> Netlist:
     """Lower every macro op to primitive gates; primitives pass through.
 
@@ -527,25 +568,12 @@ def expand(netlist: Netlist) -> Netlist:
     gates over its own checked wires and fresh ones, so the generated
     gates are written to the output's columns without a second check.
     """
-    from .blocks import lower_add_in_place
-
     out = Netlist()
     out.wire_count = netlist.wire_count
     out.cbit_count = netlist.cbit_count
     out.registers = dict(netlist.registers)
-    cols = out.gates = GateColumns()
-    writer = _ColumnWriter(out)
-    for op in netlist.gates:
-        if isinstance(op, Gate):
-            cols.append(op)
-        elif isinstance(op, LogicalAnd):
-            writer.logical_and(op.x, op.y, op.target)
-        elif isinstance(op, UncomputeAnd):
-            writer.uncompute_and(op.x, op.y, op.target)
-        elif isinstance(op, AddInPlace):
-            lower_add_in_place(writer, op)
-        else:
-            raise NetlistError(f"cannot lower {op!r}")
+    out.gates = GateColumns()
+    _lower(netlist, _ColumnWriter(out))
     # every cbit allocated above was written at once by its uncompute mx
     out.written_cbits = netlist.written_cbits | set(range(netlist.cbit_count, out.cbit_count))
     return out
@@ -568,9 +596,8 @@ def count_gates(netlist: Netlist) -> tuple[int, int]:
 class _DepthWriter:
     """ASAP layering of the gates written to it.
 
-    ``gate`` layers one primitive.  The other methods are the emitter
-    interface of ``_ColumnWriter``, so ``lower_add_in_place`` lowers an
-    adder through it as ``expand`` would; ``logical_and`` and
+    It is the emitter ``schedule_asap`` passes to ``_lower``: ``gate``
+    layers one primitive, and ``logical_and`` and
     ``uncompute_and`` give in one closed-form step the layers of their
     lowered patterns, numbering cbits from ``cbit_count`` as ``expand`` does.
     """
@@ -665,32 +692,11 @@ def schedule_asap(netlist: Netlist) -> tuple[int, int]:
     classically controlled gates are ordinary one-layer events, and a
     classically controlled gate never precedes its measurement.
 
-    Gate columns and list primitives are layered gate by gate.  Macros
-    are layered as they lower, with no gate columns built: each AND or
-    uncompute in one closed-form step, adders through
-    ``blocks.lower_add_in_place``.  The result equals
-    ``schedule_asap(expand(netlist))``.
+    Primitives are layered gate by gate.  Macros are layered as they
+    lower, with no gate columns built: each AND or uncompute in one
+    closed-form step.  The result equals ``schedule_asap(expand(netlist))``.
     """
-    from .blocks import lower_add_in_place
-
-    em = _DepthWriter(netlist)
-    gate, gates = em.gate, netlist.gates
-    if isinstance(gates, GateColumns):
-        for row in gates.rows():
-            gate(*row)
-        return len(em.t_layers), len(em.cnot_layers)
-    for op in gates:
-        if isinstance(op, Gate):
-            wires = op.wires
-            gate(op.kind, wires[0], wires[1] if len(wires) > 1 else -1, op.cbit)
-        elif isinstance(op, LogicalAnd):
-            em.logical_and(op.x, op.y, op.target)
-        elif isinstance(op, UncomputeAnd):
-            em.uncompute_and(op.x, op.y, op.target)
-        elif isinstance(op, AddInPlace):
-            lower_add_in_place(em, op)
-        else:
-            raise NetlistError(f"cannot lower {op!r}")
+    em = _lower(netlist, _DepthWriter(netlist))
     return len(em.t_layers), len(em.cnot_layers)
 
 
@@ -708,8 +714,10 @@ _QASM_LINE.update(mx="mx q[{0}] -> c[{2}];".format,
                   ccz_classical="ccz_classical c[{2}], q[{0}], q[{1}];".format)
 
 
-def _macro_json(op) -> str:
-    """Compact JSON entry of one unlowered macro op."""
+def _json_entry(op) -> str:
+    """Compact JSON entry of one op of a list, a macro left unlowered."""
+    if isinstance(op, Gate):
+        return _JSON_GATE[op.kind](op.wires[0], op.wires[-1], op.cbit)
     if isinstance(op, AddInPlace):
         wires = op.a_wires + op.b_wires + (() if op.carry_out is None else (op.carry_out,))
         return ('{"kind":"macro_add","wires":[%s],"width":%d,"carry_out":%s}'
@@ -717,10 +725,6 @@ def _macro_json(op) -> str:
                    "false" if op.carry_out is None else "true"))
     kind = "macro_and" if isinstance(op, LogicalAnd) else "macro_unand"
     return '{"kind":"%s","wires":[%d,%d,%d]}' % (kind, op.x, op.y, op.target)
-
-
-def _refuse_macro(op) -> str:
-    raise UnexpandedNetlistError(f"{op!r} is not a primitive gate; expand the netlist first")
 
 
 def _pattern(line: dict, sep: str, lower):
@@ -745,49 +749,52 @@ def _pattern(line: dict, sep: str, lower):
 
 class _TextFormat(NamedTuple):
     """How one text format writes gates: ``line`` maps a primitive kind to
-    its formatter f(w0, w1, cbit), ``macro`` writes an op left unlowered,
-    and the AND and uncompute formatters come from ``_pattern``."""
+    its formatter f(w0, w1, cbit), and the AND and uncompute formatters
+    come from ``_pattern``."""
 
     line: dict
-    macro: Callable[[object], str]
     logical_and: Callable[..., str]
     uncompute_and: Callable[..., str]
 
 
-def _text_format(line: dict, sep: str, macro) -> _TextFormat:
+def _text_format(line: dict, sep: str) -> _TextFormat:
     """The format whose gates' text ``sep`` joins."""
-    return _TextFormat(line, macro, _pattern(line, sep, _ColumnWriter.logical_and),
+    return _TextFormat(line, _pattern(line, sep, _ColumnWriter.logical_and),
                        _pattern(line, sep, _ColumnWriter.uncompute_and))
 
 
-_JSON = _text_format(_JSON_GATE, ",", _macro_json)
-_QASM = _text_format(_QASM_LINE, "\n", _refuse_macro)
+_JSON = _text_format(_JSON_GATE, ",")
+_QASM = _text_format(_QASM_LINE, "\n")
 
 
 class _TextWriter:
     """Writes the text of a netlist's gates in one ``_TextFormat``: one
     string per primitive or lowered macro, each one ``str.format`` call.
 
-    Its ``new_wire``/``cx``/``logical_and``/``uncompute_and`` methods are
-    the emitter interface of ``_ColumnWriter``, so ``lower_add_in_place``
-    lowers an adder through it as ``expand`` would.  ``names`` holds each
-    wire's number as a string, converted once, and its length is the wire
-    count after lowering; ``cbit_count`` counts the cbits likewise.
+    It is the emitter ``to_json`` and ``to_qasm`` pass to ``_lower``, so
+    it writes the text of what ``expand`` would write to its columns.
+    ``names`` holds each wire's number as a string, converted once, and
+    its length is the wire count after lowering; ``cbit_count`` counts
+    the cbits likewise.
     """
 
-    __slots__ = ("text", "names", "cbit_count", "_cx", "_and", "_unand")
+    __slots__ = ("text", "names", "cbit_count", "_line", "_cx", "_and", "_unand")
 
     def __init__(self, netlist: Netlist, fmt: _TextFormat) -> None:
         self.text: list[str] = []
         self.names = [*map(str, range(netlist.wire_count))]
         self.cbit_count = netlist.cbit_count
-        self._cx, self._and, self._unand = fmt.line["cx"], fmt.logical_and, fmt.uncompute_and
+        self._line, self._cx = fmt.line, fmt.line["cx"]
+        self._and, self._unand = fmt.logical_and, fmt.uncompute_and
 
     def new_wire(self) -> int:
         names = self.names
         w = len(names)
         names.append(str(w))
         return w
+
+    def gate(self, kind: str, w0: int, w1: int, cbit: int) -> None:
+        self.text.append(self._line[kind](w0, w1, cbit))
 
     def cx(self, c: int, t: int) -> None:
         names = self.names
@@ -803,40 +810,6 @@ class _TextWriter:
         self.cbit_count += 1
 
 
-def _write_text(netlist: Netlist, fmt: _TextFormat, lower: bool) -> _TextWriter:
-    """The one walk over a netlist's gates for ``to_json`` and ``to_qasm``.
-
-    The gate columns of an expanded netlist are formatted row by row.  A
-    list of ops writes each primitive by its kind, and each macro by
-    ``fmt.macro`` or, when ``lower`` is set, as the text of its lowering:
-    the AND macros through their templates, adders through
-    ``blocks.lower_add_in_place``.  That text is what ``expand`` would
-    write to its columns, so it equals the text of ``expand(netlist)``.
-    """
-    from .blocks import lower_add_in_place
-
-    em = _TextWriter(netlist, fmt)
-    line, gates = fmt.line, netlist.gates
-    if isinstance(gates, GateColumns):
-        em.text = [line[k](a, b, c) for k, a, b, c in gates.rows()]
-        return em
-    put = em.text.append
-    for op in gates:
-        if isinstance(op, Gate):
-            put(line[op.kind](op.wires[0], op.wires[-1], op.cbit))
-        elif not lower:
-            put(fmt.macro(op))
-        elif isinstance(op, LogicalAnd):
-            em.logical_and(op.x, op.y, op.target)
-        elif isinstance(op, UncomputeAnd):
-            em.uncompute_and(op.x, op.y, op.target)
-        elif isinstance(op, AddInPlace):
-            lower_add_in_place(em, op)
-        else:
-            raise NetlistError(f"cannot lower {op!r}")
-    return em
-
-
 def to_json(netlist: Netlist, *, lower: bool = False) -> str:
     """Compact JSON: ``wires``, ``registers`` and a ``gates`` list of
     ``kind``/``wires``/``cbit`` entries; ``from_json`` reads it back.
@@ -846,11 +819,15 @@ def to_json(netlist: Netlist, *, lower: bool = False) -> str:
     carry ``width`` and ``carry_out``), or, with ``lower=True``, writes
     the text of ``to_json(expand(netlist))`` straight from the macros,
     with no gate columns built."""
-    em = _write_text(netlist, _JSON, lower)
+    if lower or isinstance(netlist.gates, GateColumns):
+        em = _lower(netlist, _TextWriter(netlist, _JSON))
+        wires, text = len(em.names), em.text
+    else:
+        wires, text = netlist.wire_count, [*map(_json_entry, netlist.gates)]
     registers = json.dumps({name: list(ws) for name, ws in netlist.registers.items()},
                            separators=(",", ":"))
-    return (f'{{"wires":{len(em.names)},"registers":{registers},"gates":['
-            + ",".join(em.text) + "]}\n")
+    return (f'{{"wires":{wires},"registers":{registers},"gates":['
+            + ",".join(text) + "]}\n")
 
 
 def from_json_dict(data: dict) -> Netlist:
@@ -921,7 +898,9 @@ def to_qasm(netlist: Netlist, *, lower: bool = False) -> str:
     A macro raises ``UnexpandedNetlistError`` unless ``lower=True``,
     which writes the text of ``to_qasm(expand(netlist))`` straight from
     the macros, with no gate columns built."""
-    em = _write_text(netlist, _QASM, lower)
+    if not lower and netlist.has_macros:
+        raise UnexpandedNetlistError("the netlist has macro ops; expand it first")
+    em = _lower(netlist, _TextWriter(netlist, _QASM))
     wires, cbits = len(em.names), em.cbit_count
     head = [f"// wires: {wires}", f"qreg q[{wires}];"] + ([f"creg c[{cbits}];"] if cbits else [])
     return "\n".join(head + em.text) + "\n"

@@ -2,20 +2,23 @@
 
 The result still runs on the classical basis engine, which makes the
 adders' internal carry logic and ancilla hygiene directly checkable.  It
-goes through the same ``lower_add_in_place`` that ``expand`` uses, with
-an emitter that appends validated macro ops instead of writing gates.
+goes through the same ``ir._lower`` walk that ``expand`` uses, with an
+emitter that appends validated ops instead of writing gates.
 """
 
-from qsquare.blocks import lower_add_in_place
-from qsquare.ir import AddInPlace, LogicalAnd, Netlist, UncomputeAnd
+from qsquare.ir import Gate, LogicalAnd, Netlist, UncomputeAnd, _lower
 
 
 class MacroEmitter:
-    """The ``lower_add_in_place`` emitter interface over a list-form netlist."""
+    """The ``_lower`` emitter interface over a list-form netlist: every
+    primitive and AND macro passes through, every adder is lowered."""
 
     def __init__(self, out: Netlist) -> None:
         self.out = out
         self.new_wire = out.new_wire
+
+    def gate(self, kind: str, w0: int, w1: int, cbit: int) -> None:
+        self.out.append(Gate(kind, (w0,) if w1 < 0 else (w0, w1), None if cbit < 0 else cbit))
 
     def cx(self, c: int, t: int) -> None:
         self.out.add_gate("cx", c, t)
@@ -33,10 +36,5 @@ def lower_adders(netlist: Netlist) -> Netlist:
     out.wire_count = netlist.wire_count
     out.cbit_count = netlist.cbit_count
     out.registers = dict(netlist.registers)
-    emitter = MacroEmitter(out)
-    for op in netlist.gates:
-        if isinstance(op, AddInPlace):
-            lower_add_in_place(emitter, op)
-        else:
-            out.append(op)
+    _lower(netlist, MacroEmitter(out))
     return out

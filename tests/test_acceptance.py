@@ -17,7 +17,6 @@ from qsquare.blocks import (
     adder_and_count,
     build_logical_and,
     build_uncompute_and,
-    logical_and_report,
 )
 from qsquare.cli import main
 from qsquare.costs import (
@@ -100,11 +99,15 @@ def test_criterion_2_block_semantics_statevector():
 
 @report(3, "logical-AND block budget exactly T=4, T-depth=2, CNOT=6, CNOT-depth=4")
 def test_criterion_3_block_budgets_exact():
-    _, measured = logical_and_report()
-    assert measured.t_count == 4
-    assert measured.t_depth == 2
-    assert measured.cnot_count == 6
-    assert measured.cnot_depth == 4
+    nl = Netlist()
+    x, y = nl.alloc_register("xy", 2, "input")
+    build_logical_and(nl, x, y)
+    t_count, t_depth, cnot_count, cnot_depth, wires = nl.measure()
+    assert t_count == 4
+    assert t_depth == 2
+    assert cnot_count == 6
+    assert cnot_depth == 4
+    assert wires == 3  # one ancilla
 
 
 @report(4, "closed forms exact at n=5,6 and KQ_T = qubits x T-depth for n=5..50")

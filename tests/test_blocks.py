@@ -1,4 +1,5 @@
-"""Sub-circuit builders: AND truth table, uncompute hygiene, adder oracle, budgets."""
+"""Sub-circuit builders: AND truth table, uncompute hygiene, adder oracle,
+and the measured costs of the blocks against ``costs.adder_counts``."""
 
 import itertools
 
@@ -6,17 +7,13 @@ import numpy as np
 import pytest
 
 from qsquare.blocks import (
-    BlockBudget,
-    LOGICAL_AND_BUDGET,
     adder_and_count,
-    adder_budget,
-    adder_report,
     build_adder_in_place,
     build_logical_and,
     build_uncompute_and,
-    logical_and_report,
 )
-from qsquare.ir import Netlist, NetlistError, expand
+from qsquare.costs import _paper_adder_counts, adder_counts
+from qsquare.ir import Netlist, NetlistError, count_gates, expand, schedule_asap
 from qsquare.sim import (
     UncomputeMisuseError,
     lane_planes,
@@ -195,13 +192,12 @@ def test_corrupted_adder_is_caught():
     assert mismatch >= 1
 
 
-# ---- budgets -----------------------------------------------------------------
+# ---- costs -------------------------------------------------------------------
 
 def test_logical_and_budget_is_exact():
-    published, measured = logical_and_report()
-    assert published == LOGICAL_AND_BUDGET
-    assert measured == BlockBudget(t_count=4, t_depth=2, cnot_count=6,
-                                   cnot_depth=4, ancillae=1)
+    nl, *_ = and_netlist()
+    # T, T-depth, CNOT, CNOT-depth, and one ancilla past the two inputs
+    assert nl.measure() == (4, 2, 6, 4, 3)
 
 
 def test_and_count_is_a_documented_function_of_width_and_mode():
@@ -211,42 +207,25 @@ def test_and_count_is_a_documented_function_of_width_and_mode():
 
 
 def test_adder_published_budget_n6_first_stage():
-    # 2n-3 = 9-bit operands at n=6
-    budget = adder_budget(9)
-    assert budget.cnot_count == 99
-    assert budget.cnot_depth == 66
-    assert budget.t_count == 32
-    assert budget.t_depth == 16
-
-
-def test_adder_report_m9_with_carry():
-    rep = adder_report(9, True)
-    assert rep.published.cnot_count == 99
-    assert rep.published.cnot_depth == 66
+    # 2n-3 = 9-bit operands at n=6: the paper books an AND per bit
+    assert _paper_adder_counts(9) == (36, 99)
     # the chosen realization: m ANDs (6 internal CNOTs each) + 6m-6 explicit
-    assert rep.and_count == 9
-    assert rep.measured.t_count == 4 * 9
-    assert rep.measured.cnot_count == 12 * 9 - 6
-    assert rep.delta.cnot_count == 3
-    assert rep.delta.t_count == 4
-    assert rep.and_count_per_size == 9 and rep.and_count_per_t == 8
-
-
-def test_adder_report_m9_without_carry():
-    rep = adder_report(9, False)
-    assert rep.and_count == 8
-    assert rep.measured.t_count == 4 * 8 == rep.published.t_count
-    assert rep.delta.t_count == 0
-    assert rep.measured.cnot_count == 12 * 9 - 15
-    assert rep.delta.cnot_count == -6
+    assert adder_counts(9, True) == (4 * 9, 12 * 9 - 6)
+    assert adder_counts(9, False) == (4 * 8, 12 * 9 - 15)
 
 
 @pytest.mark.parametrize("m", range(2, 11))
 @pytest.mark.parametrize("carry", [True, False])
 def test_adder_measured_budget_formulas(m, carry):
-    rep = adder_report(m, carry)
+    nl, *_ = adder_netlist(m, carry)
+    full = expand(nl)
     ands = adder_and_count(m, carry)
-    assert rep.measured.t_count == 4 * ands
-    assert rep.measured.cnot_count == 6 * ands + (6 * m - 6 if carry else 6 * m - 9)
-    assert rep.measured.t_depth <= 2 * ands
-    assert rep.measured.ancillae == ands
+    t_count, cnot_count = adder_counts(m, carry)
+    assert count_gates(full) == (t_count, cnot_count)
+    assert (t_count, cnot_count) == (4 * ands, 6 * ands + (6 * m - 6 if carry else 6 * m - 9))
+    assert full.wire_count - 2 * m == ands  # ancillae, the carry-out among them
+    assert schedule_asap(nl)[0] <= 2 * ands
+    # against the paper's booking, per stage: the first (with carry-out)
+    # and each carry-less one
+    paper_t, paper_cnot = _paper_adder_counts(m)
+    assert (t_count - paper_t, cnot_count - paper_cnot) == ((0, 3) if carry else (-4, -6))

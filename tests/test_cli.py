@@ -63,6 +63,8 @@ def test_synth_qasm_is_fully_primitive(capsys):
     assert code == 0
     assert "macro" not in out
     assert "cx q[" in out
+    # qasm always expands, so --expanded is accepted and changes nothing
+    assert run(["synth", "5", "--format", "qasm", "--expanded"], capsys) == (0, out, "")
 
 
 def test_synth_deterministic_byte_identical(tmp_path, capsys):
@@ -171,6 +173,11 @@ def test_verify_range_outside_basis_window(capsys):
 def test_verify_bad_mutate_spec(capsys):
     code, _, _ = run(["verify", "5", "--mutate", "zap:1"], capsys)
     assert code == 2
+    # a digit str.isdigit accepts but int() refuses
+    code, out, err = run(["verify", "5", "--mutate", "drop-gate:\u00b2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qsq: --mutate expects ") and err.count("\n") == 1
 
 
 def test_verify_mutate_refused_for_block_battery(capsys):
@@ -224,6 +231,8 @@ def test_compare_unknown_design(capsys):
     (["verify", "5.."], "has no upper end"),
     (["compare", "5..6", "--designs", "thapliyal", "--measured"],
      "--measured measures the proposed design"),
+    (["synth", "5", "--format", "grid", "--expanded"],
+     "--expanded lowers the netlist, which --format grid does not write"),
 ])
 def test_compare_and_verify_refuse_input_they_would_ignore(argv, message, capsys):
     code, out, err = run(argv, capsys)

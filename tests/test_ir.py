@@ -311,6 +311,18 @@ def test_expand_without_macros_is_identity():
     assert expand(nl) == nl
 
 
+@pytest.mark.parametrize("walk", [expand, schedule_asap,
+                                  lambda nl: to_json(nl, lower=True),
+                                  lambda nl: to_qasm(nl, lower=True)],
+                         ids=["expand", "schedule_asap", "to_json", "to_qasm"])
+def test_lowering_refuses_an_op_of_no_known_type(walk):
+    # append refuses such an op, so it can only be assigned into gates
+    nl = single_and_netlist()
+    nl.gates.append(("cx", (0, 1)))
+    with pytest.raises(NetlistError, match=r"^cannot lower \('cx', \(0, 1\)\)$"):
+        walk(nl)
+
+
 def test_expand_is_idempotent():
     nl = single_and_netlist()
     nl.append(UncomputeAnd(0, 1, 2))
