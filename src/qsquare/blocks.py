@@ -10,6 +10,14 @@ kept as the extra sum bit, giving m ANDs for an m-bit adder; without it
 the top stage is dropped and m-1 ANDs remain.  The caller of the
 carry-less variant guarantees the addition cannot overflow.
 
+Lowered, an m-bit adder with k ANDs is a head AND (c_1 = a_0 b_0), a
+run of k-1 identical carry cells (``cx w,x; cx w,y; AND x,y->t;
+cx w,t`` over w = c_i, x = a_i, y = b_i, t = c_{i+1}), the two CNOTs of
+the top sum bit, a run of m-2 identical release cells (``cx w,t;
+unAND x,y,t; cx w,x; cx x,y``, bits m-2 down to 1) and the tail
+(``unAND a_0,b_0,c_1; cx a_0,b_0``).  ``lower_add_in_place`` hands each
+run to the emitter in one call, over the run's wire columns.
+
 What the blocks cost once lowered is stated in ``costs.adder_counts``,
 beside the paper's booking of them.
 """
@@ -55,32 +63,35 @@ def adder_and_count(m: int, with_carry_out: bool) -> int:
 
 
 def lower_add_in_place(em, add: AddInPlace) -> None:
-    """Lower one AddInPlace to CNOTs and AND/uncompute-AND stages,
-    written in order through the emitter ``em``.
+    """Lower one AddInPlace to CNOTs, AND/uncompute-AND stages and two
+    runs of ripple cells, written in order through the emitter ``em``.
 
-    ``em`` provides ``new_wire()`` for the internal carry ancillae and
-    ``cx(c, t)``, ``logical_and(x, y, t)`` and ``uncompute_and(x, y, t)``.
-    ``ir._lower``, the one walk that lowers a netlist's ops, calls this
-    for every adder with the emitter of its caller: gate columns for
-    ``expand``, ASAP layers for ``schedule_asap``, text for ``to_json``
-    and ``to_qasm``.  The pre-allocated carry-out wire (when present)
-    doubles as the top AND target.
+    ``em`` provides ``new_wire()`` for the internal carry ancillae,
+    ``cx(c, t)``, ``logical_and(x, y, t)``, ``uncompute_and(x, y, t)``,
+    and ``carry_cells(w, x, y, t)`` and ``release_cells(w, x, y, t)``,
+    each of which writes a run of cells, cell j over the wires
+    (w[j], x[j], y[j], t[j]); the cells are defined by
+    ``ir._ColumnWriter.carry_cell`` and ``release_cell``.  ``ir._lower``,
+    the one walk that lowers a netlist's ops, calls this for every adder
+    with the emitter of its caller: gate columns for ``expand``, ASAP
+    layers for ``schedule_asap``, text for ``to_json`` and ``to_qasm``.
+    The pre-allocated carry-out wire (when present) doubles as the top
+    AND target.
     """
     a, b = add.a_wires, add.b_wires
     m = len(a)
     k = adder_and_count(m, add.carry_out is not None)  # carries c_1..c_k
-    cx, logical_and, uncompute_and = em.cx, em.logical_and, em.uncompute_and
+    cx = em.cx
 
-    # forward: c_1 = a_0 b_0, then c_{i+1} = c_i ^ ((a_i^c_i)(b_i^c_i))
-    w = [-1, em.new_wire()]  # carry index -> wire
-    logical_and(a[0], b[0], w[1])
-    for i in range(1, k):
-        cx(w[i], a[i])
-        cx(w[i], b[i])
-        # i + 1 == m only when there is a carry-out (k == m)
-        w.append(add.carry_out if i + 1 == m else em.new_wire())
-        logical_and(a[i], b[i], w[i + 1])
-        cx(w[i], w[i + 1])
+    # carry index -> wire: c_1..c_{m-1} on fresh wires, c_m on the carry-out
+    w = [-1] + [em.new_wire() for _ in range(m - 1)]
+    if add.carry_out is not None:
+        w.append(add.carry_out)
+
+    # forward: c_1 = a_0 b_0, then the carry cell of each bit i = 1..k-1,
+    # c_{i+1} = c_i ^ ((a_i^c_i)(b_i^c_i)) over (c_i, a_i, b_i, c_{i+1})
+    em.logical_and(a[0], b[0], w[1])
+    em.carry_cells(w[1:k], a[1:k], b[1:k], w[2:k + 1])
 
     # top sum bit
     if add.carry_out is not None:
@@ -90,14 +101,10 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
         cx(a[m - 1], b[m - 1])
         cx(w[m - 1], b[m - 1])
 
-    # descending: release c_{i+1}, then finalize bit i (bit m-1 was
-    # finalized above; the carry-out wire, when present, is never released)
-    for i in range(m - 2, 0, -1):
-        cx(w[i], w[i + 1])  # back to the bare AND value
-        uncompute_and(a[i], b[i], w[i + 1])
-        cx(w[i], a[i])
-        cx(a[i], b[i])
+    # descending: the release cell of each bit i = m-2..1 frees c_{i+1}
+    # and finalizes bit i (bit m-1 was finalized above; the carry-out
+    # wire, when present, is never released)
+    em.release_cells(w[m - 2:0:-1], a[m - 2:0:-1], b[m - 2:0:-1], w[m - 1:1:-1])
 
-    uncompute_and(a[0], b[0], w[1])
+    em.uncompute_and(a[0], b[0], w[1])
     cx(a[0], b[0])
-

@@ -41,10 +41,11 @@ class _UsageError(Exception):
 
 
 def _parse_n(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise _UsageError(f"width must be an integer, got {text!r}")
+    # ASCII digits only: int() would also take "1_0", " 6" and other
+    # scripts' digits, and run a width the user did not write
+    if not (text.isascii() and text.isdigit()):
+        raise _UsageError(f"width must be an integer in ASCII digits, got {text!r}")
+    n = int(text)
     if n <= 4:
         raise _UsageError(f"input width must satisfy n > 4, got n={n}")
     return n

@@ -37,25 +37,36 @@ name the fault.
 
 A netlist being built keeps its ops in a plain list.  ``_lower`` is
 the one walk that lowers a netlist's ops, and the only code that
-dispatches on op type: it hands every primitive, every AND macro and,
-through ``blocks.lower_add_in_place``, every gate of an adder to an
-emitter.  Three emitters read the walk:
+dispatches on op type: it hands every primitive and every AND macro to
+an emitter, and every adder to ``blocks.lower_add_in_place``, which
+hands the emitter the adder's head AND, top CNOTs and tail one by one
+and each of its two runs of ripple cells (``carry_cells``,
+``release_cells``) in one call.  ``_ColumnWriter``'s ``logical_and``,
+``uncompute_and``, ``carry_cell`` and ``release_cell`` are the one
+definition of those gate patterns: the column templates of a run of
+cells and every text template are derived from them at import, and
+``_DepthWriter``'s closed-form steps are tested against them.  Three
+emitters read the walk:
 
 - ``expand`` writes the primitives into ``GateColumns``: a ``list``
   subclass whose own storage holds each gate's kind string, beside list
   columns of the first wire, the second wire and the classical bit (-1
   where a gate has none).  The lowering is trusted and never builds a
   ``Gate``: an AND is one constant 14-kind pattern plus one ``extend``
-  per column.  ``count_gates`` (T and CNOT counts) reads the columns
-  directly, and packs a list of primitives into columns first.
+  per column, and a run of cells extends the kind storage by the cell's
+  kinds times the run length and each column by one ``zip`` over the
+  run's wire columns.  ``count_gates`` (T and CNOT counts) reads the
+  columns directly, and packs a list of primitives into columns first.
 - ``schedule_asap`` (T- and CNOT-depth) layers the gates with no
-  columns built: each AND or uncompute in one closed-form max-plus step,
-  so the depths of a macro netlist equal those of its expansion.
+  columns built: each AND, uncompute or ripple cell in one closed-form
+  max-plus step, so the depths of a macro netlist equal those of its
+  expansion.
 - ``to_json`` and ``to_qasm`` write the text of the expansion with one
-  template per primitive kind, each AND or uncompute one ``str.format``
-  of a template derived at import from ``_ColumnWriter``, the one
-  definition of those gate patterns.  Only ``to_json`` without
-  ``lower`` keeps macros, as macro entries, in a loop of its own.
+  template per primitive kind, each AND, uncompute or ripple cell one
+  ``str.format`` of a template derived by ``_pattern``, and a run of
+  cells one ``map`` of its template over the run's wire names.  Only
+  ``to_json`` without ``lower`` keeps macros, as macro entries, in a
+  loop of its own.
 
 ``Gate`` tuples are built only for consumers that iterate, index or
 compare the gates (the simulators and the tests).  ``Netlist.measure``
@@ -69,6 +80,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 
@@ -473,18 +485,20 @@ class _ColumnWriter:
     """Writes lowered primitives into an output netlist's gate columns.
 
     It is the emitter ``expand`` passes to ``_lower``.  Its
-    ``logical_and`` and ``uncompute_and`` are the one
-    definition of those gate patterns: serialization derives its text
-    templates from them, and ``_DepthWriter``'s closed-form layering of
-    them is tested against them.
+    ``logical_and`` and ``uncompute_and`` and an adder's two ripple
+    cells, ``carry_cell`` and ``release_cell``, are the one definition of
+    those gate patterns: ``carry_cells`` and ``release_cells`` write a run
+    of cells from column templates derived from them at import,
+    serialization derives its text templates from them, and
+    ``_DepthWriter``'s closed-form layering of them is tested against them.
     """
 
-    __slots__ = ("new_wire", "_new_cbit", "_kind", "_kinds",
+    __slots__ = ("new_wire", "_out", "_kind", "_kinds",
                  "_w0", "_w1", "_cbit", "_w0s", "_w1s", "_cbits")
 
     def __init__(self, out: Netlist) -> None:
         cols = out.gates
-        self.new_wire, self._new_cbit = out.new_wire, out.new_cbit
+        self.new_wire, self._out = out.new_wire, out
         # bound to the kind storage itself, past GateColumns' own methods
         self._kind, self._kinds = list.append.__get__(cols), list.extend.__get__(cols)
         self._w0, self._w1, self._cbit = cols.w0.append, cols.w1.append, cols.cbit.append
@@ -509,11 +523,74 @@ class _ColumnWriter:
         self._cbits(_NO_CBITS)
 
     def uncompute_and(self, x: int, y: int, t: int) -> None:
-        cbit = self._new_cbit()
+        cbit = self._out.new_cbit()
         self._kinds(("mx", "ccz_classical"))
         self._w0s((t, x))
         self._w1s((-1, y))
         self._cbits((cbit, cbit))
+
+    def carry_cell(self, w: int, x: int, y: int, t: int) -> None:
+        """One forward cell of an adder: with w = c_i, x = a_i and y = b_i,
+        the fresh wire t gets c_{i+1} = c_i ^ ((a_i^c_i)(b_i^c_i))."""
+        self.cx(w, x)
+        self.cx(w, y)
+        self.logical_and(x, y, t)
+        self.cx(w, t)
+
+    def release_cell(self, w: int, x: int, y: int, t: int) -> None:
+        """The cell that follows the carry cell over the same wires back,
+        with one cbit for its uncompute: t is released, x is a_i again
+        and y holds sum bit i, a_i ^ b_i ^ c_i."""
+        self.cx(w, t)
+        self.uncompute_and(x, y, t)
+        self.cx(w, x)
+        self.cx(x, y)
+
+    def carry_cells(self, w: Sequence[int], x: Sequence[int],
+                    y: Sequence[int], t: Sequence[int]) -> None:
+        """A run of carry cells, cell j over (w[j], x[j], y[j], t[j])."""
+        self._cells(_CARRY_COLUMNS, w, x, y, t, ())
+
+    def release_cells(self, w: Sequence[int], x: Sequence[int],
+                      y: Sequence[int], t: Sequence[int]) -> None:
+        """A run of release cells, cell j over (w[j], x[j], y[j], t[j])."""
+        out = self._out
+        first = out.cbit_count
+        out.cbit_count = first + len(w)
+        self._cells(_RELEASE_COLUMNS, w, x, y, t, range(first, out.cbit_count))
+
+    def _cells(self, template, *columns) -> None:
+        # each gate column of the run is one zip over the run's columns, a
+        # template role r picking columns[r]: the wires, the cbits, and
+        # for role -1 (no wire or cbit) the last column, of -1s
+        kinds, roles = template
+        n = len(columns[0])
+        columns += ((-1,) * n,)
+        self._kinds(kinds * n)
+        for extend, role in zip((self._w0s, self._w1s, self._cbits), roles):
+            extend(chain.from_iterable(zip(*map(columns.__getitem__, role))))
+
+
+def _lowered(lower, wires: int) -> GateColumns:
+    """The gate columns that ``lower``, a ``_ColumnWriter`` method, writes
+    over wires 0..wires-1, its cbits numbered from ``wires`` on."""
+    nl = Netlist()
+    nl.wire_count = nl.cbit_count = wires
+    cols = nl.gates = GateColumns()
+    lower(_ColumnWriter(nl), *range(wires))
+    return cols
+
+
+def _cell_columns(lower):
+    """(kinds, roles) of one cell: its kind sequence, and its w0, w1 and
+    cbit columns written over wires 0..3 and cbit 4, which
+    ``_ColumnWriter._cells`` reads as roles."""
+    cols = _lowered(lower, 4)
+    return tuple(list.__iter__(cols)), (cols.w0, cols.w1, cols.cbit)
+
+
+_CARRY_COLUMNS = _cell_columns(_ColumnWriter.carry_cell)
+_RELEASE_COLUMNS = _cell_columns(_ColumnWriter.release_cell)
 
 
 def _lower(netlist: Netlist, em):
@@ -524,8 +601,9 @@ def _lower(netlist: Netlist, em):
     ``em.gate(kind, w0, w1, cbit)``, with -1 for a missing second wire or
     cbit; an AND macro to ``em.logical_and(x, y, target)`` or
     ``em.uncompute_and(x, y, target)``; an adder to
-    ``blocks.lower_add_in_place``, which also calls ``em.new_wire`` and
-    ``em.cx``.  Any other op raises ``NetlistError``.
+    ``blocks.lower_add_in_place``, which also calls ``em.new_wire``,
+    ``em.cx`` and, once per run of ripple cells, ``em.carry_cells`` or
+    ``em.release_cells``.  Any other op raises ``NetlistError``.
     """
     from .blocks import lower_add_in_place
 
@@ -597,9 +675,10 @@ class _DepthWriter:
     """ASAP layering of the gates written to it.
 
     It is the emitter ``schedule_asap`` passes to ``_lower``: ``gate``
-    layers one primitive, and ``logical_and`` and
-    ``uncompute_and`` give in one closed-form step the layers of their
-    lowered patterns, numbering cbits from ``cbit_count`` as ``expand`` does.
+    layers one primitive, and ``logical_and``, ``uncompute_and`` and each
+    cell of ``carry_cells`` and ``release_cells`` give in one closed-form
+    step the layers of their lowered patterns, numbering cbits from
+    ``cbit_count`` as ``expand`` does.
     """
 
     __slots__ = ("last", "open", "meas", "t_layers", "cnot_layers", "cbit_count")
@@ -678,6 +757,46 @@ class _DepthWriter:
         last[x] = last[y] = max(last[x], last[y], m) + 1
         open_[x] = open_[y] = open_[t] = 0
 
+    def carry_cells(self, ws, xs, ys, ts) -> None:
+        # cx w->x, then cx w->y joining that fan-out when it can, the AND
+        # on (x, y, t), whose CNOTs from x and y cannot join (both were
+        # just targets), and cx w->t; every layer from the AND's second
+        # CNOT on sits a fixed number of layers after it
+        last, open_ = self.last, self.open
+        t_layers, cnot_layers = self.t_layers, self.cnot_layers
+        for w, x, y, t in zip(ws, xs, ys, ts):
+            j, lw, lx = open_[w], last[w], last[x]
+            l1 = j if j and lx < j else (lw if lw > lx else lx) + 1
+            ly = last[y]
+            l2 = l1 if ly < l1 else ly + 1
+            lt = last[t] + 2  # the AND's first T, on t
+            l3 = (l1 if l1 > lt else lt) + 1
+            l4 = (l2 if l2 > l3 else l3) + 1
+            t_layers.update((lt, l4 + 2))
+            cnot_layers.update((l1, l2, l3, l4, l4 + 1, l4 + 3, l4 + 6))
+            last[x] = last[y] = l4 + 3
+            last[w] = last[t] = open_[w] = l4 + 6
+            open_[x] = open_[y] = open_[t] = 0
+
+    def release_cells(self, ws, xs, ys, ts) -> None:
+        # cx w->t, joining an open fan-out of w when it can, the
+        # uncompute's mx on t and ccz_classical on (x, y), then cx w->x
+        # and cx x->y, each one layer after the other
+        last, open_, meas = self.last, self.open, self.meas
+        cnot_layers = self.cnot_layers
+        cbit = self.cbit_count
+        for w, x, y, t in zip(ws, xs, ys, ts):
+            j, lw, lt = open_[w], last[w], last[t]
+            l1 = j if j and lt < j else (lw if lw > lt else lt) + 1
+            last[t] = meas[cbit] = l1 + 1
+            cbit += 1
+            l2 = max(last[x], last[y], l1 + 1) + 1
+            cnot_layers.update((l1, l2 + 1, l2 + 2))
+            last[w] = open_[w] = l2 + 1
+            last[x] = last[y] = open_[x] = l2 + 2
+            open_[y] = open_[t] = 0
+        self.cbit_count = cbit
+
 
 def schedule_asap(netlist: Netlist) -> tuple[int, int]:
     """Greedy as-soon-as-possible layering in one walk over a netlist's
@@ -723,44 +842,50 @@ def _json_entry(op) -> str:
         return ('{"kind":"macro_add","wires":[%s],"width":%d,"carry_out":%s}'
                 % (",".join(map(str, wires)), len(op.a_wires),
                    "false" if op.carry_out is None else "true"))
-    kind = "macro_and" if isinstance(op, LogicalAnd) else "macro_unand"
+    if isinstance(op, LogicalAnd):
+        kind = "macro_and"
+    elif isinstance(op, UncomputeAnd):
+        kind = "macro_unand"
+    else:
+        raise NetlistError(f"cannot write {op!r}")
     return '{"kind":"%s","wires":[%d,%d,%d]}' % (kind, op.x, op.y, op.target)
 
 
-def _pattern(line: dict, sep: str, lower):
-    """The formatter of the text one macro lowers to, called as
-    f(x, y, target, cbit) with the wires and cbit as strings.
+def _pattern(line: dict, sep: str, lower, wires: int):
+    """The formatter of the text one macro or cell lowers to, called with
+    its ``wires`` wires and then its cbit, if it has one, as strings.
 
-    ``lower`` (a ``_ColumnWriter`` method) writes the macro once over
-    wires 0, 1, 2 and cbit 0; each gate is formatted by ``line`` with a
-    mark per wire and one for the cbit, and the marks become the format
-    fields, so the template and the column lowering share one definition.
+    ``lower`` (a ``_ColumnWriter`` method) writes the pattern once over
+    wires 0..wires-1 and cbit ``wires``; each gate is formatted by
+    ``line`` with a mark per wire and one for the cbit, and the marks
+    become the format fields, so the template and the column lowering
+    share one definition.
     """
-    nl = Netlist()
-    nl.wire_count = 3
-    cols = nl.gates = GateColumns()
-    lower(_ColumnWriter(nl), 0, 1, 2)
-    marks = {-1: "", 0: "\0", 1: "\1", 2: "\2"}
-    text = sep.join(line[k](marks[a], marks[b], "\3" if c == 0 else "")
-                    for k, a, b, c in cols.rows())
-    return text.translate({ord("{"): "{{", ord("}"): "}}",
-                           0: "{0}", 1: "{1}", 2: "{2}", 3: "{3}"}).format
+    marks = [*map(chr, range(wires + 1)), ""]  # the last, "", for -1
+    text = sep.join(line[k](marks[a], marks[b], marks[c])
+                    for k, a, b, c in _lowered(lower, wires).rows())
+    fields = {i: "{%d}" % i for i in range(wires + 1)}
+    return text.translate({ord("{"): "{{", ord("}"): "}}", **fields}).format
 
 
 class _TextFormat(NamedTuple):
     """How one text format writes gates: ``line`` maps a primitive kind to
-    its formatter f(w0, w1, cbit), and the AND and uncompute formatters
-    come from ``_pattern``."""
+    its formatter f(w0, w1, cbit), and the AND, uncompute and ripple-cell
+    formatters come from ``_pattern``."""
 
     line: dict
     logical_and: Callable[..., str]
     uncompute_and: Callable[..., str]
+    carry_cell: Callable[..., str]
+    release_cell: Callable[..., str]
 
 
 def _text_format(line: dict, sep: str) -> _TextFormat:
     """The format whose gates' text ``sep`` joins."""
-    return _TextFormat(line, _pattern(line, sep, _ColumnWriter.logical_and),
-                       _pattern(line, sep, _ColumnWriter.uncompute_and))
+    return _TextFormat(line, _pattern(line, sep, _ColumnWriter.logical_and, 3),
+                       _pattern(line, sep, _ColumnWriter.uncompute_and, 3),
+                       _pattern(line, sep, _ColumnWriter.carry_cell, 4),
+                       _pattern(line, sep, _ColumnWriter.release_cell, 4))
 
 
 _JSON = _text_format(_JSON_GATE, ",")
@@ -769,7 +894,8 @@ _QASM = _text_format(_QASM_LINE, "\n")
 
 class _TextWriter:
     """Writes the text of a netlist's gates in one ``_TextFormat``: one
-    string per primitive or lowered macro, each one ``str.format`` call.
+    string per primitive, lowered macro or ripple cell, each one
+    ``str.format`` call, a run of cells one ``map`` over its columns.
 
     It is the emitter ``to_json`` and ``to_qasm`` pass to ``_lower``, so
     it writes the text of what ``expand`` would write to its columns.
@@ -778,7 +904,8 @@ class _TextWriter:
     the cbits likewise.
     """
 
-    __slots__ = ("text", "names", "cbit_count", "_line", "_cx", "_and", "_unand")
+    __slots__ = ("text", "names", "cbit_count", "_line", "_cx", "_and", "_unand",
+                 "_carry", "_release")
 
     def __init__(self, netlist: Netlist, fmt: _TextFormat) -> None:
         self.text: list[str] = []
@@ -786,6 +913,7 @@ class _TextWriter:
         self.cbit_count = netlist.cbit_count
         self._line, self._cx = fmt.line, fmt.line["cx"]
         self._and, self._unand = fmt.logical_and, fmt.uncompute_and
+        self._carry, self._release = fmt.carry_cell, fmt.release_cell
 
     def new_wire(self) -> int:
         names = self.names
@@ -808,6 +936,18 @@ class _TextWriter:
         names = self.names
         self.text.append(self._unand(names[x], names[y], names[t], str(self.cbit_count)))
         self.cbit_count += 1
+
+    def carry_cells(self, w, x, y, t) -> None:
+        name = self.names.__getitem__
+        self.text.extend(map(self._carry, map(name, w), map(name, x), map(name, y),
+                             map(name, t)))
+
+    def release_cells(self, w, x, y, t) -> None:
+        name = self.names.__getitem__
+        first = self.cbit_count
+        self.cbit_count = first + len(w)
+        self.text.extend(map(self._release, map(name, w), map(name, x), map(name, y),
+                             map(name, t), map(str, range(first, self.cbit_count))))
 
 
 def to_json(netlist: Netlist, *, lower: bool = False) -> str:

@@ -13,7 +13,16 @@ from qsquare.blocks import (
     build_uncompute_and,
 )
 from qsquare.costs import _paper_adder_counts, adder_counts
-from qsquare.ir import Netlist, NetlistError, count_gates, expand, schedule_asap
+from qsquare.ir import (
+    AddInPlace,
+    Netlist,
+    NetlistError,
+    count_gates,
+    expand,
+    schedule_asap,
+    to_json,
+    to_qasm,
+)
 from qsquare.sim import (
     UncomputeMisuseError,
     lane_planes,
@@ -160,6 +169,23 @@ def test_adder_exhaustive_against_integer_addition(m, carry):
     for w in range(lowered.wire_count):
         if w not in outputs:
             assert not res.wires[w], f"ancilla {w} left dirty"
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+@pytest.mark.parametrize("carry", [True, False], ids=["carry", "modular"])
+def test_bulk_adder_lowering_equals_per_cell_reference(m, carry):
+    """Each emitter writes a run of ripple cells in one call; the tests'
+    macro emitter writes it cell by cell.  m=2 has an empty release run
+    and, without a carry-out, an empty carry run; m=3 has runs of one."""
+    nl, *_ = adder_netlist(m, carry)
+    reference = lower_adders(nl)
+    assert not any(isinstance(op, AddInPlace) for op in reference.gates)
+    full, full_reference = expand(nl), expand(reference)
+    assert full == full_reference
+    assert full.cbit_count == full_reference.cbit_count == m - 1  # one per uncompute
+    assert schedule_asap(nl) == schedule_asap(reference) == schedule_asap(full)
+    assert to_json(nl, lower=True) == to_json(full)
+    assert to_qasm(nl, lower=True) == to_qasm(full)
 
 
 def test_adder_validation():

@@ -233,6 +233,11 @@ def test_compare_unknown_design(capsys):
      "--measured measures the proposed design"),
     (["synth", "5", "--format", "grid", "--expanded"],
      "--expanded lowers the netlist, which --format grid does not write"),
+    # widths int() would read as another width than the one written
+    (["synth", "1_0", "--format", "grid"], "width must be an integer in ASCII digits, got '1_0'"),
+    (["compare", " 6"], "width must be an integer in ASCII digits, got ' 6'"),
+    (["synth", "\u0666"], "width must be an integer in ASCII digits, got '\u0666'"),
+    (["compare", "5..1_0"], "width must be an integer in ASCII digits, got '1_0'"),
 ])
 def test_compare_and_verify_refuse_input_they_would_ignore(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -301,9 +306,11 @@ def test_traced_counters_stay_readable(n):
      "0d6e5ac1966254730b037122f74b6a868cc3ad55c67add87cd85ededac786447"),
     (["synth", "40", "--format", "qasm", "--out"], "q.qasm", 0,
      "f91257f8c046603c959e9f844bb9edcf212ed11801f6d4107e837f829df4314e"),
+    (["synth", "128", "--format", "qasm", "--out"], "q.qasm", 0,
+     "4f5c09f6eaa6de190a212cf13b00b148b72c847572f76537509611fbb2d17255"),
 ], ids=["synth-9-qasm", "compare-5..20-csv", "verify-5..16-both", "verify-5..16-drop-8",
         "synth-16-json", "synth-37-json", "synth-64-grid", "synth-16-json-expanded",
-        "synth-40-qasm"])
+        "synth-40-qasm", "synth-128-qasm"])
 def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, capsys):
     # QASM and the cost CSV are byte-for-byte what the Gate-tuple
     # expansion wrote before the columnar rewrite; the verify reports are
@@ -313,7 +320,9 @@ def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, c
     # the 64-bit grid pins every placement case of a wide layout; the
     # expanded JSON and the 40-bit QASM are what expand-then-format wrote
     # before the text was written straight from the macros, and catch a
-    # template change that moves both ways of writing it at once
+    # template change that moves both ways of writing it at once; the
+    # 128-bit QASM, the width the benchmark exports, is what the adders
+    # wrote gate by gate before each run of ripple cells was written in bulk
     path = tmp_path / name
     code, _, _ = run(argv + [str(path)], capsys)
     assert code == exit_code

@@ -311,15 +311,18 @@ def test_expand_without_macros_is_identity():
     assert expand(nl) == nl
 
 
-@pytest.mark.parametrize("walk", [expand, schedule_asap,
-                                  lambda nl: to_json(nl, lower=True),
-                                  lambda nl: to_qasm(nl, lower=True)],
-                         ids=["expand", "schedule_asap", "to_json", "to_qasm"])
-def test_lowering_refuses_an_op_of_no_known_type(walk):
+@pytest.mark.parametrize("walk, verb", [
+    (expand, "lower"),
+    (schedule_asap, "lower"),
+    (lambda nl: to_json(nl, lower=True), "lower"),
+    (lambda nl: to_qasm(nl, lower=True), "lower"),
+    (to_json, "write"),
+], ids=["expand", "schedule_asap", "to_json", "to_qasm", "to_json-unlowered"])
+def test_lowering_refuses_an_op_of_no_known_type(walk, verb):
     # append refuses such an op, so it can only be assigned into gates
     nl = single_and_netlist()
     nl.gates.append(("cx", (0, 1)))
-    with pytest.raises(NetlistError, match=r"^cannot lower \('cx', \(0, 1\)\)$"):
+    with pytest.raises(NetlistError, match=rf"^cannot {verb} \('cx', \(0, 1\)\)$"):
         walk(nl)
 
 
@@ -622,6 +625,17 @@ def _block_netlists():
         nl.append(UncomputeAnd(a[0], a[1], t))
     nl.gates = [*nl.gates, Gate("ccz_classical", (a[2], a[3]), 2), Gate("t", (a[2],))]
     cases.append(("expansion-cbit", nl))
+    # likewise for the cbit of an adder's second release cell: cbit 0 is
+    # the hand-built mx's, and the release run's cells take 1 and 2
+    nl = Netlist()
+    a = nl.alloc_register("a", 4, "input")
+    b = nl.alloc_register("b", 4, "input")
+    c = nl.alloc_register("c", 3, "input")
+    nl.add_gate("mx", c[2], cbit=0)
+    nl.append(AddInPlace(a, b, None))
+    nl.gates = [*nl.gates, Gate("ccz_classical", (c[0], c[1]), 2),
+                *[Gate("t", (c[0],))] * 3]
+    cases.append(("adder-expansion-cbit", nl))
     return [pytest.param(nl, id=name) for name, nl in cases]
 
 
@@ -648,36 +662,47 @@ def test_lowered_text_equals_text_of_expansion(nl):
     assert to_qasm(full, lower=True) == to_qasm(full)
 
 
-def _replayed(lower, last, open_):
-    """(layer sets, final state) of one macro's lowered gates, written
-    on wires 0..2 by ``lower`` and replayed through ``_DepthWriter.gate``
-    from the given per-wire state, next to those of its template."""
+def _replay_states(lower, step, wires):
+    """Yield, for every start state with layers and open fan-outs in
+    0..4 on wires 0..wires-1, that state and the (layer sets, final
+    state) of the pattern ``lower`` writes on those wires, replayed
+    through ``_DepthWriter.gate``, next to those of ``step``, the
+    writer's closed-form layering of the same pattern."""
     nl = Netlist()
-    nl.wire_count = 3
-    writers = _DepthWriter(nl), _DepthWriter(nl)  # cbits from 0, as lowered
+    nl.wire_count = wires
     cols = nl.gates = GateColumns()
-    lower(_ColumnWriter(nl), 0, 1, 2)
-    results = []
-    for replay, em in zip((True, False), writers):
-        em.last[:], em.open[:] = last, open_
-        if replay:
-            for row in cols.rows():
-                em.gate(*row)
-        else:
-            getattr(em, lower.__name__)(0, 1, 2)
-        results.append((em.t_layers, em.cnot_layers, em.last, em.open, em.meas))
-    return results
+    lower(_ColumnWriter(nl), *range(wires))
+    rows = [*cols.rows()]
+    cbits, nl.cbit_count = nl.cbit_count, 0  # the writers count cbits from 0, as lowered
+    values = range(5)
+    for last in itertools.product(values, repeat=wires):
+        for open_ in itertools.product(values, repeat=wires):
+            replayed, template = _DepthWriter(nl), _DepthWriter(nl)
+            for em in replayed, template:
+                em.last[:], em.open[:] = last, open_
+            for row in rows:
+                replayed.gate(*row)
+            step(template)
+            # gate() layers an mx under its own cbit and counts none
+            replayed.cbit_count = cbits
+            yield (last, open_), [(em.t_layers, em.cnot_layers, em.last, em.open, em.meas,
+                                   em.cbit_count) for em in (replayed, template)]
 
 
 @pytest.mark.parametrize("lower", [_ColumnWriter.logical_and, _ColumnWriter.uncompute_and])
 def test_macro_depth_template_equals_its_gates(lower):
-    # every start state with layers and open fan-outs in 0..4 on the
-    # three wires, which takes each fan-out join both ways
-    values = range(5)
-    for last in itertools.product(values, repeat=3):
-        for open_ in itertools.product(values, repeat=3):
-            replayed, template = _replayed(lower, list(last), list(open_))
-            assert template == replayed, (last, open_)
+    # the three wires' fan-outs in 0..4 take each fan-out join both ways
+    step = lambda em: getattr(em, lower.__name__)(0, 1, 2)
+    for state, (replayed, template) in _replay_states(lower, step, 3):
+        assert template == replayed, state
+
+
+@pytest.mark.parametrize("lower", [_ColumnWriter.carry_cell, _ColumnWriter.release_cell])
+def test_cell_depth_step_equals_its_gates(lower):
+    # one cell of a run, as blocks.lower_add_in_place hands it over
+    step = lambda em: getattr(em, lower.__name__ + "s")([0], [1], [2], [3])
+    for state, (replayed, template) in _replay_states(lower, step, 4):
+        assert template == replayed, state
 
 
 @pytest.mark.parametrize("nl", _block_netlists()
