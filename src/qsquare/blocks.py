@@ -16,7 +16,8 @@ cx w,t`` over w = c_i, x = a_i, y = b_i, t = c_{i+1}), the two CNOTs of
 the top sum bit, a run of m-2 identical release cells (``cx w,t;
 unAND x,y,t; cx w,x; cx x,y``, bits m-2 down to 1) and the tail
 (``unAND a_0,b_0,c_1; cx a_0,b_0``).  ``lower_add_in_place`` hands each
-run to the emitter in one call, over the run's wire columns.
+run, and the head AND and tail uncompute as runs of one, to the emitter
+in one call, over the run's wire columns.
 
 What the blocks cost once lowered is stated in ``costs.adder_counts``,
 beside the paper's booking of them.
@@ -63,20 +64,24 @@ def adder_and_count(m: int, with_carry_out: bool) -> int:
 
 
 def lower_add_in_place(em, add: AddInPlace) -> None:
-    """Lower one AddInPlace to CNOTs, AND/uncompute-AND stages and two
-    runs of ripple cells, written in order through the emitter ``em``.
+    """Lower one AddInPlace to CNOTs, a head AND, two runs of ripple
+    cells and a tail uncompute, written in order through the emitter
+    ``em``.
 
     ``em`` provides ``new_wire()`` for the internal carry ancillae,
-    ``cx(c, t)``, ``logical_and(x, y, t)``, ``uncompute_and(x, y, t)``,
+    ``cx(c, t)``, and four run methods, each of which writes a run of
+    one pattern over the run's wire columns: ``logical_ands(x, y, t)``
+    and ``uncompute_ands(x, y, t)``, pattern j over (x[j], y[j], t[j]),
     and ``carry_cells(w, x, y, t)`` and ``release_cells(w, x, y, t)``,
-    each of which writes a run of cells, cell j over the wires
-    (w[j], x[j], y[j], t[j]); the cells are defined by
-    ``ir._ColumnWriter.carry_cell`` and ``release_cell``.  ``ir._lower``,
-    the one walk that lowers a netlist's ops, calls this for every adder
-    with the emitter of its caller: gate columns for ``expand``, ASAP
-    layers for ``schedule_asap``, text for ``to_json`` and ``to_qasm``.
-    The pre-allocated carry-out wire (when present) doubles as the top
-    AND target.
+    cell j over (w[j], x[j], y[j], t[j]).  The head AND and the tail
+    uncompute are runs of one.  The patterns are defined by
+    ``ir._ColumnWriter``'s ``logical_and``, ``uncompute_and``,
+    ``carry_cell`` and ``release_cell``.  ``ir._lower``, the one walk
+    that lowers a netlist's ops, calls this for every adder with the
+    emitter of its caller: gate columns for ``expand``, ASAP layers for
+    ``schedule_asap``, text for ``to_json`` and ``to_qasm``.  The
+    pre-allocated carry-out wire (when present) doubles as the top AND
+    target.
     """
     a, b = add.a_wires, add.b_wires
     m = len(a)
@@ -90,7 +95,7 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
 
     # forward: c_1 = a_0 b_0, then the carry cell of each bit i = 1..k-1,
     # c_{i+1} = c_i ^ ((a_i^c_i)(b_i^c_i)) over (c_i, a_i, b_i, c_{i+1})
-    em.logical_and(a[0], b[0], w[1])
+    em.logical_ands(a[:1], b[:1], w[1:2])
     em.carry_cells(w[1:k], a[1:k], b[1:k], w[2:k + 1])
 
     # top sum bit
@@ -106,5 +111,5 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
     # wire, when present, is never released)
     em.release_cells(w[m - 2:0:-1], a[m - 2:0:-1], b[m - 2:0:-1], w[m - 1:1:-1])
 
-    em.uncompute_and(a[0], b[0], w[1])
+    em.uncompute_ands(a[:1], b[:1], w[1:2])
     cx(a[0], b[0])

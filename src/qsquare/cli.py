@@ -218,6 +218,71 @@ def _verify_blocks() -> list[dict]:
     return reports
 
 
+# json.dumps(..., indent=2) of the basis sweep's two mismatch shapes, a
+# crashed run and a bad lane, as entries of the report's list
+_CRASH_ENTRY = """    {
+      "input": {
+        "n": %d
+      },
+      "expected": %s,
+      "got": %s
+    }"""
+_LANE_ENTRY = """    {
+      "input": {
+        "n": %d,
+        "a": %d
+      },
+      "expected": {
+        "P": %d,
+        "A": %d,
+        "garbage": %d,
+        "overflow": %d
+      },
+      "got": {
+        "P": %d,
+        "A": %d,
+        "garbage": %d,
+        "overflow": %d
+      }
+    }"""
+_MISMATCH_KEYS = ("input", "expected", "got")
+_LANE_KEYS = ("P", "A", "garbage", "overflow")
+
+
+def _mismatch_entry(m) -> str | None:
+    """The report entry of one mismatch of either basis-sweep shape, as
+    ``json.dumps`` with ``indent=2`` writes it; None for any other shape."""
+    if type(m) is not dict or tuple(m) != _MISMATCH_KEYS:
+        return None
+    given, expected, got = m.values()
+    if type(given) is not dict:
+        return None
+    keys = tuple(given)
+    if keys == ("n",):
+        if type(given["n"]) is int and type(expected) is str and type(got) is str:
+            return _CRASH_ENTRY % (given["n"], json.dumps(expected), json.dumps(got))
+    elif (keys == ("n", "a") and type(expected) is dict and type(got) is dict
+          and tuple(expected) == _LANE_KEYS and tuple(got) == _LANE_KEYS):
+        values = (*given.values(), *expected.values(), *got.values())
+        if all(type(v) is int for v in values):
+            return _LANE_ENTRY % values
+    return None
+
+
+def _report_json(inputs_checked: int, mismatches: list) -> str:
+    """The verify report, byte for byte ``json.dumps(report, indent=2)``
+    (whose encoder runs in Python when it indents): written from
+    ``_CRASH_ENTRY`` and ``_LANE_ENTRY`` when every mismatch has one of
+    their shapes, else by ``json.dumps``, as a statevector block's
+    mismatch needs."""
+    entries = [*map(_mismatch_entry, mismatches)]
+    if type(inputs_checked) is not int or None in entries:
+        return json.dumps({"inputs_checked": inputs_checked, "mismatches": mismatches},
+                          indent=2)
+    listed = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    return '{\n  "inputs_checked": %d,\n  "mismatches": %s\n}' % (inputs_checked, listed)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_range(args.range)
     if args.mode in ("basis-exhaustive", "both"):
@@ -247,9 +312,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     total = sum(r["inputs_checked"] for r in runs)
     mismatches = [m for r in runs for m in r["mismatches"]]
-    report = {"inputs_checked": total, "mismatches": mismatches}
     if args.report:
-        _write(args.report, json.dumps(report, indent=2) + "\n")
+        _write(args.report, _report_json(total, mismatches) + "\n")
     for r in runs:
         label = r.get("block", f"n={r.get('n')}")
         state = "ok" if not r["mismatches"] else f"{len(r['mismatches'])} mismatch(es)"

@@ -37,14 +37,18 @@ name the fault.
 
 A netlist being built keeps its ops in a plain list.  ``_lower`` is
 the one walk that lowers a netlist's ops, and the only code that
-dispatches on op type: it hands every primitive and every AND macro to
-an emitter, and every adder to ``blocks.lower_add_in_place``, which
-hands the emitter the adder's head AND, top CNOTs and tail one by one
-and each of its two runs of ripple cells (``carry_cells``,
-``release_cells``) in one call.  ``_ColumnWriter``'s ``logical_and``,
+dispatches on op type.  It hands each primitive to an emitter, each
+maximal run of consecutive ANDs (or uncomputes) of one type to the
+emitter in one call, over the run's wire columns, and each adder to
+``blocks.lower_add_in_place``, which hands the emitter the adder's head
+AND and tail uncompute as runs of one, its top CNOTs one by one, and
+each of its two runs of ripple cells in one call.  The emitter
+interface is ``new_wire``, ``gate``, ``cx`` and the four run methods
+``logical_ands``, ``uncompute_ands``, ``carry_cells`` and
+``release_cells``.  ``_ColumnWriter``'s ``logical_and``,
 ``uncompute_and``, ``carry_cell`` and ``release_cell`` are the one
-definition of those gate patterns: the column templates of a run of
-cells and every text template are derived from them at import, and
+definition of those four gate patterns: the column templates and text
+skeletons of a run are derived from them at import, and
 ``_DepthWriter``'s closed-form steps are tested against them.  Three
 emitters read the walk:
 
@@ -52,21 +56,22 @@ emitters read the walk:
   subclass whose own storage holds each gate's kind string, beside list
   columns of the first wire, the second wire and the classical bit (-1
   where a gate has none).  The lowering is trusted and never builds a
-  ``Gate``: an AND is one constant 14-kind pattern plus one ``extend``
-  per column, and a run of cells extends the kind storage by the cell's
-  kinds times the run length and each column by one ``zip`` over the
-  run's wire columns.  ``count_gates`` (T and CNOT counts) reads the
-  columns directly, and packs a list of primitives into columns first.
+  ``Gate``: a run of k patterns of g gates extends the kind storage by
+  the pattern's kinds times k, and each column by a list of g*k -1s
+  whose every g-th slot, from each position the pattern fills, is set
+  to one of the run's columns by a slice assignment.  ``count_gates``
+  (T and CNOT counts) reads the columns directly, and packs a list of
+  primitives into columns first.
 - ``schedule_asap`` (T- and CNOT-depth) layers the gates with no
-  columns built: each AND, uncompute or ripple cell in one closed-form
-  max-plus step, so the depths of a macro netlist equal those of its
-  expansion.
+  columns built: each AND, uncompute or ripple cell of a run in one
+  closed-form max-plus step, so the depths of a macro netlist equal
+  those of its expansion.
 - ``to_json`` and ``to_qasm`` write the text of the expansion with one
-  template per primitive kind, each AND, uncompute or ripple cell one
-  ``str.format`` of a template derived by ``_pattern``, and a run of
-  cells one ``map`` of its template over the run's wire names.  Only
-  ``to_json`` without ``lower`` keeps macros, as macro entries, in a
-  loop of its own.
+  template per primitive kind.  A run of one pattern is one
+  ``"".join`` of the pattern's skeleton, its literals repeated once per
+  pattern, with every field's slots filled at once from the run's wire
+  names (or cbit numbers) by a slice assignment.  Only ``to_json``
+  without ``lower`` keeps macros, as macro entries, in a loop of its own.
 
 ``Gate`` tuples are built only for consumers that iterate, index or
 compare the gates (the simulators and the tests).  ``Netlist.measure``
@@ -79,9 +84,10 @@ afterwards; every transformation returns a new netlist.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, NamedTuple, Sequence
+from itertools import groupby
+from typing import NamedTuple, Sequence
 
 
 class NetlistError(Exception):
@@ -487,10 +493,11 @@ class _ColumnWriter:
     It is the emitter ``expand`` passes to ``_lower``.  Its
     ``logical_and`` and ``uncompute_and`` and an adder's two ripple
     cells, ``carry_cell`` and ``release_cell``, are the one definition of
-    those gate patterns: ``carry_cells`` and ``release_cells`` write a run
-    of cells from column templates derived from them at import,
-    serialization derives its text templates from them, and
-    ``_DepthWriter``'s closed-form layering of them is tested against them.
+    those gate patterns: ``logical_ands``, ``uncompute_ands``,
+    ``carry_cells`` and ``release_cells`` write a run of each from
+    column templates derived from them at import, serialization derives
+    its text skeletons from them, and ``_DepthWriter``'s closed-form
+    layering of them is tested against them.
     """
 
     __slots__ = ("new_wire", "_out", "_kind", "_kinds",
@@ -546,29 +553,43 @@ class _ColumnWriter:
         self.cx(w, x)
         self.cx(x, y)
 
+    def logical_ands(self, x: Sequence[int], y: Sequence[int], t: Sequence[int]) -> None:
+        """A run of ANDs, AND j over (x[j], y[j], t[j])."""
+        self._cells(_AND_COLUMNS, x, y, t)
+
+    def uncompute_ands(self, x: Sequence[int], y: Sequence[int], t: Sequence[int]) -> None:
+        """A run of uncomputes, uncompute j over (x[j], y[j], t[j])."""
+        self._cells(_UNAND_COLUMNS, x, y, t, self._new_cbits(len(x)))
+
     def carry_cells(self, w: Sequence[int], x: Sequence[int],
                     y: Sequence[int], t: Sequence[int]) -> None:
         """A run of carry cells, cell j over (w[j], x[j], y[j], t[j])."""
-        self._cells(_CARRY_COLUMNS, w, x, y, t, ())
+        self._cells(_CARRY_COLUMNS, w, x, y, t)
 
     def release_cells(self, w: Sequence[int], x: Sequence[int],
                       y: Sequence[int], t: Sequence[int]) -> None:
         """A run of release cells, cell j over (w[j], x[j], y[j], t[j])."""
+        self._cells(_RELEASE_COLUMNS, w, x, y, t, self._new_cbits(len(w)))
+
+    def _new_cbits(self, k: int) -> range:
         out = self._out
         first = out.cbit_count
-        out.cbit_count = first + len(w)
-        self._cells(_RELEASE_COLUMNS, w, x, y, t, range(first, out.cbit_count))
+        out.cbit_count = first + k
+        return range(first, first + k)
 
     def _cells(self, template, *columns) -> None:
-        # each gate column of the run is one zip over the run's columns, a
-        # template role r picking columns[r]: the wires, the cbits, and
-        # for role -1 (no wire or cbit) the last column, of -1s
-        kinds, roles = template
-        n = len(columns[0])
-        columns += ((-1,) * n,)
-        self._kinds(kinds * n)
-        for extend, role in zip((self._w0s, self._w1s, self._cbits), roles):
-            extend(chain.from_iterable(zip(*map(columns.__getitem__, role))))
+        # a run of k patterns of g gates: each gate column is g*k -1s whose
+        # slots p, p+g, p+2g, ... (the slice ``at``) take the run's column
+        # that the pattern's role at position p picks, a wire's or the cbits
+        kinds, fills = template
+        k = len(columns[0])
+        size = len(kinds) * k
+        self._kinds(kinds * k)
+        for extend, fill in zip((self._w0s, self._w1s, self._cbits), fills):
+            chunk = [-1] * size
+            for at, role in fill:
+                chunk[at] = columns[role]
+            extend(chunk)
 
 
 def _lowered(lower, wires: int) -> GateColumns:
@@ -581,16 +602,23 @@ def _lowered(lower, wires: int) -> GateColumns:
     return cols
 
 
-def _cell_columns(lower):
-    """(kinds, roles) of one cell: its kind sequence, and its w0, w1 and
-    cbit columns written over wires 0..3 and cbit 4, which
-    ``_ColumnWriter._cells`` reads as roles."""
-    cols = _lowered(lower, 4)
-    return tuple(list.__iter__(cols)), (cols.w0, cols.w1, cols.cbit)
+def _cell_columns(lower, wires: int):
+    """(kinds, fills) of one pattern of g gates, written once by ``lower``
+    over wires 0..wires-1 and cbit ``wires``: its kind sequence, and for
+    each of its w0, w1 and cbit columns a (``slice(p, None, g)``, role)
+    pair per position p that holds a wire or the cbit, which
+    ``_ColumnWriter._cells`` fills in a run, the role naming which."""
+    cols = _lowered(lower, wires)
+    g = len(cols)
+    return tuple(list.__iter__(cols)), tuple(
+        tuple((slice(p, None, g), role) for p, role in enumerate(column) if role >= 0)
+        for column in (cols.w0, cols.w1, cols.cbit))
 
 
-_CARRY_COLUMNS = _cell_columns(_ColumnWriter.carry_cell)
-_RELEASE_COLUMNS = _cell_columns(_ColumnWriter.release_cell)
+_AND_COLUMNS = _cell_columns(_ColumnWriter.logical_and, 3)
+_UNAND_COLUMNS = _cell_columns(_ColumnWriter.uncompute_and, 3)
+_CARRY_COLUMNS = _cell_columns(_ColumnWriter.carry_cell, 4)
+_RELEASE_COLUMNS = _cell_columns(_ColumnWriter.release_cell, 4)
 
 
 def _lower(netlist: Netlist, em):
@@ -599,11 +627,15 @@ def _lower(netlist: Netlist, em):
 
     A primitive, a ``GateColumns`` row or a ``Gate`` of a list, goes to
     ``em.gate(kind, w0, w1, cbit)``, with -1 for a missing second wire or
-    cbit; an AND macro to ``em.logical_and(x, y, target)`` or
-    ``em.uncompute_and(x, y, target)``; an adder to
-    ``blocks.lower_add_in_place``, which also calls ``em.new_wire``,
-    ``em.cx`` and, once per run of ripple cells, ``em.carry_cells`` or
-    ``em.release_cells``.  Any other op raises ``NetlistError``.
+    cbit.  Each maximal run of consecutive ``LogicalAnd`` (or
+    ``UncomputeAnd``) ops of one type goes to ``em.logical_ands(x, y, t)``
+    (or ``em.uncompute_ands``) in one call, over the run's columns of x,
+    y and target wires.  An adder goes to ``blocks.lower_add_in_place``,
+    which also calls ``em.new_wire``, ``em.cx`` and the four run
+    methods.  An op of a subclass of one of the four op types lowers as
+    ``isinstance`` dispatches it, in runs of its own type (the walk
+    groups ops by their exact type, which keeps the grouping in C).  Any
+    other op raises ``NetlistError``, once the ops before it are lowered.
     """
     from .blocks import lower_add_in_place
 
@@ -612,19 +644,21 @@ def _lower(netlist: Netlist, em):
         for row in gates.rows():
             gate(*row)
         return em
-    logical_and, uncompute_and = em.logical_and, em.uncompute_and
-    for op in gates:
-        if isinstance(op, LogicalAnd):
-            logical_and(op.x, op.y, op.target)
-        elif isinstance(op, UncomputeAnd):
-            uncompute_and(op.x, op.y, op.target)
-        elif isinstance(op, Gate):
-            kind, wires, cbit = op
-            gate(kind, wires[0], wires[1] if len(wires) > 1 else -1, -1 if cbit is None else cbit)
-        elif isinstance(op, AddInPlace):
-            lower_add_in_place(em, op)
+    logical_ands, uncompute_ands = em.logical_ands, em.uncompute_ands
+    for cls, run in groupby(gates, type):
+        if issubclass(cls, LogicalAnd):
+            logical_ands(*zip(*run))
+        elif issubclass(cls, UncomputeAnd):
+            uncompute_ands(*zip(*run))
+        elif issubclass(cls, Gate):
+            for kind, wires, cbit in run:
+                gate(kind, wires[0], wires[1] if len(wires) > 1 else -1,
+                     -1 if cbit is None else cbit)
+        elif issubclass(cls, AddInPlace):
+            for op in run:
+                lower_add_in_place(em, op)
         else:
-            raise NetlistError(f"cannot lower {op!r}")
+            raise NetlistError(f"cannot lower {next(run)!r}")
     return em
 
 
@@ -675,10 +709,11 @@ class _DepthWriter:
     """ASAP layering of the gates written to it.
 
     It is the emitter ``schedule_asap`` passes to ``_lower``: ``gate``
-    layers one primitive, and ``logical_and``, ``uncompute_and`` and each
-    cell of ``carry_cells`` and ``release_cells`` give in one closed-form
-    step the layers of their lowered patterns, numbering cbits from
-    ``cbit_count`` as ``expand`` does.
+    layers one primitive, and each AND, uncompute or ripple cell of a
+    run given to ``logical_ands``, ``uncompute_ands``, ``carry_cells`` or
+    ``release_cells`` takes one closed-form step to the layers of its
+    lowered pattern, numbering cbits from ``cbit_count`` as ``expand``
+    does.
     """
 
     __slots__ = ("last", "open", "meas", "t_layers", "cnot_layers", "cbit_count")
@@ -731,31 +766,37 @@ class _DepthWriter:
         open_[t] = 0
         self.cnot_layers.add(layer)
 
-    def logical_and(self, x: int, y: int, t: int) -> None:
-        # h, t on the target, then cx x->t and cx y->t, each joining an
-        # open fan-out of its control when it can; every later gate of
-        # the pattern sits a fixed number of layers after the second cx
+    def logical_ands(self, xs, ys, ts) -> None:
+        # each AND: h, t on the target, then cx x->t and cx y->t, each
+        # joining an open fan-out of its control when it can; every later
+        # gate of the pattern sits a fixed number of layers after the
+        # second cx
         last, open_ = self.last, self.open
-        l2 = last[t] + 2
-        j, lx = open_[x], last[x]
-        l3 = j if j and l2 < j else (lx if lx > l2 else l2) + 1
-        j, ly = open_[y], last[y]
-        l4 = j if j and l3 < j else (ly if ly > l3 else l3) + 1
-        l5 = l4 + 1
-        self.t_layers.update((l2, l5 + 1))
-        self.cnot_layers.update((l3, l4, l5, l5 + 2))
-        last[x] = last[y] = l5 + 2
-        last[t] = l5 + 4
-        open_[x] = open_[y] = open_[t] = 0
+        t_layers, cnot_layers = self.t_layers, self.cnot_layers
+        for x, y, t in zip(xs, ys, ts):
+            l2 = last[t] + 2
+            j, lx = open_[x], last[x]
+            l3 = j if j and l2 < j else (lx if lx > l2 else l2) + 1
+            j, ly = open_[y], last[y]
+            l4 = j if j and l3 < j else (ly if ly > l3 else l3) + 1
+            l5 = l4 + 1
+            t_layers.update((l2, l5 + 1))
+            cnot_layers.update((l3, l4, l5, l5 + 2))
+            last[x] = last[y] = l5 + 2
+            last[t] = l5 + 4
+            open_[x] = open_[y] = open_[t] = 0
 
-    def uncompute_and(self, x: int, y: int, t: int) -> None:
-        # mx on the target, then ccz_classical on (x, y) after its outcome
-        last, open_ = self.last, self.open
-        m = last[t] + 1
-        last[t] = self.meas[self.cbit_count] = m
-        self.cbit_count += 1
-        last[x] = last[y] = max(last[x], last[y], m) + 1
-        open_[x] = open_[y] = open_[t] = 0
+    def uncompute_ands(self, xs, ys, ts) -> None:
+        # each uncompute: mx on the target, then ccz_classical on (x, y)
+        # after its outcome
+        last, open_, meas = self.last, self.open, self.meas
+        cbit = self.cbit_count
+        for x, y, t in zip(xs, ys, ts):
+            m = last[t] = meas[cbit] = last[t] + 1
+            cbit += 1
+            last[x] = last[y] = max(last[x], last[y], m) + 1
+            open_[x] = open_[y] = open_[t] = 0
+        self.cbit_count = cbit
 
     def carry_cells(self, ws, xs, ys, ts) -> None:
         # cx w->x, then cx w->y joining that fan-out when it can, the AND
@@ -812,8 +853,9 @@ def schedule_asap(netlist: Netlist) -> tuple[int, int]:
     classically controlled gate never precedes its measurement.
 
     Primitives are layered gate by gate.  Macros are layered as they
-    lower, with no gate columns built: each AND or uncompute in one
-    closed-form step.  The result equals ``schedule_asap(expand(netlist))``.
+    lower, with no gate columns built: each AND, uncompute or ripple cell
+    of a run in one closed-form step.  The result equals
+    ``schedule_asap(expand(netlist))``.
     """
     em = _lower(netlist, _DepthWriter(netlist))
     return len(em.t_layers), len(em.cnot_layers)
@@ -851,41 +893,51 @@ def _json_entry(op) -> str:
     return '{"kind":"%s","wires":[%d,%d,%d]}' % (kind, op.x, op.y, op.target)
 
 
-def _pattern(line: dict, sep: str, lower, wires: int):
-    """The formatter of the text one macro or cell lowers to, called with
-    its ``wires`` wires and then its cbit, if it has one, as strings.
+def _skeleton(line: dict, sep: str, lower, wires: int):
+    """(unit, fields, last): how ``_TextWriter`` writes the text of a run
+    of the pattern ``lower`` (a ``_ColumnWriter`` method) writes once over
+    wires 0..wires-1 and cbit ``wires``.
 
-    ``lower`` (a ``_ColumnWriter`` method) writes the pattern once over
-    wires 0..wires-1 and cbit ``wires``; each gate is formatted by
-    ``line`` with a mark per wire and one for the cbit, and the marks
-    become the format fields, so the template and the column lowering
-    share one definition.
+    Each gate of the pattern is formatted by ``line`` with a mark per
+    wire and one for the cbit, the gates are joined by ``sep``, and the
+    text is split at the marks, so the skeleton and the column lowering
+    share one definition.  ``unit`` holds the literals with a ``None``
+    slot between each two, the last literal followed by ``sep``;
+    ``fields`` pairs the slice of each slot's copies in ``unit * k``
+    with its mark's role, a wire or the cbit; ``last`` is the last
+    literal alone, which ends a run.
     """
     marks = [*map(chr, range(wires + 1)), ""]  # the last, "", for -1
     text = sep.join(line[k](marks[a], marks[b], marks[c])
                     for k, a, b, c in _lowered(lower, wires).rows())
-    fields = {i: "{%d}" % i for i in range(wires + 1)}
-    return text.translate({ord("{"): "{{", ord("}"): "}}", **fields}).format
+    pieces = re.split(f"([\\x00-\\x{wires:02x}])", text)
+    literals = pieces[::2]
+    unit = [part for literal in literals[:-1] for part in (literal, None)]
+    unit.append(literals[-1] + sep)
+    g = len(unit)
+    fields = tuple((slice(2 * p + 1, None, g), ord(mark))
+                   for p, mark in enumerate(pieces[1::2]))
+    return unit, fields, literals[-1]
 
 
 class _TextFormat(NamedTuple):
     """How one text format writes gates: ``line`` maps a primitive kind to
     its formatter f(w0, w1, cbit), and the AND, uncompute and ripple-cell
-    formatters come from ``_pattern``."""
+    skeletons come from ``_skeleton``."""
 
     line: dict
-    logical_and: Callable[..., str]
-    uncompute_and: Callable[..., str]
-    carry_cell: Callable[..., str]
-    release_cell: Callable[..., str]
+    logical_and: tuple
+    uncompute_and: tuple
+    carry_cell: tuple
+    release_cell: tuple
 
 
 def _text_format(line: dict, sep: str) -> _TextFormat:
     """The format whose gates' text ``sep`` joins."""
-    return _TextFormat(line, _pattern(line, sep, _ColumnWriter.logical_and, 3),
-                       _pattern(line, sep, _ColumnWriter.uncompute_and, 3),
-                       _pattern(line, sep, _ColumnWriter.carry_cell, 4),
-                       _pattern(line, sep, _ColumnWriter.release_cell, 4))
+    return _TextFormat(line, _skeleton(line, sep, _ColumnWriter.logical_and, 3),
+                       _skeleton(line, sep, _ColumnWriter.uncompute_and, 3),
+                       _skeleton(line, sep, _ColumnWriter.carry_cell, 4),
+                       _skeleton(line, sep, _ColumnWriter.release_cell, 4))
 
 
 _JSON = _text_format(_JSON_GATE, ",")
@@ -894,8 +946,9 @@ _QASM = _text_format(_QASM_LINE, "\n")
 
 class _TextWriter:
     """Writes the text of a netlist's gates in one ``_TextFormat``: one
-    string per primitive, lowered macro or ripple cell, each one
-    ``str.format`` call, a run of cells one ``map`` over its columns.
+    string per primitive, each one ``str.format`` call, and one per run
+    of ANDs, uncomputes or ripple cells, a ``"".join`` of the pattern's
+    skeleton repeated once per pattern and filled from the run's columns.
 
     It is the emitter ``to_json`` and ``to_qasm`` pass to ``_lower``, so
     it writes the text of what ``expand`` would write to its columns.
@@ -928,26 +981,38 @@ class _TextWriter:
         names = self.names
         self.text.append(self._cx(names[c], names[t]))
 
-    def logical_and(self, x: int, y: int, t: int) -> None:
-        names = self.names
-        self.text.append(self._and(names[x], names[y], names[t]))
+    def logical_ands(self, x, y, t) -> None:
+        self._run(self._and, (x, y, t))
 
-    def uncompute_and(self, x: int, y: int, t: int) -> None:
-        names = self.names
-        self.text.append(self._unand(names[x], names[y], names[t], str(self.cbit_count)))
-        self.cbit_count += 1
+    def uncompute_ands(self, x, y, t) -> None:
+        self._run(self._unand, (x, y, t), self._new_cbits(len(x)))
 
     def carry_cells(self, w, x, y, t) -> None:
-        name = self.names.__getitem__
-        self.text.extend(map(self._carry, map(name, w), map(name, x), map(name, y),
-                             map(name, t)))
+        self._run(self._carry, (w, x, y, t))
 
     def release_cells(self, w, x, y, t) -> None:
-        name = self.names.__getitem__
+        self._run(self._release, (w, x, y, t), self._new_cbits(len(w)))
+
+    def _new_cbits(self, k: int) -> list[str]:
         first = self.cbit_count
-        self.cbit_count = first + len(w)
-        self.text.extend(map(self._release, map(name, w), map(name, x), map(name, y),
-                             map(name, t), map(str, range(first, self.cbit_count))))
+        self.cbit_count = first + k
+        return [*map(str, range(first, first + k))]
+
+    def _run(self, skeleton, wires, cbits=()) -> None:
+        # the unit repeated once per pattern, each field's slots filled
+        # with its role's column of names: the wires', then the cbits
+        unit, fields, last = skeleton
+        k = len(wires[0])
+        if not k:  # would join to "", an empty entry between separators
+            return
+        name = self.names.__getitem__
+        columns = [[*map(name, column)] for column in wires]
+        columns.append(cbits)
+        parts = unit * k
+        for at, role in fields:
+            parts[at] = columns[role]
+        parts[-1] = last
+        self.text.append("".join(parts))
 
 
 def to_json(netlist: Netlist, *, lower: bool = False) -> str:

@@ -4,8 +4,8 @@ The result still runs on the classical basis engine, which makes the
 adders' internal carry logic and ancilla hygiene directly checkable.  It
 goes through the same ``ir._lower`` walk that ``expand`` uses, with an
 emitter that appends validated ops instead of writing gates, and writes
-each run of ripple cells cell by cell: the independent reference for the
-emitters that write a run in one call.
+each run of ANDs, uncomputes or ripple cells op by op: the independent
+reference for the emitters that write a run in one call.
 """
 
 from qsquare.ir import Gate, LogicalAnd, Netlist, UncomputeAnd, _lower
@@ -25,23 +25,25 @@ class MacroEmitter:
     def cx(self, c: int, t: int) -> None:
         self.out.add_gate("cx", c, t)
 
-    def logical_and(self, x: int, y: int, t: int) -> None:
-        self.out.append(LogicalAnd(x, y, t))
+    def logical_ands(self, x, y, t) -> None:
+        for xi, yi, ti in zip(x, y, t, strict=True):
+            self.out.append(LogicalAnd(xi, yi, ti))
 
-    def uncompute_and(self, x: int, y: int, t: int) -> None:
-        self.out.append(UncomputeAnd(x, y, t))
+    def uncompute_ands(self, x, y, t) -> None:
+        for xi, yi, ti in zip(x, y, t, strict=True):
+            self.out.append(UncomputeAnd(xi, yi, ti))
 
     def carry_cells(self, w, x, y, t) -> None:
         for wi, xi, yi, ti in zip(w, x, y, t, strict=True):
             self.cx(wi, xi)
             self.cx(wi, yi)
-            self.logical_and(xi, yi, ti)
+            self.out.append(LogicalAnd(xi, yi, ti))
             self.cx(wi, ti)
 
     def release_cells(self, w, x, y, t) -> None:
         for wi, xi, yi, ti in zip(w, x, y, t, strict=True):
             self.cx(wi, ti)
-            self.uncompute_and(xi, yi, ti)
+            self.out.append(UncomputeAnd(xi, yi, ti))
             self.cx(wi, xi)
             self.cx(xi, yi)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qsquare import sim
+from qsquare import blocks, cli, sim
 from qsquare.cli import _drop_gate, _square_planes, _UsageError, _verify_basis_one, main
 from qsquare.ir import UncomputeAnd, expand, from_json, to_json, to_qasm
 from qsquare.sim import lane_planes
@@ -327,6 +327,38 @@ def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, c
     code, _, _ = run(argv + [str(path)], capsys)
     assert code == exit_code
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [["5..16", "--mode", "both"]]
+                         + [["5..16", "--mutate", f"drop-gate:{k}"] for k in range(36)]
+                         + [["5", "--mode", "statevector-blocks"]],
+                         ids=["both", *(f"drop-gate:{k}" for k in range(36)),
+                              "statevector-fallback"])
+def test_verify_report_is_what_json_dumps_writes(argv, tmp_path, capsys, monkeypatch):
+    # the basis sweep's two mismatch shapes are written from templates and
+    # any other report by json.dumps(indent=2), whose text is the reference
+    fallback = "statevector" in argv[-1]
+    if fallback:
+        # without its uncompute the AND block leaves its target set, one
+        # statevector mismatch, whose shape no template covers
+        monkeypatch.setattr(blocks, "build_uncompute_and", lambda *args: None)
+    indented, dumps = [], json.dumps
+
+    def counted_dumps(obj, **kw):
+        if "indent" in kw:
+            indented.append(obj)
+        return dumps(obj, **kw)
+
+    monkeypatch.setattr(cli.json, "dumps", counted_dumps)
+    path = tmp_path / "r.json"
+    code, _, _ = run(["verify", *argv, "--report", str(path)], capsys)
+    monkeypatch.undo()
+    text = path.read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert code == (3 if report["mismatches"] else 0)
+    assert bool(indented) == fallback
+    assert not fallback or report["mismatches"]
 
 
 def test_compare_measured_stdout_matches_pinned_digest(capsys):

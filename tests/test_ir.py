@@ -6,8 +6,11 @@ import json
 import pytest
 
 from qsquare.ir import (
+    _JSON,
+    _QASM,
     _ColumnWriter,
     _DepthWriter,
+    _TextWriter,
     AddInPlace,
     Gate,
     GateColumns,
@@ -25,6 +28,8 @@ from qsquare.ir import (
     to_qasm,
 )
 from qsquare.synth import synthesize_squarer
+
+from macro_lowering import lower_adders
 
 
 def single_and_netlist():
@@ -324,6 +329,59 @@ def test_lowering_refuses_an_op_of_no_known_type(walk, verb):
     nl.gates.append(("cx", (0, 1)))
     with pytest.raises(NetlistError, match=rf"^cannot {verb} \('cx', \(0, 1\)\)$"):
         walk(nl)
+
+
+class _SubAnd(LogicalAnd):
+    pass
+
+
+class _SubUncompute(UncomputeAnd):
+    pass
+
+
+class _SubGate(Gate):
+    pass
+
+
+class _SubAdd(AddInPlace):
+    pass
+
+
+def _ops_of_base_and_subclass_types():
+    """Two netlists of the same ops, the second with every other op of a
+    subclass of its type, so each run of ANDs, uncomputes and primitives
+    mixes both."""
+    base, mixed = Netlist(), Netlist()
+    for nl in base, mixed:
+        a = nl.alloc_register("a", 3, "input")
+        b = nl.alloc_register("b", 3, "input")
+        ts = [nl.new_wire() for _ in range(3)]
+    ops = [*map(LogicalAnd, a, b, ts), Gate("h", (ts[0],)), Gate("cx", (ts[0], ts[1])),
+           Gate("mx", (ts[2],), 0), Gate("ccz_classical", (a[0], b[0]), 0),
+           AddInPlace(a, b, None), AddInPlace(b, a, None), *map(UncomputeAnd, a, b, ts[:2])]
+    twin = {LogicalAnd: _SubAnd, UncomputeAnd: _SubUncompute, Gate: _SubGate}
+    for i, op in enumerate(ops):
+        base.append(op)
+        if i % 2 == 0:
+            mixed.append(op)
+        elif isinstance(op, AddInPlace):
+            mixed.append(_SubAdd(op.a_wires, op.b_wires, op.carry_out))
+        else:
+            mixed.append(twin[type(op)](*op))
+    return base, mixed
+
+
+def test_ops_of_subclass_types_lower_as_their_base_types():
+    # the walk dispatches an op as isinstance would: an op of a subclass
+    # of a macro, of Gate or of AddInPlace lowers as the op of its base type
+    base, mixed = _ops_of_base_and_subclass_types()
+    assert mixed.gates != base.gates
+    assert expand(mixed) == expand(base)
+    assert schedule_asap(mixed) == schedule_asap(base)
+    assert lower_adders(mixed) == lower_adders(base)
+    assert to_json(mixed) == to_json(base)
+    assert to_json(mixed, lower=True) == to_json(base, lower=True)
+    assert to_qasm(mixed, lower=True) == to_qasm(base, lower=True)
 
 
 def test_expand_is_idempotent():
@@ -652,7 +710,7 @@ def _first_difference(a: str, b: str):
 
 @pytest.mark.parametrize("nl", _block_netlists()
                          + [pytest.param(synthesize_squarer(n).netlist, id=f"squarer-{n}")
-                            for n in range(5, 17)])
+                            for n in [*range(5, 17), 40, 128]])
 def test_lowered_text_equals_text_of_expansion(nl):
     full = expand(nl)
     assert _first_difference(to_json(nl, lower=True), to_json(full)) is None
@@ -691,8 +749,9 @@ def _replay_states(lower, step, wires):
 
 @pytest.mark.parametrize("lower", [_ColumnWriter.logical_and, _ColumnWriter.uncompute_and])
 def test_macro_depth_template_equals_its_gates(lower):
+    # one macro of a run, as _lower hands a lone AND or uncompute over;
     # the three wires' fan-outs in 0..4 take each fan-out join both ways
-    step = lambda em: getattr(em, lower.__name__)(0, 1, 2)
+    step = lambda em: getattr(em, lower.__name__ + "s")([0], [1], [2])
     for state, (replayed, template) in _replay_states(lower, step, 3):
         assert template == replayed, state
 
@@ -703,6 +762,53 @@ def test_cell_depth_step_equals_its_gates(lower):
     step = lambda em: getattr(em, lower.__name__ + "s")([0], [1], [2], [3])
     for state, (replayed, template) in _replay_states(lower, step, 4):
         assert template == replayed, state
+
+
+def _written(writer: str, write):
+    """What ``writer`` holds once it has written a primitive, then
+    ``write(emitter)``, then another primitive, over 12 wires with cbits
+    counted from 3: the gate columns, the ASAP layering from a start
+    state with layers and open fan-outs on every wire, or the text."""
+    nl = Netlist()
+    nl.wire_count, nl.cbit_count = 12, 3
+    if writer == "columns":
+        nl.gates = GateColumns()
+        em = _ColumnWriter(nl)
+    elif writer == "depth":
+        em = _DepthWriter(nl)
+        em.last[:] = [w % 5 for w in range(12)]
+        em.open[:] = [w % 5 if w % 3 else 0 for w in range(12)]
+    else:
+        em = _TextWriter(nl, _JSON if writer == "json" else _QASM)
+    em.gate("h", 0, -1, -1)
+    write(em)
+    em.gate("t", 1, -1, -1)
+    if writer == "columns":
+        return nl.gates, nl.cbit_count
+    if writer == "depth":
+        return em.t_layers, em.cnot_layers, em.last, em.open, em.meas, em.cbit_count
+    # a run of k writes one string, so the entries are compared joined;
+    # the primitives around the run show an empty entry as a doubled separator
+    return ("\n" if writer == "qasm" else ",").join(em.text), em.names, em.cbit_count
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7])
+@pytest.mark.parametrize("run", ["logical_ands", "uncompute_ands", "carry_cells",
+                                 "release_cells"])
+@pytest.mark.parametrize("writer", ["columns", "depth", "json", "qasm"])
+def test_run_equals_its_patterns_written_one_at_a_time(writer, run, k):
+    # pattern j on consecutive wires from 3j, mod 12, so later patterns
+    # reuse the wires of earlier ones
+    wires = 3 if run.endswith("ands") else 4
+    cells = [tuple((3 * j + i) % 12 for i in range(wires)) for j in range(k)]
+    columns = [*zip(*cells)] or [()] * wires
+    whole = _written(writer, lambda em: getattr(em, run)(*columns))
+    assert whole == _written(writer, lambda em: [getattr(em, run)(*zip(cell))
+                                                 for cell in cells])
+    if writer == "columns":
+        # and equals the pattern's one definition, run[:-1], cell by cell
+        assert whole == _written(writer, lambda em: [getattr(em, run[:-1])(*cell)
+                                                     for cell in cells])
 
 
 @pytest.mark.parametrize("nl", _block_netlists()
