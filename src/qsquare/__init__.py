@@ -5,7 +5,14 @@ semantics for macro netlists, swept over all inputs at once as bit
 planes, one Python int per wire; a sparse phase-checked statevector for
 Clifford+T expansions up to the whole circuit), and closed-form
 resource accounting with measured/closed-form reconciliation.
+
+The ``ir``, ``layout``, ``blocks`` and ``synth`` names load with the
+package.  The ``sim`` and ``costs`` modules and the names re-exported
+from them load on first use (a module ``__getattr__``), so a program
+that never simulates or costs a circuit never imports them.
 """
+
+from importlib import import_module as _import_module
 
 from .ir import (
     AddInPlace,
@@ -36,26 +43,46 @@ from .blocks import (
     build_logical_and,
     build_uncompute_and,
 )
-from .sim import (
-    NonClassicalGateError,
-    TermBudgetError,
-    UncomputeMisuseError,
-    lane_planes,
-    run_basis_sweep,
-    run_statevector,
-    states_equal,
-    verify_equivalence,
-)
 from .synth import SquarerCircuit, synthesize_squarer
-from .costs import (
-    CostReport,
-    MetricValues,
-    baseline_costs,
-    built_metrics,
-    proposed_costs,
-    proposed_metrics,
-    reconcile,
-    reduction_ratios,
-)
+
+# module -> the names re-exported from it on first use
+_ON_FIRST_USE = {
+    "sim": (
+        "NonClassicalGateError",
+        "TermBudgetError",
+        "UncomputeMisuseError",
+        "lane_planes",
+        "run_basis_sweep",
+        "run_statevector",
+        "states_equal",
+        "verify_equivalence",
+    ),
+    "costs": (
+        "CostReport",
+        "MetricValues",
+        "baseline_costs",
+        "built_metrics",
+        "proposed_costs",
+        "proposed_metrics",
+        "reconcile",
+        "reduction_ratios",
+    ),
+}
 
 __version__ = "0.1.0"
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += [*_ON_FIRST_USE, *(name for names in _ON_FIRST_USE.values() for name in names)]
+
+
+def __getattr__(name: str):
+    for module, names in _ON_FIRST_USE.items():
+        if name == module or name in names:
+            value = _import_module(f"{__name__}.{module}")
+            if name != module:
+                value = globals()[name] = getattr(value, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

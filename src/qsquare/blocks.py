@@ -68,7 +68,8 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
     cells and a tail uncompute, written in order through the emitter
     ``em``.
 
-    ``em`` provides ``new_wire()`` for the internal carry ancillae,
+    ``em`` provides ``new_wires(k)``, which allocates k fresh wires and
+    returns their numbers as a ``range``, for the internal carry ancillae,
     ``cx(c, t)``, and four run methods, each of which writes a run of
     one pattern over the run's wire columns: ``logical_ands(x, y, t)``
     and ``uncompute_ands(x, y, t)``, pattern j over (x[j], y[j], t[j]),
@@ -89,7 +90,7 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
     cx = em.cx
 
     # carry index -> wire: c_1..c_{m-1} on fresh wires, c_m on the carry-out
-    w = [-1] + [em.new_wire() for _ in range(m - 1)]
+    w = [-1, *em.new_wires(m - 1)]
     if add.carry_out is not None:
         w.append(add.carry_out)
 

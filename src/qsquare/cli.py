@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 verification
 failure.  All commands are deterministic; identical invocations produce
 byte-identical outputs.
+
+Each command loads the modules it runs, when it runs: ``verify``
+imports ``sim`` and ``compare`` imports ``costs``, so ``synth`` loads
+neither, ``verify`` never loads ``costs`` and ``compare`` never loads
+``sim``.
 """
 
 from __future__ import annotations
@@ -11,21 +16,9 @@ import argparse
 import json
 import sys
 
-from . import blocks, sim
-from .ir import expand, to_json, to_qasm
+from . import blocks
+from .ir import Netlist, expand, to_json, to_qasm
 from .layout import dump_grid
-from .costs import (
-    BASELINES,
-    baseline_rows,
-    built_metrics,
-    carry_less_stages,
-    comparison_table,
-    proposed_costs,
-    ratios_table,
-    reconcile,
-    report_rows,
-    rows_to_csv,
-)
 from .synth import synthesize_squarer
 
 EXIT_OK = 0
@@ -91,7 +84,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _drop_gate(netlist, k: int):
     if not 0 <= k < len(netlist.gates):
         raise _UsageError(f"gate index {k} out of range (netlist has {len(netlist.gates)})")
-    out = sim.Netlist()
+    out = Netlist()
     out.wire_count = netlist.wire_count
     out.cbit_count = netlist.cbit_count
     out.registers = dict(netlist.registers)
@@ -134,6 +127,8 @@ def _verify_basis_one(netlist) -> dict:
     """Exhaustively simulate a squarer netlist, reading its input and
     product wires from registers A and P; returns the spec report dict
     plus n."""
+    from . import sim
+
     inputs, p_wires = netlist.registers["A"], netlist.registers["P"]
     n = len(inputs)
     lanes = 1 << n
@@ -177,9 +172,11 @@ def _verify_basis_one(netlist) -> dict:
 
 def _verify_blocks() -> list[dict]:
     """Statevector battery over the Clifford+T expansions of the blocks."""
+    from . import sim
+
     reports: list[dict] = []
 
-    nl = sim.Netlist()
+    nl = Netlist()
     x, y = nl.alloc_register("xy", 2, "input")
     blocks.build_logical_and(nl, x, y)
     rep = sim.verify_equivalence(
@@ -187,7 +184,7 @@ def _verify_blocks() -> list[dict]:
         lambda bits: {2: bits[x] & bits[y], x: bits[x], y: bits[y]})
     reports.append({"block": "logical-and", **rep.to_json_dict()})
 
-    nl = sim.Netlist()
+    nl = Netlist()
     x, y = nl.alloc_register("xy", 2, "input")
     t = blocks.build_logical_and(nl, x, y)
     blocks.build_uncompute_and(nl, x, y, t)
@@ -197,7 +194,7 @@ def _verify_blocks() -> list[dict]:
     reports.append({"block": "and-uncompute", **rep.to_json_dict()})
 
     for m, carry in ((2, True), (2, False), (3, True), (3, False)):
-        nl = sim.Netlist()
+        nl = Netlist()
         a = nl.alloc_register("a", m, "input")
         b = nl.alloc_register("b", m, "input")
         cw = blocks.build_adder_in_place(nl, a, b, carry)
@@ -329,6 +326,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---- compare ---------------------------------------------------------------
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .costs import (
+        BASELINES,
+        baseline_rows,
+        built_metrics,
+        carry_less_stages,
+        comparison_table,
+        proposed_costs,
+        ratios_table,
+        reconcile,
+        report_rows,
+        rows_to_csv,
+    )
+
     designs = tuple(d.strip() for d in args.designs.split(","))
     for d in designs:
         if d != "proposed" and d not in BASELINES:

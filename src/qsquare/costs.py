@@ -28,10 +28,10 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .blocks import adder_and_count
+from .ir import _same_type_eq, _same_type_ne
 from .layout import UnsupportedWidthError, row_widths
 from .synth import SquarerCircuit
 
@@ -50,8 +50,7 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class MetricValues:
+class MetricValues(NamedTuple):
     """One full set of the six cost metrics."""
 
     t_count: int
@@ -61,23 +60,32 @@ class MetricValues:
     qubits: int
     kq_t: int
 
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
+
     def get(self, metric: str) -> int:
+        """The value of one of the six metrics, named as in ``METRICS``;
+        any other name, a tuple method's such as "count" too, raises
+        ``AttributeError``."""
+        if metric not in METRICS:
+            raise AttributeError(f"{metric!r} is not one of the metrics {METRICS}")
         return getattr(self, metric)
 
 
-@dataclass(frozen=True)
-class MetricLine:
+class MetricLine(NamedTuple):
     closed_form: int
     measured: int | None = None
     delta: int | None = None
 
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class CostReport:
+
+class CostReport(NamedTuple):
     """Closed-form and (optionally) measured metrics for one width."""
 
     n: int
     metrics: dict[str, MetricLine]
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 def proposed_metrics(n: int) -> MetricValues:
@@ -198,6 +206,8 @@ def _leading(values, metric: str) -> Fraction:
     """Leading coefficient of ``values(n).get(metric)`` as a polynomial in
     even n, by exact finite differences of step 2: kq_t = qubits x T-depth
     is quartic, every other metric quadratic."""
+    from fractions import Fraction  # only --ratios needs it
+
     degree = 4 if metric == "kq_t" else 2
     diffs = [Fraction(values(n).get(metric)) for n in range(6, 8 + 2 * degree, 2)]
     for _ in range(degree):

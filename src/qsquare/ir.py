@@ -15,10 +15,11 @@ its classical bit is 1.
 Three macro ops describe whole sub-circuits: ``LogicalAnd`` (temporary
 AND onto a fresh ancilla, 4 T gates after lowering), ``UncomputeAnd``
 (its Clifford-only measurement-based reversal) and ``AddInPlace`` (the
-in-place ripple-carry adder built from the other two).  The two AND ops
-are immutable named tuples, like ``Gate``, that equal only an op of
-their own type: ``LogicalAnd(1, 2, 3)`` differs from ``UncomputeAnd(1,
-2, 3)`` and from ``(1, 2, 3)``.
+in-place ripple-carry adder built from the other two).  All three are
+immutable named tuples, like ``Gate``, that equal only an op of their
+own type: ``LogicalAnd(1, 2, 3)`` differs from ``UncomputeAnd(1, 2, 3)``
+and from ``(1, 2, 3)``, and ``AddInPlace((0, 1), (2, 3))`` from the
+plain tuple of its fields.
 
 ``Netlist.append`` validates every gate and macro once, as it is taken:
 every wire is an int (not a bool) below ``wire_count``; an AND's three
@@ -43,7 +44,7 @@ emitter in one call, over the run's wire columns, and each adder to
 ``blocks.lower_add_in_place``, which hands the emitter the adder's head
 AND and tail uncompute as runs of one, its top CNOTs one by one, and
 each of its two runs of ripple cells in one call.  The emitter
-interface is ``new_wire``, ``gate``, ``cx`` and the four run methods
+interface is ``new_wires``, ``gate``, ``cx`` and the four run methods
 ``logical_ands``, ``uncompute_ands``, ``carry_cells`` and
 ``release_cells``.  ``_ColumnWriter``'s ``logical_and``,
 ``uncompute_and``, ``carry_cell`` and ``release_cell`` are the one
@@ -85,7 +86,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple, Sequence
 
@@ -155,8 +155,7 @@ class UncomputeAnd(NamedTuple):
     __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class AddInPlace:
+class AddInPlace(NamedTuple):
     """b_wires += a_wires (little-endian, in place); a_wires preserved.
 
     When ``carry_out`` names a wire it receives the final carry,
@@ -167,6 +166,8 @@ class AddInPlace:
     a_wires: tuple[int, ...]
     b_wires: tuple[int, ...]
     carry_out: int | None = None
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 Op = "Gate | LogicalAnd | UncomputeAnd | AddInPlace"
@@ -301,6 +302,12 @@ class Netlist:
         self.wire_count += 1
         return w
 
+    def new_wires(self, k: int) -> range:
+        """Allocate ``k`` fresh wires at once; returns their numbers."""
+        first = self.wire_count
+        self.wire_count = first + k
+        return range(first, first + k)
+
     def new_cbit(self) -> int:
         c = self.cbit_count
         self.cbit_count += 1
@@ -318,7 +325,7 @@ class Netlist:
             raise NetlistError(f"register width must be >= 1, got {width}")
         if init not in ("zero", "input", "magicT"):
             raise NetlistError(f"unknown register init {init!r}")
-        wires = tuple(self.new_wire() for _ in range(width))
+        wires = tuple(self.new_wires(width))
         self.registers[name] = wires
         if init == "zero":
             for w in wires:
@@ -500,12 +507,12 @@ class _ColumnWriter:
     layering of them is tested against them.
     """
 
-    __slots__ = ("new_wire", "_out", "_kind", "_kinds",
+    __slots__ = ("new_wires", "_out", "_kind", "_kinds",
                  "_w0", "_w1", "_cbit", "_w0s", "_w1s", "_cbits")
 
     def __init__(self, out: Netlist) -> None:
         cols = out.gates
-        self.new_wire, self._out = out.new_wire, out
+        self.new_wires, self._out = out.new_wires, out
         # bound to the kind storage itself, past GateColumns' own methods
         self._kind, self._kinds = list.append.__get__(cols), list.extend.__get__(cols)
         self._w0, self._w1, self._cbit = cols.w0.append, cols.w1.append, cols.cbit.append
@@ -631,7 +638,7 @@ def _lower(netlist: Netlist, em):
     ``UncomputeAnd``) ops of one type goes to ``em.logical_ands(x, y, t)``
     (or ``em.uncompute_ands``) in one call, over the run's columns of x,
     y and target wires.  An adder goes to ``blocks.lower_add_in_place``,
-    which also calls ``em.new_wire``, ``em.cx`` and the four run
+    which also calls ``em.new_wires``, ``em.cx`` and the four run
     methods.  An op of a subclass of one of the four op types lowers as
     ``isinstance`` dispatches it, in runs of its own type (the walk
     groups ops by their exact type, which keeps the grouping in C).  Any
@@ -726,10 +733,11 @@ class _DepthWriter:
         self.cnot_layers: set[int] = set()    # layers holding a CNOT
         self.cbit_count = netlist.cbit_count
 
-    def new_wire(self) -> int:
-        self.last.append(0)
-        self.open.append(0)
-        return len(self.last) - 1
+    def new_wires(self, k: int) -> range:
+        first = len(self.last)
+        self.last += [0] * k
+        self.open += [0] * k
+        return range(first, first + k)
 
     def gate(self, kind: str, a: int, b: int, cbit) -> None:
         """Layer one primitive; ``b`` is -1 for a one-wire kind."""
@@ -968,11 +976,11 @@ class _TextWriter:
         self._and, self._unand = fmt.logical_and, fmt.uncompute_and
         self._carry, self._release = fmt.carry_cell, fmt.release_cell
 
-    def new_wire(self) -> int:
+    def new_wires(self, k: int) -> range:
         names = self.names
-        w = len(names)
-        names.append(str(w))
-        return w
+        first = len(names)
+        names += map(str, range(first, first + k))
+        return range(first, first + k)
 
     def gate(self, kind: str, w0: int, w1: int, cbit: int) -> None:
         self.text.append(self._line[kind](w0, w1, cbit))
@@ -1031,8 +1039,14 @@ def to_json(netlist: Netlist, *, lower: bool = False) -> str:
         wires, text = netlist.wire_count, [*map(_json_entry, netlist.gates)]
     registers = json.dumps({name: list(ws) for name, ws in netlist.registers.items()},
                            separators=(",", ":"))
-    return (f'{{"wires":{wires},"registers":{registers},"gates":['
-            + ",".join(text) + "]}\n")
+    head = f'{{"wires":{wires},"registers":{registers},"gates":['
+    if not text:
+        return head + "]}\n"
+    # the head and tail ride on the first and last entries, so the text
+    # is copied once, by the join
+    text[0] = head + text[0]
+    text[-1] += "]}\n"
+    return ",".join(text)
 
 
 def from_json_dict(data: dict) -> Netlist:
@@ -1107,5 +1121,7 @@ def to_qasm(netlist: Netlist, *, lower: bool = False) -> str:
         raise UnexpandedNetlistError("the netlist has macro ops; expand it first")
     em = _lower(netlist, _TextWriter(netlist, _QASM))
     wires, cbits = len(em.names), em.cbit_count
-    head = [f"// wires: {wires}", f"qreg q[{wires}];"] + ([f"creg c[{cbits}];"] if cbits else [])
-    return "\n".join(head + em.text) + "\n"
+    lines = [f"// wires: {wires}", f"qreg q[{wires}];"] + ([f"creg c[{cbits}];"] if cbits else [])
+    lines += em.text
+    lines[-1] += "\n"  # the final newline, without a copy of the whole text
+    return "\n".join(lines)

@@ -13,8 +13,9 @@ weighting and must reproduce a^2 exactly for every input; the exhaustive test
 of that identity is the correctness contract for the placement rules.
 
 Each cell holds a ``PartialProduct(i, j)``, an ``InputCopy(i)`` or the zero
-pad ``ZERO`` (the one ``ZeroPad``).  The two term types are immutable named
-tuples that equal only a term of their own type, never a plain tuple.
+pad ``ZERO`` (the one ``ZeroPad``).  The cell types and ``OperandGrid`` are
+immutable named tuples that equal only a value of their own type, never a
+plain tuple.
 
 Construction is assert-on-write: any double placement or leftover empty cell
 raises, because an index slip in the four placement cases would otherwise
@@ -25,7 +26,6 @@ as a set; the source terms are distinct, so that is exactly multiset equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ir import _same_type_eq, _same_type_ne
@@ -67,9 +67,13 @@ class InputCopy(NamedTuple):
         return f"a{self.i}"
 
 
-@dataclass(frozen=True)
-class ZeroPad:
+class ZeroPad(NamedTuple):
     """An ancilla cell holding constant 0."""
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
+
+    def __bool__(self) -> bool:  # a cell, not an empty tuple
+        return True
 
     def label(self) -> str:
         return "0"
@@ -92,8 +96,7 @@ def _check_width(n: int) -> None:
         raise UnsupportedWidthError(n)
 
 
-@dataclass(frozen=True)
-class OperandGrid:
+class OperandGrid(NamedTuple):
     """Rows T_0..T_R of placed terms, least-significant column first.
 
     ``interior_pads`` counts the zero cells placed while arranging the
@@ -105,6 +108,8 @@ class OperandGrid:
     rows: tuple[tuple, ...]
     interior_pads: int
     left_pads: int
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
     @property
     def row_count(self) -> int:

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
-from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd
+from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _same_type_eq, _same_type_ne
 
 MAX_TERMS = 1 << 12  # as many amplitudes as a dense 12-wire state holds
 NORM_TOL = 1e-9
@@ -64,8 +63,7 @@ class NormDriftError(SimulationError):
 
 # ---- basis-state engine ----------------------------------------------------
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     """Bit-plane basis run: ``wires[w]`` is wire w's plane, a non-negative
     int whose bit k is the wire's value in lane k, and
     ``would_be_carries[gate_index]`` the plane of carries dropped by that
@@ -74,6 +72,8 @@ class SweepResult:
     wires: dict[int, int]
     would_be_carries: dict[int, int]
     lanes: int
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 def lane_planes(n: int) -> list[int]:
@@ -157,14 +157,15 @@ _PHASES = {"z": -1, "s": 1j, "sdg": -1j,
 _RESIDUE = 1e-12  # amplitudes this small are rounding left by exact cancellation
 
 
-@dataclass
-class Branch:
+class Branch(NamedTuple):
     """One measurement branch: the sparse state (basis bitmask, bit w =
     wire w -> amplitude), classical bits, and the branch probability."""
 
     state: dict[int, complex]
     cbits: dict[int, int]
     probability: float
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
     def wire_bits(self, wire_count: int) -> dict[int, int]:
         """Read the state as a computational basis assignment of
@@ -311,13 +312,14 @@ def basis_state(wire_bits: Mapping[int, int]) -> dict[int, complex]:
 
 # ---- equivalence checking ---------------------------------------------------
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Exhaustive comparison outcome; serializes to
     {"inputs_checked": N, "mismatches": [...]}."""
 
     inputs_checked: int
     mismatches: list[dict]
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
     @property
     def ok(self) -> bool:

@@ -41,14 +41,13 @@ unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd
+from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _same_type_eq, _same_type_ne
 from .layout import InputCopy, OperandGrid, PartialProduct, arrange
 
 
-@dataclass
-class SquarerCircuit:
+class SquarerCircuit(NamedTuple):
     """A synthesized squaring circuit: its netlist and operand grid.
 
     The wiring lives in the netlist's ``A``, ``P``, ``P1``, ``T0..TR``,
@@ -57,6 +56,8 @@ class SquarerCircuit:
     n: int
     netlist: Netlist
     grid: OperandGrid
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
     @property
     def registers(self) -> dict[str, tuple[int, ...]]:

@@ -17,7 +17,7 @@ class MacroEmitter:
 
     def __init__(self, out: Netlist) -> None:
         self.out = out
-        self.new_wire = out.new_wire
+        self.new_wires = out.new_wires
 
     def gate(self, kind: str, w0: int, w1: int, cbit: int) -> None:
         self.out.append(Gate(kind, (w0,) if w1 < 0 else (w0, w1), None if cbit < 0 else cbit))

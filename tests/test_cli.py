@@ -370,13 +370,80 @@ def test_compare_measured_stdout_matches_pinned_digest(capsys):
         "84cc6af172841866ba51fcaab046904c45827e9e6f8bba60d33824102ddcfac3")
 
 
-def test_runtime_imports_leave_numpy_out():
-    # numpy is a test dependency only: the CLI must not pay for importing it
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this qsquare."""
     src = str(Path(importlib.import_module("qsquare").__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    code = ("import qsquare, qsquare.cli, sys; "
-            "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
+
+
+def test_runtime_imports_leave_numpy_out():
+    # numpy is a test dependency only: the CLI must not pay for importing it
+    proc = _python("import qsquare, qsquare.cli, sys; "
+                   "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)")
+    assert proc.returncode == 0, proc.stderr
+
+
+# modules that starting qsq does not need: dataclasses (and the inspect
+# it imports), fractions (for --ratios only), and the simulator and cost
+# model, which only verify and compare run
+_STARTUP_UNUSED = ("dataclasses", "fractions", "inspect", "qsquare.sim", "qsquare.costs")
+_LOADED_AFTER = """
+import json, sys
+import qsquare.cli
+steps = [["import", [m for m in {unused!r} if m in sys.modules]]]
+for argv in {commands!r}:
+    assert qsquare.cli.main(argv) == 0, argv
+    steps.append([" ".join(argv), [m for m in {unused!r} if m in sys.modules]])
+sys.stderr.write(json.dumps(steps))
+"""
+
+
+@pytest.mark.parametrize("commands, loaded", [
+    ([["synth", "6", "--out", os.devnull], ["synth", "6", "--format", "qasm", "--out", os.devnull],
+      ["verify", "5"]],
+     [[], [], [], ["qsquare.sim"]]),
+    ([["compare", "5"], ["compare", "5", "--measured", "--ratios"]],
+     [[], ["qsquare.costs"], ["fractions", "qsquare.costs"]]),
+], ids=["synth-verify", "compare"])
+def test_each_command_loads_only_what_it_runs(commands, loaded):
+    proc = _python(_LOADED_AFTER.format(unused=_STARTUP_UNUSED, commands=commands))
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stderr)
+    assert [step for step, _ in steps] == ["import", *(" ".join(argv) for argv in commands)]
+    assert [modules for _, modules in steps] == loaded
+
+
+# every public name of the package, as it exported them all on import
+_PACKAGE_NAMES = (
+    "AddInPlace", "CostReport", "Gate", "InputCopy", "LogicalAnd", "MetricValues", "Netlist",
+    "NonClassicalGateError", "OperandGrid", "PartialProduct", "SquarerCircuit",
+    "TermBudgetError", "UncomputeAnd", "UncomputeMisuseError", "UnsupportedWidthError", "ZERO",
+    "arrange", "baseline_costs", "blocks", "build_adder_in_place", "build_logical_and",
+    "build_uncompute_and", "built_metrics", "costs", "count_gates", "dump_grid", "expand",
+    "from_json", "grid_value", "ir", "lane_planes", "layout", "partial_products",
+    "proposed_costs", "proposed_metrics", "reconcile", "reduction_ratios", "run_basis_sweep",
+    "run_statevector", "schedule_asap", "sim", "states_equal", "synth", "synthesize_squarer",
+    "to_json", "to_qasm", "verify_equivalence",
+)
+
+
+def test_package_names_resolve_on_first_use():
+    # sim and costs names load when first read, as attributes and by a
+    # star import, each the object of the module that defines it
+    proc = _python(f"""
+import sys
+import qsquare
+names = {_PACKAGE_NAMES!r}
+assert sorted(n for n in dir(qsquare) if not n.startswith("_")) == sorted(names)
+values = {{name: getattr(qsquare, name) for name in names}}
+star = {{}}
+exec("from qsquare import *", star)
+for name, value in values.items():
+    assert star[name] is value, name
+    home = sys.modules.get(getattr(value, "__module__", ""))  # a module has none
+    assert home is None or getattr(home, name) is value, name
+""")
     assert proc.returncode == 0, proc.stderr

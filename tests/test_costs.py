@@ -24,6 +24,16 @@ from qsquare.layout import UnsupportedWidthError, row_widths
 from qsquare.synth import synthesize_squarer
 
 
+def test_metric_values_get_reads_only_the_six_metrics():
+    # the record is a named tuple: getattr alone would hand back
+    # tuple.count, tuple.index or the get method itself
+    vals = proposed_metrics(6)
+    assert [vals.get(m) for m in METRICS] == list(vals)
+    for name in ("count", "index", "get", "_fields", "__class__", "T_count", "ratio"):
+        with pytest.raises(AttributeError, match="not one of the metrics"):
+            vals.get(name)
+
+
 def test_proposed_n6_hand_substitution():
     vals = proposed_metrics(6)
     assert vals.t_count == 152

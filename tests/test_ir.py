@@ -1,5 +1,6 @@
 """Netlist IR: allocation, macro expansion, counting, layering, serialization."""
 
+import collections
 import itertools
 import json
 
@@ -27,7 +28,10 @@ from qsquare.ir import (
     to_json,
     to_qasm,
 )
-from qsquare.synth import synthesize_squarer
+from qsquare.costs import CostReport, MetricLine, MetricValues
+from qsquare.layout import ZERO, OperandGrid, ZeroPad, arrange
+from qsquare.sim import Branch, EquivalenceReport, SweepResult
+from qsquare.synth import SquarerCircuit, synthesize_squarer
 
 from macro_lowering import lower_adders
 
@@ -232,6 +236,58 @@ def test_macro_ops_are_values_of_their_own_type():
     assert repr(ops[1]) == "UncomputeAnd(x=1, y=2, target=3)"
 
 
+def _record_fields():
+    """(type, fields) of every record of the package, the fields given
+    by a function that makes fresh, equal values."""
+    grid = arrange(5)
+    return [
+        (AddInPlace, lambda: ((0, 1), (2, 3), 4)),
+        (AddInPlace, lambda: ((0, 1), (2, 3))),  # carry_out defaults to None
+        (ZeroPad, lambda: ()),
+        (OperandGrid, lambda: tuple(grid)),
+        (SquarerCircuit, lambda: (5, synthesize_squarer(5).netlist, grid)),
+        (SweepResult, lambda: ({0: 1, 1: 2}, {3: 0}, 2)),
+        (Branch, lambda: ({1: 1}, {0: 1}, 0.5)),
+        (EquivalenceReport, lambda: (4, [{"input": {0: 1}}])),
+        (MetricValues, lambda: (1, 2, 3, 4, 5, 10)),
+        (MetricLine, lambda: (7,)),
+        (MetricLine, lambda: (7, 9, 2)),
+        (CostReport, lambda: (6, {"t_count": MetricLine(7)})),
+    ]
+
+
+_RECORDS = _record_fields()
+
+
+@pytest.mark.parametrize("cls, fields", _RECORDS, ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_records_are_values_of_their_own_type(cls, fields):
+    # as the macro ops: a record equals only a record of its own type, not
+    # the plain tuple of its fields nor another type over the same fields
+    record, same, plain = cls(*fields()), cls(*fields()), fields()
+    assert record == same and not record != same
+    assert record != plain and plain != record
+    assert not record == plain and not plain == record
+    # a named tuple of another type with the same name and fields (whose
+    # own tuple equality decides the reflected comparison)
+    lookalike = collections.namedtuple(cls.__name__, cls._fields)(*record)
+    assert record != lookalike and not record == lookalike
+    assert record != LogicalAnd(1, 2, 3) and LogicalAnd(1, 2, 3) != record
+    try:
+        hashes = hash(record), hash(same)
+    except TypeError:  # a dict, list or netlist field
+        hashes = None
+    assert hashes is None or hashes[0] == hashes[1]
+    with pytest.raises(AttributeError):
+        setattr(record, (cls._fields or ("x",))[0], 0)
+    assert repr(record) == "%s(%s)" % (cls.__name__, ", ".join(
+        f"{name}={value!r}" for name, value in zip(cls._fields, record)))
+
+
+def test_zero_pad_is_one_value():
+    assert ZeroPad() == ZERO and hash(ZeroPad()) == hash(ZERO) and ZERO
+    assert repr(ZERO) == "ZeroPad()" and ZERO.label() == "0"
+
+
 def test_swapping_a_macro_type_changes_the_netlist():
     nl = synthesize_squarer(6).netlist
     k = next(i for i, op in enumerate(nl.gates) if type(op) is LogicalAnd)
@@ -397,6 +453,18 @@ def test_empty_netlist_counts_zero():
     nl = Netlist()
     assert count_gates(nl) == (0, 0)
     assert schedule_asap(nl) == (0, 0)
+
+
+def test_netlist_without_gates_is_written_whole():
+    # the head and tail of the text ride on the first and last entries,
+    # so a netlist with none still gets both
+    nl = Netlist()
+    for lower in (False, True):
+        assert to_json(nl, lower=lower) == '{"wires":0,"registers":{},"gates":[]}\n'
+        assert to_qasm(nl, lower=lower) == "// wires: 0\nqreg q[0];\n"
+    nl.alloc_register("a", 2, "input")
+    assert to_json(expand(nl)) == '{"wires":2,"registers":{"a":[0,1]},"gates":[]}\n'
+    assert to_qasm(nl) == "// wires: 2\nqreg q[2];\n"
 
 
 def test_preps_are_free_for_all_counts():
@@ -809,6 +877,19 @@ def test_run_equals_its_patterns_written_one_at_a_time(writer, run, k):
         # and equals the pattern's one definition, run[:-1], cell by cell
         assert whole == _written(writer, lambda em: [getattr(em, run[:-1])(*cell)
                                                      for cell in cells])
+
+
+def test_emitters_allocate_wires_as_ranges():
+    # an adder's carries come from one call: the next k wire numbers
+    nl = Netlist()
+    nl.wire_count, nl.gates = 12, GateColumns()
+    columns, depth, text = _ColumnWriter(nl), _DepthWriter(nl), _TextWriter(nl, _QASM)
+    for em in columns, depth, text:
+        assert [em.new_wires(k) for k in (0, 3, 2)] == [range(12, 12), range(12, 15),
+                                                        range(15, 17)]
+    assert nl.wire_count == 17
+    assert depth.last == depth.open == [0] * 17
+    assert text.names == [str(w) for w in range(17)]
 
 
 @pytest.mark.parametrize("nl", _block_netlists()
