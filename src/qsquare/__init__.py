@@ -2,8 +2,9 @@
 
 Synthesis of the full netlist, exact simulation (classical basis
 semantics for macro netlists, swept over all inputs at once as bit
-planes, one Python int per wire; a sparse phase-checked statevector for
-Clifford+T expansions up to the whole circuit), and closed-form
+planes, one Python int per wire; for Clifford+T expansions up to the
+whole circuit, a sparse statevector over Z[ω, 1/√2] in canonical form,
+whose measurements must have dyadic probabilities), and closed-form
 resource accounting with measured/closed-form reconciliation.
 
 The ``ir``, ``layout``, ``blocks`` and ``synth`` names load with the
@@ -54,7 +55,6 @@ _ON_FIRST_USE = {
         "lane_planes",
         "run_basis_sweep",
         "run_statevector",
-        "states_equal",
         "verify_equivalence",
     ),
     "costs": (

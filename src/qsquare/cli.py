@@ -13,6 +13,7 @@ neither, ``verify`` never loads ``costs`` and ``compare`` never loads
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -376,6 +377,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 # ---- entry point -------------------------------------------------------------
 
+@functools.cache  # built once per process: every main call parses with it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsq",

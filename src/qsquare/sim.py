@@ -14,31 +14,29 @@ additions ripple a carry plane bit position by bit position, so adders
 of any width are exact.
 
 The statevector engine runs expanded Clifford+T netlists of any width
-on a sparse state: a dict from basis bitmask (bit w = wire w) to
-amplitude.  Gidney's temporary AND and its measurement-based uncompute
-keep only a few terms alive, so the whole expanded squarer stays small;
-a state of more than ``MAX_TERMS`` terms raises rather than exhausting
-memory.  It walks the netlist's gate columns (``Netlist.columns``)
-rather than building a ``Gate`` per gate and input.  X-basis
-measurement is handled by branch exploration (or a forced outcome for
-deterministic replay) and classically controlled CZ is applied per
-branch.  Measured wires are consumed: the
-post-measurement ancilla is reset to |0> before execution continues.
-Equivalence checks on expanded netlists compare phase too: every branch
-must end in the expected basis state with amplitude 1.
+exactly, on a sparse state: a dict from basis bitmask (bit w = wire w)
+to an amplitude of Z[ω, 1/√2], ω = e^(iπ/4), which is (a + bω + cω² +
+dω³)/√2^k, stored as the integer tuple (a, b, c, d).  The state shares
+one k, implied by its tuples (their squared norms sum to 2^k), and
+keeps it least, so the form is canonical: a one-term state holds a unit
+ω^j, and ``state == basis_state(bits)`` tests for amplitude exactly 1.
+Phase gates rotate a tuple and h adds two.  An X-basis measurement
+follows every outcome (or a forced one), resets its wire to |0>, and
+raises unless the outcome's probability is a power of 1/2, which it is
+throughout Gidney's uncompute; the classically controlled CZ then acts
+per branch.  Gidney's temporary AND keeps only a few terms alive, and a
+state of more than ``MAX_TERMS`` terms raises.  Equivalence checks on
+expanded netlists compare phase too: every branch must end in the
+expected basis state with amplitude exactly 1.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from typing import Callable, Mapping, NamedTuple
 
 from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _same_type_eq, _same_type_ne
 
 MAX_TERMS = 1 << 12  # as many amplitudes as a dense 12-wire state holds
-NORM_TOL = 1e-9
-AMP_TOL = 1e-9
 
 
 class SimulationError(Exception):
@@ -55,10 +53,6 @@ class UncomputeMisuseError(SimulationError):
 
 class TermBudgetError(SimulationError):
     """Statevector grew past ``MAX_TERMS`` nonzero amplitudes."""
-
-
-class NormDriftError(SimulationError):
-    """Statevector norm drifted beyond tolerance."""
 
 
 # ---- basis-state engine ----------------------------------------------------
@@ -151,17 +145,30 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
 
 # ---- statevector engine -----------------------------------------------------
 
-_SQRT_HALF = math.sqrt(0.5)
-_PHASES = {"z": -1, "s": 1j, "sdg": -1j,
-           "t": cmath.exp(1j * math.pi / 4), "tdg": cmath.exp(-1j * math.pi / 4)}
-_RESIDUE = 1e-12  # amplitudes this small are rounding left by exact cancellation
+_ONE, _ZERO = (1, 0, 0, 0), (0, 0, 0, 0)
+# each phase gate multiplies by a power of ω, which rotates the tuple
+_PHASES = {
+    "t": lambda a, b, c, d: (-d, a, b, c),     # ω
+    "s": lambda a, b, c, d: (-c, -d, a, b),    # ω² = i
+    "z": lambda a, b, c, d: (-a, -b, -c, -d),  # ω⁴ = -1
+    "sdg": lambda a, b, c, d: (c, d, -a, -b),  # ω⁶ = -i
+    "tdg": lambda a, b, c, d: (b, c, d, -a),   # ω⁷
+}
+# f"{complex:.6g}" of each unit ω^j, the one amplitude a one-term state holds
+_UNIT_TEXT = {
+    (1, 0, 0, 0): "1+0j", (0, 1, 0, 0): "0.707107+0.707107j",
+    (0, 0, 1, 0): "0+1j", (0, 0, 0, 1): "-0.707107+0.707107j",
+    (-1, 0, 0, 0): "-1+0j", (0, -1, 0, 0): "-0.707107-0.707107j",
+    (0, 0, -1, 0): "0-1j", (0, 0, 0, -1): "0.707107-0.707107j",
+}
 
 
 class Branch(NamedTuple):
     """One measurement branch: the sparse state (basis bitmask, bit w =
-    wire w -> amplitude), classical bits, and the branch probability."""
+    wire w -> amplitude tuple, in canonical form), classical bits, and
+    the branch probability, an exact power of 1/2."""
 
-    state: dict[int, complex]
+    state: dict[int, tuple[int, int, int, int]]
     cbits: dict[int, int]
     probability: float
 
@@ -176,69 +183,68 @@ class Branch(NamedTuple):
         return {w: (mask >> w) & 1 for w in range(wire_count)}
 
 
-def _apply(state: dict[int, complex], kind: str, w0: int, w1: int = -1) -> dict[int, complex]:
-    """One unitary gate (h, x, z, s, sdg, t, tdg, cx, cz) on a sparse
-    state; ``w1`` is the second wire of cx and cz."""
-    bit = 1 << w0
-    if kind == "x":
-        return {m ^ bit: a for m, a in state.items()}
-    if kind == "cx":
-        target = 1 << w1
-        return {m ^ target if m & bit else m: a for m, a in state.items()}
-    if kind == "cz":
-        both = bit | 1 << w1
-        return {m: -a if m & both == both else a for m, a in state.items()}
-    if kind == "h":
-        out: dict[int, complex] = {}
-        for m, a in state.items():
-            a *= _SQRT_HALF
-            low = m & ~bit
-            out[low] = out.get(low, 0) + a
-            out[low | bit] = out.get(low | bit, 0) + (-a if m & bit else a)
-        return {m: a for m, a in out.items() if abs(a) > _RESIDUE}
-    if kind in _PHASES:
-        phase = _PHASES[kind]
-        return {m: a * phase if m & bit else a for m, a in state.items()}
-    raise SimulationError(f"gate {kind!r} not supported in statevector mode")
-
-
-def _check(state: dict[int, complex]) -> None:
-    if len(state) > MAX_TERMS:
-        raise TermBudgetError(f"{len(state)} basis terms exceed the {MAX_TERMS}-term limit")
-    norm = math.sqrt(sum(abs(a) ** 2 for a in state.values()))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise NormDriftError(f"statevector norm drifted to {norm}")
-
-
-def _initial_state(wire_count: int, initial: Mapping[int, object] | None) -> dict[int, complex]:
-    initial = initial or {}
-    state: dict[int, complex] = {0: 1}
-    for w in range(wire_count):
-        spec = initial.get(w, 0)
-        if spec == 1:
-            state = _apply(state, "x", w)
-        elif spec == "T":
-            state = _apply(_apply(state, "h", w), "t", w)
-        elif spec != 0:
-            raise ValueError(f"unknown initial spec {spec!r} for wire {w}")
-    _check(state)
+def _least_k(state: dict) -> dict:
+    """Divide every amplitude by √2 while all of them are divisible (a+c
+    and b+d even), which lowers the shared k to its least value."""
+    while state and not any((a + c | b + d) & 1 for a, b, c, d in state.values()):
+        state = {m: ((b - d) // 2, (a + c) // 2, (b + d) // 2, (c - a) // 2)
+                 for m, (a, b, c, d) in state.items()}
     return state
 
 
-def _measure_x(state: dict[int, complex], wire: int,
-               outcome: int) -> tuple[dict[int, complex], float]:
-    """Project onto |+> (outcome 0) or |-> (outcome 1), renormalize, and
-    reset the measured wire to |0>.  Returns (state, branch probability).
+def _h(state: dict, w0: int, _: int = -1) -> dict:
+    # |m> goes to (|m without bit> ± |m with bit>)/√2: add, one more factor in k
+    bit = 1 << w0
+    out: dict[int, tuple[int, int, int, int]] = {}
+    for m, (a, b, c, d) in state.items():
+        for key, s in ((m & ~bit, 1), (m | bit, -1 if m & bit else 1)):
+            e, f, g, h = out.get(key, _ZERO)
+            out[key] = (e + s * a, f + s * b, g + s * c, h + s * d)
+    out = {m: x for m, x in out.items() if x != _ZERO}
+    if len(out) > MAX_TERMS:
+        raise TermBudgetError(f"{len(out)} basis terms exceed the {MAX_TERMS}-term limit")
+    return _least_k(out)
 
-    H maps |+>, |-> to |0>, |1>, so this is H, then a computational-basis
-    projection onto ``outcome``."""
-    kept = {m & ~(1 << wire): a for m, a in _apply(state, "h", wire).items()
-            if (m >> wire) & 1 == outcome}
-    prob = sum(abs(a) ** 2 for a in kept.values())
-    if prob < 1e-12:
-        return {}, 0.0
-    scale = 1 / math.sqrt(prob)
-    return {m: a * scale for m, a in kept.items()}, prob
+
+def _phase(rotate):
+    """The gate that rotates each term whose gate wires are all 1."""
+    def gate(state: dict, w0: int, w1: int = -1) -> dict:
+        on = 1 << w0 | (1 << w1 if w1 >= 0 else 0)
+        return {m: rotate(*x) if m & on == on else x for m, x in state.items()}
+    return gate
+
+
+# each unitary gate, a function of the sparse state and its one or two wires
+_GATES = {
+    "h": _h,
+    "x": lambda state, w0, _=-1: {m ^ 1 << w0: x for m, x in state.items()},
+    "cx": lambda state, w0, w1: {m ^ 1 << w1 if m >> w0 & 1 else m: x
+                                 for m, x in state.items()},
+    "cz": _phase(_PHASES["z"]),
+    **{kind: _phase(rotate) for kind, rotate in _PHASES.items()},
+}
+
+
+def _measure_x(state: dict, wire: int, outcome: int) -> tuple[dict, float]:
+    """Project onto |+> (outcome 0) or |-> (outcome 1), renormalize, and
+    reset the measured wire to |0>: H, then a computational-basis
+    projection.  Returns (state, probability), ({}, 0) if it is 0.
+
+    |a + bω + cω² + dω³|² = a²+b²+c²+d² + √2(ab+bc+cd-ad), summed over
+    the kept terms, must be 2^e, their k; the probability is 2^e over the
+    swept state's 2^k.  Any other sum raises ``SimulationError``."""
+    swept = _h(state, wire)
+    kept = {m & ~(1 << wire): x for m, x in swept.items() if (m >> wire) & 1 == outcome}
+    if not kept:
+        return {}, 0
+    whole = sum(a * a + b * b + c * c + d * d for a, b, c, d in swept.values())
+    part = sum(a * a + b * b + c * c + d * d for a, b, c, d in kept.values())
+    root2 = sum(a * b + b * c + c * d - a * d for a, b, c, d in kept.values())
+    if root2 or part & (part - 1):
+        raise SimulationError(
+            f"mx on wire {wire}: outcome {outcome} has the non-dyadic "
+            f"probability ({part}{root2:+d}√2)/{whole}")
+    return _least_k(kept), part / whole
 
 
 def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = None,
@@ -248,66 +254,57 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
     ``initial`` maps wires to 0, 1 or "T" (default 0).  ``branch`` is
     "explore" (follow every measurement outcome; returns one Branch per
     surviving combination), "forced-0" or "forced-1".  Raises
-    ``TermBudgetError`` once a state holds more than ``MAX_TERMS`` terms.
+    ``TermBudgetError`` once a state holds more than ``MAX_TERMS`` terms,
+    and ``SimulationError`` on a measurement outcome whose probability is
+    not a power of 1/2.
     """
     if netlist.has_macros:
         raise SimulationError("statevector mode needs a fully expanded netlist")
     if branch not in ("explore", "forced-0", "forced-1"):
         raise ValueError(f"unknown branch policy {branch!r}")
+    outcomes = (0, 1) if branch == "explore" else (int(branch[-1]),)
+    state = {0: _ONE}
+    for w, spec in (initial or {}).items():
+        if spec not in (0, 1, "T") or not 0 <= w < netlist.wire_count:
+            raise ValueError(f"unknown initial spec {spec!r} for wire {w} of {netlist.wire_count}")
+        if spec == "T":
+            state = _GATES["t"](_h(state, w), w)  # (|0> + ω|1>)/√2
+        elif spec == 1:
+            state = _GATES["x"](state, w)
 
-    branches = [Branch(_initial_state(netlist.wire_count, initial), {}, 1.0)]
+    branches = [(state, {}, 1.0)]
     for kind, w0, w1, cbit in netlist.columns().rows():
-        nxt: list[Branch] = []
-        for br in branches:
-            state = br.state
-            if kind in ("prep0", "prepT"):
-                if sum(abs(a) ** 2 for m, a in state.items() if (m >> w0) & 1) > AMP_TOL:
+        nxt = []
+        for state, cbits, probability in branches:
+            gate = _GATES.get(kind)
+            if gate is not None:
+                state = gate(state, w0, w1)
+            elif kind == "mx":
+                for outcome in outcomes:
+                    post, p = _measure_x(state, w0, outcome)
+                    if p:
+                        nxt.append((post, {**cbits, cbit: outcome}, probability * p))
+                    elif branch != "explore":
+                        raise SimulationError(f"forced outcome {outcome} has zero amplitude")
+                continue
+            elif kind in ("prep0", "prepT"):
+                if any((m >> w0) & 1 for m in state):
                     raise SimulationError(f"{kind} on non-|0> wire {w0}")
                 if kind == "prepT":
-                    state = _apply(_apply(state, "h", w0), "t", w0)
+                    state = _GATES["t"](_h(state, w0), w0)
             elif kind == "ccz_classical":
-                if br.cbits[cbit]:
-                    state = _apply(state, "cz", w0, w1)
-            elif kind == "mx":
-                outcomes = (0, 1) if branch == "explore" else (int(branch[-1]),)
-                for outcome in outcomes:
-                    post, prob = _measure_x(state, w0, outcome)
-                    if prob == 0.0:
-                        if branch != "explore":
-                            raise SimulationError(
-                                f"forced outcome {outcome} has zero amplitude")
-                        continue
-                    _check(post)
-                    nxt.append(Branch(post, {**br.cbits, cbit: outcome},
-                                      br.probability * prob))
-                continue
+                if cbits[cbit]:
+                    state = _GATES["cz"](state, w0, w1)
             else:
-                state = _apply(state, kind, w0, w1)
-            _check(state)
-            nxt.append(Branch(state, br.cbits, br.probability))
+                raise SimulationError(f"gate {kind!r} not supported in statevector mode")
+            nxt.append((state, cbits, probability))
         branches = nxt
-    return branches
+    return [Branch(*br) for br in branches]
 
 
-def states_equal(a: Mapping[int, complex], b: Mapping[int, complex],
-                 tol: float = AMP_TOL) -> bool:
-    """Amplitude-wise equality of two sparse states after fixing the
-    global phase of each by its nonzero amplitude of lowest bitmask."""
-
-    def fix(v: Mapping[int, complex]) -> dict[int, complex]:
-        v = {m: a for m, a in v.items() if abs(a) > tol}
-        if not v:
-            return v
-        ref = v[min(v)]
-        return {m: a * (abs(ref) / ref) for m, a in v.items()}
-
-    fa, fb = fix(a), fix(b)
-    return all(abs(fa.get(m, 0) - fb.get(m, 0)) <= tol for m in fa.keys() | fb.keys())
-
-
-def basis_state(wire_bits: Mapping[int, int]) -> dict[int, complex]:
+def basis_state(wire_bits: Mapping[int, int]) -> dict[int, tuple[int, int, int, int]]:
     """Sparse computational basis state with the given wire values."""
-    return {sum((v & 1) << w for w, v in wire_bits.items()): 1}
+    return {sum((v & 1) << w for w, v in wire_bits.items()): _ONE}
 
 
 # ---- equivalence checking ---------------------------------------------------
@@ -358,9 +355,9 @@ def verify_equivalence(netlist: Netlist, input_wires, reference: Callable) -> Eq
                 (amplitude,) = br.state.values()
                 got = bits if got is None else got
                 if (any(bits[w] != v for w, v in expected.items()) or bits != got
-                        or abs(amplitude - 1) > AMP_TOL):
+                        or amplitude != _ONE):
                     mismatches.append({"input": assignment, "expected": dict(expected),
-                                       "got": {**bits, "amplitude": f"{amplitude:.6g}"}})
+                                       "got": {**bits, "amplitude": _UNIT_TEXT[amplitude]}})
                     break
         else:
             got = {w: (sweep.wires[w] >> value) & 1 for w in expected}

@@ -1,9 +1,8 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a single [criterion N] PASS/FAIL line (visible with
-pytest -s or in captured output on failure) and pins its tolerance
-inline: functional and counting checks are exact, statevector checks
-use amplitude tolerance 1e-9 after global-phase fixing.
+pytest -s or in captured output on failure).  Every check is exact: the
+statevector ones compare amplitudes in Z[ω, 1/√2], global phase included.
 """
 
 import functools
@@ -29,7 +28,7 @@ from qsquare.costs import (
 )
 from qsquare.ir import AddInPlace, LogicalAnd, Netlist, expand
 from qsquare.layout import arrange, grid_value
-from qsquare.sim import basis_state, run_basis_sweep, run_statevector, states_equal
+from qsquare.sim import basis_state, run_basis_sweep, run_statevector
 from qsquare.synth import synthesize_squarer
 
 from planes import packed, plane_of
@@ -72,7 +71,7 @@ def test_criterion_1_functional_squaring_exhaustive():
 
 
 @report(2, "statevector block semantics: AND maps to |x,y,x&y>, uncompute "
-           "restores |x,y,0> on both branches (amplitude tol 1e-9)")
+           "restores |x,y,0> on both branches (amplitude exactly 1)")
 def test_criterion_2_block_semantics_statevector():
     nl = Netlist()
     x, y = nl.alloc_register("xy", 2, "input")
@@ -82,7 +81,7 @@ def test_criterion_2_block_semantics_statevector():
         branches = run_statevector(full, initial={x: bx, y: by})
         assert len(branches) == 1
         want = basis_state({x: bx, y: by, t: bx & by})
-        assert states_equal(branches[0].state, want, tol=1e-9)
+        assert branches[0].state == want
 
     nl2 = Netlist()
     x, y = nl2.alloc_register("xy", 2, "input")
@@ -94,7 +93,7 @@ def test_criterion_2_block_semantics_statevector():
         assert len(branches) == 2
         want = basis_state({x: bx, y: by, t: 0})
         for br in branches:
-            assert states_equal(br.state, want, tol=1e-9)
+            assert br.state == want
 
 
 @report(3, "logical-AND block budget exactly T=4, T-depth=2, CNOT=6, CNOT-depth=4")

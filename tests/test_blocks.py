@@ -29,16 +29,10 @@ from qsquare.sim import (
     run_basis_sweep,
     run_statevector,
     basis_state,
-    states_equal,
 )
 
 from macro_lowering import lower_adders
 from planes import lanes_of, packed
-
-
-def _allclose(a, b, atol=1e-9):
-    """Sparse states equal amplitude by amplitude, global phase included."""
-    return all(abs(a.get(m, 0) - b.get(m, 0)) <= atol for m in a.keys() | b.keys())
 
 
 def and_netlist():
@@ -102,8 +96,8 @@ def test_uncompute_both_branches_agree_statevector(x, y):
     assert len(branches) == 2
     want = basis_state({wx: x, wy: y, t: 0})
     for br in branches:
-        assert _allclose(br.state, want)
-        assert abs(br.probability - 0.5) < 1e-9
+        assert br.state == want
+        assert br.probability == 0.5
 
 
 def test_uncompute_branches_agree_on_superposed_inputs():
@@ -118,9 +112,10 @@ def test_uncompute_branches_agree_on_superposed_inputs():
     for op in expand(nl).gates:
         full.append(op)
     branches = run_statevector(full)
-    want = {bx << wx | by << wy: 0.5 for bx, by in itertools.product((0, 1), repeat=2)}
+    # the uniform superposition, (1/2)(|00> + |01> + |10> + |11>)
+    want = {bx << wx | by << wy: (1, 0, 0, 0) for bx, by in itertools.product((0, 1), repeat=2)}
     for br in branches:
-        assert _allclose(br.state, want)
+        assert br.state == want
 
 
 # ---- adder -------------------------------------------------------------------

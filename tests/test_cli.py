@@ -1,5 +1,6 @@
 """CLI contract: formats, exit codes, determinism, round-trips."""
 
+import argparse
 import hashlib
 import importlib
 import inspect
@@ -24,6 +25,26 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    # building the parser costs about ten parses, so a process that runs
+    # many commands builds it for the first only
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert run(["compare", "5"], capsys)[0] == 0
+    first = len(built)
+    assert first and "qsq" in built
+    assert run(["synth", "5", "--format", "grid"], capsys)[0] == 0
+    assert len(built) == first
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_synth_grid_row_t1_starts_with_a0a1(capsys):
@@ -425,7 +446,7 @@ _PACKAGE_NAMES = (
     "build_uncompute_and", "built_metrics", "costs", "count_gates", "dump_grid", "expand",
     "from_json", "grid_value", "ir", "lane_planes", "layout", "partial_products",
     "proposed_costs", "proposed_metrics", "reconcile", "reduction_ratios", "run_basis_sweep",
-    "run_statevector", "schedule_asap", "sim", "states_equal", "synth", "synthesize_squarer",
+    "run_statevector", "schedule_asap", "sim", "synth", "synthesize_squarer",
     "to_json", "to_qasm", "verify_equivalence",
 )
 

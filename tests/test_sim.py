@@ -4,11 +4,11 @@ import itertools
 import json
 import random
 
-import numpy as np
 import pytest
 
 from qsquare.blocks import build_adder_in_place, build_logical_and
-from qsquare.ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, expand
+from qsquare.ir import (
+    AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _ColumnWriter, _lowered, expand)
 from qsquare.sim import (
     NonClassicalGateError,
     SimulationError,
@@ -17,7 +17,6 @@ from qsquare.sim import (
     basis_state,
     run_basis_sweep,
     run_statevector,
-    states_equal,
     verify_equivalence,
 )
 from qsquare.synth import synthesize_squarer
@@ -25,12 +24,8 @@ from qsquare.synth import synthesize_squarer
 from macro_lowering import lower_adders
 from planes import ints_of, pack_wires, planes_of
 
-T_AMP = np.exp(1j * np.pi / 4)
-
-
-def _allclose(a, b, atol=1e-9):
-    """Sparse states equal amplitude by amplitude, global phase included."""
-    return all(abs(a.get(m, 0) - b.get(m, 0)) <= atol for m in a.keys() | b.keys())
+ONE = (1, 0, 0, 0)
+T_STATE = {0: ONE, 1: (0, 1, 0, 0)}  # (|0> + ω|1>)/√2: k = 1, as its norms sum to 2
 
 
 # ---- basis engine ------------------------------------------------------------
@@ -166,28 +161,28 @@ def test_statevector_basic_gates():
     nl.add_gate("h", 0)
     nl.add_gate("h", 0)
     (br,) = run_statevector(nl)
-    assert states_equal(br.state, basis_state({0: 0}))
+    assert br.state == basis_state({0: 0}) == {0: ONE}
 
 
 def test_statevector_magic_preparation():
     nl = Netlist()
     nl.alloc_register("m", 1, "magicT")
     (br,) = run_statevector(nl)
-    want = {0: 1 / np.sqrt(2), 1: T_AMP / np.sqrt(2)}
-    assert states_equal(br.state, want)
+    assert br.state == T_STATE
 
 
 def test_statevector_initial_t_state_matches_prep():
     nl = Netlist()
     nl.alloc_register("m", 1, "input")
     (br,) = run_statevector(nl, initial={0: "T"})
-    want = {0: 1 / np.sqrt(2), 1: T_AMP / np.sqrt(2)}
-    assert states_equal(br.state, want)
+    assert br.state == T_STATE
     (br,) = run_statevector(nl, initial={0: 1})
     assert br.state == basis_state({0: 1})
     for spec in ("magicT", "1", "0", "zero", 2):
         with pytest.raises(ValueError, match="unknown initial spec"):
             run_statevector(nl, initial={0: spec})
+    with pytest.raises(ValueError, match="for wire 1 of 1"):
+        run_statevector(nl, initial={1: 1})  # no such wire
 
 
 def test_statevector_logical_and_from_drawn_gate_list():
@@ -206,7 +201,7 @@ def test_statevector_logical_and_from_drawn_gate_list():
     nl.add_gate("s", t)
     for bx, by in itertools.product((0, 1), repeat=2):
         (br,) = run_statevector(nl, initial={x: bx, y: by, t: "T"})
-        assert _allclose(br.state, basis_state({x: bx, y: by, t: bx & by}))
+        assert br.state == basis_state({x: bx, y: by, t: bx & by})
 
 
 def test_statevector_term_budget():
@@ -230,7 +225,7 @@ def test_statevector_forced_branches():
     full = expand(nl)
     for policy in ("forced-0", "forced-1"):
         (br,) = run_statevector(full, initial={x: 1, y: 1}, branch=policy)
-        assert _allclose(br.state, basis_state({x: 1, y: 1, t: 0}))
+        assert br.state == basis_state({x: 1, y: 1, t: 0})
         assert br.cbits == {0: int(policy[-1])}
 
 
@@ -250,7 +245,7 @@ def test_statevector_agrees_with_basis_for_adder_blocks():
             basis = run_basis_sweep(macro, bits, 1)
             want = basis_state(basis.wires)
             for br in run_statevector(full, initial=bits):
-                assert states_equal(br.state, want)
+                assert br.state == want
 
 
 def test_statevector_2bit_adder_encodes_two():
@@ -264,10 +259,51 @@ def test_statevector_2bit_adder_encodes_two():
         assert bits[b[0]] + 2 * bits[b[1]] + 4 * bits[cw] == 2
 
 
-def test_states_equal_fixes_global_phase():
-    v = basis_state({0: 1})
-    assert states_equal(v, {m: np.exp(0.7j) * a for m, a in v.items()})
-    assert not states_equal(v, basis_state({0: 0}))
+def test_statevector_amplitudes_are_canonical():
+    # every state keeps the least k, so equal states are equal dicts: h h
+    # and h t tdg h come back to amplitude exactly 1, and a phase is kept
+    nl = Netlist()
+    nl.alloc_register("a", 2, "input")
+    for kind, w in (("h", 0), ("h", 1), ("t", 0), ("tdg", 0), ("h", 0), ("h", 1)):
+        nl.add_gate(kind, w)
+    (br,) = run_statevector(nl)
+    assert br.state == {0: ONE}
+    nl.add_gate("x", 1)
+    for kind in ("h", "s", "s", "h"):  # h z h = x
+        nl.add_gate(kind, 0)
+    (br,) = run_statevector(nl)
+    assert br.state == {0b11: ONE}
+    nl.add_gate("z", 0)
+    nl.add_gate("t", 1)
+    (br,) = run_statevector(nl)
+    assert br.state == {0b11: (0, -1, 0, 0)}  # -ω
+
+
+def test_statevector_refuses_non_dyadic_measurement():
+    # h, t, mx measures |+> with probability (2+√2)/4: no power of 1/2
+    nl = Netlist()
+    nl.alloc_register("a", 1, "input")
+    nl.add_gate("h", 0)
+    nl.add_gate("t", 0)
+    nl.add_gate("mx", 0, cbit=0)
+    for policy in ("explore", "forced-0", "forced-1"):
+        with pytest.raises(SimulationError, match=r"non-dyadic probability \(2[+-]1√2\)/4"):
+            run_statevector(nl, branch=policy)
+
+
+def test_statevector_measurement_probabilities_are_exact():
+    nl = Netlist()
+    nl.alloc_register("a", 1, "input")
+    nl.add_gate("mx", 0, cbit=0)  # |0> is |+> + |->: one half each
+    assert [(br.state, br.cbits, br.probability) for br in run_statevector(nl)] == [
+        ({0: ONE}, {0: 0}, 0.5), ({0: ONE}, {0: 1}, 0.5)]
+    nl = Netlist()
+    nl.alloc_register("a", 1, "input")
+    nl.add_gate("h", 0)
+    nl.add_gate("mx", 0, cbit=0)  # |+> measures 0 with probability 1
+    assert run_statevector(nl, branch="explore") == run_statevector(nl, branch="forced-0")
+    with pytest.raises(SimulationError, match="zero amplitude"):
+        run_statevector(nl, branch="forced-1")
 
 
 # ---- equivalence reports -----------------------------------------------------
@@ -334,7 +370,7 @@ def test_verify_equivalence_flags_corruption():
 
 # ---- phase of the whole expansion ---------------------------------------------
 
-@pytest.mark.parametrize("n", range(5, 9))
+@pytest.mark.parametrize("n", range(5, 10))
 def test_expanded_squarer_exact_with_phase(n):
     # every AND release must fix its phase: one wrong CZ leaves amplitude -1
     c = synthesize_squarer(n)
@@ -345,9 +381,7 @@ def test_expanded_squarer_exact_with_phase(n):
         want = basis_state({**inputs, **{w: (a * a >> i) & 1 for i, w in enumerate(p_wires)}})
         for policy in ("forced-0", "forced-1"):
             (br,) = run_statevector(full, initial=inputs, branch=policy)
-            assert br.state.keys() == want.keys(), (n, a, policy)
-            (amplitude,) = br.state.values()
-            assert abs(amplitude - 1) <= 1e-9, (n, a, policy, amplitude)
+            assert br.state == want, (n, a, policy)
 
 
 def test_verify_equivalence_sees_phase():
@@ -370,3 +404,90 @@ def test_verify_equivalence_sees_phase():
     stray_z.add_gate("z", x)
     rep = verify_equivalence(stray_z, (x, y), ref)
     assert [m["input"] for m in rep.mismatches] == [{x: 1, y: 0}, {x: 1, y: 1}]
+
+
+# ---- exact certificates of the four lowered patterns ----------------------------
+
+def _pattern(lower, wires):
+    """The netlist ``lower``, a ``_ColumnWriter`` method, writes over
+    wires 0..wires-1."""
+    nl = Netlist()
+    nl.wire_count = wires
+    nl.gates = _lowered(lower, wires)
+    return nl
+
+
+# per pattern: its wire count, and each basis input that meets its
+# precondition (a fresh AND target, an uncompute target equal to x AND y)
+# mapped to the basis state it must leave, as wire-value tuples
+_PATTERNS = {
+    "logical_and": (3, {(x, y, 0): (x, y, x & y)
+                        for x, y in itertools.product((0, 1), repeat=2)}),
+    "uncompute_and": (3, {(x, y, x & y): (x, y, 0)
+                          for x, y in itertools.product((0, 1), repeat=2)}),
+    # w = c, x = a, y = b: x and y take c, t takes the carry c ^ (a^c)(b^c)
+    "carry_cell": (4, {(w, x, y, 0): (w, x ^ w, y ^ w, w ^ ((x ^ w) & (y ^ w)))
+                       for w, x, y in itertools.product((0, 1), repeat=3)}),
+    # what a carry cell leaves, t = w ^ xy: t is released, x gets w back
+    # and y holds the sum bit
+    "release_cell": (4, {(w, x, y, w ^ (x & y)): (w, x ^ w, y ^ x ^ w, 0)
+                         for w, x, y in itertools.product((0, 1), repeat=3)}),
+}
+
+
+@pytest.mark.parametrize("name", list(_PATTERNS))
+def test_lowered_pattern_is_exact_on_every_branch(name):
+    # linearity lifts these to every context: each pattern takes each
+    # basis input it is used on to one basis state with amplitude exactly 1
+    wires, table = _PATTERNS[name]
+    nl = _pattern(getattr(_ColumnWriter, name), wires)
+    measured = any(g.kind == "mx" for g in nl.gates)
+    for given, want in table.items():
+        branches = run_statevector(nl, initial=dict(enumerate(given)))
+        assert len(branches) == (2 if measured else 1), (name, given)
+        for br in branches:
+            assert br.state == basis_state(dict(enumerate(want))), (name, given, br)
+            assert br.probability == (0.5 if measured else 1)
+
+
+# ---- mutants the exact engine must catch -----------------------------------------
+
+def _and_block():
+    nl = Netlist()
+    x, y = nl.alloc_register("xy", 2, "input")
+    t = build_logical_and(nl, x, y)
+    return nl, x, y, t
+
+
+def test_every_dropped_gate_of_the_and_block_is_caught():
+    # the prep0 of a fresh ancilla is the one gate whose loss changes nothing
+    nl, x, y, t = _and_block()
+    gates = list(expand(nl).gates)
+    survivors = []
+    for k in range(len(gates)):
+        mutant = expand(nl)
+        mutant.gates = gates[:k] + gates[k + 1:]
+        try:
+            rep = verify_equivalence(
+                mutant, (x, y), lambda bits: {**bits, t: bits[x] & bits[y]})
+        except SimulationError:
+            continue
+        if rep.ok:
+            survivors.append(gates[k].kind)
+    assert survivors == ["prep0"]
+
+
+@pytest.mark.parametrize("with_uncompute", [False, True])
+def test_s_to_sdg_swap_leaves_amplitude_minus_one(with_uncompute):
+    nl, x, y, t = _and_block()
+    if with_uncompute:
+        nl.append(UncomputeAnd(x, y, t))
+    swapped = expand(nl)
+    swapped.gates = [g._replace(kind="sdg") if g.kind == "s" else g for g in swapped.gates]
+    (mask,) = basis_state({x: 1, y: 1, t: int(not with_uncompute)})
+    for br in run_statevector(swapped, initial={x: 1, y: 1}):
+        assert br.state == {mask: (-1, 0, 0, 0)}
+    rep = verify_equivalence(swapped, (x, y), lambda bits: {
+        **bits, t: 0 if with_uncompute else bits[x] & bits[y]})
+    assert [m["input"] for m in rep.mismatches] == [{x: 1, y: 1}]
+    assert rep.mismatches[0]["got"]["amplitude"] == "-1+0j"
