@@ -8,6 +8,17 @@ Each command loads the modules it runs, when it runs: ``verify``
 imports ``sim`` and ``compare`` imports ``costs``, so ``synth`` loads
 neither, ``verify`` never loads ``costs`` and ``compare`` never loads
 ``sim``.
+
+``verify`` builds each width's squarer netlist, and the input and
+expected-square planes its basis sweep checks against, once per
+process: they are pure functions of n, and a process that runs many
+``verify`` commands (a library caller of ``main``, say) would otherwise
+rebuild them for each.  Sharing them is safe because nothing mutates
+them: ``run_basis_sweep`` only reads the netlist, ``_drop_gate`` builds
+a new one from slices, and the planes are kept as tuples.  Only widths
+in ``BASIS_RANGE`` are verified, so the caches hold at most 12 widths.
+``synth`` and ``compare`` build each width once per command and cache
+nothing.
 """
 
 from __future__ import annotations
@@ -120,6 +131,19 @@ def _square_planes(n: int) -> list[int]:
     return square
 
 
+@functools.cache  # per process, bounded by BASIS_RANGE (module docstring)
+def _sweep_reference(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The input planes and expected square planes of the n-bit sweep."""
+    from . import sim
+
+    return tuple(sim.lane_planes(n)), tuple(_square_planes(n))
+
+
+@functools.cache  # per process, bounded by BASIS_RANGE (module docstring)
+def _squarer_netlist(n: int) -> Netlist:
+    return synthesize_squarer(n).netlist
+
+
 def _lane_value(planes: list[int], lane: int) -> int:
     return sum(((p >> lane) & 1) << i for i, p in enumerate(planes))
 
@@ -133,7 +157,7 @@ def _verify_basis_one(netlist) -> dict:
     inputs, p_wires = netlist.registers["A"], netlist.registers["P"]
     n = len(inputs)
     lanes = 1 << n
-    a_planes = sim.lane_planes(n)
+    a_planes, square = _sweep_reference(n)
     try:
         result = sim.run_basis_sweep(netlist, dict(zip(inputs, a_planes)), lanes)
     except sim.SimulationError as exc:
@@ -151,7 +175,7 @@ def _verify_basis_one(netlist) -> dict:
     for carry in result.would_be_carries.values():
         overflow |= carry
     bad = dirty | overflow
-    for got, want in zip(p_planes + a_back, _square_planes(n) + a_planes):
+    for got, want in zip(p_planes + a_back, square + a_planes):
         bad |= got ^ want
     first: list[int] = []  # the lowest 16 bad lanes
     while bad and len(first) < 16:
@@ -179,10 +203,10 @@ def _verify_blocks() -> list[dict]:
 
     nl = Netlist()
     x, y = nl.alloc_register("xy", 2, "input")
-    blocks.build_logical_and(nl, x, y)
+    t = blocks.build_logical_and(nl, x, y)
     rep = sim.verify_equivalence(
         expand(nl), (x, y),
-        lambda bits: {2: bits[x] & bits[y], x: bits[x], y: bits[y]})
+        lambda bits: {t: bits[x] & bits[y], x: bits[x], y: bits[y]})
     reports.append({"block": "logical-and", **rep.to_json_dict()})
 
     nl = Netlist()
@@ -302,7 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok = True
     if args.mode in ("basis-exhaustive", "both"):
         for n in ns:
-            netlist = synthesize_squarer(n).netlist
+            netlist = _squarer_netlist(n)
             runs.append(_verify_basis_one(
                 netlist if mutate is None else _drop_gate(netlist, mutate)))
     if args.mode in ("statevector-blocks", "both"):

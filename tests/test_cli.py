@@ -13,12 +13,22 @@ from pathlib import Path
 import pytest
 
 from qsquare import blocks, cli, sim
-from qsquare.cli import _drop_gate, _square_planes, _UsageError, _verify_basis_one, main
+from qsquare.cli import (
+    _drop_gate,
+    _square_planes,
+    _sweep_reference,
+    _UsageError,
+    _verify_basis_one,
+    main,
+)
 from qsquare.ir import UncomputeAnd, expand, from_json, to_json, to_qasm
 from qsquare.sim import lane_planes
 from qsquare.synth import synthesize_squarer
 
 from planes import ints_of
+
+# the report of verify 5..16 --mode both, as every earlier engine wrote it
+_VERIFY_BOTH_DIGEST = "39896d9e5e9967e355e95ba6ce4b5802687456bf029f4a494f8c23c85cb26f96"
 
 
 def run(argv, capsys):
@@ -45,6 +55,29 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     assert run(["synth", "5", "--format", "grid"], capsys)[0] == 0
     assert len(built) == first
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_verify_builds_each_width_once(monkeypatch, capsys):
+    # a process that runs many verify commands builds each width's squarer
+    # for the first only; synth and compare build theirs and cache nothing
+    built = []
+    real = cli.synthesize_squarer
+
+    def counted(n):
+        built.append(n)
+        return real(n)
+
+    cli._squarer_netlist.cache_clear()
+    monkeypatch.setattr(cli, "synthesize_squarer", counted)
+    assert run(["synth", "5", "--out", os.devnull], capsys)[0] == 0
+    assert run(["compare", "5..6", "--measured"], capsys)[0] == 0
+    assert built == [5, 5, 6]
+    assert cli._squarer_netlist.cache_info().currsize == 0
+    for _ in range(2):
+        assert run(["verify", "5..16"], capsys)[0] == 0
+    assert built[3:] == list(range(5, 17))
+    info = cli._squarer_netlist.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (12, 12, 12)
 
 
 def test_synth_grid_row_t1_starts_with_a0a1(capsys):
@@ -141,6 +174,8 @@ def test_lane_and_square_planes_read_back(n):
     assert ints_of(a_planes, lanes) == list(range(lanes))
     assert ints_of(square, lanes) == [a * a for a in range(lanes)]
     assert all(0 <= p < 1 << lanes for p in a_planes + square)
+    # verify reads them once per process, as tuples no caller can change
+    assert _sweep_reference(n) == (tuple(a_planes), tuple(square))
 
 
 def test_verify_basis_reports_garbage_and_overflow_lanes(monkeypatch):
@@ -183,6 +218,34 @@ def test_verify_basis_reads_a_netlist_alone():
             assert rep == _verify_basis_one(from_json(to_json(checked)))
             assert rep["n"] == n and rep["inputs_checked"] == 1 << n
             assert bool(rep["mismatches"]) == (checked is not netlist)
+
+
+def test_verify_cache_is_never_corrupted(tmp_path, capsys):
+    # mutants verify copies of the cached netlists: after them the clean
+    # run still writes its pinned report and each cached netlist still
+    # equals a fresh build
+    for k in (0, 8, 17, 35):
+        assert run(["verify", "5..16", "--mutate", f"drop-gate:{k}"], capsys)[0] == 3
+    path = tmp_path / "r.json"
+    assert run(["verify", "5..16", "--mode", "both", "--report", str(path)], capsys)[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _VERIFY_BOTH_DIGEST
+    for n in range(5, 17):
+        assert cli._squarer_netlist(n) == synthesize_squarer(n).netlist
+
+
+def test_block_battery_checks_the_and_target_it_is_given(monkeypatch):
+    # the AND block's reference reads the wire build_logical_and returns,
+    # so a builder that allocates a spare wire first still checks clean
+    real = blocks.build_logical_and
+
+    def spare_first(netlist, x, y):
+        netlist.new_wire()
+        return real(netlist, x, y)
+
+    monkeypatch.setattr(blocks, "build_logical_and", spare_first)
+    reports = cli._verify_blocks()
+    assert [r["block"] for r in reports[:2]] == ["logical-and", "and-uncompute"]
+    assert [r["mismatches"] for r in reports] == [[]] * len(reports)
 
 
 def test_verify_range_outside_basis_window(capsys):
@@ -313,8 +376,7 @@ def test_traced_counters_stay_readable(n):
      "1f746268923774f34cea32f58a91e293f8062b5c24722ec98a7b9767d7c64b51"),
     (["compare", "5..20", "--measured", "--csv"], "c.csv", 0,
      "b2bbc7a17fc2e0f2e52dc87984af19631001b3c2e143828f5c757e3f2c6c34f0"),
-    (["verify", "5..16", "--mode", "both", "--report"], "r.json", 0,
-     "39896d9e5e9967e355e95ba6ce4b5802687456bf029f4a494f8c23c85cb26f96"),
+    (["verify", "5..16", "--mode", "both", "--report"], "r.json", 0, _VERIFY_BOTH_DIGEST),
     (["verify", "5..16", "--mutate", "drop-gate:8", "--report"], "r.json", 3,
      "6a3fb6085bfa1614aebb8fbba23adf5efaccdd816a53ca3e26d16b9ebb958dee"),
     (["synth", "16", "--format", "json", "--out"], "s.json", 0,
