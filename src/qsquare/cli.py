@@ -9,16 +9,20 @@ imports ``sim`` and ``compare`` imports ``costs``, so ``synth`` loads
 neither, ``verify`` never loads ``costs`` and ``compare`` never loads
 ``sim``.
 
-``verify`` builds each width's squarer netlist, and the input and
-expected-square planes its basis sweep checks against, once per
-process: they are pure functions of n, and a process that runs many
-``verify`` commands (a library caller of ``main``, say) would otherwise
+``synth`` and ``verify`` build each width's squarer once per process,
+and ``verify`` the input and expected-square planes its basis sweep
+checks against: they are pure functions of n, and a process that runs
+many commands (a library caller of ``main``, say) would otherwise
 rebuild them for each.  Sharing them is safe because nothing mutates
-them: ``run_basis_sweep`` only reads the netlist, ``_drop_gate`` builds
-a new one from slices, and the planes are kept as tuples.  Only widths
-in ``BASIS_RANGE`` are verified, so the caches hold at most 12 widths.
-``synth`` and ``compare`` build each width once per command and cache
-nothing.
+them: ``to_json``, ``to_qasm``, ``dump_grid`` and ``run_basis_sweep``
+only read the circuit, ``_drop_gate`` builds a new netlist from slices,
+and the planes are kept as tuples.  The squarer cache keeps the 13
+widths used last: the 12 of ``BASIS_RANGE`` plus one, so a ``synth``
+between two ``verify 5..16`` evicts no verified width; a 128-bit
+circuit holds about 3.3 MB.  The planes are cached only for verified
+widths, so for at most 12.  ``compare`` builds each width once per
+command and caches nothing: holding the circuits of a long sweep would
+only raise its peak memory.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import sys
 from . import blocks
 from .ir import Netlist, expand, to_json, to_qasm
 from .layout import dump_grid
-from .synth import synthesize_squarer
+from .synth import SquarerCircuit, synthesize_squarer
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -81,7 +85,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     n = _parse_n(args.n)
     if args.expanded and args.format == "grid":
         raise _UsageError("--expanded lowers the netlist, which --format grid does not write")
-    circuit = synthesize_squarer(n)
+    circuit = _squarer(n)
     if args.format == "grid":
         _write(args.out, dump_grid(circuit.grid))
     elif args.format == "json":
@@ -139,9 +143,10 @@ def _sweep_reference(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sim.lane_planes(n)), tuple(_square_planes(n))
 
 
-@functools.cache  # per process, bounded by BASIS_RANGE (module docstring)
-def _squarer_netlist(n: int) -> Netlist:
-    return synthesize_squarer(n).netlist
+# the 12 widths of BASIS_RANGE plus one (module docstring)
+@functools.lru_cache(maxsize=BASIS_RANGE[1] - BASIS_RANGE[0] + 2)
+def _squarer(n: int) -> SquarerCircuit:
+    return synthesize_squarer(n)
 
 
 def _lane_value(planes: list[int], lane: int) -> int:
@@ -326,7 +331,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok = True
     if args.mode in ("basis-exhaustive", "both"):
         for n in ns:
-            netlist = _squarer_netlist(n)
+            netlist = _squarer(n).netlist
             runs.append(_verify_basis_one(
                 netlist if mutate is None else _drop_gate(netlist, mutate)))
     if args.mode in ("statevector-blocks", "both"):
@@ -365,10 +370,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
 
     designs = tuple(d.strip() for d in args.designs.split(","))
-    for d in designs:
+    for i, d in enumerate(designs):
         if d != "proposed" and d not in BASELINES:
             raise _UsageError(f"unknown design {d!r}; known: proposed, "
                               + ", ".join(BASELINES))
+        if d in designs[:i]:
+            raise _UsageError(f"design {d!r} named twice in --designs")
     if args.measured and "proposed" not in designs:
         raise _UsageError("--measured measures the proposed design, which "
                           "--designs leaves out")

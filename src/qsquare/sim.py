@@ -91,12 +91,18 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
     (bit k = the wire's value in lane k), and every gate acts on all
     lanes with one or a few int operations.  One lane is one basis input.
 
-    Unassigned wires start at 0.  Expanded Clifford+T gates are
-    rejected; run the unexpanded netlist or use the statevector engine.
+    Unassigned wires start at 0.  An input wire outside the netlist, or
+    a plane with a bit past the last lane, raises ``ValueError``.
+    Expanded Clifford+T gates are rejected; run the unexpanded netlist or
+    use the statevector engine.
     """
     full = (1 << lanes) - 1
     bits = [0] * netlist.wire_count
     for w, plane in inputs.items():
+        # a negative index would load another wire's plane
+        if type(w) is not int or not 0 <= w < netlist.wire_count:
+            raise ValueError(f"input wire {w!r} is not one of the netlist's "
+                             f"{netlist.wire_count} wires")
         if not 0 <= plane <= full:
             raise ValueError(f"plane of wire {w} does not fit in {lanes} lanes")
         bits[w] = plane

@@ -14,6 +14,7 @@ import pytest
 
 from qsquare import blocks, cli, sim
 from qsquare.cli import (
+    BASIS_RANGE,
     _drop_gate,
     _square_planes,
     _sweep_reference,
@@ -22,6 +23,7 @@ from qsquare.cli import (
     main,
 )
 from qsquare.ir import UncomputeAnd, expand, from_json, to_json, to_qasm
+from qsquare.layout import dump_grid
 from qsquare.sim import lane_planes
 from qsquare.synth import synthesize_squarer
 
@@ -57,9 +59,8 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
-def test_verify_builds_each_width_once(monkeypatch, capsys):
-    # a process that runs many verify commands builds each width's squarer
-    # for the first only; synth and compare build theirs and cache nothing
+def _counted_builds(monkeypatch) -> list[int]:
+    """Empty the squarer cache and list the width of every build from now."""
     built = []
     real = cli.synthesize_squarer
 
@@ -67,17 +68,51 @@ def test_verify_builds_each_width_once(monkeypatch, capsys):
         built.append(n)
         return real(n)
 
-    cli._squarer_netlist.cache_clear()
+    cli._squarer.cache_clear()
     monkeypatch.setattr(cli, "synthesize_squarer", counted)
+    return built
+
+
+def test_verify_builds_each_width_once(monkeypatch, capsys):
+    # a process that runs many synth and verify commands builds each
+    # width's squarer for the first only; compare builds its own and
+    # caches nothing
+    built = _counted_builds(monkeypatch)
     assert run(["synth", "5", "--out", os.devnull], capsys)[0] == 0
+    assert cli._squarer.cache_info().currsize == 1
     assert run(["compare", "5..6", "--measured"], capsys)[0] == 0
     assert built == [5, 5, 6]
-    assert cli._squarer_netlist.cache_info().currsize == 0
+    assert cli._squarer.cache_info().currsize == 1
     for _ in range(2):
         assert run(["verify", "5..16"], capsys)[0] == 0
-    assert built[3:] == list(range(5, 17))
-    info = cli._squarer_netlist.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (12, 12, 12)
+    assert built[3:] == list(range(6, 17))  # width 5 is synth's build
+    info = cli._squarer.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (12, 13, 12)
+
+
+def test_synth_between_verifies_evicts_no_verified_width(monkeypatch, capsys):
+    # the cache keeps one width past BASIS_RANGE: with 12 slots the 128-bit
+    # build would evict width 5, and the second verify, asking for each
+    # width just before it is evicted, would rebuild all 12
+    built = _counted_builds(monkeypatch)
+    assert run(["verify", "5..16"], capsys)[0] == 0
+    assert run(["synth", "128", "--format", "grid", "--out", os.devnull], capsys)[0] == 0
+    assert run(["verify", "5..16"], capsys)[0] == 0
+    assert built == [*range(5, 17), 128]
+
+
+def test_squarer_cache_keeps_at_most_its_bound(monkeypatch, capsys):
+    built = _counted_builds(monkeypatch)
+    bound = cli._squarer.cache_info().maxsize
+    assert bound == BASIS_RANGE[1] - BASIS_RANGE[0] + 2
+    for n in range(5, 25):
+        assert run(["synth", str(n), "--format", "grid", "--out", os.devnull], capsys)[0] == 0
+        assert cli._squarer.cache_info().currsize == min(n - 4, bound)
+    assert built == list(range(5, 25))
+    # the least recently used widths went first: the last 13 are still held
+    assert run(["synth", "12", "--format", "grid", "--out", os.devnull], capsys)[0] == 0
+    assert run(["synth", "11", "--format", "grid", "--out", os.devnull], capsys)[0] == 0
+    assert built[20:] == [11]
 
 
 def test_synth_grid_row_t1_starts_with_a0a1(capsys):
@@ -122,9 +157,12 @@ def test_synth_qasm_is_fully_primitive(capsys):
 
 
 def test_synth_deterministic_byte_identical(tmp_path, capsys):
+    # two independent builds: synth would serve the second from its cache
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    run(["synth", "8", "--format", "json", "--out", str(p1)], capsys)
-    run(["synth", "8", "--format", "json", "--out", str(p2)], capsys)
+    for path in (p1, p2):
+        cli._squarer.cache_clear()
+        assert run(["synth", "8", "--format", "json", "--out", str(path)], capsys)[0] == 0
+        assert cli._squarer.cache_info().misses == 1
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -222,15 +260,26 @@ def test_verify_basis_reads_a_netlist_alone():
 
 def test_verify_cache_is_never_corrupted(tmp_path, capsys):
     # mutants verify copies of the cached netlists: after them the clean
-    # run still writes its pinned report and each cached netlist still
+    # run still writes its pinned report, synth writes from the warm cache
+    # what it writes from a fresh build, and each cached circuit still
     # equals a fresh build
     for k in (0, 8, 17, 35):
         assert run(["verify", "5..16", "--mutate", f"drop-gate:{k}"], capsys)[0] == 3
     path = tmp_path / "r.json"
     assert run(["verify", "5..16", "--mode", "both", "--report", str(path)], capsys)[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _VERIFY_BOTH_DIGEST
+    misses = cli._squarer.cache_info().misses
+    for n in (5, 8, 16):
+        fresh = synthesize_squarer(n)
+        for flags, text in (([], to_json(fresh.netlist)),
+                            (["--expanded"], to_json(fresh.netlist, lower=True)),
+                            (["--format", "qasm"], to_qasm(fresh.netlist, lower=True)),
+                            (["--format", "grid"], dump_grid(fresh.grid))):
+            assert run(["synth", str(n), *flags, "--out", str(path)], capsys)[0] == 0
+            assert path.read_text() == text
     for n in range(5, 17):
-        assert cli._squarer_netlist(n) == synthesize_squarer(n).netlist
+        assert cli._squarer(n) == synthesize_squarer(n)
+    assert cli._squarer.cache_info().misses == misses
 
 
 def test_block_battery_checks_the_and_target_it_is_given(monkeypatch):
@@ -322,6 +371,11 @@ def test_compare_unknown_design(capsys):
     (["compare", " 6"], "width must be an integer in ASCII digits, got ' 6'"),
     (["synth", "\u0666"], "width must be an integer in ASCII digits, got '\u0666'"),
     (["compare", "5..1_0"], "width must be an integer in ASCII digits, got '1_0'"),
+    # a design named twice would write its rows and its column twice
+    (["compare", "5", "--designs", "thapliyal,thapliyal", "--csv", "-"],
+     "design 'thapliyal' named twice in --designs"),
+    (["compare", "5", "--designs", "proposed, nagamani-osu,proposed"],
+     "design 'proposed' named twice in --designs"),
 ])
 def test_compare_and_verify_refuse_input_they_would_ignore(argv, message, capsys):
     code, out, err = run(argv, capsys)

@@ -141,6 +141,17 @@ def test_sweep_reports_first_bad_lane_and_rejects_wide_planes():
         run_basis_sweep(nl, {x: -1}, 4)
 
 
+@pytest.mark.parametrize("wire", [-1, 2, 5, "0", 1.0, True])
+def test_sweep_refuses_an_input_wire_outside_the_netlist(wire):
+    # -1 would load the plane into wire 1, and 5 would fail on a raw index
+    nl = Netlist()
+    x, y = nl.alloc_register("xy", 2, "input")
+    nl.add_gate("cx", x, y)
+    with pytest.raises(ValueError, match=f"^input wire {wire!r} is not one of the netlist's 2 wires$"):
+        run_basis_sweep(nl, {wire: 1}, 1)
+    assert run_basis_sweep(nl, {x: 1}, 1).wires == {x: 1, y: 1}
+
+
 def test_squarer_is_injective_on_valid_inputs():
     c = synthesize_squarer(5)
     seen = set()
