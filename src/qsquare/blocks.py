@@ -25,7 +25,7 @@ beside the paper's booking of them.
 
 from __future__ import annotations
 
-from .ir import AddInPlace, LogicalAnd, Netlist, UncomputeAnd
+from .ir import AND, CARRY, RELEASE, UNAND, AddInPlace, LogicalAnd, Netlist, UncomputeAnd
 
 
 def build_logical_and(netlist: Netlist, x: int, y: int) -> int:
@@ -64,25 +64,11 @@ def adder_and_count(m: int, with_carry_out: bool) -> int:
 
 
 def lower_add_in_place(em, add: AddInPlace) -> None:
-    """Lower one AddInPlace to CNOTs, a head AND, two runs of ripple
-    cells and a tail uncompute, written in order through the emitter
-    ``em``.
-
-    ``em`` provides ``new_wires(k)``, which allocates k fresh wires and
-    returns their numbers as a ``range``, for the internal carry ancillae,
-    ``cx(c, t)``, and four run methods, each of which writes a run of
-    one pattern over the run's wire columns: ``logical_ands(x, y, t)``
-    and ``uncompute_ands(x, y, t)``, pattern j over (x[j], y[j], t[j]),
-    and ``carry_cells(w, x, y, t)`` and ``release_cells(w, x, y, t)``,
-    cell j over (w[j], x[j], y[j], t[j]).  The head AND and the tail
-    uncompute are runs of one.  The patterns are defined by
-    ``ir._ColumnWriter``'s ``logical_and``, ``uncompute_and``,
-    ``carry_cell`` and ``release_cell``.  ``ir._lower``, the one walk
-    that lowers a netlist's ops, calls this for every adder with the
-    emitter of its caller: gate columns for ``expand``, ASAP layers for
-    ``schedule_asap``, text for ``to_json`` and ``to_qasm``.  The
-    pre-allocated carry-out wire (when present) doubles as the top AND
-    target.
+    """Lower one AddInPlace through the ``ir`` emitter ``em``, in order:
+    a head AND, a run of carry cells, the top CNOTs, a run of release
+    cells and a tail uncompute, each run in one ``em.run`` call.
+    ``ir._lower`` calls this for every adder.  The pre-allocated
+    carry-out wire (when present) doubles as the top AND target.
     """
     a, b = add.a_wires, add.b_wires
     m = len(a)
@@ -96,8 +82,8 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
 
     # forward: c_1 = a_0 b_0, then the carry cell of each bit i = 1..k-1,
     # c_{i+1} = c_i ^ ((a_i^c_i)(b_i^c_i)) over (c_i, a_i, b_i, c_{i+1})
-    em.logical_ands(a[:1], b[:1], w[1:2])
-    em.carry_cells(w[1:k], a[1:k], b[1:k], w[2:k + 1])
+    em.run(AND, a[:1], b[:1], w[1:2])
+    em.run(CARRY, w[1:k], a[1:k], b[1:k], w[2:k + 1])
 
     # top sum bit
     if add.carry_out is not None:
@@ -110,7 +96,7 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
     # descending: the release cell of each bit i = m-2..1 frees c_{i+1}
     # and finalizes bit i (bit m-1 was finalized above; the carry-out
     # wire, when present, is never released)
-    em.release_cells(w[m - 2:0:-1], a[m - 2:0:-1], b[m - 2:0:-1], w[m - 1:1:-1])
+    em.run(RELEASE, w[m - 2:0:-1], a[m - 2:0:-1], b[m - 2:0:-1], w[m - 1:1:-1])
 
-    em.uncompute_ands(a[:1], b[:1], w[1:2])
+    em.run(UNAND, a[:1], b[:1], w[1:2])
     cx(a[0], b[0])

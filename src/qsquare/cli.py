@@ -60,7 +60,7 @@ def _parse_n(text: str) -> int:
     return n
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     lo, dots, hi = text.partition("..")
     if dots and not hi:
         raise _UsageError(f"width range {text!r} has no upper end")
@@ -68,7 +68,7 @@ def _parse_range(text: str) -> list[int]:
     last = _parse_n(hi) if dots else first
     if last < first:
         raise _UsageError(f"empty width range {text!r}")
-    return list(range(first, last + 1))
+    return range(first, last + 1)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -90,8 +90,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         _write(args.out, dump_grid(circuit.grid))
     elif args.format == "json":
         _write(args.out, to_json(circuit.netlist, lower=args.expanded))
-    else:  # qasm needs primitives only
-        _write(args.out, to_qasm(circuit.netlist, lower=True))
+    else:  # qasm, always of the expansion
+        _write(args.out, to_qasm(circuit.netlist))
     return EXIT_OK
 
 

@@ -41,17 +41,13 @@ the one walk that lowers a netlist's ops, and the only code that
 dispatches on op type.  It hands each primitive to an emitter, each
 maximal run of consecutive ANDs (or uncomputes) of one type to the
 emitter in one call, over the run's wire columns, and each adder to
-``blocks.lower_add_in_place``, which hands the emitter the adder's head
-AND and tail uncompute as runs of one, its top CNOTs one by one, and
-each of its two runs of ripple cells in one call.  The emitter
-interface is ``new_wires``, ``gate``, ``cx`` and the four run methods
-``logical_ands``, ``uncompute_ands``, ``carry_cells`` and
-``release_cells``.  ``_ColumnWriter``'s ``logical_and``,
-``uncompute_and``, ``carry_cell`` and ``release_cell`` are the one
-definition of those four gate patterns: the column templates and text
-skeletons of a run are derived from them at import, and
-``_DepthWriter``'s closed-form steps are tested against them.  Three
-emitters read the walk:
+``blocks.lower_add_in_place``.  The four lowered gate patterns, the
+AND, the uncompute and an adder's carry and release cells, are values:
+``AND``, ``UNAND``, ``CARRY`` and ``RELEASE`` (``PATTERNS``), each a
+``_Pattern`` built at import from its one definition, a
+``_ColumnWriter`` method.  An emitter has ``new_wires``, ``gate``,
+``cx`` and ``run(pattern, *columns)``, which writes a run of one
+pattern.  Three emitters read the walk:
 
 - ``expand`` writes the primitives into ``GateColumns``: a ``list``
   subclass whose own storage holds each gate's kind string, beside list
@@ -64,9 +60,8 @@ emitters read the walk:
   (T and CNOT counts) reads the columns directly, and packs a list of
   primitives into columns first.
 - ``schedule_asap`` (T- and CNOT-depth) layers the gates with no
-  columns built: each AND, uncompute or ripple cell of a run in one
-  closed-form max-plus step, so the depths of a macro netlist equal
-  those of its expansion.
+  columns built: each pattern of a run in one closed-form max-plus
+  step, so the depths of a macro netlist equal those of its expansion.
 - ``to_json`` and ``to_qasm`` write the text of the expansion with one
   template per primitive kind.  A run of one pattern is one
   ``"".join`` of the pattern's skeleton, its literals repeated once per
@@ -87,7 +82,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import groupby
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 
 class NetlistError(Exception):
@@ -460,6 +455,7 @@ class Netlist:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Netlist)
                 and self.wire_count == other.wire_count
+                and self.cbit_count == other.cbit_count
                 and self.gates == other.gates
                 and self.registers == other.registers)
 
@@ -500,11 +496,7 @@ class _ColumnWriter:
     It is the emitter ``expand`` passes to ``_lower``.  Its
     ``logical_and`` and ``uncompute_and`` and an adder's two ripple
     cells, ``carry_cell`` and ``release_cell``, are the one definition of
-    those gate patterns: ``logical_ands``, ``uncompute_ands``,
-    ``carry_cells`` and ``release_cells`` write a run of each from
-    column templates derived from them at import, serialization derives
-    its text skeletons from them, and ``_DepthWriter``'s closed-form
-    layering of them is tested against them.
+    those gate patterns, from which each ``_Pattern`` is derived.
     """
 
     __slots__ = ("new_wires", "_out", "_kind", "_kinds",
@@ -560,36 +552,19 @@ class _ColumnWriter:
         self.cx(w, x)
         self.cx(x, y)
 
-    def logical_ands(self, x: Sequence[int], y: Sequence[int], t: Sequence[int]) -> None:
-        """A run of ANDs, AND j over (x[j], y[j], t[j])."""
-        self._cells(_AND_COLUMNS, x, y, t)
-
-    def uncompute_ands(self, x: Sequence[int], y: Sequence[int], t: Sequence[int]) -> None:
-        """A run of uncomputes, uncompute j over (x[j], y[j], t[j])."""
-        self._cells(_UNAND_COLUMNS, x, y, t, self._new_cbits(len(x)))
-
-    def carry_cells(self, w: Sequence[int], x: Sequence[int],
-                    y: Sequence[int], t: Sequence[int]) -> None:
-        """A run of carry cells, cell j over (w[j], x[j], y[j], t[j])."""
-        self._cells(_CARRY_COLUMNS, w, x, y, t)
-
-    def release_cells(self, w: Sequence[int], x: Sequence[int],
-                      y: Sequence[int], t: Sequence[int]) -> None:
-        """A run of release cells, cell j over (w[j], x[j], y[j], t[j])."""
-        self._cells(_RELEASE_COLUMNS, w, x, y, t, self._new_cbits(len(w)))
-
-    def _new_cbits(self, k: int) -> range:
-        out = self._out
-        first = out.cbit_count
-        out.cbit_count = first + k
-        return range(first, first + k)
-
-    def _cells(self, template, *columns) -> None:
+    def run(self, pattern: _Pattern, *columns: Sequence[int]) -> None:
+        """A run of ``pattern``, pattern j over the j-th wire of each of
+        ``columns`` and, when the pattern takes one, a fresh cbit."""
         # a run of k patterns of g gates: each gate column is g*k -1s whose
         # slots p, p+g, p+2g, ... (the slice ``at``) take the run's column
         # that the pattern's role at position p picks, a wire's or the cbits
-        kinds, fills = template
+        kinds, fills = pattern.columns
         k = len(columns[0])
+        if pattern.cbit:
+            out = self._out
+            first = out.cbit_count
+            out.cbit_count = first + k
+            columns += (range(first, first + k),)
         size = len(kinds) * k
         self._kinds(kinds * k)
         for extend, fill in zip((self._w0s, self._w1s, self._cbits), fills):
@@ -614,18 +589,12 @@ def _cell_columns(lower, wires: int):
     over wires 0..wires-1 and cbit ``wires``: its kind sequence, and for
     each of its w0, w1 and cbit columns a (``slice(p, None, g)``, role)
     pair per position p that holds a wire or the cbit, which
-    ``_ColumnWriter._cells`` fills in a run, the role naming which."""
+    ``_ColumnWriter.run`` fills in a run, the role naming which."""
     cols = _lowered(lower, wires)
     g = len(cols)
     return tuple(list.__iter__(cols)), tuple(
         tuple((slice(p, None, g), role) for p, role in enumerate(column) if role >= 0)
         for column in (cols.w0, cols.w1, cols.cbit))
-
-
-_AND_COLUMNS = _cell_columns(_ColumnWriter.logical_and, 3)
-_UNAND_COLUMNS = _cell_columns(_ColumnWriter.uncompute_and, 3)
-_CARRY_COLUMNS = _cell_columns(_ColumnWriter.carry_cell, 4)
-_RELEASE_COLUMNS = _cell_columns(_ColumnWriter.release_cell, 4)
 
 
 def _lower(netlist: Netlist, em):
@@ -635,11 +604,10 @@ def _lower(netlist: Netlist, em):
     A primitive, a ``GateColumns`` row or a ``Gate`` of a list, goes to
     ``em.gate(kind, w0, w1, cbit)``, with -1 for a missing second wire or
     cbit.  Each maximal run of consecutive ``LogicalAnd`` (or
-    ``UncomputeAnd``) ops of one type goes to ``em.logical_ands(x, y, t)``
-    (or ``em.uncompute_ands``) in one call, over the run's columns of x,
-    y and target wires.  An adder goes to ``blocks.lower_add_in_place``,
-    which also calls ``em.new_wires``, ``em.cx`` and the four run
-    methods.  An op of a subclass of one of the four op types lowers as
+    ``UncomputeAnd``) ops of one type goes to ``em.run(AND, x, y, t)``
+    (or ``UNAND``) in one call, over the run's columns of x, y and
+    target wires.  An adder goes to ``blocks.lower_add_in_place``.  An
+    op of a subclass of one of the four op types lowers as
     ``isinstance`` dispatches it, in runs of its own type (the walk
     groups ops by their exact type, which keeps the grouping in C).  Any
     other op raises ``NetlistError``, once the ops before it are lowered.
@@ -651,21 +619,21 @@ def _lower(netlist: Netlist, em):
         for row in gates.rows():
             gate(*row)
         return em
-    logical_ands, uncompute_ands = em.logical_ands, em.uncompute_ands
-    for cls, run in groupby(gates, type):
+    run = em.run
+    for cls, ops in groupby(gates, type):
         if issubclass(cls, LogicalAnd):
-            logical_ands(*zip(*run))
+            run(AND, *zip(*ops))
         elif issubclass(cls, UncomputeAnd):
-            uncompute_ands(*zip(*run))
+            run(UNAND, *zip(*ops))
         elif issubclass(cls, Gate):
-            for kind, wires, cbit in run:
+            for kind, wires, cbit in ops:
                 gate(kind, wires[0], wires[1] if len(wires) > 1 else -1,
                      -1 if cbit is None else cbit)
         elif issubclass(cls, AddInPlace):
-            for op in run:
+            for op in ops:
                 lower_add_in_place(em, op)
         else:
-            raise NetlistError(f"cannot lower {next(run)!r}")
+            raise NetlistError(f"cannot lower {next(ops)!r}")
     return em
 
 
@@ -716,11 +684,9 @@ class _DepthWriter:
     """ASAP layering of the gates written to it.
 
     It is the emitter ``schedule_asap`` passes to ``_lower``: ``gate``
-    layers one primitive, and each AND, uncompute or ripple cell of a
-    run given to ``logical_ands``, ``uncompute_ands``, ``carry_cells`` or
-    ``release_cells`` takes one closed-form step to the layers of its
-    lowered pattern, numbering cbits from ``cbit_count`` as ``expand``
-    does.
+    layers one primitive, and ``run`` layers each pattern of a run in its
+    pattern's ``step``, one closed form hand-derived from its gates,
+    numbering cbits from ``cbit_count`` as ``expand`` does.
     """
 
     __slots__ = ("last", "open", "meas", "t_layers", "cnot_layers", "cbit_count")
@@ -774,7 +740,10 @@ class _DepthWriter:
         open_[t] = 0
         self.cnot_layers.add(layer)
 
-    def logical_ands(self, xs, ys, ts) -> None:
+    def run(self, pattern: _Pattern, *columns) -> None:
+        pattern.step(self, *columns)
+
+    def _and_step(self, xs, ys, ts) -> None:
         # each AND: h, t on the target, then cx x->t and cx y->t, each
         # joining an open fan-out of its control when it can; every later
         # gate of the pattern sits a fixed number of layers after the
@@ -794,7 +763,7 @@ class _DepthWriter:
             last[t] = l5 + 4
             open_[x] = open_[y] = open_[t] = 0
 
-    def uncompute_ands(self, xs, ys, ts) -> None:
+    def _unand_step(self, xs, ys, ts) -> None:
         # each uncompute: mx on the target, then ccz_classical on (x, y)
         # after its outcome
         last, open_, meas = self.last, self.open, self.meas
@@ -806,7 +775,7 @@ class _DepthWriter:
             open_[x] = open_[y] = open_[t] = 0
         self.cbit_count = cbit
 
-    def carry_cells(self, ws, xs, ys, ts) -> None:
+    def _carry_step(self, ws, xs, ys, ts) -> None:
         # cx w->x, then cx w->y joining that fan-out when it can, the AND
         # on (x, y, t), whose CNOTs from x and y cannot join (both were
         # just targets), and cx w->t; every layer from the AND's second
@@ -827,7 +796,7 @@ class _DepthWriter:
             last[w] = last[t] = open_[w] = l4 + 6
             open_[x] = open_[y] = open_[t] = 0
 
-    def release_cells(self, ws, xs, ys, ts) -> None:
+    def _release_step(self, ws, xs, ys, ts) -> None:
         # cx w->t, joining an open fan-out of w when it can, the
         # uncompute's mx on t and ccz_classical on (x, y), then cx w->x
         # and cx x->y, each one layer after the other
@@ -928,34 +897,44 @@ def _skeleton(line: dict, sep: str, lower, wires: int):
     return unit, fields, literals[-1]
 
 
-class _TextFormat(NamedTuple):
-    """How one text format writes gates: ``line`` maps a primitive kind to
-    its formatter f(w0, w1, cbit), and the AND, uncompute and ripple-cell
-    skeletons come from ``_skeleton``."""
+class _Pattern(NamedTuple):
+    """One lowered gate pattern, as each emitter's ``run`` writes a run
+    of it, derived at import from its one definition: the
+    ``_ColumnWriter`` method ``name``, over ``wires`` wires.
 
-    line: dict
-    logical_and: tuple
-    uncompute_and: tuple
-    carry_cell: tuple
-    release_cell: tuple
+    ``columns`` is its column template (``_cell_columns``), ``json`` and
+    ``qasm`` its text skeletons (``_skeleton``), ``cbit`` whether each
+    pattern takes a fresh cbit (the template fills the cbit column), and
+    ``step`` the ``_DepthWriter`` method that layers a run of it, one
+    closed form per pattern that the tests replay against its gates."""
+
+    name: str
+    wires: int
+    columns: tuple
+    json: tuple
+    qasm: tuple
+    cbit: bool
+    step: Callable
 
 
-def _text_format(line: dict, sep: str) -> _TextFormat:
-    """The format whose gates' text ``sep`` joins."""
-    return _TextFormat(line, _skeleton(line, sep, _ColumnWriter.logical_and, 3),
-                       _skeleton(line, sep, _ColumnWriter.uncompute_and, 3),
-                       _skeleton(line, sep, _ColumnWriter.carry_cell, 4),
-                       _skeleton(line, sep, _ColumnWriter.release_cell, 4))
+def _pattern(lower, wires: int, step) -> _Pattern:
+    """The pattern ``lower`` writes over ``wires`` wires, layered by ``step``."""
+    columns = _cell_columns(lower, wires)
+    return _Pattern(lower.__name__, wires, columns, _skeleton(_JSON_GATE, ",", lower, wires),
+                    _skeleton(_QASM_LINE, "\n", lower, wires), bool(columns[1][2]), step)
 
 
-_JSON = _text_format(_JSON_GATE, ",")
-_QASM = _text_format(_QASM_LINE, "\n")
+AND = _pattern(_ColumnWriter.logical_and, 3, _DepthWriter._and_step)
+UNAND = _pattern(_ColumnWriter.uncompute_and, 3, _DepthWriter._unand_step)
+CARRY = _pattern(_ColumnWriter.carry_cell, 4, _DepthWriter._carry_step)
+RELEASE = _pattern(_ColumnWriter.release_cell, 4, _DepthWriter._release_step)
+PATTERNS = (AND, UNAND, CARRY, RELEASE)
 
 
 class _TextWriter:
-    """Writes the text of a netlist's gates in one ``_TextFormat``: one
-    string per primitive, each one ``str.format`` call, and one per run
-    of ANDs, uncomputes or ripple cells, a ``"".join`` of the pattern's
+    """Writes the text of a netlist's gates as ``fmt``, ``"json"`` or
+    ``"qasm"``: one string per primitive, each one ``str.format`` call,
+    and one per run of a pattern, a ``"".join`` of the pattern's
     skeleton repeated once per pattern and filled from the run's columns.
 
     It is the emitter ``to_json`` and ``to_qasm`` pass to ``_lower``, so
@@ -965,16 +944,14 @@ class _TextWriter:
     the cbits likewise.
     """
 
-    __slots__ = ("text", "names", "cbit_count", "_line", "_cx", "_and", "_unand",
-                 "_carry", "_release")
+    __slots__ = ("text", "names", "cbit_count", "_fmt", "_line", "_cx")
 
-    def __init__(self, netlist: Netlist, fmt: _TextFormat) -> None:
+    def __init__(self, netlist: Netlist, fmt: str) -> None:
         self.text: list[str] = []
         self.names = [*map(str, range(netlist.wire_count))]
         self.cbit_count = netlist.cbit_count
-        self._line, self._cx = fmt.line, fmt.line["cx"]
-        self._and, self._unand = fmt.logical_and, fmt.uncompute_and
-        self._carry, self._release = fmt.carry_cell, fmt.release_cell
+        self._fmt, self._line = fmt, _JSON_GATE if fmt == "json" else _QASM_LINE
+        self._cx = self._line["cx"]
 
     def new_wires(self, k: int) -> range:
         names = self.names
@@ -989,33 +966,19 @@ class _TextWriter:
         names = self.names
         self.text.append(self._cx(names[c], names[t]))
 
-    def logical_ands(self, x, y, t) -> None:
-        self._run(self._and, (x, y, t))
-
-    def uncompute_ands(self, x, y, t) -> None:
-        self._run(self._unand, (x, y, t), self._new_cbits(len(x)))
-
-    def carry_cells(self, w, x, y, t) -> None:
-        self._run(self._carry, (w, x, y, t))
-
-    def release_cells(self, w, x, y, t) -> None:
-        self._run(self._release, (w, x, y, t), self._new_cbits(len(w)))
-
-    def _new_cbits(self, k: int) -> list[str]:
-        first = self.cbit_count
-        self.cbit_count = first + k
-        return [*map(str, range(first, first + k))]
-
-    def _run(self, skeleton, wires, cbits=()) -> None:
+    def run(self, pattern: _Pattern, *wires) -> None:
         # the unit repeated once per pattern, each field's slots filled
         # with its role's column of names: the wires', then the cbits
-        unit, fields, last = skeleton
         k = len(wires[0])
         if not k:  # would join to "", an empty entry between separators
             return
+        unit, fields, last = getattr(pattern, self._fmt)
         name = self.names.__getitem__
         columns = [[*map(name, column)] for column in wires]
-        columns.append(cbits)
+        if pattern.cbit:
+            first = self.cbit_count
+            self.cbit_count = first + k
+            columns.append([*map(str, range(first, first + k))])
         parts = unit * k
         for at, role in fields:
             parts[at] = columns[role]
@@ -1033,7 +996,7 @@ def to_json(netlist: Netlist, *, lower: bool = False) -> str:
     the text of ``to_json(expand(netlist))`` straight from the macros,
     with no gate columns built."""
     if lower or isinstance(netlist.gates, GateColumns):
-        em = _lower(netlist, _TextWriter(netlist, _JSON))
+        em = _lower(netlist, _TextWriter(netlist, "json"))
         wires, text = len(em.names), em.text
     else:
         wires, text = netlist.wire_count, [*map(_json_entry, netlist.gates)]
@@ -1110,16 +1073,12 @@ def from_json(text: str) -> Netlist:
     return from_json_dict(json.loads(text))
 
 
-def to_qasm(netlist: Netlist, *, lower: bool = False) -> str:
-    """QASM-like text, one gate per line, formatted straight from the
-    gate columns of an expanded netlist or the primitives of a list.
-
-    A macro raises ``UnexpandedNetlistError`` unless ``lower=True``,
-    which writes the text of ``to_qasm(expand(netlist))`` straight from
-    the macros, with no gate columns built."""
-    if not lower and netlist.has_macros:
-        raise UnexpandedNetlistError("the netlist has macro ops; expand it first")
-    em = _lower(netlist, _TextWriter(netlist, _QASM))
+def to_qasm(netlist: Netlist) -> str:
+    """QASM-like text of the netlist's expansion, one gate per line: the
+    text of ``to_qasm(expand(netlist))``, formatted straight from the gate
+    columns of an expanded netlist, or from the primitives and macros of
+    a list with no gate columns built."""
+    em = _lower(netlist, _TextWriter(netlist, "qasm"))
     wires, cbits = len(em.names), em.cbit_count
     lines = [f"// wires: {wires}", f"qreg q[{wires}];"] + ([f"creg c[{cbits}];"] if cbits else [])
     lines += em.text

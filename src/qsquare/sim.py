@@ -92,7 +92,8 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
     lanes with one or a few int operations.  One lane is one basis input.
 
     Unassigned wires start at 0.  An input wire outside the netlist, or
-    a plane with a bit past the last lane, raises ``ValueError``.
+    a plane that is not an int (a bool is not) or has a bit past the
+    last lane, raises ``ValueError``.
     Expanded Clifford+T gates are rejected; run the unexpanded netlist or
     use the statevector engine.
     """
@@ -103,8 +104,9 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
         if type(w) is not int or not 0 <= w < netlist.wire_count:
             raise ValueError(f"input wire {w!r} is not one of the netlist's "
                              f"{netlist.wire_count} wires")
-        if not 0 <= plane <= full:
-            raise ValueError(f"plane of wire {w} does not fit in {lanes} lanes")
+        if type(plane) is not int or not 0 <= plane <= full:
+            raise ValueError(f"plane {plane!r} of wire {w} is not an int that fits "
+                             f"in {lanes} lanes")
         bits[w] = plane
     carries: dict[int, int] = {}
     for idx, op in enumerate(netlist.gates):
@@ -257,7 +259,7 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
                     branch: str = "explore") -> list[Branch]:
     """Exact simulation of a fully expanded netlist on a sparse state.
 
-    ``initial`` maps wires to 0, 1 or "T" (default 0).  ``branch`` is
+    ``initial`` maps int wires to 0, 1 or "T" (default 0).  ``branch`` is
     "explore" (follow every measurement outcome; returns one Branch per
     surviving combination), "forced-0" or "forced-1".  Raises
     ``TermBudgetError`` once a state holds more than ``MAX_TERMS`` terms,
@@ -271,6 +273,8 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
     outcomes = (0, 1) if branch == "explore" else (int(branch[-1]),)
     state = {0: _ONE}
     for w, spec in (initial or {}).items():
+        if type(w) is not int:  # a bool would set wire 0 or 1
+            raise ValueError(f"initial wire {w!r} is not an int")
         if spec not in (0, 1, "T") or not 0 <= w < netlist.wire_count:
             raise ValueError(f"unknown initial spec {spec!r} for wire {w} of {netlist.wire_count}")
         if spec == "T":

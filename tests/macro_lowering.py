@@ -4,11 +4,12 @@ The result still runs on the classical basis engine, which makes the
 adders' internal carry logic and ancilla hygiene directly checkable.  It
 goes through the same ``ir._lower`` walk that ``expand`` uses, with an
 emitter that appends validated ops instead of writing gates, and writes
-each run of ANDs, uncomputes or ripple cells op by op: the independent
-reference for the emitters that write a run in one call.
+each run of a pattern op by op: the independent reference for the
+emitters that write a run in one call.
 """
 
-from qsquare.ir import Gate, LogicalAnd, Netlist, UncomputeAnd, _lower
+from qsquare.ir import (AND, CARRY, PATTERNS, RELEASE, UNAND, Gate, LogicalAnd, Netlist,
+                        UncomputeAnd, _lower)
 
 
 class MacroEmitter:
@@ -25,27 +26,27 @@ class MacroEmitter:
     def cx(self, c: int, t: int) -> None:
         self.out.add_gate("cx", c, t)
 
-    def logical_ands(self, x, y, t) -> None:
-        for xi, yi, ti in zip(x, y, t, strict=True):
-            self.out.append(LogicalAnd(xi, yi, ti))
-
-    def uncompute_ands(self, x, y, t) -> None:
-        for xi, yi, ti in zip(x, y, t, strict=True):
-            self.out.append(UncomputeAnd(xi, yi, ti))
-
-    def carry_cells(self, w, x, y, t) -> None:
-        for wi, xi, yi, ti in zip(w, x, y, t, strict=True):
-            self.cx(wi, xi)
-            self.cx(wi, yi)
-            self.out.append(LogicalAnd(xi, yi, ti))
-            self.cx(wi, ti)
-
-    def release_cells(self, w, x, y, t) -> None:
-        for wi, xi, yi, ti in zip(w, x, y, t, strict=True):
-            self.cx(wi, ti)
-            self.out.append(UncomputeAnd(xi, yi, ti))
-            self.cx(wi, xi)
-            self.cx(xi, yi)
+    def run(self, pattern, *columns) -> None:
+        # each pattern restated op by op, not read off the pattern value
+        if pattern not in PATTERNS:
+            raise ValueError(f"unknown pattern {pattern.name!r}")
+        for cell in zip(*columns, strict=True):
+            if pattern is AND:
+                self.out.append(LogicalAnd(*cell))
+            elif pattern is UNAND:
+                self.out.append(UncomputeAnd(*cell))
+            elif pattern is CARRY:
+                w, x, y, t = cell
+                self.cx(w, x)
+                self.cx(w, y)
+                self.out.append(LogicalAnd(x, y, t))
+                self.cx(w, t)
+            else:  # RELEASE
+                w, x, y, t = cell
+                self.cx(w, t)
+                self.out.append(UncomputeAnd(x, y, t))
+                self.cx(w, x)
+                self.cx(x, y)
 
 
 def lower_adders(netlist: Netlist) -> Netlist:

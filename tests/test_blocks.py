@@ -14,6 +14,7 @@ from qsquare.blocks import (
 )
 from qsquare.costs import _paper_adder_counts, adder_counts
 from qsquare.ir import (
+    AND,
     AddInPlace,
     Netlist,
     NetlistError,
@@ -31,7 +32,7 @@ from qsquare.sim import (
     basis_state,
 )
 
-from macro_lowering import lower_adders
+from macro_lowering import MacroEmitter, lower_adders
 from planes import lanes_of, packed
 
 
@@ -180,7 +181,17 @@ def test_bulk_adder_lowering_equals_per_cell_reference(m, carry):
     assert full.cbit_count == full_reference.cbit_count == m - 1  # one per uncompute
     assert schedule_asap(nl) == schedule_asap(reference) == schedule_asap(full)
     assert to_json(nl, lower=True) == to_json(full)
-    assert to_qasm(nl, lower=True) == to_qasm(full)
+    assert to_qasm(nl) == to_qasm(full)
+
+
+def test_macro_emitter_refuses_an_unknown_pattern():
+    # the reference restates each pattern it knows, so a new pattern
+    # needs a case of its own there, even for an empty run
+    nl = Netlist()
+    nl.new_wires(3)
+    with pytest.raises(ValueError, match="^unknown pattern 'spare'$"):
+        MacroEmitter(nl).run(AND._replace(name="spare"), [], [], [])
+    assert nl.gates == []
 
 
 def test_adder_validation():

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -273,7 +274,7 @@ def test_verify_cache_is_never_corrupted(tmp_path, capsys):
         fresh = synthesize_squarer(n)
         for flags, text in (([], to_json(fresh.netlist)),
                             (["--expanded"], to_json(fresh.netlist, lower=True)),
-                            (["--format", "qasm"], to_qasm(fresh.netlist, lower=True)),
+                            (["--format", "qasm"], to_qasm(fresh.netlist)),
                             (["--format", "grid"], dump_grid(fresh.grid))):
             assert run(["synth", str(n), *flags, "--out", str(path)], capsys)[0] == 0
             assert path.read_text() == text
@@ -301,6 +302,16 @@ def test_verify_range_outside_basis_window(capsys):
     code, _, err = run(["verify", "5..17"], capsys)
     assert code == 2
     assert "5..16" in err
+    # the bounds are checked on the range itself: a list of these widths
+    # would take tens of MB before the refusal
+    tracemalloc.start()
+    try:
+        code, _, err = run(["verify", "5..2000000"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "5..16" in err
+    assert peak < 1 << 20
 
 
 def test_verify_bad_mutate_spec(capsys):
@@ -422,7 +433,7 @@ def test_traced_counters_stay_readable(n):
     assert isinstance(to_qasm(full), str)
     # synth writes its expanded JSON and QASM from the macros, with no expand
     assert isinstance(to_json(netlist, lower=True), str)
-    assert isinstance(to_qasm(netlist, lower=True), str)
+    assert isinstance(to_qasm(netlist), str)
 
 
 @pytest.mark.parametrize("argv, name, exit_code, digest", [

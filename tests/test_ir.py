@@ -7,8 +7,7 @@ import json
 import pytest
 
 from qsquare.ir import (
-    _JSON,
-    _QASM,
+    PATTERNS,
     _ColumnWriter,
     _DepthWriter,
     _TextWriter,
@@ -297,6 +296,16 @@ def test_swapping_a_macro_type_changes_the_netlist():
     assert other != nl and not other == nl
 
 
+def test_netlists_of_different_cbit_counts_differ():
+    # a cached netlist whose cbit count was corrupted must not pass as equal
+    nl, other = Netlist(), Netlist()
+    for netlist in nl, other:
+        netlist.new_wires(2)
+    assert other == nl
+    other.cbit_count = 3
+    assert other != nl and not other == nl
+
+
 # ---- expansion -------------------------------------------------------------
 
 def test_expanded_and_counts_four_t_six_cnot():
@@ -376,7 +385,7 @@ def test_expand_without_macros_is_identity():
     (expand, "lower"),
     (schedule_asap, "lower"),
     (lambda nl: to_json(nl, lower=True), "lower"),
-    (lambda nl: to_qasm(nl, lower=True), "lower"),
+    (to_qasm, "lower"),
     (to_json, "write"),
 ], ids=["expand", "schedule_asap", "to_json", "to_qasm", "to_json-unlowered"])
 def test_lowering_refuses_an_op_of_no_known_type(walk, verb):
@@ -437,7 +446,7 @@ def test_ops_of_subclass_types_lower_as_their_base_types():
     assert lower_adders(mixed) == lower_adders(base)
     assert to_json(mixed) == to_json(base)
     assert to_json(mixed, lower=True) == to_json(base, lower=True)
-    assert to_qasm(mixed, lower=True) == to_qasm(base, lower=True)
+    assert to_qasm(mixed) == to_qasm(base)
 
 
 def test_expand_is_idempotent():
@@ -461,7 +470,7 @@ def test_netlist_without_gates_is_written_whole():
     nl = Netlist()
     for lower in (False, True):
         assert to_json(nl, lower=lower) == '{"wires":0,"registers":{},"gates":[]}\n'
-        assert to_qasm(nl, lower=lower) == "// wires: 0\nqreg q[0];\n"
+    assert to_qasm(nl) == "// wires: 0\nqreg q[0];\n"
     nl.alloc_register("a", 2, "input")
     assert to_json(expand(nl)) == '{"wires":2,"registers":{"a":[0,1]},"gates":[]}\n'
     assert to_qasm(nl) == "// wires: 2\nqreg q[2];\n"
@@ -680,7 +689,7 @@ def test_json_is_compact_and_reads_the_indented_format(expanded):
     # documents written with indent=2 by earlier versions still load
     for written in (text, json.dumps(doc, indent=2) + "\n"):
         again = from_json(written)
-        assert again == nl and again.cbit_count == nl.cbit_count
+        assert again == nl
 
 
 def test_json_round_trip_expanded_netlist():
@@ -782,22 +791,22 @@ def _first_difference(a: str, b: str):
 def test_lowered_text_equals_text_of_expansion(nl):
     full = expand(nl)
     assert _first_difference(to_json(nl, lower=True), to_json(full)) is None
-    assert _first_difference(to_qasm(nl, lower=True), to_qasm(full)) is None
+    assert _first_difference(to_qasm(nl), to_qasm(full)) is None
     # an expanded netlist has nothing left to lower
     assert to_json(full, lower=True) == to_json(full)
-    assert to_qasm(full, lower=True) == to_qasm(full)
 
 
-def _replay_states(lower, step, wires):
+def _replay_states(pattern):
     """Yield, for every start state with layers and open fan-outs in
-    0..4 on wires 0..wires-1, that state and the (layer sets, final
-    state) of the pattern ``lower`` writes on those wires, replayed
-    through ``_DepthWriter.gate``, next to those of ``step``, the
-    writer's closed-form layering of the same pattern."""
+    0..4 on the pattern's wires, that state and the (layer sets, final
+    state) of the gates its definition writes on those wires, replayed
+    through ``_DepthWriter.gate``, next to those of its closed-form
+    ``step``, run on a run of one."""
+    wires = pattern.wires
     nl = Netlist()
     nl.wire_count = wires
     cols = nl.gates = GateColumns()
-    lower(_ColumnWriter(nl), *range(wires))
+    getattr(_ColumnWriter, pattern.name)(_ColumnWriter(nl), *range(wires))
     rows = [*cols.rows()]
     cbits, nl.cbit_count = nl.cbit_count, 0  # the writers count cbits from 0, as lowered
     values = range(5)
@@ -808,27 +817,27 @@ def _replay_states(lower, step, wires):
                 em.last[:], em.open[:] = last, open_
             for row in rows:
                 replayed.gate(*row)
-            step(template)
+            template.run(pattern, *([w] for w in range(wires)))
             # gate() layers an mx under its own cbit and counts none
             replayed.cbit_count = cbits
             yield (last, open_), [(em.t_layers, em.cnot_layers, em.last, em.open, em.meas,
                                    em.cbit_count) for em in (replayed, template)]
 
 
-@pytest.mark.parametrize("lower", [_ColumnWriter.logical_and, _ColumnWriter.uncompute_and])
-def test_macro_depth_template_equals_its_gates(lower):
+@pytest.mark.parametrize("pattern", [p for p in PATTERNS if p.wires == 3],
+                         ids=lambda p: p.name)
+def test_macro_depth_template_equals_its_gates(pattern):
     # one macro of a run, as _lower hands a lone AND or uncompute over;
     # the three wires' fan-outs in 0..4 take each fan-out join both ways
-    step = lambda em: getattr(em, lower.__name__ + "s")([0], [1], [2])
-    for state, (replayed, template) in _replay_states(lower, step, 3):
+    for state, (replayed, template) in _replay_states(pattern):
         assert template == replayed, state
 
 
-@pytest.mark.parametrize("lower", [_ColumnWriter.carry_cell, _ColumnWriter.release_cell])
-def test_cell_depth_step_equals_its_gates(lower):
+@pytest.mark.parametrize("pattern", [p for p in PATTERNS if p.wires > 3],
+                         ids=lambda p: p.name)
+def test_cell_depth_step_equals_its_gates(pattern):
     # one cell of a run, as blocks.lower_add_in_place hands it over
-    step = lambda em: getattr(em, lower.__name__ + "s")([0], [1], [2], [3])
-    for state, (replayed, template) in _replay_states(lower, step, 4):
+    for state, (replayed, template) in _replay_states(pattern):
         assert template == replayed, state
 
 
@@ -847,7 +856,7 @@ def _written(writer: str, write):
         em.last[:] = [w % 5 for w in range(12)]
         em.open[:] = [w % 5 if w % 3 else 0 for w in range(12)]
     else:
-        em = _TextWriter(nl, _JSON if writer == "json" else _QASM)
+        em = _TextWriter(nl, writer)
     em.gate("h", 0, -1, -1)
     write(em)
     em.gate("t", 1, -1, -1)
@@ -861,29 +870,27 @@ def _written(writer: str, write):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 7])
-@pytest.mark.parametrize("run", ["logical_ands", "uncompute_ands", "carry_cells",
-                                 "release_cells"])
+@pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.name + "s")
 @pytest.mark.parametrize("writer", ["columns", "depth", "json", "qasm"])
-def test_run_equals_its_patterns_written_one_at_a_time(writer, run, k):
+def test_run_equals_its_patterns_written_one_at_a_time(writer, pattern, k):
     # pattern j on consecutive wires from 3j, mod 12, so later patterns
     # reuse the wires of earlier ones
-    wires = 3 if run.endswith("ands") else 4
-    cells = [tuple((3 * j + i) % 12 for i in range(wires)) for j in range(k)]
-    columns = [*zip(*cells)] or [()] * wires
-    whole = _written(writer, lambda em: getattr(em, run)(*columns))
-    assert whole == _written(writer, lambda em: [getattr(em, run)(*zip(cell))
+    cells = [tuple((3 * j + i) % 12 for i in range(pattern.wires)) for j in range(k)]
+    columns = [*zip(*cells)] or [()] * pattern.wires
+    whole = _written(writer, lambda em: em.run(pattern, *columns))
+    assert whole == _written(writer, lambda em: [em.run(pattern, *zip(cell))
                                                  for cell in cells])
     if writer == "columns":
-        # and equals the pattern's one definition, run[:-1], cell by cell
-        assert whole == _written(writer, lambda em: [getattr(em, run[:-1])(*cell)
-                                                     for cell in cells])
+        # and equals the pattern's one definition, cell by cell
+        define = getattr(_ColumnWriter, pattern.name)
+        assert whole == _written(writer, lambda em: [define(em, *cell) for cell in cells])
 
 
 def test_emitters_allocate_wires_as_ranges():
     # an adder's carries come from one call: the next k wire numbers
     nl = Netlist()
     nl.wire_count, nl.gates = 12, GateColumns()
-    columns, depth, text = _ColumnWriter(nl), _DepthWriter(nl), _TextWriter(nl, _QASM)
+    columns, depth, text = _ColumnWriter(nl), _DepthWriter(nl), _TextWriter(nl, "qasm")
     for em in columns, depth, text:
         assert [em.new_wires(k) for k in (0, 3, 2)] == [range(12, 12), range(12, 15),
                                                         range(15, 17)]
@@ -900,10 +907,9 @@ def test_schedule_of_macros_equals_schedule_of_expansion(nl):
     assert schedule_asap(nl) == schedule_asap(expand(nl))
 
 
-def test_qasm_export_requires_expansion():
+def test_qasm_export_writes_the_expansion():
     nl = single_and_netlist()
-    with pytest.raises(UnexpandedNetlistError):
-        to_qasm(nl)
-    text = to_qasm(expand(nl))
+    text = to_qasm(nl)
+    assert text == to_qasm(expand(nl))
     assert "cx q[0], q[2];" in text
     assert text.strip().splitlines()[-1].endswith(";")

@@ -8,7 +8,8 @@ import pytest
 
 from qsquare.blocks import build_adder_in_place, build_logical_and
 from qsquare.ir import (
-    AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _ColumnWriter, _lowered, expand)
+    PATTERNS, AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _ColumnWriter, _lowered,
+    expand)
 from qsquare.sim import (
     NonClassicalGateError,
     SimulationError,
@@ -139,6 +140,10 @@ def test_sweep_reports_first_bad_lane_and_rejects_wide_planes():
         run_basis_sweep(nl, {x: 0b10000}, 4)
     with pytest.raises(ValueError):
         run_basis_sweep(nl, {x: -1}, 4)
+    # True would pass as plane 1 and come back as wires={0: True}
+    for plane in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"^plane {plane!r} of wire 0 is not an int"):
+            run_basis_sweep(nl, {x: plane}, 4)
 
 
 @pytest.mark.parametrize("wire", [-1, 2, 5, "0", 1.0, True])
@@ -194,6 +199,10 @@ def test_statevector_initial_t_state_matches_prep():
             run_statevector(nl, initial={0: spec})
     with pytest.raises(ValueError, match="for wire 1 of 1"):
         run_statevector(nl, initial={1: 1})  # no such wire
+    # True would set wire 1 of a wider netlist, and 0.0 fail on a raw shift
+    for wire in (True, False, 0.0, "0"):
+        with pytest.raises(ValueError, match=f"^initial wire {wire!r} is not an int$"):
+            run_statevector(nl, initial={wire: 1})
 
 
 def test_statevector_logical_and_from_drawn_gate_list():
@@ -419,39 +428,38 @@ def test_verify_equivalence_sees_phase():
 
 # ---- exact certificates of the four lowered patterns ----------------------------
 
-def _pattern(lower, wires):
-    """The netlist ``lower``, a ``_ColumnWriter`` method, writes over
-    wires 0..wires-1."""
+def _pattern_netlist(pattern):
+    """The netlist the pattern's definition, a ``_ColumnWriter`` method,
+    writes over its wires 0, 1, ..."""
     nl = Netlist()
-    nl.wire_count = wires
-    nl.gates = _lowered(lower, wires)
+    nl.wire_count = pattern.wires
+    nl.gates = _lowered(getattr(_ColumnWriter, pattern.name), pattern.wires)
     return nl
 
 
-# per pattern: its wire count, and each basis input that meets its
-# precondition (a fresh AND target, an uncompute target equal to x AND y)
-# mapped to the basis state it must leave, as wire-value tuples
-_PATTERNS = {
-    "logical_and": (3, {(x, y, 0): (x, y, x & y)
-                        for x, y in itertools.product((0, 1), repeat=2)}),
-    "uncompute_and": (3, {(x, y, x & y): (x, y, 0)
-                          for x, y in itertools.product((0, 1), repeat=2)}),
+# per pattern: each basis input that meets its precondition (a fresh AND
+# target, an uncompute target equal to x AND y) mapped to the basis
+# state it must leave, as wire-value tuples
+_TRUTH_TABLES = {
+    "logical_and": {(x, y, 0): (x, y, x & y) for x, y in itertools.product((0, 1), repeat=2)},
+    "uncompute_and": {(x, y, x & y): (x, y, 0) for x, y in itertools.product((0, 1), repeat=2)},
     # w = c, x = a, y = b: x and y take c, t takes the carry c ^ (a^c)(b^c)
-    "carry_cell": (4, {(w, x, y, 0): (w, x ^ w, y ^ w, w ^ ((x ^ w) & (y ^ w)))
-                       for w, x, y in itertools.product((0, 1), repeat=3)}),
+    "carry_cell": {(w, x, y, 0): (w, x ^ w, y ^ w, w ^ ((x ^ w) & (y ^ w)))
+                   for w, x, y in itertools.product((0, 1), repeat=3)},
     # what a carry cell leaves, t = w ^ xy: t is released, x gets w back
     # and y holds the sum bit
-    "release_cell": (4, {(w, x, y, w ^ (x & y)): (w, x ^ w, y ^ x ^ w, 0)
-                         for w, x, y in itertools.product((0, 1), repeat=3)}),
+    "release_cell": {(w, x, y, w ^ (x & y)): (w, x ^ w, y ^ x ^ w, 0)
+                     for w, x, y in itertools.product((0, 1), repeat=3)},
 }
 
 
-@pytest.mark.parametrize("name", list(_PATTERNS))
-def test_lowered_pattern_is_exact_on_every_branch(name):
+@pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.name)
+def test_lowered_pattern_is_exact_on_every_branch(pattern):
     # linearity lifts these to every context: each pattern takes each
-    # basis input it is used on to one basis state with amplitude exactly 1
-    wires, table = _PATTERNS[name]
-    nl = _pattern(getattr(_ColumnWriter, name), wires)
+    # basis input it is used on to one basis state with amplitude exactly 1;
+    # a pattern with no truth table here fails
+    name, table = pattern.name, _TRUTH_TABLES[pattern.name]
+    nl = _pattern_netlist(pattern)
     measured = any(g.kind == "mx" for g in nl.gates)
     for given, want in table.items():
         branches = run_statevector(nl, initial=dict(enumerate(given)))
