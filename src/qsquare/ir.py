@@ -473,8 +473,9 @@ class Netlist:
         netlist's expansion: ``count_gates`` counts the columns of
         ``expand(self)``, and ``schedule_asap`` layers this netlist's
         macros directly, which gives the depths of the expansion.  The
-        depths are taken first, so the layer sets are freed before the
-        columns are built."""
+        depths are taken first, so the scheduler's two layer marks, a
+        byte per layered gate each, are freed before the columns are
+        built."""
         t_depth, cnot_depth = schedule_asap(self)
         full = expand(self)
         t_count, cnot_count = count_gates(full)
@@ -687,16 +688,23 @@ class _DepthWriter:
     layers one primitive, and ``run`` layers each pattern of a run in its
     pattern's ``step``, one closed form hand-derived from its gates,
     numbering cbits from ``cbit_count`` as ``expand`` does.
+
+    ``t_marks`` and ``cnot_marks`` are ``bytearray`` marks indexed by
+    layer: 1 at each layer that holds a T gate, or a CNOT, 0 elsewhere.
+    A layer number never exceeds the number of gates layered so far, so
+    both grow ahead of their writes, by one byte per primitive in
+    ``gate`` and ``cx`` and by the pattern's gate count times k in
+    ``run``, and every step writes its layers by item assignment.
     """
 
-    __slots__ = ("last", "open", "meas", "t_layers", "cnot_layers", "cbit_count")
+    __slots__ = ("last", "open", "meas", "t_marks", "cnot_marks", "cbit_count")
 
     def __init__(self, netlist: Netlist) -> None:
         self.last = [0] * netlist.wire_count  # wire -> last occupied layer
         self.open = [0] * netlist.wire_count  # wire -> layer of a joinable fan-out, 0 if none
         self.meas: dict[int, int] = {}        # cbit -> layer of its mx
-        self.t_layers: set[int] = set()       # layers holding a T gate
-        self.cnot_layers: set[int] = set()    # layers holding a CNOT
+        self.t_marks = bytearray(1)           # layer -> 1 if it holds a T gate
+        self.cnot_marks = bytearray(1)        # layer -> 1 if it holds a CNOT
         self.cbit_count = netlist.cbit_count
 
     def new_wires(self, k: int) -> range:
@@ -710,6 +718,8 @@ class _DepthWriter:
         if kind == "cx":
             self.cx(a, b)
             return
+        self.t_marks.append(0)
+        self.cnot_marks.append(0)
         last = self.last
         if b < 0:
             if kind in _PSEUDO:
@@ -717,7 +727,7 @@ class _DepthWriter:
             layer = last[a] = last[a] + 1
             self.open[a] = 0
             if kind in _T_KINDS:
-                self.t_layers.add(layer)
+                self.t_marks[layer] = 1
             elif kind == "mx":
                 self.meas[cbit] = layer
         else:  # cz, ccz_classical
@@ -738,9 +748,14 @@ class _DepthWriter:
         # a joined control already sits in the joined layer
         last[c] = last[t] = open_[c] = layer
         open_[t] = 0
-        self.cnot_layers.add(layer)
+        self.t_marks.append(0)
+        self.cnot_marks.append(0)
+        self.cnot_marks[layer] = 1
 
     def run(self, pattern: _Pattern, *columns) -> None:
+        grow = bytes(len(pattern.columns[0]) * len(columns[0]))
+        self.t_marks += grow
+        self.cnot_marks += grow
         pattern.step(self, *columns)
 
     def _and_step(self, xs, ys, ts) -> None:
@@ -749,7 +764,7 @@ class _DepthWriter:
         # gate of the pattern sits a fixed number of layers after the
         # second cx
         last, open_ = self.last, self.open
-        t_layers, cnot_layers = self.t_layers, self.cnot_layers
+        t_marks, cnot_marks = self.t_marks, self.cnot_marks
         for x, y, t in zip(xs, ys, ts):
             l2 = last[t] + 2
             j, lx = open_[x], last[x]
@@ -757,8 +772,8 @@ class _DepthWriter:
             j, ly = open_[y], last[y]
             l4 = j if j and l3 < j else (ly if ly > l3 else l3) + 1
             l5 = l4 + 1
-            t_layers.update((l2, l5 + 1))
-            cnot_layers.update((l3, l4, l5, l5 + 2))
+            t_marks[l2] = t_marks[l5 + 1] = 1
+            cnot_marks[l3] = cnot_marks[l4] = cnot_marks[l5] = cnot_marks[l5 + 2] = 1
             last[x] = last[y] = l5 + 2
             last[t] = l5 + 4
             open_[x] = open_[y] = open_[t] = 0
@@ -781,7 +796,7 @@ class _DepthWriter:
         # just targets), and cx w->t; every layer from the AND's second
         # CNOT on sits a fixed number of layers after it
         last, open_ = self.last, self.open
-        t_layers, cnot_layers = self.t_layers, self.cnot_layers
+        t_marks, cnot_marks = self.t_marks, self.cnot_marks
         for w, x, y, t in zip(ws, xs, ys, ts):
             j, lw, lx = open_[w], last[w], last[x]
             l1 = j if j and lx < j else (lw if lw > lx else lx) + 1
@@ -790,8 +805,9 @@ class _DepthWriter:
             lt = last[t] + 2  # the AND's first T, on t
             l3 = (l1 if l1 > lt else lt) + 1
             l4 = (l2 if l2 > l3 else l3) + 1
-            t_layers.update((lt, l4 + 2))
-            cnot_layers.update((l1, l2, l3, l4, l4 + 1, l4 + 3, l4 + 6))
+            t_marks[lt] = t_marks[l4 + 2] = 1
+            cnot_marks[l1] = cnot_marks[l2] = cnot_marks[l3] = cnot_marks[l4] = 1
+            cnot_marks[l4 + 1] = cnot_marks[l4 + 3] = cnot_marks[l4 + 6] = 1
             last[x] = last[y] = l4 + 3
             last[w] = last[t] = open_[w] = l4 + 6
             open_[x] = open_[y] = open_[t] = 0
@@ -801,7 +817,7 @@ class _DepthWriter:
         # uncompute's mx on t and ccz_classical on (x, y), then cx w->x
         # and cx x->y, each one layer after the other
         last, open_, meas = self.last, self.open, self.meas
-        cnot_layers = self.cnot_layers
+        cnot_marks = self.cnot_marks
         cbit = self.cbit_count
         for w, x, y, t in zip(ws, xs, ys, ts):
             j, lw, lt = open_[w], last[w], last[t]
@@ -809,7 +825,7 @@ class _DepthWriter:
             last[t] = meas[cbit] = l1 + 1
             cbit += 1
             l2 = max(last[x], last[y], l1 + 1) + 1
-            cnot_layers.update((l1, l2 + 1, l2 + 2))
+            cnot_marks[l1] = cnot_marks[l2 + 1] = cnot_marks[l2 + 2] = 1
             last[w] = open_[w] = l2 + 1
             last[x] = last[y] = open_[x] = l2 + 2
             open_[y] = open_[t] = 0
@@ -833,9 +849,13 @@ def schedule_asap(netlist: Netlist) -> tuple[int, int]:
     lower, with no gate columns built: each AND, uncompute or ripple cell
     of a run in one closed-form step.  The result equals
     ``schedule_asap(expand(netlist))``.
+
+    The layers are recorded as two ``bytearray`` marks, a 1 at each
+    layer that holds a T gate or a CNOT, and each depth is the count of
+    1s in its marks (``_DepthWriter``).
     """
     em = _lower(netlist, _DepthWriter(netlist))
-    return len(em.t_layers), len(em.cnot_layers)
+    return em.t_marks.count(1), em.cnot_marks.count(1)
 
 
 # ---- serialization -------------------------------------------------------

@@ -91,12 +91,15 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
     (bit k = the wire's value in lane k), and every gate acts on all
     lanes with one or a few int operations.  One lane is one basis input.
 
-    Unassigned wires start at 0.  An input wire outside the netlist, or
-    a plane that is not an int (a bool is not) or has a bit past the
-    last lane, raises ``ValueError``.
+    Unassigned wires start at 0.  A ``lanes`` that is not a positive
+    int (a bool is not), an input wire outside the netlist, or a plane
+    that is not an int or has a bit past the last lane, raises
+    ``ValueError``.
     Expanded Clifford+T gates are rejected; run the unexpanded netlist or
     use the statevector engine.
     """
+    if type(lanes) is not int or lanes < 1:
+        raise ValueError(f"lanes {lanes!r} is not a positive int")
     full = (1 << lanes) - 1
     bits = [0] * netlist.wire_count
     for w, plane in inputs.items():
@@ -259,9 +262,11 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
                     branch: str = "explore") -> list[Branch]:
     """Exact simulation of a fully expanded netlist on a sparse state.
 
-    ``initial`` maps int wires to 0, 1 or "T" (default 0).  ``branch`` is
-    "explore" (follow every measurement outcome; returns one Branch per
-    surviving combination), "forced-0" or "forced-1".  Raises
+    ``initial`` maps int wires to the int 0 or 1 or the string "T"
+    (default 0); any other spec, a bool or float among them, raises
+    ``ValueError``.  ``branch`` is "explore" (follow every measurement
+    outcome; returns one Branch per surviving combination), "forced-0"
+    or "forced-1".  Raises
     ``TermBudgetError`` once a state holds more than ``MAX_TERMS`` terms,
     and ``SimulationError`` on a measurement outcome whose probability is
     not a power of 1/2.
@@ -275,7 +280,9 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
     for w, spec in (initial or {}).items():
         if type(w) is not int:  # a bool would set wire 0 or 1
             raise ValueError(f"initial wire {w!r} is not an int")
-        if spec not in (0, 1, "T") or not 0 <= w < netlist.wire_count:
+        # exact types: True and 1.0 equal 1, False and 0.0 equal 0
+        if ((type(spec), spec) not in ((int, 0), (int, 1), (str, "T"))
+                or not 0 <= w < netlist.wire_count):
             raise ValueError(f"unknown initial spec {spec!r} for wire {w} of {netlist.wire_count}")
         if spec == "T":
             state = _GATES["t"](_h(state, w), w)  # (|0> + ω|1>)/√2

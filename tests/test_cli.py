@@ -1,6 +1,7 @@
 """CLI contract: formats, exit codes, determinism, round-trips."""
 
 import argparse
+import gc
 import hashlib
 import importlib
 import inspect
@@ -399,6 +400,38 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "caller-disabled"])
+def test_commands_restore_the_collector_and_leave_no_cycles(enabled, tmp_path, capsys):
+    # main runs each command with the cyclic collector off, which is safe
+    # only while no command leaves a reference cycle behind; it turns the
+    # collector back on only if it was on when main was called
+    cli.build_parser()
+    commands = [
+        (["synth", "6", "--format", "json"], 0),
+        (["synth", "6", "--format", "json", "--expanded"], 0),
+        (["synth", "6", "--format", "qasm"], 0),
+        (["synth", "6", "--format", "grid"], 0),
+        (["verify", "5..6", "--mode", "both"], 0),
+        (["verify", "5", "--mutate", "drop-gate:0"], 3),
+        (["verify", "5", "--mutate", "drop-gate:100000"], 2),
+        (["compare", "5..6", "--measured"], 0),
+        (["compare", "--ratios"], 0),
+        (["synth", "6", "--out", str(tmp_path / "no-such-dir" / "s.json")], 1),
+    ]
+    threshold = gc.get_threshold()
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, exit_code in commands:
+            gc.collect()
+            assert run(argv, capsys)[0] == exit_code, argv
+            assert gc.isenabled() is enabled, argv
+            assert gc.get_threshold() == threshold, argv
+            assert gc.collect() == 0, argv
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_traced_layer_functions_exist():

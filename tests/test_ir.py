@@ -796,12 +796,28 @@ def test_lowered_text_equals_text_of_expansion(nl):
     assert to_json(full, lower=True) == to_json(full)
 
 
+def _marked(marks: bytearray) -> set[int]:
+    """The layers a ``_DepthWriter`` mark holds a 1 at: marks grown by
+    ``gate`` and by ``run`` may differ in length, not in these."""
+    return {layer for layer, mark in enumerate(marks) if mark}
+
+
+def _depth_writer(nl: Netlist, last, open_) -> _DepthWriter:
+    """A ``_DepthWriter`` started with these layers and open fan-outs on
+    ``nl``'s wires, its marks grown to hold every layer up to 4, which
+    the writer's own growth, a byte per gate layered, does not cover."""
+    em = _DepthWriter(nl)
+    em.last[:], em.open[:] = last, open_
+    em.t_marks, em.cnot_marks = bytearray(5), bytearray(5)
+    return em
+
+
 def _replay_states(pattern):
     """Yield, for every start state with layers and open fan-outs in
-    0..4 on the pattern's wires, that state and the (layer sets, final
-    state) of the gates its definition writes on those wires, replayed
-    through ``_DepthWriter.gate``, next to those of its closed-form
-    ``step``, run on a run of one."""
+    0..4 on the pattern's wires, that state and the (marked T and CNOT
+    layers, final state) of the gates its definition writes on those
+    wires, replayed through ``_DepthWriter.gate``, next to those of its
+    closed-form ``step``, run on a run of one."""
     wires = pattern.wires
     nl = Netlist()
     nl.wire_count = wires
@@ -812,16 +828,15 @@ def _replay_states(pattern):
     values = range(5)
     for last in itertools.product(values, repeat=wires):
         for open_ in itertools.product(values, repeat=wires):
-            replayed, template = _DepthWriter(nl), _DepthWriter(nl)
-            for em in replayed, template:
-                em.last[:], em.open[:] = last, open_
+            replayed, template = _depth_writer(nl, last, open_), _depth_writer(nl, last, open_)
             for row in rows:
                 replayed.gate(*row)
             template.run(pattern, *([w] for w in range(wires)))
             # gate() layers an mx under its own cbit and counts none
             replayed.cbit_count = cbits
-            yield (last, open_), [(em.t_layers, em.cnot_layers, em.last, em.open, em.meas,
-                                   em.cbit_count) for em in (replayed, template)]
+            yield (last, open_), [(_marked(em.t_marks), _marked(em.cnot_marks), em.last,
+                                   em.open, em.meas, em.cbit_count)
+                                  for em in (replayed, template)]
 
 
 @pytest.mark.parametrize("pattern", [p for p in PATTERNS if p.wires == 3],
@@ -852,9 +867,8 @@ def _written(writer: str, write):
         nl.gates = GateColumns()
         em = _ColumnWriter(nl)
     elif writer == "depth":
-        em = _DepthWriter(nl)
-        em.last[:] = [w % 5 for w in range(12)]
-        em.open[:] = [w % 5 if w % 3 else 0 for w in range(12)]
+        em = _depth_writer(nl, [w % 5 for w in range(12)],
+                           [w % 5 if w % 3 else 0 for w in range(12)])
     else:
         em = _TextWriter(nl, writer)
     em.gate("h", 0, -1, -1)
@@ -863,7 +877,8 @@ def _written(writer: str, write):
     if writer == "columns":
         return nl.gates, nl.cbit_count
     if writer == "depth":
-        return em.t_layers, em.cnot_layers, em.last, em.open, em.meas, em.cbit_count
+        return (_marked(em.t_marks), _marked(em.cnot_marks), em.last, em.open, em.meas,
+                em.cbit_count)
     # a run of k writes one string, so the entries are compared joined;
     # the primitives around the run show an empty entry as a doubled separator
     return ("\n" if writer == "qasm" else ",").join(em.text), em.names, em.cbit_count

@@ -144,6 +144,11 @@ def test_sweep_reports_first_bad_lane_and_rejects_wide_planes():
     for plane in (True, 1.0, "1"):
         with pytest.raises(ValueError, match=f"^plane {plane!r} of wire 0 is not an int"):
             run_basis_sweep(nl, {x: plane}, 4)
+    # True came back as SweepResult.lanes == True and 0 was taken; -1 and
+    # 2.0 raised raw shift errors
+    for lanes in (True, False, 0, -1, 2.0, "4", None):
+        with pytest.raises(ValueError, match=f"^lanes {lanes!r} is not a positive int$"):
+            run_basis_sweep(nl, {y: 1}, lanes)
 
 
 @pytest.mark.parametrize("wire", [-1, 2, 5, "0", 1.0, True])
@@ -194,8 +199,10 @@ def test_statevector_initial_t_state_matches_prep():
     assert br.state == T_STATE
     (br,) = run_statevector(nl, initial={0: 1})
     assert br.state == basis_state({0: 1})
-    for spec in ("magicT", "1", "0", "zero", 2):
-        with pytest.raises(ValueError, match="unknown initial spec"):
+    # True and 1.0 equal 1, False and 0.0 equal 0: each set the wire as
+    # that int would
+    for spec in ("magicT", "1", "0", "zero", 2, True, 1.0, False, 0.0):
+        with pytest.raises(ValueError, match=f"^unknown initial spec {spec!r} for wire 0 "):
             run_statevector(nl, initial={0: spec})
     with pytest.raises(ValueError, match="for wire 1 of 1"):
         run_statevector(nl, initial={1: 1})  # no such wire
