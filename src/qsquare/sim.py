@@ -25,14 +25,15 @@ follows every outcome (or a forced one), resets its wire to |0>, and
 raises unless the outcome's probability is a power of 1/2, which it is
 throughout Gidney's uncompute; the classically controlled CZ then acts
 per branch.  Gidney's temporary AND keeps only a few terms alive, and a
-state of more than ``MAX_TERMS`` terms raises.  Equivalence checks on
-expanded netlists compare phase too: every branch must end in the
-expected basis state with amplitude exactly 1.
+state of more than ``MAX_TERMS`` terms raises.  ``verify_equivalence``
+certifies an expansion against one basis sweep of its macro netlist,
+phase included: each branch must end in its lane's basis state with
+amplitude exactly 1.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _same_type_eq, _same_type_ne
 
@@ -266,10 +267,10 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
     (default 0); any other spec, a bool or float among them, raises
     ``ValueError``.  ``branch`` is "explore" (follow every measurement
     outcome; returns one Branch per surviving combination), "forced-0"
-    or "forced-1".  Raises
-    ``TermBudgetError`` once a state holds more than ``MAX_TERMS`` terms,
-    and ``SimulationError`` on a measurement outcome whose probability is
-    not a power of 1/2.
+    or "forced-1".  Raises ``TermBudgetError`` once a state holds more
+    than ``MAX_TERMS`` terms, and ``SimulationError`` on a measurement
+    outcome whose probability is not a power of 1/2 or a ccz_classical
+    whose cbit no mx wrote.
     """
     if netlist.has_macros:
         raise SimulationError("statevector mode needs a fully expanded netlist")
@@ -310,6 +311,8 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
                 if kind == "prepT":
                     state = _GATES["t"](_h(state, w0), w0)
             elif kind == "ccz_classical":
+                if cbit not in cbits:
+                    raise SimulationError(f"ccz_classical reads cbit {cbit}, which no mx wrote")
                 if cbits[cbit]:
                     state = _GATES["cz"](state, w0, w1)
             else:
@@ -343,42 +346,37 @@ class EquivalenceReport(NamedTuple):
         return {"inputs_checked": self.inputs_checked, "mismatches": self.mismatches}
 
 
-def verify_equivalence(netlist: Netlist, input_wires, reference: Callable) -> EquivalenceReport:
-    """Compare a netlist against a reference over all basis inputs.
-
-    ``reference`` maps a dict {input wire: bit} to the expected final
-    bits {wire: bit} (only the wires it mentions are checked).  Macro
-    netlists run on the basis engine, all inputs in one sweep; expanded
-    netlists run on the statevector engine, and every measurement branch
-    must reproduce the expected basis state with amplitude 1, so a wrong
-    phase is a mismatch too.
+def verify_equivalence(netlist: Netlist, expanded: Netlist, input_wires) -> EquivalenceReport:
+    """Certify ``expanded``, a Clifford+T expansion of the macro netlist
+    ``netlist``, over every basis input of ``input_wires`` (other wires
+    start at 0).  One ``run_basis_sweep`` of ``netlist`` is the
+    reference: on the statevector engine, every measurement branch of
+    ``expanded`` must end in that lane's basis state with amplitude
+    exactly 1, each wire the expansion added back at 0.  Any other
+    branch is a mismatch, at most one per input, whose ``got`` holds
+    its bits and amplitude or the ``SimulationError`` that its run or a
+    superposition raised.  Errors of the reference sweep propagate.
     """
     input_wires = tuple(input_wires)
-    use_statevector = any(
-        isinstance(op, Gate) and op.kind not in ("x", "cx", "prep0")
-        for op in netlist.gates)
-
-    mismatches: list[dict] = []
     total = 1 << len(input_wires)
-    sweep = None if use_statevector else run_basis_sweep(
-        netlist, dict(zip(input_wires, lane_planes(len(input_wires)))), total)
-    for value in range(total):
-        assignment = {w: (value >> i) & 1 for i, w in enumerate(input_wires)}
-        expected = reference(dict(assignment))
-        if use_statevector:
-            got: dict[int, int] | None = None
-            for br in run_statevector(netlist, initial=assignment, branch="explore"):
-                bits = br.wire_bits(netlist.wire_count)
-                (amplitude,) = br.state.values()
-                got = bits if got is None else got
-                if (any(bits[w] != v for w, v in expected.items()) or bits != got
-                        or amplitude != _ONE):
-                    mismatches.append({"input": assignment, "expected": dict(expected),
-                                       "got": {**bits, "amplitude": _UNIT_TEXT[amplitude]}})
-                    break
-        else:
-            got = {w: (sweep.wires[w] >> value) & 1 for w in expected}
-            if got != expected:
-                mismatches.append({"input": assignment, "expected": dict(expected),
-                                   "got": got})
+    sweep = run_basis_sweep(netlist, dict(zip(input_wires, lane_planes(len(input_wires)))),
+                            total)
+    mismatches: list[dict] = []
+    for lane in range(total):
+        assignment = {w: (lane >> i) & 1 for i, w in enumerate(input_wires)}
+        mask = sum(((plane >> lane) & 1) << w for w, plane in sweep.wires.items())
+        try:
+            br = next((br for br in run_statevector(expanded, initial=assignment)
+                       if br.state != {mask: _ONE}), None)
+            if br is None:
+                continue
+            # wire_bits raises on a branch left in a superposition
+            got = {**br.wire_bits(expanded.wire_count),
+                   "amplitude": _UNIT_TEXT[next(iter(br.state.values()))]}
+        except SimulationError as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        mismatches.append({
+            "input": assignment,
+            "expected": {w: (mask >> w) & 1 for w in range(expanded.wire_count)},
+            "got": got})
     return EquivalenceReport(total, mismatches)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from qsquare import blocks, cli, sim
+from qsquare import blocks, cli, ir, sim
 from qsquare.cli import (
     BASIS_RANGE,
     _drop_gate,
@@ -33,6 +33,20 @@ from planes import ints_of
 
 # the report of verify 5..16 --mode both, as every earlier engine wrote it
 _VERIFY_BOTH_DIGEST = "39896d9e5e9967e355e95ba6ce4b5802687456bf029f4a494f8c23c85cb26f96"
+
+
+def _and_without_its_final_h(em, x, y, t):
+    """The AND lowering with its final h left out: it leaves the target
+    in a superposition."""
+    rows = [*ir._lowered(ir._ColumnWriter.logical_and, 3).rows()]
+    assert [kind for kind, *_ in rows[-2:]] == ["h", "s"]
+    del rows[-2]
+    wires = (x, y, t)
+    for kind, w0, w1, cbit in rows:
+        em.gate(kind, wires[w0], -1 if w1 < 0 else wires[w1], cbit)
+
+
+_BROKEN_AND = ir._pattern(_and_without_its_final_h, 3, ir._DepthWriter._and_step)
 
 
 def run(argv, capsys):
@@ -285,8 +299,8 @@ def test_verify_cache_is_never_corrupted(tmp_path, capsys):
 
 
 def test_block_battery_checks_the_and_target_it_is_given(monkeypatch):
-    # the AND block's reference reads the wire build_logical_and returns,
-    # so a builder that allocates a spare wire first still checks clean
+    # the battery's reference is the block's own macro netlist, so a
+    # builder that allocates a spare wire first still checks clean
     real = blocks.build_logical_and
 
     def spare_first(netlist, x, y):
@@ -323,6 +337,19 @@ def test_verify_bad_mutate_spec(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("qsq: --mutate expects ") and err.count("\n") == 1
+
+
+def test_block_battery_reports_a_broken_and_lowering(monkeypatch, tmp_path, capsys):
+    # a lowering that leaves a superposition is a mismatch, not a crash
+    monkeypatch.setattr(ir, "AND", _BROKEN_AND)
+    path = tmp_path / "r.json"
+    code, out, err = run(["verify", "5", "--mode", "statevector-blocks",
+                          "--report", str(path)], capsys)
+    assert code == 3
+    assert "verify logical-and: 4 inputs, 4 mismatch(es)" in out.splitlines()
+    assert err.startswith("first failure: ")
+    first = json.loads(path.read_text())["mismatches"][0]
+    assert first["got"] == "SimulationError: state is not a computational basis vector"
 
 
 def test_verify_mutate_refused_for_block_battery(capsys):
@@ -520,9 +547,9 @@ def test_verify_report_is_what_json_dumps_writes(argv, tmp_path, capsys, monkeyp
     # any other report by json.dumps(indent=2), whose text is the reference
     fallback = "statevector" in argv[-1]
     if fallback:
-        # without its uncompute the AND block leaves its target set, one
-        # statevector mismatch, whose shape no template covers
-        monkeypatch.setattr(blocks, "build_uncompute_and", lambda *args: None)
+        # an AND lowering without its final h fails the battery with
+        # statevector mismatches, whose shape no template covers
+        monkeypatch.setattr(ir, "AND", _BROKEN_AND)
     indented, dumps = [], json.dumps
 
     def counted_dumps(obj, **kw):

@@ -91,12 +91,16 @@ def _ints_of(res, wires, lanes):
 def test_sweep_exact_at_wide_widths():
     # the adders span up to 2n-3 bits, beyond any fixed-width machine integer
     rng = random.Random(2406)
-    for n in (5, 40, 64):
+    # 17 and 128 draw from their own generator, so 40, 64 and the adder
+    # below keep their inputs
+    beyond = random.Random(17)
+    for n in (5, 17, 40, 64, 128):
         c = synthesize_squarer(n)
         if n == 5:
             a = list(range(1 << n))  # exhaustive; draws nothing from rng
         else:
-            a = [rng.getrandbits(n) for _ in range(63)] + [(1 << n) - 1]
+            draw = beyond if n in (17, 128) else rng
+            a = [draw.getrandbits(n) for _ in range(63)] + [(1 << n) - 1]
         lanes = len(a)
         res = run_basis_sweep(
             c.netlist, dict(zip(c.input_wires, planes_of(a, n))), lanes)
@@ -240,8 +244,11 @@ def test_statevector_term_budget():
         nl.add_gate("h", w)  # 2^13 terms, past the 2^12 budget
     with pytest.raises(TermBudgetError):
         run_statevector(nl)
-    with pytest.raises(TermBudgetError):
-        verify_equivalence(nl, (0,), lambda bits: {0: bits[0]})
+    # certified as an expansion of the empty netlist, it fails each input
+    macro = Netlist()
+    macro.alloc_register("a", 13, "input")
+    rep = verify_equivalence(macro, nl, (0,))
+    assert [m["got"].partition(":")[0] for m in rep.mismatches] == ["TermBudgetError"] * 2
 
 
 def test_statevector_forced_branches():
@@ -318,6 +325,15 @@ def test_statevector_refuses_non_dyadic_measurement():
             run_statevector(nl, branch=policy)
 
 
+def test_statevector_refuses_a_cbit_no_mx_wrote():
+    # append refuses this gate, so the list is assigned, as a mutant's is
+    nl = Netlist()
+    nl.alloc_register("xy", 2, "input")
+    nl.gates = [Gate("ccz_classical", (0, 1), 0)]
+    with pytest.raises(SimulationError, match="cbit 0, which no mx wrote"):
+        run_statevector(nl, initial={0: 1, 1: 1})
+
+
 def test_statevector_measurement_probabilities_are_exact():
     nl = Netlist()
     nl.alloc_register("a", 1, "input")
@@ -338,61 +354,63 @@ def test_statevector_measurement_probabilities_are_exact():
 def test_verify_equivalence_and_block():
     nl = Netlist()
     x, y = nl.alloc_register("xy", 2, "input")
-    t = build_logical_and(nl, x, y)
-    rep = verify_equivalence(expand(nl), (x, y),
-                             lambda bits: {t: bits[x] & bits[y]})
+    build_logical_and(nl, x, y)
+    rep = verify_equivalence(nl, expand(nl), (x, y))
     assert rep.inputs_checked == 4
     assert rep.ok
     assert rep.to_json_dict() == {"inputs_checked": 4, "mismatches": []}
     json.dumps(rep.to_json_dict())
 
 
-def test_verify_equivalence_adder_m3():
+def _adder_m3():
     nl = Netlist()
     a = nl.alloc_register("a", 3, "input")
     b = nl.alloc_register("b", 3, "input")
     cw = build_adder_in_place(nl, a, b, True)
-    macro = lower_adders(nl)
+    return nl, a, b, cw
 
-    def ref(bits):
-        av = sum(bits[w] << i for i, w in enumerate(a))
-        bv = sum(bits[w] << i for i, w in enumerate(b))
-        s = av + bv
-        want = {w: (s >> i) & 1 for i, w in enumerate(b)}
-        want[cw] = (s >> 3) & 1
-        return want
 
-    rep = verify_equivalence(macro, tuple(a) + tuple(b), ref)
+def test_verify_equivalence_adder_m3():
+    nl, a, b, _ = _adder_m3()
+    rep = verify_equivalence(nl, expand(nl), a + b)
     assert rep.inputs_checked == 64
     assert rep.ok
+    # the adder lowered to CNOTs and AND macros expands to the same gates
+    assert verify_equivalence(nl, expand(lower_adders(nl)), a + b).ok
 
 
 def test_verify_equivalence_flags_corruption():
-    nl = Netlist()
-    a = nl.alloc_register("a", 3, "input")
-    b = nl.alloc_register("b", 3, "input")
-    cw = build_adder_in_place(nl, a, b, True)
+    nl, a, b, cw = _adder_m3()
     macro = lower_adders(nl)
     victim = next(i for i, g in enumerate(macro.gates)
                   if isinstance(g, Gate) and g.kind == "cx")
     del macro.gates[victim]
-
-    def ref(bits):
-        av = sum(bits[w] << i for i, w in enumerate(a))
-        bv = sum(bits[w] << i for i, w in enumerate(b))
-        s = av + bv
-        want = {w: (s >> i) & 1 for i, w in enumerate(b)}
-        want[cw] = (s >> 3) & 1
-        return want
-
-    rep = verify_equivalence(macro, tuple(a) + tuple(b), ref)
+    rep = verify_equivalence(nl, expand(macro), a + b)
     assert rep.inputs_checked == 64
     # the dropped CNOT feeds carry c_1 = a_0 b_0 forward: exactly the 16
     # inputs with a_0 = b_0 = 1 go wrong, and each reports what it got
     assert len(rep.mismatches) == 16
     for m in rep.mismatches:
-        assert m["input"][a[0]] == m["input"][b[0]] == 1
-        assert m["expected"] == ref(m["input"]) != m["got"]
+        bits = m["input"]
+        assert bits[a[0]] == bits[b[0]] == 1
+        s = sum(bits[w] << i for i, w in enumerate(a)) + sum(
+            bits[w] << i for i, w in enumerate(b))
+        # the reference sweep holds the sum, and every added wire at 0
+        want = dict.fromkeys(range(expand(nl).wire_count), 0)
+        want.update({w: bits[w] for w in a})
+        want.update({w: (s >> i) & 1 for i, w in enumerate((*b, cw))})
+        assert m["expected"] == want != m["got"]
+
+
+def test_every_dropped_cnot_of_the_adder_is_caught():
+    nl, a, b, _ = _adder_m3()
+    gates = list(expand(nl).gates)
+    drops = [k for k, g in enumerate(gates) if g.kind == "cx"]
+    assert len(drops) == 30
+    for k in drops:
+        mutant = expand(nl)
+        mutant.gates = gates[:k] + gates[k + 1:]
+        assert not verify_equivalence(nl, mutant, a + b).ok, k
 
 
 # ---- phase of the whole expansion ---------------------------------------------
@@ -418,18 +436,15 @@ def test_verify_equivalence_sees_phase():
     nl.append(UncomputeAnd(x, y, t))
     full = expand(nl)
 
-    def ref(bits):
-        return {x: bits[x], y: bits[y], t: 0}
-
-    assert verify_equivalence(full, (x, y), ref).ok
+    assert verify_equivalence(nl, full, (x, y)).ok
     no_fix = expand(nl)
     no_fix.gates = [g for g in no_fix.gates if g.kind != "ccz_classical"]
-    rep = verify_equivalence(no_fix, (x, y), ref)
+    rep = verify_equivalence(nl, no_fix, (x, y))
     assert [m["input"] for m in rep.mismatches] == [{x: 1, y: 1}]
     assert rep.mismatches[0]["got"] == {x: 1, y: 1, t: 0, "amplitude": "-1+0j"}
     stray_z = expand(nl)
     stray_z.add_gate("z", x)
-    rep = verify_equivalence(stray_z, (x, y), ref)
+    rep = verify_equivalence(nl, stray_z, (x, y))
     assert [m["input"] for m in rep.mismatches] == [{x: 1, y: 0}, {x: 1, y: 1}]
 
 
@@ -486,21 +501,20 @@ def _and_block():
 
 
 def test_every_dropped_gate_of_the_and_block_is_caught():
-    # the prep0 of a fresh ancilla is the one gate whose loss changes nothing
+    # the prep0 of a fresh ancilla is the one gate whose loss changes
+    # nothing; every other drop is reported, a superposition among them
     nl, x, y, t = _and_block()
     gates = list(expand(nl).gates)
-    survivors = []
+    survivors, got = [], set()
     for k in range(len(gates)):
         mutant = expand(nl)
         mutant.gates = gates[:k] + gates[k + 1:]
-        try:
-            rep = verify_equivalence(
-                mutant, (x, y), lambda bits: {**bits, t: bits[x] & bits[y]})
-        except SimulationError:
-            continue
+        rep = verify_equivalence(nl, mutant, (x, y))
         if rep.ok:
             survivors.append(gates[k].kind)
+        got.update(m["got"] for m in rep.mismatches if type(m["got"]) is str)
     assert survivors == ["prep0"]
+    assert "SimulationError: state is not a computational basis vector" in got
 
 
 @pytest.mark.parametrize("with_uncompute", [False, True])
@@ -513,7 +527,6 @@ def test_s_to_sdg_swap_leaves_amplitude_minus_one(with_uncompute):
     (mask,) = basis_state({x: 1, y: 1, t: int(not with_uncompute)})
     for br in run_statevector(swapped, initial={x: 1, y: 1}):
         assert br.state == {mask: (-1, 0, 0, 0)}
-    rep = verify_equivalence(swapped, (x, y), lambda bits: {
-        **bits, t: 0 if with_uncompute else bits[x] & bits[y]})
+    rep = verify_equivalence(nl, swapped, (x, y))
     assert [m["input"] for m in rep.mismatches] == [{x: 1, y: 1}]
     assert rep.mismatches[0]["got"]["amplitude"] == "-1+0j"
