@@ -26,8 +26,11 @@ widths used last: the 12 of ``BASIS_RANGE`` plus one, so a ``synth``
 between two ``verify 5..16`` evicts no verified width; a 128-bit
 circuit holds about 3.3 MB.  The planes are cached only for verified
 widths, so for at most 12.  ``compare`` builds each width once per
-command and caches nothing: holding the circuits of a long sweep would
-only raise its peak memory.
+command and keeps no circuit: holding the circuits of a long sweep would
+only raise its peak memory.  Its measurement shares ``ir``'s cache of
+macro shape costs, one 3-tuple per shape for the process (122 after
+``compare 5..64 --measured``), so a second sweep expands no adder to
+count it.
 
 ``main`` suspends CPython's cyclic garbage collector while a command
 runs, and turns it back on afterwards only if it was on when ``main``

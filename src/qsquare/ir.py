@@ -37,10 +37,11 @@ check their wires in bulk (a type scan, ``min``/``max`` against
 name the fault.
 
 A netlist being built keeps its ops in a plain list.  ``_lower`` is
-the one walk that lowers a netlist's ops, and the only code that
-dispatches on op type.  It hands each primitive to an emitter, each
-maximal run of consecutive ANDs (or uncomputes) of one type to the
-emitter in one call, over the run's wire columns, and each adder to
+the one walk that lowers a netlist's ops; ``_shape_counts`` sorts them
+by shape for ``Netlist.measure``, dispatching as ``_lower`` does.
+``_lower`` hands each primitive to an emitter, each maximal run of
+consecutive ANDs (or uncomputes) of one type to the emitter in one
+call, over the run's wire columns, and each adder to
 ``blocks.lower_add_in_place``.  The four lowered gate patterns, the
 AND, the uncompute and an adder's carry and release cells, are values:
 ``AND``, ``UNAND``, ``CARRY`` and ``RELEASE`` (``PATTERNS``), each a
@@ -71,7 +72,13 @@ pattern.  Three emitters read the walk:
 
 ``Gate`` tuples are built only for consumers that iterate, index or
 compare the gates (the simulators and the tests).  ``Netlist.measure``
-counts the gates of its expansion and takes the depths from its macros.
+takes the depths from its macros and never expands the whole netlist:
+its counts and wire count add up per op, a primitive by its kind and
+any other op at its shape's cost (an AND, an uncompute, or an adder of
+one width with or without a carry-out), which ``_shape_cost`` reads
+off ``expand`` of that one op.  The cost is cached for the process, one
+3-tuple per shape, so each shape is expanded once; the cache grows only
+with the adder widths measured.
 
 Netlists are append-only while being built and treated as immutable
 afterwards; every transformation returns a new netlist.
@@ -81,7 +88,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
+from functools import cache
 from itertools import groupby
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 
@@ -470,16 +480,29 @@ class Netlist:
 
     def measure(self) -> tuple[int, int, int, int, int]:
         """(T count, T-depth, CNOT count, CNOT-depth, wires) of this
-        netlist's expansion: ``count_gates`` counts the columns of
-        ``expand(self)``, and ``schedule_asap`` layers this netlist's
-        macros directly, which gives the depths of the expansion.  The
-        depths are taken first, so the scheduler's two layer marks, a
-        byte per layered gate each, are freed before the columns are
-        built."""
+        netlist's expansion, with no expansion of the whole netlist built.
+
+        ``schedule_asap`` layers this netlist's macros directly, which
+        gives the depths of the expansion.  The counts and the wire count
+        are linear over the ops: a primitive counts by its kind, and every
+        other op by its shape (``_shape_counts``), at the cost
+        ``_shape_cost`` reads off ``expand`` of that one op, once per
+        shape per process.  An expanded netlist counts its own columns."""
         t_depth, cnot_depth = schedule_asap(self)
-        full = expand(self)
-        t_count, cnot_count = count_gates(full)
-        return t_count, t_depth, cnot_count, cnot_depth, full.wire_count
+        if isinstance(self.gates, GateColumns):
+            t_count, cnot_count = count_gates(self)
+            return t_count, t_depth, cnot_count, cnot_depth, self.wire_count
+        t_count = cnot_count = 0
+        wires = self.wire_count
+        for shape, k in _shape_counts(self.gates).items():
+            if type(shape) is str:  # a primitive's kind
+                t, cnot, fresh = shape in _T_KINDS, shape == "cx", 0
+            else:
+                t, cnot, fresh = _shape_cost(*shape)
+            t_count += k * t
+            cnot_count += k * cnot
+            wires += k * fresh
+        return t_count, t_depth, cnot_count, cnot_depth, wires
 
 
 # ---- macro expansion ----------------------------------------------------
@@ -668,6 +691,50 @@ def expand(netlist: Netlist) -> Netlist:
 
 
 # ---- counting and depth --------------------------------------------------
+
+def _shape_counts(gates: list) -> Counter:
+    """How many ops of ``gates`` have each shape: a primitive's kind, or
+    ``(LogicalAnd,)``, ``(UncomputeAnd,)`` or ``(AddInPlace, m, carry)``
+    for an adder of width m with (``carry`` True) or without a
+    carry-out.  An op of a subclass has the shape of its base type, as
+    ``_lower`` dispatches it, and any op ``_lower`` refuses raises
+    ``NetlistError``."""
+    counts: Counter = Counter()
+    for cls, ops in groupby(gates, type):
+        if issubclass(cls, LogicalAnd):
+            counts[LogicalAnd,] += len([*ops])
+        elif issubclass(cls, UncomputeAnd):
+            counts[UncomputeAnd,] += len([*ops])
+        elif issubclass(cls, Gate):
+            counts.update(map(itemgetter(0), ops))
+        elif issubclass(cls, AddInPlace):
+            counts.update((AddInPlace, len(op.a_wires), op.carry_out is not None)
+                          for op in ops)
+        else:
+            raise NetlistError(f"cannot lower {next(ops)!r}")
+    return counts
+
+
+@cache
+def _shape_cost(cls: type, m: int = 0, carry: bool = False) -> tuple[int, int, int]:
+    """(T count, CNOT count, fresh wires) of one op once expanded: a
+    ``LogicalAnd`` or ``UncomputeAnd`` ``cls``, or an ``AddInPlace`` of
+    width ``m`` with or without a carry-out.  It is read off
+    ``count_gates(expand(...))`` of a netlist of that one op, so it comes
+    from the lowering the exports write.  The cache holds one 3-tuple per
+    shape measured in the process: the AND's, the uncompute's and one per
+    adder width and carry-out variant, 122 after ``compare 5..64
+    --measured``."""
+    nl = Netlist()
+    if cls is AddInPlace:
+        wires = nl.new_wires(2 * m + carry)
+        nl.append(AddInPlace(tuple(wires[:m]), tuple(wires[m:2 * m]),
+                             wires[-1] if carry else None))
+    else:
+        nl.append(cls(*nl.new_wires(3)))
+    full = expand(nl)
+    return (*count_gates(full), full.wire_count - nl.wire_count)
+
 
 def count_gates(netlist: Netlist) -> tuple[int, int]:
     """(T count, CNOT count) of a fully expanded netlist, counted on its

@@ -92,7 +92,7 @@ def _counted_builds(monkeypatch) -> list[int]:
 def test_verify_builds_each_width_once(monkeypatch, capsys):
     # a process that runs many synth and verify commands builds each
     # width's squarer for the first only; compare builds its own and
-    # caches nothing
+    # keeps no circuit
     built = _counted_builds(monkeypatch)
     assert run(["synth", "5", "--out", os.devnull], capsys)[0] == 0
     assert cli._squarer.cache_info().currsize == 1
@@ -501,6 +501,9 @@ def test_traced_counters_stay_readable(n):
      "1f746268923774f34cea32f58a91e293f8062b5c24722ec98a7b9767d7c64b51"),
     (["compare", "5..20", "--measured", "--csv"], "c.csv", 0,
      "b2bbc7a17fc2e0f2e52dc87984af19631001b3c2e143828f5c757e3f2c6c34f0"),
+    (["compare", "5..64", "--measured", "--csv"], "c.csv", 0,
+     ("05bb1ade2fd7efb3106bef5e78069e75dbdf388ec75ddb11f6f0cd553df57bf1",
+      "45b62d13a32f37e95dd7a5a5cf35ec09a2b92e9eab095068bfe353bfed272575")),
     (["verify", "5..16", "--mode", "both", "--report"], "r.json", 0, _VERIFY_BOTH_DIGEST),
     (["verify", "5..16", "--mutate", "drop-gate:8", "--report"], "r.json", 3,
      "6a3fb6085bfa1614aebb8fbba23adf5efaccdd816a53ca3e26d16b9ebb958dee"),
@@ -516,7 +519,7 @@ def test_traced_counters_stay_readable(n):
      "f91257f8c046603c959e9f844bb9edcf212ed11801f6d4107e837f829df4314e"),
     (["synth", "128", "--format", "qasm", "--out"], "q.qasm", 0,
      "4f5c09f6eaa6de190a212cf13b00b148b72c847572f76537509611fbb2d17255"),
-], ids=["synth-9-qasm", "compare-5..20-csv", "verify-5..16-both", "verify-5..16-drop-8",
+], ids=["synth-9-qasm", "compare-5..20-csv", "compare-5..64-csv", "verify-5..16-both", "verify-5..16-drop-8",
         "synth-16-json", "synth-37-json", "synth-64-grid", "synth-16-json-expanded",
         "synth-40-qasm", "synth-128-qasm"])
 def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, capsys):
@@ -530,11 +533,16 @@ def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, c
     # before the text was written straight from the macros, and catch a
     # template change that moves both ways of writing it at once; the
     # 128-bit QASM, the width the benchmark exports, is what the adders
-    # wrote gate by gate before each run of ripple cells was written in bulk
+    # wrote gate by gate before each run of ripple cells was written in bulk;
+    # compare 5..64, the benchmark's command, pins its CSV and its table on
+    # stdout as they were when measure counted the whole expansion
+    digest, out_digest = digest if isinstance(digest, tuple) else (digest, None)
     path = tmp_path / name
-    code, _, _ = run(argv + [str(path)], capsys)
+    code, out, _ = run(argv + [str(path)], capsys)
     assert code == exit_code
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    if out_digest is not None:
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
 
 
 @pytest.mark.parametrize("argv", [["5..16", "--mode", "both"]]

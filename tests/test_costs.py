@@ -180,9 +180,9 @@ def test_reconcile_carry_less_stage_delta_formula(n):
 
 def test_built_metrics_equal_measurement():
     # the exact account of the circuit as built, all six metrics, at
-    # every width to 64 and the widest its docstring claims; the T-depth
-    # quadratics start at n = 9, below which the values are listed
-    for n in [*range(5, 65), 100, 127, 128, 160]:
+    # every width its docstring names; the T-depth quadratics start at
+    # n = 9, below which the values are listed
+    for n in [*range(5, 65), 100, 127, 128, 160, 256]:
         assert measure_circuit(synthesize_squarer(n)) == built_metrics(n), n
     assert [built_metrics(n).t_depth for n in range(5, 9)] == [21, 34, 45, 64]
 

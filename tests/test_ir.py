@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from qsquare import ir
+from qsquare.cli import _drop_gate
 from qsquare.ir import (
     PATTERNS,
     _ColumnWriter,
@@ -387,7 +389,8 @@ def test_expand_without_macros_is_identity():
     (lambda nl: to_json(nl, lower=True), "lower"),
     (to_qasm, "lower"),
     (to_json, "write"),
-], ids=["expand", "schedule_asap", "to_json", "to_qasm", "to_json-unlowered"])
+    (Netlist.measure, "lower"),
+], ids=["expand", "schedule_asap", "to_json", "to_qasm", "to_json-unlowered", "measure"])
 def test_lowering_refuses_an_op_of_no_known_type(walk, verb):
     # append refuses such an op, so it can only be assigned into gates
     nl = single_and_netlist()
@@ -488,6 +491,82 @@ def test_count_t_on_unexpanded_rejected():
     nl = single_and_netlist()
     with pytest.raises(UnexpandedNetlistError):
         count_gates(nl)
+
+
+def _measured_by_expansion(nl):
+    """What ``measure`` returns, taken from the whole expansion."""
+    full = expand(nl)
+    (t_count, cnot_count), (t_depth, cnot_depth) = count_gates(full), schedule_asap(nl)
+    return t_count, t_depth, cnot_count, cnot_depth, full.wire_count
+
+
+@pytest.mark.parametrize("n", [*range(5, 41), 64, 128])
+def test_measure_of_squarer_equals_its_expansion(n):
+    nl = synthesize_squarer(n).netlist
+    assert nl.measure() == _measured_by_expansion(nl)
+
+
+def test_measure_of_every_adder_shape_equals_its_expansion():
+    # each shape twice, over scattered wires and with the operands
+    # swapped, between primitives, so the counts add up per op
+    for m in range(2, 41):
+        for carry in (False, True):
+            nl = Netlist()
+            wires = nl.alloc_register("w", 2 * m + 3, "zero")[::-1]
+            a, b = wires[1:2 * m:2], wires[2:2 * m + 1:2]
+            c0 = nl.new_wire() if carry else None
+            c1 = nl.new_wire() if carry else None
+            nl.add_gate("t", wires[0])
+            nl.append(AddInPlace(a, b, c0))
+            nl.add_gate("cx", wires[0], wires[-1])
+            nl.append(AddInPlace(b, a, c1))
+            assert nl.measure() == _measured_by_expansion(nl), (m, carry)
+
+
+def test_measure_of_primitives_and_of_columns_equals_its_expansion():
+    nl = Netlist()
+    a, b, c = nl.alloc_register("a", 3, "input")
+    for kind, wires, cbit in [("t", (a,), None), ("h", (b,), None), ("cx", (a, b), None),
+                              ("tdg", (c,), None), ("mx", (c,), 0), ("cx", (b, a), None),
+                              ("ccz_classical", (a, b), 0), ("t", (b,), None)]:
+        nl.append(Gate(kind, wires, cbit))
+    assert type(nl.gates) is list
+    assert nl.measure() == _measured_by_expansion(nl) == (3, 2, 2, 2, 3)
+    full = expand(synthesize_squarer(9).netlist)
+    assert isinstance(full.gates, GateColumns)
+    assert full.measure() == _measured_by_expansion(full)
+
+
+def test_measure_of_subclass_ops_equals_that_of_their_base_types():
+    base, mixed = _ops_of_base_and_subclass_types()
+    assert mixed.measure() == _measured_by_expansion(mixed) == base.measure()
+
+
+def test_measure_of_drop_gate_mutants_equals_their_expansion():
+    netlist = synthesize_squarer(6).netlist
+    for k in range(len(netlist.gates)):
+        mutant = _drop_gate(netlist, k)
+        assert mutant.measure() == _measured_by_expansion(mutant), k
+
+
+def test_measure_expands_each_shape_once_per_process(monkeypatch):
+    # a second measurement finds every shape's cost cached
+    calls = []
+    real = ir.expand
+
+    def counted(nl):
+        calls.append(nl.wire_count)
+        return real(nl)
+
+    monkeypatch.setattr(ir, "expand", counted)
+    ir._shape_cost.cache_clear()
+    nl = synthesize_squarer(64).netlist
+    first = nl.measure()
+    adders = sum(isinstance(op, AddInPlace) for op in nl.gates)
+    assert len(calls) == 2 + adders == ir._shape_cost.cache_info().currsize
+    del calls[:]
+    assert nl.measure() == first
+    assert calls == []
 
 
 # ---- layering ----------------------------------------------------------------
