@@ -7,7 +7,10 @@ byte-identical outputs.
 The block battery (``verify --mode statevector-blocks`` or ``both``)
 certifies each ``_BLOCKS`` block's Clifford+T expansion against the
 basis engine's run of its macro netlist, the semantics every squarer
-sweep checks with; no expected result is written here.
+sweep checks with; no expected result is written here.  ``--report``
+writes ``{"inputs_checked": ..., "mismatches": [...]}`` as compact JSON,
+one ``json.dumps`` call with the separators ``to_json`` uses, whatever
+shape its mismatches have.
 
 Each command loads the modules it runs, when it runs: ``verify``
 imports ``sim`` and ``compare`` imports ``costs``, so ``synth`` loads
@@ -260,74 +263,15 @@ def _verify_blocks() -> list[dict]:
     return reports
 
 
-# json.dumps(..., indent=2) of the basis sweep's two mismatch shapes, a
-# crashed run and a bad lane, as entries of the report's list
-_CRASH_ENTRY = """    {
-      "input": {
-        "n": %d
-      },
-      "expected": %s,
-      "got": %s
-    }"""
-_LANE_ENTRY = """    {
-      "input": {
-        "n": %d,
-        "a": %d
-      },
-      "expected": {
-        "P": %d,
-        "A": %d,
-        "garbage": %d,
-        "overflow": %d
-      },
-      "got": {
-        "P": %d,
-        "A": %d,
-        "garbage": %d,
-        "overflow": %d
-      }
-    }"""
-_MISMATCH_KEYS = ("input", "expected", "got")
-_LANE_KEYS = ("P", "A", "garbage", "overflow")
-
-
-def _mismatch_entry(m) -> str | None:
-    """The report entry of one mismatch of either basis-sweep shape, as
-    ``json.dumps`` with ``indent=2`` writes it; None for any other shape."""
-    if type(m) is not dict or tuple(m) != _MISMATCH_KEYS:
-        return None
-    given, expected, got = m.values()
-    if type(given) is not dict:
-        return None
-    keys = tuple(given)
-    if keys == ("n",):
-        if type(given["n"]) is int and type(expected) is str and type(got) is str:
-            return _CRASH_ENTRY % (given["n"], json.dumps(expected), json.dumps(got))
-    elif (keys == ("n", "a") and type(expected) is dict and type(got) is dict
-          and tuple(expected) == _LANE_KEYS and tuple(got) == _LANE_KEYS):
-        values = (*given.values(), *expected.values(), *got.values())
-        if all(type(v) is int for v in values):
-            return _LANE_ENTRY % values
-    return None
-
-
-def _report_json(inputs_checked: int, mismatches: list) -> str:
-    """The verify report, byte for byte ``json.dumps(report, indent=2)``
-    (whose encoder runs in Python when it indents): written from
-    ``_CRASH_ENTRY`` and ``_LANE_ENTRY`` when every mismatch has one of
-    their shapes, else by ``json.dumps``, as a statevector block's
-    mismatch needs."""
-    entries = [*map(_mismatch_entry, mismatches)]
-    if type(inputs_checked) is not int or None in entries:
-        return json.dumps({"inputs_checked": inputs_checked, "mismatches": mismatches},
-                          indent=2)
-    listed = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    return '{\n  "inputs_checked": %d,\n  "mismatches": %s\n}' % (inputs_checked, listed)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    ns = _parse_range(args.range)
-    if args.mode in ("basis-exhaustive", "both"):
+    if args.mode == "statevector-blocks":
+        if args.range is not None:
+            raise _UsageError(f"--mode statevector-blocks verifies fixed blocks and "
+                              f"takes no width, got {args.range!r}")
+    elif args.range is None:
+        raise _UsageError(f"--mode {args.mode} needs a width or range, e.g. 6 or 5..8")
+    else:
+        ns = _parse_range(args.range)
         if ns[0] < BASIS_RANGE[0] or ns[-1] > BASIS_RANGE[1]:
             raise _UsageError(
                 f"basis-exhaustive range must lie within "
@@ -355,7 +299,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     total = sum(r["inputs_checked"] for r in runs)
     mismatches = [m for r in runs for m in r["mismatches"]]
     if args.report:
-        _write(args.report, _report_json(total, mismatches) + "\n")
+        _write(args.report, json.dumps({"inputs_checked": total, "mismatches": mismatches},
+                                       separators=(",", ":")) + "\n")
     for r in runs:
         label = r.get("block", f"n={r.get('n')}")
         state = "ok" if not r["mismatches"] else f"{len(r['mismatches'])} mismatch(es)"
@@ -441,13 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="simulate circuits against the squaring oracle")
-    p.add_argument("range", help="width or range, e.g. 6 or 5..8")
+    p.add_argument("range", nargs="?", default=None,
+                   help="width or range, e.g. 6 or 5..8; basis-exhaustive and both "
+                        "need one, statevector-blocks takes none")
     p.add_argument("--mode", choices=("basis-exhaustive", "statevector-blocks", "both"),
                    default="basis-exhaustive",
                    help="basis-exhaustive sweeps each squarer over every input; "
                         "statevector-blocks certifies each block's Clifford+T "
                         "expansion against the basis engine; both runs the two")
-    p.add_argument("--report", default=None, help="write the JSON report here")
+    p.add_argument("--report", default=None,
+                   help="write the report here, as compact JSON (json.dumps)")
     p.add_argument("--mutate", default=None, metavar="drop-gate:K",
                    help="corrupt the netlist before verification (sanity check)")
     p.set_defaults(func=cmd_verify)

@@ -3,13 +3,14 @@
 The primitive gate set is Clifford+T plus the machinery needed for
 measurement-based uncomputation:
 
-    h, s, sdg, t, tdg, x, z, cx, cz, prep0, prepT, mx, ccz_classical
+    h, s, sdg, t, tdg, x, z, cx, cz, prep0, mx, ccz_classical
 
-``prep0``/``prepT`` initialize a fresh wire to |0> or the T magic state
-T|+>.  They are bookkeeping pseudo-gates and cost nothing toward any
-metric.  ``mx`` measures a wire in the X basis, stores the outcome in a
-classical bit, and consumes the wire (it is reset to |0> and returned to
-the ancilla pool).  ``ccz_classical`` applies CZ to its wire pair when
+``prep0`` initializes a fresh wire to |0>.  It is a bookkeeping
+pseudo-gate and costs nothing toward any metric; a T magic state is
+written out as ``prep0``, ``h``, ``t``, so its T gate is counted.
+``mx`` measures a wire in the X basis, stores the outcome in a classical
+bit, and consumes the wire (it is reset to |0> and returned to the
+ancilla pool).  ``ccz_classical`` applies CZ to its wire pair when
 its classical bit is 1.
 
 Three macro ops describe whole sub-circuits: ``LogicalAnd`` (temporary
@@ -105,12 +106,11 @@ class UnexpandedNetlistError(NetlistError):
 
 PRIMITIVE_KINDS = (
     "h", "s", "sdg", "t", "tdg", "x", "z",
-    "cx", "cz", "prep0", "prepT", "mx", "ccz_classical",
+    "cx", "cz", "prep0", "mx", "ccz_classical",
 )
-_ONE_WIRE = frozenset({"h", "s", "sdg", "t", "tdg", "x", "z", "prep0", "prepT", "mx"})
+_ONE_WIRE = frozenset({"h", "s", "sdg", "t", "tdg", "x", "z", "prep0", "mx"})
 _TWO_WIRE = frozenset({"cx", "cz", "ccz_classical"})
 _NEEDS_CBIT = frozenset({"mx", "ccz_classical"})
-_PSEUDO = frozenset({"prep0", "prepT"})
 _T_KINDS = frozenset({"t", "tdg"})
 
 
@@ -321,23 +321,20 @@ class Netlist:
     def alloc_register(self, name: str, width: int, init: str = "zero") -> tuple[int, ...]:
         """Allocate ``width`` fresh wires under ``name``.
 
-        ``init`` is one of "zero" (emits prep0), "magicT" (emits prepT)
-        or "input" (no gate; the wires carry caller-provided state).
+        ``init`` is "zero" (emits prep0) or "input" (no gate; the wires
+        carry caller-provided state).
         """
         if name in self.registers:
             raise NetlistError(f"register {name!r} already allocated")
         if width < 1:
             raise NetlistError(f"register width must be >= 1, got {width}")
-        if init not in ("zero", "input", "magicT"):
+        if init not in ("zero", "input"):
             raise NetlistError(f"unknown register init {init!r}")
         wires = tuple(self.new_wires(width))
         self.registers[name] = wires
         if init == "zero":
             for w in wires:
                 self.add_gate("prep0", w)
-        elif init == "magicT":
-            for w in wires:
-                self.add_gate("prepT", w)
         return wires
 
     def register_alias(self, name: str, wires: Sequence[int]) -> None:
@@ -741,7 +738,7 @@ def count_gates(netlist: Netlist) -> tuple[int, int]:
     kind column.
 
     T counts ``t`` and ``tdg``; CNOT counts ``cx`` only, not ``cz``.
-    prep0/prepT are zero-cost pseudo-gates and count toward neither.
+    prep0 is a zero-cost pseudo-gate and counts toward neither.
     Raises ``UnexpandedNetlistError`` when a macro op is present.
     """
     cols = netlist.columns()
@@ -789,7 +786,7 @@ class _DepthWriter:
         self.cnot_marks.append(0)
         last = self.last
         if b < 0:
-            if kind in _PSEUDO:
+            if kind == "prep0":
                 return
             layer = last[a] = last[a] + 1
             self.open[a] = 0
@@ -1099,12 +1096,26 @@ def to_json(netlist: Netlist, *, lower: bool = False) -> str:
     return ",".join(text)
 
 
+# the keys a document and each kind of gate entry may have; a key that
+# none of them reads would be dropped by the next to_json
+_DOC_KEYS = frozenset({"wires", "registers", "gates"})
+_PRIMITIVE_KEYS = frozenset({"kind", "wires", "cbit"})  # cbit optional
+_AND_KEYS = frozenset({"kind", "wires"})
+_MACRO_KEYS = {"macro_and": _AND_KEYS, "macro_unand": _AND_KEYS,
+               "macro_add": frozenset({"kind", "wires", "width", "carry_out"})}
+
+
 def from_json_dict(data: dict) -> Netlist:
     """Rebuild a netlist from a ``to_json`` document, passing every gate
     through ``Netlist.append``.  A malformed document raises
-    ``NetlistError``, naming the gate index where there is one."""
+    ``NetlistError``, naming the gate index where there is one; so does
+    a key the document or a gate entry of its kind does not take, which
+    the next ``to_json`` would drop."""
     if not isinstance(data, dict):
         raise NetlistError(f"netlist JSON must be an object, got {type(data).__name__}")
+    if not _DOC_KEYS.issuperset(data):
+        extra = next(k for k in data if k not in _DOC_KEYS)
+        raise NetlistError(f"netlist JSON takes no key {extra!r}")
     if "wires" not in data:
         raise NetlistError("netlist JSON has no 'wires' count")
     wires = data["wires"]
@@ -1136,6 +1147,10 @@ def _load_op(out: Netlist, g) -> None:
     if not isinstance(g, dict):
         raise NetlistError(f"gate entry must be an object, got {g!r}")
     kind, wires = g.get("kind"), g.get("wires")
+    keys = _MACRO_KEYS.get(kind, _PRIMITIVE_KEYS) if type(kind) is str else _PRIMITIVE_KEYS
+    if not keys.issuperset(g):
+        extra = next(k for k in g if k not in keys)
+        raise NetlistError(f"{kind!r} takes no key {extra!r}")
     if not isinstance(wires, list):
         raise NetlistError(f"{kind!r} needs a 'wires' list, got {wires!r}")
     if kind in ("macro_and", "macro_unand"):

@@ -305,11 +305,9 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
                     elif branch != "explore":
                         raise SimulationError(f"forced outcome {outcome} has zero amplitude")
                 continue
-            elif kind in ("prep0", "prepT"):
+            elif kind == "prep0":
                 if any((m >> w0) & 1 for m in state):
-                    raise SimulationError(f"{kind} on non-|0> wire {w0}")
-                if kind == "prepT":
-                    state = _GATES["t"](_h(state, w0), w0)
+                    raise SimulationError(f"prep0 on non-|0> wire {w0}")
             elif kind == "ccz_classical":
                 if cbit not in cbits:
                     raise SimulationError(f"ccz_classical reads cbit {cbit}, which no mx wrote")

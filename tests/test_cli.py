@@ -31,8 +31,9 @@ from qsquare.synth import synthesize_squarer
 
 from planes import ints_of
 
-# the report of verify 5..16 --mode both, as every earlier engine wrote it
-_VERIFY_BOTH_DIGEST = "39896d9e5e9967e355e95ba6ce4b5802687456bf029f4a494f8c23c85cb26f96"
+# the compact report of verify 5..16 --mode both; it loads to the same
+# object as the report every earlier engine wrote
+_VERIFY_BOTH_DIGEST = "4d13c7d5c2473e9beefca7cdee20cfca512d3cc31544fc4c2e7acbf6b8d9d76e"
 
 
 def _and_without_its_final_h(em, x, y, t):
@@ -192,7 +193,7 @@ def test_verify_range_clean(tmp_path, capsys):
 
 
 def test_verify_statevector_blocks(capsys):
-    code, out, _ = run(["verify", "6", "--mode", "statevector-blocks"], capsys)
+    code, out, _ = run(["verify", "--mode", "statevector-blocks"], capsys)
     assert code == 0
     assert "logical-and" in out and "adder-m3-carry" in out
 
@@ -343,7 +344,7 @@ def test_block_battery_reports_a_broken_and_lowering(monkeypatch, tmp_path, caps
     # a lowering that leaves a superposition is a mismatch, not a crash
     monkeypatch.setattr(ir, "AND", _BROKEN_AND)
     path = tmp_path / "r.json"
-    code, out, err = run(["verify", "5", "--mode", "statevector-blocks",
+    code, out, err = run(["verify", "--mode", "statevector-blocks",
                           "--report", str(path)], capsys)
     assert code == 3
     assert "verify logical-and: 4 inputs, 4 mismatch(es)" in out.splitlines()
@@ -355,7 +356,7 @@ def test_block_battery_reports_a_broken_and_lowering(monkeypatch, tmp_path, caps
 def test_verify_mutate_refused_for_block_battery(capsys):
     # the block battery never reads the squarer netlist, so a mutation
     # there would be ignored and the run would pass
-    code, out, err = run(["verify", "5..6", "--mode", "statevector-blocks",
+    code, out, err = run(["verify", "--mode", "statevector-blocks",
                           "--mutate", "drop-gate:3"], capsys)
     assert code == 2
     assert out == ""
@@ -415,6 +416,11 @@ def test_compare_unknown_design(capsys):
      "design 'thapliyal' named twice in --designs"),
     (["compare", "5", "--designs", "proposed, nagamani-osu,proposed"],
      "design 'proposed' named twice in --designs"),
+    # the squarer sweep needs its widths, and the block battery reads none
+    (["verify", "--mode", "both"], "--mode both needs a width or range"),
+    (["verify", "--report", "-"], "--mode basis-exhaustive needs a width or range"),
+    (["verify", "999", "--mode", "statevector-blocks"],
+     "--mode statevector-blocks verifies fixed blocks and takes no width, got '999'"),
 ])
 def test_compare_and_verify_refuse_input_they_would_ignore(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -506,7 +512,7 @@ def test_traced_counters_stay_readable(n):
       "45b62d13a32f37e95dd7a5a5cf35ec09a2b92e9eab095068bfe353bfed272575")),
     (["verify", "5..16", "--mode", "both", "--report"], "r.json", 0, _VERIFY_BOTH_DIGEST),
     (["verify", "5..16", "--mutate", "drop-gate:8", "--report"], "r.json", 3,
-     "6a3fb6085bfa1614aebb8fbba23adf5efaccdd816a53ca3e26d16b9ebb958dee"),
+     "a23f47aac1af5d86214da242b097c314482e2257a0c5bebdcda6d27af5c8a41f"),
     (["synth", "16", "--format", "json", "--out"], "s.json", 0,
      "b9deaaff2e0c54a0ca8a5787106a3ceed1c602b47925d2cc54ebd3827f082841"),
     (["synth", "37", "--format", "json", "--out"], "s.json", 0,
@@ -524,8 +530,8 @@ def test_traced_counters_stay_readable(n):
         "synth-40-qasm", "synth-128-qasm"])
 def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, capsys):
     # QASM and the cost CSV are byte-for-byte what the Gate-tuple
-    # expansion wrote before the columnar rewrite; the verify reports are
-    # what the bool-lane basis sweep wrote, and the drop-gate:8 mutant's
+    # expansion wrote before the columnar rewrite; the verify reports load
+    # to what the bool-lane basis sweep wrote, and the drop-gate:8 mutant's
     # report mixes P and garbage mismatches with uncompute-misuse lanes;
     # the macro JSON carries the registers, at an even and an odd width;
     # the 64-bit grid pins every placement case of a wide layout; the
@@ -547,22 +553,21 @@ def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, c
 
 @pytest.mark.parametrize("argv", [["5..16", "--mode", "both"]]
                          + [["5..16", "--mutate", f"drop-gate:{k}"] for k in range(36)]
-                         + [["5", "--mode", "statevector-blocks"]],
+                         + [["--mode", "statevector-blocks"]],
                          ids=["both", *(f"drop-gate:{k}" for k in range(36)),
                               "statevector-fallback"])
 def test_verify_report_is_what_json_dumps_writes(argv, tmp_path, capsys, monkeypatch):
-    # the basis sweep's two mismatch shapes are written from templates and
-    # any other report by json.dumps(indent=2), whose text is the reference
-    fallback = "statevector" in argv[-1]
-    if fallback:
+    # every report, of the basis sweep's mismatches or the battery's, is
+    # compact JSON from one json.dumps call
+    battery = "statevector" in argv[-1]
+    if battery:
         # an AND lowering without its final h fails the battery with
-        # statevector mismatches, whose shape no template covers
+        # statevector mismatches
         monkeypatch.setattr(ir, "AND", _BROKEN_AND)
-    indented, dumps = [], json.dumps
+    calls, dumps = [], json.dumps
 
     def counted_dumps(obj, **kw):
-        if "indent" in kw:
-            indented.append(obj)
+        calls.append(kw)
         return dumps(obj, **kw)
 
     monkeypatch.setattr(cli.json, "dumps", counted_dumps)
@@ -571,10 +576,10 @@ def test_verify_report_is_what_json_dumps_writes(argv, tmp_path, capsys, monkeyp
     monkeypatch.undo()
     text = path.read_text()
     report = json.loads(text)
-    assert text == json.dumps(report, indent=2) + "\n"
+    assert text == json.dumps(report, separators=(",", ":")) + "\n"
+    assert calls == [{"separators": (",", ":")}]
     assert code == (3 if report["mismatches"] else 0)
-    assert bool(indented) == fallback
-    assert not fallback or report["mismatches"]
+    assert not battery or report["mismatches"]
 
 
 def test_compare_measured_stdout_matches_pinned_digest(capsys):

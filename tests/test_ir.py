@@ -62,12 +62,6 @@ def test_alloc_zero_register_preps():
     assert nl.gates == [Gate("prep0", (6,))]
 
 
-def test_alloc_magic_register_preps_t_state():
-    nl = Netlist()
-    (w,) = nl.alloc_register("m", 1, "magicT")
-    assert nl.gates == [Gate("prepT", (w,))]
-
-
 def test_two_allocs_stay_dense():
     nl = Netlist()
     nl.alloc_register("a", 3, "input")
@@ -482,7 +476,6 @@ def test_netlist_without_gates_is_written_whole():
 def test_preps_are_free_for_all_counts():
     nl = Netlist()
     nl.alloc_register("a", 2, "zero")
-    nl.alloc_register("m", 1, "magicT")
     assert count_gates(nl) == (0, 0)
     assert schedule_asap(nl) == (0, 0)
 
@@ -731,9 +724,19 @@ def test_json_round_trip_macro_netlist():
     ({"wires": 3, "gates": [{"kind": "ccz_classical", "wires": [0, 1], "cbit": 0},
                             {"kind": "mx", "wires": [2], "cbit": 0}]},
      "^gate 0: .*no earlier mx"),
+    # a T state is prepared as prep0, h, t, so that its T gate is counted
+    ({"wires": 1, "gates": [{"kind": "prepT", "wires": [0]}]},
+     "^gate 0: unknown gate kind 'prepT'$"),
+    # keys that no reader takes, which the next to_json would drop
+    ({"wires": 5, "gates": [{"kind": "macro_and", "wires": [0, 1, 2], "cbit": 4}]},
+     "^gate 0: 'macro_and' takes no key 'cbit'$"),
+    ({"wires": 1, "gates": [{"kind": "h", "wires": [0], "width": 3}]},
+     "^gate 0: 'h' takes no key 'width'$"),
+    ({"wires": 1, "gates": [], "cbits": 2}, "^netlist JSON takes no key 'cbits'$"),
 ], ids=["no-wires", "negative-wires", "gates-not-list", "bool-wire", "negative-cbit",
         "bool-cbit", "string-cbit", "gate-not-object", "register-unallocated",
-        "fractional-width", "cbit-read-before-write"])
+        "fractional-width", "cbit-read-before-write", "prepT-kind", "and-cbit-key",
+        "primitive-width-key", "document-key"])
 def test_from_json_rejects_malformed_netlists(doc, message):
     with pytest.raises(NetlistError, match=message):
         from_json_dict(doc)

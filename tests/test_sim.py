@@ -58,13 +58,6 @@ def test_basis_rejects_expanded_gates():
         run_basis_sweep(nl, {0: 0}, 1)
 
 
-def test_basis_rejects_magic_preparation():
-    nl = Netlist()
-    nl.alloc_register("m", 1, "magicT")
-    with pytest.raises(NonClassicalGateError):
-        run_basis_sweep(nl, {}, 1)
-
-
 def test_basis_prep0_on_dirty_wire_rejected():
     nl = Netlist()
     nl.alloc_register("a", 1, "input")
@@ -187,13 +180,6 @@ def test_statevector_basic_gates():
     nl.add_gate("h", 0)
     (br,) = run_statevector(nl)
     assert br.state == basis_state({0: 0}) == {0: ONE}
-
-
-def test_statevector_magic_preparation():
-    nl = Netlist()
-    nl.alloc_register("m", 1, "magicT")
-    (br,) = run_statevector(nl)
-    assert br.state == T_STATE
 
 
 def test_statevector_initial_t_state_matches_prep():
