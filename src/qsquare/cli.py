@@ -10,7 +10,8 @@ basis engine's run of its macro netlist, the semantics every squarer
 sweep checks with; no expected result is written here.  ``--report``
 writes ``{"inputs_checked": ..., "mismatches": [...]}`` as compact JSON,
 one ``json.dumps`` call with the separators ``to_json`` uses, whatever
-shape its mismatches have.
+shape its mismatches have.  A squarer width's report lists at most its
+first 16 failing inputs; its stdout line counts them all.
 
 Each command loads the modules it runs, when it runs: ``verify``
 imports ``sim`` and ``compare`` imports ``costs``, so ``synth`` loads
@@ -177,14 +178,17 @@ def _squarer(n: int) -> SquarerCircuit:
     return synthesize_squarer(n)
 
 
-def _lane_value(planes: list[int], lane: int) -> int:
-    return sum(((p >> lane) & 1) << i for i, p in enumerate(planes))
-
-
 def _verify_basis_one(netlist) -> dict:
     """Exhaustively simulate a squarer netlist, reading its input and
     product wires from registers A and P; returns the spec report dict
-    plus n."""
+    plus n and, for a sweep that ran, ``failing``, its count of failing
+    inputs (the report lists at most the first 16).
+
+    Only planes that differ from the reference carry data: each P and A
+    plane is XORed with its expected plane once, garbage is the OR of
+    the non-zero ancilla planes, and a reported lane's P and A are the
+    expected values XOR its difference bits, read from small windows of
+    the differences that start at the first reported lane."""
     from . import sim
 
     inputs, p_wires = netlist.registers["A"], netlist.registers["P"]
@@ -197,35 +201,45 @@ def _verify_basis_one(netlist) -> dict:
         return {"n": n, "inputs_checked": lanes,
                 "mismatches": [{"input": {"n": n}, "expected": "clean run",
                                 "got": f"{type(exc).__name__}: {exc}"}]}
-    p_planes = [result.wires[w] for w in p_wires]
-    a_back = [result.wires[w] for w in inputs]
-    keep = set(inputs) | set(p_wires)
-    dirty = 0
-    for w in range(netlist.wire_count):
-        if w not in keep:
-            dirty |= result.wires[w]
-    overflow = 0
+    planes = result.wires
+    # (bit, plane of lanes where that bit is wrong), non-zero planes only
+    p_diff = [(i, d) for i, (w, want) in enumerate(zip(p_wires, square))
+              if (d := planes[w] ^ want)]
+    a_diff = [(i, d) for i, (w, want) in enumerate(zip(inputs, a_planes))
+              if (d := planes[w] ^ want)]
+    keep = {*inputs, *p_wires}
+    dirty = overflow = 0
+    for w, plane in planes.items():
+        if plane and w not in keep:
+            dirty |= plane
     for carry in result.would_be_carries.values():
-        overflow |= carry
+        if carry:
+            overflow |= carry
     bad = dirty | overflow
-    for got, want in zip(p_planes + a_back, square + a_planes):
-        bad |= got ^ want
+    for _, d in p_diff + a_diff:
+        bad |= d
+    failing = bad.bit_count()
     first: list[int] = []  # the lowest 16 bad lanes
     while bad and len(first) < 16:
         low = bad & -bad
         bad ^= low
         first.append(low.bit_length() - 1)
-    # cut the planes to the reported lanes, so reading a lane shifts a small int
-    upto = (2 << first[-1]) - 1 if first else 0
-    p_planes, a_back = ([p & upto for p in planes] for planes in (p_planes, a_back))
-    dirty, overflow = dirty & upto, overflow & upto
-    mismatches = [{
-        "input": {"n": n, "a": a},
-        "expected": {"P": a * a, "A": a, "garbage": 0, "overflow": 0},
-        "got": {"P": _lane_value(p_planes, a), "A": _lane_value(a_back, a),
-                "garbage": (dirty >> a) & 1, "overflow": (overflow >> a) & 1},
-    } for a in first]
-    return {"n": n, "inputs_checked": lanes, "mismatches": mismatches}
+    # cut every plane to the window of reported lanes, so reading a lane
+    # shifts a small int
+    lo = first[0] if first else 0
+    window = (2 << (first[-1] - lo)) - 1 if first else 0
+    p_diff, a_diff = ([(i, (d >> lo) & window) for i, d in diff] for diff in (p_diff, a_diff))
+    dirty, overflow = (dirty >> lo) & window, (overflow >> lo) & window
+    mismatches = []
+    for a in first:
+        k = a - lo
+        mismatches.append({
+            "input": {"n": n, "a": a},
+            "expected": {"P": a * a, "A": a, "garbage": 0, "overflow": 0},
+            "got": {"P": a * a ^ sum(((d >> k) & 1) << i for i, d in p_diff),
+                    "A": a ^ sum(((d >> k) & 1) << i for i, d in a_diff),
+                    "garbage": (dirty >> k) & 1, "overflow": (overflow >> k) & 1}})
+    return {"n": n, "inputs_checked": lanes, "mismatches": mismatches, "failing": failing}
 
 
 def _and_block(nl: Netlist, uncompute: bool) -> tuple[int, ...]:
@@ -303,7 +317,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                        separators=(",", ":")) + "\n")
     for r in runs:
         label = r.get("block", f"n={r.get('n')}")
-        state = "ok" if not r["mismatches"] else f"{len(r['mismatches'])} mismatch(es)"
+        listed = len(r["mismatches"])
+        failing = r.get("failing", listed)
+        state = "ok" if not failing else f"{failing} mismatch(es)"
+        if failing > listed:
+            state += f", report lists the first {listed}"
         print(f"verify {label}: {r['inputs_checked']} inputs, {state}")
     if mismatches:
         first = mismatches[0]

@@ -1110,7 +1110,8 @@ def from_json_dict(data: dict) -> Netlist:
     through ``Netlist.append``.  A malformed document raises
     ``NetlistError``, naming the gate index where there is one; so does
     a key the document or a gate entry of its kind does not take, which
-    the next ``to_json`` would drop."""
+    the next ``to_json`` would drop, and a ``wires`` count above one
+    past the largest wire that a gate or register names."""
     if not isinstance(data, dict):
         raise NetlistError(f"netlist JSON must be an object, got {type(data).__name__}")
     if not _DOC_KEYS.issuperset(data):
@@ -1140,6 +1141,14 @@ def from_json_dict(data: dict) -> Netlist:
             _load_op(out, g)
         except NetlistError as exc:
             raise NetlistError(f"gate {index}: {exc}") from None
+    # every wire is a checked int by now; measure and to_qasm size their
+    # tables by the count, so one past the named wires is refused
+    named = max(map(max, filter(None, [*map(itemgetter("wires"), data["gates"]),
+                                       *registers.values()])), default=-1)
+    if wires > named + 1:
+        names = (f"the largest wire a gate or register names is {named}" if named >= 0
+                 else "no gate or register names a wire")
+        raise NetlistError(f"netlist 'wires' is {wires}, but {names}")
     return out
 
 

@@ -11,7 +11,13 @@ value for input k (lane k), so one ``^`` or ``&`` moves every input
 through a gate at once.  A single input is the one-lane case, and
 ``lane_planes`` builds the planes of an exhaustive sweep.  In-place
 additions ripple a carry plane bit position by bit position, so adders
-of any width are exact.
+of any width are exact.  A plane of 2**16 lanes is an 8 KB int, so the
+engine spends an operation only where a plane can change: a ripple
+cell whose a plane is 0 is a half adder of b and the carry, and does
+nothing while the carry is 0 too; one whose carry plane is 0 is a half
+adder of a and b; only the rest run the full cell.  An uncompute checks
+its target with one ``!=`` against x AND y, and builds their XOR only
+to name the first bad lane.
 
 The statevector engine runs expanded Clifford+T netlists of any width
 exactly, on a sparse state: a dict from basis bitmask (bit w = wire w)
@@ -96,6 +102,13 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
     int (a bool is not), an input wire outside the netlist, or a plane
     that is not an int or has a bit past the last lane, raises
     ``ValueError``.
+
+    Work follows the planes that carry data: an addition's bit position
+    with a zero a plane or a zero carry plane runs a two-operation half
+    adder (none when both are zero) in place of the five-operation full
+    cell, and an uncompute compares its target with x AND y by ``!=``,
+    building their XOR only to name the first bad lane of the
+    ``UncomputeMisuseError``.
     Expanded Clifford+T gates are rejected; run the unexpanded netlist or
     use the statevector engine.
     """
@@ -132,20 +145,30 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
                     f"logical-AND target wire {op.target} not fresh at gate {idx}")
             bits[op.target] = bits[op.x] & bits[op.y]
         elif isinstance(op, UncomputeAnd):
-            bad = bits[op.target] ^ (bits[op.x] & bits[op.y])
-            if bad:
+            want = bits[op.x] & bits[op.y]
+            if bits[op.target] != want:
+                bad = bits[op.target] ^ want
                 raise UncomputeMisuseError(
                     f"uncompute-misuse at gate {idx}, "
                     f"first lane {(bad & -bad).bit_length() - 1}")
             bits[op.target] = 0
         elif isinstance(op, AddInPlace):
-            # ripple carry over whole planes, one bit position at a time
+            # ripple carry over whole planes, one bit position at a time;
+            # a zero a or carry plane drops its terms from the full cell
             carry = 0
             for wa, wb in zip(op.a_wires, op.b_wires):
                 a, b = bits[wa], bits[wb]
-                s = a ^ b
-                bits[wb] = s ^ carry
-                carry = (a & b) | (carry & s)
+                if not a:
+                    if carry:
+                        bits[wb] = b ^ carry
+                        carry &= b
+                elif not carry:
+                    bits[wb] = a ^ b
+                    carry = a & b
+                else:
+                    s = a ^ b
+                    bits[wb] = s ^ carry
+                    carry = (a & b) | (carry & s)
             if op.carry_out is not None:
                 if bits[op.carry_out]:
                     raise SimulationError(f"carry-out wire {op.carry_out} not fresh")

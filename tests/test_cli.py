@@ -158,6 +158,21 @@ def test_synth_macro_json_round_trips(tmp_path, capsys):
     assert to_json(netlist) == text
 
 
+@pytest.mark.parametrize("flags", [[], ["--expanded"]], ids=["macro", "expanded"])
+@pytest.mark.parametrize("n", [5, 16, 64])
+def test_synth_json_names_every_wire_it_counts(n, flags, tmp_path, capsys):
+    # from_json refuses a wire count past one more than the largest wire
+    # named, so what synth writes must name its last wire and load back
+    path = tmp_path / "c.json"
+    assert run(["synth", str(n), "--format", "json", *flags, "--out", str(path)], capsys)[0] == 0
+    text = path.read_text()
+    data = json.loads(text)
+    named = {w for g in data["gates"] for w in g["wires"]}
+    named.update(w for ws in data["registers"].values() for w in ws)
+    assert data["wires"] == max(named) + 1
+    assert to_json(from_json(text)) == text
+
+
 def test_synth_rejects_small_width(capsys):
     code, _, err = run(["synth", "4"], capsys)
     assert code == 2
@@ -261,6 +276,19 @@ def test_verify_basis_reports_garbage_and_overflow_lanes(monkeypatch):
         "input": {"n": 5, "a": 21},
         "expected": {"P": 441, "A": 21, "garbage": 0, "overflow": 0},
         "got": {"P": 441, "A": 21, "garbage": 0, "overflow": 1}}]
+
+
+def test_verify_basis_reads_a_corrupted_input_back():
+    # a final cx from P's bit 3 onto A's bit 2 (not a P wire, as A's bit 0
+    # is) leaves P right and flips A's bit 2 in exactly the lanes where
+    # bit 3 of a*a is set
+    netlist = from_json(to_json(synthesize_squarer(7).netlist))
+    netlist.add_gate("cx", netlist.registers["P"][3], netlist.registers["A"][2])
+    rep = _verify_basis_one(netlist)
+    lanes = [a for a in range(128) if (a * a >> 3) & 1]
+    assert rep["failing"] == len(lanes) > 16
+    assert [(m["input"]["a"], m["got"]) for m in rep["mismatches"]] == [
+        (a, {"P": a * a, "A": a ^ 4, "garbage": 0, "overflow": 0}) for a in lanes[:16]]
 
 
 def test_verify_basis_reads_a_netlist_alone():
@@ -549,6 +577,89 @@ def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, c
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     if out_digest is not None:
         assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+
+
+# the report of verify 5..16 --mutate drop-gate:K for each K of the n=5
+# netlist's 36 gates, as the checker wrote it when it decoded every P
+# and A plane of every reported lane; each of these runs exits 3
+_DROP_GATE_DIGESTS = (
+    "87013cd180509955883721806d65e5936d880b48b770a891707c3f8b0b41fbf0",
+    "fe97228b0aff476474b55686eccbc3baa63b5cd3eb109eb1586c13451c12bce8",
+    "d0dc523bbd47ad889919abeafeae684f9a6970efdeae42d9eaf601cea66637b6",
+    "56a357f64e3b47c463c84d711b878be2d548229388546184b20b1f9d5c778a98",
+    "29645fddc38408ce9daebdb4edb75b3ef20bad4c2ccba70b3fd8a6cc11a31292",
+    "f6036d92932516c389420f2d381011824497eaa975bf006a4aeabf3ac62be948",
+    "08357d7e83120b50abdf17eb02294f13aa8a3b16fb33dffa38493a2cbdb6f7ec",
+    "5229133d272e0bfe27e201f20cefa1604f64f977dd637ae87e286cead385d41b",
+    "a23f47aac1af5d86214da242b097c314482e2257a0c5bebdcda6d27af5c8a41f",
+    "20702d6b7ca2b6331b12b63e3e5dcfbd07b5e90b6d11dae22d1fa5cd5e45c57b",
+    "137c9427a7a0aeb6a2538c22b12db493393fa0ac814053ce582b1b5c21d00b99",
+    "167fe3063c6475a8225326ca23e81ae6f3c33e02c98f57575c0c9135a15c67a5",
+    "75973c332774479da69400a88410ff3977e4e8fe796a9c60455a1c5a5c60055b",
+    "fedf8ce4815c6ba5e523bb942e25ce2cf14f21b9378136e917ef1b78dc5808dd",
+    "c13f2df2463ed924e84454d4fab91c3c7ed0fb359010da774c66bf221145aaeb",
+    "78c5bfc6c14e286b96bc33b1c65548dec8556f4e81e9233fbaa710045db9a64b",
+    "bcc0217b5484828efebb26feafe2b2548c8128576cac0f99c64e63541185aa3e",
+    "ebbdd804d918e083a6adfa4c5989801f3b0cd78aefb78113917af55780724572",
+    "b458be14f3607d941650db64b32d56ffb16aaa396e598e5bcad9c2ad21dfb537",
+    "e02f8844cfc03038fe92a0749ffb68500373a55791939b5a8e0f4080465f58fd",
+    "c3a352a73c056ca486edd9e0af70b6a24ebf6600133325f10c4f1ab10e830987",
+    "dba530f08fcf3b788af482a3d15522654a6d94da291da674d8e964795fa813e6",
+    "1b0796c89ad63b92610a2295fdfd7376f8ee649d10ee16ecc1608014000a3366",
+    "0645897b9279f41b93e356ef7411813231d834037795d496fdd72d94bb3e7c7f",
+    "cf1bced3c855b44c95611a6551ca49a8c7863824c270555e58cd3555dea711f3",
+    "4c96f0021341973f81dcba688a8be8b8f7a323cdc4fd7223f0c0e9ddd196d29b",
+    "b144e202c40282156df959c21fe845900b4e8a2b95512c61ad230b27056eaf66",
+    "5216d0e7a748b5e7f39b0ba09979009aec882bbc395e24a6813cdf915a426a90",
+    "388acdd173385f24706aa9a949c670670cf28ed4b6122e5bec1268203c2d9e94",
+    "1ddad6506586558e3300b2224a570de9626f5881b5b244170308a9876d3eec72",
+    "801bc0fabc1d53d0a286c06938cc3e64d4844cb1c0d40f7a70ef81d9b1a6b35d",
+    "ad5b5d340b7a6b968e07170fc1ecf5f7ebba0bfd4b3d805900fecdf8e5a6867c",
+    "0b0d61434d2bdff297983560c10abf770258ffe729a924ac4f5cc1fe58d983fc",
+    "a0bf66b1f5012eb9b9dadf1341fe26cb8c8ed39c379925e5d73241300cae7e8b",
+    "f8689cac81e9de1e9b7cd71af19eb3522c04b136eb959952f5f2216b4f781551",
+    "88d6b15a06795f4cedba20b34001d5606c99b3090a6a46132e233cbf535575f3",
+)
+
+
+@pytest.mark.parametrize("k", range(36))
+def test_drop_gate_reports_match_pinned_digests(k, tmp_path, capsys):
+    path = tmp_path / "r.json"
+    code, _, _ = run(["verify", "5..16", "--mutate", f"drop-gate:{k}", "--report", str(path)],
+                     capsys)
+    assert code == 3
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _DROP_GATE_DIGESTS[k]
+
+
+def test_verify_counts_every_failing_input(tmp_path, capsys):
+    # dropping an adder of the 9-bit squarer breaks most of its inputs: the
+    # line counts them all, here lane by lane on one-lane sweeps, and says
+    # that the report lists only the first 16, which it reads as they are
+    n, k = 9, 76
+    mutant = _drop_gate(synthesize_squarer(n).netlist, k)
+    a_wires, p_wires = mutant.registers["A"], mutant.registers["P"]
+    ancillas = set(range(mutant.wire_count)) - {*a_wires, *p_wires}
+    failing = []
+    for a in range(1 << n):
+        res = sim.run_basis_sweep(mutant, {w: (a >> i) & 1 for i, w in enumerate(a_wires)}, 1)
+        got = {"P": ints_of([res.wires[w] for w in p_wires], 1)[0],
+               "A": ints_of([res.wires[w] for w in a_wires], 1)[0],
+               "garbage": int(any(res.wires[w] for w in ancillas)),
+               "overflow": int(any(res.would_be_carries.values()))}
+        if got != {"P": a * a, "A": a, "garbage": 0, "overflow": 0}:
+            failing.append({"input": {"n": n, "a": a}, "got": got})
+    assert len(failing) == 400
+    path = tmp_path / "r.json"
+    code, out, _ = run(["verify", str(n), "--mutate", f"drop-gate:{k}", "--report", str(path)],
+                       capsys)
+    assert code == 3
+    assert out == f"verify n={n}: {1 << n} inputs, 400 mismatch(es), report lists the first 16\n"
+    report = json.loads(path.read_text())
+    assert [{"input": m["input"], "got": m["got"]} for m in report["mismatches"]] == failing[:16]
+    # a width with at most 16 failing inputs lists them all, so its line
+    # names no cut
+    assert run(["verify", "5", "--mutate", "drop-gate:0"], capsys)[:2] == (
+        3, "verify n=5: 32 inputs, 8 mismatch(es)\n")
 
 
 @pytest.mark.parametrize("argv", [["5..16", "--mode", "both"]]

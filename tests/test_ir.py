@@ -733,10 +733,16 @@ def test_json_round_trip_macro_netlist():
     ({"wires": 1, "gates": [{"kind": "h", "wires": [0], "width": 3}]},
      "^gate 0: 'h' takes no key 'width'$"),
     ({"wires": 1, "gates": [], "cbits": 2}, "^netlist JSON takes no key 'cbits'$"),
+    # a count past the wires named, which measure and to_qasm would size
+    # their tables by
+    ({"wires": 2**40, "gates": []},
+     "^netlist 'wires' is 1099511627776, but no gate or register names a wire$"),
+    ({"wires": 9, "registers": {"A": [0, 3]}, "gates": [{"kind": "cx", "wires": [1, 7]}]},
+     "^netlist 'wires' is 9, but the largest wire a gate or register names is 7$"),
 ], ids=["no-wires", "negative-wires", "gates-not-list", "bool-wire", "negative-cbit",
         "bool-cbit", "string-cbit", "gate-not-object", "register-unallocated",
         "fractional-width", "cbit-read-before-write", "prepT-kind", "and-cbit-key",
-        "primitive-width-key", "document-key"])
+        "primitive-width-key", "document-key", "wires-none-named", "wires-past-named"])
 def test_from_json_rejects_malformed_netlists(doc, message):
     with pytest.raises(NetlistError, match=message):
         from_json_dict(doc)

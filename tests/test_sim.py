@@ -122,6 +122,84 @@ def test_sweep_exact_at_wide_widths():
     assert ints_of([carry], len(av)) == [s >> m for s in sums] == [1, 1, 1, 0]
 
 
+def _ripple_case(m, carry_out):
+    """An m-bit ``AddInPlace`` over 48 seeded lanes, some of whose a wires
+    are never assigned (zero planes), and one of those positions 0 in b
+    too, so no lane carries out of it; returns the netlist, the input
+    planes and the a and b values."""
+    rng = random.Random(31 * m + carry_out)
+    lanes = 48
+    nl = Netlist()
+    wa = nl.alloc_register("a", m, "input")
+    wb = nl.alloc_register("b", m, "input")
+    nl.append(AddInPlace(wa, wb, nl.new_wire() if carry_out else None))
+    unset = set(rng.sample(range(m), m // 3 + 1))
+    cut = rng.choice(sorted(unset))
+    av = [rng.getrandbits(m) & ~sum(1 << i for i in unset) for _ in range(lanes)]
+    bv = [rng.getrandbits(m) & ~(1 << cut) for _ in range(lanes)]
+    inputs = {w: p for i, (w, p) in enumerate(zip(wa, planes_of(av, m))) if i not in unset}
+    inputs.update(zip(wb, planes_of(bv, m)))
+    return nl, inputs, av, bv
+
+
+@pytest.mark.parametrize("carry_out", [False, True], ids=["modular", "carry-out"])
+@pytest.mark.parametrize("m", range(2, 13))
+def test_ripple_with_zero_planes_adds_exactly(m, carry_out):
+    # the ripple skips the terms of a zero a or carry plane; each lane must
+    # still hold its integer sum, and its carry-out or dropped carry
+    nl, inputs, av, bv = _ripple_case(m, carry_out)
+    (op,) = nl.gates
+    lanes = len(av)
+    assert len(inputs) < 2 * m  # some a wires start at 0 unassigned
+    res = run_basis_sweep(nl, inputs, lanes)
+    sums = [x + y for x, y in zip(av, bv)]
+    assert _ints_of(res, op.b_wires, lanes) == [s % (1 << m) for s in sums]
+    assert _ints_of(res, op.a_wires, lanes) == av
+    if carry_out:
+        assert res.would_be_carries == {}
+        carry = res.wires[op.carry_out]
+    else:
+        (carry,) = res.would_be_carries.values()
+    assert ints_of([carry], lanes) == [s >> m for s in sums]
+
+
+def test_ripple_cases_cover_every_cell():
+    # past bit 0, the cases reach all four cells: a and carry planes both
+    # zero, either one zero, and neither
+    seen = set()
+    for m, carry_out in itertools.product(range(2, 13), (False, True)):
+        _, _, av, bv = _ripple_case(m, carry_out)
+        for i in range(1, m):
+            low = (1 << i) - 1
+            carry_in = any(((x & low) + (y & low)) >> i for x, y in zip(av, bv))
+            seen.add((any((x >> i) & 1 for x in av), carry_in))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_uncompute_misuse_names_its_gate_and_first_lane(seed):
+    # a cx onto x after the AND leaves t != x AND y in the lanes where z
+    # and y are 1; the error names the gate and the lowest such lane,
+    # found here lane by lane
+    rng = random.Random(seed)
+    lanes = 200
+    nl = Netlist()
+    x, y, z = nl.alloc_register("xyz", 3, "input")
+    t = build_logical_and(nl, x, y)
+    nl.add_gate("cx", z, x)
+    idx = len(nl.gates)
+    nl.append(UncomputeAnd(x, y, t))
+    bit = 1 << rng.randrange(lanes)  # one lane that fails
+    xs, ys = rng.getrandbits(lanes), rng.getrandbits(lanes) | bit
+    zs = rng.getrandbits(lanes) & rng.getrandbits(lanes) | bit
+    lane = next(k for k in range(lanes) if (zs >> k) & (ys >> k) & 1)
+    with pytest.raises(UncomputeMisuseError,
+                       match=f"^uncompute-misuse at gate {idx}, first lane {lane}$"):
+        run_basis_sweep(nl, {x: xs, y: ys, z: zs}, lanes)
+    # with z = 0 the release is clean and leaves t at 0
+    assert run_basis_sweep(nl, {x: xs, y: ys}, lanes).wires[t] == 0
+
+
 def test_sweep_reports_first_bad_lane_and_rejects_wide_planes():
     nl = Netlist()
     x, y = nl.alloc_register("xy", 2, "input")
