@@ -58,11 +58,9 @@ _ON_FIRST_USE = {
         "verify_equivalence",
     ),
     "costs": (
-        "CostReport",
         "MetricValues",
         "baseline_costs",
         "built_metrics",
-        "proposed_costs",
         "proposed_metrics",
         "reconcile",
         "reduction_ratios",

@@ -11,7 +11,8 @@ sweep checks with; no expected result is written here.  ``--report``
 writes ``{"inputs_checked": ..., "mismatches": [...]}`` as compact JSON,
 one ``json.dumps`` call with the separators ``to_json`` uses, whatever
 shape its mismatches have.  A squarer width's report lists at most its
-first 16 failing inputs; its stdout line counts them all.
+first 16 failing inputs; its stdout line counts them all, or says that
+the sweep stopped at an error and counted none.
 
 Each command loads the modules it runs, when it runs: ``verify``
 imports ``sim`` and ``compare`` imports ``costs``, so ``synth`` loads
@@ -137,12 +138,14 @@ def _drop_gate(netlist, k: int):
     return out
 
 
-def _square_planes(n: int) -> list[int]:
-    """The 2n planes of a*a over every input a < 2**n (lane a holds a*a).
+def _square_planes(n: int) -> tuple[list[int], list[int]]:
+    """The n input planes (lane a holds a, as ``sim.lane_planes`` builds
+    them) and the 2n planes of a*a, over every input a < 2**n.
 
-    Built apart from any circuit, by doubling: the upper half of 2L lanes
-    holds (a + L)**2 = a**2 + a*2L + L**2 for a < L = 2**k.  As
-    a**2 < L**2, adding L**2 only sets bit 2k; a*2L is rippled in."""
+    Built together, apart from any circuit, by doubling: the upper half
+    of 2L lanes holds a + L, a new top input plane, and (a + L)**2 =
+    a**2 + a*2L + L**2 for a < L = 2**k.  As a**2 < L**2, adding L**2
+    only sets bit 2k; a*2L is rippled in."""
     square = [0] * (2 * n)
     a_planes: list[int] = []
     for k in range(n):
@@ -161,15 +164,14 @@ def _square_planes(n: int) -> list[int]:
             carry = (x & b) | (carry & s)
         square = [p | q << lanes for p, q in zip(square, upper)]
         a_planes = [p | p << lanes for p in a_planes] + [full << lanes]
-    return square
+    return a_planes, square
 
 
 @functools.cache  # per process, bounded by BASIS_RANGE (module docstring)
 def _sweep_reference(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The input planes and expected square planes of the n-bit sweep."""
-    from . import sim
-
-    return tuple(sim.lane_planes(n)), tuple(_square_planes(n))
+    a_planes, square = _square_planes(n)
+    return tuple(a_planes), tuple(square)
 
 
 # the 12 widths of BASIS_RANGE plus one (module docstring)
@@ -182,7 +184,9 @@ def _verify_basis_one(netlist) -> dict:
     """Exhaustively simulate a squarer netlist, reading its input and
     product wires from registers A and P; returns the spec report dict
     plus n and, for a sweep that ran, ``failing``, its count of failing
-    inputs (the report lists at most the first 16).
+    inputs (the report lists at most the first 16), or, for a sweep that
+    raised and so counted none, ``stopped``, the error its one mismatch
+    names.
 
     Only planes that differ from the reference carry data: each P and A
     plane is XORed with its expected plane once, garbage is the OR of
@@ -198,9 +202,9 @@ def _verify_basis_one(netlist) -> dict:
     try:
         result = sim.run_basis_sweep(netlist, dict(zip(inputs, a_planes)), lanes)
     except sim.SimulationError as exc:
-        return {"n": n, "inputs_checked": lanes,
-                "mismatches": [{"input": {"n": n}, "expected": "clean run",
-                                "got": f"{type(exc).__name__}: {exc}"}]}
+        error = f"{type(exc).__name__}: {exc}"
+        return {"n": n, "inputs_checked": lanes, "stopped": error,
+                "mismatches": [{"input": {"n": n}, "expected": "clean run", "got": error}]}
     planes = result.wires
     # (bit, plane of lanes where that bit is wrong), non-zero planes only
     p_diff = [(i, d) for i, (w, want) in enumerate(zip(p_wires, square))
@@ -273,7 +277,7 @@ def _verify_blocks() -> list[dict]:
         nl = Netlist()
         inputs = build(nl, *args)
         reports.append({"block": name,
-                        **sim.verify_equivalence(nl, expand(nl), inputs).to_json_dict()})
+                        **sim.verify_equivalence(nl, expand(nl), inputs)})
     return reports
 
 
@@ -317,6 +321,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                        separators=(",", ":")) + "\n")
     for r in runs:
         label = r.get("block", f"n={r.get('n')}")
+        if "stopped" in r:  # a sweep that raised counted no failing input
+            print(f"verify {label}: sweep stopped by {r['stopped']}")
+            continue
         listed = len(r["mismatches"])
         failing = r.get("failing", listed)
         state = "ok" if not failing else f"{failing} mismatch(es)"
@@ -334,52 +341,39 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---- compare ---------------------------------------------------------------
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .costs import (
-        BASELINES,
-        baseline_rows,
-        built_metrics,
-        carry_less_stages,
-        comparison_table,
-        proposed_costs,
-        ratios_table,
-        reconcile,
-        report_rows,
-        rows_to_csv,
-    )
+    from . import costs
 
     designs = tuple(d.strip() for d in args.designs.split(","))
     for i, d in enumerate(designs):
-        if d != "proposed" and d not in BASELINES:
+        if d != "proposed" and d not in costs.BASELINES:
             raise _UsageError(f"unknown design {d!r}; known: proposed, "
-                              + ", ".join(BASELINES))
+                              + ", ".join(costs.BASELINES))
         if d in designs[:i]:
             raise _UsageError(f"design {d!r} named twice in --designs")
     if args.measured and "proposed" not in designs:
         raise _UsageError("--measured measures the proposed design, which "
                           "--designs leaves out")
     ns = _parse_range(args.range) if args.range else []
-    rows: list[tuple] = []
+    # the CSV lists the proposed design first, each table as --designs orders it
+    csv_order = sorted(designs, key=lambda d: d != "proposed")
+    rows: list[costs.CostRow] = []
     out: list[str] = []
     for n in ns:
-        report = None
-        if "proposed" in designs:
-            report = (reconcile(synthesize_squarer(n)) if args.measured
-                      else proposed_costs(n))
-            rows.extend(report_rows(report))
-            if args.measured:
-                t_line = report.metrics["t_count"]
-                out.append(
-                    f"n={n}: {carry_less_stages(n)} carry-less stage(s); "
-                    f"T-count delta {t_line.delta:+d} "
-                    f"(formula {built_metrics(n).t_count - t_line.closed_form:+d})")
-        for d in designs:
-            if d != "proposed":
-                rows.extend(baseline_rows(d, n))
-        out.append(comparison_table(n, designs, report))
+        width = [row for d in csv_order for row in
+                 (costs.reconcile(synthesize_squarer(n)) if args.measured and d == "proposed"
+                  else costs.closed_form_rows(d, n))]
+        if args.measured:
+            t_row = width[0]  # the proposed design's t_count, first of METRICS
+            out.append(
+                f"n={n}: {costs.carry_less_stages(n)} carry-less stage(s); "
+                f"T-count delta {t_row.delta:+d} "
+                f"(formula {costs.built_metrics(n).t_count - t_row.closed_form:+d})")
+        rows += width
+        out.append(costs.comparison_table(n, designs, width))
     if args.ratios:
-        out.append(ratios_table())
+        out.append(costs.ratios_table())
     if args.csv:
-        _write(args.csv, rows_to_csv(rows))
+        _write(args.csv, costs.rows_to_csv(rows))
     sys.stdout.write("\n".join(out))
     return EXIT_OK
 

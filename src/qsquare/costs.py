@@ -16,8 +16,11 @@ it, for every width.  Its T and CNOT counts are the paper's plus, per
 adder stage, ``adder_counts`` (the adder as lowered) minus the paper's
 booking of it; its qubits add the ancillae the paper omits; its depths
 are ASAP layer counts, pinned by measurement.
-``reconcile`` reports measured - paper as signed deltas, each of which
-``built_metrics(n)`` minus ``proposed_metrics(n)`` gives exactly.
+A report is a list of ``CostRow``s, which the CSV writes as they are and
+``comparison_table`` renders, computing nothing: ``closed_form_rows``
+gives any design's, ``reconcile`` the proposed design's with measured -
+paper as signed deltas, each of which ``built_metrics(n)`` minus
+``proposed_metrics(n)`` gives exactly.
 
 All evaluators are exact integer arithmetic.
 """
@@ -71,19 +74,17 @@ class MetricValues(NamedTuple):
         return getattr(self, metric)
 
 
-class MetricLine(NamedTuple):
-    closed_form: int
-    measured: int | None = None
-    delta: int | None = None
-
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
-
-
-class CostReport(NamedTuple):
-    """Closed-form and (optionally) measured metrics for one width."""
+class CostRow(NamedTuple):
+    """One CSV row: a design's metric at width n, its closed form and,
+    on a reconciled proposed design, the measured value and the signed
+    delta measured - closed form, both "" where nothing was measured."""
 
     n: int
-    metrics: dict[str, MetricLine]
+    design: str
+    metric: str
+    closed_form: int
+    measured: int | str
+    delta: int | str
 
     __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
@@ -162,12 +163,6 @@ def built_metrics(n: int) -> MetricValues:
     return MetricValues(t_count, t_depth, cnot_count, cnot_depth, qubits, qubits * t_depth)
 
 
-def proposed_costs(n: int) -> CostReport:
-    """Closed-form side of the cost report (measured fields empty)."""
-    vals = proposed_metrics(n)
-    return CostReport(n, {m: MetricLine(vals.get(m)) for m in METRICS})
-
-
 def baseline_costs(design: str, n: int) -> MetricValues:
     """Closed-form metrics of a published baseline design for n >= 2.
 
@@ -237,59 +232,43 @@ def measure_circuit(circuit: SquarerCircuit) -> MetricValues:
     return MetricValues(t_count, t_depth, cnot_count, cnot_depth, qubits, qubits * t_depth)
 
 
-def reconcile(circuit: SquarerCircuit) -> CostReport:
-    """Measured values and signed deltas (measured - closed form) against
-    the paper's closed forms; ``built_metrics`` accounts for each delta."""
-    closed = proposed_metrics(circuit.n)
-    measured = measure_circuit(circuit)
-    return CostReport(circuit.n, {
-        m: MetricLine(closed.get(m), measured.get(m), measured.get(m) - closed.get(m))
-        for m in METRICS})
+def closed_form_rows(design: str, n: int) -> list[CostRow]:
+    """The six rows of a design's closed forms at width n, "proposed" or
+    one of ``BASELINES``, with nothing measured."""
+    vals = proposed_metrics(n) if design == "proposed" else baseline_costs(design, n)
+    return [CostRow(n, design, m, v, "", "") for m, v in zip(METRICS, vals)]
+
+
+def reconcile(circuit: SquarerCircuit) -> list[CostRow]:
+    """The proposed design's six rows at the circuit's width: the paper's
+    closed form, the measured value and the signed delta (measured -
+    closed form); ``built_metrics`` accounts for each delta."""
+    n = circuit.n
+    return [CostRow(n, "proposed", m, closed, measured, measured - closed)
+            for m, closed, measured in zip(METRICS, proposed_metrics(n),
+                                           measure_circuit(circuit))]
 
 
 # ---- rendering ------------------------------------------------------------
 
-def report_rows(report: CostReport, design: str = "proposed") -> list[tuple]:
-    """(n, design, metric, closed_form, measured, delta) CSV rows."""
-    rows = []
-    for m in METRICS:
-        line = report.metrics[m]
-        rows.append((report.n, design, m, line.closed_form,
-                     "" if line.measured is None else line.measured,
-                     "" if line.delta is None else line.delta))
-    return rows
-
-
-def baseline_rows(design: str, n: int) -> list[tuple]:
-    vals = baseline_costs(design, n)
-    return [(n, design, m, vals.get(m), "", "") for m in METRICS]
-
-
-def rows_to_csv(rows: list[tuple]) -> str:
+def rows_to_csv(rows: list[CostRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "design", "metric", "closed_form", "measured", "delta"])
+    writer.writerow(CostRow._fields)
     writer.writerows(rows)
     return buf.getvalue()
 
 
-def comparison_table(n: int, designs: tuple[str, ...],
-                     report: CostReport | None = None) -> str:
-    """Side-by-side metric table for one width, one column per design."""
-    cols: dict[str, dict[str, str]] = {}
-    for design in designs:
-        if design == "proposed":
-            rep = report if report is not None else proposed_costs(n)
-            cols[design] = {}
-            for m in METRICS:
-                line = rep.metrics[m]
-                text = str(line.closed_form)
-                if line.measured is not None:
-                    text += f" (measured {line.measured}, delta {line.delta:+d})"
-                cols[design][m] = text
-        else:
-            vals = baseline_costs(design, n)
-            cols[design] = {m: str(vals.get(m)) for m in METRICS}
+def comparison_table(n: int, designs: tuple[str, ...], rows: list[CostRow]) -> str:
+    """Side-by-side metric table of width n's ``rows``, one column per
+    design in the order of ``designs``; a measured row shows its
+    measurement and delta after its closed form."""
+    cols: dict[str, dict[str, str]] = {d: {} for d in designs}
+    for row in rows:
+        text = str(row.closed_form)
+        if row.measured != "":
+            text += f" (measured {row.measured}, delta {row.delta:+d})"
+        cols[row.design][row.metric] = text
     name_w = max(len(m) for m in METRICS)
     widths = {d: max(len(d), max(len(cols[d][m]) for m in METRICS)) for d in designs}
     header = f"{'metric (n=%d)' % n:<{name_w + 8}}" + "  ".join(

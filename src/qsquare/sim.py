@@ -34,7 +34,7 @@ per branch.  Gidney's temporary AND keeps only a few terms alive, and a
 state of more than ``MAX_TERMS`` terms raises.  ``verify_equivalence``
 certifies an expansion against one basis sweep of its macro netlist,
 phase included: each branch must end in its lane's basis state with
-amplitude exactly 1.
+amplitude exactly 1; its report is the dict that ``--report`` writes.
 """
 
 from __future__ import annotations
@@ -350,24 +350,7 @@ def basis_state(wire_bits: Mapping[int, int]) -> dict[int, tuple[int, int, int, 
 
 # ---- equivalence checking ---------------------------------------------------
 
-class EquivalenceReport(NamedTuple):
-    """Exhaustive comparison outcome; serializes to
-    {"inputs_checked": N, "mismatches": [...]}."""
-
-    inputs_checked: int
-    mismatches: list[dict]
-
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def to_json_dict(self) -> dict:
-        return {"inputs_checked": self.inputs_checked, "mismatches": self.mismatches}
-
-
-def verify_equivalence(netlist: Netlist, expanded: Netlist, input_wires) -> EquivalenceReport:
+def verify_equivalence(netlist: Netlist, expanded: Netlist, input_wires) -> dict:
     """Certify ``expanded``, a Clifford+T expansion of the macro netlist
     ``netlist``, over every basis input of ``input_wires`` (other wires
     start at 0).  One ``run_basis_sweep`` of ``netlist`` is the
@@ -377,6 +360,8 @@ def verify_equivalence(netlist: Netlist, expanded: Netlist, input_wires) -> Equi
     branch is a mismatch, at most one per input, whose ``got`` holds
     its bits and amplitude or the ``SimulationError`` that its run or a
     superposition raised.  Errors of the reference sweep propagate.
+    Returns ``{"inputs_checked": N, "mismatches": [...]}`` with each
+    wire keyed by ``str(wire)``, equal to the report's ``json.loads``.
     """
     input_wires = tuple(input_wires)
     total = 1 << len(input_wires)
@@ -392,12 +377,12 @@ def verify_equivalence(netlist: Netlist, expanded: Netlist, input_wires) -> Equi
             if br is None:
                 continue
             # wire_bits raises on a branch left in a superposition
-            got = {**br.wire_bits(expanded.wire_count),
+            got = {**{str(w): bit for w, bit in br.wire_bits(expanded.wire_count).items()},
                    "amplitude": _UNIT_TEXT[next(iter(br.state.values()))]}
         except SimulationError as exc:
             got = f"{type(exc).__name__}: {exc}"
         mismatches.append({
-            "input": assignment,
-            "expected": {w: (mask >> w) & 1 for w in range(expanded.wire_count)},
+            "input": {str(w): bit for w, bit in assignment.items()},
+            "expected": {str(w): (mask >> w) & 1 for w in range(expanded.wire_count)},
             "got": got})
-    return EquivalenceReport(total, mismatches)
+    return {"inputs_checked": total, "mismatches": mismatches}

@@ -234,18 +234,22 @@ def test_drop_gate_copies_without_the_gate():
         _drop_gate(source, len(source.gates))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_lane_and_square_planes_read_back(n):
     # lane k of the exhaustive sweep holds input k; lane a of the
     # reference holds a*a; neither plane has a bit past the last lane
     lanes = 1 << n
-    a_planes, square = lane_planes(n), _square_planes(n)
+    a_planes, square = _square_planes(n)
     assert len(a_planes) == n and len(square) == 2 * n
-    assert ints_of(a_planes, lanes) == list(range(lanes))
-    assert ints_of(square, lanes) == [a * a for a in range(lanes)]
+    if n <= 12:  # reading every lane back takes seconds at 16 bits
+        assert ints_of(a_planes, lanes) == list(range(lanes))
+        assert ints_of(square, lanes) == [a * a for a in range(lanes)]
     assert all(0 <= p < 1 << lanes for p in a_planes + square)
-    # verify reads them once per process, as tuples no caller can change
+    # verify reads them once per process, as tuples no caller can change;
+    # the doubling that builds the squares builds the input planes that
+    # the simulator's own sweeps use
     assert _sweep_reference(n) == (tuple(a_planes), tuple(square))
+    assert _sweep_reference(n)[0] == tuple(lane_planes(n))
 
 
 def test_verify_basis_reports_garbage_and_overflow_lanes(monkeypatch):
@@ -662,6 +666,22 @@ def test_verify_counts_every_failing_input(tmp_path, capsys):
         3, "verify n=5: 32 inputs, 8 mismatch(es)\n")
 
 
+def test_verify_names_a_sweep_that_stopped(tmp_path, capsys):
+    # dropping the 9-bit squarer's gate 1 makes an uncompute raise: the
+    # sweep stops there and counts no failing input, so the line says
+    # that it stopped and why, and gives no count; the report and the
+    # first-failure line still carry the one mismatch that names it
+    path = tmp_path / "r.json"
+    code, out, err = run(["verify", "9", "--mutate", "drop-gate:1", "--report", str(path)],
+                         capsys)
+    error = "UncomputeMisuseError: uncompute-misuse at gate 108, first lane 5"
+    assert code == 3
+    assert out == f"verify n=9: sweep stopped by {error}\n"
+    assert err == f"first failure: input={{'n': 9}} expected=clean run got={error}\n"
+    assert json.loads(path.read_text()) == {"inputs_checked": 512, "mismatches": [
+        {"input": {"n": 9}, "expected": "clean run", "got": error}]}
+
+
 @pytest.mark.parametrize("argv", [["5..16", "--mode", "both"]]
                          + [["5..16", "--mutate", f"drop-gate:{k}"] for k in range(36)]
                          + [["--mode", "statevector-blocks"]],
@@ -669,7 +689,8 @@ def test_verify_counts_every_failing_input(tmp_path, capsys):
                               "statevector-fallback"])
 def test_verify_report_is_what_json_dumps_writes(argv, tmp_path, capsys, monkeypatch):
     # every report, of the basis sweep's mismatches or the battery's, is
-    # compact JSON from one json.dumps call
+    # compact JSON from one json.dumps call, of the object it loads back
+    # to: every key is a string, so a sorted dump orders it too
     battery = "statevector" in argv[-1]
     if battery:
         # an AND lowering without its final h fails the battery with
@@ -678,7 +699,7 @@ def test_verify_report_is_what_json_dumps_writes(argv, tmp_path, capsys, monkeyp
     calls, dumps = [], json.dumps
 
     def counted_dumps(obj, **kw):
-        calls.append(kw)
+        calls.append((obj, kw))
         return dumps(obj, **kw)
 
     monkeypatch.setattr(cli.json, "dumps", counted_dumps)
@@ -688,7 +709,8 @@ def test_verify_report_is_what_json_dumps_writes(argv, tmp_path, capsys, monkeyp
     text = path.read_text()
     report = json.loads(text)
     assert text == json.dumps(report, separators=(",", ":")) + "\n"
-    assert calls == [{"separators": (",", ":")}]
+    assert calls == [(report, {"separators": (",", ":")})]
+    json.dumps(calls[0][0], sort_keys=True)
     assert code == (3 if report["mismatches"] else 0)
     assert not battery or report["mismatches"]
 
@@ -700,6 +722,20 @@ def test_compare_measured_stdout_matches_pinned_digest(capsys):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "84cc6af172841866ba51fcaab046904c45827e9e6f8bba60d33824102ddcfac3")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["6..9", "--measured", "--designs", "thapliyal,proposed,nagamani-osu"],
+     "f2cf608f8bc14b49f24f11679935b463eb8e2a61ad45fae600d6e00d482c06b1"),
+    (["7", "--designs", "nagamani-osu"],
+     "9fbfe8f56675c2dd211235e5f713692205b5e8e77a81b0b56fd22514d9ea4b4f"),
+], ids=["measured-proposed-second", "baseline-alone"])
+def test_compare_csv_and_table_orders_match_pinned_digests(argv, digest, capsys):
+    # the CSV on stdout lists the proposed design first, while each table
+    # orders its columns as --designs names them
+    code, out, err = run(["compare", *argv, "--csv", "-"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _python(code: str) -> subprocess.CompletedProcess:
@@ -750,13 +786,13 @@ def test_each_command_loads_only_what_it_runs(commands, loaded):
 
 # every public name of the package, as it exported them all on import
 _PACKAGE_NAMES = (
-    "AddInPlace", "CostReport", "Gate", "InputCopy", "LogicalAnd", "MetricValues", "Netlist",
+    "AddInPlace", "Gate", "InputCopy", "LogicalAnd", "MetricValues", "Netlist",
     "NonClassicalGateError", "OperandGrid", "PartialProduct", "SquarerCircuit",
     "TermBudgetError", "UncomputeAnd", "UncomputeMisuseError", "UnsupportedWidthError", "ZERO",
     "arrange", "baseline_costs", "blocks", "build_adder_in_place", "build_logical_and",
     "build_uncompute_and", "built_metrics", "costs", "count_gates", "dump_grid", "expand",
     "from_json", "grid_value", "ir", "lane_planes", "layout", "partial_products",
-    "proposed_costs", "proposed_metrics", "reconcile", "reduction_ratios", "run_basis_sweep",
+    "proposed_metrics", "reconcile", "reduction_ratios", "run_basis_sweep",
     "run_statevector", "schedule_asap", "sim", "synth", "synthesize_squarer",
     "to_json", "to_qasm", "verify_equivalence",
 )

@@ -5,23 +5,27 @@ import pytest
 from qsquare.blocks import adder_and_count
 from qsquare.costs import (
     METRICS,
+    CostRow,
     baseline_costs,
-    baseline_rows,
     built_metrics,
     carry_less_stages,
+    closed_form_rows,
     comparison_table,
     measure_circuit,
-    proposed_costs,
     proposed_metrics,
     ratios_table,
     reconcile,
     reduction_ratios,
-    report_rows,
     rows_to_csv,
 )
 from qsquare.ir import AddInPlace, LogicalAnd
 from qsquare.layout import UnsupportedWidthError, row_widths
 from qsquare.synth import synthesize_squarer
+
+
+def _by_metric(rows):
+    """One design's rows at one width, keyed by metric."""
+    return {row.metric: row for row in rows}
 
 
 def test_metric_values_get_reads_only_the_six_metrics():
@@ -72,10 +76,10 @@ def test_kq_matches_published_quartics():
 
 def test_parity_dispatch_is_total():
     for n in range(5, 30):
-        report = proposed_costs(n)
-        assert set(report.metrics) == set(METRICS)
+        report = _by_metric(closed_form_rows("proposed", n))
+        assert list(report) == list(METRICS)
         t_count = 5 * n * n - 4 * n - 4 if n % 2 == 0 else 5 * n * n - 6 * n - 3
-        assert report.metrics["t_count"].closed_form == t_count, n
+        assert report["t_count"].closed_form == t_count, n
 
 
 def test_proposed_rejects_small_widths():
@@ -151,31 +155,31 @@ def test_ratios_depend_only_on_leading_coefficients():
 @pytest.mark.parametrize("n", range(5, 13))
 def test_reconcile_t_count_is_four_per_and_macro(n):
     circuit = synthesize_squarer(n)
-    report = reconcile(circuit)
+    report = _by_metric(reconcile(circuit))
     step1 = sum(isinstance(op, LogicalAnd) for op in circuit.netlist.gates)
     adds = [op for op in circuit.netlist.gates if isinstance(op, AddInPlace)]
     adders = sum(adder_and_count(len(op.a_wires), op.carry_out is not None) for op in adds)
     assert step1 == n * (n - 1) // 2
-    assert report.metrics["t_count"].measured == 4 * (step1 + adders)
+    assert report["t_count"].measured == 4 * (step1 + adders)
     assert built_metrics(n).t_count == 4 * (step1 + adders)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_reconcile_measured_t_depth_below_closed_form(n):
-    report = reconcile(synthesize_squarer(n))
-    line = report.metrics["t_depth"]
+    report = _by_metric(reconcile(synthesize_squarer(n)))
+    line = report["t_depth"]
     assert line.measured <= line.closed_form
 
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_reconcile_carry_less_stage_delta_formula(n):
     circuit = synthesize_squarer(n)
-    report = reconcile(circuit)
+    report = _by_metric(reconcile(circuit))
     carry_less = (n - 2) // 2 if n % 2 == 0 else (n - 3) // 2
     assert carry_less_stages(n) == carry_less == sum(
         isinstance(op, AddInPlace) and op.carry_out is None for op in circuit.netlist.gates)
     assert built_metrics(n).t_count - proposed_metrics(n).t_count == -4 * carry_less
-    assert report.metrics["t_count"].delta == -4 * carry_less
+    assert report["t_count"].delta == -4 * carry_less
 
 
 def test_built_metrics_equal_measurement():
@@ -195,44 +199,51 @@ def test_built_metrics_rejects_small_widths():
 
 def test_reconcile_deltas_equal_built_minus_paper():
     for n in range(5, 13):
-        report = reconcile(synthesize_squarer(n))
+        report = _by_metric(reconcile(synthesize_squarer(n)))
         built, paper = built_metrics(n), proposed_metrics(n)
         for metric in METRICS:
-            line = report.metrics[metric]
+            line = report[metric]
             assert line.closed_form == paper.get(metric)
             assert line.delta == line.measured - line.closed_form
             assert line.delta == built.get(metric) - paper.get(metric), (n, metric)
         for metric in ("t_count", "t_depth", "qubits"):
-            assert report.metrics[metric].delta != 0, (n, metric)
+            assert report[metric].delta != 0, (n, metric)
 
 
 def test_reconcile_and_counts():
     # n = 6: 15 phase-1 ANDs; the adders' 23 booked ANDs against the 21
     # the lowering builds (stage widths 9, 8, 6; two drop their carry-out)
     circuit = synthesize_squarer(6)
-    report = reconcile(circuit)
+    report = _by_metric(reconcile(circuit))
     assert sum(isinstance(op, LogicalAnd) for op in circuit.netlist.gates) == 15
     assert sum(row_widths(6)[1:]) == 23
-    assert report.metrics["t_count"].closed_form == 4 * (15 + 23)
-    assert report.metrics["t_count"].measured == built_metrics(6).t_count == 4 * (15 + 21)
+    assert report["t_count"].closed_form == 4 * (15 + 23)
+    assert report["t_count"].measured == built_metrics(6).t_count == 4 * (15 + 21)
 
 
 # ---- rendering ------------------------------------------------------------------
 
 def test_csv_rows_shape():
-    report = reconcile(synthesize_squarer(6))
-    rows = report_rows(report) + baseline_rows("thapliyal", 6)
+    rows = reconcile(synthesize_squarer(6)) + closed_form_rows("thapliyal", 6)
     text = rows_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == "n,design,metric,closed_form,measured,delta"
     assert len(lines) == 1 + 2 * len(METRICS)
     assert "6,proposed,t_count,152,144,-8" in lines
     assert "6,thapliyal,t_count,440,," in lines
+    # the proposed design's closed-form rows are the reconciled rows
+    # with nothing measured
+    assert closed_form_rows("proposed", 6) == [
+        row._replace(measured="", delta="") for row in rows[:len(METRICS)]]
+    assert all(type(row) is CostRow for row in rows)
 
 
 def test_comparison_table_mentions_both_designs():
-    text = comparison_table(6, ("proposed", "thapliyal"))
+    rows = closed_form_rows("thapliyal", 6) + closed_form_rows("proposed", 6)
+    text = comparison_table(6, ("proposed", "thapliyal"), rows)
     assert "152" in text and "440" in text
+    # columns follow the designs named, whatever order the rows come in
+    assert text.splitlines()[0].split()[-2:] == ["proposed", "thapliyal"]
 
 
 def test_ratios_table_renders_two_decimals():

@@ -29,9 +29,9 @@ from qsquare.ir import (
     to_json,
     to_qasm,
 )
-from qsquare.costs import CostReport, MetricLine, MetricValues
+from qsquare.costs import CostRow, MetricValues
 from qsquare.layout import ZERO, OperandGrid, ZeroPad, arrange
-from qsquare.sim import Branch, EquivalenceReport, SweepResult
+from qsquare.sim import Branch, SweepResult
 from qsquare.synth import SquarerCircuit, synthesize_squarer
 
 from macro_lowering import lower_adders
@@ -243,11 +243,8 @@ def _record_fields():
         (SquarerCircuit, lambda: (5, synthesize_squarer(5).netlist, grid)),
         (SweepResult, lambda: ({0: 1, 1: 2}, {3: 0}, 2)),
         (Branch, lambda: ({1: 1}, {0: 1}, 0.5)),
-        (EquivalenceReport, lambda: (4, [{"input": {0: 1}}])),
         (MetricValues, lambda: (1, 2, 3, 4, 5, 10)),
-        (MetricLine, lambda: (7,)),
-        (MetricLine, lambda: (7, 9, 2)),
-        (CostReport, lambda: (6, {"t_count": MetricLine(7)})),
+        (CostRow, lambda: (6, "proposed", "t_count", 152, 144, -8)),
     ]
 
 

@@ -312,7 +312,7 @@ def test_statevector_term_budget():
     macro = Netlist()
     macro.alloc_register("a", 13, "input")
     rep = verify_equivalence(macro, nl, (0,))
-    assert [m["got"].partition(":")[0] for m in rep.mismatches] == ["TermBudgetError"] * 2
+    assert [m["got"].partition(":")[0] for m in rep["mismatches"]] == ["TermBudgetError"] * 2
 
 
 def test_statevector_forced_branches():
@@ -420,10 +420,8 @@ def test_verify_equivalence_and_block():
     x, y = nl.alloc_register("xy", 2, "input")
     build_logical_and(nl, x, y)
     rep = verify_equivalence(nl, expand(nl), (x, y))
-    assert rep.inputs_checked == 4
-    assert rep.ok
-    assert rep.to_json_dict() == {"inputs_checked": 4, "mismatches": []}
-    json.dumps(rep.to_json_dict())
+    assert rep == {"inputs_checked": 4, "mismatches": []}
+    json.dumps(rep)
 
 
 def _adder_m3():
@@ -437,10 +435,9 @@ def _adder_m3():
 def test_verify_equivalence_adder_m3():
     nl, a, b, _ = _adder_m3()
     rep = verify_equivalence(nl, expand(nl), a + b)
-    assert rep.inputs_checked == 64
-    assert rep.ok
+    assert rep == {"inputs_checked": 64, "mismatches": []}
     # the adder lowered to CNOTs and AND macros expands to the same gates
-    assert verify_equivalence(nl, expand(lower_adders(nl)), a + b).ok
+    assert not verify_equivalence(nl, expand(lower_adders(nl)), a + b)["mismatches"]
 
 
 def test_verify_equivalence_flags_corruption():
@@ -450,12 +447,13 @@ def test_verify_equivalence_flags_corruption():
                   if isinstance(g, Gate) and g.kind == "cx")
     del macro.gates[victim]
     rep = verify_equivalence(nl, expand(macro), a + b)
-    assert rep.inputs_checked == 64
+    assert rep["inputs_checked"] == 64
     # the dropped CNOT feeds carry c_1 = a_0 b_0 forward: exactly the 16
-    # inputs with a_0 = b_0 = 1 go wrong, and each reports what it got
-    assert len(rep.mismatches) == 16
-    for m in rep.mismatches:
-        bits = m["input"]
+    # inputs with a_0 = b_0 = 1 go wrong, and each reports what it got,
+    # every wire keyed by its string as in the JSON report
+    assert len(rep["mismatches"]) == 16
+    for m in rep["mismatches"]:
+        bits = {int(w): bit for w, bit in m["input"].items()}
         assert bits[a[0]] == bits[b[0]] == 1
         s = sum(bits[w] << i for i, w in enumerate(a)) + sum(
             bits[w] << i for i, w in enumerate(b))
@@ -463,7 +461,7 @@ def test_verify_equivalence_flags_corruption():
         want = dict.fromkeys(range(expand(nl).wire_count), 0)
         want.update({w: bits[w] for w in a})
         want.update({w: (s >> i) & 1 for i, w in enumerate((*b, cw))})
-        assert m["expected"] == want != m["got"]
+        assert m["expected"] == {str(w): bit for w, bit in want.items()} != m["got"]
 
 
 def test_every_dropped_cnot_of_the_adder_is_caught():
@@ -474,7 +472,7 @@ def test_every_dropped_cnot_of_the_adder_is_caught():
     for k in drops:
         mutant = expand(nl)
         mutant.gates = gates[:k] + gates[k + 1:]
-        assert not verify_equivalence(nl, mutant, a + b).ok, k
+        assert verify_equivalence(nl, mutant, a + b)["mismatches"], k
 
 
 # ---- phase of the whole expansion ---------------------------------------------
@@ -500,16 +498,17 @@ def test_verify_equivalence_sees_phase():
     nl.append(UncomputeAnd(x, y, t))
     full = expand(nl)
 
-    assert verify_equivalence(nl, full, (x, y)).ok
+    assert not verify_equivalence(nl, full, (x, y))["mismatches"]
     no_fix = expand(nl)
     no_fix.gates = [g for g in no_fix.gates if g.kind != "ccz_classical"]
     rep = verify_equivalence(nl, no_fix, (x, y))
-    assert [m["input"] for m in rep.mismatches] == [{x: 1, y: 1}]
-    assert rep.mismatches[0]["got"] == {x: 1, y: 1, t: 0, "amplitude": "-1+0j"}
+    sx, sy, st = map(str, (x, y, t))  # the report keys wires as its JSON does
+    assert [m["input"] for m in rep["mismatches"]] == [{sx: 1, sy: 1}]
+    assert rep["mismatches"][0]["got"] == {sx: 1, sy: 1, st: 0, "amplitude": "-1+0j"}
     stray_z = expand(nl)
     stray_z.add_gate("z", x)
     rep = verify_equivalence(nl, stray_z, (x, y))
-    assert [m["input"] for m in rep.mismatches] == [{x: 1, y: 0}, {x: 1, y: 1}]
+    assert [m["input"] for m in rep["mismatches"]] == [{sx: 1, sy: 0}, {sx: 1, sy: 1}]
 
 
 # ---- exact certificates of the four lowered patterns ----------------------------
@@ -574,9 +573,9 @@ def test_every_dropped_gate_of_the_and_block_is_caught():
         mutant = expand(nl)
         mutant.gates = gates[:k] + gates[k + 1:]
         rep = verify_equivalence(nl, mutant, (x, y))
-        if rep.ok:
+        if not rep["mismatches"]:
             survivors.append(gates[k].kind)
-        got.update(m["got"] for m in rep.mismatches if type(m["got"]) is str)
+        got.update(m["got"] for m in rep["mismatches"] if type(m["got"]) is str)
     assert survivors == ["prep0"]
     assert "SimulationError: state is not a computational basis vector" in got
 
@@ -592,5 +591,5 @@ def test_s_to_sdg_swap_leaves_amplitude_minus_one(with_uncompute):
     for br in run_statevector(swapped, initial={x: 1, y: 1}):
         assert br.state == {mask: (-1, 0, 0, 0)}
     rep = verify_equivalence(nl, swapped, (x, y))
-    assert [m["input"] for m in rep.mismatches] == [{x: 1, y: 1}]
-    assert rep.mismatches[0]["got"]["amplitude"] == "-1+0j"
+    assert [m["input"] for m in rep["mismatches"]] == [{str(x): 1, str(y): 1}]
+    assert rep["mismatches"][0]["got"]["amplitude"] == "-1+0j"

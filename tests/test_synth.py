@@ -56,7 +56,8 @@ def test_reported_adder_ands_sit_next_to_closed_form_23():
     c = synthesize_squarer(6)
     adders_closed = sum(row_widths(6)[1:])
     assert adders_closed == 23  # one AND per adder bit over widths 9+8+6
-    t_line = reconcile(c).metrics["t_count"]
+    t_line = reconcile(c)[0]  # the t_count row, first of the six
+    assert t_line.metric == "t_count"
     assert t_line.closed_form == 4 * (15 + adders_closed)
     # carry-less stages save one AND each: 21 adder ANDs are built
     assert t_line.measured == built_metrics(6).t_count == 4 * (15 + 21)
