@@ -198,10 +198,10 @@ def baseline_costs(design: str, n: int) -> MetricValues:
     raise ValueError(f"unknown baseline design {design!r}")
 
 
-def _leading(values, metric: str) -> Fraction:
+def _leading(values, metric: str):
     """Leading coefficient of ``values(n).get(metric)`` as a polynomial in
-    even n, by exact finite differences of step 2: kq_t = qubits x T-depth
-    is quartic, every other metric quadratic."""
+    even n, an exact ``Fraction``, by finite differences of step 2: kq_t =
+    qubits x T-depth is quartic, every other metric quadratic."""
     from fractions import Fraction  # only --ratios needs it
 
     degree = 4 if metric == "kq_t" else 2

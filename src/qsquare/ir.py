@@ -28,18 +28,23 @@ wires are distinct; a primitive has its kind's arity, distinct wires
 and a cbit exactly when the kind needs one, and a ``ccz_classical``
 reads a cbit an earlier ``mx`` wrote; an adder's operands are tuples of
 equal width >= 2 that share no wire with each other or the carry-out.
-It dispatches on the op's exact type, most frequent first.  The AND
-macros and the cbit-less primitives pass one inline guard that accepts
-only the well-formed case; every other op, and every op the guard does
-not accept, goes through ``_check_and``/``_check_gate``/``_check_add``,
-which raise a ``NetlistError`` naming the fault.  Adders and registers
+It takes ops of exactly the four types ``Gate``, ``LogicalAnd``,
+``UncomputeAnd`` and ``AddInPlace``, dispatching on the op's type, most
+frequent first, and refuses any other, a subclass of one of them
+included.  The AND macros and the cbit-less primitives pass one inline
+guard that accepts only the well-formed case; every other op, and every
+op the guard does not accept, goes through
+``_check_and``/``_check_gate``/``_check_add``, which raise a
+``NetlistError`` naming the fault.  Adders and registers
 check their wires in bulk (a type scan, ``min``/``max`` against
 ``wire_count``, a set for overlap) and walk them one by one only to
 name the fault.
 
 A netlist being built keeps its ops in a plain list.  ``_lower`` is
-the one walk that lowers a netlist's ops; ``_shape_counts`` sorts them
-by shape for ``Netlist.measure``, dispatching as ``_lower`` does.
+the one walk that lowers a netlist's ops, whether a list or the
+``GateColumns`` of an expansion, which it reads as the ``Gate`` tuples
+it iterates; ``_shape_counts`` sorts them by shape for
+``Netlist.measure``, dispatching as ``_lower`` does, on the exact type.
 ``_lower`` hands each primitive to an emitter, each maximal run of
 consecutive ANDs (or uncomputes) of one type to the emitter in one
 call, over the run's wire columns, and each adder to
@@ -58,12 +63,12 @@ pattern.  Three emitters read the walk:
   ``Gate``: a run of k patterns of g gates extends the kind storage by
   the pattern's kinds times k, and each column by a list of g*k -1s
   whose every g-th slot, from each position the pattern fills, is set
-  to one of the run's columns by a slice assignment.  ``count_gates``
-  (T and CNOT counts) reads the columns directly, and packs a list of
-  primitives into columns first.
+  to one of the run's columns by a slice assignment.
 - ``schedule_asap`` (T- and CNOT-depth) layers the gates with no
   columns built: each pattern of a run in one closed-form max-plus
   step, so the depths of a macro netlist equal those of its expansion.
+  It records no layer for an uncompute's cbit, which no gate that
+  ``Netlist.append`` takes can read.
 - ``to_json`` and ``to_qasm`` write the text of the expansion with one
   template per primitive kind.  A run of one pattern is one
   ``"".join`` of the pattern's skeleton, its literals repeated once per
@@ -71,15 +76,17 @@ pattern.  Three emitters read the walk:
   names (or cbit numbers) by a slice assignment.  Only ``to_json``
   without ``lower`` keeps macros, as macro entries, in a loop of its own.
 
-``Gate`` tuples are built only for consumers that iterate, index or
-compare the gates (the simulators and the tests).  ``Netlist.measure``
-takes the depths from its macros and never expands the whole netlist:
-its counts and wire count add up per op, a primitive by its kind and
-any other op at its shape's cost (an AND, an uncompute, or an adder of
-one width with or without a carry-out), which ``_shape_cost`` reads
-off ``expand`` of that one op.  The cost is cached for the process, one
-3-tuple per shape, so each shape is expanded once; the cache grows only
-with the adder widths measured.
+Only ``count_gates`` (T and CNOT counts, on the kind storage) and
+``sim.run_statevector`` read the columns themselves, through
+``Netlist.columns()``, which packs a list of primitives into columns
+first.  ``Netlist.measure`` takes the depths from its macros and never
+expands the whole netlist: its counts and wire count add up per op, a
+primitive by its kind and any other op at its shape's cost (an AND, an
+uncompute, or an adder of one width with or without a carry-out), which
+``_shape_cost`` reads off ``count_gates(expand(...))`` of that one op.
+The cost is cached for the process, one 3-tuple per shape, so each
+shape is expanded once; the cache grows only with the adder widths
+measured.
 
 Netlists are append-only while being built and treated as immutable
 afterwards; every transformation returns a new netlist.
@@ -205,9 +212,10 @@ class GateColumns(list):
     second wire and the classical bit, -1 where a gate has none; they are
     lists rather than ``array('i')`` because extending an array converts
     every item, which made ``expand`` twice as slow.  Iterating, indexing
-    or comparing yields ``Gate`` tuples built on demand.  ``append``
-    takes a primitive ``Gate`` (a macro raises ``UnexpandedNetlistError``);
-    every other list mutator raises ``TypeError``.
+    or ``==``/``!=`` yields ``Gate`` tuples built on demand, and ``rows``
+    the raw column rows.  ``append`` takes a primitive ``Gate`` (a macro
+    raises ``UnexpandedNetlistError``); every other list behaviour, and
+    pickling, raises ``TypeError``.
     """
 
     __slots__ = ("w0", "w1", "cbit")
@@ -219,7 +227,7 @@ class GateColumns(list):
             self.append(g)
 
     def append(self, gate) -> None:
-        if not isinstance(gate, Gate):
+        if type(gate) is not Gate:
             raise UnexpandedNetlistError(
                 f"{gate!r} is not a primitive gate; expand the netlist first")
         kind, wires, cbit = gate
@@ -251,41 +259,26 @@ class GateColumns(list):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
-    def __radd__(self, other):
-        return other + list(self)
-
     def __repr__(self) -> str:
         return f"GateColumns({list(self)!r})"
-
-    def __reduce__(self):
-        return GateColumns, (list(self),)
-
-
-def _read_as_gates(name: str):
-    method = getattr(list, name)
-
-    def read(self, *args):
-        return method(list(self), *args)
-
-    read.__name__ = name
-    return read
 
 
 def _refuse(name: str):
     def refuse(self, *args):
-        raise TypeError(f"gate columns only support append, not {name}")
+        raise TypeError(f"gate columns support append, rows, len, iteration, "
+                        f"indexing, == and repr, not {name}")
 
     refuse.__name__ = name
     return refuse
 
 
 # list behaviours inherited from the kind storage would silently see or
-# change kind strings only, so they read Gate tuples or refuse instead
-for _name in ("__contains__", "__reversed__", "__add__", "__mul__", "__rmul__",
-              "__lt__", "__le__", "__gt__", "__ge__", "count", "index", "copy"):
-    setattr(GateColumns, _name, _read_as_gates(_name))
-for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "extend",
-              "insert", "pop", "remove", "clear", "sort", "reverse"):
+# change kind strings only, and pickling would keep the kinds alone, so
+# they refuse; __radd__ too, or list + columns would add the kinds
+for _name in ("__contains__", "__reversed__", "__add__", "__radd__", "__mul__", "__rmul__",
+              "__lt__", "__le__", "__gt__", "__ge__", "count", "index", "copy",
+              "__reduce_ex__", "__setitem__", "__delitem__", "__iadd__", "__imul__",
+              "extend", "insert", "pop", "remove", "clear", "sort", "reverse"):
     setattr(GateColumns, _name, _refuse(_name))
 del _name
 
@@ -353,11 +346,13 @@ class Netlist:
     def append(self, op) -> None:
         """Validate ``op`` and add it at the end.
 
-        The AND macros and cbit-less primitives, nearly every op a
-        synthesizer appends, pass one inline guard that accepts only the
-        well-formed case; anything else, other op types and subclasses
-        included, takes the full ``_check_*`` path, which raises naming
-        what is wrong.
+        ``op`` must be exactly a ``Gate``, ``LogicalAnd``,
+        ``UncomputeAnd`` or ``AddInPlace``; an op of any other type, a
+        subclass of one of these included, raises ``NetlistError``.  The
+        AND macros and cbit-less primitives, nearly every op a synthesizer
+        appends, pass one inline guard that accepts only the well-formed
+        case; anything else takes the full ``_check_*`` path, which raises
+        naming what is wrong.
         """
         cls = type(op)
         count = self.wire_count
@@ -375,11 +370,7 @@ class Netlist:
                     and 0 <= wires[0] < count and 0 <= wires[-1] < count
                     and (len(wires) == 1 or wires[0] != wires[1])):
                 self._take_gate(op)
-        elif isinstance(op, Gate):
-            self._take_gate(op)
-        elif isinstance(op, (LogicalAnd, UncomputeAnd)):
-            self._check_and(op)
-        elif isinstance(op, AddInPlace):
+        elif cls is AddInPlace:
             self._check_add(op)
         else:
             raise NetlistError(f"not a gate or macro op: {op!r}")
@@ -457,7 +448,7 @@ class Netlist:
     def has_macros(self) -> bool:
         gates = self.gates
         return (not isinstance(gates, GateColumns)
-                and any(not isinstance(op, Gate) for op in gates))
+                and any(type(op) is not Gate for op in gates))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Netlist)
@@ -484,11 +475,8 @@ class Netlist:
         are linear over the ops: a primitive counts by its kind, and every
         other op by its shape (``_shape_counts``), at the cost
         ``_shape_cost`` reads off ``expand`` of that one op, once per
-        shape per process.  An expanded netlist counts its own columns."""
+        shape per process."""
         t_depth, cnot_depth = schedule_asap(self)
-        if isinstance(self.gates, GateColumns):
-            t_count, cnot_count = count_gates(self)
-            return t_count, t_depth, cnot_count, cnot_depth, self.wire_count
         t_count = cnot_count = 0
         wires = self.wire_count
         for shape, k in _shape_counts(self.gates).items():
@@ -622,35 +610,31 @@ def _lower(netlist: Netlist, em):
     """Walk ``netlist``'s ops in order, lowering each through the emitter
     ``em``, and return ``em``.
 
-    A primitive, a ``GateColumns`` row or a ``Gate`` of a list, goes to
-    ``em.gate(kind, w0, w1, cbit)``, with -1 for a missing second wire or
-    cbit.  Each maximal run of consecutive ``LogicalAnd`` (or
-    ``UncomputeAnd``) ops of one type goes to ``em.run(AND, x, y, t)``
-    (or ``UNAND``) in one call, over the run's columns of x, y and
-    target wires.  An adder goes to ``blocks.lower_add_in_place``.  An
-    op of a subclass of one of the four op types lowers as
-    ``isinstance`` dispatches it, in runs of its own type (the walk
-    groups ops by their exact type, which keeps the grouping in C).  Any
-    other op raises ``NetlistError``, once the ops before it are lowered.
+    A ``Gate`` goes to ``em.gate(kind, w0, w1, cbit)``, with -1 for a
+    missing second wire or cbit; an expanded netlist's ``GateColumns``
+    is read as the ``Gate`` tuples it iterates.  Each maximal run of
+    consecutive ``LogicalAnd`` (or ``UncomputeAnd``) ops goes to
+    ``em.run(AND, x, y, t)`` (or ``UNAND``) in one call, over the run's
+    columns of x, y and target wires.  An adder goes to
+    ``blocks.lower_add_in_place``.  The walk groups ops by their exact
+    type, which keeps the grouping in C, and dispatches on it: an op of
+    any type but the four, which ``Netlist.append`` refuses but an
+    assigned ``gates`` list may hold, raises ``NetlistError`` once the
+    ops before it are lowered.
     """
     from .blocks import lower_add_in_place
 
-    gates, gate = netlist.gates, em.gate
-    if isinstance(gates, GateColumns):
-        for row in gates.rows():
-            gate(*row)
-        return em
-    run = em.run
-    for cls, ops in groupby(gates, type):
-        if issubclass(cls, LogicalAnd):
+    gate, run = em.gate, em.run
+    for cls, ops in groupby(netlist.gates, type):
+        if cls is LogicalAnd:
             run(AND, *zip(*ops))
-        elif issubclass(cls, UncomputeAnd):
+        elif cls is UncomputeAnd:
             run(UNAND, *zip(*ops))
-        elif issubclass(cls, Gate):
+        elif cls is Gate:
             for kind, wires, cbit in ops:
                 gate(kind, wires[0], wires[1] if len(wires) > 1 else -1,
                      -1 if cbit is None else cbit)
-        elif issubclass(cls, AddInPlace):
+        elif cls is AddInPlace:
             for op in ops:
                 lower_add_in_place(em, op)
         else:
@@ -693,18 +677,17 @@ def _shape_counts(gates: list) -> Counter:
     """How many ops of ``gates`` have each shape: a primitive's kind, or
     ``(LogicalAnd,)``, ``(UncomputeAnd,)`` or ``(AddInPlace, m, carry)``
     for an adder of width m with (``carry`` True) or without a
-    carry-out.  An op of a subclass has the shape of its base type, as
-    ``_lower`` dispatches it, and any op ``_lower`` refuses raises
-    ``NetlistError``."""
+    carry-out.  It dispatches on the exact type as ``_lower`` does, and
+    any op ``_lower`` refuses raises ``NetlistError``."""
     counts: Counter = Counter()
     for cls, ops in groupby(gates, type):
-        if issubclass(cls, LogicalAnd):
+        if cls is LogicalAnd:
             counts[LogicalAnd,] += len([*ops])
-        elif issubclass(cls, UncomputeAnd):
+        elif cls is UncomputeAnd:
             counts[UncomputeAnd,] += len([*ops])
-        elif issubclass(cls, Gate):
+        elif cls is Gate:
             counts.update(map(itemgetter(0), ops))
-        elif issubclass(cls, AddInPlace):
+        elif cls is AddInPlace:
             counts.update((AddInPlace, len(op.a_wires), op.carry_out is not None)
                           for op in ops)
         else:
@@ -750,8 +733,13 @@ class _DepthWriter:
 
     It is the emitter ``schedule_asap`` passes to ``_lower``: ``gate``
     layers one primitive, and ``run`` layers each pattern of a run in its
-    pattern's ``step``, one closed form hand-derived from its gates,
-    numbering cbits from ``cbit_count`` as ``expand`` does.
+    pattern's ``step``, one closed form hand-derived from its gates.
+    ``meas`` holds the layer of each primitive ``mx``, by cbit, for the
+    ``ccz_classical`` that reads it.  A step records no layer for its
+    uncompute's cbit: ``expand`` numbers those from the netlist's
+    ``cbit_count`` up, and ``Netlist.append`` takes a ``ccz_classical``
+    only on a cbit that an earlier primitive ``mx`` wrote, so no gate
+    of a netlist it builds reads one.
 
     ``t_marks`` and ``cnot_marks`` are ``bytearray`` marks indexed by
     layer: 1 at each layer that holds a T gate, or a CNOT, 0 elsewhere.
@@ -761,15 +749,14 @@ class _DepthWriter:
     ``run``, and every step writes its layers by item assignment.
     """
 
-    __slots__ = ("last", "open", "meas", "t_marks", "cnot_marks", "cbit_count")
+    __slots__ = ("last", "open", "meas", "t_marks", "cnot_marks")
 
     def __init__(self, netlist: Netlist) -> None:
         self.last = [0] * netlist.wire_count  # wire -> last occupied layer
         self.open = [0] * netlist.wire_count  # wire -> layer of a joinable fan-out, 0 if none
-        self.meas: dict[int, int] = {}        # cbit -> layer of its mx
+        self.meas: dict[int, int] = {}        # cbit -> layer of its primitive mx
         self.t_marks = bytearray(1)           # layer -> 1 if it holds a T gate
         self.cnot_marks = bytearray(1)        # layer -> 1 if it holds a CNOT
-        self.cbit_count = netlist.cbit_count
 
     def new_wires(self, k: int) -> range:
         first = len(self.last)
@@ -845,14 +832,11 @@ class _DepthWriter:
     def _unand_step(self, xs, ys, ts) -> None:
         # each uncompute: mx on the target, then ccz_classical on (x, y)
         # after its outcome
-        last, open_, meas = self.last, self.open, self.meas
-        cbit = self.cbit_count
+        last, open_ = self.last, self.open
         for x, y, t in zip(xs, ys, ts):
-            m = last[t] = meas[cbit] = last[t] + 1
-            cbit += 1
+            m = last[t] = last[t] + 1
             last[x] = last[y] = max(last[x], last[y], m) + 1
             open_[x] = open_[y] = open_[t] = 0
-        self.cbit_count = cbit
 
     def _carry_step(self, ws, xs, ys, ts) -> None:
         # cx w->x, then cx w->y joining that fan-out when it can, the AND
@@ -880,20 +864,17 @@ class _DepthWriter:
         # cx w->t, joining an open fan-out of w when it can, the
         # uncompute's mx on t and ccz_classical on (x, y), then cx w->x
         # and cx x->y, each one layer after the other
-        last, open_, meas = self.last, self.open, self.meas
+        last, open_ = self.last, self.open
         cnot_marks = self.cnot_marks
-        cbit = self.cbit_count
         for w, x, y, t in zip(ws, xs, ys, ts):
             j, lw, lt = open_[w], last[w], last[t]
             l1 = j if j and lt < j else (lw if lw > lt else lt) + 1
-            last[t] = meas[cbit] = l1 + 1
-            cbit += 1
+            last[t] = l1 + 1
             l2 = max(last[x], last[y], l1 + 1) + 1
             cnot_marks[l1] = cnot_marks[l2 + 1] = cnot_marks[l2 + 2] = 1
             last[w] = open_[w] = l2 + 1
             last[x] = last[y] = open_[x] = l2 + 2
             open_[y] = open_[t] = 0
-        self.cbit_count = cbit
 
 
 def schedule_asap(netlist: Netlist) -> tuple[int, int]:
@@ -937,17 +918,18 @@ _QASM_LINE.update(mx="mx q[{0}] -> c[{2}];".format,
 
 
 def _json_entry(op) -> str:
-    """Compact JSON entry of one op of a list, a macro left unlowered."""
-    if isinstance(op, Gate):
+    """Compact JSON entry of one op, a macro left unlowered."""
+    cls = type(op)
+    if cls is Gate:
         return _JSON_GATE[op.kind](op.wires[0], op.wires[-1], op.cbit)
-    if isinstance(op, AddInPlace):
+    if cls is AddInPlace:
         wires = op.a_wires + op.b_wires + (() if op.carry_out is None else (op.carry_out,))
         return ('{"kind":"macro_add","wires":[%s],"width":%d,"carry_out":%s}'
                 % (",".join(map(str, wires)), len(op.a_wires),
                    "false" if op.carry_out is None else "true"))
-    if isinstance(op, LogicalAnd):
+    if cls is LogicalAnd:
         kind = "macro_and"
-    elif isinstance(op, UncomputeAnd):
+    elif cls is UncomputeAnd:
         kind = "macro_unand"
     else:
         raise NetlistError(f"cannot write {op!r}")
@@ -1074,12 +1056,11 @@ def to_json(netlist: Netlist, *, lower: bool = False) -> str:
     """Compact JSON: ``wires``, ``registers`` and a ``gates`` list of
     ``kind``/``wires``/``cbit`` entries; ``from_json`` reads it back.
 
-    An expanded netlist's entries are formatted straight from its gate
-    columns.  A netlist with macros writes them as macro entries (adders
-    carry ``width`` and ``carry_out``), or, with ``lower=True``, writes
-    the text of ``to_json(expand(netlist))`` straight from the macros,
-    with no gate columns built."""
-    if lower or isinstance(netlist.gates, GateColumns):
+    Each op is written as its own entry, a macro as a macro entry
+    (adders carry ``width`` and ``carry_out``); with ``lower=True`` the
+    text of ``to_json(expand(netlist))`` is written straight from the
+    macros, with no gate columns built."""
+    if lower:
         em = _lower(netlist, _TextWriter(netlist, "json"))
         wires, text = len(em.names), em.text
     else:
@@ -1186,9 +1167,8 @@ def from_json(text: str) -> Netlist:
 
 def to_qasm(netlist: Netlist) -> str:
     """QASM-like text of the netlist's expansion, one gate per line: the
-    text of ``to_qasm(expand(netlist))``, formatted straight from the gate
-    columns of an expanded netlist, or from the primitives and macros of
-    a list with no gate columns built."""
+    text of ``to_qasm(expand(netlist))``, formatted straight from the
+    netlist's primitives and macros with no gate columns built."""
     em = _lower(netlist, _TextWriter(netlist, "qasm"))
     wires, cbits = len(em.names), em.cbit_count
     lines = [f"// wires: {wires}", f"qreg q[{wires}];"] + ([f"creg c[{cbits}];"] if cbits else [])
