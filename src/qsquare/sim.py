@@ -31,10 +31,21 @@ follows every outcome (or a forced one), resets its wire to |0>, and
 raises unless the outcome's probability is a power of 1/2, which it is
 throughout Gidney's uncompute; the classically controlled CZ then acts
 per branch.  Gidney's temporary AND keeps only a few terms alive, and a
-state of more than ``MAX_TERMS`` terms raises.  ``verify_equivalence``
-certifies an expansion against one basis sweep of its macro netlist,
-phase included: each branch must end in its lane's basis state with
-amplitude exactly 1; its report is the dict that ``--report`` writes.
+state of more than ``MAX_TERMS`` terms raises.  ``run_statevector``
+builds its start state and hands it to ``_evolve``, the one gate loop.
+
+``verify_equivalence`` certifies an expansion against one basis sweep
+of its macro netlist, phase included: each branch must end in its
+lane's basis state with amplitude exactly 1; its report is the dict
+that ``--report`` writes.  It first runs ``_evolve`` once on a
+superposition of every input, each basis input tagged with its lane
+number in bits above every wire a gate touches, so lanes never
+interfere.  When every branch ends in exactly the tagged superposition
+of the lanes' reference states, every input is certified, as each
+lane's own run would end in its state with amplitude exactly 1.  On any
+other state, or any ``SimulationError`` (a superposition past
+``MAX_TERMS`` among them), that run concludes nothing, and each input
+runs on its own through ``run_statevector`` to write the report.
 """
 
 from __future__ import annotations
@@ -110,7 +121,10 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
     building their XOR only to name the first bad lane of the
     ``UncomputeMisuseError``.
     Expanded Clifford+T gates are rejected; run the unexpanded netlist or
-    use the statevector engine.
+    use the statevector engine.  Ops dispatch on their exact type, as
+    ``ir._lower``'s do: any op but a ``Gate``, ``LogicalAnd``,
+    ``UncomputeAnd`` or ``AddInPlace``, a subclass or plain tuple among
+    them, raises ``SimulationError`` naming it and its gate index.
     """
     if type(lanes) is not int or lanes < 1:
         raise ValueError(f"lanes {lanes!r} is not a positive int")
@@ -127,36 +141,41 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
         bits[w] = plane
     carries: dict[int, int] = {}
     for idx, op in enumerate(netlist.gates):
-        if isinstance(op, Gate):
-            if op.kind == "cx":
-                bits[op.wires[1]] ^= bits[op.wires[0]]
-            elif op.kind == "x":
-                bits[op.wires[0]] ^= full
-            elif op.kind == "prep0":
-                if bits[op.wires[0]]:
+        cls = type(op)
+        if cls is Gate:
+            kind, wires, _ = op
+            if kind == "cx":
+                bits[wires[1]] ^= bits[wires[0]]
+            elif kind == "x":
+                bits[wires[0]] ^= full
+            elif kind == "prep0":
+                if bits[wires[0]]:
                     raise SimulationError(
-                        f"prep0 on non-zero wire {op.wires[0]} at gate {idx}")
+                        f"prep0 on non-zero wire {wires[0]} at gate {idx}")
             else:
                 raise NonClassicalGateError(
-                    f"non-classical gate {op.kind!r} in basis mode at gate {idx}")
-        elif isinstance(op, LogicalAnd):
-            if bits[op.target]:
+                    f"non-classical gate {kind!r} in basis mode at gate {idx}")
+        elif cls is LogicalAnd:
+            x, y, t = op
+            if bits[t]:
                 raise SimulationError(
-                    f"logical-AND target wire {op.target} not fresh at gate {idx}")
-            bits[op.target] = bits[op.x] & bits[op.y]
-        elif isinstance(op, UncomputeAnd):
-            want = bits[op.x] & bits[op.y]
-            if bits[op.target] != want:
-                bad = bits[op.target] ^ want
+                    f"logical-AND target wire {t} not fresh at gate {idx}")
+            bits[t] = bits[x] & bits[y]
+        elif cls is UncomputeAnd:
+            x, y, t = op
+            want = bits[x] & bits[y]
+            if bits[t] != want:
+                bad = bits[t] ^ want
                 raise UncomputeMisuseError(
                     f"uncompute-misuse at gate {idx}, "
                     f"first lane {(bad & -bad).bit_length() - 1}")
-            bits[op.target] = 0
-        elif isinstance(op, AddInPlace):
+            bits[t] = 0
+        elif cls is AddInPlace:
+            a_wires, b_wires, carry_out = op
             # ripple carry over whole planes, one bit position at a time;
             # a zero a or carry plane drops its terms from the full cell
             carry = 0
-            for wa, wb in zip(op.a_wires, op.b_wires):
+            for wa, wb in zip(a_wires, b_wires):
                 a, b = bits[wa], bits[wb]
                 if not a:
                     if carry:
@@ -169,12 +188,16 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
                     s = a ^ b
                     bits[wb] = s ^ carry
                     carry = (a & b) | (carry & s)
-            if op.carry_out is not None:
-                if bits[op.carry_out]:
-                    raise SimulationError(f"carry-out wire {op.carry_out} not fresh")
-                bits[op.carry_out] = carry
+            if carry_out is not None:
+                if bits[carry_out]:
+                    raise SimulationError(f"carry-out wire {carry_out} not fresh")
+                bits[carry_out] = carry
             else:
                 carries[idx] = carry
+        else:
+            # a subclass or a plain tuple too: Netlist.append refuses
+            # both, but an assigned gates list may hold them
+            raise SimulationError(f"cannot simulate {op!r} at gate {idx}")
     return SweepResult(dict(enumerate(bits)), carries, lanes)
 
 
@@ -282,39 +305,13 @@ def _measure_x(state: dict, wire: int, outcome: int) -> tuple[dict, float]:
     return _least_k(kept), part / whole
 
 
-def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = None,
-                    branch: str = "explore") -> list[Branch]:
-    """Exact simulation of a fully expanded netlist on a sparse state.
-
-    ``initial`` maps int wires to the int 0 or 1 or the string "T"
-    (default 0); any other spec, a bool or float among them, raises
-    ``ValueError``.  ``branch`` is "explore" (follow every measurement
-    outcome; returns one Branch per surviving combination), "forced-0"
-    or "forced-1".  Raises ``TermBudgetError`` once a state holds more
-    than ``MAX_TERMS`` terms, and ``SimulationError`` on a measurement
-    outcome whose probability is not a power of 1/2 or a ccz_classical
-    whose cbit no mx wrote.
-    """
-    if netlist.has_macros:
-        raise SimulationError("statevector mode needs a fully expanded netlist")
-    if branch not in ("explore", "forced-0", "forced-1"):
-        raise ValueError(f"unknown branch policy {branch!r}")
+def _evolve(columns, state: dict, branch: str) -> list[Branch]:
+    """The statevector gate loop: run the gate ``columns`` (a
+    ``GateColumns``) from the sparse ``state`` under the branch policy
+    ``branch``, as ``run_statevector`` documents them."""
     outcomes = (0, 1) if branch == "explore" else (int(branch[-1]),)
-    state = {0: _ONE}
-    for w, spec in (initial or {}).items():
-        if type(w) is not int:  # a bool would set wire 0 or 1
-            raise ValueError(f"initial wire {w!r} is not an int")
-        # exact types: True and 1.0 equal 1, False and 0.0 equal 0
-        if ((type(spec), spec) not in ((int, 0), (int, 1), (str, "T"))
-                or not 0 <= w < netlist.wire_count):
-            raise ValueError(f"unknown initial spec {spec!r} for wire {w} of {netlist.wire_count}")
-        if spec == "T":
-            state = _GATES["t"](_h(state, w), w)  # (|0> + ω|1>)/√2
-        elif spec == 1:
-            state = _GATES["x"](state, w)
-
     branches = [(state, {}, 1.0)]
-    for kind, w0, w1, cbit in netlist.columns().rows():
+    for kind, w0, w1, cbit in columns.rows():
         nxt = []
         for state, cbits, probability in branches:
             gate = _GATES.get(kind)
@@ -343,6 +340,38 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
     return [Branch(*br) for br in branches]
 
 
+def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = None,
+                    branch: str = "explore") -> list[Branch]:
+    """Exact simulation of a fully expanded netlist on a sparse state.
+
+    ``initial`` maps int wires to the int 0 or 1 or the string "T"
+    (default 0); any other spec, a bool or float among them, raises
+    ``ValueError``.  ``branch`` is "explore" (follow every measurement
+    outcome; returns one Branch per surviving combination), "forced-0"
+    or "forced-1".  Raises ``TermBudgetError`` once a state holds more
+    than ``MAX_TERMS`` terms, and ``SimulationError`` on a measurement
+    outcome whose probability is not a power of 1/2 or a ccz_classical
+    whose cbit no mx wrote.
+    """
+    if netlist.has_macros:
+        raise SimulationError("statevector mode needs a fully expanded netlist")
+    if branch not in ("explore", "forced-0", "forced-1"):
+        raise ValueError(f"unknown branch policy {branch!r}")
+    state = {0: _ONE}
+    for w, spec in (initial or {}).items():
+        if type(w) is not int:  # a bool would set wire 0 or 1
+            raise ValueError(f"initial wire {w!r} is not an int")
+        # exact types: True and 1.0 equal 1, False and 0.0 equal 0
+        if ((type(spec), spec) not in ((int, 0), (int, 1), (str, "T"))
+                or not 0 <= w < netlist.wire_count):
+            raise ValueError(f"unknown initial spec {spec!r} for wire {w} of {netlist.wire_count}")
+        if spec == "T":
+            state = _GATES["t"](_h(state, w), w)  # (|0> + ω|1>)/√2
+        elif spec == 1:
+            state = _GATES["x"](state, w)
+    return _evolve(netlist.columns(), state, branch)
+
+
 def basis_state(wire_bits: Mapping[int, int]) -> dict[int, tuple[int, int, int, int]]:
     """Sparse computational basis state with the given wire values."""
     return {sum((v & 1) << w for w, v in wire_bits.items()): _ONE}
@@ -350,13 +379,48 @@ def basis_state(wire_bits: Mapping[int, int]) -> dict[int, tuple[int, int, int, 
 
 # ---- equivalence checking ---------------------------------------------------
 
+def _every_lane_exact(expanded: Netlist, inputs: dict[int, int],
+                      masks: list[int]) -> bool:
+    """Whether one explore run of ``expanded`` certifies every lane at
+    once.  Lane k starts in its basis input (wire w holds bit k of
+    ``inputs[w]``) tagged with k in the bits above every wire a gate
+    touches, so no gate reads or moves a tag and no two lanes interfere;
+    each lane's term starts at amplitude ``(1, 0, 0, 0)``.  True when
+    every branch is exactly ``{k << shift | masks[k]: (1, 0, 0, 0)}``
+    over all k: each lane's branch is then its basis state times one
+    positive constant, so the lane's own run ends in it with amplitude
+    exactly 1, through the same outcomes at the same dyadic
+    probabilities.  False on any other state or any ``SimulationError``,
+    and where ``run_statevector`` would refuse the netlist or an input
+    wire, from which nothing is concluded."""
+    if expanded.has_macros or not all(0 <= w < expanded.wire_count for w in inputs):
+        return False
+    columns = expanded.columns()
+    shift = max(expanded.wire_count, max(columns.w0, default=-1) + 1,
+                max(columns.w1, default=-1) + 1)
+    start = {k << shift | sum(((plane >> k) & 1) << w for w, plane in inputs.items()): _ONE
+             for k in range(len(masks))}
+    want = {k << shift | mask: _ONE for k, mask in enumerate(masks)}
+    try:
+        return all(br.state == want for br in _evolve(columns, start, "explore"))
+    except SimulationError:
+        return False
+
+
 def verify_equivalence(netlist: Netlist, expanded: Netlist, input_wires) -> dict:
     """Certify ``expanded``, a Clifford+T expansion of the macro netlist
     ``netlist``, over every basis input of ``input_wires`` (other wires
     start at 0).  One ``run_basis_sweep`` of ``netlist`` is the
     reference: on the statevector engine, every measurement branch of
     ``expanded`` must end in that lane's basis state with amplitude
-    exactly 1, each wire the expansion added back at 0.  Any other
+    exactly 1, each wire the expansion added back at 0.
+
+    One run over a superposition of every input, each tagged with its
+    lane number in bits no gate touches, certifies them all when it ends
+    exactly in the superposition of their reference states
+    (``_every_lane_exact``).  Otherwise, on any difference or any
+    ``SimulationError`` of that run (``TermBudgetError`` included), each
+    input runs on its own through ``run_statevector``, and any other
     branch is a mismatch, at most one per input, whose ``got`` holds
     its bits and amplitude or the ``SimulationError`` that its run or a
     superposition raised.  Errors of the reference sweep propagate.
@@ -365,12 +429,15 @@ def verify_equivalence(netlist: Netlist, expanded: Netlist, input_wires) -> dict
     """
     input_wires = tuple(input_wires)
     total = 1 << len(input_wires)
-    sweep = run_basis_sweep(netlist, dict(zip(input_wires, lane_planes(len(input_wires)))),
-                            total)
+    inputs = dict(zip(input_wires, lane_planes(len(input_wires))))
+    sweep = run_basis_sweep(netlist, inputs, total)
+    masks = [sum(((plane >> lane) & 1) << w for w, plane in sweep.wires.items())
+             for lane in range(total)]
     mismatches: list[dict] = []
-    for lane in range(total):
+    if _every_lane_exact(expanded, inputs, masks):
+        return {"inputs_checked": total, "mismatches": mismatches}
+    for lane, mask in enumerate(masks):
         assignment = {w: (lane >> i) & 1 for i, w in enumerate(input_wires)}
-        mask = sum(((plane >> lane) & 1) << w for w, plane in sweep.wires.items())
         try:
             br = next((br for br in run_statevector(expanded, initial=assignment)
                        if br.state != {mask: _ONE}), None)

@@ -6,15 +6,18 @@ import random
 
 import pytest
 
+from qsquare import cli, sim
 from qsquare.blocks import build_adder_in_place, build_logical_and
 from qsquare.ir import (
     PATTERNS, AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _ColumnWriter, _lowered,
     expand)
 from qsquare.sim import (
+    MAX_TERMS,
     NonClassicalGateError,
     SimulationError,
     TermBudgetError,
     UncomputeMisuseError,
+    _evolve,
     basis_state,
     run_basis_sweep,
     run_statevector,
@@ -56,6 +59,25 @@ def test_basis_rejects_expanded_gates():
     nl.add_gate("h", 0)
     with pytest.raises(NonClassicalGateError):
         run_basis_sweep(nl, {0: 0}, 1)
+
+
+class _SubAnd(LogicalAnd):
+    pass
+
+
+@pytest.mark.parametrize("op", [("cx", (0, 1), None), "x", _SubAnd(0, 1, 2)],
+                         ids=["plain-tuple", "string", "subclass"])
+def test_basis_refuses_an_op_of_no_known_type(op):
+    # append refuses each of these, so the list is assigned, as a
+    # mutant's is; the sweep must neither skip the op nor take it as
+    # the type it resembles
+    nl = Netlist()
+    nl.alloc_register("a", 3, "input")
+    nl.gates = [Gate("x", (2,)), op]
+    with pytest.raises(SimulationError) as err:
+        run_basis_sweep(nl, {0: 1}, 1)
+    assert type(err.value) is SimulationError
+    assert str(err.value) == f"cannot simulate {op!r} at gate 1"
 
 
 def test_basis_prep0_on_dirty_wire_rejected():
@@ -475,20 +497,132 @@ def test_every_dropped_cnot_of_the_adder_is_caught():
         assert verify_equivalence(nl, mutant, a + b)["mismatches"], k
 
 
+_R = 0.5 ** 0.5
+
+
+def _per_input_report(netlist, expanded, input_wires):
+    """What ``verify_equivalence`` must report, one ``run_statevector``
+    per input against a one-lane basis run of the macros."""
+    mismatches = []
+    for lane in range(1 << len(input_wires)):
+        assignment = {w: (lane >> i) & 1 for i, w in enumerate(input_wires)}
+        (mask,) = basis_state(run_basis_sweep(netlist, assignment, 1).wires)
+        try:
+            bad = [br for br in run_statevector(expanded, initial=assignment)
+                   if br.state != {mask: ONE}]
+            if not bad:
+                continue
+            bits = bad[0].wire_bits(expanded.wire_count)
+            ((a, b, c, d),) = bad[0].state.values()  # a unit a + bω + cω² + dω³
+            got = {**{str(w): bit for w, bit in bits.items()},
+                   "amplitude": f"{complex(a + (b - d) * _R, c + (b + d) * _R):.6g}"}
+        except SimulationError as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        mismatches.append({
+            "input": {str(w): bit for w, bit in assignment.items()},
+            "expected": {str(w): (mask >> w) & 1 for w in range(expanded.wire_count)},
+            "got": got})
+    return {"inputs_checked": 1 << len(input_wires), "mismatches": mismatches}
+
+
+def _counting_runs(monkeypatch) -> list:
+    """Count the per-input ``run_statevector`` calls of ``verify_equivalence``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_statevector(*args, **kwargs)
+    monkeypatch.setattr(sim, "run_statevector", counted)
+    return calls
+
+
+def test_tagged_run_reports_as_the_per_input_runs(monkeypatch):
+    # every single-gate drop of every battery block: the tagged run may
+    # only accept what each input's own run accepts, and where it cannot
+    # decide, the per-input runs write the same report as ever
+    calls = _counting_runs(monkeypatch)
+    mutants, fell_back = 0, []
+    for name, build, *args in cli._BLOCKS:
+        nl = Netlist()
+        inputs = build(nl, *args)
+        calls.clear()
+        assert verify_equivalence(nl, expand(nl), inputs)["mismatches"] == []
+        assert calls == [], name  # the intact block needs no per-input run
+        gates = list(expand(nl).gates)
+        for k in range(len(gates)):
+            mutant = expand(nl)
+            mutant.gates = gates[:k] + gates[k + 1:]
+            calls.clear()
+            rep = verify_equivalence(nl, mutant, inputs)
+            assert rep == _per_input_report(nl, mutant, inputs), (name, k)
+            if calls and not rep["mismatches"]:
+                fell_back.append((name, k, gates[k]))
+            mutants += 1
+    assert mutants == 184
+    # without cx x,t or cx y,t, each input still ends exactly in its
+    # basis state, but not all at one constant: only the per-input runs
+    # can certify these two
+    assert [(name, k, g.kind) for name, k, g in fell_back] == [
+        ("and-uncompute", 3, "cx"), ("and-uncompute", 4, "cx")]
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_tagged_run_past_the_term_budget_falls_back(monkeypatch, m):
+    # 7 fresh wires through h twice: 128 terms per input, and the tagged
+    # run of 2**m inputs needs 2**m * 128, over the budget from m = 6 on
+    macro = Netlist()
+    inputs = macro.alloc_register("in", m, "input")
+    fresh = macro.alloc_register("fresh", 7)
+    full = expand(macro)
+    for w in fresh * 2:
+        full.add_gate("h", w)
+    assert (128 << m > MAX_TERMS) == (m == 6)
+    calls = _counting_runs(monkeypatch)
+    assert verify_equivalence(macro, full, inputs) == {"inputs_checked": 1 << m,
+                                                       "mismatches": []}
+    assert len(calls) == (64 if m == 6 else 0)
+
+
+def test_tagged_run_sets_its_tags_above_every_wire_a_gate_touches():
+    # an assigned gate list may name wire 2 of a 2-wire netlist: were the
+    # tags at bit 2, wire 2 would hold x in the tagged run, which then
+    # ends at (x, 0) for both inputs; each input's own run, with wire 2 at
+    # 0, leaves x on wire 1, which input x = 1 fails
+    macro = Netlist()
+    (x,) = macro.alloc_register("x", 1, "input")
+    (t,) = macro.alloc_register("t", 1)
+    full = expand(macro)
+    full.gates = [*full.gates, *(Gate("cx", wires) for wires in ((x, t), (t, x), (2, x), (x, t)))]
+    assert full.wire_count == 2
+    rep = verify_equivalence(macro, full, (x,))
+    assert rep == _per_input_report(macro, full, (x,))
+    assert [m["input"] for m in rep["mismatches"]] == [{str(x): 1}]
+
+
 # ---- phase of the whole expansion ---------------------------------------------
 
 @pytest.mark.parametrize("n", range(5, 10))
 def test_expanded_squarer_exact_with_phase(n):
-    # every AND release must fix its phase: one wrong CZ leaves amplitude -1
+    # every AND release must fix its phase: one wrong CZ leaves amplitude -1.
+    # All 2**n inputs run at once, input a tagged with a in the bits above
+    # the circuit's wires, which no gate touches: the one branch of each
+    # forced policy must hold every input's square at one amplitude, so
+    # each input's own run would end in it with amplitude exactly 1
     c = synthesize_squarer(n)
     full = expand(c.netlist)
     p_wires = c.registers["P"]
+
+    def tagged(a, wire_bits):
+        (mask,) = basis_state(wire_bits)
+        return a << full.wire_count | mask
+    start, want = {}, {}
     for a in range(1 << n):
         inputs = {w: (a >> i) & 1 for i, w in enumerate(c.input_wires)}
-        want = basis_state({**inputs, **{w: (a * a >> i) & 1 for i, w in enumerate(p_wires)}})
-        for policy in ("forced-0", "forced-1"):
-            (br,) = run_statevector(full, initial=inputs, branch=policy)
-            assert br.state == want, (n, a, policy)
+        start[tagged(a, inputs)] = ONE
+        want[tagged(a, {**inputs, **{w: (a * a >> i) & 1 for i, w in enumerate(p_wires)}})] = ONE
+    for policy in ("forced-0", "forced-1"):
+        (br,) = _evolve(full.columns(), start, policy)
+        assert br.state == want, (n, policy)
 
 
 def test_verify_equivalence_sees_phase():
