@@ -66,14 +66,16 @@ def adder_and_count(m: int, with_carry_out: bool) -> int:
 def lower_add_in_place(em, add: AddInPlace) -> None:
     """Lower one AddInPlace through the ``ir`` emitter ``em``, in order:
     a head AND, a run of carry cells, the top CNOTs, a run of release
-    cells and a tail uncompute, each run in one ``em.run`` call.
+    cells and a tail uncompute, each run in one ``em.run`` call, and the
+    three CNOTs outside the runs, the top sum bit's two and the tail's,
+    through ``em.gate``.
     ``ir._lower`` calls this for every adder.  The pre-allocated
     carry-out wire (when present) doubles as the top AND target.
     """
     a, b = add.a_wires, add.b_wires
     m = len(a)
     k = adder_and_count(m, add.carry_out is not None)  # carries c_1..c_k
-    cx = em.cx
+    gate = em.gate
 
     # carry index -> wire: c_1..c_{m-1} on fresh wires, c_m on the carry-out
     w = [-1, *em.new_wires(m - 1)]
@@ -87,11 +89,11 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
 
     # top sum bit
     if add.carry_out is not None:
-        cx(w[m - 1], a[m - 1])  # restore a
-        cx(a[m - 1], b[m - 1])  # b = a ^ b ^ c
+        gate("cx", w[m - 1], a[m - 1], -1)  # restore a
+        gate("cx", a[m - 1], b[m - 1], -1)  # b = a ^ b ^ c
     else:
-        cx(a[m - 1], b[m - 1])
-        cx(w[m - 1], b[m - 1])
+        gate("cx", a[m - 1], b[m - 1], -1)
+        gate("cx", w[m - 1], b[m - 1], -1)
 
     # descending: the release cell of each bit i = m-2..1 frees c_{i+1}
     # and finalizes bit i (bit m-1 was finalized above; the carry-out
@@ -99,4 +101,4 @@ def lower_add_in_place(em, add: AddInPlace) -> None:
     em.run(RELEASE, w[m - 2:0:-1], a[m - 2:0:-1], b[m - 2:0:-1], w[m - 1:1:-1])
 
     em.run(UNAND, a[:1], b[:1], w[1:2])
-    cx(a[0], b[0])
+    gate("cx", a[0], b[0], -1)

@@ -353,6 +353,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.measured and "proposed" not in designs:
         raise _UsageError("--measured measures the proposed design, which "
                           "--designs leaves out")
+    if args.measured and not args.range:
+        raise _UsageError("--measured measures each width of a range, and no "
+                          "width was given to measure")
     ns = _parse_range(args.range) if args.range else []
     # the CSV lists the proposed design first, each table as --designs orders it
     csv_order = sorted(designs, key=lambda d: d != "proposed")

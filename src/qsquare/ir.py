@@ -52,9 +52,10 @@ call, over the run's wire columns, and each adder to
 AND, the uncompute and an adder's carry and release cells, are values:
 ``AND``, ``UNAND``, ``CARRY`` and ``RELEASE`` (``PATTERNS``), each a
 ``_Pattern`` built at import from its one definition, a
-``_ColumnWriter`` method.  An emitter has ``new_wires``, ``gate``,
-``cx`` and ``run(pattern, *columns)``, which writes a run of one
-pattern.  Three emitters read the walk:
+``_ColumnWriter`` method that writes its gates through ``gate``, lowered
+once.  An emitter has ``new_wires``, ``gate(kind, w0, w1, cbit)``, the
+one way a primitive enters it, and ``run(pattern, *columns)``, which
+writes a run of one pattern.  Three emitters read the walk:
 
 - ``expand`` writes the primitives into ``GateColumns``: a ``list``
   subclass whose own storage holds each gate's kind string, beside list
@@ -76,13 +77,16 @@ pattern.  Three emitters read the walk:
   names (or cbit numbers) by a slice assignment.  Only ``to_json``
   without ``lower`` keeps macros, as macro entries, in a loop of its own.
 
-Only ``count_gates`` (T and CNOT counts, on the kind storage) and
-``sim.run_statevector`` read the columns themselves, through
-``Netlist.columns()``, which packs a list of primitives into columns
-first.  ``Netlist.measure`` takes the depths from its macros and never
-expands the whole netlist: its counts and wire count add up per op, a
-primitive by its kind and any other op at its shape's cost (an AND, an
-uncompute, or an adder of one width with or without a carry-out), which
+Every other reader, ``sim`` included, takes an expansion as the ``Gate``
+tuples it iterates.  Only ``count_gates`` (T and CNOT counts, on the
+kind storage, after packing a list of primitives into columns),
+``_cell_columns`` (a pattern's column template) and ``_ColumnWriter``
+touch the columns themselves.
+
+``Netlist.measure`` takes the depths from its macros and never expands
+the whole netlist: its counts and wire count add up per op, a primitive
+by its kind and any other op at its shape's cost (an AND, an uncompute,
+or an adder of one width with or without a carry-out), which
 ``_shape_cost`` reads off ``count_gates(expand(...))`` of that one op.
 The cost is cached for the process, one 3-tuple per shape, so each
 shape is expanded once; the cache grows only with the adder widths
@@ -212,10 +216,10 @@ class GateColumns(list):
     second wire and the classical bit, -1 where a gate has none; they are
     lists rather than ``array('i')`` because extending an array converts
     every item, which made ``expand`` twice as slow.  Iterating, indexing
-    or ``==``/``!=`` yields ``Gate`` tuples built on demand, and ``rows``
-    the raw column rows.  ``append`` takes a primitive ``Gate`` (a macro
-    raises ``UnexpandedNetlistError``); every other list behaviour, and
-    pickling, raises ``TypeError``.
+    or ``==``/``!=`` yields ``Gate`` tuples built on demand, the one way
+    a reader outside this module sees the gates.  ``append`` takes a
+    primitive ``Gate`` (a macro raises ``UnexpandedNetlistError``); every
+    other list behaviour, and pickling, raises ``TypeError``.
     """
 
     __slots__ = ("w0", "w1", "cbit")
@@ -235,10 +239,6 @@ class GateColumns(list):
         self.w0.append(wires[0])
         self.w1.append(wires[1] if len(wires) > 1 else -1)
         self.cbit.append(-1 if cbit is None else cbit)
-
-    def rows(self):
-        """(kind, w0, w1, cbit) per gate, straight off the columns."""
-        return zip(list.__iter__(self), self.w0, self.w1, self.cbit)
 
     def __iter__(self):
         return map(_row_gate, list.__iter__(self), self.w0, self.w1, self.cbit)
@@ -265,7 +265,7 @@ class GateColumns(list):
 
 def _refuse(name: str):
     def refuse(self, *args):
-        raise TypeError(f"gate columns support append, rows, len, iteration, "
+        raise TypeError(f"gate columns support append, len, iteration, "
                         f"indexing, == and repr, not {name}")
 
     refuse.__name__ = name
@@ -444,12 +444,6 @@ class Netlist:
 
     # ---- queries -------------------------------------------------------
 
-    @property
-    def has_macros(self) -> bool:
-        gates = self.gates
-        return (not isinstance(gates, GateColumns)
-                and any(type(op) is not Gate for op in gates))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Netlist)
                 and self.wire_count == other.wire_count
@@ -459,12 +453,6 @@ class Netlist:
 
     def __repr__(self) -> str:
         return f"Netlist(wires={self.wire_count}, gates={len(self.gates)})"
-
-    def columns(self) -> GateColumns:
-        """The gate columns: ``gates`` itself once expanded, else a list
-        of primitives packed here; a macro raises ``UnexpandedNetlistError``."""
-        gates = self.gates
-        return gates if isinstance(gates, GateColumns) else GateColumns(gates)
 
     def measure(self) -> tuple[int, int, int, int, int]:
         """(T count, T-depth, CNOT count, CNOT-depth, wires) of this
@@ -492,20 +480,14 @@ class Netlist:
 
 # ---- macro expansion ----------------------------------------------------
 
-# gate kinds of the temporary-AND lowering, in order; its wires are
-# written by _ColumnWriter.logical_and
-_AND_KINDS = ("prep0", "h", "t", "cx", "cx", "cx", "cx",
-              "tdg", "tdg", "t", "cx", "cx", "h", "s")
-_NO_CBITS = (-1,) * len(_AND_KINDS)
-
-
 class _ColumnWriter:
     """Writes lowered primitives into an output netlist's gate columns.
 
     It is the emitter ``expand`` passes to ``_lower``.  Its
     ``logical_and`` and ``uncompute_and`` and an adder's two ripple
     cells, ``carry_cell`` and ``release_cell``, are the one definition of
-    those gate patterns, from which each ``_Pattern`` is derived.
+    those gate patterns, each written through ``gate``, which
+    ``_pattern`` lowers once at import into each ``_Pattern``.
     """
 
     __slots__ = ("new_wires", "_out", "_kind", "_kinds",
@@ -525,41 +507,36 @@ class _ColumnWriter:
         self._w1(w1)
         self._cbit(cbit)
 
-    def cx(self, c: int, t: int) -> None:
-        self._kind("cx")
-        self._w0(c)
-        self._w1(t)
-        self._cbit(-1)
-
     def logical_and(self, x: int, y: int, t: int) -> None:
-        self._kinds(_AND_KINDS)
-        self._w0s((t, t, t, x, y, t, t, x, y, t, t, t, t, t))
-        self._w1s((-1, -1, -1, t, t, x, y, -1, -1, -1, x, y, -1, -1))
-        self._cbits(_NO_CBITS)
+        # the magic state (prep0, h, t) on t, the compute CNOTs, the
+        # t-controlled pair, the T column, the second pair, then h, s
+        for kind, w0, w1 in (("prep0", t, -1), ("h", t, -1), ("t", t, -1),
+                             ("cx", x, t), ("cx", y, t), ("cx", t, x), ("cx", t, y),
+                             ("tdg", x, -1), ("tdg", y, -1), ("t", t, -1),
+                             ("cx", t, x), ("cx", t, y), ("h", t, -1), ("s", t, -1)):
+            self.gate(kind, w0, w1, -1)
 
     def uncompute_and(self, x: int, y: int, t: int) -> None:
         cbit = self._out.new_cbit()
-        self._kinds(("mx", "ccz_classical"))
-        self._w0s((t, x))
-        self._w1s((-1, y))
-        self._cbits((cbit, cbit))
+        self.gate("mx", t, -1, cbit)
+        self.gate("ccz_classical", x, y, cbit)
 
     def carry_cell(self, w: int, x: int, y: int, t: int) -> None:
         """One forward cell of an adder: with w = c_i, x = a_i and y = b_i,
         the fresh wire t gets c_{i+1} = c_i ^ ((a_i^c_i)(b_i^c_i))."""
-        self.cx(w, x)
-        self.cx(w, y)
+        self.gate("cx", w, x, -1)
+        self.gate("cx", w, y, -1)
         self.logical_and(x, y, t)
-        self.cx(w, t)
+        self.gate("cx", w, t, -1)
 
     def release_cell(self, w: int, x: int, y: int, t: int) -> None:
         """The cell that follows the carry cell over the same wires back,
         with one cbit for its uncompute: t is released, x is a_i again
         and y holds sum bit i, a_i ^ b_i ^ c_i."""
-        self.cx(w, t)
+        self.gate("cx", w, t, -1)
         self.uncompute_and(x, y, t)
-        self.cx(w, x)
-        self.cx(x, y)
+        self.gate("cx", w, x, -1)
+        self.gate("cx", x, y, -1)
 
     def run(self, pattern: _Pattern, *columns: Sequence[int]) -> None:
         """A run of ``pattern``, pattern j over the j-th wire of each of
@@ -593,13 +570,12 @@ def _lowered(lower, wires: int) -> GateColumns:
     return cols
 
 
-def _cell_columns(lower, wires: int):
-    """(kinds, fills) of one pattern of g gates, written once by ``lower``
-    over wires 0..wires-1 and cbit ``wires``: its kind sequence, and for
-    each of its w0, w1 and cbit columns a (``slice(p, None, g)``, role)
-    pair per position p that holds a wire or the cbit, which
-    ``_ColumnWriter.run`` fills in a run, the role naming which."""
-    cols = _lowered(lower, wires)
+def _cell_columns(cols: GateColumns):
+    """(kinds, fills) of one pattern of g gates, ``cols`` as ``_lowered``
+    writes it: its kind sequence, and for each of its w0, w1 and cbit
+    columns a (``slice(p, None, g)``, role) pair per position p that
+    holds a wire or the cbit, which ``_ColumnWriter.run`` fills in a
+    run, the role naming which."""
     g = len(cols)
     return tuple(list.__iter__(cols)), tuple(
         tuple((slice(p, None, g), role) for p, role in enumerate(column) if role >= 0)
@@ -721,10 +697,13 @@ def count_gates(netlist: Netlist) -> tuple[int, int]:
     kind column.
 
     T counts ``t`` and ``tdg``; CNOT counts ``cx`` only, not ``cz``.
-    prep0 is a zero-cost pseudo-gate and counts toward neither.
-    Raises ``UnexpandedNetlistError`` when a macro op is present.
+    prep0 is a zero-cost pseudo-gate and counts toward neither.  A list
+    of primitives is packed into columns first, and a macro op in it
+    raises ``UnexpandedNetlistError``.
     """
-    cols = netlist.columns()
+    cols = netlist.gates
+    if not isinstance(cols, GateColumns):
+        cols = GateColumns(cols)
     return list.count(cols, "t") + list.count(cols, "tdg"), list.count(cols, "cx")
 
 
@@ -745,8 +724,8 @@ class _DepthWriter:
     layer: 1 at each layer that holds a T gate, or a CNOT, 0 elsewhere.
     A layer number never exceeds the number of gates layered so far, so
     both grow ahead of their writes, by one byte per primitive in
-    ``gate`` and ``cx`` and by the pattern's gate count times k in
-    ``run``, and every step writes its layers by item assignment.
+    ``gate`` alone and by the pattern's gate count times k in ``run``,
+    and every step writes its layers by item assignment.
     """
 
     __slots__ = ("last", "open", "meas", "t_marks", "cnot_marks")
@@ -766,17 +745,22 @@ class _DepthWriter:
 
     def gate(self, kind: str, a: int, b: int, cbit) -> None:
         """Layer one primitive; ``b`` is -1 for a one-wire kind."""
-        if kind == "cx":
-            self.cx(a, b)
-            return
         self.t_marks.append(0)
         self.cnot_marks.append(0)
-        last = self.last
-        if b < 0:
+        last, open_ = self.last, self.open
+        if kind == "cx":
+            # a joinable fan-out of the control a takes a target b that
+            # is free by its layer; a joined control already sits there
+            j, la, lb = open_[a], last[a], last[b]
+            layer = j if j and lb < j else (la if la > lb else lb) + 1
+            last[a] = last[b] = open_[a] = layer
+            open_[b] = 0
+            self.cnot_marks[layer] = 1
+        elif b < 0:
             if kind == "prep0":
                 return
             layer = last[a] = last[a] + 1
-            self.open[a] = 0
+            open_[a] = 0
             if kind in _T_KINDS:
                 self.t_marks[layer] = 1
             elif kind == "mx":
@@ -786,22 +770,7 @@ class _DepthWriter:
             if kind == "ccz_classical":
                 layer = max(layer, self.meas.get(cbit, 0) + 1)
             last[a] = last[b] = layer
-            self.open[a] = self.open[b] = 0
-
-    def cx(self, c: int, t: int) -> None:
-        last, open_ = self.last, self.open
-        joinable = open_[c]
-        lc, lt = last[c], last[t]
-        if joinable and lt < joinable:
-            layer = joinable
-        else:
-            layer = (lc if lc > lt else lt) + 1
-        # a joined control already sits in the joined layer
-        last[c] = last[t] = open_[c] = layer
-        open_[t] = 0
-        self.t_marks.append(0)
-        self.cnot_marks.append(0)
-        self.cnot_marks[layer] = 1
+            open_[a] = open_[b] = 0
 
     def run(self, pattern: _Pattern, *columns) -> None:
         grow = bytes(len(pattern.columns[0]) * len(columns[0]))
@@ -936,10 +905,10 @@ def _json_entry(op) -> str:
     return '{"kind":"%s","wires":[%d,%d,%d]}' % (kind, op.x, op.y, op.target)
 
 
-def _skeleton(line: dict, sep: str, lower, wires: int):
+def _skeleton(line: dict, sep: str, cols: GateColumns, wires: int):
     """(unit, fields, last): how ``_TextWriter`` writes the text of a run
-    of the pattern ``lower`` (a ``_ColumnWriter`` method) writes once over
-    wires 0..wires-1 and cbit ``wires``.
+    of the pattern whose gates ``cols`` holds over wires 0..wires-1 and
+    cbit ``wires``, as ``_lowered`` writes it.
 
     Each gate of the pattern is formatted by ``line`` with a mark per
     wire and one for the cbit, the gates are joined by ``sep``, and the
@@ -950,9 +919,9 @@ def _skeleton(line: dict, sep: str, lower, wires: int):
     with its mark's role, a wire or the cbit; ``last`` is the last
     literal alone, which ends a run.
     """
-    marks = [*map(chr, range(wires + 1)), ""]  # the last, "", for -1
-    text = sep.join(line[k](marks[a], marks[b], marks[c])
-                    for k, a, b, c in _lowered(lower, wires).rows())
+    # a one-wire template reads only {0}, and a cbit-less one never {2}
+    text = sep.join(line[kind](chr(ws[0]), chr(ws[-1]), None if cbit is None else chr(cbit))
+                    for kind, ws, cbit in cols)
     pieces = re.split(f"([\\x00-\\x{wires:02x}])", text)
     literals = pieces[::2]
     unit = [part for literal in literals[:-1] for part in (literal, None)]
@@ -984,10 +953,12 @@ class _Pattern(NamedTuple):
 
 
 def _pattern(lower, wires: int, step) -> _Pattern:
-    """The pattern ``lower`` writes over ``wires`` wires, layered by ``step``."""
-    columns = _cell_columns(lower, wires)
-    return _Pattern(lower.__name__, wires, columns, _skeleton(_JSON_GATE, ",", lower, wires),
-                    _skeleton(_QASM_LINE, "\n", lower, wires), bool(columns[1][2]), step)
+    """The pattern ``lower`` writes over ``wires`` wires, layered by
+    ``step``, its template and skeletons all read off one lowering."""
+    cols = _lowered(lower, wires)
+    columns = _cell_columns(cols)
+    return _Pattern(lower.__name__, wires, columns, _skeleton(_JSON_GATE, ",", cols, wires),
+                    _skeleton(_QASM_LINE, "\n", cols, wires), bool(columns[1][2]), step)
 
 
 AND = _pattern(_ColumnWriter.logical_and, 3, _DepthWriter._and_step)
@@ -1010,14 +981,13 @@ class _TextWriter:
     the cbits likewise.
     """
 
-    __slots__ = ("text", "names", "cbit_count", "_fmt", "_line", "_cx")
+    __slots__ = ("text", "names", "cbit_count", "_fmt", "_line")
 
     def __init__(self, netlist: Netlist, fmt: str) -> None:
         self.text: list[str] = []
         self.names = [*map(str, range(netlist.wire_count))]
         self.cbit_count = netlist.cbit_count
         self._fmt, self._line = fmt, _JSON_GATE if fmt == "json" else _QASM_LINE
-        self._cx = self._line["cx"]
 
     def new_wires(self, k: int) -> range:
         names = self.names
@@ -1027,10 +997,6 @@ class _TextWriter:
 
     def gate(self, kind: str, w0: int, w1: int, cbit: int) -> None:
         self.text.append(self._line[kind](w0, w1, cbit))
-
-    def cx(self, c: int, t: int) -> None:
-        names = self.names
-        self.text.append(self._cx(names[c], names[t]))
 
     def run(self, pattern: _Pattern, *wires) -> None:
         # the unit repeated once per pattern, each field's slots filled

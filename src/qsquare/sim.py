@@ -31,21 +31,24 @@ follows every outcome (or a forced one), resets its wire to |0>, and
 raises unless the outcome's probability is a power of 1/2, which it is
 throughout Gidney's uncompute; the classically controlled CZ then acts
 per branch.  Gidney's temporary AND keeps only a few terms alive, and a
-state of more than ``MAX_TERMS`` terms raises.  ``run_statevector``
-builds its start state and hands it to ``_evolve``, the one gate loop.
+state of more than ``MAX_TERMS`` terms raises.  ``_runnable`` takes a
+netlist's gates as the ``Gate`` tuples they iterate and refuses, before
+any gate acts, an op that is not exactly a ``Gate`` or a wire outside
+the netlist; ``_evolve``, the one gate loop, runs what it returns.
 
 ``verify_equivalence`` certifies an expansion against one basis sweep
 of its macro netlist, phase included: each branch must end in its
 lane's basis state with amplitude exactly 1; its report is the dict
 that ``--report`` writes.  It first runs ``_evolve`` once on a
 superposition of every input, each basis input tagged with its lane
-number in bits above every wire a gate touches, so lanes never
-interfere.  When every branch ends in exactly the tagged superposition
-of the lanes' reference states, every input is certified, as each
-lane's own run would end in its state with amplitude exactly 1.  On any
-other state, or any ``SimulationError`` (a superposition past
-``MAX_TERMS`` among them), that run concludes nothing, and each input
-runs on its own through ``run_statevector`` to write the report.
+number in the bits from ``wire_count`` up, above every wire the check
+lets a gate name, so lanes never interfere.  When every branch ends in
+exactly the tagged superposition of the lanes' reference states, every
+input is certified, as each lane's own run would end in its state with
+amplitude exactly 1.  On any other state, or any ``SimulationError`` (a
+superposition past ``MAX_TERMS`` among them), that run concludes
+nothing, and each input runs on its own through ``run_statevector`` to
+write the report.
 """
 
 from __future__ import annotations
@@ -250,9 +253,9 @@ def _least_k(state: dict) -> dict:
     return state
 
 
-def _h(state: dict, w0: int, _: int = -1) -> dict:
+def _h(state: dict, w: int) -> dict:
     # |m> goes to (|m without bit> ± |m with bit>)/√2: add, one more factor in k
-    bit = 1 << w0
+    bit = 1 << w
     out: dict[int, tuple[int, int, int, int]] = {}
     for m, (a, b, c, d) in state.items():
         for key, s in ((m & ~bit, 1), (m | bit, -1 if m & bit else 1)):
@@ -266,8 +269,8 @@ def _h(state: dict, w0: int, _: int = -1) -> dict:
 
 def _phase(rotate):
     """The gate that rotates each term whose gate wires are all 1."""
-    def gate(state: dict, w0: int, w1: int = -1) -> dict:
-        on = 1 << w0 | (1 << w1 if w1 >= 0 else 0)
+    def gate(state: dict, *wires: int) -> dict:
+        on = 1 << wires[0] | 1 << wires[-1]
         return {m: rotate(*x) if m & on == on else x for m, x in state.items()}
     return gate
 
@@ -275,9 +278,9 @@ def _phase(rotate):
 # each unitary gate, a function of the sparse state and its one or two wires
 _GATES = {
     "h": _h,
-    "x": lambda state, w0, _=-1: {m ^ 1 << w0: x for m, x in state.items()},
-    "cx": lambda state, w0, w1: {m ^ 1 << w1 if m >> w0 & 1 else m: x
-                                 for m, x in state.items()},
+    "x": lambda state, w: {m ^ 1 << w: x for m, x in state.items()},
+    "cx": lambda state, c, t: {m ^ 1 << t if m >> c & 1 else m: x
+                               for m, x in state.items()},
     "cz": _phase(_PHASES["z"]),
     **{kind: _phase(rotate) for kind, rotate in _PHASES.items()},
 }
@@ -305,34 +308,51 @@ def _measure_x(state: dict, wire: int, outcome: int) -> tuple[dict, float]:
     return _least_k(kept), part / whole
 
 
-def _evolve(columns, state: dict, branch: str) -> list[Branch]:
-    """The statevector gate loop: run the gate ``columns`` (a
-    ``GateColumns``) from the sparse ``state`` under the branch policy
-    ``branch``, as ``run_statevector`` documents them."""
+def _runnable(netlist: Netlist) -> list[Gate]:
+    """``netlist``'s gates as a list ``_evolve`` can run: every op exactly
+    a ``Gate`` (not a macro, subclass or plain tuple) and every wire in
+    0..wire_count-1.  Anything else raises ``SimulationError``, a wire
+    naming its gate index."""
+    gates = [*netlist.gates]
+    count = netlist.wire_count
+    for index, op in enumerate(gates):
+        if type(op) is not Gate:
+            raise SimulationError("statevector mode needs a fully expanded netlist")
+        for w in op.wires:
+            if not 0 <= w < count:
+                raise SimulationError(f"gate {index} ({op.kind}) names wire {w}, "
+                                      f"not one of the netlist's {count} wires")
+    return gates
+
+
+def _evolve(gates: list[Gate], state: dict, branch: str) -> list[Branch]:
+    """The statevector gate loop: run ``gates``, as ``_runnable`` returns
+    them, from the sparse ``state`` under the branch policy ``branch``,
+    as ``run_statevector`` documents them."""
     outcomes = (0, 1) if branch == "explore" else (int(branch[-1]),)
     branches = [(state, {}, 1.0)]
-    for kind, w0, w1, cbit in columns.rows():
+    for kind, wires, cbit in gates:
         nxt = []
         for state, cbits, probability in branches:
             gate = _GATES.get(kind)
             if gate is not None:
-                state = gate(state, w0, w1)
+                state = gate(state, *wires)
             elif kind == "mx":
                 for outcome in outcomes:
-                    post, p = _measure_x(state, w0, outcome)
+                    post, p = _measure_x(state, wires[0], outcome)
                     if p:
                         nxt.append((post, {**cbits, cbit: outcome}, probability * p))
                     elif branch != "explore":
                         raise SimulationError(f"forced outcome {outcome} has zero amplitude")
                 continue
             elif kind == "prep0":
-                if any((m >> w0) & 1 for m in state):
-                    raise SimulationError(f"prep0 on non-|0> wire {w0}")
+                if any((m >> wires[0]) & 1 for m in state):
+                    raise SimulationError(f"prep0 on non-|0> wire {wires[0]}")
             elif kind == "ccz_classical":
                 if cbit not in cbits:
                     raise SimulationError(f"ccz_classical reads cbit {cbit}, which no mx wrote")
                 if cbits[cbit]:
-                    state = _GATES["cz"](state, w0, w1)
+                    state = _GATES["cz"](state, *wires)
             else:
                 raise SimulationError(f"gate {kind!r} not supported in statevector mode")
             nxt.append((state, cbits, probability))
@@ -348,13 +368,14 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
     (default 0); any other spec, a bool or float among them, raises
     ``ValueError``.  ``branch`` is "explore" (follow every measurement
     outcome; returns one Branch per surviving combination), "forced-0"
-    or "forced-1".  Raises ``TermBudgetError`` once a state holds more
-    than ``MAX_TERMS`` terms, and ``SimulationError`` on a measurement
-    outcome whose probability is not a power of 1/2 or a ccz_classical
-    whose cbit no mx wrote.
+    or "forced-1".  Raises ``SimulationError`` before any gate acts on an
+    op that is not exactly a ``Gate`` or a gate wire outside
+    0..wire_count-1 (``_runnable``); ``TermBudgetError`` once a state
+    holds more than ``MAX_TERMS`` terms; and ``SimulationError`` on a
+    measurement outcome whose probability is not a power of 1/2 or a
+    ccz_classical whose cbit no mx wrote.
     """
-    if netlist.has_macros:
-        raise SimulationError("statevector mode needs a fully expanded netlist")
+    gates = _runnable(netlist)
     if branch not in ("explore", "forced-0", "forced-1"):
         raise ValueError(f"unknown branch policy {branch!r}")
     state = {0: _ONE}
@@ -369,7 +390,7 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
             state = _GATES["t"](_h(state, w), w)  # (|0> + ω|1>)/√2
         elif spec == 1:
             state = _GATES["x"](state, w)
-    return _evolve(netlist.columns(), state, branch)
+    return _evolve(gates, state, branch)
 
 
 def basis_state(wire_bits: Mapping[int, int]) -> dict[int, tuple[int, int, int, int]]:
@@ -383,26 +404,26 @@ def _every_lane_exact(expanded: Netlist, inputs: dict[int, int],
                       masks: list[int]) -> bool:
     """Whether one explore run of ``expanded`` certifies every lane at
     once.  Lane k starts in its basis input (wire w holds bit k of
-    ``inputs[w]``) tagged with k in the bits above every wire a gate
-    touches, so no gate reads or moves a tag and no two lanes interfere;
-    each lane's term starts at amplitude ``(1, 0, 0, 0)``.  True when
-    every branch is exactly ``{k << shift | masks[k]: (1, 0, 0, 0)}``
-    over all k: each lane's branch is then its basis state times one
-    positive constant, so the lane's own run ends in it with amplitude
-    exactly 1, through the same outcomes at the same dyadic
-    probabilities.  False on any other state or any ``SimulationError``,
-    and where ``run_statevector`` would refuse the netlist or an input
-    wire, from which nothing is concluded."""
-    if expanded.has_macros or not all(0 <= w < expanded.wire_count for w in inputs):
+    ``inputs[w]``) tagged with k in the bits from ``wire_count`` up,
+    above every wire ``_runnable`` lets a gate name, so no gate reads or
+    moves a tag and no two lanes interfere; each lane's term starts at
+    amplitude ``(1, 0, 0, 0)``.  True when every branch is exactly
+    ``{k << wire_count | masks[k]: (1, 0, 0, 0)}`` over all k: each
+    lane's branch is then its basis state times one positive constant,
+    so the lane's own run ends in it with amplitude exactly 1, through
+    the same outcomes at the same dyadic probabilities.  False on any
+    other state or any ``SimulationError``, the check's among them, and
+    where ``run_statevector`` would refuse an input wire, from which
+    nothing is concluded."""
+    shift = expanded.wire_count
+    if not all(0 <= w < shift for w in inputs):
         return False
-    columns = expanded.columns()
-    shift = max(expanded.wire_count, max(columns.w0, default=-1) + 1,
-                max(columns.w1, default=-1) + 1)
     start = {k << shift | sum(((plane >> k) & 1) << w for w, plane in inputs.items()): _ONE
              for k in range(len(masks))}
     want = {k << shift | mask: _ONE for k, mask in enumerate(masks)}
     try:
-        return all(br.state == want for br in _evolve(columns, start, "explore"))
+        return all(br.state == want
+                   for br in _evolve(_runnable(expanded), start, "explore"))
     except SimulationError:
         return False
 

@@ -8,6 +8,8 @@ each run of a pattern op by op: the independent reference for the
 emitters that write a run in one call.
 """
 
+from functools import partial
+
 from qsquare.ir import (AND, CARRY, PATTERNS, RELEASE, UNAND, Gate, LogicalAnd, Netlist,
                         UncomputeAnd, _lower)
 
@@ -23,30 +25,29 @@ class MacroEmitter:
     def gate(self, kind: str, w0: int, w1: int, cbit: int) -> None:
         self.out.append(Gate(kind, (w0,) if w1 < 0 else (w0, w1), None if cbit < 0 else cbit))
 
-    def cx(self, c: int, t: int) -> None:
-        self.out.add_gate("cx", c, t)
-
     def run(self, pattern, *columns) -> None:
         # each pattern restated op by op, not read off the pattern value
         if pattern not in PATTERNS:
             raise ValueError(f"unknown pattern {pattern.name!r}")
+        out = self.out
+        cx = partial(out.add_gate, "cx")
         for cell in zip(*columns, strict=True):
             if pattern is AND:
-                self.out.append(LogicalAnd(*cell))
+                out.append(LogicalAnd(*cell))
             elif pattern is UNAND:
-                self.out.append(UncomputeAnd(*cell))
+                out.append(UncomputeAnd(*cell))
             elif pattern is CARRY:
                 w, x, y, t = cell
-                self.cx(w, x)
-                self.cx(w, y)
-                self.out.append(LogicalAnd(x, y, t))
-                self.cx(w, t)
+                cx(w, x)
+                cx(w, y)
+                out.append(LogicalAnd(x, y, t))
+                cx(w, t)
             else:  # RELEASE
                 w, x, y, t = cell
-                self.cx(w, t)
-                self.out.append(UncomputeAnd(x, y, t))
-                self.cx(w, x)
-                self.cx(x, y)
+                cx(w, t)
+                out.append(UncomputeAnd(x, y, t))
+                cx(w, x)
+                cx(x, y)
 
 
 def lower_adders(netlist: Netlist) -> Netlist:

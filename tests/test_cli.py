@@ -42,12 +42,12 @@ _VERIFY_BOTH_DIGEST = "4d13c7d5c2473e9beefca7cdee20cfca512d3cc31544fc4c2e7acbf6b
 def _and_without_its_final_h(em, x, y, t):
     """The AND lowering with its final h left out: it leaves the target
     in a superposition."""
-    rows = [*ir._lowered(ir._ColumnWriter.logical_and, 3).rows()]
-    assert [kind for kind, *_ in rows[-2:]] == ["h", "s"]
-    del rows[-2]
+    gates = [*ir._lowered(ir._ColumnWriter.logical_and, 3)]
+    assert [g.kind for g in gates[-2:]] == ["h", "s"]
+    del gates[-2]
     wires = (x, y, t)
-    for kind, w0, w1, cbit in rows:
-        em.gate(kind, wires[w0], -1 if w1 < 0 else wires[w1], cbit)
+    for kind, ws, _ in gates:  # no gate of the AND takes a cbit
+        em.gate(kind, wires[ws[0]], wires[ws[1]] if len(ws) > 1 else -1, -1)
 
 
 _BROKEN_AND = ir._pattern(_and_without_its_final_h, 3, ir._DepthWriter._and_step)
@@ -448,6 +448,9 @@ def test_compare_unknown_design(capsys):
     (["verify", "--report", "-"], "--mode basis-exhaustive needs a width or range"),
     (["verify", "999", "--mode", "statevector-blocks"],
      "--mode statevector-blocks verifies fixed blocks and takes no width, got '999'"),
+    # --ratios alone needs no range, but --measured would measure nothing
+    (["compare", "--ratios", "--measured"],
+     "--measured measures each width of a range, and no width was given to measure"),
 ])
 def test_compare_and_verify_refuse_input_they_would_ignore(argv, message, capsys):
     code, out, err = run(argv, capsys)

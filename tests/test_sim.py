@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -583,20 +584,27 @@ def test_tagged_run_past_the_term_budget_falls_back(monkeypatch, m):
     assert len(calls) == (64 if m == 6 else 0)
 
 
-def test_tagged_run_sets_its_tags_above_every_wire_a_gate_touches():
-    # an assigned gate list may name wire 2 of a 2-wire netlist: were the
-    # tags at bit 2, wire 2 would hold x in the tagged run, which then
-    # ends at (x, 0) for both inputs; each input's own run, with wire 2 at
-    # 0, leaves x on wire 1, which input x = 1 fails
+@pytest.mark.parametrize("op, message", [
+    (Gate("x", (1,)), "gate 0 (x) names wire 1, not one of the netlist's 1 wires"),
+    (Gate("x", (-1,)), "gate 0 (x) names wire -1, not one of the netlist's 1 wires"),
+    (("x", (0,), None), "statevector mode needs a fully expanded netlist"),
+    (LogicalAnd(0, 0, 0), "statevector mode needs a fully expanded netlist"),
+], ids=["wire-past-the-netlist", "negative-wire", "plain-tuple", "macro"])
+def test_statevector_refuses_what_it_cannot_run(op, message):
+    # an assigned gate list may hold what Netlist.append refuses: a wire
+    # past the netlist would hold a tag bit in the tagged run, a negative
+    # one is a negative shift, and neither the tagged run nor an input's
+    # own run may certify or crash on them; each input's report holds
+    # the error
     macro = Netlist()
     (x,) = macro.alloc_register("x", 1, "input")
-    (t,) = macro.alloc_register("t", 1)
     full = expand(macro)
-    full.gates = [*full.gates, *(Gate("cx", wires) for wires in ((x, t), (t, x), (2, x), (x, t)))]
-    assert full.wire_count == 2
+    full.gates = [op]
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        run_statevector(full)
     rep = verify_equivalence(macro, full, (x,))
     assert rep == _per_input_report(macro, full, (x,))
-    assert [m["input"] for m in rep["mismatches"]] == [{str(x): 1}]
+    assert [m["got"] for m in rep["mismatches"]] == [f"SimulationError: {message}"] * 2
 
 
 # ---- phase of the whole expansion ---------------------------------------------
@@ -621,7 +629,7 @@ def test_expanded_squarer_exact_with_phase(n):
         start[tagged(a, inputs)] = ONE
         want[tagged(a, {**inputs, **{w: (a * a >> i) & 1 for i, w in enumerate(p_wires)}})] = ONE
     for policy in ("forced-0", "forced-1"):
-        (br,) = _evolve(full.columns(), start, policy)
+        (br,) = _evolve([*full.gates], start, policy)
         assert br.state == want, (n, policy)
 
 
