@@ -23,10 +23,10 @@ neither, ``verify`` never loads ``costs`` and ``compare`` never loads
 and ``verify`` the input and expected-square planes its basis sweep
 checks against: they are pure functions of n, and a process that runs
 many commands (a library caller of ``main``, say) would otherwise
-rebuild them for each.  Sharing them is safe because nothing mutates
-them: ``to_json``, ``to_qasm``, ``dump_grid`` and ``run_basis_sweep``
-only read the circuit, ``_drop_gate`` builds a new netlist from slices,
-and the planes are kept as tuples.  The squarer cache keeps the 13
+rebuild them for each.  Sharing them is safe because nothing can change
+them: a netlist's ops and header are read-only (see ``ir``), so
+``_drop_gate`` builds a new netlist (``Netlist.without``), and the
+planes are kept as tuples.  The squarer cache keeps the 13
 widths used last: the 12 of ``BASIS_RANGE`` plus one, so a ``synth``
 between two ``verify 5..16`` evicts no verified width; a 128-bit
 circuit holds about 3.3 MB.  The planes are cached only for verified
@@ -127,15 +127,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 # ---- verify ----------------------------------------------------------------
 
-def _drop_gate(netlist, k: int):
+def _drop_gate(netlist: Netlist, k: int) -> Netlist:
     if not 0 <= k < len(netlist.gates):
         raise _UsageError(f"gate index {k} out of range (netlist has {len(netlist.gates)})")
-    out = Netlist()
-    out.wire_count = netlist.wire_count
-    out.cbit_count = netlist.cbit_count
-    out.registers = dict(netlist.registers)
-    out.gates = netlist.gates[:k] + netlist.gates[k + 1:]
-    return out
+    return netlist.without(k)
 
 
 def _square_planes(n: int) -> tuple[list[int], list[int]]:
@@ -353,10 +348,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.measured and "proposed" not in designs:
         raise _UsageError("--measured measures the proposed design, which "
                           "--designs leaves out")
-    if args.measured and not args.range:
+    if args.measured and args.range is None:
         raise _UsageError("--measured measures each width of a range, and no "
                           "width was given to measure")
-    ns = _parse_range(args.range) if args.range else []
+    ns = _parse_range(args.range) if args.range is not None else []
     # the CSV lists the proposed design first, each table as --designs orders it
     csv_order = sorted(designs, key=lambda d: d != "proposed")
     rows: list[costs.CostRow] = []

@@ -22,32 +22,32 @@ own type: ``LogicalAnd(1, 2, 3)`` differs from ``UncomputeAnd(1, 2, 3)``
 and from ``(1, 2, 3)``, and ``AddInPlace((0, 1), (2, 3))`` from the
 plain tuple of its fields.
 
-``Netlist.append`` validates every gate and macro once, as it is taken:
-every wire is an int (not a bool) below ``wire_count``; an AND's three
-wires are distinct; a primitive has its kind's arity, distinct wires
-and a cbit exactly when the kind needs one, and a ``ccz_classical``
-reads a cbit an earlier ``mx`` wrote; an adder's operands are tuples of
-equal width >= 2 that share no wire with each other or the carry-out.
-It takes ops of exactly the four types ``Gate``, ``LogicalAnd``,
-``UncomputeAnd`` and ``AddInPlace``, dispatching on the op's type, most
-frequent first, and refuses any other, a subclass of one of them
-included.  The AND macros and the cbit-less primitives pass one inline
-guard that accepts only the well-formed case; every other op, and every
-op the guard does not accept, goes through
-``_check_and``/``_check_gate``/``_check_add``, which raise a
-``NetlistError`` naming the fault.  Adders and registers
-check their wires in bulk (a type scan, ``min``/``max`` against
-``wire_count``, a set for overlap) and walk them one by one only to
-name the fault.
+``Netlist.append`` is the one way an op enters a netlist.  It takes
+ops of exactly the four types ``Gate``, ``LogicalAnd``, ``UncomputeAnd``
+and ``AddInPlace``, a subclass of one of them refused, and validates
+each once: every wire is an int (not a bool) below ``wire_count``; an
+AND's three wires are distinct; a primitive has its kind's arity,
+distinct wires and a cbit exactly when the kind needs one, and a
+``ccz_classical`` reads a cbit an earlier ``mx`` wrote; an adder's
+operands are tuples of equal width >= 2 that share no wire with each
+other or the carry-out.  A fault raises ``NetlistError`` naming it.
 
-A netlist being built keeps its ops in a plain list.  ``_lower`` is
-the one walk that lowers a netlist's ops, whether a list or the
-``GateColumns`` of an expansion, which it reads as the ``Gate`` tuples
-it iterates; ``_shape_counts`` sorts them by shape for
-``Netlist.measure``, dispatching as ``_lower`` does, on the exact type.
-``_lower`` hands each primitive to an emitter, each maximal run of
-consecutive ANDs (or uncomputes) of one type to the emitter in one
-call, over the run's wire columns, and each adder to
+The door is sealed: ``gates``, ``wire_count``, ``cbit_count`` and
+``registers`` are read-only, and the op store is a ``_Sealed`` list
+whose every mutator, ``append`` included, raises ``TypeError``.  Only
+``expand``, ``_lowered``, ``_ColumnWriter.run``, ``from_json_dict`` and
+``Netlist.without`` (the one way to make a mutant: one op dropped, by
+slicing) write the fields behind them.  So no reader checks an op again:
+``_lower``, ``_shape_counts``, ``to_json``, ``schedule_asap`` and both
+engines of ``sim`` trust every op to be one ``append`` took.
+
+``_lower`` is the one walk that lowers a netlist's ops, whether a
+macro netlist's or the ``GateColumns`` of an expansion, which it reads
+as the ``Gate`` tuples it iterates; ``_shape_counts`` sorts them by
+shape for ``Netlist.measure``, dispatching as ``_lower`` does, on the
+exact type.  ``_lower`` hands each primitive to an emitter, each
+maximal run of consecutive ANDs (or uncomputes) of one type to the
+emitter in one call, over the run's wire columns, and each adder to
 ``blocks.lower_add_in_place``.  The four lowered gate patterns, the
 AND, the uncompute and an adder's carry and release cells, are values:
 ``AND``, ``UNAND``, ``CARRY`` and ``RELEASE`` (``PATTERNS``), each a
@@ -57,43 +57,21 @@ once.  An emitter has ``new_wires``, ``gate(kind, w0, w1, cbit)``, the
 one way a primitive enters it, and ``run(pattern, *columns)``, which
 writes a run of one pattern.  Three emitters read the walk:
 
-- ``expand`` writes the primitives into ``GateColumns``: a ``list``
-  subclass whose own storage holds each gate's kind string, beside list
-  columns of the first wire, the second wire and the classical bit (-1
-  where a gate has none).  The lowering is trusted and never builds a
-  ``Gate``: a run of k patterns of g gates extends the kind storage by
-  the pattern's kinds times k, and each column by a list of g*k -1s
-  whose every g-th slot, from each position the pattern fills, is set
-  to one of the run's columns by a slice assignment.
+- ``expand`` writes the primitives into ``GateColumns``, a ``_Sealed``
+  list of each gate's kind beside list columns of its wires and cbit,
+  a run of patterns by slice assignment, with no ``Gate`` built.
 - ``schedule_asap`` (T- and CNOT-depth) layers the gates with no
-  columns built: each pattern of a run in one closed-form max-plus
+  columns built, each pattern of a run in one closed-form max-plus
   step, so the depths of a macro netlist equal those of its expansion.
-  It records no layer for an uncompute's cbit, which no gate that
-  ``Netlist.append`` takes can read.
-- ``to_json`` and ``to_qasm`` write the text of the expansion with one
-  template per primitive kind.  A run of one pattern is one
-  ``"".join`` of the pattern's skeleton, its literals repeated once per
-  pattern, with every field's slots filled at once from the run's wire
-  names (or cbit numbers) by a slice assignment.  Only ``to_json``
-  without ``lower`` keeps macros, as macro entries, in a loop of its own.
+- ``to_json`` and ``to_qasm`` write the text of the expansion, a run of
+  one pattern as one ``"".join`` of the pattern's skeleton.
 
 Every other reader, ``sim`` included, takes an expansion as the ``Gate``
-tuples it iterates.  Only ``count_gates`` (T and CNOT counts, on the
-kind storage, after packing a list of primitives into columns),
-``_cell_columns`` (a pattern's column template) and ``_ColumnWriter``
-touch the columns themselves.
-
-``Netlist.measure`` takes the depths from its macros and never expands
-the whole netlist: its counts and wire count add up per op, a primitive
-by its kind and any other op at its shape's cost (an AND, an uncompute,
-or an adder of one width with or without a carry-out), which
-``_shape_cost`` reads off ``count_gates(expand(...))`` of that one op.
-The cost is cached for the process, one 3-tuple per shape, so each
-shape is expanded once; the cache grows only with the adder widths
-measured.
-
-Netlists are append-only while being built and treated as immutable
-afterwards; every transformation returns a new netlist.
+tuples it iterates; only ``count_gates``, ``_cell_columns``,
+``_ColumnWriter`` and ``GateColumns`` itself touch the columns.
+``Netlist.measure`` never expands the whole netlist: its counts add up
+per op, at each op shape's cost (``_shape_cost``).  Every transformation
+returns a new netlist.
 """
 
 from __future__ import annotations
@@ -104,6 +82,7 @@ from collections import Counter
 from functools import cache
 from itertools import groupby
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence
 
 
@@ -207,7 +186,45 @@ def _row_gate(kind: str, w0: int, w1: int, cbit: int) -> Gate:
     return _new_tuple(Gate, (kind, (w0,) if w1 < 0 else (w0, w1), None if cbit < 0 else cbit))
 
 
-class GateColumns(list):
+class _Sealed(list):
+    """A netlist's op store, a ``list`` that only this module writes,
+    through ``_put`` and the ``list`` methods themselves.  Every list
+    behaviour but ``len``, iteration, indexing (a slice is a plain
+    ``list``), ``==``/``!=`` and ``repr`` raises ``TypeError``: the
+    mutators, ``append`` included, and the reads and pickling that would
+    see or keep a ``GateColumns``' kind strings alone."""
+
+    __slots__ = ()
+    _put = list.append
+
+    def __init__(self) -> None:
+        """An empty store; ``list.__init__`` would clear or refill it."""
+
+    def _without(self, k: int) -> _Sealed:
+        """A copy of this store without item ``k``, by slicing."""
+        out = type(self)()
+        list.extend(out, list.copy(self))
+        list.__delitem__(out, k)
+        return out
+
+
+def _refuse(name: str):
+    def refuse(self, *args):
+        raise TypeError(f"a netlist's ops support len, iteration, indexing, == and "
+                        f"repr, and enter only through Netlist.append, not {name}")
+    return refuse
+
+
+# __radd__ too, or list + columns would add the kinds
+for _name in ("append", "__contains__", "__reversed__", "__add__", "__radd__", "__mul__",
+              "__rmul__", "__lt__", "__le__", "__gt__", "__ge__", "count", "index", "copy",
+              "__reduce_ex__", "__setitem__", "__delitem__", "__iadd__", "__imul__",
+              "extend", "insert", "pop", "remove", "clear", "sort", "reverse"):
+    setattr(_Sealed, _name, _refuse(_name))
+del _name
+
+
+class GateColumns(_Sealed):
     """The primitive gates of an expanded netlist, stored column-wise.
 
     The list storage holds each gate's kind string, so ``len`` is the
@@ -217,20 +234,19 @@ class GateColumns(list):
     lists rather than ``array('i')`` because extending an array converts
     every item, which made ``expand`` twice as slow.  Iterating, indexing
     or ``==``/``!=`` yields ``Gate`` tuples built on demand, the one way
-    a reader outside this module sees the gates.  ``append`` takes a
-    primitive ``Gate`` (a macro raises ``UnexpandedNetlistError``); every
-    other list behaviour, and pickling, raises ``TypeError``.
+    a reader outside this module sees the gates.  ``_put``, which
+    ``Netlist.append`` calls, takes a primitive ``Gate`` (a macro raises
+    ``UnexpandedNetlistError``).
     """
 
     __slots__ = ("w0", "w1", "cbit")
 
-    def __init__(self, gates=()) -> None:
-        super().__init__()
-        self.w0, self.w1, self.cbit = [], [], []
-        for g in gates:
-            self.append(g)
+    def __new__(cls) -> GateColumns:
+        cols = super().__new__(cls)
+        cols.w0, cols.w1, cols.cbit = [], [], []
+        return cols
 
-    def append(self, gate) -> None:
+    def _put(self, gate) -> None:
         if type(gate) is not Gate:
             raise UnexpandedNetlistError(
                 f"{gate!r} is not a primitive gate; expand the netlist first")
@@ -239,6 +255,13 @@ class GateColumns(list):
         self.w0.append(wires[0])
         self.w1.append(wires[1] if len(wires) > 1 else -1)
         self.cbit.append(-1 if cbit is None else cbit)
+
+    def _without(self, k: int) -> GateColumns:
+        out = super()._without(k)
+        for column, own in zip((out.w0, out.w1, out.cbit), (self.w0, self.w1, self.cbit)):
+            column += own
+            del column[k]
+        return out
 
     def __iter__(self):
         return map(_row_gate, list.__iter__(self), self.w0, self.w1, self.cbit)
@@ -263,52 +286,47 @@ class GateColumns(list):
         return f"GateColumns({list(self)!r})"
 
 
-def _refuse(name: str):
-    def refuse(self, *args):
-        raise TypeError(f"gate columns support append, len, iteration, "
-                        f"indexing, == and repr, not {name}")
-
-    refuse.__name__ = name
-    return refuse
-
-
-# list behaviours inherited from the kind storage would silently see or
-# change kind strings only, and pickling would keep the kinds alone, so
-# they refuse; __radd__ too, or list + columns would add the kinds
-for _name in ("__contains__", "__reversed__", "__add__", "__radd__", "__mul__", "__rmul__",
-              "__lt__", "__le__", "__gt__", "__ge__", "count", "index", "copy",
-              "__reduce_ex__", "__setitem__", "__delitem__", "__iadd__", "__imul__",
-              "extend", "insert", "pop", "remove", "clear", "sort", "reverse"):
-    setattr(GateColumns, _name, _refuse(_name))
-del _name
-
-
 class Netlist:
-    """Ordered gate sequence over densely indexed wires plus named registers."""
+    """Ordered gate sequence over densely indexed wires plus named
+    registers; ``gates``, ``wire_count``, ``cbit_count`` and ``registers``
+    are read-only."""
 
     def __init__(self) -> None:
-        self.wire_count = 0
-        self.cbit_count = 0
-        self.written_cbits: set[int] = set()  # cbits an mx has written
-        self.gates: list = []
-        self.registers: dict[str, tuple[int, ...]] = {}
+        self._wire_count = self._cbit_count = 0
+        self._written_cbits: set[int] = set()  # cbits an mx has written
+        self._registers: dict[str, tuple[int, ...]] = {}
+        self._gates = _Sealed()
+
+    def _copy_header(self, gates: _Sealed) -> Netlist:
+        """A netlist with this one's header and registers, holding ``gates``."""
+        out = Netlist()
+        out._wire_count, out._cbit_count = self._wire_count, self._cbit_count
+        out._written_cbits = set(self._written_cbits)
+        out._registers = dict(self._registers)
+        out._gates = gates
+        return out
+
+    gates = property(lambda self: self._gates, doc="The ops, in order (read-only).")
+    wire_count = property(lambda self: self._wire_count, doc="Wires allocated (read-only).")
+    cbit_count = property(lambda self: self._cbit_count, doc="Cbits allocated (read-only).")
+    registers = property(lambda self: MappingProxyType(self._registers), doc="Name -> wires.")
 
     # ---- construction -------------------------------------------------
 
     def new_wire(self) -> int:
-        w = self.wire_count
-        self.wire_count += 1
+        w = self._wire_count
+        self._wire_count += 1
         return w
 
     def new_wires(self, k: int) -> range:
         """Allocate ``k`` fresh wires at once; returns their numbers."""
-        first = self.wire_count
-        self.wire_count = first + k
+        first = self._wire_count
+        self._wire_count = first + k
         return range(first, first + k)
 
     def new_cbit(self) -> int:
-        c = self.cbit_count
-        self.cbit_count += 1
+        c = self._cbit_count
+        self._cbit_count += 1
         return c
 
     def alloc_register(self, name: str, width: int, init: str = "zero") -> tuple[int, ...]:
@@ -324,7 +342,7 @@ class Netlist:
         if init not in ("zero", "input"):
             raise NetlistError(f"unknown register init {init!r}")
         wires = tuple(self.new_wires(width))
-        self.registers[name] = wires
+        self._registers[name] = wires
         if init == "zero":
             for w in wires:
                 self.add_gate("prep0", w)
@@ -335,10 +353,10 @@ class Netlist:
         if name in self.registers:
             raise NetlistError(f"register {name!r} already allocated")
         wires = tuple(wires)  # once, so an iterator is checked and stored alike
-        if not _allocated(wires, self.wire_count):
+        if not _allocated(wires, self._wire_count):
             for w in wires:
                 self._check_wire(w)
-        self.registers[name] = wires
+        self._registers[name] = wires
 
     def add_gate(self, kind: str, *wires: int, cbit: int | None = None) -> None:
         self.append(Gate(kind, wires, cbit))
@@ -355,7 +373,7 @@ class Netlist:
         naming what is wrong.
         """
         cls = type(op)
-        count = self.wire_count
+        count = self._wire_count
         if cls is LogicalAnd or cls is UncomputeAnd:
             x, y, t = op
             if not (type(x) is int and type(y) is int and type(t) is int
@@ -374,24 +392,47 @@ class Netlist:
             self._check_add(op)
         else:
             raise NetlistError(f"not a gate or macro op: {op!r}")
-        self.gates.append(op)
+        self._gates._put(op)
+
+    def without(self, k: int) -> Netlist:
+        """This netlist without op ``k`` (0 <= k < len(gates), or
+        ``IndexError``), taken by slicing, with no ``append`` per op.
+        Dropping an ``mx`` whose cbit a later ``ccz_classical`` reads
+        before another ``mx`` writes it raises ``NetlistError``, as
+        ``append`` would refuse that ``ccz_classical``."""
+        ops = self._gates
+        if not 0 <= k < len(ops):
+            raise IndexError(f"op index {k} out of range (netlist has {len(ops)})")
+        out = self._copy_header(ops._without(k))
+        op = ops[k]
+        if type(op) is Gate and op.kind == "mx":
+            # the other ops on its cbit, in order: the first one before k
+            # is an mx, as append checked
+            uses = [g.kind for i, g in enumerate(ops)
+                    if i != k and type(g) is Gate and g.cbit == op.cbit]
+            if uses and uses[0] == "ccz_classical":
+                raise NetlistError(f"dropping op {k}, {op!r}, leaves a later "
+                                   f"ccz_classical reading cbit {op.cbit}, which no mx wrote")
+            if "mx" not in uses:
+                out._written_cbits.discard(op.cbit)
+        return out
 
     def _take_gate(self, g: Gate) -> None:
         """Check a primitive and record the cbit an ``mx`` writes."""
         self._check_gate(g)
         if g.kind == "mx":
-            self.written_cbits.add(g.cbit)
-            if g.cbit >= self.cbit_count:
-                self.cbit_count = g.cbit + 1
-        elif g.kind == "ccz_classical" and g.cbit not in self.written_cbits:
+            self._written_cbits.add(g.cbit)
+            if g.cbit >= self._cbit_count:
+                self._cbit_count = g.cbit + 1
+        elif g.kind == "ccz_classical" and g.cbit not in self._written_cbits:
             raise NetlistError(
                 f"ccz_classical reads cbit {g.cbit}, which no earlier mx wrote")
 
     def _check_wire(self, w: int) -> None:
         if type(w) is not int:  # also refuses bool, which JSON true would give
             raise NetlistError(f"wire index must be an integer, got {w!r}")
-        if not 0 <= w < self.wire_count:
-            raise NetlistError(f"wire {w} not allocated (have {self.wire_count})")
+        if not 0 <= w < self._wire_count:
+            raise NetlistError(f"wire {w} not allocated (have {self._wire_count})")
 
     def _check_gate(self, g: Gate) -> None:
         if g.kind not in PRIMITIVE_KINDS:
@@ -431,7 +472,7 @@ class Netlist:
             raise NetlistError(
                 f"adder operands must have equal width >= 2, got {m} and {len(b)}")
         wires = [*a, *b] if carry is None else [*a, *b, carry]
-        if not (_allocated(wires, self.wire_count) and len(set(wires)) == len(wires)):
+        if not (_allocated(wires, self._wire_count) and len(set(wires)) == len(wires)):
             seen: set[int] = set()
             for w in wires:
                 self._check_wire(w)
@@ -548,8 +589,8 @@ class _ColumnWriter:
         k = len(columns[0])
         if pattern.cbit:
             out = self._out
-            first = out.cbit_count
-            out.cbit_count = first + k
+            first = out._cbit_count
+            out._cbit_count = first + k
             columns += (range(first, first + k),)
         size = len(kinds) * k
         self._kinds(kinds * k)
@@ -564,10 +605,10 @@ def _lowered(lower, wires: int) -> GateColumns:
     """The gate columns that ``lower``, a ``_ColumnWriter`` method, writes
     over wires 0..wires-1, its cbits numbered from ``wires`` on."""
     nl = Netlist()
-    nl.wire_count = nl.cbit_count = wires
-    cols = nl.gates = GateColumns()
+    nl._wire_count = nl._cbit_count = wires
+    nl._gates = GateColumns()
     lower(_ColumnWriter(nl), *range(wires))
-    return cols
+    return nl.gates
 
 
 def _cell_columns(cols: GateColumns):
@@ -593,10 +634,8 @@ def _lower(netlist: Netlist, em):
     ``em.run(AND, x, y, t)`` (or ``UNAND``) in one call, over the run's
     columns of x, y and target wires.  An adder goes to
     ``blocks.lower_add_in_place``.  The walk groups ops by their exact
-    type, which keeps the grouping in C, and dispatches on it: an op of
-    any type but the four, which ``Netlist.append`` refuses but an
-    assigned ``gates`` list may hold, raises ``NetlistError`` once the
-    ops before it are lowered.
+    type, which keeps the grouping in C, and dispatches on it, trusting
+    ``Netlist.append`` to have taken ops of the four types only.
     """
     from .blocks import lower_add_in_place
 
@@ -610,40 +649,30 @@ def _lower(netlist: Netlist, em):
             for kind, wires, cbit in ops:
                 gate(kind, wires[0], wires[1] if len(wires) > 1 else -1,
                      -1 if cbit is None else cbit)
-        elif cls is AddInPlace:
+        else:  # AddInPlace
             for op in ops:
                 lower_add_in_place(em, op)
-        else:
-            raise NetlistError(f"cannot lower {next(ops)!r}")
     return em
 
 
 def expand(netlist: Netlist) -> Netlist:
     """Lower every macro op to primitive gates; primitives pass through.
 
-    The result's ``gates`` is a ``GateColumns``.  The temporary-AND
-    lowering spells out the magic-state preparation (prep0, h, t) so
-    the block carries its 4 T gates explicitly, then applies the two
-    compute CNOTs, the ancilla-controlled CNOT pair, the T-gate column,
-    the second CNOT pair, and the final h, s.  The uncompute lowering is
-    Clifford-only: one X-basis measurement plus a classically controlled
-    CZ on the surviving input pair.  Adders are lowered by
-    ``blocks.lower_add_in_place`` through the same column writer.
-    Idempotent.
+    The result's ``gates`` is a ``GateColumns``, written by the patterns
+    of ``_ColumnWriter``: the AND spells out its magic state (prep0, h,
+    t), so its 4 T gates are counted, and the uncompute is Clifford-only.
+    Adders are lowered by ``blocks.lower_add_in_place`` through the same
+    writer.  Idempotent.
 
     The lowering is trusted: ``Netlist.append`` validated every op of
     ``netlist`` when it took it, and each macro lowers to well-formed
     gates over its own checked wires and fresh ones, so the generated
     gates are written to the output's columns without a second check.
     """
-    out = Netlist()
-    out.wire_count = netlist.wire_count
-    out.cbit_count = netlist.cbit_count
-    out.registers = dict(netlist.registers)
-    out.gates = GateColumns()
+    out = netlist._copy_header(GateColumns())
     _lower(netlist, _ColumnWriter(out))
     # every cbit allocated above was written at once by its uncompute mx
-    out.written_cbits = netlist.written_cbits | set(range(netlist.cbit_count, out.cbit_count))
+    out._written_cbits.update(range(netlist.cbit_count, out.cbit_count))
     return out
 
 
@@ -653,8 +682,7 @@ def _shape_counts(gates: list) -> Counter:
     """How many ops of ``gates`` have each shape: a primitive's kind, or
     ``(LogicalAnd,)``, ``(UncomputeAnd,)`` or ``(AddInPlace, m, carry)``
     for an adder of width m with (``carry`` True) or without a
-    carry-out.  It dispatches on the exact type as ``_lower`` does, and
-    any op ``_lower`` refuses raises ``NetlistError``."""
+    carry-out.  It dispatches on the exact type as ``_lower`` does."""
     counts: Counter = Counter()
     for cls, ops in groupby(gates, type):
         if cls is LogicalAnd:
@@ -663,11 +691,9 @@ def _shape_counts(gates: list) -> Counter:
             counts[UncomputeAnd,] += len([*ops])
         elif cls is Gate:
             counts.update(map(itemgetter(0), ops))
-        elif cls is AddInPlace:
+        else:  # AddInPlace
             counts.update((AddInPlace, len(op.a_wires), op.carry_out is not None)
                           for op in ops)
-        else:
-            raise NetlistError(f"cannot lower {next(ops)!r}")
     return counts
 
 
@@ -697,14 +723,17 @@ def count_gates(netlist: Netlist) -> tuple[int, int]:
     kind column.
 
     T counts ``t`` and ``tdg``; CNOT counts ``cx`` only, not ``cz``.
-    prep0 is a zero-cost pseudo-gate and counts toward neither.  A list
-    of primitives is packed into columns first, and a macro op in it
-    raises ``UnexpandedNetlistError``.
+    prep0 is a zero-cost pseudo-gate and counts toward neither.  The ops
+    of a netlist that was not expanded are counted by kind, and a macro
+    among them raises ``UnexpandedNetlistError``.
     """
     cols = netlist.gates
-    if not isinstance(cols, GateColumns):
-        cols = GateColumns(cols)
-    return list.count(cols, "t") + list.count(cols, "tdg"), list.count(cols, "cx")
+    if type(cols) is GateColumns:
+        return list.count(cols, "t") + list.count(cols, "tdg"), list.count(cols, "cx")
+    kinds = _shape_counts(cols)
+    if any(type(shape) is not str for shape in kinds):
+        raise UnexpandedNetlistError("macros remain; expand the netlist first")
+    return kinds["t"] + kinds["tdg"], kinds["cx"]
 
 
 class _DepthWriter:
@@ -714,7 +743,8 @@ class _DepthWriter:
     layers one primitive, and ``run`` layers each pattern of a run in its
     pattern's ``step``, one closed form hand-derived from its gates.
     ``meas`` holds the layer of each primitive ``mx``, by cbit, for the
-    ``ccz_classical`` that reads it.  A step records no layer for its
+    ``ccz_classical`` that reads it, which ``Netlist.append`` took only
+    after that ``mx``.  A step records no layer for its
     uncompute's cbit: ``expand`` numbers those from the netlist's
     ``cbit_count`` up, and ``Netlist.append`` takes a ``ccz_classical``
     only on a cbit that an earlier primitive ``mx`` wrote, so no gate
@@ -768,7 +798,7 @@ class _DepthWriter:
         else:  # cz, ccz_classical
             layer = max(last[a], last[b]) + 1
             if kind == "ccz_classical":
-                layer = max(layer, self.meas.get(cbit, 0) + 1)
+                layer = max(layer, self.meas[cbit] + 1)
             last[a] = last[b] = layer
             open_[a] = open_[b] = 0
 
@@ -861,12 +891,8 @@ def schedule_asap(netlist: Netlist) -> tuple[int, int]:
 
     Primitives are layered gate by gate.  Macros are layered as they
     lower, with no gate columns built: each AND, uncompute or ripple cell
-    of a run in one closed-form step.  The result equals
-    ``schedule_asap(expand(netlist))``.
-
-    The layers are recorded as two ``bytearray`` marks, a 1 at each
-    layer that holds a T gate or a CNOT, and each depth is the count of
-    1s in its marks (``_DepthWriter``).
+    of a run in one closed-form step (``_DepthWriter``).  The result
+    equals ``schedule_asap(expand(netlist))``.
     """
     em = _lower(netlist, _DepthWriter(netlist))
     return em.t_marks.count(1), em.cnot_marks.count(1)
@@ -896,12 +922,7 @@ def _json_entry(op) -> str:
         return ('{"kind":"macro_add","wires":[%s],"width":%d,"carry_out":%s}'
                 % (",".join(map(str, wires)), len(op.a_wires),
                    "false" if op.carry_out is None else "true"))
-    if cls is LogicalAnd:
-        kind = "macro_and"
-    elif cls is UncomputeAnd:
-        kind = "macro_unand"
-    else:
-        raise NetlistError(f"cannot write {op!r}")
+    kind = "macro_and" if cls is LogicalAnd else "macro_unand"
     return '{"kind":"%s","wires":[%d,%d,%d]}' % (kind, op.x, op.y, op.target)
 
 
@@ -1075,7 +1096,7 @@ def from_json_dict(data: dict) -> Netlist:
     if not isinstance(registers, dict):
         raise NetlistError("netlist 'registers' must be an object")
     out = Netlist()
-    out.wire_count = wires
+    out._wire_count = wires
     for name, ws in registers.items():
         if not isinstance(ws, list):
             raise NetlistError(f"register {name!r} must be a list of wires, got {ws!r}")

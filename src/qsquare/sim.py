@@ -11,13 +11,8 @@ value for input k (lane k), so one ``^`` or ``&`` moves every input
 through a gate at once.  A single input is the one-lane case, and
 ``lane_planes`` builds the planes of an exhaustive sweep.  In-place
 additions ripple a carry plane bit position by bit position, so adders
-of any width are exact.  A plane of 2**16 lanes is an 8 KB int, so the
-engine spends an operation only where a plane can change: a ripple
-cell whose a plane is 0 is a half adder of b and the carry, and does
-nothing while the carry is 0 too; one whose carry plane is 0 is a half
-adder of a and b; only the rest run the full cell.  An uncompute checks
-its target with one ``!=`` against x AND y, and builds their XOR only
-to name the first bad lane.
+of any width are exact, and spend an operation only where a plane can
+change (``run_basis_sweep``).
 
 The statevector engine runs expanded Clifford+T netlists of any width
 exactly, on a sparse state: a dict from basis bitmask (bit w = wire w)
@@ -31,31 +26,35 @@ follows every outcome (or a forced one), resets its wire to |0>, and
 raises unless the outcome's probability is a power of 1/2, which it is
 throughout Gidney's uncompute; the classically controlled CZ then acts
 per branch.  Gidney's temporary AND keeps only a few terms alive, and a
-state of more than ``MAX_TERMS`` terms raises.  ``_runnable`` takes a
-netlist's gates as the ``Gate`` tuples they iterate and refuses, before
-any gate acts, an op that is not exactly a ``Gate`` or a wire outside
-the netlist; ``_evolve``, the one gate loop, runs what it returns.
+state of more than ``MAX_TERMS`` terms raises.  ``_runnable`` refuses,
+before any gate acts, a netlist with a macro left; ``_evolve``, the one
+gate loop, runs the ``Gate`` tuples it returns.
+
+Neither engine checks an op again: ``Netlist.append`` is the one way an
+op enters a netlist (see ``ir``), so every op is of one of its four
+types, and every gate has its kind's arity, wires in 0..wire_count-1
+and, for a ``ccz_classical``, a cbit an earlier ``mx`` wrote.
 
 ``verify_equivalence`` certifies an expansion against one basis sweep
 of its macro netlist, phase included: each branch must end in its
 lane's basis state with amplitude exactly 1; its report is the dict
 that ``--report`` writes.  It first runs ``_evolve`` once on a
 superposition of every input, each basis input tagged with its lane
-number in the bits from ``wire_count`` up, above every wire the check
-lets a gate name, so lanes never interfere.  When every branch ends in
-exactly the tagged superposition of the lanes' reference states, every
-input is certified, as each lane's own run would end in its state with
-amplitude exactly 1.  On any other state, or any ``SimulationError`` (a
-superposition past ``MAX_TERMS`` among them), that run concludes
-nothing, and each input runs on its own through ``run_statevector`` to
-write the report.
+number in the bits from ``wire_count`` up, above every wire that
+``append`` lets a gate name, so lanes never interfere.  When every
+branch ends in exactly the tagged superposition of the lanes' reference
+states, every input is certified, as each lane's own run would end in
+its state with amplitude exactly 1.  On any other state, or any
+``SimulationError`` (a superposition past ``MAX_TERMS`` among them),
+that run concludes nothing, and each input runs on its own through
+``run_statevector`` to write the report.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _same_type_eq, _same_type_ne
+from .ir import Gate, LogicalAnd, Netlist, UncomputeAnd, _same_type_eq, _same_type_ne
 
 MAX_TERMS = 1 << 12  # as many amplitudes as a dense 12-wire state holds
 
@@ -125,9 +124,8 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
     ``UncomputeMisuseError``.
     Expanded Clifford+T gates are rejected; run the unexpanded netlist or
     use the statevector engine.  Ops dispatch on their exact type, as
-    ``ir._lower``'s do: any op but a ``Gate``, ``LogicalAnd``,
-    ``UncomputeAnd`` or ``AddInPlace``, a subclass or plain tuple among
-    them, raises ``SimulationError`` naming it and its gate index.
+    ``ir._lower``'s do, trusting ``Netlist.append`` to have taken ops of
+    the four types only.
     """
     if type(lanes) is not int or lanes < 1:
         raise ValueError(f"lanes {lanes!r} is not a positive int")
@@ -173,7 +171,7 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
                     f"uncompute-misuse at gate {idx}, "
                     f"first lane {(bad & -bad).bit_length() - 1}")
             bits[t] = 0
-        elif cls is AddInPlace:
+        else:  # AddInPlace
             a_wires, b_wires, carry_out = op
             # ripple carry over whole planes, one bit position at a time;
             # a zero a or carry plane drops its terms from the full cell
@@ -197,10 +195,6 @@ def run_basis_sweep(netlist: Netlist, inputs: Mapping[int, int],
                 bits[carry_out] = carry
             else:
                 carries[idx] = carry
-        else:
-            # a subclass or a plain tuple too: Netlist.append refuses
-            # both, but an assigned gates list may hold them
-            raise SimulationError(f"cannot simulate {op!r} at gate {idx}")
     return SweepResult(dict(enumerate(bits)), carries, lanes)
 
 
@@ -309,19 +303,12 @@ def _measure_x(state: dict, wire: int, outcome: int) -> tuple[dict, float]:
 
 
 def _runnable(netlist: Netlist) -> list[Gate]:
-    """``netlist``'s gates as a list ``_evolve`` can run: every op exactly
-    a ``Gate`` (not a macro, subclass or plain tuple) and every wire in
-    0..wire_count-1.  Anything else raises ``SimulationError``, a wire
-    naming its gate index."""
+    """``netlist``'s gates as a list ``_evolve`` can run; a macro left
+    among them raises ``SimulationError``.  Every gate is one that
+    ``Netlist.append`` took, so nothing else is checked."""
     gates = [*netlist.gates]
-    count = netlist.wire_count
-    for index, op in enumerate(gates):
-        if type(op) is not Gate:
-            raise SimulationError("statevector mode needs a fully expanded netlist")
-        for w in op.wires:
-            if not 0 <= w < count:
-                raise SimulationError(f"gate {index} ({op.kind}) names wire {w}, "
-                                      f"not one of the netlist's {count} wires")
+    if any(type(op) is not Gate for op in gates):
+        raise SimulationError("statevector mode needs a fully expanded netlist")
     return gates
 
 
@@ -348,13 +335,8 @@ def _evolve(gates: list[Gate], state: dict, branch: str) -> list[Branch]:
             elif kind == "prep0":
                 if any((m >> wires[0]) & 1 for m in state):
                     raise SimulationError(f"prep0 on non-|0> wire {wires[0]}")
-            elif kind == "ccz_classical":
-                if cbit not in cbits:
-                    raise SimulationError(f"ccz_classical reads cbit {cbit}, which no mx wrote")
-                if cbits[cbit]:
-                    state = _GATES["cz"](state, *wires)
-            else:
-                raise SimulationError(f"gate {kind!r} not supported in statevector mode")
+            elif cbits[cbit]:  # ccz_classical, whose cbit an earlier mx wrote
+                state = _GATES["cz"](state, *wires)
             nxt.append((state, cbits, probability))
         branches = nxt
     return [Branch(*br) for br in branches]
@@ -368,12 +350,12 @@ def run_statevector(netlist: Netlist, initial: Mapping[int, object] | None = Non
     (default 0); any other spec, a bool or float among them, raises
     ``ValueError``.  ``branch`` is "explore" (follow every measurement
     outcome; returns one Branch per surviving combination), "forced-0"
-    or "forced-1".  Raises ``SimulationError`` before any gate acts on an
-    op that is not exactly a ``Gate`` or a gate wire outside
-    0..wire_count-1 (``_runnable``); ``TermBudgetError`` once a state
-    holds more than ``MAX_TERMS`` terms; and ``SimulationError`` on a
-    measurement outcome whose probability is not a power of 1/2 or a
-    ccz_classical whose cbit no mx wrote.
+    or "forced-1".  Raises ``SimulationError`` before any gate acts on a
+    netlist with a macro left (``_runnable``); ``TermBudgetError`` once a
+    state holds more than ``MAX_TERMS`` terms; and ``SimulationError`` on
+    a measurement outcome whose probability is not a power of 1/2.  Every
+    gate is one ``Netlist.append`` took, so its wires lie in the netlist
+    and a ``ccz_classical`` reads a cbit an earlier ``mx`` wrote.
     """
     gates = _runnable(netlist)
     if branch not in ("explore", "forced-0", "forced-1"):
@@ -405,15 +387,16 @@ def _every_lane_exact(expanded: Netlist, inputs: dict[int, int],
     """Whether one explore run of ``expanded`` certifies every lane at
     once.  Lane k starts in its basis input (wire w holds bit k of
     ``inputs[w]``) tagged with k in the bits from ``wire_count`` up,
-    above every wire ``_runnable`` lets a gate name, so no gate reads or
-    moves a tag and no two lanes interfere; each lane's term starts at
-    amplitude ``(1, 0, 0, 0)``.  True when every branch is exactly
+    above every wire a gate names, as ``Netlist.append`` took no wire
+    past ``wire_count``, so no gate reads or moves a tag and no two
+    lanes interfere; each lane's term starts at amplitude
+    ``(1, 0, 0, 0)``.  True when every branch is exactly
     ``{k << wire_count | masks[k]: (1, 0, 0, 0)}`` over all k: each
     lane's branch is then its basis state times one positive constant,
     so the lane's own run ends in it with amplitude exactly 1, through
     the same outcomes at the same dyadic probabilities.  False on any
-    other state or any ``SimulationError``, the check's among them, and
-    where ``run_statevector`` would refuse an input wire, from which
+    other state or any ``SimulationError``, ``_runnable``'s among them,
+    and where ``run_statevector`` would refuse an input wire, from which
     nothing is concluded."""
     shift = expanded.wire_count
     if not all(0 <= w < shift for w in inputs):

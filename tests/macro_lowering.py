@@ -53,8 +53,10 @@ class MacroEmitter:
 def lower_adders(netlist: Netlist) -> Netlist:
     """Partial expansion: adders down to CNOTs and AND/uncompute-AND macros."""
     out = Netlist()
-    out.wire_count = netlist.wire_count
-    out.cbit_count = netlist.cbit_count
-    out.registers = dict(netlist.registers)
+    out.new_wires(netlist.wire_count)
+    for _ in range(netlist.cbit_count):
+        out.new_cbit()
+    for name, wires in netlist.registers.items():
+        out.register_alias(name, wires)
     _lower(netlist, MacroEmitter(out))
     return out

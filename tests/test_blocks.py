@@ -106,8 +106,7 @@ def test_uncompute_branches_agree_on_superposed_inputs():
     nl, wx, wy, t = and_netlist()
     build_uncompute_and(nl, wx, wy, t)
     full = Netlist()
-    full.wire_count = nl.wire_count
-    full.registers = dict(nl.registers)
+    full.new_wires(nl.wire_count)
     full.add_gate("h", wx)
     full.add_gate("h", wy)
     for op in expand(nl).gates:
@@ -206,10 +205,9 @@ def test_adder_validation():
 
 def test_corrupted_adder_is_caught():
     nl, a, b, cw = adder_netlist(3, True)
-    lowered = lower_adders(nl)
-    victim = next(i for i, g in enumerate(lowered.gates)
+    victim = next(i for i, g in enumerate(lower_adders(nl).gates)
                   if getattr(g, "kind", None) == "cx")
-    del lowered.gates[victim]
+    lowered = lower_adders(nl).without(victim)
     mismatch = 0
     for av, bv in itertools.product(range(8), range(8)):
         inputs = {a[i]: (av >> i) & 1 for i in range(3)}

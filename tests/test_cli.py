@@ -451,6 +451,9 @@ def test_compare_unknown_design(capsys):
     # --ratios alone needs no range, but --measured would measure nothing
     (["compare", "--ratios", "--measured"],
      "--measured measures each width of a range, and no width was given to measure"),
+    # an empty range is refused as a range, not read as no range
+    (["compare", ""], "width must be an integer in ASCII digits, got ''"),
+    (["compare", "", "--measured"], "width must be an integer in ASCII digits, got ''"),
 ])
 def test_compare_and_verify_refuse_input_they_would_ignore(argv, message, capsys):
     code, out, err = run(argv, capsys)

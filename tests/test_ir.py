@@ -4,6 +4,7 @@ import collections
 import itertools
 import json
 import pickle
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from qsquare.ir import (
     _ColumnWriter,
     _DepthWriter,
     _TextWriter,
+    _lowered,
     AddInPlace,
     Gate,
     GateColumns,
@@ -282,19 +284,18 @@ def test_zero_pad_is_one_value():
 def test_swapping_a_macro_type_changes_the_netlist():
     nl = synthesize_squarer(6).netlist
     k = next(i for i, op in enumerate(nl.gates) if type(op) is LogicalAnd)
-    other = synthesize_squarer(6).netlist
-    assert other == nl
-    other.gates[k] = UncomputeAnd(*nl.gates[k])
+    assert relabeled(nl, range(nl.wire_count)) == nl
+    swap = {k: UncomputeAnd(*nl.gates[k])}
+    other = relabeled(nl, range(nl.wire_count), lambda i, op: swap.get(i, op))
     assert other != nl and not other == nl
 
 
 def test_netlists_of_different_cbit_counts_differ():
-    # a cached netlist whose cbit count was corrupted must not pass as equal
     nl, other = Netlist(), Netlist()
     for netlist in nl, other:
         netlist.new_wires(2)
     assert other == nl
-    other.cbit_count = 3
+    other.new_cbit()
     assert other != nl and not other == nl
 
 
@@ -324,12 +325,12 @@ def test_expanded_squarer_gates_pass_validation(n):
     full = expand(synthesize_squarer(n).netlist)
     assert isinstance(full.gates, GateColumns)
     again = Netlist()
-    again.wire_count = full.wire_count
+    again.new_wires(full.wire_count)
     for g in full.gates:
         again.append(g)
-    assert type(again.gates) is list
+    assert type(again.gates) is not GateColumns
     assert again.gates == full.gates
-    # the list form is packed into columns when measured: same figures
+    # the unexpanded form is counted by kind: same figures
     assert count_gates(again) == count_gates(full)
     assert schedule_asap(again) == schedule_asap(full)
 
@@ -346,27 +347,141 @@ def test_gate_columns_read_as_gates_and_refuse_mutation():
     assert cols[-1] == Gate("ccz_classical", (0, 1), 0) == gates[-1]
     assert cols[-2:] == gates[-2:] and cols[::-1] == gates[::-1]
     assert cols == gates and gates == cols and not cols != gates
-    # the list behaviours that would see the kind strings alone, and
-    # pickling, which would keep them alone, refuse as the mutators do
-    reads = (lambda c: Gate("h", (2,)) in c, reversed, lambda c: c + [], lambda c: [] + c,
-             lambda c: c * 2, lambda c: 2 * c, lambda c: c < gates, lambda c: c <= gates,
-             lambda c: c > gates, lambda c: c >= gates, lambda c: c.count(gates[0]),
-             lambda c: c.index(gates[0]), lambda c: c.copy(), pickle.dumps)
-    mutations = (lambda c: c.extend(gates), lambda c: c.insert(0, gates[0]),
-                 lambda c: c.pop(), lambda c: c.remove(gates[0]), lambda c: c.clear(),
-                 lambda c: c.sort(), lambda c: c.reverse(),
-                 lambda c: c.__setitem__(0, gates[1]), lambda c: c.__delitem__(0),
-                 lambda c: c.__iadd__(gates), lambda c: c.__imul__(2))
-    for behaviour in reads + mutations:
-        with pytest.raises(TypeError, match="^gate columns support append, len, "
-                                            "iteration, indexing, == and repr, not "):
-            behaviour(cols)
-    assert list(cols) == gates
-    with pytest.raises(UnexpandedNetlistError):
-        cols.append(LogicalAnd(0, 1, 2))
+    # an op enters only through Netlist.append, which writes every column
     full.add_gate("z", 1)
     assert cols[-1] == Gate("z", (1,)) and len(cols) == 17
     assert full.gates is cols
+    with pytest.raises(UnexpandedNetlistError):
+        full.append(LogicalAnd(0, 1, 2))
+    assert len(cols) == 17
+
+
+def _seal_netlists():
+    macro = single_and_netlist()
+    macro.add_gate("h", 0)
+    return [pytest.param(macro, id="macro"), pytest.param(expand(macro), id="expanded")]
+
+
+@pytest.mark.parametrize("nl", _seal_netlists())
+def test_ops_enter_only_through_append(nl):
+    # every list behaviour that would change the store, append included,
+    # refuses; so do the reads that would see a column store's kind
+    # strings alone, and pickling, which would keep them alone
+    ops = nl.gates
+    gates = list(ops)
+    reads = (lambda c: gates[0] in c, reversed, lambda c: c + [], lambda c: [] + c,
+             lambda c: c * 2, lambda c: 2 * c, lambda c: c < gates, lambda c: c <= gates,
+             lambda c: c > gates, lambda c: c >= gates, lambda c: c.count(gates[0]),
+             lambda c: c.index(gates[0]), lambda c: c.copy(), pickle.dumps)
+    mutations = (lambda c: c.append(gates[0]), lambda c: c.extend(gates),
+                 lambda c: c.insert(0, gates[0]), lambda c: c.pop(),
+                 lambda c: c.remove(gates[0]), lambda c: c.clear(), lambda c: c.sort(),
+                 lambda c: c.reverse(), lambda c: c.__setitem__(0, gates[1]),
+                 lambda c: c.__delitem__(0), lambda c: c.__iadd__(gates),
+                 lambda c: c.__imul__(2))
+    for behaviour in reads + mutations:
+        with pytest.raises(TypeError, match="^a netlist's ops support len, iteration, "
+                                            "indexing, == and repr, and enter only "
+                                            "through Netlist.append, not "):
+            behaviour(ops)
+    # list.__init__ would clear or refill the store
+    with pytest.raises(TypeError):
+        ops.__init__(gates)
+    ops.__init__()
+    assert list(ops) == gates and nl.gates is ops
+
+
+@pytest.mark.parametrize("nl", _seal_netlists())
+def test_header_and_ops_are_read_only(nl):
+    before = (nl.wire_count, nl.cbit_count, list(nl.gates), dict(nl.registers))
+    for name, value in (("gates", []), ("wire_count", 99), ("cbit_count", 5),
+                        ("registers", {"X": (99,)})):
+        with pytest.raises(AttributeError):
+            setattr(nl, name, value)
+        with pytest.raises(AttributeError):
+            delattr(nl, name)
+    # a register enters through alloc_register or register_alias only
+    with pytest.raises(TypeError):
+        nl.registers["X"] = (99,)
+    assert (nl.wire_count, nl.cbit_count, list(nl.gates), dict(nl.registers)) == before
+
+
+def test_a_one_wire_cz_cannot_be_put_into_a_netlist():
+    # a one-wire cz would run as z; over one wire, two of them were once
+    # certified clean as an expansion of the empty netlist
+    macro = Netlist()
+    macro.alloc_register("x", 1, "input")
+    bad = Gate("cz", (0,))
+    for nl in (macro, expand(macro)):
+        with pytest.raises(NetlistError, match=r"^cz takes 2 wire\(s\), got \(0,\)$"):
+            nl.append(bad)
+        with pytest.raises(TypeError):
+            nl.gates.append(bad)
+        with pytest.raises(AttributeError):
+            nl.gates = [bad, bad]
+        assert list(nl.gates) == []
+    with pytest.raises(NetlistError, match=r"^gate 0: cz takes 2 wire"):
+        from_json_dict({"wires": 1, "gates": [{"kind": "cz", "wires": [0]}]})
+
+
+def test_without_drops_one_op_by_slicing():
+    nl = single_and_netlist()
+    nl.append(UncomputeAnd(0, 1, 2))
+    nl.add_gate("h", 0)
+    full = expand(nl)
+    for source in nl, full:
+        gates = list(source.gates)
+        for k in range(len(gates)):
+            if type(gates[k]) is Gate and gates[k].kind == "mx":
+                continue  # its ccz_classical follows
+            mutant = source.without(k)
+            assert type(mutant.gates) is type(source.gates)
+            assert list(mutant.gates) == gates[:k] + gates[k + 1:]
+            assert (mutant.wire_count, mutant.cbit_count, mutant.registers) == (
+                source.wire_count, source.cbit_count, source.registers)
+            # the mutant is a netlist append would build
+            again = relabeled(mutant, range(mutant.wire_count))
+            assert again.gates == mutant.gates and to_json(again) == to_json(mutant)
+        assert list(source.gates) == gates
+        for k in (-1, len(gates)):
+            with pytest.raises(IndexError, match=f"op index {k} out of range"):
+                source.without(k)
+
+
+def test_without_refuses_to_orphan_a_classical_cz():
+    nl = Netlist()
+    a, b, c = nl.alloc_register("a", 3, "input")
+    nl.add_gate("mx", c, cbit=0)
+    nl.add_gate("ccz_classical", a, b, cbit=0)
+    with pytest.raises(NetlistError, match=r"^dropping op 0, Gate\(kind='mx', wires=\(2,\), "
+                                           r"cbit=0\), leaves a later ccz_classical reading "
+                                           r"cbit 0, which no mx wrote$"):
+        nl.without(0)
+    # so is the mx of an expanded uncompute
+    and_unand = single_and_netlist()
+    and_unand.append(UncomputeAnd(0, 1, 2))
+    full = expand(and_unand)
+    k = next(i for i, g in enumerate(full.gates) if g.kind == "mx")
+    with pytest.raises(NetlistError, match="which no mx wrote"):
+        full.without(k)
+    # the other of two mx on the cbit keeps it written
+    nl = Netlist()
+    a, b, c = nl.alloc_register("a", 3, "input")
+    nl.add_gate("mx", c, cbit=0)
+    nl.add_gate("mx", a, cbit=0)
+    nl.add_gate("ccz_classical", a, b, cbit=0)
+    for k in (0, 1):
+        nl.without(k).add_gate("ccz_classical", a, b, cbit=0)
+    # an mx no gate reads drops, and its cbit is unwritten after it
+    nl = Netlist()
+    nl.alloc_register("a", 3, "input")
+    nl.add_gate("mx", 2, cbit=0)
+    nl.add_gate("t", 0)
+    mutant = nl.without(0)
+    assert mutant.gates == [Gate("t", (0,))] and mutant.cbit_count == 1
+    with pytest.raises(NetlistError, match="no earlier mx wrote"):
+        mutant.add_gate("ccz_classical", 0, 1, cbit=0)
+    nl.add_gate("ccz_classical", 0, 1, cbit=0)  # the source keeps its mx
 
 
 def test_expand_without_macros_is_identity():
@@ -377,20 +492,20 @@ def test_expand_without_macros_is_identity():
     assert expand(nl) == nl
 
 
-@pytest.mark.parametrize("walk, verb", [
-    (expand, "lower"),
-    (schedule_asap, "lower"),
-    (lambda nl: to_json(nl, lower=True), "lower"),
-    (to_qasm, "lower"),
-    (to_json, "write"),
-    (Netlist.measure, "lower"),
+@pytest.mark.parametrize("walk", [
+    expand, schedule_asap, lambda nl: to_json(nl, lower=True), to_qasm, to_json,
+    Netlist.measure,
 ], ids=["expand", "schedule_asap", "to_json", "to_qasm", "to_json-unlowered", "measure"])
-def test_lowering_refuses_an_op_of_no_known_type(walk, verb):
-    # append refuses such an op, so it can only be assigned into gates
+def test_lowering_refuses_an_op_of_no_known_type(walk):
+    # append refuses such an op, and no other call can put one into a
+    # netlist, so no walk meets one: each dispatches on the four types
     nl = single_and_netlist()
-    nl.gates.append(("cx", (0, 1)))
-    with pytest.raises(NetlistError, match=rf"^cannot {verb} \('cx', \(0, 1\)\)$"):
-        walk(nl)
+    for op in (("cx", (0, 1), None), ("cx", (0, 1)), "x", None):
+        with pytest.raises(NetlistError,
+                           match=rf"^not a gate or macro op: {re.escape(repr(op))}$"):
+            nl.append(op)
+    assert nl.gates == [LogicalAnd(0, 1, 2)]
+    assert walk(nl) == walk(single_and_netlist())
 
 
 @pytest.mark.parametrize("base", [Gate, LogicalAnd, UncomputeAnd, AddInPlace],
@@ -489,7 +604,7 @@ def test_measure_of_primitives_and_of_columns_equals_its_expansion():
                               ("tdg", (c,), None), ("mx", (c,), 0), ("cx", (b, a), None),
                               ("ccz_classical", (a, b), 0), ("t", (b,), None)]:
         nl.append(Gate(kind, wires, cbit))
-    assert type(nl.gates) is list
+    assert type(nl.gates) is not GateColumns
     assert nl.measure() == _measured_by_expansion(nl) == (3, 2, 2, 2, 3)
     full = expand(synthesize_squarer(9).netlist)
     assert isinstance(full.gates, GateColumns)
@@ -580,17 +695,6 @@ def test_fan_out_join_ends_when_its_control_is_touched(gate, cnot_depth):
     assert schedule_asap(nl) == (0, cnot_depth)
 
 
-def test_classical_cz_on_unwritten_cbit_waits_only_for_its_wires():
-    # append refuses this gate, so the gate list is assigned directly
-    nl = Netlist()
-    nl.alloc_register("a", 2, "input")
-    nl.gates = [Gate("t", (0,)),                     # layer 1
-                Gate("ccz_classical", (0, 1), 5),    # layer 2: no mx wrote cbit 5
-                Gate("t", (1,))]                     # layer 3
-    assert nl.cbit_count == 0
-    assert schedule_asap(nl) == (2, 0)
-
-
 def test_append_refuses_classical_cz_on_unwritten_cbit():
     nl = Netlist()
     nl.alloc_register("a", 3, "input")
@@ -607,7 +711,7 @@ def test_cbits_written_by_expansion_count_as_written():
     nl = single_and_netlist()
     nl.append(UncomputeAnd(0, 1, 2))
     full = expand(nl)
-    assert full.cbit_count == 1 and full.written_cbits == {0}
+    assert full.cbit_count == 1 and full._written_cbits == {0}
     full.add_gate("ccz_classical", 0, 1, cbit=0)
     with pytest.raises(NetlistError, match="no earlier mx"):
         full.add_gate("ccz_classical", 0, 1, cbit=1)
@@ -623,26 +727,29 @@ def test_hand_built_mx_declares_its_cbit():
     assert "mx q[0] -> c[0];" in to_qasm(nl)
 
 
-def relabeled(netlist, perm):
-    """New netlist with wire i renamed to perm[i] (perm is a bijection)."""
+def relabeled(netlist, perm, swap=lambda k, op: op):
+    """New netlist, built through ``append``, with wire i renamed to
+    perm[i] (perm is a bijection) and op k replaced by ``swap(k, op)``
+    before it is renamed."""
     if sorted(perm) != list(range(netlist.wire_count)):
         raise NetlistError("relabeling must be a permutation of all wires")
     out = Netlist()
-    out.wire_count = netlist.wire_count
-    out.cbit_count = netlist.cbit_count
-    out.registers = {n: tuple(perm[w] for w in ws) for n, ws in netlist.registers.items()}
-    for op in netlist.gates:
+    out.new_wires(netlist.wire_count)
+    for _ in range(netlist.cbit_count):
+        out.new_cbit()
+    for name, ws in netlist.registers.items():
+        out.register_alias(name, (perm[w] for w in ws))
+    for k, op in enumerate(netlist.gates):
+        op = swap(k, op)
         if isinstance(op, Gate):
-            out.gates.append(Gate(op.kind, tuple(perm[w] for w in op.wires), op.cbit))
-        elif isinstance(op, LogicalAnd):
-            out.gates.append(LogicalAnd(perm[op.x], perm[op.y], perm[op.target]))
-        elif isinstance(op, UncomputeAnd):
-            out.gates.append(UncomputeAnd(perm[op.x], perm[op.y], perm[op.target]))
-        else:
-            out.gates.append(AddInPlace(
+            out.append(Gate(op.kind, tuple(perm[w] for w in op.wires), op.cbit))
+        elif isinstance(op, AddInPlace):
+            out.append(AddInPlace(
                 tuple(perm[w] for w in op.a_wires),
                 tuple(perm[w] for w in op.b_wires),
                 None if op.carry_out is None else perm[op.carry_out]))
+        else:
+            out.append(type(op)(perm[op.x], perm[op.y], perm[op.target]))
     return out
 
 
@@ -800,37 +907,21 @@ def _block_netlists():
     return [pytest.param(nl, id=name) for name, nl in cases]
 
 
-def _pattern_cbit_netlists():
-    """Netlists with a ``ccz_classical`` after the macros on the cbit of
-    an uncompute of their expansion, whose text names that cbit as the
-    text of the expansion does.  ``append`` refuses such a gate, as no
-    earlier primitive mx wrote its cbit, so each list is assigned, and
-    ``schedule_asap``, which records no layer for a pattern's cbit, is
-    not compared on them."""
-    cases = []
-    # cbit 2 is the one the second uncompute's mx writes once expanded, as
-    # cbit 0 is the hand-built mx's
+def test_append_refuses_a_classical_cz_on_a_cbit_only_expansion_writes():
+    # once expanded, the uncompute's mx writes cbit 1 (the hand-built
+    # mx's is 0), but no primitive mx of the macro netlist does, so no
+    # writer meets a read of a pattern's cbit
     nl = Netlist()
     a = nl.alloc_register("a", 5, "input")
     nl.add_gate("mx", a[4], cbit=0)
-    for _ in range(2):
-        t = nl.new_wire()
-        nl.append(LogicalAnd(a[0], a[1], t))
-        nl.append(UncomputeAnd(a[0], a[1], t))
-    nl.gates = [*nl.gates, Gate("ccz_classical", (a[2], a[3]), 2), Gate("t", (a[2],))]
-    cases.append(("expansion-cbit", nl))
-    # likewise for the cbit of an adder's second release cell: cbit 0 is
-    # the hand-built mx's, and the release run's cells take 1 and 2
-    nl = Netlist()
-    a = nl.alloc_register("a", 4, "input")
-    b = nl.alloc_register("b", 4, "input")
-    c = nl.alloc_register("c", 3, "input")
-    nl.add_gate("mx", c[2], cbit=0)
-    nl.append(AddInPlace(a, b, None))
-    nl.gates = [*nl.gates, Gate("ccz_classical", (c[0], c[1]), 2),
-                *[Gate("t", (c[0],))] * 3]
-    cases.append(("adder-expansion-cbit", nl))
-    return [pytest.param(nl, id=name) for name, nl in cases]
+    t = nl.new_wire()
+    nl.append(LogicalAnd(a[0], a[1], t))
+    nl.append(UncomputeAnd(a[0], a[1], t))
+    with pytest.raises(NetlistError, match="reads cbit 1, which no earlier mx wrote"):
+        nl.add_gate("ccz_classical", a[2], a[3], cbit=1)
+    full = expand(nl)
+    full.add_gate("ccz_classical", a[2], a[3], cbit=1)
+    assert schedule_asap(full) == (2, 4)
 
 
 def _first_difference(a: str, b: str):
@@ -844,7 +935,7 @@ def _first_difference(a: str, b: str):
     return i, a[lo:i + 60], b[lo:i + 60]
 
 
-@pytest.mark.parametrize("nl", _block_netlists() + _pattern_cbit_netlists()
+@pytest.mark.parametrize("nl", _block_netlists()
                          + [pytest.param(synthesize_squarer(n).netlist, id=f"squarer-{n}")
                             for n in [*range(5, 17), 40, 128]])
 def test_lowered_text_equals_text_of_expansion(nl):
@@ -881,9 +972,8 @@ def _replay_states(pattern):
     ``append`` takes reads a pattern's cbit."""
     wires = pattern.wires
     nl = Netlist()
-    nl.wire_count = wires
-    cols = nl.gates = GateColumns()
-    getattr(_ColumnWriter, pattern.name)(_ColumnWriter(nl), *range(wires))
+    nl.new_wires(wires)
+    cols = _lowered(getattr(_ColumnWriter, pattern.name), wires)
     # each gate as _lower hands it to an emitter's gate
     rows = [(kind, ws[0], ws[1] if len(ws) > 1 else -1, -1 if cbit is None else cbit)
             for kind, ws, cbit in cols]
@@ -922,9 +1012,11 @@ def _written(writer: str, write):
     (with the layer of that mx) from a start state with layers and open
     fan-outs on every wire, or the text."""
     nl = Netlist()
-    nl.wire_count, nl.cbit_count = 12, 3
+    nl.new_wires(12)
+    for _ in range(3):
+        nl.new_cbit()
     if writer == "columns":
-        nl.gates = GateColumns()
+        nl = expand(nl)
         em = _ColumnWriter(nl)
     elif writer == "depth":
         em = _depth_writer(nl, [w % 5 for w in range(12)],
@@ -963,7 +1055,8 @@ def test_run_equals_its_patterns_written_one_at_a_time(writer, pattern, k):
 def test_emitters_allocate_wires_as_ranges():
     # an adder's carries come from one call: the next k wire numbers
     nl = Netlist()
-    nl.wire_count, nl.gates = 12, GateColumns()
+    nl.new_wires(12)
+    nl = expand(nl)
     columns, depth, text = _ColumnWriter(nl), _DepthWriter(nl), _TextWriter(nl, "qasm")
     for em in columns, depth, text:
         assert [em.new_wires(k) for k in (0, 3, 2)] == [range(12, 12), range(12, 15),

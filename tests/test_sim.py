@@ -3,15 +3,14 @@
 import itertools
 import json
 import random
-import re
 
 import pytest
 
 from qsquare import cli, sim
 from qsquare.blocks import build_adder_in_place, build_logical_and
 from qsquare.ir import (
-    PATTERNS, AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _ColumnWriter, _lowered,
-    expand)
+    PATTERNS, AddInPlace, Gate, LogicalAnd, Netlist, NetlistError, UncomputeAnd, _ColumnWriter,
+    _lowered, expand)
 from qsquare.sim import (
     MAX_TERMS,
     NonClassicalGateError,
@@ -31,6 +30,16 @@ from planes import ints_of, pack_wires, planes_of
 
 ONE = (1, 0, 0, 0)
 T_STATE = {0: ONE, 1: (0, 1, 0, 0)}  # (|0> + ω|1>)/√2: k = 1, as its norms sum to 2
+
+
+def _rebuilt(wires, gates):
+    """A netlist over ``wires`` wires that holds ``gates``, each taken
+    through ``append``."""
+    nl = Netlist()
+    nl.new_wires(wires)
+    for g in gates:
+        nl.append(g)
+    return nl
 
 
 # ---- basis engine ------------------------------------------------------------
@@ -69,16 +78,15 @@ class _SubAnd(LogicalAnd):
 @pytest.mark.parametrize("op", [("cx", (0, 1), None), "x", _SubAnd(0, 1, 2)],
                          ids=["plain-tuple", "string", "subclass"])
 def test_basis_refuses_an_op_of_no_known_type(op):
-    # append refuses each of these, so the list is assigned, as a
-    # mutant's is; the sweep must neither skip the op nor take it as
-    # the type it resembles
+    # append refuses each of these, and no other call can put one into a
+    # netlist, so the sweep, which dispatches on the four types alone,
+    # never takes one as the type it resembles
     nl = Netlist()
     nl.alloc_register("a", 3, "input")
-    nl.gates = [Gate("x", (2,)), op]
-    with pytest.raises(SimulationError) as err:
-        run_basis_sweep(nl, {0: 1}, 1)
-    assert type(err.value) is SimulationError
-    assert str(err.value) == f"cannot simulate {op!r} at gate 1"
+    nl.add_gate("x", 2)
+    with pytest.raises(NetlistError, match="^not a gate or macro op: "):
+        nl.append(op)
+    assert run_basis_sweep(nl, {0: 1}, 1).wires == {0: 1, 1: 0, 2: 1}
 
 
 def test_basis_prep0_on_dirty_wire_rejected():
@@ -412,15 +420,6 @@ def test_statevector_refuses_non_dyadic_measurement():
             run_statevector(nl, branch=policy)
 
 
-def test_statevector_refuses_a_cbit_no_mx_wrote():
-    # append refuses this gate, so the list is assigned, as a mutant's is
-    nl = Netlist()
-    nl.alloc_register("xy", 2, "input")
-    nl.gates = [Gate("ccz_classical", (0, 1), 0)]
-    with pytest.raises(SimulationError, match="cbit 0, which no mx wrote"):
-        run_statevector(nl, initial={0: 1, 1: 1})
-
-
 def test_statevector_measurement_probabilities_are_exact():
     nl = Netlist()
     nl.alloc_register("a", 1, "input")
@@ -468,8 +467,7 @@ def test_verify_equivalence_flags_corruption():
     macro = lower_adders(nl)
     victim = next(i for i, g in enumerate(macro.gates)
                   if isinstance(g, Gate) and g.kind == "cx")
-    del macro.gates[victim]
-    rep = verify_equivalence(nl, expand(macro), a + b)
+    rep = verify_equivalence(nl, expand(macro.without(victim)), a + b)
     assert rep["inputs_checked"] == 64
     # the dropped CNOT feeds carry c_1 = a_0 b_0 forward: exactly the 16
     # inputs with a_0 = b_0 = 1 go wrong, and each reports what it got,
@@ -489,13 +487,11 @@ def test_verify_equivalence_flags_corruption():
 
 def test_every_dropped_cnot_of_the_adder_is_caught():
     nl, a, b, _ = _adder_m3()
-    gates = list(expand(nl).gates)
-    drops = [k for k, g in enumerate(gates) if g.kind == "cx"]
+    full = expand(nl)
+    drops = [k for k, g in enumerate(full.gates) if g.kind == "cx"]
     assert len(drops) == 30
     for k in drops:
-        mutant = expand(nl)
-        mutant.gates = gates[:k] + gates[k + 1:]
-        assert verify_equivalence(nl, mutant, a + b)["mismatches"], k
+        assert verify_equivalence(nl, full.without(k), a + b)["mismatches"], k
 
 
 _R = 0.5 ** 0.5
@@ -542,24 +538,33 @@ def test_tagged_run_reports_as_the_per_input_runs(monkeypatch):
     # only accept what each input's own run accepts, and where it cannot
     # decide, the per-input runs write the same report as ever
     calls = _counting_runs(monkeypatch)
-    mutants, fell_back = 0, []
+    mutants, refused, fell_back = 0, [], []
     for name, build, *args in cli._BLOCKS:
         nl = Netlist()
         inputs = build(nl, *args)
         calls.clear()
-        assert verify_equivalence(nl, expand(nl), inputs)["mismatches"] == []
+        full = expand(nl)
+        assert verify_equivalence(nl, full, inputs)["mismatches"] == []
         assert calls == [], name  # the intact block needs no per-input run
-        gates = list(expand(nl).gates)
-        for k in range(len(gates)):
-            mutant = expand(nl)
-            mutant.gates = gates[:k] + gates[k + 1:]
+        for k, gate in enumerate(full.gates):
+            mutants += 1
+            try:
+                mutant = full.without(k)
+            except NetlistError:  # caught: no netlist can hold this mutant
+                refused.append((name, k, gate.kind))
+                continue
             calls.clear()
             rep = verify_equivalence(nl, mutant, inputs)
             assert rep == _per_input_report(nl, mutant, inputs), (name, k)
             if calls and not rep["mismatches"]:
-                fell_back.append((name, k, gates[k]))
-            mutants += 1
+                fell_back.append((name, k, gate))
     assert mutants == 184
+    # the mx of each uncompute, whose ccz_classical would read a cbit
+    # that no mx wrote
+    assert refused == [("and-uncompute", 14, "mx"), ("adder-m2-carry", 33, "mx"),
+                       ("adder-m2-modular", 16, "mx"), ("adder-m3-carry", 51, "mx"),
+                       ("adder-m3-carry", 55, "mx"), ("adder-m3-modular", 34, "mx"),
+                       ("adder-m3-modular", 38, "mx")]
     # without cx x,t or cx y,t, each input still ends exactly in its
     # basis state, but not all at one constant: only the per-input runs
     # can certify these two
@@ -585,25 +590,32 @@ def test_tagged_run_past_the_term_budget_falls_back(monkeypatch, m):
 
 
 @pytest.mark.parametrize("op, message", [
-    (Gate("x", (1,)), "gate 0 (x) names wire 1, not one of the netlist's 1 wires"),
-    (Gate("x", (-1,)), "gate 0 (x) names wire -1, not one of the netlist's 1 wires"),
-    (("x", (0,), None), "statevector mode needs a fully expanded netlist"),
-    (LogicalAnd(0, 0, 0), "statevector mode needs a fully expanded netlist"),
+    (Gate("x", (1,)), r"wire 1 not allocated \(have 1\)"),
+    (Gate("x", (-1,)), r"wire -1 not allocated \(have 1\)"),
+    (("x", (0,), None), r"not a gate or macro op: \('x', \(0,\), None\)"),
+    (LogicalAnd(0, 1, 2), None),
 ], ids=["wire-past-the-netlist", "negative-wire", "plain-tuple", "macro"])
 def test_statevector_refuses_what_it_cannot_run(op, message):
-    # an assigned gate list may hold what Netlist.append refuses: a wire
-    # past the netlist would hold a tag bit in the tagged run, a negative
-    # one is a negative shift, and neither the tagged run nor an input's
-    # own run may certify or crash on them; each input's report holds
-    # the error
+    # append refuses a wire outside the netlist and an op of no known
+    # type, so no expansion holds one; a macro enters only a netlist that
+    # is not expanded, where neither the tagged run nor an input's own
+    # run may certify or crash on it, and each input's report holds the
+    # error
     macro = Netlist()
     (x,) = macro.alloc_register("x", 1, "input")
     full = expand(macro)
-    full.gates = [op]
-    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
-        run_statevector(full)
-    rep = verify_equivalence(macro, full, (x,))
-    assert rep == _per_input_report(macro, full, (x,))
+    if message is not None:
+        with pytest.raises(NetlistError, match=f"^{message}$"):
+            full.append(op)
+        assert verify_equivalence(macro, full, (x,))["mismatches"] == []
+        return
+    macro.new_wires(2)
+    macro.append(op)
+    message = "statevector mode needs a fully expanded netlist"
+    with pytest.raises(SimulationError, match=f"^{message}$"):
+        run_statevector(macro)
+    rep = verify_equivalence(macro, macro, (x,))
+    assert rep == _per_input_report(macro, macro, (x,))
     assert [m["got"] for m in rep["mismatches"]] == [f"SimulationError: {message}"] * 2
 
 
@@ -641,8 +653,7 @@ def test_verify_equivalence_sees_phase():
     full = expand(nl)
 
     assert not verify_equivalence(nl, full, (x, y))["mismatches"]
-    no_fix = expand(nl)
-    no_fix.gates = [g for g in no_fix.gates if g.kind != "ccz_classical"]
+    no_fix = _rebuilt(full.wire_count, (g for g in full.gates if g.kind != "ccz_classical"))
     rep = verify_equivalence(nl, no_fix, (x, y))
     sx, sy, st = map(str, (x, y, t))  # the report keys wires as its JSON does
     assert [m["input"] for m in rep["mismatches"]] == [{sx: 1, sy: 1}]
@@ -658,10 +669,7 @@ def test_verify_equivalence_sees_phase():
 def _pattern_netlist(pattern):
     """The netlist the pattern's definition, a ``_ColumnWriter`` method,
     writes over its wires 0, 1, ..."""
-    nl = Netlist()
-    nl.wire_count = pattern.wires
-    nl.gates = _lowered(getattr(_ColumnWriter, pattern.name), pattern.wires)
-    return nl
+    return _rebuilt(pattern.wires, _lowered(getattr(_ColumnWriter, pattern.name), pattern.wires))
 
 
 # per pattern: each basis input that meets its precondition (a fresh AND
@@ -709,14 +717,12 @@ def test_every_dropped_gate_of_the_and_block_is_caught():
     # the prep0 of a fresh ancilla is the one gate whose loss changes
     # nothing; every other drop is reported, a superposition among them
     nl, x, y, t = _and_block()
-    gates = list(expand(nl).gates)
+    full = expand(nl)
     survivors, got = [], set()
-    for k in range(len(gates)):
-        mutant = expand(nl)
-        mutant.gates = gates[:k] + gates[k + 1:]
-        rep = verify_equivalence(nl, mutant, (x, y))
+    for k, gate in enumerate(full.gates):
+        rep = verify_equivalence(nl, full.without(k), (x, y))
         if not rep["mismatches"]:
-            survivors.append(gates[k].kind)
+            survivors.append(gate.kind)
         got.update(m["got"] for m in rep["mismatches"] if type(m["got"]) is str)
     assert survivors == ["prep0"]
     assert "SimulationError: state is not a computational basis vector" in got
@@ -727,8 +733,9 @@ def test_s_to_sdg_swap_leaves_amplitude_minus_one(with_uncompute):
     nl, x, y, t = _and_block()
     if with_uncompute:
         nl.append(UncomputeAnd(x, y, t))
-    swapped = expand(nl)
-    swapped.gates = [g._replace(kind="sdg") if g.kind == "s" else g for g in swapped.gates]
+    full = expand(nl)
+    swapped = _rebuilt(full.wire_count, (g._replace(kind="sdg") if g.kind == "s" else g
+                                         for g in full.gates))
     (mask,) = basis_state({x: 1, y: 1, t: int(not with_uncompute)})
     for br in run_statevector(swapped, initial={x: 1, y: 1}):
         assert br.state == {mask: (-1, 0, 0, 0)}
