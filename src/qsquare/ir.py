@@ -61,13 +61,13 @@ writes a run of one pattern.  Three emitters read the walk:
   list of each gate's kind beside list columns of its wires and cbit,
   a run of patterns by slice assignment, with no ``Gate`` built.
 - ``schedule_asap`` (T- and CNOT-depth) layers the gates with no
-  columns built, each pattern of a run in one closed-form max-plus
-  step, so the depths of a macro netlist equal those of its expansion.
+  columns built, a run of patterns in one loop compiled from their
+  gates, so the depths of a macro netlist equal those of its expansion.
 - ``to_json`` and ``to_qasm`` write the text of the expansion, a run of
   one pattern as one ``"".join`` of the pattern's skeleton.
 
 Every other reader, ``sim`` included, takes an expansion as the ``Gate``
-tuples it iterates; only ``count_gates``, ``_cell_columns``,
+tuples it iterates; only ``count_gates``, ``_cell_columns``, ``_derive_step``,
 ``_ColumnWriter`` and ``GateColumns`` itself touch the columns.
 ``Netlist.measure`` never expands the whole netlist: its counts add up
 per op, at each op shape's cost (``_shape_cost``).  Every transformation
@@ -267,10 +267,9 @@ class GateColumns(_Sealed):
         return map(_row_gate, list.__iter__(self), self.w0, self.w1, self.cbit)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        return _row_gate(list.__getitem__(self, index), self.w0[index],
-                         self.w1[index], self.cbit[index])
+        rows = list.__getitem__(self, index), self.w0[index], self.w1[index], self.cbit[index]
+        # a slice builds the gates of only the rows it keeps
+        return [*map(_row_gate, *rows)] if isinstance(index, slice) else _row_gate(*rows)
 
     def __eq__(self, other):
         if isinstance(other, GateColumns):
@@ -740,8 +739,8 @@ class _DepthWriter:
     """ASAP layering of the gates written to it.
 
     It is the emitter ``schedule_asap`` passes to ``_lower``: ``gate``
-    layers one primitive, and ``run`` layers each pattern of a run in its
-    pattern's ``step``, one closed form hand-derived from its gates.
+    layers one primitive, and ``run`` layers a run of a pattern in its
+    pattern's ``step``, ``gate``'s rules compiled for its gates.
     ``meas`` holds the layer of each primitive ``mx``, by cbit, for the
     ``ccz_classical`` that reads it, which ``Netlist.append`` took only
     after that ``mx``.  A step records no layer for its
@@ -806,74 +805,7 @@ class _DepthWriter:
         grow = bytes(len(pattern.columns[0]) * len(columns[0]))
         self.t_marks += grow
         self.cnot_marks += grow
-        pattern.step(self, *columns)
-
-    def _and_step(self, xs, ys, ts) -> None:
-        # each AND: h, t on the target, then cx x->t and cx y->t, each
-        # joining an open fan-out of its control when it can; every later
-        # gate of the pattern sits a fixed number of layers after the
-        # second cx
-        last, open_ = self.last, self.open
-        t_marks, cnot_marks = self.t_marks, self.cnot_marks
-        for x, y, t in zip(xs, ys, ts):
-            l2 = last[t] + 2
-            j, lx = open_[x], last[x]
-            l3 = j if j and l2 < j else (lx if lx > l2 else l2) + 1
-            j, ly = open_[y], last[y]
-            l4 = j if j and l3 < j else (ly if ly > l3 else l3) + 1
-            l5 = l4 + 1
-            t_marks[l2] = t_marks[l5 + 1] = 1
-            cnot_marks[l3] = cnot_marks[l4] = cnot_marks[l5] = cnot_marks[l5 + 2] = 1
-            last[x] = last[y] = l5 + 2
-            last[t] = l5 + 4
-            open_[x] = open_[y] = open_[t] = 0
-
-    def _unand_step(self, xs, ys, ts) -> None:
-        # each uncompute: mx on the target, then ccz_classical on (x, y)
-        # after its outcome
-        last, open_ = self.last, self.open
-        for x, y, t in zip(xs, ys, ts):
-            m = last[t] = last[t] + 1
-            last[x] = last[y] = max(last[x], last[y], m) + 1
-            open_[x] = open_[y] = open_[t] = 0
-
-    def _carry_step(self, ws, xs, ys, ts) -> None:
-        # cx w->x, then cx w->y joining that fan-out when it can, the AND
-        # on (x, y, t), whose CNOTs from x and y cannot join (both were
-        # just targets), and cx w->t; every layer from the AND's second
-        # CNOT on sits a fixed number of layers after it
-        last, open_ = self.last, self.open
-        t_marks, cnot_marks = self.t_marks, self.cnot_marks
-        for w, x, y, t in zip(ws, xs, ys, ts):
-            j, lw, lx = open_[w], last[w], last[x]
-            l1 = j if j and lx < j else (lw if lw > lx else lx) + 1
-            ly = last[y]
-            l2 = l1 if ly < l1 else ly + 1
-            lt = last[t] + 2  # the AND's first T, on t
-            l3 = (l1 if l1 > lt else lt) + 1
-            l4 = (l2 if l2 > l3 else l3) + 1
-            t_marks[lt] = t_marks[l4 + 2] = 1
-            cnot_marks[l1] = cnot_marks[l2] = cnot_marks[l3] = cnot_marks[l4] = 1
-            cnot_marks[l4 + 1] = cnot_marks[l4 + 3] = cnot_marks[l4 + 6] = 1
-            last[x] = last[y] = l4 + 3
-            last[w] = last[t] = open_[w] = l4 + 6
-            open_[x] = open_[y] = open_[t] = 0
-
-    def _release_step(self, ws, xs, ys, ts) -> None:
-        # cx w->t, joining an open fan-out of w when it can, the
-        # uncompute's mx on t and ccz_classical on (x, y), then cx w->x
-        # and cx x->y, each one layer after the other
-        last, open_ = self.last, self.open
-        cnot_marks = self.cnot_marks
-        for w, x, y, t in zip(ws, xs, ys, ts):
-            j, lw, lt = open_[w], last[w], last[t]
-            l1 = j if j and lt < j else (lw if lw > lt else lt) + 1
-            last[t] = l1 + 1
-            l2 = max(last[x], last[y], l1 + 1) + 1
-            cnot_marks[l1] = cnot_marks[l2 + 1] = cnot_marks[l2 + 2] = 1
-            last[w] = open_[w] = l2 + 1
-            last[x] = last[y] = open_[x] = l2 + 2
-            open_[y] = open_[t] = 0
+        pattern.step(self.last, self.open, self.t_marks, self.cnot_marks, *columns)
 
 
 def schedule_asap(netlist: Netlist) -> tuple[int, int]:
@@ -891,8 +823,8 @@ def schedule_asap(netlist: Netlist) -> tuple[int, int]:
 
     Primitives are layered gate by gate.  Macros are layered as they
     lower, with no gate columns built: each AND, uncompute or ripple cell
-    of a run in one closed-form step (``_DepthWriter``).  The result
-    equals ``schedule_asap(expand(netlist))``.
+    of a run in one pass of a step compiled from its gates
+    (``_derive_step``).  The result equals ``schedule_asap(expand(netlist))``.
     """
     em = _lower(netlist, _DepthWriter(netlist))
     return em.t_marks.count(1), em.cnot_marks.count(1)
@@ -953,6 +885,82 @@ def _skeleton(line: dict, sep: str, cols: GateColumns, wires: int):
     return unit, fields, literals[-1]
 
 
+def _derive_step(cols: GateColumns, wires: int):
+    """The ``_DepthWriter`` step of the pattern whose gates ``cols`` holds
+    over wires 0..wires-1, as ``_lowered`` writes it: ``gate``'s rules
+    replayed once over symbolic layers, compiled into one loop over a run.
+
+    A layer is a (local, offset) pair; wire i starts at the locals ``l<i>``
+    and ``o<i>``, read from its ``last`` and ``open``.  ``above`` holds
+    each local's (m, d) pairs, local m it is known to reach with d added,
+    so every max and fan-out join those bounds decide folds into an
+    offset, and only an undecided one becomes a new local."""
+    start = {(f"{table[0]}{i}", 0): f"{table}[w{i}]" for table in ("last", "open_")
+             for i in range(wires)}
+    last, open_ = [*start][:wires], [*start][wires:]
+    above = {name: [(name, 0)] for name, _ in start}
+    meas, marks, body, used = {}, [], [], set()
+
+    def text(v):
+        used.add(v[0])
+        return v[0] if v[1] == 0 else f"{v[0]} + {v[1]}"
+
+    def reaches(u, v, by=0):  # u >= v + by is known
+        return any(d + u[1] >= v[1] + by for m, d in above[u[0]] if m == v[0])
+
+    def new(expr, *floors):  # a local set to expr, known to reach each floor
+        name = f"v{len(above)}"
+        above[name] = [(name, 0), *((m, d + k) for base, k in floors for m, d in above[base])]
+        body.append(f"{name} = {expr}")
+        return name, 0
+
+    def after(*vals):  # the layer max(vals) + 1, over the values no other is known to reach
+        vals = [v for v in dict.fromkeys(vals) if not any(u != v and reaches(u, v) for u in vals)]
+        if len(vals) == 1:
+            return vals[0][0], vals[0][1] + 1
+        a, b, *more = map(text, vals)
+        return new(f"max({', '.join([a, b, *more])}) + 1" if more else
+                   f"({a} if {a} > {b} else {b}) + 1", *[(base, k + 1) for base, k in vals])
+
+    for kind, a, b, cbit in zip(list.__iter__(cols), cols.w0, cols.w1, cols.cbit):
+        if kind == "cx":
+            j, la, lb = open_[a], last[a], last[b]
+            if j is None or reaches(lb, j):  # no fan-out to join
+                layer = after(la, lb)
+            elif reaches(j, lb, 1):
+                layer = j
+            else:  # undecided: j is la unless it is a's start open, which may be 0
+                alt = after(lb) if j == la else after(la, lb)
+                test = f"{text(j)} and " if j in start else ""
+                layer = new(f"{text(j)} if {test}{text(lb)} < {text(j)} else {text(alt)}",
+                            (lb[0], lb[1] + 1), j)
+            last[a] = last[b] = open_[a] = layer
+            open_[b] = None
+            marks.append(("cnot_marks", layer))
+        elif b >= 0:  # cz, ccz_classical
+            layer = last[a] = last[b] = after(last[a], last[b], *(
+                [meas[cbit]] if kind == "ccz_classical" else []))
+            open_[a] = open_[b] = None
+        elif kind != "prep0":  # a one-wire gate; prep0 takes no layer
+            layer = last[a] = last[a][0], last[a][1] + 1
+            open_[a] = None
+            if kind in _T_KINDS:
+                marks.append(("t_marks", layer))
+            elif kind == "mx":
+                meas[cbit] = layer
+    # each right-hand side written once, for all the slots it goes to
+    writes = {"1": [f"{array}[{text(v)}]" for array, v in dict.fromkeys(marks)]}
+    for (v0, slot), v in zip(start.items(), last + open_):
+        if v != v0:
+            writes.setdefault("0" if v is None else text(v), []).append(slot)
+    lines = [*(f"{name} = {slot}" for (name, _), slot in start.items() if name in used), *body,
+             *(" = ".join([*targets, value]) for value, targets in writes.items() if targets)]
+    exec(f"def step(last, open_, t_marks, cnot_marks, *columns):\n"
+         f"    for {', '.join(f'w{i}' for i in range(wires))} in zip(*columns):\n"
+         + "".join(f"        {line}\n" for line in lines), scope := {})
+    return scope["step"]
+
+
 class _Pattern(NamedTuple):
     """One lowered gate pattern, as each emitter's ``run`` writes a run
     of it, derived at import from its one definition: the
@@ -961,8 +969,8 @@ class _Pattern(NamedTuple):
     ``columns`` is its column template (``_cell_columns``), ``json`` and
     ``qasm`` its text skeletons (``_skeleton``), ``cbit`` whether each
     pattern takes a fresh cbit (the template fills the cbit column), and
-    ``step`` the ``_DepthWriter`` method that layers a run of it, one
-    closed form per pattern that the tests replay against its gates."""
+    ``step`` the function ``_DepthWriter.run`` calls to layer a run of
+    it on its layers and marks (``_derive_step``)."""
 
     name: str
     wires: int
@@ -973,19 +981,20 @@ class _Pattern(NamedTuple):
     step: Callable
 
 
-def _pattern(lower, wires: int, step) -> _Pattern:
-    """The pattern ``lower`` writes over ``wires`` wires, layered by
-    ``step``, its template and skeletons all read off one lowering."""
+def _pattern(lower, wires: int) -> _Pattern:
+    """The pattern ``lower`` writes over ``wires`` wires, its template,
+    skeletons and depth step all read off one lowering."""
     cols = _lowered(lower, wires)
     columns = _cell_columns(cols)
     return _Pattern(lower.__name__, wires, columns, _skeleton(_JSON_GATE, ",", cols, wires),
-                    _skeleton(_QASM_LINE, "\n", cols, wires), bool(columns[1][2]), step)
+                    _skeleton(_QASM_LINE, "\n", cols, wires), bool(columns[1][2]),
+                    _derive_step(cols, wires))
 
 
-AND = _pattern(_ColumnWriter.logical_and, 3, _DepthWriter._and_step)
-UNAND = _pattern(_ColumnWriter.uncompute_and, 3, _DepthWriter._unand_step)
-CARRY = _pattern(_ColumnWriter.carry_cell, 4, _DepthWriter._carry_step)
-RELEASE = _pattern(_ColumnWriter.release_cell, 4, _DepthWriter._release_step)
+AND = _pattern(_ColumnWriter.logical_and, 3)
+UNAND = _pattern(_ColumnWriter.uncompute_and, 3)
+CARRY = _pattern(_ColumnWriter.carry_cell, 4)
+RELEASE = _pattern(_ColumnWriter.release_cell, 4)
 PATTERNS = (AND, UNAND, CARRY, RELEASE)
 
 

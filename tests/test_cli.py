@@ -50,7 +50,7 @@ def _and_without_its_final_h(em, x, y, t):
         em.gate(kind, wires[ws[0]], wires[ws[1]] if len(ws) > 1 else -1, -1)
 
 
-_BROKEN_AND = ir._pattern(_and_without_its_final_h, 3, ir._DepthWriter._and_step)
+_BROKEN_AND = ir._pattern(_and_without_its_final_h, 3)
 
 
 def run(argv, capsys):

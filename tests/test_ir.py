@@ -4,6 +4,7 @@ import collections
 import itertools
 import json
 import pickle
+import random
 import re
 
 import pytest
@@ -345,7 +346,14 @@ def test_gate_columns_read_as_gates_and_refuse_mutation():
     assert all(type(g) is Gate for g in gates)
     assert cols[0] == Gate("prep0", (2,)) and cols[3] == Gate("cx", (0, 2))
     assert cols[-1] == Gate("ccz_classical", (0, 1), 0) == gates[-1]
-    assert cols[-2:] == gates[-2:] and cols[::-1] == gates[::-1]
+    # a slice is a plain list of the kept rows' gates: steps either way,
+    # empty and out-of-range slices included
+    for index in (slice(-2, None), slice(None, None, -1), slice(1, 12, 3), slice(-1, -12, -4),
+                  slice(None, None, -5), slice(5, 5), slice(9, 2), slice(20, 30),
+                  slice(-40, 3), slice(3, -40, -1)):
+        part = cols[index]
+        assert type(part) is list and part == gates[index], index
+        assert all(type(g) is Gate for g in part)
     assert cols == gates and gates == cols and not cols != gates
     # an op enters only through Netlist.append, which writes every column
     full.add_gate("z", 1)
@@ -962,22 +970,21 @@ def _depth_writer(nl: Netlist, last, open_) -> _DepthWriter:
     return em
 
 
-def _replay_states(pattern):
+def _replay_states(pattern, define, values):
     """Yield, for every start state with layers and open fan-outs in
-    0..4 on the pattern's wires, that state and the (marked T and CNOT
-    layers, final state) of the gates its definition writes on those
-    wires, replayed through ``_DepthWriter.gate``, next to those of its
-    closed-form ``step``, run on a run of one.  The layer ``gate`` records
-    for the pattern's own mx is left out: a step records none, as no gate
-    ``append`` takes reads a pattern's cbit."""
+    ``values`` on the pattern's wires, that state and the (marked T and
+    CNOT layers, final state) of the gates ``define``, the pattern's
+    definition, writes on those wires, replayed through
+    ``_DepthWriter.gate``, next to those of the pattern's ``step``, run
+    on a run of one.  The layer ``gate`` records for the pattern's own
+    mx is left out: a step records none, as no gate ``append`` takes
+    reads a pattern's cbit."""
     wires = pattern.wires
     nl = Netlist()
     nl.new_wires(wires)
-    cols = _lowered(getattr(_ColumnWriter, pattern.name), wires)
     # each gate as _lower hands it to an emitter's gate
     rows = [(kind, ws[0], ws[1] if len(ws) > 1 else -1, -1 if cbit is None else cbit)
-            for kind, ws, cbit in cols]
-    values = range(5)
+            for kind, ws, cbit in _lowered(define, wires)]
     for last in itertools.product(values, repeat=wires):
         for open_ in itertools.product(values, repeat=wires):
             replayed, template = _depth_writer(nl, last, open_), _depth_writer(nl, last, open_)
@@ -988,20 +995,72 @@ def _replay_states(pattern):
                                    em.open) for em in (replayed, template)]
 
 
-@pytest.mark.parametrize("pattern", [p for p in PATTERNS if p.wires == 3],
-                         ids=lambda p: p.name)
-def test_macro_depth_template_equals_its_gates(pattern):
+def _random_definition(seed: int):
+    """(definition, wires) of a pattern of 3 or 4 wires drawn by ``seed``,
+    the definition written through ``gate`` as a ``_ColumnWriter``
+    method writes its pattern: cx either way round, cz and one-wire
+    gates, maybe a prep0 on a wire no earlier gate touched, and maybe
+    one mx on the cbit the pattern takes, which a later ccz_classical
+    reads."""
+    rng = random.Random(seed)
+    wires = rng.choice((3, 4))
+    gates = []
+    for _ in range(rng.randint(4, 12)):
+        kind = rng.choice(("cx", "cx", "cx", "cz", "h", "s", "t", "tdg", "x"))
+        a, b = rng.sample(range(wires), 2)
+        if kind == "cx" and gates and gates[-1][0] == "cx" and rng.random() < 0.5:
+            # a fan-out: the control of the cx before, another target
+            a, b = gates[-1][1], rng.choice([w for w in range(wires) if w != gates[-1][1]])
+        gates.append((kind, a, b if kind in ("cx", "cz") else -1))
+    measured = rng.random() < 0.5
+    if measured:
+        # as in the uncompute, the ccz_classical acts on two other wires
+        at = rng.randint(0, len(gates))
+        then = rng.randint(at, len(gates))
+        m = rng.randrange(wires)
+        gates.insert(then, ("ccz_classical", *rng.sample([w for w in range(wires) if w != m], 2)))
+        gates.insert(at, ("mx", m, -1))
+    if rng.random() < 0.5:
+        w = rng.randrange(wires)
+        first = next((i for i, (_, a, b) in enumerate(gates) if w in (a, b)), len(gates))
+        gates.insert(rng.randint(0, first), ("prep0", w, -1))
+
+    def define(em, *ws):
+        cbit = em._out.new_cbit() if measured else -1
+        for kind, a, b in gates:
+            em.gate(kind, ws[a], ws[b] if b >= 0 else -1,
+                    cbit if kind in ("mx", "ccz_classical") else -1)
+    return define, wires
+
+
+def _replay_cases(wires: int):
+    """The patterns of ``wires`` wires, each with its definition and the
+    start values its replay takes: each of ``PATTERNS`` on 0..4, and the
+    seeded random patterns of that many wires on 0..2."""
+    defined = ((ir.AND, _ColumnWriter.logical_and), (ir.UNAND, _ColumnWriter.uncompute_and),
+               (ir.CARRY, _ColumnWriter.carry_cell), (ir.RELEASE, _ColumnWriter.release_cell))
+    cases = [pytest.param(pattern, define, range(5), id=pattern.name)
+             for pattern, define in defined if pattern.wires == wires]
+    for seed in range(20):
+        define, width = _random_definition(seed)
+        if width == wires:
+            cases.append(pytest.param(ir._pattern(define, width), define, range(3),
+                                      id=f"random-{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("pattern, define, values", _replay_cases(3))
+def test_macro_depth_template_equals_its_gates(pattern, define, values):
     # one macro of a run, as _lower hands a lone AND or uncompute over;
     # the three wires' fan-outs in 0..4 take each fan-out join both ways
-    for state, (replayed, template) in _replay_states(pattern):
+    for state, (replayed, template) in _replay_states(pattern, define, values):
         assert template == replayed, state
 
 
-@pytest.mark.parametrize("pattern", [p for p in PATTERNS if p.wires > 3],
-                         ids=lambda p: p.name)
-def test_cell_depth_step_equals_its_gates(pattern):
+@pytest.mark.parametrize("pattern, define, values", _replay_cases(4))
+def test_cell_depth_step_equals_its_gates(pattern, define, values):
     # one cell of a run, as blocks.lower_add_in_place hands it over
-    for state, (replayed, template) in _replay_states(pattern):
+    for state, (replayed, template) in _replay_states(pattern, define, values):
         assert template == replayed, state
 
 
