@@ -19,23 +19,24 @@ imports ``sim`` and ``compare`` imports ``costs``, so ``synth`` loads
 neither, ``verify`` never loads ``costs`` and ``compare`` never loads
 ``sim``.
 
-``synth`` and ``verify`` build each width's squarer once per process,
-and ``verify`` the input and expected-square planes its basis sweep
-checks against: they are pure functions of n, and a process that runs
-many commands (a library caller of ``main``, say) would otherwise
-rebuild them for each.  Sharing them is safe because nothing can change
-them: a netlist's ops and header are read-only (see ``ir``), so
-``_drop_gate`` builds a new netlist (``Netlist.without``), and the
-planes are kept as tuples.  The squarer cache keeps the 13
-widths used last: the 12 of ``BASIS_RANGE`` plus one, so a ``synth``
-between two ``verify 5..16`` evicts no verified width; a 128-bit
-circuit holds about 3.3 MB.  The planes are cached only for verified
-widths, so for at most 12.  ``compare`` builds each width once per
-command and keeps no circuit: holding the circuits of a long sweep would
-only raise its peak memory.  Its measurement shares ``ir``'s cache of
-macro shape costs, one 3-tuple per shape for the process (122 after
-``compare 5..64 --measured``), so a second sweep expands no adder to
-count it.
+``synth --format grid`` writes ``layout.arrange(n)`` and builds no
+squarer.  ``synth`` to JSON or QASM and ``verify`` build each width's
+squarer once per process, and ``verify`` the input and expected-square
+planes its basis sweep checks against: they are pure functions of n,
+and a process that runs many commands (a library caller of ``main``,
+say) would otherwise rebuild them for each.  Sharing them is safe
+because nothing can change them: a netlist's ops and header are
+read-only (see ``ir``), so ``_drop_gate`` builds a new netlist
+(``Netlist.without``), and the planes are kept as tuples.  The squarer
+cache keeps the 13 widths used last: the 12 of ``BASIS_RANGE`` plus
+one, so a ``synth`` between two ``verify 5..16`` evicts no verified
+width; a 128-bit circuit holds about 3.3 MB.  The planes are cached
+only for verified widths, so for at most 12.  ``compare`` builds each
+width once per command and keeps no circuit: holding the circuits of a
+long sweep would only raise its peak memory.  Its measurement shares
+``ir``'s cache of macro shape costs, one 3-tuple per shape for the
+process (122 after ``compare 5..64 --measured``), so a second sweep
+expands no adder to count it.
 
 ``main`` suspends CPython's cyclic garbage collector while a command
 runs, and turns it back on afterwards only if it was on when ``main``
@@ -64,7 +65,7 @@ import sys
 
 from . import blocks
 from .ir import Netlist, expand, to_json, to_qasm
-from .layout import dump_grid
+from .layout import arrange, dump_grid
 from .synth import SquarerCircuit, synthesize_squarer
 
 EXIT_OK = 0
@@ -115,13 +116,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     n = _parse_n(args.n)
     if args.expanded and args.format == "grid":
         raise _UsageError("--expanded lowers the netlist, which --format grid does not write")
-    circuit = _squarer(n)
-    if args.format == "grid":
-        _write(args.out, dump_grid(circuit.grid))
+    if args.format == "grid":  # the layout alone, no circuit
+        _write(args.out, dump_grid(arrange(n)))
     elif args.format == "json":
-        _write(args.out, to_json(circuit.netlist, lower=args.expanded))
+        _write(args.out, to_json(_squarer(n).netlist, lower=args.expanded))
     else:  # qasm, always of the expansion
-        _write(args.out, to_qasm(circuit.netlist))
+        _write(args.out, to_qasm(_squarer(n).netlist))
     return EXIT_OK
 
 

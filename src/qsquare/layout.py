@@ -10,18 +10,16 @@ wide for k >= 2, and cells not holding a term are zero pads.
 Column c of rows T_0/T_1 carries weight 2^(c+2); column c of row T_k (k >= 2)
 carries weight 2^(2k+c).  ``grid_value`` evaluates the whole grid under that
 weighting and must reproduce a^2 exactly for every input; the exhaustive test
-of that identity is the correctness contract for the placement rules.
+of that identity is the correctness contract for the placement rule.
 
 Each cell holds a ``PartialProduct(i, j)``, an ``InputCopy(i)`` or the zero
 pad ``ZERO`` (the one ``ZeroPad``).  The cell types and ``OperandGrid`` are
 immutable named tuples that equal only a value of their own type, never a
 plain tuple.
 
-Construction is assert-on-write: any double placement or leftover empty cell
-raises, because an index slip in the four placement cases would otherwise
-silently corrupt the grid.  Once every cell is placed, the terms' (i, j) keys
-(i, -1 for a copy) must equal those of ``partial_products(n)`` in number and
-as a set; the source terms are distinct, so that is exactly multiset equality.
+The arrangement is one rule (see ``arrange``): the terms of each weight
+are stacked top-down into the rows that have a cell of that weight.  No
+weight has more terms than such rows, so every term finds a cell.
 """
 
 from __future__ import annotations
@@ -37,10 +35,6 @@ class UnsupportedWidthError(ValueError):
     def __init__(self, n: int):
         super().__init__(f"input width must satisfy n > 4, got n={n}")
         self.n = n
-
-
-class PlacementError(Exception):
-    """Grid cell placed twice or left empty by the placement rules."""
 
 
 class PartialProduct(NamedTuple):
@@ -99,9 +93,8 @@ def _check_width(n: int) -> None:
 class OperandGrid(NamedTuple):
     """Rows T_0..T_R of placed terms, least-significant column first.
 
-    ``interior_pads`` counts the zero cells placed while arranging the
-    terms; ``left_pads`` the zero cells of the final high-order padding
-    phase.
+    ``left_pads`` counts the top 2(k-1) cells of each row T_k with
+    k >= 2, all zero; ``interior_pads`` every other zero cell.
     """
 
     n: int
@@ -137,113 +130,32 @@ def partial_products(n: int) -> list:
     return out
 
 
-def _source_keys(n: int) -> set[tuple[int, int]]:
-    """The (i, j) of every partial product and (i, -1) of every input
-    copy in ``partial_products(n)``, taken from the same index ranges."""
-    keys = {(i, j) for i in range(n - 1) for j in range(i + 1, n)}
-    keys.update((i, -1) for i in range(1, n))
-    return keys
-
-
-class _GridBuilder:
-    def __init__(self, n: int):
-        self.n = n
-        self.widths = row_widths(n)
-        self.rows: list[list] = [[None] * w for w in self.widths]
-        self.pad_counts = [0, 0]  # interior, left
-        self.placed = 0
-
-    def put(self, row: int, col: int, entry, pad_phase: int = 0) -> None:
-        rows = self.rows
-        if 0 <= row < len(rows):
-            cells = rows[row]
-            if 0 <= col < len(cells) and cells[col] is None:  # in-grid empty cell
-                cells[col] = entry
-                self.placed += 1
-                if isinstance(entry, ZeroPad):
-                    self.pad_counts[pad_phase] += 1
-                return
-        if not (0 <= row < len(rows) and 0 <= col < self.widths[row]):
-            raise PlacementError(f"cell T({row},{col}) outside the grid for n={self.n}")
-        raise PlacementError(
-            f"cell T({row},{col}) placed twice: {rows[row][col]} then {entry}")
-
-    def finish(self) -> OperandGrid:
-        if self.placed < sum(self.widths):  # put refuses a second placement
-            r, c = next((r, c) for r, row in enumerate(self.rows)
-                        for c, e in enumerate(row) if e is None)
-            raise PlacementError(f"cell T({r},{c}) never placed for n={self.n}")
-        # (i, j) of a partial product, (i, -1) of an input copy
-        placed = [(e.i, -1) if isinstance(e, InputCopy) else (e.i, e.j)
-                  for row in self.rows for e in row if not isinstance(e, ZeroPad)]
-        # the source terms are distinct, so equal length and equal set
-        # mean the placed terms are exactly the source multiset
-        source = _source_keys(self.n)
-        if len(placed) != len(source) or set(placed) != source:
-            raise PlacementError(f"grid terms differ from the source set for n={self.n}")
-        return OperandGrid(self.n, tuple(map(tuple, self.rows)),
-                           self.pad_counts[0], self.pad_counts[1])
-
-
 def arrange(n: int) -> OperandGrid:
     """Place every partial product and input copy into the operand grid.
 
-    The placement walks diagonal index i = 1..2n-3 (the output-bit weight
-    of the terms being placed is 2^(i+1)) with four cases by parity of i
-    and whether i exceeds n-1, then zero-pads first the interior gaps and
-    finally the high-order (left) ends of rows T_2 and up so each row is
-    a full adder operand.
-    """
-    _check_width(n)
-    g = _GridBuilder(n)
-    put = g.put
-    for i in range(1, 2 * n - 2):
-        odd = i % 2 == 1
-        if i <= n - 1 and odd:
-            put(0, i - 1, InputCopy((i + 1) // 2))
-            put(1, i - 1, PartialProduct(0, i))
-            if i > 1:
-                for j in range(2, (i + 1) // 2 + 1):
-                    put(j, i - 2 * j + 1, PartialProduct(j - 1, i - j + 1))
-        elif i <= n - 1:
-            for j in range(1, i // 2 + 1):
-                col = i - 1 if j <= 2 else i - 2 * j + 3
-                put(j - 1, col, PartialProduct(j - 1, i - j + 1))
-            put(i // 2, 1, ZERO)
-        elif odd:
-            put(0, i - 1, InputCopy((i + 1) // 2))
-            put(1, i - 1, PartialProduct(i - n + 1, n - 1))
-            if i != 2 * n - 3:
-                for j in range(2, (2 * n - i - 1) // 2 + 1):
-                    put(j, i - 2 * j + 1, PartialProduct(i - n + j, n - j))
-        else:
-            for j in range(1, (2 * n - i - 2) // 2 + 1):
-                col = i - 1 if j <= 2 else i - 2 * j + 3
-                put(j - 1, col, PartialProduct(i - n + j, n - j))
-            if n % 2 == 1:
-                if i != 2 * n - 4:
-                    put((2 * n - i - 2) // 2, 2 * (i - n) + 3, ZERO)
-                    put((2 * n - i) // 2, 2 * (i - n) + 1, ZERO)
-                else:
-                    put((2 * n - i - 2) // 2, i - 1, ZERO)
-                    put((2 * n - i) // 2, i - 3, ZERO)
-            else:
-                if i != 2 * n - 4 and i != n:
-                    put((2 * n - i - 2) // 2, 2 * (i - n) + 3, ZERO)
-                    put((2 * n - i) // 2, 2 * (i - n) + 1, ZERO)
-                elif i == n:
-                    put((2 * n - i - 2) // 2, 3, ZERO)
-                    put((2 * n - i) // 2, 1, ZERO)
-                else:
-                    put((2 * n - i - 2) // 2, i - 1, ZERO)
-                    put((2 * n - i) // 2, i - 3, ZERO)
+    The terms of weight 2^w, w = 2..2n-2, are the copy a_(w/2) when w is
+    even, then a_i*a_(w-1-i) for ascending i with max(0, w-n) <= i < w//2.
+    They take that weight's cells in rows T_0, T_1, T_2, ... in order, and
+    every other cell is ``ZERO``.  The rows with a cell at 2^w are T_k for
+    k <= min(w//2, n//2), at column w - 2*max(k, 1).
 
-    # left pads: fill the high-order end of rows T_2..T_R
-    top = (n - 2) // 2
-    for i in range(1, top + 1):
-        for j in range(1, 2 * i + 1):
-            put(i + 1, 2 * n - 3 - 4 * i + j, ZERO, pad_phase=1)
-    return g.finish()
+    Those rows always suffice: a weight has at most w//2 + 1 terms, and
+    above w = n at most n - ceil(w/2) + 1 <= n//2 + 1.  The same count,
+    at most k terms at w >= 2n-2k+2, leaves the top 2(k-1) cells of each
+    T_k (k >= 2) zero: those are the ``left_pads``.
+    """
+    widths = row_widths(n)  # validates n > 4
+    rows = [[ZERO] * width for width in widths]
+    placed = 0
+    for w in range(2, 2 * n - 1):
+        terms = [InputCopy(w // 2)] if w % 2 == 0 else []
+        terms += [PartialProduct(i, w - 1 - i) for i in range(max(0, w - n), w // 2)]
+        for k, term in enumerate(terms):
+            rows[k][w - 2 * max(k, 1)] = term
+        placed += len(terms)
+    r = len(rows) - 1
+    left = r * (r - 1)  # 2(k-1) for each k = 2..r
+    return OperandGrid(n, tuple(map(tuple, rows)), sum(widths) - placed - left, left)
 
 
 def grid_value(grid: OperandGrid, a: int) -> int:

@@ -430,8 +430,14 @@ def verify_equivalence(netlist: Netlist, expanded: Netlist, input_wires) -> dict
     superposition raised.  Errors of the reference sweep propagate.
     Returns ``{"inputs_checked": N, "mismatches": [...]}`` with each
     wire keyed by ``str(wire)``, equal to the report's ``json.loads``.
+    A wire named twice in ``input_wires`` raises ``ValueError``: its
+    second plane would overwrite its first, and half the inputs counted
+    would be repeats.
     """
     input_wires = tuple(input_wires)
+    repeated = [w for i, w in enumerate(input_wires) if w in input_wires[:i]]
+    if repeated:
+        raise ValueError(f"input wire {repeated[0]!r} is named more than once")
     total = 1 << len(input_wires)
     inputs = dict(zip(input_wires, lane_planes(len(input_wires))))
     sweep = run_basis_sweep(netlist, inputs, total)

@@ -116,7 +116,7 @@ def test_synth_between_verifies_evicts_no_verified_width(monkeypatch, capsys):
     # width just before it is evicted, would rebuild all 12
     built = _counted_builds(monkeypatch)
     assert run(["verify", "5..16"], capsys)[0] == 0
-    assert run(["synth", "128", "--format", "grid", "--out", os.devnull], capsys)[0] == 0
+    assert run(["synth", "128", "--format", "json", "--out", os.devnull], capsys)[0] == 0
     assert run(["verify", "5..16"], capsys)[0] == 0
     assert built == [*range(5, 17), 128]
 
@@ -126,12 +126,12 @@ def test_squarer_cache_keeps_at_most_its_bound(monkeypatch, capsys):
     bound = cli._squarer.cache_info().maxsize
     assert bound == BASIS_RANGE[1] - BASIS_RANGE[0] + 2
     for n in range(5, 25):
-        assert run(["synth", str(n), "--format", "grid", "--out", os.devnull], capsys)[0] == 0
+        assert run(["synth", str(n), "--format", "json", "--out", os.devnull], capsys)[0] == 0
         assert cli._squarer.cache_info().currsize == min(n - 4, bound)
     assert built == list(range(5, 25))
     # the least recently used widths went first: the last 13 are still held
-    assert run(["synth", "12", "--format", "grid", "--out", os.devnull], capsys)[0] == 0
-    assert run(["synth", "11", "--format", "grid", "--out", os.devnull], capsys)[0] == 0
+    assert run(["synth", "12", "--format", "json", "--out", os.devnull], capsys)[0] == 0
+    assert run(["synth", "11", "--format", "json", "--out", os.devnull], capsys)[0] == 0
     assert built[20:] == [11]
 
 
@@ -567,7 +567,7 @@ def test_outputs_match_pinned_digests(argv, name, exit_code, digest, tmp_path, c
     # to what the bool-lane basis sweep wrote, and the drop-gate:8 mutant's
     # report mixes P and garbage mismatches with uncompute-misuse lanes;
     # the macro JSON carries the registers, at an even and an odd width;
-    # the 64-bit grid pins every placement case of a wide layout; the
+    # the 64-bit grid pins the placement of a wide even layout; the
     # expanded JSON and the 40-bit QASM are what expand-then-format wrote
     # before the text was written straight from the macros, and catch a
     # template change that moves both ways of writing it at once; the

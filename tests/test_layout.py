@@ -1,15 +1,14 @@
 """Operand-grid layout: golden placements, pad counts, and the squaring identity."""
 
+import hashlib
+
 import pytest
 
 from qsquare.layout import (
     InputCopy,
     PartialProduct,
-    PlacementError,
     UnsupportedWidthError,
     ZERO,
-    _GridBuilder,
-    _source_keys,
     arrange,
     dump_grid,
     grid_value,
@@ -25,7 +24,7 @@ GOLDEN_6 = [
     "a2a3,0,0,0,0,0",
 ]
 
-# the 5-bit grid, derived by evaluating the placement cases by hand
+# the 5-bit grid, cell for cell (rows T_0..T_2, low column first)
 GOLDEN_5 = [
     "a1,a0a2,a2,a0a4,a3,a2a4,a4",
     "a0a1,0,a0a3,a1a3,a1a4,0,a3a4",
@@ -63,6 +62,16 @@ def test_arrange_n5_matches_golden_grid():
     assert dump_grid(arrange(5)).splitlines() == GOLDEN_5
 
 
+# sha256 of dump_grid at two wide odd widths; the CLI tests pin the even
+# n=64, and CI pins n=1023 and n=1024
+@pytest.mark.parametrize("n, digest", [
+    (63, "a72f69f64d4ab010ac465529d44e3c4e1678c0fedb60e2f8b726018bf6a0dfa5"),
+    (127, "1dcf185c5c3b85684a0462c53d4b29c98c34b634b6033c54e5da409365b18c64"),
+])
+def test_arrange_odd_width_matches_pinned_digest(n, digest):
+    assert hashlib.sha256(dump_grid(arrange(n)).encode()).hexdigest() == digest
+
+
 def test_arrange_n6_named_cells():
     grid = arrange(6)
     assert grid.entry(1, 0) == PartialProduct(0, 1)   # a0a1 -> T(1,0)
@@ -74,7 +83,7 @@ def test_arrange_n6_named_cells():
     assert all(grid.entry(3, c) == ZERO for c in range(1, 6))
 
 
-@pytest.mark.parametrize("n", range(5, 13))
+@pytest.mark.parametrize("n", [*range(5, 65), 127, 128])
 def test_row_shape_and_term_multiset(n):
     grid = arrange(n)
     widths = row_widths(n)
@@ -98,44 +107,6 @@ def test_zero_pad_counts_match_closed_forms(n):
         assert grid.left_pads == (n * n - 4 * n + 3) // 4
 
 
-def test_builder_rejects_double_placement():
-    g = _GridBuilder(6)
-    g.put(0, 0, ZERO)
-    with pytest.raises(PlacementError, match=r"cell T\(0,0\) placed twice"):
-        g.put(0, 0, ZERO)
-    with pytest.raises(PlacementError, match=r"cell T\(0,0\) placed twice"):
-        g.put(0, 0, PartialProduct(0, 1))
-    assert g.rows[0][0] == ZERO and g.pad_counts == [1, 0]
-
-
-def test_builder_rejects_out_of_grid_cells():
-    g = _GridBuilder(6)
-    for row, col in [(9, 0), (3, 6), (-1, 0), (0, -1), (4, 0), (0, 9)]:
-        with pytest.raises(PlacementError, match=rf"cell T\({row},{col}\) outside the grid"):
-            g.put(row, col, ZERO)
-    assert all(e is None for row in g.rows for e in row)
-
-
-def test_builder_rejects_incomplete_grid():
-    with pytest.raises(PlacementError, match=r"cell T\(0,0\) never placed for n=6"):
-        _GridBuilder(6).finish()
-    # every cell but one filled: the first empty cell in row order is named
-    g = _GridBuilder(6)
-    for r, row in enumerate(arrange(6).rows):
-        for c, e in enumerate(row):
-            if (r, c) != (2, 3):
-                g.put(r, c, e)
-    with pytest.raises(PlacementError, match=r"cell T\(2,3\) never placed"):
-        g.finish()
-
-
-@pytest.mark.parametrize("n", range(5, 20))
-def test_source_keys_are_the_partial_products(n):
-    terms = partial_products(n)
-    keys = [(t.i, -1) if isinstance(t, InputCopy) else (t.i, t.j) for t in terms]
-    assert _source_keys(n) == set(keys) and len(set(keys)) == len(terms)
-
-
 def test_terms_are_values_of_their_own_type():
     for term, plain, text in [(PartialProduct(1, 2), (1, 2), "a1a2"),
                               (InputCopy(1), (1,), "a1")]:
@@ -149,31 +120,6 @@ def test_terms_are_values_of_their_own_type():
     assert PartialProduct(1, 2) != InputCopy(1) and InputCopy(1) != ZERO
     assert repr(PartialProduct(1, 2)) == "PartialProduct(i=1, j=2)"
     assert repr(InputCopy(1)) == "InputCopy(i=1)"
-
-
-def _rebuilt(rows):
-    g = _GridBuilder(6)
-    for r, row in enumerate(rows):
-        for c, e in enumerate(row):
-            g.put(r, c, e)
-    return g.finish()
-
-
-def test_builder_rejects_wrong_terms():
-    # every cell filled, so only the multiset check of the terms can object
-    rows = [list(row) for row in arrange(6).rows]
-    assert _rebuilt(rows).rows == arrange(6).rows
-    (r0, c0), (r1, c1) = [(r, c) for r, row in enumerate(rows)
-                          for c, e in enumerate(row) if isinstance(e, PartialProduct)][:2]
-    first = rows[r0][c0]
-    for wrong in (InputCopy(0),                      # not a source term
-                  PartialProduct(first.j, first.i),  # indices swapped
-                  InputCopy(first.j),                # a copy for a product
-                  rows[r1][c1]):                     # another term, now twice
-        bad = [list(row) for row in rows]
-        bad[r0][c0] = wrong
-        with pytest.raises(PlacementError, match="differ from the source set"):
-            _rebuilt(bad)
 
 
 def test_grid_value_trivial_inputs():

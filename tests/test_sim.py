@@ -446,6 +446,17 @@ def test_verify_equivalence_and_block():
     json.dumps(rep)
 
 
+def test_verify_equivalence_refuses_a_repeated_input_wire():
+    # (x, x) would give x two planes, the second overwriting the first,
+    # and count 4 inputs where only 2 exist
+    nl = Netlist()
+    x, y = nl.alloc_register("xy", 2, "input")
+    build_logical_and(nl, x, y)
+    for wires in ((x, x), (x, y, x), (y, x, y)):
+        with pytest.raises(ValueError, match=f"^input wire {wires[0]} is named more than once$"):
+            verify_equivalence(nl, expand(nl), wires)
+
+
 def _adder_m3():
     nl = Netlist()
     a = nl.alloc_register("a", 3, "input")
