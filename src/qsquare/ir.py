@@ -35,7 +35,7 @@ other or the carry-out.  A fault raises ``NetlistError`` naming it.
 The door is sealed: ``gates``, ``wire_count``, ``cbit_count`` and
 ``registers`` are read-only, and the op store is a ``_Sealed`` list
 whose every mutator, ``append`` included, raises ``TypeError``.  Only
-``expand``, ``_lowered``, ``_ColumnWriter.run``, ``from_json_dict`` and
+``expand``, ``_ColumnWriter.run``, ``from_json_dict`` and
 ``Netlist.without`` (the one way to make a mutant: one op dropped, by
 slicing) write the fields behind them.  So no reader checks an op again:
 ``_lower``, ``_shape_counts``, ``to_json``, ``schedule_asap`` and both
@@ -51,11 +51,11 @@ emitter in one call, over the run's wire columns, and each adder to
 ``blocks.lower_add_in_place``.  The four lowered gate patterns, the
 AND, the uncompute and an adder's carry and release cells, are values:
 ``AND``, ``UNAND``, ``CARRY`` and ``RELEASE`` (``PATTERNS``), each a
-``_Pattern`` built at import from its one definition, a
-``_ColumnWriter`` method that writes its gates through ``gate``, lowered
-once.  An emitter has ``new_wires``, ``gate(kind, w0, w1, cbit)``, the
-one way a primitive enters it, and ``run(pattern, *columns)``, which
-writes a run of one pattern.  Three emitters read the walk:
+``_Pattern`` stated once as its ``gates``, the rows an emitter's
+``gate`` takes, and read off them at import.  An emitter has
+``new_wires``, ``gate(kind, w0, w1, cbit)``, the one way a primitive
+enters it, and ``run(pattern, *columns)``, which writes a run of one
+pattern.  Three emitters read the walk:
 
 - ``expand`` writes the primitives into ``GateColumns``, a ``_Sealed``
   list of each gate's kind beside list columns of its wires and cbit,
@@ -67,8 +67,8 @@ writes a run of one pattern.  Three emitters read the walk:
   one pattern as one ``"".join`` of the pattern's skeleton.
 
 Every other reader, ``sim`` included, takes an expansion as the ``Gate``
-tuples it iterates; only ``count_gates``, ``_cell_columns``, ``_derive_step``,
-``_ColumnWriter`` and ``GateColumns`` itself touch the columns.
+tuples it iterates; only ``count_gates``, ``_ColumnWriter`` and
+``GateColumns`` itself touch the columns.
 ``Netlist.measure`` never expands the whole netlist: its counts add up
 per op, at each op shape's cost (``_shape_cost``).  Every transformation
 returns a new netlist.
@@ -318,7 +318,10 @@ class Netlist:
         return w
 
     def new_wires(self, k: int) -> range:
-        """Allocate ``k`` fresh wires at once; returns their numbers."""
+        """Allocate ``k`` fresh wires at once; returns their numbers.  A
+        ``k`` not an int >= 0 (a bool) raises ``NetlistError``."""
+        if type(k) is not int or k < 0:
+            raise NetlistError(f"wire count to allocate must be an integer >= 0, got {k!r}")
         first = self._wire_count
         self._wire_count = first + k
         return range(first, first + k)
@@ -523,11 +526,9 @@ class Netlist:
 class _ColumnWriter:
     """Writes lowered primitives into an output netlist's gate columns.
 
-    It is the emitter ``expand`` passes to ``_lower``.  Its
-    ``logical_and`` and ``uncompute_and`` and an adder's two ripple
-    cells, ``carry_cell`` and ``release_cell``, are the one definition of
-    those gate patterns, each written through ``gate``, which
-    ``_pattern`` lowers once at import into each ``_Pattern``.
+    It is the emitter ``expand`` passes to ``_lower``: ``gate`` writes
+    one primitive, and ``run`` a run of a pattern from the column
+    template ``_pattern`` reads off the pattern's rows.
     """
 
     __slots__ = ("new_wires", "_out", "_kind", "_kinds",
@@ -546,37 +547,6 @@ class _ColumnWriter:
         self._w0(w0)
         self._w1(w1)
         self._cbit(cbit)
-
-    def logical_and(self, x: int, y: int, t: int) -> None:
-        # the magic state (prep0, h, t) on t, the compute CNOTs, the
-        # t-controlled pair, the T column, the second pair, then h, s
-        for kind, w0, w1 in (("prep0", t, -1), ("h", t, -1), ("t", t, -1),
-                             ("cx", x, t), ("cx", y, t), ("cx", t, x), ("cx", t, y),
-                             ("tdg", x, -1), ("tdg", y, -1), ("t", t, -1),
-                             ("cx", t, x), ("cx", t, y), ("h", t, -1), ("s", t, -1)):
-            self.gate(kind, w0, w1, -1)
-
-    def uncompute_and(self, x: int, y: int, t: int) -> None:
-        cbit = self._out.new_cbit()
-        self.gate("mx", t, -1, cbit)
-        self.gate("ccz_classical", x, y, cbit)
-
-    def carry_cell(self, w: int, x: int, y: int, t: int) -> None:
-        """One forward cell of an adder: with w = c_i, x = a_i and y = b_i,
-        the fresh wire t gets c_{i+1} = c_i ^ ((a_i^c_i)(b_i^c_i))."""
-        self.gate("cx", w, x, -1)
-        self.gate("cx", w, y, -1)
-        self.logical_and(x, y, t)
-        self.gate("cx", w, t, -1)
-
-    def release_cell(self, w: int, x: int, y: int, t: int) -> None:
-        """The cell that follows the carry cell over the same wires back,
-        with one cbit for its uncompute: t is released, x is a_i again
-        and y holds sum bit i, a_i ^ b_i ^ c_i."""
-        self.gate("cx", w, t, -1)
-        self.uncompute_and(x, y, t)
-        self.gate("cx", w, x, -1)
-        self.gate("cx", x, y, -1)
 
     def run(self, pattern: _Pattern, *columns: Sequence[int]) -> None:
         """A run of ``pattern``, pattern j over the j-th wire of each of
@@ -598,28 +568,6 @@ class _ColumnWriter:
             for at, role in fill:
                 chunk[at] = columns[role]
             extend(chunk)
-
-
-def _lowered(lower, wires: int) -> GateColumns:
-    """The gate columns that ``lower``, a ``_ColumnWriter`` method, writes
-    over wires 0..wires-1, its cbits numbered from ``wires`` on."""
-    nl = Netlist()
-    nl._wire_count = nl._cbit_count = wires
-    nl._gates = GateColumns()
-    lower(_ColumnWriter(nl), *range(wires))
-    return nl.gates
-
-
-def _cell_columns(cols: GateColumns):
-    """(kinds, fills) of one pattern of g gates, ``cols`` as ``_lowered``
-    writes it: its kind sequence, and for each of its w0, w1 and cbit
-    columns a (``slice(p, None, g)``, role) pair per position p that
-    holds a wire or the cbit, which ``_ColumnWriter.run`` fills in a
-    run, the role naming which."""
-    g = len(cols)
-    return tuple(list.__iter__(cols)), tuple(
-        tuple((slice(p, None, g), role) for p, role in enumerate(column) if role >= 0)
-        for column in (cols.w0, cols.w1, cols.cbit))
 
 
 def _lower(netlist: Netlist, em):
@@ -657,9 +605,9 @@ def _lower(netlist: Netlist, em):
 def expand(netlist: Netlist) -> Netlist:
     """Lower every macro op to primitive gates; primitives pass through.
 
-    The result's ``gates`` is a ``GateColumns``, written by the patterns
-    of ``_ColumnWriter``: the AND spells out its magic state (prep0, h,
-    t), so its 4 T gates are counted, and the uncompute is Clifford-only.
+    The result's ``gates`` is a ``GateColumns``, written by
+    ``_ColumnWriter`` from the ``PATTERNS``: the AND spells out its magic
+    state (prep0, h, t), so its 4 T gates count; the uncompute is Clifford.
     Adders are lowered by ``blocks.lower_add_in_place`` through the same
     writer.  Idempotent.
 
@@ -802,7 +750,7 @@ class _DepthWriter:
             open_[a] = open_[b] = 0
 
     def run(self, pattern: _Pattern, *columns) -> None:
-        grow = bytes(len(pattern.columns[0]) * len(columns[0]))
+        grow = bytes(len(pattern.gates) * len(columns[0]))
         self.t_marks += grow
         self.cnot_marks += grow
         pattern.step(self.last, self.open, self.t_marks, self.cnot_marks, *columns)
@@ -858,23 +806,22 @@ def _json_entry(op) -> str:
     return '{"kind":"%s","wires":[%d,%d,%d]}' % (kind, op.x, op.y, op.target)
 
 
-def _skeleton(line: dict, sep: str, cols: GateColumns, wires: int):
+def _skeleton(line: dict, sep: str, gates: tuple, wires: int):
     """(unit, fields, last): how ``_TextWriter`` writes the text of a run
-    of the pattern whose gates ``cols`` holds over wires 0..wires-1 and
-    cbit ``wires``, as ``_lowered`` writes it.
+    of the pattern of ``wires`` wires whose rows are ``gates``.
 
-    Each gate of the pattern is formatted by ``line`` with a mark per
-    wire and one for the cbit, the gates are joined by ``sep``, and the
-    text is split at the marks, so the skeleton and the column lowering
-    share one definition.  ``unit`` holds the literals with a ``None``
-    slot between each two, the last literal followed by ``sep``;
-    ``fields`` pairs the slice of each slot's copies in ``unit * k``
-    with its mark's role, a wire or the cbit; ``last`` is the last
-    literal alone, which ends a run.
+    Each row is formatted by ``line`` with a mark per role, the gates
+    joined by ``sep``, and the text split at the marks.  ``unit`` holds
+    the literals with a ``None`` slot between each two, the last literal
+    followed by ``sep``; ``fields`` pairs the slice of each slot's copies
+    in ``unit * k`` with its mark's role; ``last`` is the last literal
+    alone, which ends a run.
     """
-    # a one-wire template reads only {0}, and a cbit-less one never {2}
-    text = sep.join(line[kind](chr(ws[0]), chr(ws[-1]), None if cbit is None else chr(cbit))
-                    for kind, ws, cbit in cols)
+    # role -1 reads the None at the end; a one-wire template reads only
+    # {0}, and a cbit-less one never {2}
+    marks = [*map(chr, range(wires + 1)), None]
+    text = sep.join(line[kind](marks[w0], marks[w1], marks[cbit])
+                    for kind, w0, w1, cbit in gates)
     pieces = re.split(f"([\\x00-\\x{wires:02x}])", text)
     literals = pieces[::2]
     unit = [part for literal in literals[:-1] for part in (literal, None)]
@@ -885,10 +832,10 @@ def _skeleton(line: dict, sep: str, cols: GateColumns, wires: int):
     return unit, fields, literals[-1]
 
 
-def _derive_step(cols: GateColumns, wires: int):
-    """The ``_DepthWriter`` step of the pattern whose gates ``cols`` holds
-    over wires 0..wires-1, as ``_lowered`` writes it: ``gate``'s rules
-    replayed once over symbolic layers, compiled into one loop over a run.
+def _derive_step(gates: tuple, wires: int):
+    """The ``_DepthWriter`` step of the pattern of ``wires`` wires whose
+    rows are ``gates``: ``gate``'s rules replayed once over symbolic
+    layers, compiled into one loop over a run.
 
     A layer is a (local, offset) pair; wire i starts at the locals ``l<i>``
     and ``o<i>``, read from its ``last`` and ``open``.  ``above`` holds
@@ -922,7 +869,7 @@ def _derive_step(cols: GateColumns, wires: int):
         return new(f"max({', '.join([a, b, *more])}) + 1" if more else
                    f"({a} if {a} > {b} else {b}) + 1", *[(base, k + 1) for base, k in vals])
 
-    for kind, a, b, cbit in zip(list.__iter__(cols), cols.w0, cols.w1, cols.cbit):
+    for kind, a, b, cbit in gates:
         if kind == "cx":
             j, la, lb = open_[a], last[a], last[b]
             if j is None or reaches(lb, j):  # no fan-out to join
@@ -962,18 +909,21 @@ def _derive_step(cols: GateColumns, wires: int):
 
 
 class _Pattern(NamedTuple):
-    """One lowered gate pattern, as each emitter's ``run`` writes a run
-    of it, derived at import from its one definition: the
-    ``_ColumnWriter`` method ``name``, over ``wires`` wires.
+    """One lowered gate pattern over ``wires`` wires, as each emitter's
+    ``run`` writes a run of it.
 
-    ``columns`` is its column template (``_cell_columns``), ``json`` and
-    ``qasm`` its text skeletons (``_skeleton``), ``cbit`` whether each
-    pattern takes a fresh cbit (the template fills the cbit column), and
-    ``step`` the function ``_DepthWriter.run`` calls to layer a run of
-    it on its layers and marks (``_derive_step``)."""
+    ``gates``, its one definition, holds a ``(kind, w0, w1, cbit)`` row
+    per gate, as ``_lower`` hands a primitive to ``gate``, over roles:
+    0..wires-1 for its wires, ``wires`` for its fresh cbit, -1 for none.
+    The rest is read off the rows (``_pattern``): ``columns`` is its
+    column template, ``json`` and ``qasm`` its text skeletons, ``cbit``
+    whether it takes a fresh cbit, and ``step`` the function
+    ``_DepthWriter.run`` calls to layer a run of it on its layers and
+    marks."""
 
     name: str
     wires: int
+    gates: tuple
     columns: tuple
     json: tuple
     qasm: tuple
@@ -981,20 +931,43 @@ class _Pattern(NamedTuple):
     step: Callable
 
 
-def _pattern(lower, wires: int) -> _Pattern:
-    """The pattern ``lower`` writes over ``wires`` wires, its template,
-    skeletons and depth step all read off one lowering."""
-    cols = _lowered(lower, wires)
-    columns = _cell_columns(cols)
-    return _Pattern(lower.__name__, wires, columns, _skeleton(_JSON_GATE, ",", cols, wires),
-                    _skeleton(_QASM_LINE, "\n", cols, wires), bool(columns[1][2]),
-                    _derive_step(cols, wires))
+def _pattern(name: str, wires: int, gates: tuple) -> _Pattern:
+    """The pattern of ``wires`` wires whose rows are ``gates``.  Its
+    template holds the g kinds and, per w0, w1 and cbit column, a
+    (``slice(p, None, g)``, role) pair for each row p naming a role."""
+    kinds, *columns = zip(*gates)
+    g = len(gates)
+    fills = tuple(tuple((slice(p, None, g), role) for p, role in enumerate(column) if role >= 0)
+                  for column in columns)
+    return _Pattern(name, wires, gates, (kinds, fills), _skeleton(_JSON_GATE, ",", gates, wires),
+                    _skeleton(_QASM_LINE, "\n", gates, wires), bool(fills[2]),
+                    _derive_step(gates, wires))
 
 
-AND = _pattern(_ColumnWriter.logical_and, 3)
-UNAND = _pattern(_ColumnWriter.uncompute_and, 3)
-CARRY = _pattern(_ColumnWriter.carry_cell, 4)
-RELEASE = _pattern(_ColumnWriter.release_cell, 4)
+def _and_rows(x: int, y: int, t: int) -> tuple:
+    # the magic state (prep0, h, t) on the fresh t, the compute CNOTs, the
+    # t-controlled pair, the T column, the second pair, then h, s
+    return (("prep0", t, -1, -1), ("h", t, -1, -1), ("t", t, -1, -1),
+            ("cx", x, t, -1), ("cx", y, t, -1), ("cx", t, x, -1), ("cx", t, y, -1),
+            ("tdg", x, -1, -1), ("tdg", y, -1, -1), ("t", t, -1, -1),
+            ("cx", t, x, -1), ("cx", t, y, -1), ("h", t, -1, -1), ("s", t, -1, -1))
+
+
+def _unand_rows(x: int, y: int, t: int, cbit: int) -> tuple:
+    # t measured in the X basis onto cbit, its phase fixed on (x, y)
+    return ("mx", t, -1, cbit), ("ccz_classical", x, y, cbit)
+
+
+AND = _pattern("logical_and", 3, _and_rows(0, 1, 2))
+UNAND = _pattern("uncompute_and", 3, _unand_rows(0, 1, 2, 3))
+# one forward cell of an adder: with w = c_i, x = a_i and y = b_i, the
+# fresh wire t gets c_{i+1} = c_i ^ ((a_i^c_i)(b_i^c_i)), over (w, x, y, t)
+CARRY = _pattern("carry_cell", 4,
+                 (("cx", 0, 1, -1), ("cx", 0, 2, -1), *_and_rows(1, 2, 3), ("cx", 0, 3, -1)))
+# the cell that follows the carry cell over the same wires back: t is
+# released, x is a_i again and y holds sum bit i, a_i ^ b_i ^ c_i
+RELEASE = _pattern("release_cell", 4, (("cx", 0, 3, -1), *_unand_rows(1, 2, 3, 4),
+                                       ("cx", 0, 1, -1), ("cx", 1, 2, -1)))
 PATTERNS = (AND, UNAND, CARRY, RELEASE)
 
 

@@ -39,18 +39,9 @@ from planes import ints_of
 _VERIFY_BOTH_DIGEST = "4d13c7d5c2473e9beefca7cdee20cfca512d3cc31544fc4c2e7acbf6b8d9d76e"
 
 
-def _and_without_its_final_h(em, x, y, t):
-    """The AND lowering with its final h left out: it leaves the target
-    in a superposition."""
-    gates = [*ir._lowered(ir._ColumnWriter.logical_and, 3)]
-    assert [g.kind for g in gates[-2:]] == ["h", "s"]
-    del gates[-2]
-    wires = (x, y, t)
-    for kind, ws, _ in gates:  # no gate of the AND takes a cbit
-        em.gate(kind, wires[ws[0]], wires[ws[1]] if len(ws) > 1 else -1, -1)
-
-
-_BROKEN_AND = ir._pattern(_and_without_its_final_h, 3)
+# the AND lowering with its final h, before the s, left out: it leaves
+# the target in a superposition
+_BROKEN_AND = ir._pattern("logical_and", 3, ir.AND.gates[:-2] + ir.AND.gates[-1:])
 
 
 def run(argv, capsys):

@@ -16,7 +16,6 @@ from qsquare.ir import (
     _ColumnWriter,
     _DepthWriter,
     _TextWriter,
-    _lowered,
     AddInPlace,
     Gate,
     GateColumns,
@@ -81,8 +80,29 @@ def test_alloc_duplicate_name_rejected():
 
 def test_alloc_zero_width_rejected():
     nl = Netlist()
-    with pytest.raises(NetlistError):
-        nl.alloc_register("a", 0, "input")
+    # True < 1 is False, so a bool width reaches new_wires, which refuses
+    # it before the register is recorded
+    for width in (0, True):
+        with pytest.raises(NetlistError):
+            nl.alloc_register("a", width, "input")
+    assert nl.wire_count == 0 and dict(nl.registers) == {}
+
+
+def test_new_wires_refuses_a_count_that_is_not_an_int_at_least_0():
+    # a negative count would drop wires that gates already name: to_json
+    # would write a count from_json refuses, and schedule_asap would index
+    # past its tables
+    nl = Netlist()
+    nl.add_gate("x", nl.new_wire())
+    nl.new_wires(3)
+    nl.add_gate("cx", 0, 3)
+    for k in (-3, -1, True, False, 1.0, "2", None):
+        with pytest.raises(NetlistError, match="wire count to allocate must be an integer >= 0"):
+            nl.new_wires(k)
+        assert nl.wire_count == 4
+    assert nl.new_wires(0) == range(4, 4) and nl.wire_count == 4
+    assert from_json(to_json(nl)) == nl
+    assert schedule_asap(nl) == (0, 1)
 
 
 def test_gate_validation():
@@ -970,25 +990,21 @@ def _depth_writer(nl: Netlist, last, open_) -> _DepthWriter:
     return em
 
 
-def _replay_states(pattern, define, values):
+def _replay_states(pattern, values):
     """Yield, for every start state with layers and open fan-outs in
     ``values`` on the pattern's wires, that state and the (marked T and
-    CNOT layers, final state) of the gates ``define``, the pattern's
-    definition, writes on those wires, replayed through
-    ``_DepthWriter.gate``, next to those of the pattern's ``step``, run
-    on a run of one.  The layer ``gate`` records for the pattern's own
-    mx is left out: a step records none, as no gate ``append`` takes
-    reads a pattern's cbit."""
+    CNOT layers, final state) of the pattern's rows on those wires,
+    replayed through ``_DepthWriter.gate``, next to those of the
+    pattern's ``step``, run on a run of one.  The layer ``gate`` records
+    for the pattern's own mx is left out: a step records none, as no
+    gate ``append`` takes reads a pattern's cbit."""
     wires = pattern.wires
     nl = Netlist()
     nl.new_wires(wires)
-    # each gate as _lower hands it to an emitter's gate
-    rows = [(kind, ws[0], ws[1] if len(ws) > 1 else -1, -1 if cbit is None else cbit)
-            for kind, ws, cbit in _lowered(define, wires)]
     for last in itertools.product(values, repeat=wires):
         for open_ in itertools.product(values, repeat=wires):
             replayed, template = _depth_writer(nl, last, open_), _depth_writer(nl, last, open_)
-            for row in rows:
+            for row in pattern.gates:  # the cbit role, wires, is the mx's cbit
                 replayed.gate(*row)
             template.run(pattern, *([w] for w in range(wires)))
             yield (last, open_), [(_marked(em.t_marks), _marked(em.cnot_marks), em.last,
@@ -996,9 +1012,8 @@ def _replay_states(pattern, define, values):
 
 
 def _random_definition(seed: int):
-    """(definition, wires) of a pattern of 3 or 4 wires drawn by ``seed``,
-    the definition written through ``gate`` as a ``_ColumnWriter``
-    method writes its pattern: cx either way round, cz and one-wire
+    """A pattern of 3 or 4 wires drawn by ``seed``, its rows as the
+    ``PATTERNS`` state theirs: cx either way round, cz and one-wire
     gates, maybe a prep0 on a wire no earlier gate touched, and maybe
     one mx on the cbit the pattern takes, which a later ccz_classical
     reads."""
@@ -1024,43 +1039,38 @@ def _random_definition(seed: int):
         w = rng.randrange(wires)
         first = next((i for i, (_, a, b) in enumerate(gates) if w in (a, b)), len(gates))
         gates.insert(rng.randint(0, first), ("prep0", w, -1))
-
-    def define(em, *ws):
-        cbit = em._out.new_cbit() if measured else -1
-        for kind, a, b in gates:
-            em.gate(kind, ws[a], ws[b] if b >= 0 else -1,
-                    cbit if kind in ("mx", "ccz_classical") else -1)
-    return define, wires
+    # the cbit role of a pattern of this many wires is the wire count
+    return ir._pattern(f"random-{seed}", wires, tuple(
+        (kind, a, b, wires if kind in ("mx", "ccz_classical") else -1) for kind, a, b in gates))
 
 
 def _replay_cases(wires: int):
-    """The patterns of ``wires`` wires, each with its definition and the
-    start values its replay takes: each of ``PATTERNS`` on 0..4, and the
-    seeded random patterns of that many wires on 0..2."""
-    defined = ((ir.AND, _ColumnWriter.logical_and), (ir.UNAND, _ColumnWriter.uncompute_and),
-               (ir.CARRY, _ColumnWriter.carry_cell), (ir.RELEASE, _ColumnWriter.release_cell))
-    cases = [pytest.param(pattern, define, range(5), id=pattern.name)
-             for pattern, define in defined if pattern.wires == wires]
+    """The patterns of ``wires`` wires, each with the start values its
+    replay takes: the AND and the uncompute on 0..4, the carry and
+    release cells on 0..3, and the seeded random patterns of that many
+    wires on 0..2.  The cells' 4**8 states on 0..3 catch every mutant
+    of their compiled steps that 0..4 catches; see CHANGES.md."""
+    cases = [pytest.param(pattern, range(5 if wires == 3 else 4), id=pattern.name)
+             for pattern in PATTERNS if pattern.wires == wires]
     for seed in range(20):
-        define, width = _random_definition(seed)
-        if width == wires:
-            cases.append(pytest.param(ir._pattern(define, width), define, range(3),
-                                      id=f"random-{seed}"))
+        pattern = _random_definition(seed)
+        if pattern.wires == wires:
+            cases.append(pytest.param(pattern, range(3), id=pattern.name))
     return cases
 
 
-@pytest.mark.parametrize("pattern, define, values", _replay_cases(3))
-def test_macro_depth_template_equals_its_gates(pattern, define, values):
+@pytest.mark.parametrize("pattern, values", _replay_cases(3))
+def test_macro_depth_template_equals_its_gates(pattern, values):
     # one macro of a run, as _lower hands a lone AND or uncompute over;
     # the three wires' fan-outs in 0..4 take each fan-out join both ways
-    for state, (replayed, template) in _replay_states(pattern, define, values):
+    for state, (replayed, template) in _replay_states(pattern, values):
         assert template == replayed, state
 
 
-@pytest.mark.parametrize("pattern, define, values", _replay_cases(4))
-def test_cell_depth_step_equals_its_gates(pattern, define, values):
+@pytest.mark.parametrize("pattern, values", _replay_cases(4))
+def test_cell_depth_step_equals_its_gates(pattern, values):
     # one cell of a run, as blocks.lower_add_in_place hands it over
-    for state, (replayed, template) in _replay_states(pattern, define, values):
+    for state, (replayed, template) in _replay_states(pattern, values):
         assert template == replayed, state
 
 
@@ -1106,9 +1116,14 @@ def test_run_equals_its_patterns_written_one_at_a_time(writer, pattern, k):
     assert whole == _written(writer, lambda em: [em.run(pattern, *zip(cell))
                                                  for cell in cells])
     if writer == "columns":
-        # and equals the pattern's one definition, cell by cell
-        define = getattr(_ColumnWriter, pattern.name)
-        assert whole == _written(writer, lambda em: [define(em, *cell) for cell in cells])
+        # and equals the pattern's rows, written cell by cell, each cell
+        # with a fresh cbit when it takes one; role -1 reads the -1 at the end
+        def rows(em):
+            for cell in cells:
+                roles = (*cell, em._out.new_cbit() if pattern.cbit else None, -1)
+                for kind, *row in pattern.gates:
+                    em.gate(kind, *(roles[r] for r in row))
+        assert whole == _written(writer, rows)
 
 
 def test_emitters_allocate_wires_as_ranges():

@@ -9,8 +9,7 @@ import pytest
 from qsquare import cli, sim
 from qsquare.blocks import build_adder_in_place, build_logical_and
 from qsquare.ir import (
-    PATTERNS, AddInPlace, Gate, LogicalAnd, Netlist, NetlistError, UncomputeAnd, _ColumnWriter,
-    _lowered, expand)
+    PATTERNS, AddInPlace, Gate, LogicalAnd, Netlist, NetlistError, UncomputeAnd, expand)
 from qsquare.sim import (
     MAX_TERMS,
     NonClassicalGateError,
@@ -678,9 +677,12 @@ def test_verify_equivalence_sees_phase():
 # ---- exact certificates of the four lowered patterns ----------------------------
 
 def _pattern_netlist(pattern):
-    """The netlist the pattern's definition, a ``_ColumnWriter`` method,
-    writes over its wires 0, 1, ..."""
-    return _rebuilt(pattern.wires, _lowered(getattr(_ColumnWriter, pattern.name), pattern.wires))
+    """The netlist of the pattern's rows over its wires 0, 1, ..., each
+    taken through ``append``, its cbit role on cbit 0."""
+    def gate(kind, w0, w1, cbit):
+        assert cbit in (-1, pattern.wires), (pattern.name, cbit)
+        return Gate(kind, (w0,) if w1 < 0 else (w0, w1), None if cbit < 0 else 0)
+    return _rebuilt(pattern.wires, (gate(*row) for row in pattern.gates))
 
 
 # per pattern: each basis input that meets its precondition (a fresh AND
