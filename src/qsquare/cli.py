@@ -30,7 +30,7 @@ read-only (see ``ir``), so ``_drop_gate`` builds a new netlist
 (``Netlist.without``), and the planes are kept as tuples.  The squarer
 cache keeps the 13 widths used last: the 12 of ``BASIS_RANGE`` plus
 one, so a ``synth`` between two ``verify 5..16`` evicts no verified
-width; a 128-bit circuit holds about 3.3 MB.  The planes are cached
+width; a 128-bit circuit holds about 2.6 MB.  The planes are cached
 only for verified widths, so for at most 12.  ``compare`` builds each
 width once per command and keeps no circuit: holding the circuits of a
 long sweep would only raise its peak memory.  Its measurement shares

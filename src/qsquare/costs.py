@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .blocks import adder_and_count
 from .ir import _same_type_eq, _same_type_ne
-from .layout import UnsupportedWidthError, row_widths
+from .layout import _check_width, row_widths
 from .synth import SquarerCircuit
 
 METRICS = ("t_count", "t_depth", "cnot_count", "cnot_depth", "qubits", "kq_t")
@@ -91,8 +91,7 @@ class CostRow(NamedTuple):
 
 def proposed_metrics(n: int) -> MetricValues:
     """Closed-form metrics of the squaring circuit, by parity of n."""
-    if n <= 4:
-        raise UnsupportedWidthError(n)
+    _check_width(n)
     if n % 2 == 0:
         t = 5 * n * n - 4 * n - 4
         qubits = _exact_div(3 * n * n + 2 * n - 4, 2)
@@ -171,8 +170,8 @@ def baseline_costs(design: str, n: int) -> MetricValues:
     published row already includes the 2n+1 extra qubits and doubled
     gate counts of that adjustment).
     """
-    if n < 2:
-        raise ValueError(f"baseline polynomials need n >= 2, got {n}")
+    if type(n) is not int or n < 2:
+        raise ValueError(f"baseline polynomials need an int n >= 2, got {n!r}")
     if design == "thapliyal":
         qubits = n * n + 2 * n + 1
         t_depth = 5 * n * n - 3 * n - 2

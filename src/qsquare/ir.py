@@ -80,7 +80,7 @@ import json
 import re
 from collections import Counter
 from functools import cache
-from itertools import groupby
+from itertools import groupby, islice
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence
@@ -570,9 +570,9 @@ class _ColumnWriter:
             extend(chunk)
 
 
-def _lower(netlist: Netlist, em):
-    """Walk ``netlist``'s ops in order, lowering each through the emitter
-    ``em``, and return ``em``.
+def _lower(netlist: Netlist, em, stop: int | None = None):
+    """Walk ``netlist``'s ops (its first ``stop``, if given) in order,
+    lowering each through the emitter ``em``, and return ``em``.
 
     A ``Gate`` goes to ``em.gate(kind, w0, w1, cbit)``, with -1 for a
     missing second wire or cbit; an expanded netlist's ``GateColumns``
@@ -587,7 +587,7 @@ def _lower(netlist: Netlist, em):
     from .blocks import lower_add_in_place
 
     gate, run = em.gate, em.run
-    for cls, ops in groupby(netlist.gates, type):
+    for cls, ops in groupby(islice(netlist.gates, stop), type):
         if cls is LogicalAnd:
             run(AND, *zip(*ops))
         elif cls is UncomputeAnd:
@@ -700,9 +700,9 @@ class _DepthWriter:
     ``t_marks`` and ``cnot_marks`` are ``bytearray`` marks indexed by
     layer: 1 at each layer that holds a T gate, or a CNOT, 0 elsewhere.
     A layer number never exceeds the number of gates layered so far, so
-    both grow ahead of their writes, by one byte per primitive in
-    ``gate`` alone and by the pattern's gate count times k in ``run``,
-    and every step writes its layers by item assignment.
+    both grow ahead of their writes, by one byte per primitive but
+    ``prep0`` in ``gate`` and by the pattern's gate count times k in
+    ``run``, and every step writes its layers by item assignment.
     """
 
     __slots__ = ("last", "open", "meas", "t_marks", "cnot_marks")
@@ -722,6 +722,8 @@ class _DepthWriter:
 
     def gate(self, kind: str, a: int, b: int, cbit) -> None:
         """Layer one primitive; ``b`` is -1 for a one-wire kind."""
+        if kind == "prep0":
+            return
         self.t_marks.append(0)
         self.cnot_marks.append(0)
         last, open_ = self.last, self.open
@@ -734,8 +736,6 @@ class _DepthWriter:
             open_[b] = 0
             self.cnot_marks[layer] = 1
         elif b < 0:
-            if kind == "prep0":
-                return
             layer = last[a] = last[a] + 1
             open_[a] = 0
             if kind in _T_KINDS:
@@ -773,8 +773,16 @@ def schedule_asap(netlist: Netlist) -> tuple[int, int]:
     lower, with no gate columns built: each AND, uncompute or ripple cell
     of a run in one pass of a step compiled from its gates
     (``_derive_step``).  The result equals ``schedule_asap(expand(netlist))``.
+    The walk stops after the last AND, adder, ``t``, ``tdg`` or ``cx``:
+    a layer is fixed by earlier gates only, so the ops after it (the
+    squarer's whole phase 8) mark neither a T layer nor a CNOT layer.
     """
-    em = _lower(netlist, _DepthWriter(netlist))
+    gates = netlist.gates
+    stop = len(gates)
+    while stop and (type(op := gates[stop - 1]) is UncomputeAnd
+                    or type(op) is Gate and op[0] not in ("t", "tdg", "cx")):
+        stop -= 1
+    em = _lower(netlist, _DepthWriter(netlist), stop)
     return em.t_marks.count(1), em.cnot_marks.count(1)
 
 

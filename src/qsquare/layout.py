@@ -17,9 +17,10 @@ pad ``ZERO`` (the one ``ZeroPad``).  The cell types and ``OperandGrid`` are
 immutable named tuples that equal only a value of their own type, never a
 plain tuple.
 
-The arrangement is one rule (see ``arrange``): the terms of each weight
-are stacked top-down into the rows that have a cell of that weight.  No
-weight has more terms than such rows, so every term finds a cell.
+The arrangement is one rule, ``stack``: the terms of each weight are
+stacked top-down into the rows that have a cell of that weight.  It has
+two fillings: ``arrange`` stacks the cell types with ``ZERO`` in each
+empty cell, and ``synth`` the terms' wires with a fresh zero wire.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .ir import _same_type_eq, _same_type_ne
 
 
 class UnsupportedWidthError(ValueError):
-    """Input width must exceed 4 bits."""
+    """Input width must be an int above 4."""
 
-    def __init__(self, n: int):
-        super().__init__(f"input width must satisfy n > 4, got n={n}")
+    def __init__(self, n):
+        super().__init__(f"input width must be an int n > 4, got n={n!r}")
         self.n = n
 
 
@@ -75,8 +76,6 @@ class ZeroPad(NamedTuple):
 
 ZERO = ZeroPad()
 
-GridEntry = "PartialProduct | InputCopy | ZeroPad"
-
 
 def row_widths(n: int) -> tuple[int, ...]:
     """Cell counts of rows T_0..T_R: (2n-3, 2n-3, 2n-4, 2n-6, ...)."""
@@ -86,7 +85,7 @@ def row_widths(n: int) -> tuple[int, ...]:
 
 
 def _check_width(n: int) -> None:
-    if n <= 4:
+    if type(n) is not int or n <= 4:
         raise UnsupportedWidthError(n)
 
 
@@ -130,32 +129,42 @@ def partial_products(n: int) -> list:
     return out
 
 
-def arrange(n: int) -> OperandGrid:
-    """Place every partial product and input copy into the operand grid.
+def stack(n: int, copies, products, empty) -> list[list]:
+    """Rows T_0..T_R with each term in its cell and ``empty`` elsewhere.
 
-    The terms of weight 2^w, w = 2..2n-2, are the copy a_(w/2) when w is
-    even, then a_i*a_(w-1-i) for ascending i with max(0, w-n) <= i < w//2.
-    They take that weight's cells in rows T_0, T_1, T_2, ... in order, and
-    every other cell is ``ZERO``.  The rows with a cell at 2^w are T_k for
+    ``copies[i - 1]`` stands for the copy a_i (i = 1..n-1) and
+    ``products[i][j - i - 1]`` for the product a_i*a_j (i < j), of any
+    type.  The terms of weight 2^w, w = 2..2n-2, are the copy a_(w/2)
+    when w is even, then a_i*a_(w-1-i) for ascending i with
+    max(0, w-n) <= i < w//2.  They take that weight's cells in rows T_0,
+    T_1, T_2, ... in order.  The rows with a cell at 2^w are T_k for
     k <= min(w//2, n//2), at column w - 2*max(k, 1).
 
     Those rows always suffice: a weight has at most w//2 + 1 terms, and
     above w = n at most n - ceil(w/2) + 1 <= n//2 + 1.  The same count,
     at most k terms at w >= 2n-2k+2, leaves the top 2(k-1) cells of each
-    T_k (k >= 2) zero: those are the ``left_pads``.
+    T_k (k >= 2) empty.
     """
-    widths = row_widths(n)  # validates n > 4
-    rows = [[ZERO] * width for width in widths]
-    placed = 0
+    rows = [[empty] * width for width in row_widths(n)]  # validates n
+    shifts = [2, *range(2, 2 * len(rows), 2)]  # 2*max(k, 1) for each row T_k
     for w in range(2, 2 * n - 1):
-        terms = [InputCopy(w // 2)] if w % 2 == 0 else []
-        terms += [PartialProduct(i, w - 1 - i) for i in range(max(0, w - n), w // 2)]
-        for k, term in enumerate(terms):
-            rows[k][w - 2 * max(k, 1)] = term
-        placed += len(terms)
+        terms = [copies[w // 2 - 1]] if w % 2 == 0 else []
+        terms += [products[i][w - 2 - 2 * i] for i in range(max(0, w - n), w // 2)]
+        for row, shift, term in zip(rows, shifts, terms):
+            row[w - shift] = term
+    return rows
+
+
+def arrange(n: int) -> OperandGrid:
+    """The operand grid: ``stack`` of the cell types, ``ZERO`` in each empty
+    cell; the top 2(k-1) cells of each T_k (k >= 2) are ``left_pads``."""
+    _check_width(n)
+    rows = stack(n, [InputCopy(i) for i in range(1, n)],
+                 [[PartialProduct(i, j) for j in range(i + 1, n)] for i in range(n - 1)], ZERO)
     r = len(rows) - 1
     left = r * (r - 1)  # 2(k-1) for each k = 2..r
-    return OperandGrid(n, tuple(map(tuple, rows)), sum(widths) - placed - left, left)
+    placed = (n + 2) * (n - 1) // 2  # the n(n-1)/2 products and n-1 copies
+    return OperandGrid(n, tuple(map(tuple, rows)), sum(map(len, rows)) - placed - left, left)
 
 
 def grid_value(grid: OperandGrid, a: int) -> int:

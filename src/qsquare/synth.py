@@ -5,8 +5,8 @@ positions P_0..P_{2n-1}:
 
 1. one logical-AND per partial product and one CNOT-copy per input bit
    a_1..a_{n-1} onto fresh ancillae;
-2./3. binding of those ancillae (plus fresh zero pads) to the operand
-   grid rows T_0..T_R;
+2./3. rows T_0..T_R: ``layout.stack`` places those ancillae, and each
+   cell no term takes gets a fresh zero wire, in row-major order;
 4. a (2n-3)-bit in-place addition of rows T_0 and T_1 with carry-out;
    its two low sum bits become P_2, P_3;
 5./6. the remaining R-1 carry-less additions, each folding row T_{i+1}
@@ -25,7 +25,8 @@ The netlist is the one record of this wiring, in its registers: ``A``
 ``V0..`` (the running sum left after each stage that peels P bits) and
 ``carry`` (the first adder's carry-out).  Each adder stage is one
 ``AddInPlace`` op, in cascade order, which gives its width and whether
-it has a carry-out.
+it has a carry-out.  No operand grid is built: ``SquarerCircuit.grid``
+is ``arrange(n)``, the same rule over the cell types, derived when read.
 
 Phase 8 releases every live partial product (all rows but T_1) in
 reverse build order, i.e. by descending wire index.  It does not follow
@@ -44,20 +45,24 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _same_type_eq, _same_type_ne
-from .layout import InputCopy, OperandGrid, PartialProduct, arrange
+from .layout import OperandGrid, _check_width, arrange, stack
 
 
 class SquarerCircuit(NamedTuple):
-    """A synthesized squaring circuit: its netlist and operand grid.
+    """A synthesized squaring circuit: its width and its netlist.
 
     The wiring lives in the netlist's ``A``, ``P``, ``P1``, ``T0..TR``,
-    ``V*`` and ``carry`` registers (see the module docstring)."""
+    ``V*`` and ``carry`` registers (see the module docstring).  ``grid``
+    is ``arrange(n)``, built on each read: a build makes no term objects."""
 
     n: int
     netlist: Netlist
-    grid: OperandGrid
 
     __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
+
+    @property
+    def grid(self) -> OperandGrid:
+        return arrange(self.n)
 
     @property
     def registers(self) -> dict[str, tuple[int, ...]]:
@@ -73,72 +78,64 @@ def synthesize_squarer(n: int) -> SquarerCircuit:
 
     Deterministic: the same n always yields an identical netlist.
     """
-    grid = arrange(n)  # validates n > 4
+    _check_width(n)
     nl = Netlist()
-    append, new_wire = nl.append, nl.new_wire
+    append, new_wire, new_wires = nl.append, nl.new_wire, nl.new_wires
     # the ops are named tuples; tuple.__new__ builds each one without the
     # Python-level constructor, a tenth of the build, and append checks it
     new = tuple.__new__
     a = nl.alloc_register("A", n, "input")
 
-    # phase 1: partial products and input copies
-    pp_wire: dict[tuple[int, int], int] = {}
-    copy_wire: dict[int, int] = {}
+    # phase 1: pp_wires[i] holds a_i*a_j for j = i+1..n-1, copy_wires[i - 1]
+    # the copy of a_i, as ``stack`` reads them.  Wire ranges are listed so
+    # that each wire is one int object, shared by all the ops and cells
+    # that name it
+    pp_wires, copy_wires = [], []
     for i in range(1, n):
         x = a[i - 1]
-        for j in range(i, n):
-            t = pp_wire[i - 1, j] = new_wire()
-            append(new(LogicalAnd, (x, a[j], t)))
-        w = copy_wire[i] = new_wire()
+        pp_wires.append(targets := [*new_wires(n - i)])
+        for y, t in zip(a[i:], targets):
+            append(new(LogicalAnd, (x, y, t)))
+        copy_wires.append(w := new_wire())
         append(new(Gate, ("prep0", (w,), None)))
         append(new(Gate, ("cx", (a[i], w), None)))
 
     p1 = nl.alloc_register("P1", 1, "zero")[0]
 
-    # phases 2-3: bind each grid row's cells to wires (fresh zero wires for pads)
-    for r, row in enumerate(grid.rows):
-        wires = []
-        for entry in row:
-            cls = type(entry)
-            if cls is PartialProduct:
-                wires.append(pp_wire[entry.i, entry.j])
-            elif cls is InputCopy:
-                wires.append(copy_wire[entry.i])
-            else:
-                w = new_wire()
-                append(new(Gate, ("prep0", (w,), None)))
-                wires.append(w)
-        nl.register_alias(f"T{r}", wires)
+    # phases 2-3: the rows, a fresh zero wire in each empty cell
+    rows = stack(n, copy_wires, pp_wires, None)
+    for r, row in enumerate(rows):
+        pads = [*new_wires(row.count(None))]
+        for w in pads:
+            append(new(Gate, ("prep0", (w,), None)))
+        pad = iter(pads).__next__
+        rows[r] = tuple([pad() if w is None else w for w in row])
+        nl.register_alias(f"T{r}", rows[r])
 
-    # phases 4-6: the adder cascade, one stage per row after T_0
-    running = list(nl.registers["T1"])
+    # phases 4-6: the adder cascade, one stage per row after T_0; each
+    # stage before the last leaves two low sum bits as P bits
     carry = new_wire()
-    append(AddInPlace(nl.registers["T0"], tuple(running), carry))
+    append(AddInPlace(rows[0], rows[1], carry))
     nl.register_alias("carry", (carry,))
-    running.append(carry)
-    product = [a[0], p1] + running[:2]
-    running = running[2:]
-    nl.register_alias("V0", running)
-
-    last = grid.row_count - 2
-    for i in range(1, last + 1):
-        append(AddInPlace(nl.registers[f"T{i + 1}"], tuple(running)))
-        if i < last:
-            product += running[:2]
-            running = running[2:]
-            nl.register_alias(f"V{i}", running)
+    product, running = [a[0], p1], [*rows[1], carry]
+    for k in range(2, len(rows)):
+        product += running[:2]
+        running = running[2:]
+        nl.register_alias(f"V{k - 2}", running)
+        append(AddInPlace(rows[k], tuple(running)))
     nl.register_alias("P", product + running)  # the final stage's whole sum
 
     # phase 7: restore the input copies in row T_0
-    for i in range(1, n):
-        append(new(Gate, ("cx", (a[i], copy_wire[i]), None)))
+    for x, w in zip(a[1:], copy_wires):
+        append(new(Gate, ("cx", (x, w), None)))
 
     # phase 8: release the partial-product ancillae in reverse build order.
     # Row T_1 is excluded: its wires were overwritten by the first adder's
     # sum and are now P bits.
-    t1 = set(nl.registers["T1"])
-    for (i, j), w in reversed(pp_wire.items()):
-        if w not in t1:
-            append(new(UncomputeAnd, (a[i], a[j], w)))
+    t1 = set(rows[1])
+    for i in reversed(range(n - 1)):
+        for y, t in zip(reversed(a[i + 1:]), reversed(pp_wires[i])):
+            if t not in t1:
+                append(new(UncomputeAnd, (a[i], y, t)))
 
-    return SquarerCircuit(n, nl, grid)
+    return SquarerCircuit(n, nl)

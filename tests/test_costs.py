@@ -1,5 +1,7 @@
 """Closed-form evaluators, baselines, ratios, and measured reconciliation."""
 
+import re
+
 import pytest
 
 from qsquare.blocks import adder_and_count
@@ -19,7 +21,7 @@ from qsquare.costs import (
     rows_to_csv,
 )
 from qsquare.ir import AddInPlace, LogicalAnd
-from qsquare.layout import UnsupportedWidthError, row_widths
+from qsquare.layout import UnsupportedWidthError, arrange, row_widths
 from qsquare.synth import synthesize_squarer
 
 
@@ -86,6 +88,19 @@ def test_proposed_rejects_small_widths():
     for n in (0, 3, 4):
         with pytest.raises(UnsupportedWidthError):
             proposed_metrics(n)
+
+
+# a width that is not an int is refused, by its repr, at each entry
+# point: the polynomials would take a float or a bool and return
+# fractional or meaningless costs
+@pytest.mark.parametrize("entry", [row_widths, arrange, synthesize_squarer, proposed_metrics,
+                                   built_metrics, lambda n: baseline_costs("thapliyal", n)],
+                         ids=["row_widths", "arrange", "synthesize_squarer", "proposed_metrics",
+                              "built_metrics", "baseline_costs"])
+def test_width_that_is_not_an_int_rejected(entry):
+    for n in (5.0, 5.5, "6", None, True):
+        with pytest.raises(ValueError, match=re.escape(repr(n)) + "$"):
+            entry(n)
 
 
 def test_and_count_closed_forms():

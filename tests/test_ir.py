@@ -262,7 +262,7 @@ def _record_fields():
         (AddInPlace, lambda: ((0, 1), (2, 3))),  # carry_out defaults to None
         (ZeroPad, lambda: ()),
         (OperandGrid, lambda: tuple(grid)),
-        (SquarerCircuit, lambda: (5, synthesize_squarer(5).netlist, grid)),
+        (SquarerCircuit, lambda: (5, synthesize_squarer(5).netlist)),
         (SweepResult, lambda: ({0: 1, 1: 2}, {3: 0}, 2)),
         (Branch, lambda: ({1: 1}, {0: 1}, 0.5)),
         (MetricValues, lambda: (1, 2, 3, 4, 5, 10)),
@@ -721,6 +721,31 @@ def test_fan_out_join_ends_when_its_control_is_touched(gate, cnot_depth):
     nl.add_gate(*gate)        # layer 2 on wire 0
     nl.add_gate("cx", 0, 4)   # layer 3: no join back into layer 1
     assert schedule_asap(nl) == (0, cnot_depth)
+
+
+def _and_then_unmarking_ops(*tail):
+    """An AND, then its uncompute, an h and an mx, none of which marks a
+    T or CNOT layer, then the primitives ``tail``."""
+    nl = single_and_netlist()
+    x, y, t = nl.gates[0]
+    nl.append(UncomputeAnd(x, y, t))
+    nl.add_gate("h", x)
+    nl.add_gate("mx", y, cbit=nl.new_cbit())
+    for gate in tail:
+        nl.add_gate(*gate)
+    return nl
+
+
+@pytest.mark.parametrize("tail, depths", [
+    ((), (2, 4)),                           # the AND's own depths
+    ((("cx", 0, 1),), (2, 5)),              # a CNOT after them still counts
+    ((("t", 0),), (3, 4)),                  # as does a T gate
+    ((("tdg", 1), ("h", 1), ("z", 0)), (3, 4)),
+])
+def test_ops_after_the_last_marking_op_change_no_depth(tail, depths):
+    assert schedule_asap(single_and_netlist()) == (2, 4)
+    nl = _and_then_unmarking_ops(*tail)
+    assert schedule_asap(nl) == schedule_asap(expand(nl)) == depths
 
 
 def test_append_refuses_classical_cz_on_unwritten_cbit():

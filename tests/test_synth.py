@@ -1,14 +1,16 @@
 """Synthesizer structure, read off the netlist: adder stages (its
 AddInPlace ops), the P and T registers, uncompute order, determinism."""
 
+import collections
+import hashlib
 import random
 
 import pytest
 
 from qsquare.blocks import adder_and_count
 from qsquare.costs import built_metrics, reconcile
-from qsquare.ir import AddInPlace, LogicalAnd, UncomputeAnd, expand, to_json
-from qsquare.layout import UnsupportedWidthError, row_widths
+from qsquare.ir import AddInPlace, Gate, LogicalAnd, UncomputeAnd, expand, to_json
+from qsquare.layout import ZERO, InputCopy, PartialProduct, UnsupportedWidthError, row_widths
 from qsquare.sim import run_basis_sweep
 from qsquare.synth import synthesize_squarer
 
@@ -113,18 +115,55 @@ def test_no_uncompute_targets_first_adder_operand_row():
 
 
 def test_every_partial_product_ancilla_is_released():
-    # each live AND is released exactly once, by its own inputs, in
-    # reverse build order (descending wire index)
-    for n in range(5, 13):
+    # each T{r} cell holds the wire of its arrange(n) term, read off the
+    # ops before the first adder: a product is the target of the AND of
+    # its two inputs, a copy the target of its input's cx, and a pad a
+    # wire that only its prep0 touches.  Each live AND is released exactly
+    # once, by its own inputs, in reverse build order (descending wire
+    # index)
+    for n in [*range(5, 65), 127, 128]:
         c = synthesize_squarer(n)
-        built = {g.target: (g.x, g.y) for g in c.netlist.gates if isinstance(g, LogicalAnd)}
-        releases = [g for g in c.netlist.gates if isinstance(g, UncomputeAnd)]
-        expected = {
-            c.registers[f"T{r}"][col]
-            for r, col, e in c.grid.cells()
-            if r != 1 and type(e).__name__ == "PartialProduct"}
-        assert [g.target for g in releases] == sorted(expected, reverse=True)
+        gates = c.netlist.gates
+        a = c.input_wires
+        first_add = next(k for k, op in enumerate(gates) if type(op) is AddInPlace)
+        built, copied, touched = {}, {}, collections.defaultdict(list)
+        for op in gates[:first_add]:
+            if type(op) is LogicalAnd:
+                built[op.target] = (op.x, op.y)
+                wires = op
+            else:
+                if op.kind == "cx":
+                    copied[op.wires[1]] = op.wires[0]
+                wires = op.wires
+            for w in wires:
+                touched[w].append(op)
+        live = set()
+        for r, row in enumerate(c.grid.rows):
+            cells = c.registers[f"T{r}"]
+            assert len(cells) == len(row) == row_widths(n)[r]
+            for w, e in zip(cells, row):
+                if type(e) is PartialProduct:
+                    assert built[w] == (a[e.i], a[e.j])
+                    live.update([w] if r != 1 else ())
+                elif type(e) is InputCopy:
+                    assert copied[w] == a[e.i]
+                else:
+                    assert e == ZERO and touched[w] == [Gate("prep0", (w,))]
+        releases = [g for g in gates if isinstance(g, UncomputeAnd)]
+        assert [g.target for g in releases] == sorted(live, reverse=True), n
         assert all((g.x, g.y) == built[g.target] for g in releases)
+
+
+# sha256 of the macro netlist's JSON at two wide widths, so that no change
+# to how the rows are bound moves a wire, an op or a register; CI pins
+# n=1023 and n=1024
+@pytest.mark.parametrize("n, digest", [
+    (127, "e79c160f62f6e1fc3006da75d55da74c26c34d89e9c12987a2a9e3e6b2a464fb"),
+    (256, "953dd5aa9e03e301a320fbcf2b32de020ae4cfd26248a859a1b1a6b25ac43628"),
+])
+def test_netlist_matches_pinned_digest(n, digest):
+    text = to_json(synthesize_squarer(n).netlist)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_copy_restoration_comes_before_uncomputation():
