@@ -28,17 +28,7 @@ from .ir import (
     to_json,
     to_qasm,
 )
-from .layout import (
-    InputCopy,
-    OperandGrid,
-    PartialProduct,
-    UnsupportedWidthError,
-    ZERO,
-    arrange,
-    dump_grid,
-    grid_value,
-    partial_products,
-)
+from .layout import UnsupportedWidthError, arrange, dump_grid, grid_value
 from .blocks import (
     build_adder_in_place,
     build_logical_and,

@@ -351,6 +351,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.measured and args.range is None:
         raise _UsageError("--measured measures each width of a range, and no "
                           "width was given to measure")
+    if args.csv is not None and args.range is None:
+        raise _UsageError("--csv writes each width's rows, and no width was given to write")
     ns = _parse_range(args.range) if args.range is not None else []
     # the CSV lists the proposed design first, each table as --designs orders it
     csv_order = sorted(designs, key=lambda d: d != "proposed")

@@ -25,8 +25,9 @@ The netlist is the one record of this wiring, in its registers: ``A``
 ``V0..`` (the running sum left after each stage that peels P bits) and
 ``carry`` (the first adder's carry-out).  Each adder stage is one
 ``AddInPlace`` op, in cascade order, which gives its width and whether
-it has a carry-out.  No operand grid is built: ``SquarerCircuit.grid``
-is ``arrange(n)``, the same rule over the cell types, derived when read.
+it has a carry-out.  No operand grid is built: the rows are
+``layout.stack`` filled with wires, and ``layout.arrange(n)`` is the
+same rule filled with the terms' labels.
 
 Phase 8 releases every live partial product (all rows but T_1) in
 reverse build order, i.e. by descending wire index.  It does not follow
@@ -45,24 +46,19 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _same_type_eq, _same_type_ne
-from .layout import OperandGrid, _check_width, arrange, stack
+from .layout import _check_width, stack
 
 
 class SquarerCircuit(NamedTuple):
     """A synthesized squaring circuit: its width and its netlist.
 
     The wiring lives in the netlist's ``A``, ``P``, ``P1``, ``T0..TR``,
-    ``V*`` and ``carry`` registers (see the module docstring).  ``grid``
-    is ``arrange(n)``, built on each read: a build makes no term objects."""
+    ``V*`` and ``carry`` registers (see the module docstring)."""
 
     n: int
     netlist: Netlist
 
     __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
-
-    @property
-    def grid(self) -> OperandGrid:
-        return arrange(self.n)
 
     @property
     def registers(self) -> dict[str, tuple[int, ...]]:

@@ -28,7 +28,7 @@ from qsquare.cli import (
     main,
 )
 from qsquare.ir import UncomputeAnd, expand, from_json, to_json, to_qasm
-from qsquare.layout import dump_grid
+from qsquare.layout import arrange, dump_grid
 from qsquare.sim import lane_planes
 from qsquare.synth import synthesize_squarer
 
@@ -309,7 +309,7 @@ def test_verify_cache_is_never_corrupted(tmp_path, capsys):
         for flags, text in (([], to_json(fresh.netlist)),
                             (["--expanded"], to_json(fresh.netlist, lower=True)),
                             (["--format", "qasm"], to_qasm(fresh.netlist)),
-                            (["--format", "grid"], dump_grid(fresh.grid))):
+                            (["--format", "grid"], dump_grid(arrange(n)))):
             assert run(["synth", str(n), *flags, "--out", str(path)], capsys)[0] == 0
             assert path.read_text() == text
     for n in range(5, 17):
@@ -445,6 +445,9 @@ def test_compare_unknown_design(capsys):
     # an empty range is refused as a range, not read as no range
     (["compare", ""], "width must be an integer in ASCII digits, got ''"),
     (["compare", "", "--measured"], "width must be an integer in ASCII digits, got ''"),
+    # --ratios alone writes no width's rows, so a CSV would hold only its header
+    (["compare", "--ratios", "--csv", "-"],
+     "--csv writes each width's rows, and no width was given to write"),
 ])
 def test_compare_and_verify_refuse_input_they_would_ignore(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -778,12 +781,12 @@ def test_each_command_loads_only_what_it_runs(commands, loaded):
 
 # every public name of the package, as it exported them all on import
 _PACKAGE_NAMES = (
-    "AddInPlace", "Gate", "InputCopy", "LogicalAnd", "MetricValues", "Netlist",
-    "NonClassicalGateError", "OperandGrid", "PartialProduct", "SquarerCircuit",
-    "TermBudgetError", "UncomputeAnd", "UncomputeMisuseError", "UnsupportedWidthError", "ZERO",
+    "AddInPlace", "Gate", "LogicalAnd", "MetricValues", "Netlist", "NonClassicalGateError",
+    "SquarerCircuit", "TermBudgetError", "UncomputeAnd", "UncomputeMisuseError",
+    "UnsupportedWidthError",
     "arrange", "baseline_costs", "blocks", "build_adder_in_place", "build_logical_and",
     "build_uncompute_and", "built_metrics", "costs", "count_gates", "dump_grid", "expand",
-    "from_json", "grid_value", "ir", "lane_planes", "layout", "partial_products",
+    "from_json", "grid_value", "ir", "lane_planes", "layout",
     "proposed_metrics", "reconcile", "reduction_ratios", "run_basis_sweep",
     "run_statevector", "schedule_asap", "sim", "synth", "synthesize_squarer",
     "to_json", "to_qasm", "verify_equivalence",

@@ -1,5 +1,6 @@
 """Closed-form evaluators, baselines, ratios, and measured reconciliation."""
 
+import functools
 import re
 
 import pytest
@@ -20,7 +21,7 @@ from qsquare.costs import (
     reduction_ratios,
     rows_to_csv,
 )
-from qsquare.ir import AddInPlace, LogicalAnd
+from qsquare.ir import AddInPlace, Gate, LogicalAnd, Netlist, schedule_asap
 from qsquare.layout import UnsupportedWidthError, arrange, row_widths
 from qsquare.synth import synthesize_squarer
 
@@ -204,6 +205,45 @@ def test_built_metrics_equal_measurement():
     for n in [*range(5, 65), 100, 127, 128, 160, 256]:
         assert measure_circuit(synthesize_squarer(n)) == built_metrics(n), n
     assert [built_metrics(n).t_depth for n in range(5, 9)] == [21, 34, 45, 64]
+
+
+@functools.cache
+def _own_depths(cls, shape):
+    """(T-depth, CNOT-depth) of one op alone: ``schedule_asap`` of a
+    netlist that holds only it, on fresh wires.  ``shape`` is a
+    primitive's (kind, arity) or an adder's (width, has carry-out)."""
+    nl = Netlist()
+    if cls is AddInPlace:
+        m, carry = shape
+        w = nl.new_wires(2 * m + carry)
+        nl.append(AddInPlace(tuple(w[:m]), tuple(w[m:2 * m]), w[-1] if carry else None))
+    elif cls is Gate:
+        kind, arity = shape
+        nl.append(Gate(kind, tuple(nl.new_wires(arity))))
+    else:
+        nl.append(cls(*nl.new_wires(3)))
+    return schedule_asap(nl)
+
+
+def _shape(op):
+    if type(op) is AddInPlace:
+        return len(op.a_wires), op.carry_out is not None
+    if type(op) is Gate:
+        assert op.cbit is None
+        return op.kind, len(op.wires)
+    return None
+
+
+def test_paper_depths_are_own_depths_plus_booking():
+    # the paper's depths are block-sequential sums: the own depths of the
+    # netlist's ops, summed, plus an exact offset in the adder stage
+    # widths m_1, m_2, ... = row_widths(n)[1:]
+    for n in range(5, 65):
+        own = [_own_depths(type(op), _shape(op)) for op in synthesize_squarer(n).netlist.gates]
+        m = row_widths(n)[1:]
+        paper = proposed_metrics(n)
+        assert paper.t_depth == sum(t for t, _ in own) + (m[0] - 1) + sum(m[1:]), n
+        assert paper.cnot_depth == sum(c for _, c in own) + 2 * (n // 2 - 2), n
 
 
 def test_built_metrics_rejects_small_widths():

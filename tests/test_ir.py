@@ -33,7 +33,6 @@ from qsquare.ir import (
     to_qasm,
 )
 from qsquare.costs import CostRow, MetricValues
-from qsquare.layout import ZERO, OperandGrid, ZeroPad, arrange
 from qsquare.sim import Branch, SweepResult
 from qsquare.synth import SquarerCircuit, synthesize_squarer
 
@@ -256,12 +255,9 @@ def test_macro_ops_are_values_of_their_own_type():
 def _record_fields():
     """(type, fields) of every record of the package, the fields given
     by a function that makes fresh, equal values."""
-    grid = arrange(5)
     return [
         (AddInPlace, lambda: ((0, 1), (2, 3), 4)),
         (AddInPlace, lambda: ((0, 1), (2, 3))),  # carry_out defaults to None
-        (ZeroPad, lambda: ()),
-        (OperandGrid, lambda: tuple(grid)),
         (SquarerCircuit, lambda: (5, synthesize_squarer(5).netlist)),
         (SweepResult, lambda: ({0: 1, 1: 2}, {3: 0}, 2)),
         (Branch, lambda: ({1: 1}, {0: 1}, 0.5)),
@@ -295,11 +291,6 @@ def test_records_are_values_of_their_own_type(cls, fields):
         setattr(record, (cls._fields or ("x",))[0], 0)
     assert repr(record) == "%s(%s)" % (cls.__name__, ", ".join(
         f"{name}={value!r}" for name, value in zip(cls._fields, record)))
-
-
-def test_zero_pad_is_one_value():
-    assert ZeroPad() == ZERO and hash(ZeroPad()) == hash(ZERO) and ZERO
-    assert repr(ZERO) == "ZeroPad()" and ZERO.label() == "0"
 
 
 def test_swapping_a_macro_type_changes_the_netlist():

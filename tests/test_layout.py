@@ -1,20 +1,12 @@
 """Operand-grid layout: golden placements, pad counts, and the squaring identity."""
 
+import collections
 import hashlib
+import random
 
 import pytest
 
-from qsquare.layout import (
-    InputCopy,
-    PartialProduct,
-    UnsupportedWidthError,
-    ZERO,
-    arrange,
-    dump_grid,
-    grid_value,
-    partial_products,
-    row_widths,
-)
+from qsquare.layout import UnsupportedWidthError, arrange, dump_grid, grid_value, row_widths
 
 # the full 6-bit grid, cell for cell (rows T_0..T_3, low column first)
 GOLDEN_6 = [
@@ -32,26 +24,12 @@ GOLDEN_5 = [
 ]
 
 
-def test_partial_product_counts_n5():
-    entries = partial_products(5)
-    assert sum(isinstance(e, PartialProduct) for e in entries) == 10
-    assert sum(isinstance(e, InputCopy) for e in entries) == 4
-
-
-def test_partial_product_counts_n6():
-    entries = partial_products(6)
-    assert sum(isinstance(e, PartialProduct) for e in entries) == 15
-    assert sum(isinstance(e, InputCopy) for e in entries) == 5
-    assert entries[0] == PartialProduct(0, 1)
-    assert entries[5] == InputCopy(1)
-
-
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_width_at_most_four_rejected(n):
     with pytest.raises(UnsupportedWidthError):
-        partial_products(n)
-    with pytest.raises(UnsupportedWidthError):
         arrange(n)
+    with pytest.raises(UnsupportedWidthError):
+        grid_value(n, 0)
 
 
 def test_arrange_n6_matches_golden_grid():
@@ -74,72 +52,74 @@ def test_arrange_odd_width_matches_pinned_digest(n, digest):
 
 def test_arrange_n6_named_cells():
     grid = arrange(6)
-    assert grid.entry(1, 0) == PartialProduct(0, 1)   # a0a1 -> T(1,0)
-    assert grid.entry(2, 0) == PartialProduct(1, 2)   # a1a2 -> T(2,0)
-    assert grid.entry(3, 0) == PartialProduct(2, 3)   # a2a3 -> T(3,0)
-    assert grid.entry(2, 5) == ZERO
-    assert grid.entry(2, 6) == ZERO
-    assert grid.entry(2, 7) == ZERO
-    assert all(grid.entry(3, c) == ZERO for c in range(1, 6))
+    assert grid[1][0] == "a0a1"   # T(1,0)
+    assert grid[2][0] == "a1a2"   # T(2,0)
+    assert grid[3][0] == "a2a3"   # T(3,0)
+    assert grid[2][5] == grid[2][6] == grid[2][7] == "0"
+    assert all(grid[3][c] == "0" for c in range(1, 6))
 
 
 @pytest.mark.parametrize("n", [*range(5, 65), 127, 128])
 def test_row_shape_and_term_multiset(n):
     grid = arrange(n)
     widths = row_widths(n)
-    assert tuple(len(r) for r in grid.rows) == widths
+    assert type(grid) is tuple and all(type(row) is tuple for row in grid)
+    assert tuple(len(r) for r in grid) == widths
     assert widths[0] == widths[1] == 2 * n - 3
     assert all(widths[k] == 2 * n - 2 * k for k in range(2, len(widths)))
     expected_rows = (n // 2 if n % 2 == 0 else (n - 1) // 2) + 1
-    assert grid.row_count == expected_rows
-    placed = [e for _, _, e in grid.cells() if e != ZERO]
-    assert sorted(placed, key=repr) == sorted(partial_products(n), key=repr)
+    assert len(grid) == expected_rows
+    # the n(n-1)/2 products and n-1 copies, each placed once
+    terms = [f"a{i}a{j}" for i in range(n) for j in range(i + 1, n)]
+    terms += [f"a{i}" for i in range(1, n)]
+    placed = collections.Counter(label for row in grid for label in row if label != "0")
+    assert placed == collections.Counter(terms) and len(terms) == (n + 2) * (n - 1) // 2
 
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_zero_pad_counts_match_closed_forms(n):
     grid = arrange(n)
+    # the top 2(k-1) cells of each T_k (k >= 2) are all zero
+    left = [label for k, row in enumerate(grid[2:], 2) for label in row[len(row) - 2 * (k - 1):]]
+    assert set(left) == {"0"}
+    interior = sum(row.count("0") for row in grid) - len(left)
     if n % 2 == 0:
-        assert grid.interior_pads == (3 * n - 6) // 2
-        assert grid.left_pads == (n * n - 2 * n) // 4
+        assert interior == (3 * n - 6) // 2
+        assert len(left) == (n * n - 2 * n) // 4
     else:
-        assert grid.interior_pads == (3 * n - 7) // 2
-        assert grid.left_pads == (n * n - 4 * n + 3) // 4
-
-
-def test_terms_are_values_of_their_own_type():
-    for term, plain, text in [(PartialProduct(1, 2), (1, 2), "a1a2"),
-                              (InputCopy(1), (1,), "a1")]:
-        same = type(term)(*plain)
-        assert term == same and not term != same and hash(term) == hash(same)
-        assert term != plain and plain != term
-        assert not term == plain and not plain == term
-        assert term.label() == text
-        with pytest.raises(AttributeError):
-            term.i = 0
-    assert PartialProduct(1, 2) != InputCopy(1) and InputCopy(1) != ZERO
-    assert repr(PartialProduct(1, 2)) == "PartialProduct(i=1, j=2)"
-    assert repr(InputCopy(1)) == "InputCopy(i=1)"
+        assert interior == (3 * n - 7) // 2
+        assert len(left) == (n * n - 4 * n + 3) // 4
 
 
 def test_grid_value_trivial_inputs():
-    grid = arrange(6)
-    assert grid_value(grid, 0) == 0
-    assert grid_value(grid, 1) == 1
+    assert grid_value(6, 0) == 0
+    assert grid_value(6, 1) == 1
 
 
 def test_grid_value_all_ones_n6():
     # brute-force oracle over all 6-bit inputs pins the largest case
-    assert grid_value(arrange(6), 63) == 3969
+    assert grid_value(6, 63) == 3969
 
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_squaring_identity_exhaustive(n):
-    grid = arrange(n)
     for a in range(1 << n):
-        assert grid_value(grid, a) == a * a
+        assert grid_value(n, a) == a * a
+
+
+@pytest.mark.parametrize("n", [64, 127, 128])
+def test_squaring_identity_wide(n):
+    rng = random.Random(n)
+    for a in [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(16))]:
+        assert grid_value(n, a) == a * a
 
 
 def test_grid_value_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        grid_value(arrange(5), 32)
+    # an input that is not an int in 0..2^n-1, a bool or a float included,
+    # is refused by its repr; so is a width the grid does not have
+    for a in (32, -1, True, 2.0):
+        with pytest.raises(ValueError, match=f"got a={a!r}$"):
+            grid_value(5, a)
+    for n in (4, 5.0):
+        with pytest.raises(UnsupportedWidthError):
+            grid_value(n, 0)

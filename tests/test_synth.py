@@ -10,7 +10,7 @@ import pytest
 from qsquare.blocks import adder_and_count
 from qsquare.costs import built_metrics, reconcile
 from qsquare.ir import AddInPlace, Gate, LogicalAnd, UncomputeAnd, expand, to_json
-from qsquare.layout import ZERO, InputCopy, PartialProduct, UnsupportedWidthError, row_widths
+from qsquare.layout import UnsupportedWidthError, arrange, row_widths, stack
 from qsquare.sim import run_basis_sweep
 from qsquare.synth import synthesize_squarer
 
@@ -33,7 +33,7 @@ def test_stage_count_halves_row_count():
     for n in range(5, 11):
         c = synthesize_squarer(n)
         adds = [op for op in c.netlist.gates if isinstance(op, AddInPlace)]
-        assert len(adds) == c.grid.row_count - 1
+        assert len(adds) == len(arrange(n)) - 1
         assert len(adds) == (n // 2 if n % 2 == 0 else (n - 1) // 2)
         assert [(len(op.a_wires), op.carry_out is not None) for op in adds] == [
             (w, i == 0) for i, w in enumerate(row_widths(n)[1:])]
@@ -115,13 +115,18 @@ def test_no_uncompute_targets_first_adder_operand_row():
 
 
 def test_every_partial_product_ancilla_is_released():
-    # each T{r} cell holds the wire of its arrange(n) term, read off the
-    # ops before the first adder: a product is the target of the AND of
-    # its two inputs, a copy the target of its input's cx, and a pad a
-    # wire that only its prep0 touches.  Each live AND is released exactly
-    # once, by its own inputs, in reverse build order (descending wire
-    # index)
+    # each T{r} cell holds the wire of its term in ``stack``, filled here
+    # with (i, j) for a_i*a_j, (i,) for the copy a_i and None for a pad,
+    # the filling whose labels arrange(n) gives.  Read off the ops before
+    # the first adder, a product is the target of the AND of its two
+    # inputs, a copy the target of its input's cx, and a pad a wire that
+    # only its prep0 touches.  Each live AND is released exactly once, by
+    # its own inputs, in reverse build order (descending wire index)
     for n in [*range(5, 65), 127, 128]:
+        terms = stack(n, [(i,) for i in range(1, n)],
+                      [[(i, j) for j in range(i + 1, n)] for i in range(n - 1)], None)
+        assert arrange(n) == tuple(tuple("0" if e is None else "".join(f"a{i}" for i in e)
+                                         for e in row) for row in terms)
         c = synthesize_squarer(n)
         gates = c.netlist.gates
         a = c.input_wires
@@ -138,17 +143,17 @@ def test_every_partial_product_ancilla_is_released():
             for w in wires:
                 touched[w].append(op)
         live = set()
-        for r, row in enumerate(c.grid.rows):
+        for r, row in enumerate(terms):
             cells = c.registers[f"T{r}"]
             assert len(cells) == len(row) == row_widths(n)[r]
             for w, e in zip(cells, row):
-                if type(e) is PartialProduct:
-                    assert built[w] == (a[e.i], a[e.j])
+                if e is None:
+                    assert touched[w] == [Gate("prep0", (w,))]
+                elif len(e) == 2:
+                    assert built[w] == (a[e[0]], a[e[1]])
                     live.update([w] if r != 1 else ())
-                elif type(e) is InputCopy:
-                    assert copied[w] == a[e.i]
                 else:
-                    assert e == ZERO and touched[w] == [Gate("prep0", (w,))]
+                    assert copied[w] == a[e[0]]
         releases = [g for g in gates if isinstance(g, UncomputeAnd)]
         assert [g.target for g in releases] == sorted(live, reverse=True), n
         assert all((g.x, g.y) == built[g.target] for g in releases)
