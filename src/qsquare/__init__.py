@@ -34,7 +34,7 @@ from .blocks import (
     build_logical_and,
     build_uncompute_and,
 )
-from .synth import SquarerCircuit, synthesize_squarer
+from .synth import synthesize_squarer
 
 # module -> the names re-exported from it on first use
 _ON_FIRST_USE = {

@@ -66,7 +66,7 @@ import sys
 from . import blocks
 from .ir import Netlist, expand, to_json, to_qasm
 from .layout import arrange, dump_grid
-from .synth import SquarerCircuit, synthesize_squarer
+from .synth import synthesize_squarer
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -119,9 +119,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.format == "grid":  # the layout alone, no circuit
         _write(args.out, dump_grid(arrange(n)))
     elif args.format == "json":
-        _write(args.out, to_json(_squarer(n).netlist, lower=args.expanded))
+        _write(args.out, to_json(_squarer(n), lower=args.expanded))
     else:  # qasm, always of the expansion
-        _write(args.out, to_qasm(_squarer(n).netlist))
+        _write(args.out, to_qasm(_squarer(n)))
     return EXIT_OK
 
 
@@ -129,11 +129,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _drop_gate(netlist: Netlist, k: int) -> Netlist:
     if not 0 <= k < len(netlist.gates):
-        raise _UsageError(f"gate index {k} out of range (netlist has {len(netlist.gates)})")
+        raise _UsageError(f"gate index {k} out of range at n={len(netlist.registers['A'])} "
+                          f"(netlist has {len(netlist.gates)})")
     return netlist.without(k)
 
 
-def _square_planes(n: int) -> tuple[list[int], list[int]]:
+@functools.cache  # per process, bounded by BASIS_RANGE (module docstring)
+def _square_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The n input planes (lane a holds a, as ``sim.lane_planes`` builds
     them) and the 2n planes of a*a, over every input a < 2**n.
 
@@ -159,19 +161,12 @@ def _square_planes(n: int) -> tuple[list[int], list[int]]:
             carry = (x & b) | (carry & s)
         square = [p | q << lanes for p, q in zip(square, upper)]
         a_planes = [p | p << lanes for p in a_planes] + [full << lanes]
-    return a_planes, square
-
-
-@functools.cache  # per process, bounded by BASIS_RANGE (module docstring)
-def _sweep_reference(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The input planes and expected square planes of the n-bit sweep."""
-    a_planes, square = _square_planes(n)
     return tuple(a_planes), tuple(square)
 
 
 # the 12 widths of BASIS_RANGE plus one (module docstring)
 @functools.lru_cache(maxsize=BASIS_RANGE[1] - BASIS_RANGE[0] + 2)
-def _squarer(n: int) -> SquarerCircuit:
+def _squarer(n: int) -> Netlist:
     return synthesize_squarer(n)
 
 
@@ -193,7 +188,7 @@ def _verify_basis_one(netlist) -> dict:
     inputs, p_wires = netlist.registers["A"], netlist.registers["P"]
     n = len(inputs)
     lanes = 1 << n
-    a_planes, square = _sweep_reference(n)
+    a_planes, square = _square_planes(n)
     try:
         result = sim.run_basis_sweep(netlist, dict(zip(inputs, a_planes)), lanes)
     except sim.SimulationError as exc:
@@ -303,7 +298,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok = True
     if args.mode in ("basis-exhaustive", "both"):
         for n in ns:
-            netlist = _squarer(n).netlist
+            netlist = _squarer(n)
             runs.append(_verify_basis_one(
                 netlist if mutate is None else _drop_gate(netlist, mutate)))
     if args.mode in ("statevector-blocks", "both"):
@@ -311,7 +306,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     total = sum(r["inputs_checked"] for r in runs)
     mismatches = [m for r in runs for m in r["mismatches"]]
-    if args.report:
+    if args.report is not None:
         _write(args.report, json.dumps({"inputs_checked": total, "mismatches": mismatches},
                                        separators=(",", ":")) + "\n")
     for r in runs:
@@ -372,7 +367,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         out.append(costs.comparison_table(n, designs, width))
     if args.ratios:
         out.append(costs.ratios_table())
-    if args.csv:
+    if args.csv is not None:
         _write(args.csv, costs.rows_to_csv(rows))
     sys.stdout.write("\n".join(out))
     return EXIT_OK

@@ -18,9 +18,9 @@ booking of it; its qubits add the ancillae the paper omits; its depths
 are ASAP layer counts, pinned by measurement.
 A report is a list of ``CostRow``s, which the CSV writes as they are and
 ``comparison_table`` renders, computing nothing: ``closed_form_rows``
-gives any design's, ``reconcile`` the proposed design's with measured -
-paper as signed deltas, each of which ``built_metrics(n)`` minus
-``proposed_metrics(n)`` gives exactly.
+gives any design's, ``reconcile`` the proposed design's, measured on a
+squarer netlist, with measured - paper as signed deltas, each of which
+``built_metrics(n)`` minus ``proposed_metrics(n)`` gives exactly.
 
 All evaluators are exact integer arithmetic.
 """
@@ -34,9 +34,8 @@ import math
 from typing import NamedTuple
 
 from .blocks import adder_and_count
-from .ir import _same_type_eq, _same_type_ne
+from .ir import Netlist, _same_type_eq, _same_type_ne
 from .layout import _check_width, row_widths
-from .synth import SquarerCircuit
 
 METRICS = ("t_count", "t_depth", "cnot_count", "cnot_depth", "qubits", "kq_t")
 RATIO_METRICS = ("t_count", "t_depth", "cnot_count", "cnot_depth", "kq_t")
@@ -222,12 +221,12 @@ def reduction_ratios() -> dict[tuple[str, str], float]:
     return out
 
 
-def measure_circuit(circuit: SquarerCircuit) -> MetricValues:
-    """Measured metrics of the circuit's Clifford+T expansion, by
+def measure_circuit(netlist: Netlist) -> MetricValues:
+    """Measured metrics of the netlist's Clifford+T expansion, by
     ``Netlist.measure``: the depths layered from the macros, the counts
     and qubits summed over the ops, each macro shape costed once per
     process from its own expansion."""
-    t_count, t_depth, cnot_count, cnot_depth, qubits = circuit.netlist.measure()
+    t_count, t_depth, cnot_count, cnot_depth, qubits = netlist.measure()
     return MetricValues(t_count, t_depth, cnot_count, cnot_depth, qubits, qubits * t_depth)
 
 
@@ -238,14 +237,15 @@ def closed_form_rows(design: str, n: int) -> list[CostRow]:
     return [CostRow(n, design, m, v, "", "") for m, v in zip(METRICS, vals)]
 
 
-def reconcile(circuit: SquarerCircuit) -> list[CostRow]:
-    """The proposed design's six rows at the circuit's width: the paper's
-    closed form, the measured value and the signed delta (measured -
-    closed form); ``built_metrics`` accounts for each delta."""
-    n = circuit.n
+def reconcile(netlist: Netlist) -> list[CostRow]:
+    """The proposed design's six rows at the width of a squarer netlist,
+    the length of its register ``A``: the paper's closed form, the
+    measured value and the signed delta (measured - closed form);
+    ``built_metrics`` accounts for each delta."""
+    n = len(netlist.registers["A"])
     return [CostRow(n, "proposed", m, closed, measured, measured - closed)
             for m, closed, measured in zip(METRICS, proposed_metrics(n),
-                                           measure_circuit(circuit))]
+                                           measure_circuit(netlist))]
 
 
 # ---- rendering ------------------------------------------------------------

@@ -397,14 +397,15 @@ class Netlist:
         self._gates._put(op)
 
     def without(self, k: int) -> Netlist:
-        """This netlist without op ``k`` (0 <= k < len(gates), or
-        ``IndexError``), taken by slicing, with no ``append`` per op.
+        """This netlist without op ``k``, taken by slicing, with no
+        ``append`` per op.  Any ``k`` but an ``int`` (not a bool) in
+        0 <= k < len(gates) raises ``IndexError``.
         Dropping an ``mx`` whose cbit a later ``ccz_classical`` reads
         before another ``mx`` writes it raises ``NetlistError``, as
         ``append`` would refuse that ``ccz_classical``."""
         ops = self._gates
-        if not 0 <= k < len(ops):
-            raise IndexError(f"op index {k} out of range (netlist has {len(ops)})")
+        if type(k) is not int or not 0 <= k < len(ops):
+            raise IndexError(f"op index {k!r} out of range (netlist has {len(ops)})")
         out = self._copy_header(ops._without(k))
         op = ops[k]
         if type(op) is Gate and op.kind == "mx":

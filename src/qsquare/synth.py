@@ -43,36 +43,16 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd, _same_type_eq, _same_type_ne
+from .ir import AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd
 from .layout import _check_width, stack
 
 
-class SquarerCircuit(NamedTuple):
-    """A synthesized squaring circuit: its width and its netlist.
-
-    The wiring lives in the netlist's ``A``, ``P``, ``P1``, ``T0..TR``,
-    ``V*`` and ``carry`` registers (see the module docstring)."""
-
-    n: int
-    netlist: Netlist
-
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
-
-    @property
-    def registers(self) -> dict[str, tuple[int, ...]]:
-        return self.netlist.registers
-
-    @property
-    def input_wires(self) -> tuple[int, ...]:
-        return self.registers["A"]
-
-
-def synthesize_squarer(n: int) -> SquarerCircuit:
+def synthesize_squarer(n: int) -> Netlist:
     """Build the full squaring netlist for an n-bit input (n > 4).
 
-    Deterministic: the same n always yields an identical netlist.
+    Its ``A``, ``P``, ``P1``, ``T0..TR``, ``V*`` and ``carry`` registers
+    hold the wiring (see the module docstring).  Deterministic: the same
+    n always yields an identical netlist.
     """
     _check_width(n)
     nl = Netlist()
@@ -134,4 +114,4 @@ def synthesize_squarer(n: int) -> SquarerCircuit:
             if t not in t1:
                 append(new(UncomputeAnd, (a[i], y, t)))
 
-    return SquarerCircuit(n, nl)
+    return nl

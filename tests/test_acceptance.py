@@ -49,23 +49,23 @@ def report(num, desc):
 
 
 def _squarer_sweep(n):
-    c = synthesize_squarer(n)
+    nl = synthesize_squarer(n)
     lanes = 1 << n
     a = np.arange(lanes, dtype=np.int64)
-    inputs = {w: plane_of((a >> i) & 1 == 1) for i, w in enumerate(c.input_wires)}
-    return c, a, run_basis_sweep(c.netlist, inputs, lanes)
+    inputs = {w: plane_of((a >> i) & 1 == 1) for i, w in enumerate(nl.registers["A"])}
+    return nl, a, run_basis_sweep(nl, inputs, lanes)
 
 
 @report(1, "exhaustive squaring for n=5..10: P = a^2, A = a, all other wires 0")
 def test_criterion_1_functional_squaring_exhaustive():
     for n in range(5, 11):
-        c, a, res = _squarer_sweep(n)
+        nl, a, res = _squarer_sweep(n)
         lanes = a.size
-        p_wires = c.registers["P"]
+        p_wires = nl.registers["P"]
         assert (packed(res, p_wires, lanes) == a * a).all()
-        assert (packed(res, c.input_wires, lanes) == a).all()
-        keep = set(c.input_wires) | set(p_wires)
-        for w in range(c.netlist.wire_count):
+        assert (packed(res, nl.registers["A"], lanes) == a).all()
+        keep = set(nl.registers["A"]) | set(p_wires)
+        for w in range(nl.wire_count):
             if w not in keep:
                 assert not res.wires[w], (n, w)
 
@@ -143,11 +143,11 @@ def test_criterion_5_asymptotic_ratios():
            "form, every delta = built - paper exactly, -4 per carry-less stage")
 def test_criterion_6_reconciliation():
     for n in range(5, 13):
-        circuit = synthesize_squarer(n)
-        rep = {row.metric: row for row in reconcile(circuit)}
+        nl = synthesize_squarer(n)
+        rep = {row.metric: row for row in reconcile(nl)}
         built = built_metrics(n)
-        step1 = sum(isinstance(op, LogicalAnd) for op in circuit.netlist.gates)
-        adds = [op for op in circuit.netlist.gates if isinstance(op, AddInPlace)]
+        step1 = sum(isinstance(op, LogicalAnd) for op in nl.gates)
+        adds = [op for op in nl.gates if isinstance(op, AddInPlace)]
         adders = sum(adder_and_count(len(op.a_wires), op.carry_out is not None)
                      for op in adds)
         assert rep["t_count"].measured == 4 * (step1 + adders)
@@ -171,9 +171,9 @@ def test_criterion_7_layout_identity_exhaustive():
            "n=5..10, all inputs")
 def test_criterion_8_no_overflow():
     for n in range(5, 11):
-        c, a, res = _squarer_sweep(n)
+        nl, a, res = _squarer_sweep(n)
         carry_less = sum(isinstance(op, AddInPlace) and op.carry_out is None
-                         for op in c.netlist.gates)
+                         for op in nl.gates)
         assert len(res.would_be_carries) == carry_less
         for gate_idx, lanes in res.would_be_carries.items():
             assert not lanes, (n, gate_idx)

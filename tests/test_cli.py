@@ -22,7 +22,6 @@ from qsquare.cli import (
     BASIS_RANGE,
     _drop_gate,
     _square_planes,
-    _sweep_reference,
     _UsageError,
     _verify_basis_one,
     main,
@@ -207,7 +206,7 @@ def test_verify_mutated_netlist_fails(capsys):
 
 
 def test_drop_gate_copies_without_the_gate():
-    source = synthesize_squarer(6).netlist
+    source = synthesize_squarer(6)
     before = to_json(source)
     for k in (0, 7, len(source.gates) - 1):
         mutant = _drop_gate(source, k)
@@ -234,18 +233,17 @@ def test_lane_and_square_planes_read_back(n):
     # verify reads them once per process, as tuples no caller can change;
     # the doubling that builds the squares builds the input planes that
     # the simulator's own sweeps use
-    assert _sweep_reference(n) == (tuple(a_planes), tuple(square))
-    assert _sweep_reference(n)[0] == tuple(lane_planes(n))
+    assert _square_planes(n)[0] == tuple(lane_planes(n))
 
 
 def test_verify_basis_reports_garbage_and_overflow_lanes(monkeypatch):
     # without the release of a_i*a_j, P and A stay right and that wire is
     # left at 1 in exactly the lanes with bits i and j of a set
-    c = synthesize_squarer(5)
-    k, op = next((k, op) for k, op in enumerate(c.netlist.gates)
+    nl = synthesize_squarer(5)
+    k, op = next((k, op) for k, op in enumerate(nl.gates)
                  if isinstance(op, UncomputeAnd))
-    i, j = c.input_wires.index(op.x), c.input_wires.index(op.y)
-    rep = _verify_basis_one(_drop_gate(c.netlist, k))
+    i, j = nl.registers["A"].index(op.x), nl.registers["A"].index(op.y)
+    rep = _verify_basis_one(_drop_gate(nl, k))
     assert rep["inputs_checked"] == 32
     assert [m["input"]["a"] for m in rep["mismatches"]] == [
         a for a in range(32) if (a >> i) & (a >> j) & 1]
@@ -262,7 +260,7 @@ def test_verify_basis_reports_garbage_and_overflow_lanes(monkeypatch):
         return res
 
     monkeypatch.setattr(sim, "run_basis_sweep", overflowing)
-    assert _verify_basis_one(c.netlist)["mismatches"] == [{
+    assert _verify_basis_one(nl)["mismatches"] == [{
         "input": {"n": 5, "a": 21},
         "expected": {"P": 441, "A": 21, "garbage": 0, "overflow": 0},
         "got": {"P": 441, "A": 21, "garbage": 0, "overflow": 1}}]
@@ -272,7 +270,7 @@ def test_verify_basis_reads_a_corrupted_input_back():
     # a final cx from P's bit 3 onto A's bit 2 (not a P wire, as A's bit 0
     # is) leaves P right and flips A's bit 2 in exactly the lanes where
     # bit 3 of a*a is set
-    netlist = from_json(to_json(synthesize_squarer(7).netlist))
+    netlist = from_json(to_json(synthesize_squarer(7)))
     netlist.add_gate("cx", netlist.registers["P"][3], netlist.registers["A"][2])
     rep = _verify_basis_one(netlist)
     lanes = [a for a in range(128) if (a * a >> 3) & 1]
@@ -285,7 +283,7 @@ def test_verify_basis_reads_a_netlist_alone():
     # the oracle needs only the netlist: one read back from JSON, whose
     # A and P registers are all it has of the wiring, reports the same
     for n in range(5, 9):
-        netlist = synthesize_squarer(n).netlist
+        netlist = synthesize_squarer(n)
         for checked in (netlist, _drop_gate(netlist, 8)):
             rep = _verify_basis_one(checked)
             assert rep == _verify_basis_one(from_json(to_json(checked)))
@@ -306,9 +304,9 @@ def test_verify_cache_is_never_corrupted(tmp_path, capsys):
     misses = cli._squarer.cache_info().misses
     for n in (5, 8, 16):
         fresh = synthesize_squarer(n)
-        for flags, text in (([], to_json(fresh.netlist)),
-                            (["--expanded"], to_json(fresh.netlist, lower=True)),
-                            (["--format", "qasm"], to_qasm(fresh.netlist)),
+        for flags, text in (([], to_json(fresh)),
+                            (["--expanded"], to_json(fresh, lower=True)),
+                            (["--format", "qasm"], to_qasm(fresh)),
                             (["--format", "grid"], dump_grid(arrange(n)))):
             assert run(["synth", str(n), *flags, "--out", str(path)], capsys)[0] == 0
             assert path.read_text() == text
@@ -448,12 +446,31 @@ def test_compare_unknown_design(capsys):
     # --ratios alone writes no width's rows, so a CSV would hold only its header
     (["compare", "--ratios", "--csv", "-"],
      "--csv writes each width's rows, and no width was given to write"),
+    # a gate index past the smallest width's netlist names that width
+    (["verify", "5..6", "--mutate", "drop-gate:40"],
+     "gate index 40 out of range at n=5 (netlist has 36)"),
 ])
 def test_compare_and_verify_refuse_input_they_would_ignore(argv, message, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("qsq: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "5", "--out", ""],
+    ["compare", "5", "--csv", ""],
+    ["verify", "5", "--report", ""],
+    ["synth", "5", "--out", "{tmp}/no/such/dir/x"],
+], ids=["synth-out-empty", "compare-csv-empty", "verify-report-empty", "synth-out-no-dir"])
+def test_unwritable_output_path_is_an_io_error(argv, tmp_path, capsys):
+    # a path that cannot be written, the empty one included, exits 1 before
+    # anything reaches stdout, and is never read as stdout or as no path
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_IO == 1
+    assert out == ""
+    assert err.startswith("qsq: I/O error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code():
@@ -518,7 +535,7 @@ def test_traced_counters_stay_readable(n):
     # the benchmark reads ir.expand.gates_out as len(result.gates) only
     # while it is a list, and ir.to_json/ir.to_qasm bytes only from a str;
     # its self-test fails when one of them reads as unavailable
-    netlist = synthesize_squarer(n).netlist
+    netlist = synthesize_squarer(n)
     full = expand(netlist)
     assert isinstance(full.gates, list)
     assert len(full.gates) == sum(1 for _ in full.gates) > 0
@@ -635,7 +652,7 @@ def test_verify_counts_every_failing_input(tmp_path, capsys):
     # line counts them all, here lane by lane on one-lane sweeps, and says
     # that the report lists only the first 16, which it reads as they are
     n, k = 9, 76
-    mutant = _drop_gate(synthesize_squarer(n).netlist, k)
+    mutant = _drop_gate(synthesize_squarer(n), k)
     a_wires, p_wires = mutant.registers["A"], mutant.registers["P"]
     ancillas = set(range(mutant.wire_count)) - {*a_wires, *p_wires}
     failing = []
@@ -782,8 +799,7 @@ def test_each_command_loads_only_what_it_runs(commands, loaded):
 # every public name of the package, as it exported them all on import
 _PACKAGE_NAMES = (
     "AddInPlace", "Gate", "LogicalAnd", "MetricValues", "Netlist", "NonClassicalGateError",
-    "SquarerCircuit", "TermBudgetError", "UncomputeAnd", "UncomputeMisuseError",
-    "UnsupportedWidthError",
+    "TermBudgetError", "UncomputeAnd", "UncomputeMisuseError", "UnsupportedWidthError",
     "arrange", "baseline_costs", "blocks", "build_adder_in_place", "build_logical_and",
     "build_uncompute_and", "built_metrics", "costs", "count_gates", "dump_grid", "expand",
     "from_json", "grid_value", "ir", "lane_planes", "layout",

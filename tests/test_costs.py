@@ -170,10 +170,10 @@ def test_ratios_depend_only_on_leading_coefficients():
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_reconcile_t_count_is_four_per_and_macro(n):
-    circuit = synthesize_squarer(n)
-    report = _by_metric(reconcile(circuit))
-    step1 = sum(isinstance(op, LogicalAnd) for op in circuit.netlist.gates)
-    adds = [op for op in circuit.netlist.gates if isinstance(op, AddInPlace)]
+    nl = synthesize_squarer(n)
+    report = _by_metric(reconcile(nl))
+    step1 = sum(isinstance(op, LogicalAnd) for op in nl.gates)
+    adds = [op for op in nl.gates if isinstance(op, AddInPlace)]
     adders = sum(adder_and_count(len(op.a_wires), op.carry_out is not None) for op in adds)
     assert step1 == n * (n - 1) // 2
     assert report["t_count"].measured == 4 * (step1 + adders)
@@ -189,11 +189,11 @@ def test_reconcile_measured_t_depth_below_closed_form(n):
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_reconcile_carry_less_stage_delta_formula(n):
-    circuit = synthesize_squarer(n)
-    report = _by_metric(reconcile(circuit))
+    nl = synthesize_squarer(n)
+    report = _by_metric(reconcile(nl))
     carry_less = (n - 2) // 2 if n % 2 == 0 else (n - 3) // 2
     assert carry_less_stages(n) == carry_less == sum(
-        isinstance(op, AddInPlace) and op.carry_out is None for op in circuit.netlist.gates)
+        isinstance(op, AddInPlace) and op.carry_out is None for op in nl.gates)
     assert built_metrics(n).t_count - proposed_metrics(n).t_count == -4 * carry_less
     assert report["t_count"].delta == -4 * carry_less
 
@@ -239,7 +239,7 @@ def test_paper_depths_are_own_depths_plus_booking():
     # netlist's ops, summed, plus an exact offset in the adder stage
     # widths m_1, m_2, ... = row_widths(n)[1:]
     for n in range(5, 65):
-        own = [_own_depths(type(op), _shape(op)) for op in synthesize_squarer(n).netlist.gates]
+        own = [_own_depths(type(op), _shape(op)) for op in synthesize_squarer(n).gates]
         m = row_widths(n)[1:]
         paper = proposed_metrics(n)
         assert paper.t_depth == sum(t for t, _ in own) + (m[0] - 1) + sum(m[1:]), n
@@ -268,9 +268,9 @@ def test_reconcile_deltas_equal_built_minus_paper():
 def test_reconcile_and_counts():
     # n = 6: 15 phase-1 ANDs; the adders' 23 booked ANDs against the 21
     # the lowering builds (stage widths 9, 8, 6; two drop their carry-out)
-    circuit = synthesize_squarer(6)
-    report = _by_metric(reconcile(circuit))
-    assert sum(isinstance(op, LogicalAnd) for op in circuit.netlist.gates) == 15
+    nl = synthesize_squarer(6)
+    report = _by_metric(reconcile(nl))
+    assert sum(isinstance(op, LogicalAnd) for op in nl.gates) == 15
     assert sum(row_widths(6)[1:]) == 23
     assert report["t_count"].closed_form == 4 * (15 + 23)
     assert report["t_count"].measured == built_metrics(6).t_count == 4 * (15 + 21)

@@ -34,7 +34,7 @@ from qsquare.ir import (
 )
 from qsquare.costs import CostRow, MetricValues
 from qsquare.sim import Branch, SweepResult
-from qsquare.synth import SquarerCircuit, synthesize_squarer
+from qsquare.synth import synthesize_squarer
 
 
 def single_and_netlist():
@@ -258,7 +258,6 @@ def _record_fields():
     return [
         (AddInPlace, lambda: ((0, 1), (2, 3), 4)),
         (AddInPlace, lambda: ((0, 1), (2, 3))),  # carry_out defaults to None
-        (SquarerCircuit, lambda: (5, synthesize_squarer(5).netlist)),
         (SweepResult, lambda: ({0: 1, 1: 2}, {3: 0}, 2)),
         (Branch, lambda: ({1: 1}, {0: 1}, 0.5)),
         (MetricValues, lambda: (1, 2, 3, 4, 5, 10)),
@@ -294,7 +293,7 @@ def test_records_are_values_of_their_own_type(cls, fields):
 
 
 def test_swapping_a_macro_type_changes_the_netlist():
-    nl = synthesize_squarer(6).netlist
+    nl = synthesize_squarer(6)
     k = next(i for i, op in enumerate(nl.gates) if type(op) is LogicalAnd)
     assert relabeled(nl, range(nl.wire_count)) == nl
     swap = {k: UncomputeAnd(*nl.gates[k])}
@@ -334,7 +333,7 @@ def test_expanded_uncompute_is_clifford_only():
 def test_expanded_squarer_gates_pass_validation(n):
     # expand() writes the gates it lowers without checking them, so each
     # one must still be a gate that Netlist.append accepts
-    full = expand(synthesize_squarer(n).netlist)
+    full = expand(synthesize_squarer(n))
     assert isinstance(full.gates, GateColumns)
     again = Netlist()
     again.new_wires(full.wire_count)
@@ -462,8 +461,11 @@ def test_without_drops_one_op_by_slicing():
             again = relabeled(mutant, range(mutant.wire_count))
             assert again.gates == mutant.gates and to_json(again) == to_json(mutant)
         assert list(source.gates) == gates
-        for k in (-1, len(gates)):
-            with pytest.raises(IndexError, match=f"op index {k} out of range"):
+        # a bool or a float is refused as an out-of-range int is, not read
+        # as the op it would index
+        for k in (-1, len(gates), True, 1.0):
+            message = f"op index {k!r} out of range (netlist has {len(gates)})"
+            with pytest.raises(IndexError, match=re.escape(message)):
                 source.without(k)
 
 
@@ -595,7 +597,7 @@ def _measured_by_expansion(nl):
 
 @pytest.mark.parametrize("n", [*range(5, 41), 64, 128])
 def test_measure_of_squarer_equals_its_expansion(n):
-    nl = synthesize_squarer(n).netlist
+    nl = synthesize_squarer(n)
     assert nl.measure() == _measured_by_expansion(nl)
 
 
@@ -625,13 +627,13 @@ def test_measure_of_primitives_and_of_columns_equals_its_expansion():
         nl.append(Gate(kind, wires, cbit))
     assert type(nl.gates) is not GateColumns
     assert nl.measure() == _measured_by_expansion(nl) == (3, 2, 2, 2, 3)
-    full = expand(synthesize_squarer(9).netlist)
+    full = expand(synthesize_squarer(9))
     assert isinstance(full.gates, GateColumns)
     assert full.measure() == _measured_by_expansion(full)
 
 
 def test_measure_of_drop_gate_mutants_equals_their_expansion():
-    netlist = synthesize_squarer(6).netlist
+    netlist = synthesize_squarer(6)
     for k in range(len(netlist.gates)):
         mutant = _drop_gate(netlist, k)
         assert mutant.measure() == _measured_by_expansion(mutant), k
@@ -648,7 +650,7 @@ def test_measure_expands_each_shape_once_per_process(monkeypatch):
 
     monkeypatch.setattr(ir, "expand", counted)
     ir._shape_cost.cache_clear()
-    nl = synthesize_squarer(64).netlist
+    nl = synthesize_squarer(64)
     first = nl.measure()
     adders = sum(isinstance(op, AddInPlace) for op in nl.gates)
     assert len(calls) == 2 + adders == ir._shape_cost.cache_info().currsize
@@ -881,7 +883,7 @@ def _squarer_doc(netlist):
 
 @pytest.mark.parametrize("expanded", [False, True], ids=["macro", "expanded"])
 def test_json_is_compact_and_reads_the_indented_format(expanded):
-    nl = synthesize_squarer(6).netlist
+    nl = synthesize_squarer(6)
     nl = expand(nl) if expanded else nl
     doc = _squarer_doc(nl)
     text = to_json(nl)
@@ -980,7 +982,7 @@ def _first_difference(a: str, b: str):
 
 
 @pytest.mark.parametrize("nl", _block_netlists()
-                         + [pytest.param(synthesize_squarer(n).netlist, id=f"squarer-{n}")
+                         + [pytest.param(synthesize_squarer(n), id=f"squarer-{n}")
                             for n in [*range(5, 17), 40, 128]])
 def test_lowered_text_equals_text_of_expansion(nl):
     full = expand(nl)
@@ -1157,7 +1159,7 @@ def test_emitters_allocate_wires_as_ranges():
 
 
 @pytest.mark.parametrize("nl", _block_netlists()
-                         + [pytest.param(synthesize_squarer(n).netlist, id=f"squarer-{n}")
+                         + [pytest.param(synthesize_squarer(n), id=f"squarer-{n}")
                             for n in [*range(5, 41), 64, 127, 128]])
 def test_schedule_of_macros_equals_schedule_of_expansion(nl):
     assert any(type(op) is not Gate for op in nl.gates)

@@ -44,21 +44,21 @@ def _rebuilt(wires, gates):
 # ---- basis engine ------------------------------------------------------------
 
 def test_basis_squarer_small_examples():
-    c = synthesize_squarer(5)
-    res = run_basis_sweep(c.netlist, {w: (3 >> i) & 1 for i, w in enumerate(c.input_wires)}, 1)
-    assert pack_wires(res.wires, c.registers["P"]) == 9
-    assert pack_wires(res.wires, c.input_wires) == 3
+    nl = synthesize_squarer(5)
+    res = run_basis_sweep(nl, {w: (3 >> i) & 1 for i, w in enumerate(nl.registers["A"])}, 1)
+    assert pack_wires(res.wires, nl.registers["P"]) == 9
+    assert pack_wires(res.wires, nl.registers["A"]) == 3
 
 
 def test_basis_squarer_n6_largest_input():
-    c = synthesize_squarer(6)
-    res = run_basis_sweep(c.netlist, {w: 1 for w in c.input_wires}, 1)
-    assert pack_wires(res.wires, c.registers["P"]) == 3969
+    nl = synthesize_squarer(6)
+    res = run_basis_sweep(nl, {w: 1 for w in nl.registers["A"]}, 1)
+    assert pack_wires(res.wires, nl.registers["P"]) == 3969
 
 
 def test_basis_squarer_zero_leaves_everything_clean():
-    c = synthesize_squarer(6)
-    res = run_basis_sweep(c.netlist, {w: 0 for w in c.input_wires}, 1)
+    nl = synthesize_squarer(6)
+    res = run_basis_sweep(nl, {w: 0 for w in nl.registers["A"]}, 1)
     assert all(v == 0 for v in res.wires.values())
 
 
@@ -118,7 +118,7 @@ def test_sweep_exact_at_wide_widths():
     # below keep their inputs
     beyond = random.Random(17)
     for n in (5, 17, 40, 64, 128):
-        c = synthesize_squarer(n)
+        nl = synthesize_squarer(n)
         if n == 5:
             a = list(range(1 << n))  # exhaustive; draws nothing from rng
         else:
@@ -126,13 +126,13 @@ def test_sweep_exact_at_wide_widths():
             a = [draw.getrandbits(n) for _ in range(63)] + [(1 << n) - 1]
         lanes = len(a)
         res = run_basis_sweep(
-            c.netlist, dict(zip(c.input_wires, planes_of(a, n))), lanes)
-        p_wires = c.registers["P"]
+            nl, dict(zip(nl.registers["A"], planes_of(a, n))), lanes)
+        p_wires = nl.registers["P"]
         assert _ints_of(res, p_wires, lanes) == [v * v for v in a], n
-        assert _ints_of(res, c.input_wires, lanes) == a, n
-        keep = set(c.input_wires) | set(p_wires)
+        assert _ints_of(res, nl.registers["A"], lanes) == a, n
+        keep = set(nl.registers["A"]) | set(p_wires)
         assert not any(res.wires[w]
-                       for w in range(c.netlist.wire_count) if w not in keep), n
+                       for w in range(nl.wire_count) if w not in keep), n
         assert not any(res.would_be_carries.values()), n
 
     m = 40
@@ -268,13 +268,13 @@ def test_sweep_refuses_an_input_wire_outside_the_netlist(wire):
 
 
 def test_squarer_is_injective_on_valid_inputs():
-    c = synthesize_squarer(5)
+    nl = synthesize_squarer(5)
     seen = set()
-    p_wires = c.registers["P"]
+    p_wires = nl.registers["P"]
     for a in range(32):
         res = run_basis_sweep(
-            c.netlist, {w: (a >> i) & 1 for i, w in enumerate(c.input_wires)}, 1)
-        seen.add((pack_wires(res.wires, c.input_wires),
+            nl, {w: (a >> i) & 1 for i, w in enumerate(nl.registers["A"])}, 1)
+        seen.add((pack_wires(res.wires, nl.registers["A"]),
                   pack_wires(res.wires, p_wires)))
     assert len(seen) == 32
 
@@ -638,16 +638,16 @@ def test_expanded_squarer_exact_with_phase(n):
     # the circuit's wires, which no gate touches: the one branch of each
     # forced policy must hold every input's square at one amplitude, so
     # each input's own run would end in it with amplitude exactly 1
-    c = synthesize_squarer(n)
-    full = expand(c.netlist)
-    p_wires = c.registers["P"]
+    nl = synthesize_squarer(n)
+    full = expand(nl)
+    p_wires = nl.registers["P"]
 
     def tagged(a, wire_bits):
         (mask,) = basis_state(wire_bits)
         return a << full.wire_count | mask
     start, want = {}, {}
     for a in range(1 << n):
-        inputs = {w: (a >> i) & 1 for i, w in enumerate(c.input_wires)}
+        inputs = {w: (a >> i) & 1 for i, w in enumerate(nl.registers["A"])}
         start[tagged(a, inputs)] = ONE
         want[tagged(a, {**inputs, **{w: (a * a >> i) & 1 for i, w in enumerate(p_wires)}})] = ONE
     for policy in ("forced-0", "forced-1"):

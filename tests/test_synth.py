@@ -18,21 +18,21 @@ from planes import pack_wires, planes_of
 
 
 def test_stage_widths_n6():
-    adds = [op for op in synthesize_squarer(6).netlist.gates if isinstance(op, AddInPlace)]
+    adds = [op for op in synthesize_squarer(6).gates if isinstance(op, AddInPlace)]
     assert [len(op.a_wires) for op in adds] == [9, 8, 6]
     assert row_widths(6)[1:] == (9, 8, 6)
 
 
 def test_stage_widths_n5():
-    adds = [op for op in synthesize_squarer(5).netlist.gates if isinstance(op, AddInPlace)]
+    adds = [op for op in synthesize_squarer(5).gates if isinstance(op, AddInPlace)]
     assert [len(op.a_wires) for op in adds] == [7, 6]
     assert row_widths(5)[1:] == (7, 6)
 
 
 def test_stage_count_halves_row_count():
     for n in range(5, 11):
-        c = synthesize_squarer(n)
-        adds = [op for op in c.netlist.gates if isinstance(op, AddInPlace)]
+        nl = synthesize_squarer(n)
+        adds = [op for op in nl.gates if isinstance(op, AddInPlace)]
         assert len(adds) == len(arrange(n)) - 1
         assert len(adds) == (n // 2 if n % 2 == 0 else (n - 1) // 2)
         assert [(len(op.a_wires), op.carry_out is not None) for op in adds] == [
@@ -47,19 +47,19 @@ def test_width_validation():
 
 
 def test_step1_and_macro_count_n6():
-    c = synthesize_squarer(6)
-    macro_ands = [g for g in c.netlist.gates if isinstance(g, LogicalAnd)]
+    nl = synthesize_squarer(6)
+    macro_ands = [g for g in nl.gates if isinstance(g, LogicalAnd)]
     assert len(macro_ands) == 15  # C(6,2); adder ANDs appear only after expansion
-    adds = [op for op in c.netlist.gates if isinstance(op, AddInPlace)]
+    adds = [op for op in nl.gates if isinstance(op, AddInPlace)]
     adders = sum(adder_and_count(len(op.a_wires), op.carry_out is not None) for op in adds)
     assert adders == 21  # 9 + 7 + 5 for stage widths 9, 8, 6
 
 
 def test_reported_adder_ands_sit_next_to_closed_form_23():
-    c = synthesize_squarer(6)
+    nl = synthesize_squarer(6)
     adders_closed = sum(row_widths(6)[1:])
     assert adders_closed == 23  # one AND per adder bit over widths 9+8+6
-    t_line = reconcile(c)[0]  # the t_count row, first of the six
+    t_line = reconcile(nl)[0]  # the t_count row, first of the six
     assert t_line.metric == "t_count"
     assert t_line.closed_form == 4 * (15 + adders_closed)
     # carry-less stages save one AND each: 21 adder ANDs are built
@@ -67,49 +67,49 @@ def test_reported_adder_ands_sit_next_to_closed_form_23():
 
 
 def test_output_map_positions_n6():
-    c = synthesize_squarer(6)
-    out = c.registers["P"]
+    nl = synthesize_squarer(6)
+    out = nl.registers["P"]
     assert len(out) == 12
-    assert out[0] == c.input_wires[0]
-    assert out[1] == c.registers["P1"][0]
-    t1 = c.registers["T1"]
+    assert out[0] == nl.registers["A"][0]
+    assert out[1] == nl.registers["P1"][0]
+    t1 = nl.registers["T1"]
     assert out[2] == t1[0] and out[3] == t1[1]  # first-stage low sum bits
     # final-stage sums land on positions 6..11, the top one on the first carry
-    v1 = c.registers["V1"]
+    v1 = nl.registers["V1"]
     assert [out[i] for i in range(6, 12)] == list(v1)
-    assert out[11] == c.registers["carry"][0]
+    assert out[11] == nl.registers["carry"][0]
 
 
 def test_output_map_is_injective_with_documented_alias():
     for n in (5, 6, 7, 8):
-        c = synthesize_squarer(n)
-        out = c.registers["P"]
+        nl = synthesize_squarer(n)
+        out = nl.registers["P"]
         assert len(out) == 2 * n
         assert len(set(out)) == 2 * n
-        assert out[0] == c.input_wires[0]  # the only wire shared with A
+        assert out[0] == nl.registers["A"][0]  # the only wire shared with A
 
 
 def test_p1_wire_is_never_written():
     for n in (5, 6, 9):
-        c = synthesize_squarer(n)
-        p1 = c.registers["P1"][0]
-        full = expand(c.netlist)
+        nl = synthesize_squarer(n)
+        p1 = nl.registers["P1"][0]
+        full = expand(nl)
         touching = [g for g in full.gates if p1 in g.wires and g.kind != "prep0"]
         assert touching == []
 
 
 def test_sum_wires_are_t1_row_plus_first_carry():
     for n in (5, 6, 7):
-        c = synthesize_squarer(n)
-        sum_wires = set(c.registers["P"][2:])
-        assert sum_wires == set(c.registers["T1"]) | {c.registers["carry"][0]}
+        nl = synthesize_squarer(n)
+        sum_wires = set(nl.registers["P"][2:])
+        assert sum_wires == set(nl.registers["T1"]) | {nl.registers["carry"][0]}
 
 
 def test_no_uncompute_targets_first_adder_operand_row():
     for n in (5, 6, 8, 10):
-        c = synthesize_squarer(n)
-        t1 = set(c.registers["T1"])
-        for g in c.netlist.gates:
+        nl = synthesize_squarer(n)
+        t1 = set(nl.registers["T1"])
+        for g in nl.gates:
             if isinstance(g, UncomputeAnd):
                 assert g.target not in t1
 
@@ -127,9 +127,9 @@ def test_every_partial_product_ancilla_is_released():
                       [[(i, j) for j in range(i + 1, n)] for i in range(n - 1)], None)
         assert arrange(n) == tuple(tuple("0" if e is None else "".join(f"a{i}" for i in e)
                                          for e in row) for row in terms)
-        c = synthesize_squarer(n)
-        gates = c.netlist.gates
-        a = c.input_wires
+        nl = synthesize_squarer(n)
+        gates = nl.gates
+        a = nl.registers["A"]
         first_add = next(k for k, op in enumerate(gates) if type(op) is AddInPlace)
         built, copied, touched = {}, {}, collections.defaultdict(list)
         for op in gates[:first_add]:
@@ -144,7 +144,7 @@ def test_every_partial_product_ancilla_is_released():
                 touched[w].append(op)
         live = set()
         for r, row in enumerate(terms):
-            cells = c.registers[f"T{r}"]
+            cells = nl.registers[f"T{r}"]
             assert len(cells) == len(row) == row_widths(n)[r]
             for w, e in zip(cells, row):
                 if e is None:
@@ -167,14 +167,14 @@ def test_every_partial_product_ancilla_is_released():
     (256, "953dd5aa9e03e301a320fbcf2b32de020ae4cfd26248a859a1b1a6b25ac43628"),
 ])
 def test_netlist_matches_pinned_digest(n, digest):
-    text = to_json(synthesize_squarer(n).netlist)
+    text = to_json(synthesize_squarer(n))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_copy_restoration_comes_before_uncomputation():
-    c = synthesize_squarer(6)
+    nl = synthesize_squarer(6)
     kinds = [type(g).__name__ if not hasattr(g, "kind") else g.kind
-             for g in c.netlist.gates]
+             for g in nl.gates]
     first_unand = kinds.index("UncomputeAnd")
     adds = [i for i, k in enumerate(kinds) if k == "AddInPlace"]
     restore_cx = [i for i, k in enumerate(kinds) if k == "cx" and i > max(adds)]
@@ -183,18 +183,18 @@ def test_copy_restoration_comes_before_uncomputation():
 
 def test_synthesis_is_deterministic():
     a, b = synthesize_squarer(7), synthesize_squarer(7)
-    assert a.netlist == b.netlist
-    assert to_json(a.netlist) == to_json(b.netlist)
-    assert to_json(expand(a.netlist)) == to_json(expand(b.netlist))
+    assert a == b
+    assert to_json(a) == to_json(b)
+    assert to_json(expand(a)) == to_json(expand(b))
 
 
 def test_functional_spot_checks():
     for n, a in ((5, 3), (6, 63), (6, 0), (7, 100)):
-        c = synthesize_squarer(n)
+        nl = synthesize_squarer(n)
         res = run_basis_sweep(
-            c.netlist, {w: (a >> i) & 1 for i, w in enumerate(c.input_wires)}, 1)
-        assert pack_wires(res.wires, c.registers["P"]) == a * a
-        assert pack_wires(res.wires, c.input_wires) == a
+            nl, {w: (a >> i) & 1 for i, w in enumerate(nl.registers["A"])}, 1)
+        assert pack_wires(res.wires, nl.registers["P"]) == a * a
+        assert pack_wires(res.wires, nl.registers["A"]) == a
 
 
 def test_deep_and_level_simulation_matches_macro_level():
@@ -206,15 +206,15 @@ def test_deep_and_level_simulation_matches_macro_level():
 
     rng = random.Random(17)
     for n in (5, 6, 17, 64, 128):
-        c = synthesize_squarer(n)
-        deep = lower_adders(c.netlist)
+        nl = synthesize_squarer(n)
+        deep = lower_adders(nl)
         values = (range(1 << n) if n < 7 else
                   [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(4094))])
-        inputs = dict(zip(c.input_wires, planes_of(values, n)))
-        top = run_basis_sweep(c.netlist, inputs, len(values))
+        inputs = dict(zip(nl.registers["A"], planes_of(values, n)))
+        top = run_basis_sweep(nl, inputs, len(values))
         low = run_basis_sweep(deep, inputs, len(values))
-        for w in range(c.netlist.wire_count):
+        for w in range(nl.wire_count):
             assert top.wires[w] == low.wires[w], (n, w)
         # every carry the lowering allocated is released
-        for w in range(c.netlist.wire_count, deep.wire_count):
+        for w in range(nl.wire_count, deep.wire_count):
             assert low.wires[w] == 0, (n, w)
