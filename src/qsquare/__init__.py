@@ -42,6 +42,7 @@ _ON_FIRST_USE = {
         "NonClassicalGateError",
         "TermBudgetError",
         "UncomputeMisuseError",
+        "check_squarer",
         "lane_planes",
         "run_basis_sweep",
         "run_statevector",

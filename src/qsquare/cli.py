@@ -1,18 +1,18 @@
 """Command-line front end: synthesis, verification, and cost comparison.
 
+The CLI only parses, caches and prints; ``synthesize_squarer``, the
+writers of ``ir``, ``sim.check_squarer``, ``sim.check_blocks`` and
+``costs`` do each command's work.
+
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 verification
 failure.  All commands are deterministic; identical invocations produce
 byte-identical outputs.
 
-The block battery (``verify --mode statevector-blocks`` or ``both``)
-certifies each ``_BLOCKS`` block's Clifford+T expansion against the
-basis engine's run of its macro netlist, the semantics every squarer
-sweep checks with; no expected result is written here.  ``--report``
-writes ``{"inputs_checked": ..., "mismatches": [...]}`` as compact JSON,
-one ``json.dumps`` call with the separators ``to_json`` uses, whatever
-shape its mismatches have.  A squarer width's report lists at most its
-first 16 failing inputs; its stdout line counts them all, or says that
-the sweep stopped at an error and counted none.
+``--report`` writes ``{"inputs_checked": ..., "mismatches": [...]}`` as
+compact JSON, one ``json.dumps`` call with the separators ``to_json``
+uses, whatever shape its mismatches have.  A squarer width's report
+lists at most its first 16 failing inputs; its stdout line counts them
+all, or says that the sweep stopped at an error and counted none.
 
 Each command loads the modules it runs, when it runs: ``verify``
 imports ``sim`` and ``compare`` imports ``costs``, so ``synth`` loads
@@ -21,22 +21,16 @@ neither, ``verify`` never loads ``costs`` and ``compare`` never loads
 
 ``synth --format grid`` writes ``layout.arrange(n)`` and builds no
 squarer.  ``synth`` to JSON or QASM and ``verify`` build each width's
-squarer once per process, and ``verify`` the input and expected-square
-planes its basis sweep checks against: they are pure functions of n,
-and a process that runs many commands (a library caller of ``main``,
-say) would otherwise rebuild them for each.  Sharing them is safe
-because nothing can change them: a netlist's ops and header are
-read-only (see ``ir``), so ``_drop_gate`` builds a new netlist
-(``Netlist.without``), and the planes are kept as tuples.  The squarer
+squarer once per process: it is a pure function of n, and a process
+that runs many commands (a library caller of ``main``, say) would
+otherwise rebuild it for each.  Sharing it is safe because nothing can
+change it: a netlist's ops and header are read-only (see ``ir``), so
+``_drop_gate`` builds a new netlist (``Netlist.without``).  The squarer
 cache keeps the 13 widths used last: the 12 of ``BASIS_RANGE`` plus
 one, so a ``synth`` between two ``verify 5..16`` evicts no verified
-width; a 128-bit circuit holds about 2.6 MB.  The planes are cached
-only for verified widths, so for at most 12.  ``compare`` builds each
+width; a 128-bit circuit holds about 2.6 MB.  ``compare`` builds each
 width once per command and keeps no circuit: holding the circuits of a
-long sweep would only raise its peak memory.  Its measurement shares
-``ir``'s cache of macro shape costs, one 3-tuple per shape for the
-process (122 after ``compare 5..64 --measured``), so a second sweep
-expands no adder to count it.
+long sweep would only raise its peak memory.
 
 ``main`` suspends CPython's cyclic garbage collector while a command
 runs, and turns it back on afterwards only if it was on when ``main``
@@ -63,8 +57,7 @@ import gc
 import json
 import sys
 
-from . import blocks
-from .ir import Netlist, expand, to_json, to_qasm
+from .ir import Netlist, to_json, to_qasm
 from .layout import arrange, dump_grid
 from .synth import synthesize_squarer
 
@@ -134,141 +127,10 @@ def _drop_gate(netlist: Netlist, k: int) -> Netlist:
     return netlist.without(k)
 
 
-@functools.cache  # per process, bounded by BASIS_RANGE (module docstring)
-def _square_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The n input planes (lane a holds a, as ``sim.lane_planes`` builds
-    them) and the 2n planes of a*a, over every input a < 2**n.
-
-    Built together, apart from any circuit, by doubling: the upper half
-    of 2L lanes holds a + L, a new top input plane, and (a + L)**2 =
-    a**2 + a*2L + L**2 for a < L = 2**k.  As a**2 < L**2, adding L**2
-    only sets bit 2k; a*2L is rippled in."""
-    square = [0] * (2 * n)
-    a_planes: list[int] = []
-    for k in range(n):
-        lanes = 1 << k
-        full = (1 << lanes) - 1
-        upper = square[:]
-        upper[2 * k] = full
-        carry = 0
-        for i in range(k + 1, 2 * n):
-            b = a_planes[i - k - 1] if i <= 2 * k else 0
-            if not (b or carry):
-                break
-            x = upper[i]
-            s = x ^ b
-            upper[i] = s ^ carry
-            carry = (x & b) | (carry & s)
-        square = [p | q << lanes for p, q in zip(square, upper)]
-        a_planes = [p | p << lanes for p in a_planes] + [full << lanes]
-    return tuple(a_planes), tuple(square)
-
-
 # the 12 widths of BASIS_RANGE plus one (module docstring)
 @functools.lru_cache(maxsize=BASIS_RANGE[1] - BASIS_RANGE[0] + 2)
 def _squarer(n: int) -> Netlist:
     return synthesize_squarer(n)
-
-
-def _verify_basis_one(netlist) -> dict:
-    """Exhaustively simulate a squarer netlist, reading its input and
-    product wires from registers A and P; returns the spec report dict
-    plus n and, for a sweep that ran, ``failing``, its count of failing
-    inputs (the report lists at most the first 16), or, for a sweep that
-    raised and so counted none, ``stopped``, the error its one mismatch
-    names.
-
-    Only planes that differ from the reference carry data: each P and A
-    plane is XORed with its expected plane once, garbage is the OR of
-    the non-zero ancilla planes, and a reported lane's P and A are the
-    expected values XOR its difference bits, read from small windows of
-    the differences that start at the first reported lane."""
-    from . import sim
-
-    inputs, p_wires = netlist.registers["A"], netlist.registers["P"]
-    n = len(inputs)
-    lanes = 1 << n
-    a_planes, square = _square_planes(n)
-    try:
-        result = sim.run_basis_sweep(netlist, dict(zip(inputs, a_planes)), lanes)
-    except sim.SimulationError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        return {"n": n, "inputs_checked": lanes, "stopped": error,
-                "mismatches": [{"input": {"n": n}, "expected": "clean run", "got": error}]}
-    planes = result.wires
-    # (bit, plane of lanes where that bit is wrong), non-zero planes only
-    p_diff = [(i, d) for i, (w, want) in enumerate(zip(p_wires, square))
-              if (d := planes[w] ^ want)]
-    a_diff = [(i, d) for i, (w, want) in enumerate(zip(inputs, a_planes))
-              if (d := planes[w] ^ want)]
-    keep = {*inputs, *p_wires}
-    dirty = overflow = 0
-    for w, plane in planes.items():
-        if plane and w not in keep:
-            dirty |= plane
-    for carry in result.would_be_carries.values():
-        if carry:
-            overflow |= carry
-    bad = dirty | overflow
-    for _, d in p_diff + a_diff:
-        bad |= d
-    failing = bad.bit_count()
-    first: list[int] = []  # the lowest 16 bad lanes
-    while bad and len(first) < 16:
-        low = bad & -bad
-        bad ^= low
-        first.append(low.bit_length() - 1)
-    # cut every plane to the window of reported lanes, so reading a lane
-    # shifts a small int
-    lo = first[0] if first else 0
-    window = (2 << (first[-1] - lo)) - 1 if first else 0
-    p_diff, a_diff = ([(i, (d >> lo) & window) for i, d in diff] for diff in (p_diff, a_diff))
-    dirty, overflow = (dirty >> lo) & window, (overflow >> lo) & window
-    mismatches = []
-    for a in first:
-        k = a - lo
-        mismatches.append({
-            "input": {"n": n, "a": a},
-            "expected": {"P": a * a, "A": a, "garbage": 0, "overflow": 0},
-            "got": {"P": a * a ^ sum(((d >> k) & 1) << i for i, d in p_diff),
-                    "A": a ^ sum(((d >> k) & 1) << i for i, d in a_diff),
-                    "garbage": (dirty >> k) & 1, "overflow": (overflow >> k) & 1}})
-    return {"n": n, "inputs_checked": lanes, "mismatches": mismatches, "failing": failing}
-
-
-def _and_block(nl: Netlist, uncompute: bool) -> tuple[int, ...]:
-    x, y = nl.alloc_register("xy", 2, "input")
-    t = blocks.build_logical_and(nl, x, y)
-    if uncompute:
-        blocks.build_uncompute_and(nl, x, y, t)
-    return x, y
-
-
-def _adder_block(nl: Netlist, m: int, carry: bool) -> tuple[int, ...]:
-    a, b = nl.alloc_register("a", m, "input"), nl.alloc_register("b", m, "input")
-    blocks.build_adder_in_place(nl, a, b, carry)
-    return a + b
-
-
-# the block battery: each block's name, and the builder and its
-# arguments that write it into a fresh netlist and return its input wires
-_BLOCKS = (("logical-and", _and_block, False), ("and-uncompute", _and_block, True),
-           *((f"adder-m{m}-{'carry' if carry else 'modular'}", _adder_block, m, carry)
-             for m, carry in ((2, True), (2, False), (3, True), (3, False))))
-
-
-def _verify_blocks() -> list[dict]:
-    """Certify each block's Clifford+T expansion against its macro
-    netlist on the basis engine, over every input."""
-    from . import sim
-
-    reports: list[dict] = []
-    for name, build, *args in _BLOCKS:
-        nl = Netlist()
-        inputs = build(nl, *args)
-        reports.append({"block": name,
-                        **sim.verify_equivalence(nl, expand(nl), inputs)})
-    return reports
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -294,15 +156,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise _UsageError("--mutate corrupts the squarer netlist, which "
                               "--mode statevector-blocks does not verify")
 
+    from . import sim
+
     runs: list[dict] = []
     ok = True
     if args.mode in ("basis-exhaustive", "both"):
         for n in ns:
             netlist = _squarer(n)
-            runs.append(_verify_basis_one(
+            runs.append(sim.check_squarer(
                 netlist if mutate is None else _drop_gate(netlist, mutate)))
     if args.mode in ("statevector-blocks", "both"):
-        runs.extend(_verify_blocks())
+        runs.extend(sim.check_blocks())
 
     total = sum(r["inputs_checked"] for r in runs)
     mismatches = [m for r in runs for m in r["mismatches"]]

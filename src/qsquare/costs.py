@@ -1,6 +1,7 @@
 """Closed-form resource polynomials: the paper's, the circuit's as built,
-and the published baselines; and the reconciliation of the paper's
-closed forms against netlist measurements.
+and the published baselines; the measurement of a netlist, which only
+``measure_circuit`` does; and the reconciliation of the paper's closed
+forms against it.
 
 ``proposed_metrics(n)`` evaluates the paper's polynomials.  They count
 blocks fully sequentially (every logical-AND contributes its whole
@@ -31,10 +32,14 @@ import csv
 import functools
 import io
 import math
+from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .blocks import adder_and_count
-from .ir import Netlist, _same_type_eq, _same_type_ne
+from .ir import (_T_KINDS, AddInPlace, Gate, LogicalAnd, Netlist, UncomputeAnd,
+                 _same_type_eq, _same_type_ne, count_gates, expand, schedule_asap)
 from .layout import _check_width, row_widths
 
 METRICS = ("t_count", "t_depth", "cnot_count", "cnot_depth", "qubits", "kq_t")
@@ -221,12 +226,62 @@ def reduction_ratios() -> dict[tuple[str, str], float]:
     return out
 
 
+def _shape_counts(gates) -> Counter:
+    """How many ops of ``gates`` have each shape: a primitive's kind, or
+    ``(LogicalAnd,)``, ``(UncomputeAnd,)`` or ``(AddInPlace, m, carry)``
+    for an adder of width m with (``carry`` True) or without a
+    carry-out.  It dispatches on the exact type as ``ir._lower`` does."""
+    counts: Counter = Counter()
+    for cls, ops in groupby(gates, type):
+        if cls is LogicalAnd:
+            counts[LogicalAnd,] += len([*ops])
+        elif cls is UncomputeAnd:
+            counts[UncomputeAnd,] += len([*ops])
+        elif cls is Gate:
+            counts.update(map(itemgetter(0), ops))
+        else:  # AddInPlace
+            counts.update((AddInPlace, len(op.a_wires), op.carry_out is not None)
+                          for op in ops)
+    return counts
+
+
+@functools.cache
+def _shape_cost(cls: type, m: int = 0, carry: bool = False) -> tuple[int, int, int]:
+    """(T count, CNOT count, fresh wires) of one op once expanded: a
+    ``LogicalAnd`` or ``UncomputeAnd`` ``cls``, or an ``AddInPlace`` of
+    width ``m`` with or without a carry-out.  It is read off
+    ``count_gates(expand(...))`` of a netlist of that one op, so it comes
+    from the lowering the exports write.  The cache holds one 3-tuple per
+    shape measured in the process: the AND's, the uncompute's and one per
+    adder width and carry-out variant, 122 after ``compare 5..64
+    --measured``."""
+    nl = Netlist()
+    if cls is AddInPlace:
+        wires = nl.new_wires(2 * m + carry)
+        nl.append(AddInPlace(tuple(wires[:m]), tuple(wires[m:2 * m]),
+                             wires[-1] if carry else None))
+    else:
+        nl.append(cls(*nl.new_wires(3)))
+    full = expand(nl)
+    return (*count_gates(full), full.wire_count - nl.wire_count)
+
+
 def measure_circuit(netlist: Netlist) -> MetricValues:
-    """Measured metrics of the netlist's Clifford+T expansion, by
-    ``Netlist.measure``: the depths layered from the macros, the counts
-    and qubits summed over the ops, each macro shape costed once per
-    process from its own expansion."""
-    t_count, t_depth, cnot_count, cnot_depth, qubits = netlist.measure()
+    """Measured metrics of the netlist's Clifford+T expansion, with none
+    built whole: the depths are ``schedule_asap``'s of the macros, and
+    the counts and qubits add up per op, a primitive by its kind and
+    every other op at its shape's cost (``_shape_counts``, ``_shape_cost``)."""
+    t_depth, cnot_depth = schedule_asap(netlist)
+    t_count = cnot_count = 0
+    qubits = netlist.wire_count
+    for shape, k in _shape_counts(netlist.gates).items():
+        if type(shape) is str:  # a primitive's kind
+            t, cnot, fresh = shape in _T_KINDS, shape == "cx", 0
+        else:
+            t, cnot, fresh = _shape_cost(*shape)
+        t_count += k * t
+        cnot_count += k * cnot
+        qubits += k * fresh
     return MetricValues(t_count, t_depth, cnot_count, cnot_depth, qubits, qubits * t_depth)
 
 

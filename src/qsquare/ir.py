@@ -38,14 +38,13 @@ whose every mutator, ``append`` included, raises ``TypeError``.  Only
 ``expand``, ``_ColumnWriter.run``, ``from_json_dict`` and
 ``Netlist.without`` (the one way to make a mutant: one op dropped, by
 slicing) write the fields behind them.  So no reader checks an op again:
-``_lower``, ``_shape_counts``, ``to_json``, ``schedule_asap`` and both
-engines of ``sim`` trust every op to be one ``append`` took.
+``_lower``, ``to_json``, ``schedule_asap``, ``costs`` and both engines
+of ``sim`` trust every op to be one ``append`` took.
 
 ``_lower`` is the one walk that lowers a netlist's ops, whether a
 macro netlist's or the ``GateColumns`` of an expansion, which it reads
-as the ``Gate`` tuples it iterates; ``_shape_counts`` sorts them by
-shape for ``Netlist.measure``, dispatching as ``_lower`` does, on the
-exact type.  ``_lower`` hands each primitive to an emitter, each
+as the ``Gate`` tuples it iterates, dispatching on each op's exact
+type.  ``_lower`` hands each primitive to an emitter, each
 maximal run of consecutive ANDs (or uncomputes) of one type to the
 emitter in one call, over the run's wire columns, and each adder to
 ``blocks.lower_add_in_place``.  The four lowered gate patterns, the
@@ -68,10 +67,12 @@ pattern.  Three emitters read the walk:
 
 Every other reader, ``sim`` included, takes an expansion as the ``Gate``
 tuples it iterates; only ``count_gates``, ``_ColumnWriter`` and
-``GateColumns`` itself touch the columns.
-``Netlist.measure`` never expands the whole netlist: its counts add up
-per op, at each op shape's cost (``_shape_cost``).  Every transformation
-returns a new netlist.
+``GateColumns`` itself touch the columns.  Every transformation returns
+a new netlist.
+
+This module owns the netlist, its lowering and its writers; measuring a
+circuit's six metrics is ``costs.measure_circuit``'s job, built on
+``schedule_asap``, ``expand`` and ``count_gates``.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from functools import cache
 from itertools import groupby, islice
 from operator import itemgetter
 from types import MappingProxyType
@@ -337,10 +337,9 @@ class Netlist:
         ``init`` is "zero" (emits prep0) or "input" (no gate; the wires
         carry caller-provided state).
         """
-        if name in self.registers:
-            raise NetlistError(f"register {name!r} already allocated")
-        if width < 1:
-            raise NetlistError(f"register width must be >= 1, got {width}")
+        self._check_register_name(name)
+        if type(width) is not int or width < 1:
+            raise NetlistError(f"register width must be an integer >= 1, got {width!r}")
         if init not in ("zero", "input"):
             raise NetlistError(f"unknown register init {init!r}")
         wires = tuple(self.new_wires(width))
@@ -351,14 +350,29 @@ class Netlist:
         return wires
 
     def register_alias(self, name: str, wires: Sequence[int]) -> None:
-        """Record a named view over existing wires (no allocation)."""
-        if name in self.registers:
-            raise NetlistError(f"register {name!r} already allocated")
+        """Record a named view over existing, distinct wires (no
+        allocation)."""
+        self._check_register_name(name)
         wires = tuple(wires)  # once, so an iterator is checked and stored alike
         if not _allocated(wires, self._wire_count):
-            for w in wires:
-                self._check_wire(w)
+            try:
+                for w in wires:
+                    self._check_wire(w)
+            except NetlistError as exc:
+                raise NetlistError(f"register {name!r}: {exc}") from None
+        if len(set(wires)) != len(wires):
+            # a reader that maps the wires to values would keep only one
+            repeated = next(w for i, w in enumerate(wires) if w in wires[:i])
+            raise NetlistError(f"register {name!r} names wire {repeated} twice")
         self._registers[name] = wires
+
+    def _check_register_name(self, name: str) -> None:
+        # to_json writes every name as a JSON key, which from_json reads
+        # back as a str: 5 would come back as "5"
+        if type(name) is not str:
+            raise NetlistError(f"register name must be a str, got {name!r}")
+        if name in self._registers:
+            raise NetlistError(f"register {name!r} already allocated")
 
     def add_gate(self, kind: str, *wires: int, cbit: int | None = None) -> None:
         self.append(Gate(kind, wires, cbit))
@@ -498,29 +512,6 @@ class Netlist:
     def __repr__(self) -> str:
         return f"Netlist(wires={self.wire_count}, gates={len(self.gates)})"
 
-    def measure(self) -> tuple[int, int, int, int, int]:
-        """(T count, T-depth, CNOT count, CNOT-depth, wires) of this
-        netlist's expansion, with no expansion of the whole netlist built.
-
-        ``schedule_asap`` layers this netlist's macros directly, which
-        gives the depths of the expansion.  The counts and the wire count
-        are linear over the ops: a primitive counts by its kind, and every
-        other op by its shape (``_shape_counts``), at the cost
-        ``_shape_cost`` reads off ``expand`` of that one op, once per
-        shape per process."""
-        t_depth, cnot_depth = schedule_asap(self)
-        t_count = cnot_count = 0
-        wires = self.wire_count
-        for shape, k in _shape_counts(self.gates).items():
-            if type(shape) is str:  # a primitive's kind
-                t, cnot, fresh = shape in _T_KINDS, shape == "cx", 0
-            else:
-                t, cnot, fresh = _shape_cost(*shape)
-            t_count += k * t
-            cnot_count += k * cnot
-            wires += k * fresh
-        return t_count, t_depth, cnot_count, cnot_depth, wires
-
 
 # ---- macro expansion ----------------------------------------------------
 
@@ -626,46 +617,6 @@ def expand(netlist: Netlist) -> Netlist:
 
 # ---- counting and depth --------------------------------------------------
 
-def _shape_counts(gates: list) -> Counter:
-    """How many ops of ``gates`` have each shape: a primitive's kind, or
-    ``(LogicalAnd,)``, ``(UncomputeAnd,)`` or ``(AddInPlace, m, carry)``
-    for an adder of width m with (``carry`` True) or without a
-    carry-out.  It dispatches on the exact type as ``_lower`` does."""
-    counts: Counter = Counter()
-    for cls, ops in groupby(gates, type):
-        if cls is LogicalAnd:
-            counts[LogicalAnd,] += len([*ops])
-        elif cls is UncomputeAnd:
-            counts[UncomputeAnd,] += len([*ops])
-        elif cls is Gate:
-            counts.update(map(itemgetter(0), ops))
-        else:  # AddInPlace
-            counts.update((AddInPlace, len(op.a_wires), op.carry_out is not None)
-                          for op in ops)
-    return counts
-
-
-@cache
-def _shape_cost(cls: type, m: int = 0, carry: bool = False) -> tuple[int, int, int]:
-    """(T count, CNOT count, fresh wires) of one op once expanded: a
-    ``LogicalAnd`` or ``UncomputeAnd`` ``cls``, or an ``AddInPlace`` of
-    width ``m`` with or without a carry-out.  It is read off
-    ``count_gates(expand(...))`` of a netlist of that one op, so it comes
-    from the lowering the exports write.  The cache holds one 3-tuple per
-    shape measured in the process: the AND's, the uncompute's and one per
-    adder width and carry-out variant, 122 after ``compare 5..64
-    --measured``."""
-    nl = Netlist()
-    if cls is AddInPlace:
-        wires = nl.new_wires(2 * m + carry)
-        nl.append(AddInPlace(tuple(wires[:m]), tuple(wires[m:2 * m]),
-                             wires[-1] if carry else None))
-    else:
-        nl.append(cls(*nl.new_wires(3)))
-    full = expand(nl)
-    return (*count_gates(full), full.wire_count - nl.wire_count)
-
-
 def count_gates(netlist: Netlist) -> tuple[int, int]:
     """(T count, CNOT count) of a fully expanded netlist, counted on its
     kind column.
@@ -678,9 +629,9 @@ def count_gates(netlist: Netlist) -> tuple[int, int]:
     cols = netlist.gates
     if type(cols) is GateColumns:
         return list.count(cols, "t") + list.count(cols, "tdg"), list.count(cols, "cx")
-    kinds = _shape_counts(cols)
-    if any(type(shape) is not str for shape in kinds):
+    if any(type(op) is not Gate for op in cols):
         raise UnexpandedNetlistError("macros remain; expand the netlist first")
+    kinds = Counter(map(itemgetter(0), cols))
     return kinds["t"] + kinds["tdg"], kinds["cx"]
 
 
@@ -1091,17 +1042,14 @@ def from_json_dict(data: dict) -> Netlist:
     for name, ws in registers.items():
         if not isinstance(ws, list):
             raise NetlistError(f"register {name!r} must be a list of wires, got {ws!r}")
-        try:
-            out.register_alias(name, ws)
-        except NetlistError as exc:
-            raise NetlistError(f"register {name!r}: {exc}") from None
+        out.register_alias(name, ws)
     for index, g in enumerate(data["gates"]):
         try:
             _load_op(out, g)
         except NetlistError as exc:
             raise NetlistError(f"gate {index}: {exc}") from None
-    # every wire is a checked int by now; measure and to_qasm size their
-    # tables by the count, so one past the named wires is refused
+    # every wire is a checked int by now; schedule_asap and to_qasm size
+    # their tables by the count, so one past the named wires is refused
     named = max(map(max, filter(None, [*map(itemgetter("wires"), data["gates"]),
                                        *registers.values()])), default=-1)
     if wires > named + 1:

@@ -1,4 +1,5 @@
-"""Two verification engines for netlists.
+"""Two verification engines for netlists, and the checks of the
+squarer and its blocks that ``qsq verify`` runs on them.
 
 The basis engine evaluates macro-level netlists (X, CNOT, preparations,
 and the three macro ops) under classical reversible semantics.  It
@@ -48,13 +49,22 @@ its state with amplitude exactly 1.  On any other state, or any
 ``SimulationError`` (a superposition past ``MAX_TERMS`` among them),
 that run concludes nothing, and each input runs on its own through
 ``run_statevector`` to write the report.
+
+``check_squarer`` sweeps a squarer netlist, through its registers A
+and P, against the planes of a and a*a (``_square_planes``, tuples
+cached for the 12 widths used last, as many as the CLI's
+``BASIS_RANGE``).  ``check_blocks`` certifies each ``_BLOCKS`` block's
+expansion against the basis run of its macro netlist, so no expected
+result is written here.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, NamedTuple
 
-from .ir import Gate, LogicalAnd, Netlist, UncomputeAnd, _same_type_eq, _same_type_ne
+from . import blocks
+from .ir import Gate, LogicalAnd, Netlist, UncomputeAnd, _same_type_eq, _same_type_ne, expand
 
 MAX_TERMS = 1 << 12  # as many amplitudes as a dense 12-wire state holds
 
@@ -90,17 +100,23 @@ class SweepResult(NamedTuple):
     __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
-def lane_planes(n: int) -> list[int]:
-    """The n input planes of the exhaustive sweep: lane k holds input k,
-    for all 2**n inputs (plane i is bit i of the lane index).
-
-    Built by doubling: the planes of 2L lanes are those of L lanes, each
-    repeated in the upper half, plus a new top plane set in the upper half.
-    """
+def _doubling(n: int):
+    """The input planes of 1, 2, 4, ..., 2**n lanes, in turn: those of
+    2L lanes are those of L lanes, each repeated in the upper half, plus
+    a new top plane set in the upper half."""
     planes: list[int] = []
+    yield planes
     for k in range(n):
         lanes = 1 << k
         planes = [p | p << lanes for p in planes] + [((1 << lanes) - 1) << lanes]
+        yield planes
+
+
+def lane_planes(n: int) -> list[int]:
+    """The n input planes of the exhaustive sweep: lane k holds input k,
+    for all 2**n inputs (plane i is bit i of the lane index)."""
+    for planes in _doubling(n):
+        pass
     return planes
 
 
@@ -463,3 +479,137 @@ def verify_equivalence(netlist: Netlist, expanded: Netlist, input_wires) -> dict
             "expected": {str(w): (mask >> w) & 1 for w in range(expanded.wire_count)},
             "got": got})
     return {"inputs_checked": total, "mismatches": mismatches}
+
+
+# ---- the squarer's checks ----------------------------------------------------
+
+@functools.lru_cache(maxsize=12)  # as many widths as the CLI's BASIS_RANGE has
+def _square_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The n input planes (lane a holds a, as ``lane_planes`` builds
+    them) and the 2n planes of a*a, over every input a < 2**n.
+
+    Built together, apart from any circuit, in the one ``_doubling``
+    loop: the upper half of 2L lanes holds a + L, a new top input plane,
+    and (a + L)**2 = a**2 + a*2L + L**2 for a < L = 2**k.  As a**2 <
+    L**2, adding L**2 only sets bit 2k; a*2L is rippled in."""
+    square = [0] * (2 * n)
+    for k, a_planes in enumerate(_doubling(n)):
+        if k == n:  # the planes of all 2**n lanes
+            return tuple(a_planes), tuple(square)
+        lanes = 1 << k
+        upper = square[:]
+        upper[2 * k] = (1 << lanes) - 1
+        carry = 0
+        for i in range(k + 1, 2 * n):
+            b = a_planes[i - k - 1] if i <= 2 * k else 0
+            if not (b or carry):
+                break
+            x = upper[i]
+            s = x ^ b
+            upper[i] = s ^ carry
+            carry = (x & b) | (carry & s)
+        square = [p | q << lanes for p, q in zip(square, upper)]
+
+
+def check_squarer(netlist: Netlist) -> dict:
+    """Sweep a squarer netlist over every input a, read through its
+    registers A and P alone: P must hold a*a, A must hold a, and every
+    other wire and would-be carry 0.  Returns the report dict plus n and
+    ``failing``, the count of failing inputs (the report lists the first
+    16), or, for a sweep that raised, ``stopped``, the error its one
+    mismatch names.  A missing register, or a P not twice as wide as A,
+    raises ``ValueError``.
+
+    Only planes that differ from the reference carry data: each P and A
+    plane is XORed with its expected plane once, garbage is the OR of
+    the non-zero ancilla planes, and a reported lane's P and A are the
+    expected values XOR its difference bits, read from small windows of
+    the differences that start at the first reported lane."""
+    registers = netlist.registers
+    if "A" not in registers or "P" not in registers:
+        raise ValueError(f"a squarer netlist needs registers A and P, got {sorted(registers)}")
+    inputs, p_wires = registers["A"], registers["P"]
+    n = len(inputs)
+    if len(p_wires) != 2 * n:
+        raise ValueError(f"register P has {len(p_wires)} wires, not twice the {n} of register A")
+    lanes = 1 << n
+    a_planes, square = _square_planes(n)
+    try:
+        result = run_basis_sweep(netlist, dict(zip(inputs, a_planes)), lanes)
+    except SimulationError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return {"n": n, "inputs_checked": lanes, "stopped": error,
+                "mismatches": [{"input": {"n": n}, "expected": "clean run", "got": error}]}
+    planes = result.wires
+    # (bit, plane of lanes where that bit is wrong), non-zero planes only
+    p_diff = [(i, d) for i, (w, want) in enumerate(zip(p_wires, square))
+              if (d := planes[w] ^ want)]
+    a_diff = [(i, d) for i, (w, want) in enumerate(zip(inputs, a_planes))
+              if (d := planes[w] ^ want)]
+    keep = {*inputs, *p_wires}
+    dirty = overflow = 0
+    for w, plane in planes.items():
+        if plane and w not in keep:
+            dirty |= plane
+    for carry in result.would_be_carries.values():
+        if carry:
+            overflow |= carry
+    bad = dirty | overflow
+    for _, d in p_diff + a_diff:
+        bad |= d
+    failing = bad.bit_count()
+    first: list[int] = []  # the lowest 16 bad lanes
+    while bad and len(first) < 16:
+        low = bad & -bad
+        bad ^= low
+        first.append(low.bit_length() - 1)
+    # cut every plane to the window of reported lanes, so reading a lane
+    # shifts a small int
+    lo = first[0] if first else 0
+    window = (2 << (first[-1] - lo)) - 1 if first else 0
+    p_diff, a_diff = ([(i, (d >> lo) & window) for i, d in diff] for diff in (p_diff, a_diff))
+    dirty, overflow = (dirty >> lo) & window, (overflow >> lo) & window
+    mismatches = []
+    for a in first:
+        k = a - lo
+        mismatches.append({
+            "input": {"n": n, "a": a},
+            "expected": {"P": a * a, "A": a, "garbage": 0, "overflow": 0},
+            "got": {"P": a * a ^ sum(((d >> k) & 1) << i for i, d in p_diff),
+                    "A": a ^ sum(((d >> k) & 1) << i for i, d in a_diff),
+                    "garbage": (dirty >> k) & 1, "overflow": (overflow >> k) & 1}})
+    return {"n": n, "inputs_checked": lanes, "mismatches": mismatches, "failing": failing}
+
+
+def _and_block(nl: Netlist, uncompute: bool) -> tuple[int, ...]:
+    x, y = nl.alloc_register("xy", 2, "input")
+    t = blocks.build_logical_and(nl, x, y)
+    if uncompute:
+        blocks.build_uncompute_and(nl, x, y, t)
+    return x, y
+
+
+def _adder_block(nl: Netlist, m: int, carry: bool) -> tuple[int, ...]:
+    a, b = nl.alloc_register("a", m, "input"), nl.alloc_register("b", m, "input")
+    blocks.build_adder_in_place(nl, a, b, carry)
+    return a + b
+
+
+# the block battery: each block's name, and the builder and its
+# arguments that write it into a fresh netlist and return its input wires
+_BLOCKS = (("logical-and", _and_block, False), ("and-uncompute", _and_block, True),
+           *((f"adder-m{m}-{'carry' if carry else 'modular'}", _adder_block, m, carry)
+             for m, carry in ((2, True), (2, False), (3, True), (3, False))))
+
+
+def check_blocks() -> list[dict]:
+    """Certify each ``_BLOCKS`` block's Clifford+T expansion against its
+    macro netlist on the basis engine, over every input: one
+    ``verify_equivalence`` report per block, under its name as
+    ``"block"``."""
+    reports: list[dict] = []
+    for name, build, *args in _BLOCKS:
+        nl = Netlist()
+        inputs = build(nl, *args)
+        reports.append({"block": name, **verify_equivalence(nl, expand(nl), inputs)})
+    return reports

@@ -22,6 +22,7 @@ from qsquare.costs import (
     METRICS,
     baseline_costs,
     built_metrics,
+    measure_circuit,
     proposed_metrics,
     reconcile,
     reduction_ratios,
@@ -101,7 +102,7 @@ def test_criterion_3_block_budgets_exact():
     nl = Netlist()
     x, y = nl.alloc_register("xy", 2, "input")
     build_logical_and(nl, x, y)
-    t_count, t_depth, cnot_count, cnot_depth, wires = nl.measure()
+    t_count, t_depth, cnot_count, cnot_depth, wires = measure_circuit(nl)[:5]
     assert t_count == 4
     assert t_depth == 2
     assert cnot_count == 6

@@ -21,9 +21,7 @@ from qsquare import blocks, cli, ir, sim
 from qsquare.cli import (
     BASIS_RANGE,
     _drop_gate,
-    _square_planes,
     _UsageError,
-    _verify_basis_one,
     main,
 )
 from qsquare.ir import UncomputeAnd, expand, from_json, to_json, to_qasm
@@ -125,6 +123,16 @@ def test_squarer_cache_keeps_at_most_its_bound(monkeypatch, capsys):
     assert built[20:] == [11]
 
 
+def test_plane_cache_keeps_as_many_widths_as_the_basis_range():
+    # a library caller of check_squarer cannot grow the reference planes
+    # past as many widths as verify sweeps
+    sim._square_planes.cache_clear()
+    for n in range(1, 14):
+        sim._square_planes(n)
+    info = sim._square_planes.cache_info()
+    assert info.maxsize == info.currsize == BASIS_RANGE[1] - BASIS_RANGE[0] + 1
+
+
 def test_synth_grid_row_t1_starts_with_a0a1(capsys):
     code, out, _ = run(["synth", "6", "--format", "grid"], capsys)
     assert code == 0
@@ -224,7 +232,7 @@ def test_lane_and_square_planes_read_back(n):
     # lane k of the exhaustive sweep holds input k; lane a of the
     # reference holds a*a; neither plane has a bit past the last lane
     lanes = 1 << n
-    a_planes, square = _square_planes(n)
+    a_planes, square = sim._square_planes(n)
     assert len(a_planes) == n and len(square) == 2 * n
     if n <= 12:  # reading every lane back takes seconds at 16 bits
         assert ints_of(a_planes, lanes) == list(range(lanes))
@@ -233,7 +241,7 @@ def test_lane_and_square_planes_read_back(n):
     # verify reads them once per process, as tuples no caller can change;
     # the doubling that builds the squares builds the input planes that
     # the simulator's own sweeps use
-    assert _square_planes(n)[0] == tuple(lane_planes(n))
+    assert sim._square_planes(n)[0] == tuple(lane_planes(n))
 
 
 def test_verify_basis_reports_garbage_and_overflow_lanes(monkeypatch):
@@ -243,7 +251,7 @@ def test_verify_basis_reports_garbage_and_overflow_lanes(monkeypatch):
     k, op = next((k, op) for k, op in enumerate(nl.gates)
                  if isinstance(op, UncomputeAnd))
     i, j = nl.registers["A"].index(op.x), nl.registers["A"].index(op.y)
-    rep = _verify_basis_one(_drop_gate(nl, k))
+    rep = sim.check_squarer(_drop_gate(nl, k))
     assert rep["inputs_checked"] == 32
     assert [m["input"]["a"] for m in rep["mismatches"]] == [
         a for a in range(32) if (a >> i) & (a >> j) & 1]
@@ -260,7 +268,7 @@ def test_verify_basis_reports_garbage_and_overflow_lanes(monkeypatch):
         return res
 
     monkeypatch.setattr(sim, "run_basis_sweep", overflowing)
-    assert _verify_basis_one(nl)["mismatches"] == [{
+    assert sim.check_squarer(nl)["mismatches"] == [{
         "input": {"n": 5, "a": 21},
         "expected": {"P": 441, "A": 21, "garbage": 0, "overflow": 0},
         "got": {"P": 441, "A": 21, "garbage": 0, "overflow": 1}}]
@@ -272,7 +280,7 @@ def test_verify_basis_reads_a_corrupted_input_back():
     # bit 3 of a*a is set
     netlist = from_json(to_json(synthesize_squarer(7)))
     netlist.add_gate("cx", netlist.registers["P"][3], netlist.registers["A"][2])
-    rep = _verify_basis_one(netlist)
+    rep = sim.check_squarer(netlist)
     lanes = [a for a in range(128) if (a * a >> 3) & 1]
     assert rep["failing"] == len(lanes) > 16
     assert [(m["input"]["a"], m["got"]) for m in rep["mismatches"]] == [
@@ -285,8 +293,8 @@ def test_verify_basis_reads_a_netlist_alone():
     for n in range(5, 9):
         netlist = synthesize_squarer(n)
         for checked in (netlist, _drop_gate(netlist, 8)):
-            rep = _verify_basis_one(checked)
-            assert rep == _verify_basis_one(from_json(to_json(checked)))
+            rep = sim.check_squarer(checked)
+            assert rep == sim.check_squarer(from_json(to_json(checked)))
             assert rep["n"] == n and rep["inputs_checked"] == 1 << n
             assert bool(rep["mismatches"]) == (checked is not netlist)
 
@@ -325,7 +333,7 @@ def test_block_battery_checks_the_and_target_it_is_given(monkeypatch):
         return real(netlist, x, y)
 
     monkeypatch.setattr(blocks, "build_logical_and", spare_first)
-    reports = cli._verify_blocks()
+    reports = sim.check_blocks()
     assert [r["block"] for r in reports[:2]] == ["logical-and", "and-uncompute"]
     assert [r["mismatches"] for r in reports] == [[]] * len(reports)
 
@@ -802,7 +810,7 @@ _PACKAGE_NAMES = (
     "TermBudgetError", "UncomputeAnd", "UncomputeMisuseError", "UnsupportedWidthError",
     "arrange", "baseline_costs", "blocks", "build_adder_in_place", "build_logical_and",
     "build_uncompute_and", "built_metrics", "costs", "count_gates", "dump_grid", "expand",
-    "from_json", "grid_value", "ir", "lane_planes", "layout",
+    "check_squarer", "from_json", "grid_value", "ir", "lane_planes", "layout",
     "proposed_metrics", "reconcile", "reduction_ratios", "run_basis_sweep",
     "run_statevector", "schedule_asap", "sim", "synth", "synthesize_squarer",
     "to_json", "to_qasm", "verify_equivalence",

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from qsquare import ir
+from qsquare import costs, ir
 from qsquare.cli import _drop_gate
 from qsquare.ir import (
     PATTERNS,
@@ -32,7 +32,7 @@ from qsquare.ir import (
     to_json,
     to_qasm,
 )
-from qsquare.costs import CostRow, MetricValues
+from qsquare.costs import CostRow, MetricValues, measure_circuit
 from qsquare.sim import Branch, SweepResult
 from qsquare.synth import synthesize_squarer
 
@@ -79,11 +79,20 @@ def test_alloc_duplicate_name_rejected():
 
 def test_alloc_zero_width_rejected():
     nl = Netlist()
-    # True < 1 is False, so a bool width reaches new_wires, which refuses
-    # it before the register is recorded
-    for width in (0, True):
-        with pytest.raises(NetlistError):
+    # a width must be an int >= 1: True passes True < 1, and "2" < 1
+    # would leak a TypeError
+    for width in (0, -1, True, "2", 2.0):
+        with pytest.raises(NetlistError,
+                           match=rf"^register width must be an integer >= 1, got {width!r}$"):
             nl.alloc_register("a", width, "input")
+    # to_json writes a name as a JSON key, which from_json reads back as
+    # a str: 5 would come back as "5", beside any register named "5"
+    for name in (5, None, ("A",), ["A"]):
+        message = rf"^register name must be a str, got {re.escape(repr(name))}$"
+        with pytest.raises(NetlistError, match=message):
+            nl.alloc_register(name, 1, "input")
+        with pytest.raises(NetlistError, match=message):
+            nl.register_alias(name, ())
     assert nl.wire_count == 0 and dict(nl.registers) == {}
 
 
@@ -230,6 +239,10 @@ def test_register_alias_checks_and_stores_its_wires():
         ("bool", (0, True), "wire index must be an integer, got True"),
         ("float", (1.0,), "wire index must be an integer, got 1.0"),
         ("v", (0,), "register 'v' already allocated"),
+        # a reader that maps a register's wires to values, as the
+        # squarer's oracle maps A's to its input planes, would keep one
+        ("twice", (0, 0, 2), "^register 'twice' names wire 0 twice$"),
+        ("again", iter([2, 0, 2, 2]), "^register 'again' names wire 2 twice$"),
     ]:
         with pytest.raises(NetlistError, match=match):
             nl.register_alias(name, wires)
@@ -515,7 +528,7 @@ def test_expand_without_macros_is_identity():
 
 @pytest.mark.parametrize("walk", [
     expand, schedule_asap, lambda nl: to_json(nl, lower=True), to_qasm, to_json,
-    Netlist.measure,
+    measure_circuit,
 ], ids=["expand", "schedule_asap", "to_json", "to_qasm", "to_json-unlowered", "measure"])
 def test_lowering_refuses_an_op_of_no_known_type(walk):
     # append refuses such an op, and no other call can put one into a
@@ -589,7 +602,8 @@ def test_count_t_on_unexpanded_rejected():
 
 
 def _measured_by_expansion(nl):
-    """What ``measure`` returns, taken from the whole expansion."""
+    """What ``measure_circuit`` returns of the first five metrics, taken
+    from the whole expansion."""
     full = expand(nl)
     (t_count, cnot_count), (t_depth, cnot_depth) = count_gates(full), schedule_asap(nl)
     return t_count, t_depth, cnot_count, cnot_depth, full.wire_count
@@ -598,7 +612,7 @@ def _measured_by_expansion(nl):
 @pytest.mark.parametrize("n", [*range(5, 41), 64, 128])
 def test_measure_of_squarer_equals_its_expansion(n):
     nl = synthesize_squarer(n)
-    assert nl.measure() == _measured_by_expansion(nl)
+    assert measure_circuit(nl)[:5] == _measured_by_expansion(nl)
 
 
 def test_measure_of_every_adder_shape_equals_its_expansion():
@@ -615,7 +629,7 @@ def test_measure_of_every_adder_shape_equals_its_expansion():
             nl.append(AddInPlace(a, b, c0))
             nl.add_gate("cx", wires[0], wires[-1])
             nl.append(AddInPlace(b, a, c1))
-            assert nl.measure() == _measured_by_expansion(nl), (m, carry)
+            assert measure_circuit(nl)[:5] == _measured_by_expansion(nl), (m, carry)
 
 
 def test_measure_of_primitives_and_of_columns_equals_its_expansion():
@@ -626,36 +640,36 @@ def test_measure_of_primitives_and_of_columns_equals_its_expansion():
                               ("ccz_classical", (a, b), 0), ("t", (b,), None)]:
         nl.append(Gate(kind, wires, cbit))
     assert type(nl.gates) is not GateColumns
-    assert nl.measure() == _measured_by_expansion(nl) == (3, 2, 2, 2, 3)
+    assert measure_circuit(nl)[:5] == _measured_by_expansion(nl) == (3, 2, 2, 2, 3)
     full = expand(synthesize_squarer(9))
     assert isinstance(full.gates, GateColumns)
-    assert full.measure() == _measured_by_expansion(full)
+    assert measure_circuit(full)[:5] == _measured_by_expansion(full)
 
 
 def test_measure_of_drop_gate_mutants_equals_their_expansion():
     netlist = synthesize_squarer(6)
     for k in range(len(netlist.gates)):
         mutant = _drop_gate(netlist, k)
-        assert mutant.measure() == _measured_by_expansion(mutant), k
+        assert measure_circuit(mutant)[:5] == _measured_by_expansion(mutant), k
 
 
 def test_measure_expands_each_shape_once_per_process(monkeypatch):
     # a second measurement finds every shape's cost cached
     calls = []
-    real = ir.expand
+    real = costs.expand
 
     def counted(nl):
         calls.append(nl.wire_count)
         return real(nl)
 
-    monkeypatch.setattr(ir, "expand", counted)
-    ir._shape_cost.cache_clear()
+    monkeypatch.setattr(costs, "expand", counted)
+    costs._shape_cost.cache_clear()
     nl = synthesize_squarer(64)
-    first = nl.measure()
+    first = measure_circuit(nl)[:5]
     adders = sum(isinstance(op, AddInPlace) for op in nl.gates)
-    assert len(calls) == 2 + adders == ir._shape_cost.cache_info().currsize
+    assert len(calls) == 2 + adders == costs._shape_cost.cache_info().currsize
     del calls[:]
-    assert nl.measure() == first
+    assert measure_circuit(nl)[:5] == first
     assert calls == []
 
 
@@ -847,16 +861,20 @@ def test_json_round_trip_macro_netlist():
     ({"wires": 1, "gates": [{"kind": "h", "wires": [0], "width": 3}]},
      "^gate 0: 'h' takes no key 'width'$"),
     ({"wires": 1, "gates": [], "cbits": 2}, "^netlist JSON takes no key 'cbits'$"),
-    # a count past the wires named, which measure and to_qasm would size
-    # their tables by
+    # a count past the wires named, which schedule_asap and to_qasm would
+    # size their tables by
     ({"wires": 2**40, "gates": []},
      "^netlist 'wires' is 1099511627776, but no gate or register names a wire$"),
     ({"wires": 9, "registers": {"A": [0, 3]}, "gates": [{"kind": "cx", "wires": [1, 7]}]},
      "^netlist 'wires' is 9, but the largest wire a gate or register names is 7$"),
+    # a squarer read back with a misread input would fail most of its sweep
+    ({"wires": 3, "registers": {"A": [0, 0, 2]}, "gates": []},
+     "^register 'A' names wire 0 twice$"),
 ], ids=["no-wires", "negative-wires", "gates-not-list", "bool-wire", "negative-cbit",
         "bool-cbit", "string-cbit", "gate-not-object", "register-unallocated",
         "fractional-width", "cbit-read-before-write", "prepT-kind", "and-cbit-key",
-        "primitive-width-key", "document-key", "wires-none-named", "wires-past-named"])
+        "primitive-width-key", "document-key", "wires-none-named", "wires-past-named",
+        "register-wire-twice"])
 def test_from_json_rejects_malformed_netlists(doc, message):
     with pytest.raises(NetlistError, match=message):
         from_json_dict(doc)

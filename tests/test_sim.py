@@ -4,12 +4,14 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
-from qsquare import cli, sim
+from qsquare import sim
 from qsquare.blocks import build_adder_in_place, build_logical_and
 from qsquare.ir import (
-    PATTERNS, AddInPlace, Gate, LogicalAnd, Netlist, NetlistError, UncomputeAnd, expand)
+    PATTERNS, AddInPlace, Gate, LogicalAnd, Netlist, NetlistError, UncomputeAnd, expand,
+    from_json_dict, to_json)
 from qsquare.sim import (
     MAX_TERMS,
     NonClassicalGateError,
@@ -25,7 +27,7 @@ from qsquare.sim import (
 from qsquare.synth import synthesize_squarer
 
 from macro_lowering import lower_adders
-from planes import ints_of, pack_wires, planes_of
+from planes import ints_of, lanes_of, pack_wires, packed, plane_of, planes_of
 
 ONE = (1, 0, 0, 0)
 T_STATE = {0: ONE, 1: (0, 1, 0, 0)}  # (|0> + ω|1>)/√2: k = 1, as its norms sum to 2
@@ -456,6 +458,65 @@ def test_verify_equivalence_refuses_a_repeated_input_wire():
             verify_equivalence(nl, expand(nl), wires)
 
 
+def test_check_squarer_refuses_a_netlist_it_cannot_read():
+    # without the first uncompute, the 5-bit squarer leaves that AND's
+    # target dirty in 8 lanes; appended to P, the target would be zipped
+    # against no square plane and the mutant would read clean
+    netlist = synthesize_squarer(5)
+    k, op = next((k, op) for k, op in enumerate(netlist.gates) if type(op) is UncomputeAnd)
+    mutant = netlist.without(k)
+    assert sim.check_squarer(mutant)["failing"] == 8
+    doc = json.loads(to_json(mutant))
+    p_wires = doc["registers"]["P"]
+    for wires, count in ((p_wires + [op.target], 11), (p_wires[:-1], 9)):
+        wider = {**doc, "registers": {**doc["registers"], "P": wires}}
+        with pytest.raises(ValueError, match=rf"^register P has {count} wires, not twice "
+                                             rf"the 5 of register A$"):
+            sim.check_squarer(from_json_dict(wider))
+    for name in ("A", "P"):
+        rest = {r: ws for r, ws in doc["registers"].items() if r != name}
+        with pytest.raises(ValueError, match="^a squarer netlist needs registers A and P"):
+            sim.check_squarer(from_json_dict({**doc, "registers": rest}))
+
+
+def _failing_by_numpy(netlist) -> int:
+    """How many inputs ``netlist`` fails, read back lane by lane from
+    one sweep of numpy-built planes: P = a*a, A = a, every other wire 0
+    and no would-be carry set."""
+    a_wires, p_wires = netlist.registers["A"], netlist.registers["P"]
+    lanes = 1 << len(a_wires)
+    a = np.arange(lanes, dtype=np.int64)
+    res = run_basis_sweep(netlist, {w: plane_of((a >> i) & 1 == 1)
+                                    for i, w in enumerate(a_wires)}, lanes)
+    bad = (packed(res, p_wires, lanes) != a * a) | (packed(res, a_wires, lanes) != a)
+    for w in set(range(netlist.wire_count)) - {*a_wires, *p_wires}:
+        bad |= lanes_of(res.wires[w], lanes)
+    for carry in res.would_be_carries.values():
+        bad |= lanes_of(carry, lanes)
+    return int(bad.sum())
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_check_squarer_counts_every_drop_gate_mutant(n):
+    # the oracle's count, taken on planes that differ from the reference,
+    # equals a lane-by-lane count at every mutant whose sweep runs
+    netlist = synthesize_squarer(n)
+    counted = cut = 0
+    for k in range(len(netlist.gates)):
+        mutant = netlist.without(k)
+        rep = sim.check_squarer(mutant)
+        try:
+            want = _failing_by_numpy(mutant)
+        except SimulationError:
+            assert "stopped" in rep and "failing" not in rep, k
+            continue
+        assert rep["failing"] == want, k
+        assert len(rep["mismatches"]) == min(want, 16), k
+        counted += 1
+        cut += want > 16
+    assert counted and cut  # some mutants run, and some fail past the listed 16
+
+
 def _adder_m3():
     nl = Netlist()
     a = nl.alloc_register("a", 3, "input")
@@ -549,7 +610,7 @@ def test_tagged_run_reports_as_the_per_input_runs(monkeypatch):
     # decide, the per-input runs write the same report as ever
     calls = _counting_runs(monkeypatch)
     mutants, refused, fell_back = 0, [], []
-    for name, build, *args in cli._BLOCKS:
+    for name, build, *args in sim._BLOCKS:
         nl = Netlist()
         inputs = build(nl, *args)
         calls.clear()
